@@ -41,9 +41,9 @@
         # utilization, and the measured-wall vs modeled-makespan gap
         # (Python dispatch overhead); --format text|json|html
     python -m repro report --compare BENCH_old.json BENCH_new.json
-        # bench regression check between two BENCH_*.json documents
-        # (schema /1 or /2); warn-only by default, --strict exits
-        # non-zero on any metric past --threshold
+        # bench regression check between two BENCH_*.json documents;
+        # warn-only by default, --strict exits non-zero on any metric
+        # past --threshold
     python -m repro serve --jobs 20 --tenants 3 -o BENCH_serve.json
         # multi-tenant serving smoke: submit a seeded mix of lbm/poisson
         # jobs from several tenants through the Gateway and its
@@ -70,6 +70,8 @@ import argparse
 import pathlib
 import subprocess
 import sys
+
+from repro.modes import EXECUTION_MODES
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -209,9 +211,7 @@ def cmd_bench(
     tripwire: float | None,
     fuse: bool = True,
     fuse_gate: float | None = None,
-    process_gate: float | None = None,
 ) -> int:
-    from repro.bench.harness import usable_cpu_count
     from repro.bench.parallel import run_bench, summarize, write_report
 
     if devices < 1:
@@ -251,28 +251,6 @@ def cmd_bench(
             )
             return 1
         print(f"fuse-gate ok: fused serial is {speedup:.2f}x unfused (required {fuse_gate:.2f}x)")
-    if process_gate is not None:
-        # the gate only makes sense where process mode can actually win:
-        # with the legs skipped (fallback armed / no shared memory) or a
-        # single usable core, record why and pass rather than assert a
-        # speedup the machine cannot deliver
-        if "process_skipped" in report:
-            print(f"process-gate skipped: {report['process_skipped']}")
-        elif usable_cpu_count() < 2:
-            print(f"process-gate skipped: only {usable_cpu_count()} usable core(s)")
-        else:
-            speedup = report.get("speedup_process")
-            if speedup is None:
-                print("PROCESS-GATE: no process speedup in the report", file=sys.stderr)
-                return 1
-            if speedup < process_gate:
-                print(
-                    f"PROCESS-GATE: process replay is only {speedup:.2f}x serial "
-                    f"(required {process_gate:.2f}x)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(f"process-gate ok: process is {speedup:.2f}x serial (required {process_gate:.2f}x)")
     return 0
 
 
@@ -291,7 +269,6 @@ def cmd_sanitize(
     from repro import observability as obs
     from repro.sanitizer import mutation_matrix, sanitize_workload
     from repro.skeleton import Occ, fusion
-
     if devices < 1:
         print(f"--devices must be >= 1, got {devices}", file=sys.stderr)
         return 2
@@ -302,7 +279,7 @@ def cmd_sanitize(
         return 2
 
     obs.enable()
-    modes = ("serial", "parallel", "process") if mode == "all" else ("serial", "parallel") if mode == "both" else (mode,)
+    modes = EXECUTION_MODES if mode == "both" else (mode,)
     reports = []
     try:
         # --no-fuse sanitizes the raw per-step plans; either way the
@@ -654,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
     tr.add_argument(
         "--mode",
         default="serial",
-        choices=["serial", "parallel", "process"],
+        choices=EXECUTION_MODES,
         help="execution mode for the traced run (default serial)",
     )
     fl = sub.add_parser("faults", help="run a fault-matrix miniature with recovery armed")
@@ -687,15 +664,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="fail (exit 1) unless fused serial dispatch beats unfused by this factor",
     )
-    bn.add_argument(
-        "--process-gate",
-        type=float,
-        default=None,
-        help=(
-            "fail (exit 1) unless process replay beats serial by this factor; "
-            "passes with a note when process legs were skipped or <2 cores are usable"
-        ),
-    )
     sn = sub.add_parser("sanitize", help="race-sanitize a miniature's compiled schedule")
     sn.add_argument("name", help="workload: lbm, poisson, karman or elasticity")
     sn.add_argument("--devices", type=int, default=4, help="simulated device count (default 4)")
@@ -703,8 +671,8 @@ def main(argv: list[str] | None = None) -> int:
     sn.add_argument(
         "--mode",
         default="both",
-        choices=["serial", "parallel", "process", "both", "all"],
-        help="replay mode(s) to sanitize (default both; 'all' adds process)",
+        choices=[*EXECUTION_MODES, "both"],
+        help="replay mode(s) to sanitize (default both)",
     )
     sn.add_argument("--mutate", action="store_true", help="also grade the detector against schedule mutants")
     sn.add_argument("--no-fuse", action="store_true", help="sanitize the raw per-step plans (no fusion pass)")
@@ -725,7 +693,7 @@ def main(argv: list[str] | None = None) -> int:
     rp.add_argument(
         "--mode",
         default="serial",
-        choices=["serial", "parallel", "process"],
+        choices=EXECUTION_MODES,
         help="replay mode for the modeled timeline (default serial)",
     )
     rp.add_argument("--format", default="text", choices=["text", "json", "html"], help="output format")
@@ -769,7 +737,7 @@ def main(argv: list[str] | None = None) -> int:
     ch.add_argument(
         "--mode",
         default="serial",
-        choices=["serial", "parallel", "process"],
+        choices=EXECUTION_MODES,
         help="execution mode for the soak (armed resilience degrades to serial; default serial)",
     )
     sv = sub.add_parser("serve", help="multi-tenant gateway smoke: mixed jobs through the plan cache")
@@ -781,7 +749,7 @@ def main(argv: list[str] | None = None) -> int:
     sv.add_argument(
         "--mode",
         default="serial",
-        choices=["serial", "parallel", "process"],
+        choices=EXECUTION_MODES,
         help="execution mode for served jobs (default serial)",
     )
     sv.add_argument(
@@ -817,7 +785,6 @@ def main(argv: list[str] | None = None) -> int:
             args.tripwire,
             fuse=not args.no_fuse,
             fuse_gate=args.fuse_gate,
-            process_gate=args.process_gate,
         )
     if args.command == "sanitize":
         return cmd_sanitize(

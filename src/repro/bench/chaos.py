@@ -311,10 +311,10 @@ def run_chaos(
     """One full soak: probe/reference, calibrated storm, bitwise verdict.
 
     ``mode`` is the requested replay mode for every app step.  The soak
-    runs inside an armed resilience session, so ``parallel`` and
-    ``process`` degrade to serial with their typed fallback warnings —
-    requesting them here chiefly proves (and demonstrates) that the
-    degradation path is clean under a full fault storm.
+    runs inside an armed resilience session, so ``parallel`` degrades
+    to serial with its typed fallback warning — requesting it here
+    chiefly proves (and demonstrates) that the degradation path is
+    clean under a full fault storm.
     """
     if name not in CHAOS_WORKLOADS:
         supported = ", ".join(sorted(CHAOS_WORKLOADS))

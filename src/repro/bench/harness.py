@@ -2,25 +2,21 @@
 
 Besides the text-table helpers the benchmarks print, this module owns
 the machine-readable result format: :func:`write_bench_json` emits a
-``BENCH_<exp>.json`` document (schema ``repro-bench/4``) recording the
+``BENCH_<exp>.json`` document (schema ``repro-bench/5``) recording the
 experiment id, its parameters, the runtime environment (python / numpy
 versions, usable CPU core count — essential context for wall-clock
 numbers), and one entry per measured configuration with wall-clock
-seconds, simulated makespan, and MLUPS.  Schema ``/2`` adds two
-optional top-level annotations — ``percentiles`` (per-site latency
-distributions from an instrumented pass) and ``critical_path`` (the
-modeled makespan's exact attribution) — that ``/1`` readers can
-ignore.  Schema ``/3`` adds a ``fusion`` annotation (static
-``fusion_ratio`` / ``fused_steps`` / per-mode ``fusion_speedup`` from a
-fused-vs-unfused sweep) and a per-result ``fused`` flag.  Schema ``/4``
-adds the ``process`` execution mode: result rows labelled
-``<exp>-process[-unfused]`` and a ``speedup_process`` /
-``process_skipped`` pair in ``params`` — pre-/4 documents simply lack
-those labels, so label-joined comparisons skip them;
-:func:`read_bench_json` accepts all four versions.  CI uploads
-these artifacts so the perf trajectory of the repo is diffable across
-commits, and ``python -m repro report --compare old.json new.json``
-(see :mod:`repro.bench.regress`) turns a pair of them into a
+seconds, simulated makespan and MLUPS (the ``bench`` miniatures add a
+``fused`` flag per row).  Three optional top-level annotations ride
+along: ``percentiles`` (per-site latency distributions from an
+instrumented pass), ``critical_path`` (the modeled makespan's exact
+attribution) and ``fusion`` (static ``fusion_ratio`` / ``fused_steps``
+/ per-mode ``speedup`` from a fused-vs-unfused sweep).  There is one
+schema: :func:`read_bench_json` rejects every other version, so
+regenerate a baseline rather than comparing across versions.  CI
+uploads these artifacts so the perf trajectory of the repo is diffable
+across commits, and ``python -m repro report --compare old.json
+new.json`` (see :mod:`repro.bench.regress`) turns a pair of them into a
 regression verdict.
 """
 
@@ -35,10 +31,7 @@ import sys
 import time
 from collections.abc import Callable, Iterable
 
-BENCH_SCHEMA = "repro-bench/4"
-
-#: schema versions read_bench_json accepts (all are forward subsets of /4)
-KNOWN_SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3", "repro-bench/4")
+BENCH_SCHEMA = "repro-bench/5"
 
 
 def format_table(headers: list[str], rows: list[list], title: str = "") -> str:
@@ -122,16 +115,15 @@ def write_bench_json(
 
     ``results`` entries carry at least ``label`` plus whichever of
     ``wall_clock_s`` / ``sim_makespan_s`` / ``mlups`` the experiment
-    measures; extra keys pass through untouched.  The optional schema-/2
+    measures; extra keys pass through untouched.  The optional
     annotations: ``percentiles`` maps metric names to a list of
     ``{labels, count, mean, p50, p90, p99}`` series (from an
     instrumented pass), ``critical_path`` is the modeled makespan's
-    attribution (:meth:`repro.observability.CriticalPath.to_json`-shaped).
-    The schema-/3 ``fusion`` annotation summarises the fused-vs-unfused
-    sweep: static ``fusion_ratio`` / ``fused_steps`` / ``dispatch_units``
-    plus a per-mode ``speedup`` map (unfused wall / fused wall).  All
-    are omitted from the document when None, so minimal documents stay
-    /1-shaped apart from the version string.
+    attribution (:meth:`repro.observability.CriticalPath.to_json`-shaped),
+    ``fusion`` summarises the fused-vs-unfused sweep: static
+    ``fusion_ratio`` / ``fused_steps`` / ``dispatch_units`` plus a
+    per-mode ``speedup`` map (unfused wall / fused wall).  Each is
+    omitted from the document when None.
     """
     doc = {
         "schema": BENCH_SCHEMA,
@@ -152,30 +144,13 @@ def write_bench_json(
 
 
 def read_bench_json(path) -> dict:
-    """Load a ``BENCH_*.json`` document, accepting schema ``/1``–``/4``.
+    """Load a ``BENCH_*.json`` document of the current schema.
 
-    Older documents are upgraded in memory to the ``/4`` shape (empty
-    ``percentiles`` / ``critical_path`` / ``fusion`` annotations; every
-    result without a ``fused`` flag is marked ``fused: False`` — pre-/3
-    runs dispatched step by step; ``params.process_skipped`` defaults to
-    a "schema predates process mode" note on pre-/4 documents, which
-    never carry ``<exp>-process`` result labels) so downstream code —
-    the regression checker in particular — handles one shape only.  An
-    unrecognised schema raises ``ValueError`` rather than silently
+    Any other schema raises ``ValueError`` rather than silently
     comparing apples to oranges.
     """
     doc = json.loads(pathlib.Path(path).read_text())
     schema = doc.get("schema")
-    if schema not in KNOWN_SCHEMAS:
-        raise ValueError(f"{path}: unknown bench schema {schema!r}; expected one of {KNOWN_SCHEMAS}")
-    doc.setdefault("percentiles", {})
-    doc.setdefault("critical_path", {})
-    doc.setdefault("fusion", {})
-    doc.setdefault("results", [])
-    for entry in doc["results"]:
-        entry.setdefault("fused", False)
     if schema != BENCH_SCHEMA:
-        params = doc.setdefault("params", {})
-        if "speedup_process" not in params:
-            params.setdefault("process_skipped", f"document predates process mode ({schema})")
+        raise ValueError(f"{path}: unknown bench schema {schema!r}; expected {BENCH_SCHEMA!r}")
     return doc

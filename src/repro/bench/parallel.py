@@ -2,25 +2,18 @@
 
 These are small *really-executed* workloads (no virtual planning-only
 domains): each runs the same compiled skeletons in every execution mode
-(serial / parallel threads / worker processes), measures
-best-of-``REPEATS`` wall-clock over a fixed iteration count (single
-timings on a shared host are too noisy to gate CI on), and reports the
-DES makespan of one iteration alongside, so the document shows both the
-measured host time and the modelled device time.
+(:data:`repro.system.EXECUTION_MODES`), measures best-of-``REPEATS``
+wall-clock over a fixed iteration count (single timings on a shared
+host are too noisy to gate CI on), and reports the DES makespan of one
+iteration alongside, so the document shows both the measured host time
+and the modelled device time.
 
-Caveat recorded in every document's ``env.cpu_count``: any cross-device
-speedup needs multiple usable cores — the parallel engine's from NumPy
-kernels releasing the GIL across worker threads, the process engine's
-from forked workers that dodge the GIL entirely.  On a single-core
-machine both modes measure pure engine overhead (for process mode, a
-pipe round-trip plus event-board signalling per replay); the CI
-tripwire bounds the thread engine's overhead (parallel <= ``tripwire``
-x serial) rather than asserting a speedup it cannot deliver there,
-while process legs simply record their honest numbers.  Process legs
-are skipped outright (``process_skipped`` notes why) when
-:func:`repro.system.process_fallback_reason` says the mode would
-silently degrade to serial — a "process" column that secretly measured
-serial replay would be worse than no column.
+Caveat recorded in every document's ``env.cpu_count``: a cross-device
+speedup needs multiple usable cores and NumPy/C kernels releasing the
+GIL across the parallel engine's worker threads.  On a single-core
+machine parallel mode measures pure engine overhead; the CI tripwire
+bounds that overhead (parallel <= ``tripwire`` x serial) rather than
+asserting a speedup it cannot deliver there.
 """
 
 from __future__ import annotations
@@ -29,11 +22,11 @@ import contextlib
 import time
 
 from repro.skeleton import fusion
+from repro.system import EXECUTION_MODES
 
 from .harness import usable_cpu_count, write_bench_json
 from .metrics import mlups
 
-MODES = ("serial", "parallel", "process")
 REPEATS = 3  # best-of-N: single timings on a shared/loaded host swing widely
 
 
@@ -146,17 +139,14 @@ def run_bench(
     exp: str,
     devices: int = 4,
     iters: int | None = None,
-    modes: tuple[str, ...] = MODES,
+    modes: tuple[str, ...] = EXECUTION_MODES,
     fuse: bool = True,
 ) -> dict:
     """Run one miniature in each requested mode; return the report dict.
 
     The report carries the per-mode measurements plus, when the modes
     ran, ``speedup_parallel`` (serial wall-clock / parallel wall-clock —
-    above 1.0 means parallel won) and likewise ``speedup_process``.
-    Process legs are dropped (with a ``process_skipped`` reason in the
-    report) when process mode would fall back to serial — see the
-    module docstring.  With ``fuse=True`` (the default)
+    above 1.0 means parallel won).  With ``fuse=True`` (the default)
     every mode runs twice — fused dispatch and, for the comparison
     column, a ``--no-fuse`` leg — and the report gains a ``fusion``
     annotation: the static chain stats of the frozen programs plus the
@@ -169,13 +159,6 @@ def run_bench(
         raise KeyError(f"no parallel-mode bench for '{exp}'; supported: {supported}")
     fn, shape, default_iters, description = BENCHES[exp]
     iters = default_iters if iters is None else iters
-    process_skipped = None
-    if "process" in modes:
-        from repro.system import process_fallback_reason
-
-        process_skipped = process_fallback_reason()
-        if process_skipped is not None:
-            modes = tuple(m for m in modes if m != "process")
     results = []
     for mode in modes:
         if fuse:
@@ -185,6 +168,8 @@ def run_bench(
         "exp": exp,
         "description": description,
         "params": {
+            "command": f"python -m repro bench {exp} --json --devices {devices} --iters {iters}"
+            + ("" if fuse else " --no-fuse"),
             "devices": devices,
             "iters": iters,
             "shape": list(shape),
@@ -193,13 +178,9 @@ def run_bench(
         },
         "results": results,
     }
-    if process_skipped is not None:
-        report["process_skipped"] = process_skipped
     primary = {r["mode"]: r["wall_clock_s"] for r in results if r["fused"] == fuse}
     if "serial" in primary and "parallel" in primary and primary["parallel"] > 0:
         report["speedup_parallel"] = primary["serial"] / primary["parallel"]
-    if "serial" in primary and "process" in primary and primary["process"] > 0:
-        report["speedup_process"] = primary["serial"] / primary["process"]
     if fuse:
         fused_walls = {r["mode"]: r["wall_clock_s"] for r in results if r["fused"]}
         unfused_walls = {r["mode"]: r["wall_clock_s"] for r in results if not r["fused"]}
@@ -246,7 +227,7 @@ def _tuner_annotation(exp: str, devices: int) -> dict:
 
 
 def _observability_annotation(exp: str, devices: int) -> tuple[dict, dict]:
-    """Schema-/2 extras: latency percentiles + exact makespan attribution.
+    """Latency percentiles + exact makespan attribution.
 
     Runs the experiment's traceable miniature once more with the metrics
     registry enabled (the timed passes above stay uninstrumented so the
@@ -284,11 +265,7 @@ def write_report(report: dict, out_dir=".") -> str:
 
     pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
     path = pathlib.Path(out_dir) / f"BENCH_{report['exp']}.json"
-    extra = {
-        k: report[k]
-        for k in ("description", "speedup_parallel", "speedup_process", "process_skipped", "tuner")
-        if k in report
-    }
+    extra = {k: report[k] for k in ("description", "speedup_parallel", "tuner") if k in report}
     params = dict(report["params"], **extra)
     return str(
         write_bench_json(
@@ -314,10 +291,6 @@ def summarize(report: dict) -> str:
         )
     if "speedup_parallel" in report:
         lines.append(f"  parallel speedup over serial: {report['speedup_parallel']:.2f}x")
-    if "speedup_process" in report:
-        lines.append(f"  process speedup over serial: {report['speedup_process']:.2f}x")
-    if "process_skipped" in report:
-        lines.append(f"  process legs skipped: {report['process_skipped']}")
     if "fusion" in report:
         f = report["fusion"]
         per_mode = "  ".join(f"{m}={s:.2f}x" for m, s in sorted(f["speedup"].items()))

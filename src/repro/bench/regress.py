@@ -1,18 +1,14 @@
 """Bench regression checking: did this change make the numbers worse?
 
-Compares two ``BENCH_<exp>.json`` documents (any mix of schema
-``repro-bench/1`` through ``/4``; see
+Compares two ``BENCH_<exp>.json`` documents (see
 :func:`repro.bench.harness.read_bench_json`) result-by-result, joined
 on each entry's ``label``.  A finding is flagged when a metric moved
 past ``threshold`` in the *bad* direction — wall-clock or simulated
-makespan up, MLUPS down — plus, for ``/2`` documents, tail-latency
-regressions in the ``percentiles`` annotation (p99 up), and for ``/3``
-documents, fusion regressions in the ``fusion`` annotation (static
-``fusion_ratio`` down — chains broke — or a per-mode measured
-``fusion_speedup`` down).  Pre-/3 documents simply lack the fusion
-labels, and pre-/4 documents lack the ``<exp>-process`` result labels,
-so the label join skips them.  Improvements are reported as notes,
-never as failures.
+makespan up, MLUPS down — plus tail-latency regressions in the
+``percentiles`` annotation (p99 up) and fusion regressions in the
+``fusion`` annotation (static ``fusion_ratio`` down — chains broke — or
+a per-mode measured ``fusion_speedup`` down).  Improvements are
+reported as notes, never as failures.
 
 The checker is deliberately a *soft* gate by default: miniature wall
 clocks on shared CI hosts are noisy, so CI runs it warn-only
@@ -38,15 +34,12 @@ _DETERMINISTIC = ("sim_makespan_s",)
 
 
 class BenchLabelMismatch(ValueError):
-    """Two same-schema bench files disagree on which result labels exist.
+    """Two bench files disagree on which result labels exist.
 
     A label present in only one file means the comparison would silently
     ignore that configuration — in a gate, that's a hole, not a skip.
     Raised by :func:`check_regression` (``report --compare``) so callers
-    get a typed, explainable failure instead of a partial verdict;
-    cross-*schema* compares stay lenient (old documents genuinely lack
-    labels newer schemas added), as do ``<exp>-process`` labels when the
-    label-lacking file records *why* in ``params.process_skipped``.
+    get a typed, explainable failure instead of a partial verdict.
     """
 
     def __init__(self, only_old: set, only_new: set):
@@ -116,7 +109,7 @@ def compare_docs(old: dict, new: dict, threshold: float = 0.25) -> list[Finding]
                 )
             )
 
-    # /2 annotation: tail-latency percentiles, joined on metric + labels
+    # tail-latency percentiles, joined on metric + labels
     old_pct = _flatten_percentiles(old.get("percentiles", {}))
     for key, new_summary in _flatten_percentiles(new.get("percentiles", {})).items():
         old_summary = old_pct.get(key)
@@ -138,7 +131,7 @@ def compare_docs(old: dict, new: dict, threshold: float = 0.25) -> list[Finding]
                 )
             )
 
-    # /3 annotation: measured fused-vs-unfused speedup per mode
+    # measured fused-vs-unfused speedup per mode
     old_speedup = old.get("fusion", {}).get("speedup", {})
     for mode, nv in new.get("fusion", {}).get("speedup", {}).items():
         if mode not in old_speedup:
@@ -168,47 +161,21 @@ def _flatten_percentiles(percentiles: dict) -> dict[str, dict]:
     return flat
 
 
-def _check_label_parity(old: dict, new: dict) -> None:
-    """Raise :class:`BenchLabelMismatch` for unexcused asymmetric labels.
-
-    Only same-schema documents are held to parity: a pre-/3 or pre-/4
-    baseline legitimately lacks labels a newer schema added, and the
-    lenient join (:func:`compare_docs`) is the right behaviour there.
-    ``<exp>-process`` labels are excused when the file without them says
-    why (``params.process_skipped``, written both by the upgrade shim
-    and by runs that skipped the process leg on purpose).
-    """
-    if old.get("schema") != new.get("schema"):
-        return
-    old_labels = {r.get("label") for r in old.get("results", [])}
-    new_labels = {r.get("label") for r in new.get("results", [])}
-
-    def excused(label, lacking_doc: dict) -> bool:
-        return (
-            isinstance(label, str)
-            and label.endswith("-process")
-            and "process_skipped" in lacking_doc.get("params", {})
-        )
-
-    only_old = {lb for lb in old_labels - new_labels if not excused(lb, new)}
-    only_new = {lb for lb in new_labels - old_labels if not excused(lb, old)}
-    if only_old or only_new:
-        raise BenchLabelMismatch(only_old, only_new)
-
-
 def check_regression(old_path, new_path, threshold: float = 0.25) -> tuple[list[Finding], bool]:
     """Load, compare, and judge two bench files.
 
     Returns ``(findings, ok)``; ``ok`` is False iff any regression was
     flagged.  Callers decide whether that fails the build (CI runs
-    warn-only by default).  Raises :class:`BenchLabelMismatch` when two
-    same-schema files disagree on which result labels exist (see the
-    class docstring for the excusals).
+    warn-only by default).  Raises :class:`BenchLabelMismatch` when the
+    two files disagree on which result labels exist.
     """
     from .harness import read_bench_json  # noqa: PLC0415 - avoid cycle at import
 
     old, new = read_bench_json(old_path), read_bench_json(new_path)
-    _check_label_parity(old, new)
+    old_labels = {r.get("label") for r in old.get("results", [])}
+    new_labels = {r.get("label") for r in new.get("results", [])}
+    if old_labels != new_labels:
+        raise BenchLabelMismatch(old_labels - new_labels, new_labels - old_labels)
     findings = compare_docs(old, new, threshold)
     return findings, not any(f.regression for f in findings)
 

@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro import observability as _obs
+from repro.system import EXECUTION_MODES
 from repro.tuner import TunePlan
 
 CACHE_SCHEMA = "repro-plancache/1"
@@ -76,6 +77,8 @@ class PlanKey:
     @classmethod
     def from_dict(cls, d: dict) -> "PlanKey":
         weights = d["weights"]
+        if d["mode"] not in (*EXECUTION_MODES, "*"):  # "*": tuning_key()
+            raise PlanCacheError(f"plan key names unknown execution mode {d['mode']!r}")
         return cls(
             workload=d["workload"],
             machine=d["machine"],
@@ -193,11 +196,11 @@ class PlanCache:
         if stored != key:
             raise PlanCacheError(f"{path}: digest collision or tampered entry (key mismatch)")
         plan = doc.get("tune_plan")
-        entry = CacheEntry(
-            key=key,
-            tune_plan=None if plan is None else TunePlan.from_dict(plan),
-            estimate_seconds=doc.get("estimate_seconds"),
-        )
+        try:
+            tune_plan = None if plan is None else TunePlan.from_dict(plan)
+        except ValueError as exc:
+            raise PlanCacheError(f"{path}: unusable tune plan: {exc}") from exc
+        entry = CacheEntry(key=key, tune_plan=tune_plan, estimate_seconds=doc.get("estimate_seconds"))
         self.persisted_loads += 1
         self._count("plan_cache_persisted_loads")
         return entry

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.system import Backend
+from repro.system import EXECUTION_MODES, Backend
 
 from .plancache import PlanKey
 
@@ -48,6 +48,12 @@ class JobSpec:
     weights: tuple[float, ...] | None = None
     fused: bool = True
     params: tuple[tuple[str, float], ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        if self.mode not in EXECUTION_MODES:
+            raise ValueError(
+                f"unknown execution mode {self.mode!r}; expected one of {EXECUTION_MODES}"
+            )
 
     @classmethod
     def make(

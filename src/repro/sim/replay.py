@@ -15,16 +15,12 @@ return makespans, so callers never reach into the DES directly.
   devices the single issue loop itself becomes the bottleneck,
 * ``"parallel"`` — one issuing worker per device (each pays
   ``WORKER_SPINUP`` once, then ``HOST_DISPATCH`` per own command), so
-  issue cost stays flat as devices are added,
-* ``"process"`` — one issuing worker *process* per device: the same
-  flat per-device layout, but waking a forked worker (a pipe round-trip
-  plus scheduler latency) costs ``PROCESS_SPINUP`` — an order of
-  magnitude above a thread wake — so the model only prefers process
-  mode when there is enough per-replay work to amortise it, exactly the
-  trade-off the wall-clock benchmarks show.
+  issue cost stays flat as devices are added.
 """
 
 from __future__ import annotations
+
+from repro.system.engine import EXECUTION_MODES
 
 from .des import simulate
 from .machine import MachineSpec
@@ -34,9 +30,6 @@ from .trace import Trace
 HOST_DISPATCH = 1.5e-6
 #: one-off cost of waking a per-device issuing worker (parallel mode)
 WORKER_SPINUP = 2.0e-5
-#: one-off cost of waking a forked worker process (process mode): one
-#: pipe round-trip + cross-process scheduler latency per replay epoch
-PROCESS_SPINUP = 2.0e-4
 
 
 def _queues(plan) -> list:
@@ -53,21 +46,18 @@ def _issue_times(queues, mode: str | None) -> dict[int, float] | None:
     if mode == "serial":
         seqs = sorted(cmd.issue_seq for q in queues for cmd in q.commands)
         return {seq: (i + 1) * HOST_DISPATCH for i, seq in enumerate(seqs)}
-    if mode in ("parallel", "process"):
-        # one worker per *device* (the Parallel/ProcessEngine layout): it
-        # issues every command of that device's queues in recorded order
-        spinup = WORKER_SPINUP if mode == "parallel" else PROCESS_SPINUP
+    if mode == "parallel":
+        # one worker per *device* (the ParallelEngine's layout): it issues
+        # every command of that device's queues in recorded order
         by_device: dict[int, list[int]] = {}
         for q in queues:
             by_device.setdefault(q.device.index, []).extend(cmd.issue_seq for cmd in q.commands)
         times = {}
         for seqs in by_device.values():
             for i, seq in enumerate(sorted(seqs)):
-                times[seq] = spinup + (i + 1) * HOST_DISPATCH
+                times[seq] = WORKER_SPINUP + (i + 1) * HOST_DISPATCH
         return times
-    raise ValueError(
-        f"unknown dispatch mode {mode!r}; expected None, 'serial', 'parallel' or 'process'"
-    )
+    raise ValueError(f"unknown dispatch mode {mode!r}; expected None or one of {EXECUTION_MODES}")
 
 
 def sim_replay(plan, machine: MachineSpec, mode: str | None = None) -> Trace:

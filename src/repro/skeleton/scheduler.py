@@ -38,15 +38,13 @@ from repro.sets import Container, DataView, ReduceMode
 from repro.sets.launch import wrap_kernel_faults
 from repro.sets.loader import Loader
 from repro.system import (
+    EXECUTION_MODES,
     Backend,
     Command,
     CommandQueue,
     Event,
     ParallelEngine,
     ParallelFallbackWarning,
-    ProcessEngine,
-    ProcessFallbackWarning,
-    process_fallback_reason,
 )
 from repro.system.queue import _site_name
 
@@ -150,10 +148,7 @@ class Plan:
     (exact historical semantics); ``mode="parallel"`` hands the frozen
     queues to a :class:`~repro.system.ParallelEngine`, which runs one
     worker thread per device and honours only the recorded stream/event
-    wiring; ``mode="process"`` hands them to a
-    :class:`~repro.system.ProcessEngine`, whose forked per-device worker
-    processes replay against shared-memory payloads and so execute truly
-    concurrently (no GIL).  The returned queues feed the DES either way.
+    wiring.  The returned queues feed the DES either way.
     """
 
     def __init__(self, graph: DepGraph, backend: Backend, reuse_parent_streams: bool = True):
@@ -185,7 +180,6 @@ class Plan:
         self._resolve_empty_pieces()
         self._program: CompiledProgram | None = None
         self._engine: ParallelEngine | None = None
-        self._process_engine: ProcessEngine | None = None
         self._engine_lock = threading.Lock()
 
     # -- phase a: stream mapping ----------------------------------------------
@@ -596,41 +590,19 @@ class Plan:
             return run
         return lambda cmd: self._run_step(program.step_of[cmd])
 
-    def _replay_process(self, program: CompiledProgram) -> None:
-        """Process-engine replay: one worker *process* per device.
-
-        The first replay forks persistent workers that inherit the
-        compiled program (closures, fused units, C-specialized kernels)
-        and replay it against shared-memory payloads; later replays
-        reuse them.  Lazy single-engine init mirrors
-        :meth:`_replay_parallel` for the same batch-serialisation
-        reason.
-        """
-        if self._process_engine is None:
-            with self._engine_lock:
-                if self._process_engine is None:
-                    self._process_engine = ProcessEngine()
-        self._process_engine.execute(program.queues, run_command=self._make_run_command(program))
-
     def close_engines(self) -> None:
-        """Retire this plan's replay engines deterministically (idempotent).
+        """Retire this plan's parallel engine deterministically (idempotent).
 
-        Worker threads are daemons and worker processes are reaped by a
-        GC finalizer, so skipping this is safe — but long-lived drivers
-        and test teardown should call it under ``try/finally`` so forked
-        workers and the shared event board never outlive the plan they
+        Worker threads are daemons, so skipping this is safe — but
+        long-lived drivers and test teardown should call it under
+        ``try/finally`` so idle workers never outlive the plan they
         serve.  The plan stays usable: the next replay lazily builds a
         fresh engine.
         """
         with self._engine_lock:
             engine, self._engine = self._engine, None
-            process_engine, self._process_engine = self._process_engine, None
-        try:
-            if engine is not None:
-                engine.close()
-        finally:
-            if process_engine is not None:
-                process_engine.close()
+        if engine is not None:
+            engine.close()
 
     # -- phase c: execution -----------------------------------------------------
     def execute(self, eager: bool = True, mode: str | None = None) -> ExecutionResult:
@@ -639,25 +611,16 @@ class Plan:
         ``eager=False`` returns the recorded queues without running any
         kernel (timing-only).  ``mode="serial"`` replays on the host in
         task-list order; ``mode="parallel"`` uses the per-device worker
-        thread engine; ``mode="process"`` uses one worker *process* per
-        device over shared-memory payloads (the only mode that escapes
-        the GIL); ``mode=None`` uses :attr:`default_mode` (serial unless
-        the autotuner chose otherwise).  An armed resilience session
-        forces serial replay with a
-        :class:`~repro.system.ParallelFallbackWarning`, because rollback-
-        and-replay recovery assumes host-ordered execution; process mode
-        additionally falls back (with a
-        :class:`~repro.system.ProcessFallbackWarning`) when the
-        sanitizer recorder is armed or shared-memory backing is
-        unavailable — see
-        :func:`repro.system.process_fallback_reason`.
+        thread engine; ``mode=None`` uses :attr:`default_mode` (serial
+        unless the autotuner chose otherwise); any other value raises
+        ``ValueError``.  An armed resilience session forces serial replay
+        with a :class:`~repro.system.ParallelFallbackWarning`, because
+        rollback-and-replay recovery assumes host-ordered execution.
         """
         if mode is None:
             mode = self.default_mode
-        if mode not in ("serial", "parallel", "process"):
-            raise ValueError(
-                f"unknown execution mode {mode!r}; expected 'serial', 'parallel' or 'process'"
-            )
+        if mode not in EXECUTION_MODES:
+            raise ValueError(f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}")
         with _obs.span("plan.execute", cat="phase", eager=eager, mode=mode):
             program = self._ensure_program()
             if eager:
@@ -669,20 +632,9 @@ class Plan:
                         stacklevel=2,
                     )
                     mode = "serial"
-                elif mode == "process":
-                    reason = process_fallback_reason()
-                    if reason is not None:
-                        warnings.warn(
-                            f"{reason}; falling back to mode='serial'",
-                            ProcessFallbackWarning,
-                            stacklevel=2,
-                        )
-                        mode = "serial"
                 with _obs.span(f"plan.replay.{mode}", cat="phase") as sp:
                     if mode == "parallel":
                         self._replay_parallel(program)
-                    elif mode == "process":
-                        self._replay_process(program)
                     else:
                         self._replay_serial(program)
                 if sp is not None:

@@ -17,7 +17,7 @@ from repro import observability as _obs
 from repro import resilience as _res
 from repro.sets import Container
 from repro.sim import MachineSpec, Trace
-from repro.system import Backend
+from repro.system import EXECUTION_MODES, Backend
 
 from .executor import check_trace_dependencies, enforce_divergence_guardrail, simulate_result
 from .mgraph import build_multi_gpu_graph
@@ -87,17 +87,10 @@ class Skeleton:
         :class:`~repro.system.ParallelEngine`: one worker thread per
         device, synchronised only by the recorded stream/event wiring
         (bitwise-identical results, concurrent wall-clock).
-        ``mode="process"`` replays through the
-        :class:`~repro.system.ProcessEngine`: one forked worker
-        *process* per device over shared-memory payloads — the same
-        wiring and bitwise-identical results, but truly concurrent
-        kernels (no GIL).  While a resilience session is armed the plan
-        forces serial replay and emits a
+        Any other mode raises ``ValueError``.  While a resilience
+        session is armed the plan forces serial replay and emits a
         :class:`~repro.system.ParallelFallbackWarning`, since rollback-
-        and-replay recovery assumes host-ordered execution; process mode
-        likewise degrades to serial (with a
-        :class:`~repro.system.ProcessFallbackWarning`) when the
-        sanitizer recorder is armed or shared memory is unavailable.
+        and-replay recovery assumes host-ordered execution.
 
         Either way the schedule itself is frozen after the first call:
         repeated ``run()`` re-derives no dependencies and allocates no
@@ -126,7 +119,7 @@ class Skeleton:
         self,
         machine: MachineSpec | None = None,
         occ_levels=None,
-        modes: tuple[str, ...] = ("serial", "parallel", "process"),
+        modes: tuple[str, ...] = EXECUTION_MODES,
     ) -> TuneDecision:
         """Pick the OCC level and execution mode with the best simulated
         makespan, and adopt them in place.
@@ -135,11 +128,7 @@ class Skeleton:
         stream through the DES under ``machine`` (no wall clock
         involved).  The winning OCC's compiled plan replaces this
         skeleton's, and the winning mode becomes the plan's default, so
-        subsequent ``run()`` calls use the tuned configuration.  Note
-        the DES models dispatch cost but not the GIL, so ``process``
-        never beats ``parallel`` there (same per-device layout, larger
-        spinup) — its candidates document the modeled overhead, while
-        the wall-clock case for process mode is made by the benchmarks.
+        subsequent ``run()`` calls use the tuned configuration.
         Weights are not searched here — re-partitioning needs a grid
         rebuild; see :func:`repro.tuner.tune_workload` for the full
         search.

@@ -28,7 +28,6 @@ from repro.core import ops
 from repro.domain.grid import Grid
 from repro.resilience import SolverDiverged
 from repro.skeleton import Occ, Skeleton
-from repro.system import sharedmem
 
 ApplyFactory = Callable[[Grid, object, object, str], object]
 """Builds the operator: (grid, in_field, out_field, name) -> Container or [Containers]."""
@@ -96,9 +95,8 @@ class ConjugateGradient:
         self.grid = grid
         self.b = b
         self.x = x
-        # execution mode for every skeleton run: "serial", "parallel" or
-        # "process" (host scalar updates between skeletons stay
-        # sequential either way)
+        # execution mode for every skeleton run (host scalar updates
+        # between skeletons stay sequential either way)
         self.mode = mode
         backend = grid.backend
         card = x.cardinality
@@ -109,14 +107,10 @@ class ConjugateGradient:
         # trajectory) bitwise partition-invariant on grids that support it
         self.pq_partial = grid.new_dot_partial(f"{name}_pq")
         self.rr_partial = grid.new_dot_partial(f"{name}_rr")
-        # shared-memory-backed cells: kernels load these at launch time,
-        # and in process mode the launching worker is a forked process
-        # that must see the host's update from *this* iteration, not the
-        # value at fork time
-        self.alpha = sharedmem.SharedScalarCell(0.0)
-        self.beta = sharedmem.SharedScalarCell(0.0)
-        self.neg_alpha = sharedmem.SharedScalarCell(0.0)
-        one = sharedmem.SharedScalarCell(1.0)
+        self.alpha = {"v": 0.0}
+        self.beta = {"v": 0.0}
+        self.neg_alpha = {"v": 0.0}
+        one = {"v": 1.0}
 
         # r = b - A x ; p handled by the first iteration's p-update (beta=0)
         self.sk_init = Skeleton(

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core import ops
 from repro.domain.grid import Grid
 from repro.skeleton import Occ, Skeleton
-from repro.system import sharedmem
 
 from .cg import ApplyFactory, _as_list
 
@@ -61,9 +60,7 @@ class PowerIteration:
         self.grid = grid
         self.v = grid.new_field("eig_v")
         self.w = grid.new_field("eig_w")
-        # shared-memory cell: process-mode workers must see each
-        # iteration's host-computed 1/|w|, not the fork-time value
-        self._inv_norm = sharedmem.SharedScalarCell(1.0)
+        self._inv_norm = {"v": 1.0}
         self.vw_partial = grid.new_reduce_partial("eig_vw")
         self.vv_partial = grid.new_reduce_partial("eig_vv")
         self.ww_partial = grid.new_reduce_partial("eig_ww")

@@ -169,8 +169,8 @@ def _mask_field(grid: Grid):
     """The 0/1 element-density indicator field of a grid (cached).
 
     Cached on the grid instance (not a module-global dict) so the field
-    — and through it the backend's shared-memory arenas — dies with the
-    grid instead of pinning device memory for the process lifetime.
+    dies with the grid instead of pinning device memory for the process
+    lifetime.
     """
     m = getattr(grid, "_density_mask_field", None)
     if m is None:

@@ -1,18 +1,8 @@
 """System abstraction: devices, memory, queues/events, back ends (paper IV-A)."""
 
-from . import sharedmem
 from .backend import Backend
 from .device import HOST, Device, DeviceSet, DeviceType
-from .engine import (
-    EngineDeadlock,
-    ParallelEngine,
-    ParallelFallbackWarning,
-    ProcessEngine,
-    ProcessFallbackWarning,
-    close_all_process_engines,
-    live_process_engine_count,
-    process_fallback_reason,
-)
+from .engine import EXECUTION_MODES, EngineDeadlock, ParallelEngine, ParallelFallbackWarning
 from .memory import AllocationError, DeviceAllocator, DeviceBuffer, MemOptions, StagingPool
 from .queue import (
     Command,
@@ -26,6 +16,7 @@ from .queue import (
 )
 
 __all__ = [
+    "EXECUTION_MODES",
     "HOST",
     "AllocationError",
     "Backend",
@@ -44,13 +35,7 @@ __all__ = [
     "MemOptions",
     "ParallelEngine",
     "ParallelFallbackWarning",
-    "ProcessEngine",
-    "ProcessFallbackWarning",
     "RecordEventCommand",
     "StagingPool",
     "WaitEventCommand",
-    "close_all_process_engines",
-    "live_process_engine_count",
-    "process_fallback_reason",
-    "sharedmem",
 ]

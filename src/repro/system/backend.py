@@ -72,16 +72,10 @@ class Backend:
     def close(self) -> None:
         """Deterministically release backend resources (idempotent).
 
-        Unlinks the allocator's shared-memory arenas and drains the
-        staging pool; both also happen at garbage collection via
-        ``weakref.finalize`` owners, but tests and long-lived drivers
-        should close under ``try/finally`` so a failure cannot leave
-        named segments behind for the next case.
+        Drains the staging pool, so a failing test or a long-lived driver
+        cannot carry pooled blocks of a dead backend into the next case.
         """
-        try:
-            self.allocator.close()
-        finally:
-            self.staging.drain()
+        self.staging.drain()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Backend({self.devices!r}, machine={self.machine.name})"

@@ -51,21 +51,16 @@ watchdog timeout.
 
 from __future__ import annotations
 
-import os
 import queue as _queue
 import threading
-import time
-import traceback
-import weakref
 from collections.abc import Callable
 from time import perf_counter
 
 from repro import observability as _obs
-from repro import resilience as _res
+from repro.modes import EXECUTION_MODES  # noqa: F401  (re-exported)
 from repro.observability import flight as _flight
 from repro.sanitizer.state import SAN as _SAN
 
-from . import sharedmem
 from .queue import Command, CommandQueue, CopyCommand, KernelCommand, RecordEventCommand, WaitEventCommand
 
 
@@ -80,40 +75,6 @@ class ParallelFallbackWarning(UserWarning):
     semantics exactly; the typed class lets callers and tests assert the
     degradation happened (e.g. resilience forcing host-ordered replay).
     """
-
-
-class ProcessFallbackWarning(UserWarning):
-    """Process execution was requested but the plan fell back to serial.
-
-    Same contract as :class:`ParallelFallbackWarning`: semantics are
-    preserved exactly, and the typed class lets callers assert on the
-    degradation.  Raised when shared-memory backing is unavailable
-    (``REPRO_NO_SHM``, no ``/dev/shm``, non-POSIX platform), when some
-    device payload had to be allocated privately (a worker's writes to
-    it would be invisible), or when resilience fault injection or the
-    sanitizer recorder is armed — both assume host-ordered, in-process
-    replay (rollback snapshots and execution records live in host
-    memory).
-    """
-
-
-def process_fallback_reason() -> str | None:
-    """Why ``mode="process"`` must fall back to serial right now, or None.
-
-    Checked by :meth:`repro.skeleton.scheduler.Plan.execute` before
-    dispatching to the process engine, and by benchmarks/tests deciding
-    whether a process leg would be honest.
-    """
-    if not sharedmem.available():
-        return "shared-memory backing is unavailable (platform lacks fork/shm, or REPRO_NO_SHM is set)"
-    n = sharedmem.fallback_payloads()
-    if n:
-        return f"{n} device payload(s) were allocated privately (shared arena exhausted)"
-    if _res.RES.active:
-        return "resilience fault injection is armed (recovery requires host-ordered in-process replay)"
-    if _SAN.active:
-        return "sanitizer recorder is armed (worker-process execution records would be lost)"
-    return None
 
 
 class _Worker:
@@ -137,9 +98,9 @@ class _Worker:
             job()
             # drop the closure before blocking on the next get(): a live
             # thread frame is a GC root, and the job chains to commands,
-            # kernel closures, fields and ultimately the backend's
-            # shared-memory arenas — holding it would pin all of that
-            # for as long as this idle worker exists
+            # kernel closures, fields and ultimately every device
+            # payload — holding it would pin all of that for as long as
+            # this idle worker exists
             del job
 
     def submit(self, job: Callable[[], None]) -> None:
@@ -271,10 +232,34 @@ class ParallelEngine:
     @staticmethod
     def _build_programs(queues: list[CommandQueue]) -> dict[int, list[Command]]:
         """Merge each device's queues into one issue-ordered program."""
-        return _merge_programs(queues)
+        programs: dict[int, list[Command]] = {}
+        for q in queues:
+            programs.setdefault(q.device.uid, []).extend(q.commands)
+        for program in programs.values():
+            program.sort(key=lambda cmd: cmd.issue_seq)
+        return programs
 
-    def _reset_and_check_events(self, programs: dict[int, list[Command]]) -> None:
-        _reset_and_preflight(programs)
+    @staticmethod
+    def _reset_and_check_events(programs: dict[int, list[Command]]) -> None:
+        """Reset every event signal and reject waits that could never retire."""
+        recorded: set[int] = set()
+        waited: dict[int, Command] = {}
+        for program in programs.values():
+            for cmd in program:
+                if isinstance(cmd, RecordEventCommand):
+                    cmd.event.reset_signal()
+                    recorded.add(cmd.event.uid)
+                elif isinstance(cmd, WaitEventCommand):
+                    waited.setdefault(cmd.event.uid, cmd)
+        missing = [cmd for uid, cmd in waited.items() if uid not in recorded]
+        if missing:
+            names = ", ".join(cmd.name for cmd in missing[:5])
+            _flight.record("host", "deadlock", "engine.preflight", {"missing_waits": names})
+            _flight.dump("engine_deadlock", {"stage": "preflight", "missing": len(missing)})
+            raise EngineDeadlock(
+                f"{len(missing)} wait(s) on events never recorded in this batch ({names}); "
+                "the replay would block forever"
+            )
 
     def _step(self, cmd: Command, run_command: Callable[[Command], None], abort: threading.Event | None) -> None:
         if isinstance(cmd, WaitEventCommand):
@@ -309,378 +294,3 @@ class ParallelEngine:
                 _SAN.record(cmd)
         else:  # pragma: no cover - future command kinds fail loudly
             raise TypeError(f"parallel engine cannot execute {type(cmd).__name__}")
-
-
-# -- shared engine internals ------------------------------------------------
-def _merge_programs(queues: list[CommandQueue]) -> dict[int, list[Command]]:
-    """Merge each device's queues into one issue-ordered program."""
-    programs: dict[int, list[Command]] = {}
-    for q in queues:
-        programs.setdefault(q.device.uid, []).extend(q.commands)
-    for program in programs.values():
-        program.sort(key=lambda cmd: cmd.issue_seq)
-    return programs
-
-
-def _reset_and_preflight(programs: dict[int, list[Command]]) -> None:
-    """Reset every event signal and reject waits that could never retire."""
-    recorded: set[int] = set()
-    waited: dict[int, Command] = {}
-    for program in programs.values():
-        for cmd in program:
-            if isinstance(cmd, RecordEventCommand):
-                cmd.event.reset_signal()
-                recorded.add(cmd.event.uid)
-            elif isinstance(cmd, WaitEventCommand):
-                waited.setdefault(cmd.event.uid, cmd)
-    missing = [cmd for uid, cmd in waited.items() if uid not in recorded]
-    if missing:
-        names = ", ".join(cmd.name for cmd in missing[:5])
-        _flight.record("host", "deadlock", "engine.preflight", {"missing_waits": names})
-        _flight.dump("engine_deadlock", {"stage": "preflight", "missing": len(missing)})
-        raise EngineDeadlock(
-            f"{len(missing)} wait(s) on events never recorded in this batch ({names}); "
-            "the replay would block forever"
-        )
-
-
-def _batch_events(programs: dict[int, list[Command]]) -> list:
-    """Every distinct event recorded or waited in ``programs``, uid-ordered."""
-    events: dict[int, object] = {}
-    for program in programs.values():
-        for cmd in program:
-            if isinstance(cmd, (RecordEventCommand, WaitEventCommand)):
-                events.setdefault(cmd.event.uid, cmd.event)
-    return [events[uid] for uid in sorted(events)]
-
-
-# -- process engine ----------------------------------------------------------
-class _ProcessWorker:
-    """Handle for one forked per-device worker: process + duplex pipe."""
-
-    __slots__ = ("proc", "conn")
-
-    def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
-
-
-def _worker_step(cmd: Command, run_command, board: "sharedmem.EventBoard", timeout: float) -> None:
-    """One command inside a worker process (event waits go via the board)."""
-    if isinstance(cmd, WaitEventCommand):
-        deadline = timeout
-        # short slices so a batch abort (set by any failing sibling or
-        # the parent watchdog) unblocks the wait promptly
-        while not cmd.event.wait_signal(0.05):
-            if board.aborted():
-                return
-            deadline -= 0.05
-            if deadline <= 0:
-                raise EngineDeadlock(
-                    f"worker stalled {timeout:.0f}s on {cmd.name}; "
-                    "the recording queue made no progress"
-                )
-    elif isinstance(cmd, RecordEventCommand):
-        cmd.event.signal()
-    else:
-        run_command(cmd)
-
-
-def _process_worker_main(conn, program: list[Command], run_command, board, timeout: float) -> None:
-    """Entry point of a forked device worker: replay ``program`` per epoch.
-
-    The worker inherited the whole compiled plan by fork — commands,
-    kernel closures, C-specialized dispatch units, and events already
-    bound to board slots.  Each message on ``conn`` is one replay epoch
-    (``None`` is the shutdown sentinel); the worker answers
-    ``("ok", None)`` or ``("err", traceback_text)``.
-
-    The worker exits through ``os._exit`` so the fork-inherited
-    ``weakref.finalize`` registrations (which would unlink the parent's
-    shared segments!) and other atexit hooks never run in the child.
-    """
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg is None:
-                break
-            try:
-                for cmd in program:
-                    if board.aborted():
-                        break
-                    _worker_step(cmd, run_command, board, timeout)
-                conn.send(("ok", None))
-            except BaseException:  # noqa: BLE001 - shipped to the parent
-                board.abort()
-                try:
-                    conn.send(("err", traceback.format_exc()))
-                except (OSError, ValueError):  # pragma: no cover - pipe gone
-                    break
-    finally:
-        os._exit(0)
-
-
-class _ProcState:
-    """Mutable process-engine state, shutdown-safe from a GC finalizer.
-
-    Kept outside :class:`ProcessEngine` so ``weakref.finalize(engine,
-    _ProcState.shutdown, state)`` holds no reference to the engine
-    itself: an abandoned engine is collected, and the finalizer still
-    reaches the workers, the event bindings and the board.
-    """
-
-    def __init__(self) -> None:
-        self.workers: dict[int, _ProcessWorker] = {}
-        self.board: sharedmem.EventBoard | None = None
-        self.bound: list[tuple] = []  # (event, previous signal backend)
-        self.signature: tuple | None = None
-
-    def shutdown(self) -> None:
-        """Stop workers, restore event signals, unlink the board (idempotent)."""
-        workers, self.workers = self.workers, {}
-        try:
-            for w in workers.values():
-                try:
-                    w.conn.send(None)
-                except (OSError, ValueError):
-                    pass
-            for w in workers.values():
-                w.proc.join(timeout=2.0)
-                if w.proc.is_alive():  # pragma: no cover - stuck worker
-                    w.proc.terminate()
-                    w.proc.join(timeout=2.0)
-                try:
-                    w.conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-        finally:
-            bound, self.bound = self.bound, []
-            for event, prev in bound:
-                event.attach_signal(prev)
-            board, self.board = self.board, None
-            if board is not None:
-                board.destroy()
-            self.signature = None
-
-
-#: live engines, so the test-suite leak guard can force deterministic teardown
-_LIVE_PROCESS_ENGINES: "weakref.WeakSet[ProcessEngine]" = weakref.WeakSet()
-
-
-def close_all_process_engines() -> None:
-    """Close every live process engine (test-suite teardown hook)."""
-    for engine in list(_LIVE_PROCESS_ENGINES):
-        engine.close()
-
-
-def live_process_engine_count() -> int:
-    """How many process engines still hold forked workers or a board.
-
-    Long-lived servers (the serving gateway) and the test suite use
-    this to assert engine teardown actually happened: an engine that
-    was closed — or never forked — no longer counts.
-    """
-    return sum(
-        1
-        for engine in _LIVE_PROCESS_ENGINES
-        if engine._state.workers or engine._state.board is not None
-    )
-
-
-class ProcessEngine:
-    """Replays recorded command queues with one worker *process* per device.
-
-    The multiprocess sibling of :class:`ParallelEngine`, and the piece
-    that actually escapes the GIL: each device's issue-ordered program
-    runs in a forked worker whose kernels execute truly concurrently
-    with its siblings'.  Correctness rests on the same stream/event
-    wiring — no host-order crutch — plus two shared substrates from
-    :mod:`repro.system.sharedmem`:
-
-    * device payloads live in per-device shared arenas, so a kernel's
-      writes are immediately visible to every worker and to the host;
-    * event signals live on a shared :class:`~repro.system.sharedmem.EventBoard`
-      (the plan's events are rebound to board slots before the fork and
-      restored on shutdown, so serial/parallel replays of the same plan
-      keep working afterwards).
-
-    Workers are persistent per compiled batch shape: the first
-    ``execute`` forks them, later replays of the same program set reuse
-    them paying only one pipe round-trip per worker.  Submitting a
-    *different* program set retires the old workers and forks fresh ones
-    (fork is the shipping mechanism — a worker can only replay what
-    existed when it was forked).  Any worker error or death tears the
-    pool down so the next replay starts from a clean fork.
-
-    ``close()`` (or garbage collection, or the test-suite leak guard)
-    shuts workers down and unlinks the board; arenas belong to the
-    backend and outlive the engine.
-    """
-
-    def __init__(self, deadlock_timeout: float = 30.0):
-        if deadlock_timeout <= 0:
-            raise ValueError("deadlock_timeout must be positive")
-        reason = None if sharedmem.available() else "shared-memory backing is unavailable"
-        if reason:
-            raise RuntimeError(f"ProcessEngine cannot start: {reason}")
-        self.deadlock_timeout = deadlock_timeout
-        self._state = _ProcState()
-        self._batch_lock = threading.Lock()  # one batch in flight per engine
-        self._finalizer = weakref.finalize(self, _ProcState.shutdown, self._state)
-        _LIVE_PROCESS_ENGINES.add(self)
-
-    # -- public API ---------------------------------------------------------
-    def execute(
-        self,
-        queues: list[CommandQueue],
-        run_command: Callable[[Command], None] | None = None,
-    ) -> None:
-        """Run every command of ``queues`` on per-device worker processes.
-
-        Same contract as :meth:`ParallelEngine.execute`; single-device
-        batches run inline (no cross-device dependency can exist, so a
-        fork would buy nothing and cost a process).
-        """
-        programs = _merge_programs(queues)
-        if not programs:
-            return
-        if run_command is None:
-            run_command = ParallelEngine._default_run
-        t0 = perf_counter() if _obs.OBS.active else 0.0
-        with self._batch_lock:
-            if len(programs) == 1:
-                _reset_and_preflight(programs)
-                for cmd in next(iter(programs.values())):
-                    self._inline_step(cmd, run_command)
-                self._observe_batch(t0, programs)
-                return
-            try:
-                self._ensure_workers(programs, run_command)
-                # board first (clears the abort flag), then the event-API
-                # reset + preflight (board-backed now, so the clears land
-                # on the same flags the workers will watch)
-                self._state.board.reset()
-                _reset_and_preflight(programs)
-                for w in self._state.workers.values():
-                    w.conn.send(1)
-                self._collect_acks()
-            except BaseException:
-                # a failed batch leaves workers/board in an unknown state;
-                # tear down so the next replay starts from a clean fork
-                self._state.shutdown()
-                raise
-        self._observe_batch(t0, programs)
-
-    def close(self) -> None:
-        """Shut down workers, restore events, unlink the board (idempotent)."""
-        with self._batch_lock:
-            self._state.shutdown()
-
-    # -- internals ----------------------------------------------------------
-    def _inline_step(self, cmd: Command, run_command) -> None:
-        # single-device batch: records precede waits in issue order, so
-        # waits are satisfied the moment they are reached
-        if isinstance(cmd, WaitEventCommand):
-            if not cmd.event.wait_signal(0.0):  # pragma: no cover - preflight guards this
-                raise EngineDeadlock(f"single-device batch blocked on {cmd.name}")
-        elif isinstance(cmd, RecordEventCommand):
-            cmd.event.signal()
-        else:
-            run_command(cmd)
-
-    @staticmethod
-    def _signature_of(programs: dict[int, list[Command]]) -> tuple:
-        # command objects are frozen plan state: identity of each
-        # program's endpoints (plus length) identifies the batch shape
-        return tuple(
-            (uid, len(prog), id(prog[0]), id(prog[-1])) for uid, prog in sorted(programs.items())
-        )
-
-    def _ensure_workers(self, programs: dict[int, list[Command]], run_command) -> None:
-        sig = self._signature_of(programs)
-        state = self._state
-        if state.workers and state.signature != sig:
-            state.shutdown()
-        if state.workers:
-            return
-        events = _batch_events(programs)
-        board = sharedmem.EventBoard(len(events))
-        state.board = board
-        for slot, event in enumerate(events):
-            state.bound.append((event, event.attach_signal(board.signal_for(slot))))
-        ctx = sharedmem.fork_context()
-        for dev_uid, program in sorted(programs.items()):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_process_worker_main,
-                args=(child_conn, program, run_command, board, self.deadlock_timeout),
-                name=f"engine-proc-dev{dev_uid}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            state.workers[dev_uid] = _ProcessWorker(proc, parent_conn)
-        state.signature = sig
-        if _obs.OBS.active:
-            _obs.OBS.metrics.counter("process_engine_forks", devices=str(len(programs))).inc()
-
-    def _collect_acks(self) -> None:
-        """Gather one ack per worker, with a death + watchdog safety net."""
-        state = self._state
-        pending = dict(state.workers)
-        failures: list[str] = []
-        deadline = time.monotonic() + self.deadlock_timeout + 5.0
-        while pending:
-            for dev_uid, w in list(pending.items()):
-                if w.conn.poll(0.02):
-                    try:
-                        status, detail = w.conn.recv()
-                    except (EOFError, OSError):
-                        # poll() also wakes on EOF: the worker died with
-                        # the pipe open (SIGKILL, OOM-kill) — same story
-                        # as the is_alive() branch below
-                        del pending[dev_uid]
-                        w.proc.join(timeout=1.0)
-                        failures.append(
-                            f"worker dev{dev_uid} died (exit code {w.proc.exitcode}) before acking"
-                        )
-                        state.board.abort()
-                        continue
-                    del pending[dev_uid]
-                    if status != "ok":
-                        failures.append(f"worker dev{dev_uid}:\n{detail}")
-                        state.board.abort()
-                elif not w.proc.is_alive():
-                    del pending[dev_uid]
-                    failures.append(
-                        f"worker dev{dev_uid} died (exit code {w.proc.exitcode}) before acking"
-                    )
-                    state.board.abort()
-            if pending and time.monotonic() > deadline:
-                state.board.abort()
-                names = ", ".join(f"dev{uid}" for uid in pending)
-                _flight.record("host", "deadlock", "process_engine.watchdog", {"pending": names})
-                _flight.dump("engine_deadlock", {"stage": "process_watchdog", "pending": len(pending)})
-                raise EngineDeadlock(
-                    f"process replay stalled: no ack from {names} within "
-                    f"{self.deadlock_timeout:.0f}s (+grace)"
-                )
-        if failures:
-            # a worker-side watchdog trip is still a deadlock to the caller
-            exc_type = EngineDeadlock if any("EngineDeadlock" in f for f in failures) else RuntimeError
-            raise exc_type("process replay failed in " + "; ".join(failures))
-
-    @staticmethod
-    def _observe_batch(t0: float, programs: dict[int, list[Command]]) -> None:
-        if not _obs.OBS.active:
-            return
-        m = _obs.OBS.metrics
-        m.counter("process_engine_batches", devices=str(len(programs))).inc()
-        m.histogram(
-            "process_engine_batch_seconds",
-            bounds=_obs.Histogram.TIME_BOUNDS,
-            devices=str(len(programs)),
-        ).observe(perf_counter() - t0)

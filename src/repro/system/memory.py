@@ -10,6 +10,8 @@ cost model, not physical placement.
 from __future__ import annotations
 
 import itertools
+import math
+import mmap
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -19,7 +21,6 @@ import numpy as np
 from repro import observability as _obs
 from repro import resilience as _res
 
-from . import sharedmem
 from .device import Device
 
 
@@ -56,6 +57,33 @@ class MemOptions:
 
 _buffer_ids = itertools.count()
 
+# NumPy's own cutoff (``numpy/_core/src/multiarray/alloc.c``, ``1u << 22``):
+# blocks this large get ``madvise(MADV_HUGEPAGE)``, smaller ones never do
+_HUGEPAGE_ADVICE_BYTES = 4 << 20
+try:
+    _ANON_PRIVATE = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+except AttributeError:  # not POSIX
+    _ANON_PRIVATE = None
+
+
+def _zeroed_payload(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A zero-filled payload array; ones NumPy would hugepage-advise get their own mapping.
+
+    NumPy ``madvise(MADV_HUGEPAGE)``s every block of 4 MiB or more, and
+    where the kernel runs ``transparent_hugepage=madvise`` first touch
+    of such a block stalls in compaction: building the 64^3 D3Q19
+    fields through ``np.zeros`` took 0.14-0.43 s against 0.08 s from a
+    plain anonymous private mapping.  The mapping is kernel-zeroed,
+    page-aligned and unmapped when the last array referencing it dies.
+    Below the cutoff, and on platforms without anonymous private
+    mappings, ``np.zeros`` is already the right thing.
+    """
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _HUGEPAGE_ADVICE_BYTES or _ANON_PRIVATE is None:
+        return np.zeros(shape, dtype=dtype)
+    buf = mmap.mmap(-1, nbytes, flags=_ANON_PRIVATE)
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+
 
 class DeviceBuffer:
     """A typed, device-resident linear buffer.
@@ -80,7 +108,6 @@ class DeviceBuffer:
         dtype,
         options: MemOptions | None = None,
         virtual: bool = False,
-        arena: "sharedmem.SharedArena | None" = None,
     ):
         self.device = device
         self.options = options or MemOptions()
@@ -89,15 +116,7 @@ class DeviceBuffer:
         self._shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
         if any(s < 0 for s in self._shape):
             raise ValueError(f"negative dimension in shape {self._shape}")
-        #: whether the payload lives in a shared-memory arena (visible to
-        #: forked worker processes); private payloads disqualify process mode
-        self.shared = False
-        if virtual:
-            self.array = None
-        else:
-            arr = arena.alloc_array(self._shape, self._dtype) if arena is not None else None
-            self.shared = arr is not None
-            self.array = arr if arr is not None else np.zeros(self._shape, dtype=self._dtype)
+        self.array = None if virtual else _zeroed_payload(self._shape, self._dtype)
         self.uid = next(_buffer_ids)
 
     @property
@@ -143,29 +162,6 @@ class DeviceAllocator:
         self.capacity_bytes = capacity_bytes
         self._used: dict[int, int] = {}
         self._live: dict[int, list[DeviceBuffer]] = {}
-        # per-device shared-memory arenas backing non-virtual payloads so
-        # forked worker processes see the same pages (lazy; empty when
-        # shared backing is unavailable or REPRO_NO_SHM is set)
-        self._arenas: dict[int, sharedmem.SharedArena] = {}
-
-    def _arena_for(self, device: Device) -> "sharedmem.SharedArena | None":
-        if not sharedmem.available():
-            return None
-        arena = self._arenas.get(device.uid)
-        if arena is None:
-            arena = self._arenas[device.uid] = sharedmem.SharedArena(label=f"dev{device.index}")
-        return arena
-
-    def close(self) -> None:
-        """Release every shared-memory arena segment (idempotent).
-
-        Live buffer views keep their pages mapped until they die, but the
-        named segments are unlinked immediately, so nothing can leak past
-        the owning backend's lifetime.
-        """
-        arenas, self._arenas = self._arenas, {}
-        for arena in arenas.values():
-            arena.destroy()
 
     def used_bytes(self, device: Device) -> int:
         return self._used.get(device.uid, 0)
@@ -202,9 +198,7 @@ class DeviceAllocator:
                     f"device {device.index}: injected allocation fault (seeded); "
                     f"{self._oom_detail(device)}"
                 )
-        buf = DeviceBuffer(
-            device, shape, dtype, options, virtual=virtual, arena=self._arena_for(device)
-        )
+        buf = DeviceBuffer(device, shape, dtype, options, virtual=virtual)
         if self.capacity_bytes is not None:
             if self.used_bytes(device) + buf.allocated_bytes > self.capacity_bytes:
                 raise AllocationError(
@@ -343,10 +337,9 @@ class StagingPool:
     def drain(self) -> None:
         """Drop every pooled block and reset resident accounting.
 
-        Teardown hook (``Backend.close``): staging blocks are plain
-        process-private arrays, but draining deterministically on close
-        keeps a failing test from carrying resident-bytes state — or a
-        reference to a dead backend's blocks — into the next one.
+        Teardown hook (``Backend.close``): draining deterministically on
+        close keeps a failing test from carrying resident-bytes state —
+        or a reference to a dead backend's blocks — into the next one.
         """
         with self._lock:
             self._free.clear()

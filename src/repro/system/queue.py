@@ -119,23 +119,6 @@ class Event:
         """Clear runtime completion state so the event can be replayed."""
         self._signal.clear()
 
-    def attach_signal(self, signal) -> object:
-        """Swap the runtime signal backend; returns the previous one.
-
-        The process engine rebinds every plan event to a shared-memory
-        board slot (an object with the ``set/clear/is_set/wait``
-        ``threading.Event`` surface) before forking its workers, and
-        restores the saved backend on shutdown so serial/parallel
-        replays of the same plan keep working afterwards.  Current
-        signalled state carries over.
-        """
-        if self._signal.is_set():
-            signal.set()
-        else:
-            signal.clear()
-        prev, self._signal = self._signal, signal
-        return prev
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = f"@{self.recorded_in.name}[{self.record_position}]" if self.is_recorded else "(unrecorded)"
         return f"Event({self.name}{where})"

@@ -1,353 +1,11 @@
-"""Shared-memory backing for the System layer (process execution mode).
-
-The process engine (:mod:`repro.system.engine`) runs one worker
-*process* per simulated device, forked after a plan is frozen.  Fork
-gives every worker the full object graph — compiled steps, kernel
-closures, C-specialized dispatch units — for free, but writes made in a
-child are invisible to its siblings and to the host unless the written
-pages are shared.  This module provides the three shared substrates
-that make cross-process replay equivalent to in-process replay:
-
-* :class:`SharedArena` — named ``multiprocessing.shared_memory``
-  segments carved into NumPy views.  Every non-virtual
-  :class:`~repro.system.memory.DeviceBuffer` payload is allocated from
-  its device's arena, so fields, halo slots and reduction partials are
-  the *same physical pages* in every worker — no pickling, no copies.
-* :class:`EventBoard` — replay-time event signals as shared flag bytes
-  plus one fork-inherited ``multiprocessing.Condition``.  ``set()``
-  flips the flag and notifies under the condition lock; ``wait()``
-  re-checks the flag under the same lock, so a signal can never be
-  lost between the check and the sleep (the cross-process analogue of
-  the PR 4 lost-wakeup fix, proven by the Hypothesis ordering tests).
-* :class:`SharedScalarCell` — a ``{"v": float}``-shaped host cell
-  backed by an anonymous shared double, so host-updated solver scalars
-  (CG's alpha/beta, power iteration's 1/|w|) reach persistent workers
-  without re-forking.
-
-Every *named* segment is tracked in a process-global registry with a
-``weakref.finalize`` safety net on its owner, so an abandoned backend
-or engine unlinks its segments at garbage collection — and the test
-suite's leak guard (``tests/conftest.py``) fails any test that leaves a
-segment behind.  Set ``REPRO_NO_SHM=1`` to force private allocations
-(process mode then falls back to serial with a typed warning).
-"""
-
-from __future__ import annotations
-
-import multiprocessing
-import os
-import threading
-import weakref
-from dataclasses import dataclass
-
-import numpy as np
-
-#: payload alignment inside arena segments (covers every NumPy dtype
-#: and keeps slab views cache-line aligned)
-_ALIGN = 64
-#: minimum size of one arena segment; small fields share a segment
-_MIN_SEGMENT = 1 << 22  # 4 MiB
-
-_lock = threading.Lock()
+"""What is left of the shared-memory substrate after process mode was deleted."""
 
 
-@dataclass
-class SegmentRecord:
-    """Registry entry for one named shared-memory segment."""
+def live_segments() -> list:
+    """Named shared-memory segments this process holds: always none.
 
-    name: str
-    tag: str
-    nbytes: int
-    unlinked: bool = False
-
-
-#: all live (not yet unlinked) named segments created by this process
-_RECORDS: dict[str, SegmentRecord] = {}
-#: payload allocations that silently fell back to private memory (e.g.
-#: /dev/shm full); process mode refuses to run while this is non-zero,
-#: because a worker's write to a private payload would be lost
-_fallback_payloads = 0
-
-_probe_result: bool | None = None
-
-
-def fork_context():
-    """The ``fork`` multiprocessing context process mode is built on.
-
-    Only fork can hand workers the compiled program — closures over
-    grids, fields and ctypes kernels do not pickle.
+    Read by the benchmark contract (``perf/child.py``) as
+    ``system.shm_bytes``, now truthfully 0; removing this module belongs
+    to the next ``benchmark`` PR, which may edit ``perf/``.
     """
-    return multiprocessing.get_context("fork")
-
-
-def available() -> bool:
-    """Whether shared-memory process backing works on this platform.
-
-    Requires ``os.fork`` (POSIX) and a usable ``SharedMemory``
-    implementation (``/dev/shm`` or equivalent); probed once.
-    ``REPRO_NO_SHM=1`` disables it outright.
-    """
-    global _probe_result
-    if os.environ.get("REPRO_NO_SHM"):
-        return False
-    if _probe_result is None:
-        _probe_result = _probe()
-    return _probe_result
-
-
-def _probe() -> bool:
-    if not hasattr(os, "fork") or "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    try:
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(create=True, size=64)
-        seg.close()
-        seg.unlink()
-        return True
-    except (ImportError, OSError, ValueError):  # pragma: no cover - platform-specific
-        return False
-
-
-def fallback_payloads() -> int:
-    """Device payloads allocated privately despite shared backing being on."""
-    return _fallback_payloads
-
-
-def live_segments() -> list[SegmentRecord]:
-    """Snapshot of every named segment not yet unlinked (for leak checks)."""
-    with _lock:
-        return [rec for rec in _RECORDS.values() if not rec.unlinked]
-
-
-def create_segment(nbytes: int, tag: str, owner) -> tuple:
-    """Create a tracked named segment; returns ``(SharedMemory, record)``.
-
-    The segment is registered and a ``weakref.finalize`` on ``owner``
-    guarantees it is unlinked no later than the owner's collection
-    (and at interpreter exit).  Call :func:`release_segment` for
-    deterministic teardown.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1))
-    rec = SegmentRecord(shm.name, tag, shm.size)
-    with _lock:
-        _RECORDS[shm.name] = rec
-    fin = weakref.finalize(owner, release_segment, shm, rec)
-    fin.atexit = True
-    return shm, rec
-
-
-def release_segment(shm, rec: SegmentRecord) -> None:
-    """Unlink one tracked segment (idempotent, never raises)."""
-    if rec.unlinked:
-        return
-    rec.unlinked = True
-    with _lock:
-        _RECORDS.pop(rec.name, None)
-    try:
-        shm.close()
-    except BufferError:
-        # Live NumPy views still export the mapping; the name is removed
-        # below regardless, and the pages are freed when the views die.
-        # Drop the handles so SharedMemory.__del__ does not retry the
-        # close at interpreter exit (the views keep the mmap alive).
-        shm._buf = None
-        shm._mmap = None
-        try:
-            if shm._fd >= 0:
-                os.close(shm._fd)
-                shm._fd = -1
-        except OSError:  # pragma: no cover - fd already gone
-            pass
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-        pass
-
-
-class SharedArena:
-    """Bump allocator over named shared segments, one arena per device.
-
-    Allocations never move and are never individually reclaimed (device
-    buffers live as long as their grid); :meth:`destroy` unlinks every
-    segment at once, which the owning allocator does on close/GC.
-    """
-
-    def __init__(self, label: str = ""):
-        self.label = label
-        # (shm, record, used_bytes) triples; allocation scans for room
-        self._segments: list[list] = []
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
-    def alloc_array(self, shape, dtype) -> np.ndarray | None:
-        """A zeroed shared NumPy array, or None when the arena cannot serve.
-
-        Falling back (returning None) is counted process-wide so process
-        replay can refuse to run with partially-private payloads.
-        """
-        global _fallback_payloads
-        dtype = np.dtype(dtype)
-        count = 1
-        for s in shape:
-            count *= int(s)
-        nbytes = count * dtype.itemsize
-        if nbytes == 0:
-            # zero-sized payloads carry no data; a private view is exact
-            return np.zeros(shape, dtype=dtype)
-        padded = (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
-        try:
-            shm, offset = self._place(padded)
-        except (OSError, ValueError):
-            _fallback_payloads += 1
-            return None
-        arr = np.frombuffer(shm.buf, dtype=dtype, count=count, offset=offset).reshape(shape)
-        arr[...] = 0
-        return arr
-
-    def _place(self, padded: int) -> tuple:
-        for seg in self._segments:
-            shm, _rec, used = seg
-            if shm.size - used >= padded:
-                seg[2] = used + padded
-                return shm, used
-        size = max(_MIN_SEGMENT, padded)
-        shm, rec = create_segment(size, f"arena:{self.label}", self)
-        self._segments.append([shm, rec, padded])
-        return shm, 0
-
-    def destroy(self) -> None:
-        """Unlink every segment (idempotent)."""
-        segments, self._segments = self._segments, []
-        for shm, rec, _used in segments:
-            release_segment(shm, rec)
-
-
-class _BoardSignal:
-    """``threading.Event``-compatible view of one :class:`EventBoard` slot."""
-
-    __slots__ = ("board", "slot")
-
-    def __init__(self, board: "EventBoard", slot: int):
-        self.board = board
-        self.slot = slot
-
-    def set(self) -> None:
-        self.board.set(self.slot)
-
-    def clear(self) -> None:
-        self.board.clear(self.slot)
-
-    def is_set(self) -> bool:
-        return self.board.is_set(self.slot)
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self.board.wait(self.slot, timeout)
-
-
-class EventBoard:
-    """Cross-process event signals: shared flag bytes + one Condition.
-
-    Slot ``-1`` (stored first) is the batch abort flag; event slots
-    follow.  All waiters share one fork-inherited condition: ``set``
-    flips the flag and ``notify_all``s under the lock, ``wait`` rechecks
-    its predicate under the same lock, so there is no window in which a
-    signal can be lost — and an abort wakes every waiter immediately.
-    """
-
-    def __init__(self, slots: int):
-        if slots < 0:
-            raise ValueError("slots must be non-negative")
-        self.slots = slots
-        self._shm, self._rec = create_segment(slots + 1, "eventboard", self)
-        self._flags = np.frombuffer(self._shm.buf, dtype=np.uint8, count=slots + 1)
-        self._flags[:] = 0
-        self._cond = fork_context().Condition()
-
-    def signal_for(self, slot: int) -> _BoardSignal:
-        if not 0 <= slot < self.slots:
-            raise IndexError(f"event slot {slot} out of range (board has {self.slots})")
-        return _BoardSignal(self, slot)
-
-    # -- flag ops (slot -1 == abort) ----------------------------------------
-    def set(self, slot: int) -> None:
-        with self._cond:
-            self._flags[slot + 1] = 1
-            self._cond.notify_all()
-
-    def clear(self, slot: int) -> None:
-        with self._cond:
-            self._flags[slot + 1] = 0
-
-    def is_set(self, slot: int) -> bool:
-        return bool(self._flags[slot + 1])
-
-    def wait(self, slot: int, timeout: float | None = None) -> bool:
-        """Block until the slot is set, the batch aborts, or timeout.
-
-        Returns whether the *slot itself* is set — an abort wake-up
-        returns False and the caller checks :meth:`aborted`.
-        """
-        flags = self._flags
-        if flags[slot + 1]:
-            return True
-        with self._cond:
-            self._cond.wait_for(lambda: bool(flags[slot + 1]) or bool(flags[0]), timeout)
-            return bool(flags[slot + 1])
-
-    def abort(self) -> None:
-        self.set(-1)
-
-    def aborted(self) -> bool:
-        return self.is_set(-1)
-
-    def reset(self) -> None:
-        """Clear every flag (abort included) for the next replay."""
-        with self._cond:
-            self._flags[:] = 0
-
-    def destroy(self) -> None:
-        """Unlink the flag segment (idempotent)."""
-        self._flags = None
-        release_segment(self._shm, self._rec)
-
-
-class SharedScalarCell:
-    """A ``{"v": float}``-shaped host scalar visible to forked workers.
-
-    Solvers pass host-updated coefficients into containers through
-    mutable cells read at launch time; backing the cell with a shared
-    double means a persistent worker process sees every update without
-    re-forking.  Degrades to a plain in-process cell when shared
-    backing is unavailable (serial/parallel modes never notice).
-    """
-
-    __slots__ = ("_cell", "_plain")
-
-    def __init__(self, value: float = 0.0):
-        if available():
-            self._cell = fork_context().RawValue("d", float(value))
-            self._plain = None
-        else:  # pragma: no cover - exercised only with REPRO_NO_SHM
-            self._cell = None
-            self._plain = [float(value)]
-
-    def __getitem__(self, key: str) -> float:
-        if key != "v":
-            raise KeyError(key)
-        return self._cell.value if self._cell is not None else self._plain[0]
-
-    def __setitem__(self, key: str, value: float) -> None:
-        if key != "v":
-            raise KeyError(key)
-        if self._cell is not None:
-            self._cell.value = float(value)
-        else:  # pragma: no cover - exercised only with REPRO_NO_SHM
-            self._plain[0] = float(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SharedScalarCell({self['v']!r})"
+    return []

@@ -21,6 +21,7 @@ import numpy as np
 from repro.sim.machine import MachineSpec
 from repro.sim.replay import sim_makespan_total
 from repro.skeleton import Occ
+from repro.system import EXECUTION_MODES
 
 from .weights import device_shares, fixed_seconds, profile_workload
 from .workloads import build_tuner_workload
@@ -98,6 +99,8 @@ class TunePlan:
         """
 
         def candidate(c: dict) -> Candidate:
+            if c["mode"] not in EXECUTION_MODES:
+                raise ValueError(f"tune plan names unknown execution mode {c['mode']!r}")
             weights = c.get("weights")
             return Candidate(
                 occ=c["occ"],
@@ -134,7 +137,7 @@ def tune_workload(
     machine: MachineSpec,
     devices: int = 4,
     occ_levels=None,
-    modes: tuple[str, ...] = ("serial", "parallel", "process"),
+    modes: tuple[str, ...] = EXECUTION_MODES,
     extra_weight_options: tuple = (),
 ) -> TunePlan:
     """Full tuner search for one workload on one machine.

@@ -1,6 +1,7 @@
 """Chaos soak: the composite-fault storm with a bitwise acceptance bar."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -12,7 +13,15 @@ from repro.bench.chaos import (
 )
 from repro.bench.dashboard import chaos_to_html, chaos_to_text
 
+# the storm's corruption faults write NaN/Inf into CG's fields on purpose;
+# the dot-product partials (sets/loader.py deposit_sums) then sum over them
+# until the guardrail rolls the step back — expected injection, not a bug
+injected_nonfinite = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in reduce:RuntimeWarning"
+)
 
+
+@injected_nonfinite
 @pytest.mark.parametrize("name", sorted(CHAOS_WORKLOADS))
 def test_soak_survives_the_full_storm(name):
     """The PR's acceptance criterion: >= 50 seeded fault events — among
@@ -48,6 +57,7 @@ def test_plan_calibration_targets_the_budget():
     assert plan.max_injections["corrupt"] >= int(0.35 * 50)
 
 
+@injected_nonfinite
 def test_report_document_and_renderers(tmp_path):
     report = run_chaos("poisson", events=12, seed=5)
     doc = report.to_json()
@@ -55,7 +65,7 @@ def test_report_document_and_renderers(tmp_path):
     assert doc["events"]["total"] == report.events_total
     assert doc["result"]["match_bitwise"] is True
     path = report.save(str(tmp_path / "CHAOS_poisson.json"))
-    assert json.loads(open(path).read())["workload"] == "poisson"
+    assert json.loads(pathlib.Path(path).read_text())["workload"] == "poisson"
 
     text = chaos_to_text(doc)
     assert "chaos soak: poisson" in text

@@ -128,11 +128,12 @@ def test_cli_report_acceptance(tmp_path):
 
 def test_cli_report_compare_soft_and_strict(tmp_path):
     from repro.__main__ import main
+    from repro.bench.harness import BENCH_SCHEMA
 
     old = tmp_path / "old.json"
     new = tmp_path / "new.json"
     base = {
-        "schema": "repro-bench/1",
+        "schema": BENCH_SCHEMA,
         "exp": "lbm",
         "params": {},
         "env": {},

@@ -63,9 +63,9 @@ def test_percentile_tail_regression_detected():
     assert not any(f.regression for f in findings if f.metric == "p50")
 
 
-def test_check_regression_reads_both_schema_versions(tmp_path):
+def test_check_regression_reads_written_documents(tmp_path):
     old = tmp_path / "old.json"
-    old.write_text(json.dumps(_doc(schema="repro-bench/1")))
+    old.write_text(json.dumps(_doc()))
     new = write_bench_json(
         tmp_path / "new.json",
         "lbm",
@@ -78,80 +78,16 @@ def test_check_regression_reads_both_schema_versions(tmp_path):
     assert any(f.regression and f.metric == "wall_clock_s" for f in findings)
 
 
-def test_read_bench_json_upgrades_v1_and_rejects_unknown(tmp_path):
+def test_read_bench_json_accepts_only_the_current_schema(tmp_path):
     p = tmp_path / "b.json"
-    p.write_text(json.dumps(_doc(schema="repro-bench/1")))
-    doc = read_bench_json(p)
-    assert doc["percentiles"] == {} and doc["critical_path"] == {}
-    p.write_text(json.dumps(_doc(schema="repro-bench/99")))
-    with pytest.raises(ValueError, match="unknown bench schema"):
-        read_bench_json(p)
-
-
-def test_read_bench_json_upgrades_pre_fusion_docs_in_memory(tmp_path):
-    """Pre-/3 documents gain an empty ``fusion`` annotation and every
-    result is marked ``fused: False`` (they dispatched step by step)."""
-    for schema in ("repro-bench/1", "repro-bench/2"):
-        p = tmp_path / "b.json"
+    p.write_text(json.dumps(_doc()))
+    assert read_bench_json(p) == _doc()  # read back untouched: nothing is upgraded
+    for schema in ("repro-bench/1", "repro-bench/4", "repro-bench/99", None):
         p.write_text(json.dumps(_doc(schema=schema)))
-        doc = read_bench_json(p)
-        assert doc["fusion"] == {}
-        assert all(r["fused"] is False for r in doc["results"])
-    # a /3 document's own flags survive untouched
-    p = tmp_path / "c.json"
-    v3 = _doc()
-    v3["results"][0]["fused"] = True
-    p.write_text(json.dumps(v3))
-    assert read_bench_json(p)["results"][0]["fused"] is True
-
-
-def test_read_bench_json_upgrades_pre_process_docs_in_memory(tmp_path):
-    """Pre-/4 documents gain a ``params.process_skipped`` note.
-
-    They never carry ``<exp>-process`` result labels or a
-    ``speedup_process``; the upgrade records *why* (schema predates the
-    mode) so a /4 consumer — the regression checker, the dashboard —
-    can tell "process legs skipped" apart from "process legs missing".
-    """
-    for schema in ("repro-bench/1", "repro-bench/2", "repro-bench/3"):
-        p = tmp_path / "b.json"
-        p.write_text(json.dumps(_doc(schema=schema)))
-        doc = read_bench_json(p)
-        assert "predates process mode" in doc["params"]["process_skipped"]
-        assert schema in doc["params"]["process_skipped"]
-    # a /4 document is trusted to speak for itself, both ways
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps(_doc(params={"speedup_process": 1.4})))
-    assert "process_skipped" not in read_bench_json(p)["params"]
-    p.write_text(json.dumps(_doc(params={"process_skipped": "resilience armed"})))
-    assert read_bench_json(p)["params"]["process_skipped"] == "resilience armed"
-
-
-def test_compare_docs_joins_process_labels_across_schemas(tmp_path):
-    """A /1 baseline vs a /4 document with process rows: shared labels
-    compare, the /4-only ``lbm-process`` row is skipped, and the same
-    pair with matching process rows flags process regressions."""
-    old_v1 = tmp_path / "old.json"
-    old_v1.write_text(json.dumps(_doc(wall=1.0, schema="repro-bench/1")))
-    new_v4 = _doc(wall=1.1)
-    new_v4["results"].append(
-        {"label": "lbm-process", "mode": "process", "wall_clock_s": 0.5, "mlups": 200.0}
-    )
-    new_path = tmp_path / "new.json"
-    new_path.write_text(json.dumps(new_v4))
-    findings, ok = check_regression(old_v1, new_path, threshold=0.25)
-    assert ok  # 10% wall growth is under threshold; process row has no join
-    assert not any(f.label == "lbm-process" for f in findings)
-
-    # both /4 with process rows: the join happens and regressions flag
-    old_v4 = _doc(wall=1.0)
-    old_v4["results"].append(
-        {"label": "lbm-process", "mode": "process", "wall_clock_s": 0.5, "mlups": 200.0}
-    )
-    slow = json.loads(json.dumps(new_v4))
-    slow["results"][1]["wall_clock_s"] = 2.0
-    findings = compare_docs(old_v4, slow, threshold=0.25)
-    assert any(f.regression and f.label == "lbm-process" and f.metric == "wall_clock_s" for f in findings)
+        with pytest.raises(ValueError, match="unknown bench schema"):
+            read_bench_json(p)
+        with pytest.raises(ValueError, match="unknown bench schema"):
+            check_regression(p, p)
 
 
 def test_fusion_ratio_drop_flags_on_result_entries():
@@ -171,7 +107,7 @@ def test_fusion_speedup_annotation_compared_per_mode():
     findings = compare_docs(old, new, threshold=0.25)
     flagged = [f for f in findings if f.regression]
     assert [(f.label, f.metric) for f in flagged] == [("fusion:serial", "fusion_speedup")]
-    # pre-/3 old document: no fusion labels to join, nothing compared
+    # old document without the annotation: no fusion labels to join
     assert not any(
         f.metric == "fusion_speedup" for f in compare_docs(_doc(), new, threshold=0.25)
     )

@@ -13,8 +13,6 @@ compile under the same decision.
 from __future__ import annotations
 
 import json
-import os
-import warnings
 
 import pytest
 
@@ -25,11 +23,6 @@ from repro.tuner import TunePlan
 from .harness import SOLVERS, assert_bitwise_equal, run_served, served_spec
 
 DEVICES = 2
-
-# NOTE: gateways are per-test, not module-scoped — a warm program cached
-# across tests would keep its device arenas alive and (correctly) trip
-# the suite-wide shared-memory leak guard.  Warm-vs-cold is exercised
-# inside one test instead.
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -43,39 +36,6 @@ def test_served_matches_native_and_direct(solver, mode):
     assert_bitwise_equal(warm, served, f"{solver}/served-{mode} warm vs cold")
     direct = run(DEVICES, Occ.STANDARD, mode, None)
     assert_bitwise_equal(served, direct, f"{solver}/served-{mode} vs direct")
-
-
-def _process_skip() -> str | None:
-    from repro.bench.harness import usable_cpu_count
-    from repro.system import sharedmem
-
-    if not sharedmem.available():
-        return "shared memory unavailable on this platform (or REPRO_NO_SHM set)"
-    if os.environ.get("REPRO_FORCE_PROCESS_TESTS"):
-        return None
-    if usable_cpu_count() < 2:
-        return (
-            f"only {usable_cpu_count()} usable core(s); "
-            "set REPRO_FORCE_PROCESS_TESTS=1 to run the process leg anyway"
-        )
-    return None
-
-
-_PROC_REASON = _process_skip()
-
-
-@pytest.mark.skipif(_PROC_REASON is not None, reason=_PROC_REASON or "")
-@pytest.mark.parametrize("solver", sorted(SOLVERS))
-def test_served_process_mode_matches_native(solver):
-    from repro.system import ProcessFallbackWarning
-
-    _, native = SOLVERS[solver]
-    with Gateway(workers=1) as gw, warnings.catch_warnings():
-        warnings.simplefilter("error", ProcessFallbackWarning)
-        served = run_served(gw, solver, DEVICES, Occ.STANDARD, "process", None)
-        warm = run_served(gw, solver, DEVICES, Occ.STANDARD, "process", None)
-    assert_bitwise_equal(served, native(), f"{solver}/served-process vs native")
-    assert_bitwise_equal(warm, served, f"{solver}/served-process warm vs cold")
 
 
 def test_cached_tune_plan_replays_bitwise_identical(tmp_path):

@@ -73,42 +73,3 @@ def sanitizer_disarmed():
         yield
     finally:
         san.reset()
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shared_memory(request):
-    """Fail any test that leaks shared-memory segments or worker pools.
-
-    Snapshot the live-segment registry before the test; afterwards shut
-    down every process engine still alive (their boards and arenas are
-    released by the owning objects' finalizers once unreferenced) and
-    collect, then assert the registry is back to the snapshot.  A leaked
-    segment here means a real ``/dev/shm`` file would outlive the test
-    process — the exact failure mode the registry exists to catch.
-
-    pytest nulls ``item.funcargs`` only *after* every teardown hook has
-    run (``_pytest/runner.py``, ``runtestprotocol``), so a fixture-
-    provided grid or backend is still referenced from there when this
-    finalizer fires — long after its own FixtureDef cache was cleared.
-    That pin is pytest plumbing, not a leak; drop the values ourselves
-    before collecting so only genuinely retained segments (module
-    globals, stuck worker threads) can trip the assert.
-    """
-    import gc
-
-    from repro.system import close_all_process_engines, sharedmem
-
-    before = {rec.name for rec in sharedmem.live_segments()}
-    try:
-        yield
-    finally:
-        close_all_process_engines()
-    funcargs = getattr(request.node, "funcargs", None)
-    if funcargs:
-        for key in list(funcargs):
-            funcargs[key] = None
-    gc.collect()
-    leaked = [rec for rec in sharedmem.live_segments() if rec.name not in before]
-    assert not leaked, "test leaked shared-memory segments: " + ", ".join(
-        f"{rec.name} ({rec.tag}, {rec.nbytes} B)" for rec in leaked
-    )

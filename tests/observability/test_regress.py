@@ -1,14 +1,12 @@
 """``report --compare`` label-parity: typed errors, not silent holes.
 
-Regression test for the gate fix: when two *same-schema* bench files
-disagree on which result labels exist, ``check_regression`` used to
-silently skip the unmatched rows — a comparison that looked green while
-ignoring a whole configuration.  It now raises
+Regression test for the gate fix: when two bench files disagree on
+which result labels exist, ``check_regression`` used to silently skip
+the unmatched rows — a comparison that looked green while ignoring a
+whole configuration.  It now raises
 :class:`~repro.bench.regress.BenchLabelMismatch` (a ``ValueError``, so
-the CLI exits 2 with a message instead of a traceback), with two
-deliberate excusals: cross-schema compares (old schemas genuinely lack
-newer labels) and ``<exp>-process`` rows whose absence the other file
-explains via ``params.process_skipped``.
+the CLI exits 2 with a message instead of a traceback), with no
+excusals: there is one schema, so a missing label is always a hole.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ def _write(tmp_path, name, doc):
     return p
 
 
-def test_same_schema_label_mismatch_raises_typed_error(tmp_path):
+def test_label_mismatch_raises_typed_error(tmp_path):
     old = _write(tmp_path, "old.json", _doc(labels=("lbm-serial", "lbm-parallel")))
     new = _write(tmp_path, "new.json", _doc(labels=("lbm-serial",)))
     with pytest.raises(BenchLabelMismatch) as exc_info:
@@ -56,35 +54,11 @@ def test_same_schema_label_mismatch_raises_typed_error(tmp_path):
     assert exc_info.value.only_new == {"lbm-parallel"}
 
 
-def test_cross_schema_compare_stays_lenient(tmp_path):
-    old = _write(
-        tmp_path, "old.json", _doc(labels=("lbm-serial",), schema="repro-bench/1")
-    )
-    new = _write(tmp_path, "new.json", _doc(labels=("lbm-serial", "lbm-parallel")))
-    findings, ok = check_regression(old, new)
-    assert ok
-    assert not any(f.label == "lbm-parallel" for f in findings)
-
-
-def test_process_label_excused_by_process_skipped_note(tmp_path):
-    with_proc = _doc(labels=("lbm-serial", "lbm-process"))
-    skipped = _doc(labels=("lbm-serial",), params={"process_skipped": "resilience armed"})
-    old = _write(tmp_path, "old.json", with_proc)
-    new = _write(tmp_path, "new.json", skipped)
-    findings, ok = check_regression(old, new)  # must not raise
-    assert ok
-    # without the note, the same asymmetry is a mismatch
-    bare = _write(tmp_path, "bare.json", _doc(labels=("lbm-serial",)))
-    with pytest.raises(BenchLabelMismatch):
-        check_regression(old, bare)
-    # the excusal is process-specific: other labels never get it
-    other = _write(
-        tmp_path,
-        "other.json",
-        _doc(labels=("lbm-serial", "lbm-parallel"), params={"process_skipped": "x"}),
-    )
-    with pytest.raises(BenchLabelMismatch):
-        check_regression(other, new)
+def test_cross_schema_compare_is_refused(tmp_path):
+    old = _write(tmp_path, "old.json", _doc(labels=("lbm-serial",), schema="repro-bench/4"))
+    new = _write(tmp_path, "new.json", _doc(labels=("lbm-serial",)))
+    with pytest.raises(ValueError, match="unknown bench schema 'repro-bench/4'"):
+        check_regression(old, new)
 
 
 def test_compare_docs_itself_remains_lenient():

@@ -3,20 +3,17 @@
 The concurrency stress here is the satellite the issue names: many
 threads submitting mixed lbm/poisson jobs against one warm runtime,
 with the bar being *no deadlock, fair completion per tenant, the
-queue-depth gauge back at zero*, and — on the process-mode leg — the
-suite-wide shared-memory leak guard staying clean.
+queue-depth gauge back at zero*.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro import observability as obs
-from repro.bench.harness import usable_cpu_count
 from repro.serving import (
     AdmissionRejected,
     Gateway,
@@ -24,7 +21,6 @@ from repro.serving import (
     JobSpec,
     PlanCache,
 )
-from repro.system import live_process_engine_count, sharedmem
 
 LBM = JobSpec.make("lbm", (8, 6, 6), 2, devices=2, omega=1.1)
 POISSON = JobSpec.make("poisson", (8, 6, 6), 3, devices=2)
@@ -208,43 +204,14 @@ def test_concurrent_mixed_tenants_no_deadlock_and_fair_completion():
         assert np.array_equal(r.fingerprints["f"], lbm_results[0].fingerprints["f"])
 
 
-def _process_skip() -> str | None:
-    if not sharedmem.available():
-        return "shared memory unavailable on this platform (or REPRO_NO_SHM set)"
-    if os.environ.get("REPRO_FORCE_PROCESS_TESTS"):
-        return None
-    if usable_cpu_count() < 2:
-        return (
-            f"only {usable_cpu_count()} usable core(s); "
-            "set REPRO_FORCE_PROCESS_TESTS=1 to run the process leg anyway"
-        )
-    return None
+def test_dead_mode_is_refused_at_admission():
+    """A spec naming a deleted mode cannot be built, let alone queued."""
+    import dataclasses
 
-
-_PROC_REASON = _process_skip()
-
-
-@pytest.mark.skipif(_PROC_REASON is not None, reason=_PROC_REASON or "")
-def test_process_mode_stress_leaves_no_engines_or_segments():
-    """mode="process" jobs fork per-device workers; after close() every
-    engine is retired (the suite leak guard checks the segments)."""
-    import warnings
-
-    from repro.system import ProcessFallbackWarning
-
-    spec = JobSpec.make("lbm", (8, 6, 6), 2, devices=2, mode="process", omega=1.1)
-    gw = Gateway(workers=2)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ProcessFallbackWarning)
-            jobs = [gw.submit(f"t{i % 2}", spec) for i in range(4)]
-            results = [j.result(timeout=600) for j in jobs]
-    finally:
-        gw.close()
-    assert sum(r.cache_hit for r in results) >= 3
-    for r in results[1:]:
-        assert np.array_equal(r.fingerprints["f"], results[0].fingerprints["f"])
-    assert live_process_engine_count() == 0
+    with pytest.raises(ValueError, match=r"'process'.*\('serial', 'parallel'\)"):
+        JobSpec.make("lbm", (8, 6, 6), 2, devices=2, mode="process", omega=1.1)
+    with pytest.raises(ValueError, match="unknown execution mode"):
+        dataclasses.replace(LBM, mode="process")
 
 
 # -- unfused jobs -------------------------------------------------------------

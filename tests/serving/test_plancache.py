@@ -51,7 +51,7 @@ def _keys():
         machine=_names,
         devices=st.integers(min_value=1, max_value=16),
         occ=st.sampled_from(["none", "standard", "extended", "two-way-extended"]),
-        mode=st.sampled_from(["serial", "parallel", "process"]),
+        mode=st.sampled_from(["serial", "parallel"]),
         weights=_weights,
         fused=st.booleans(),
     )
@@ -159,6 +159,42 @@ def test_corrupt_and_alien_entries_raise_typed_errors(tmp_path):
     )
     with pytest.raises(PlanCacheError, match="key mismatch"):
         cache.lookup(key)
+
+
+def test_entries_naming_a_deleted_mode_raise_typed_errors(tmp_path):
+    """An old REPRO_PLAN_CACHE root may still say mode="process": the load
+    fails typed, nothing with that mode reaches a worker."""
+    cache = PlanCache(root=tmp_path)
+    key = plan_key(JobSpec.make("lbm", (8, 6, 6), 3), "dgx-a100-2")
+
+    stale_key = dict(key.to_dict(), mode="process")
+    (tmp_path / f"{key.digest}.json").write_text(
+        json.dumps({"schema": CACHE_SCHEMA, "key": stale_key, "estimate_seconds": 1.0})
+    )
+    with pytest.raises(PlanCacheError, match="unknown execution mode 'process'"):
+        cache.lookup(key)
+
+    tkey = key.tuning_key()
+    cand = {"occ": "standard", "mode": "serial", "weights": None, "makespan": 1.0}
+    plan = {
+        "experiment": "lbm",
+        "machine": "dgx-a100-2",
+        "devices": 2,
+        "best": cand,
+        "baseline": cand,
+        "shares": [0.5, 0.5],
+        "candidates": [cand, dict(cand, mode="process", makespan=2.0)],
+    }
+    (tmp_path / f"{tkey.digest}.json").write_text(
+        json.dumps({"schema": CACHE_SCHEMA, "key": tkey.to_dict(), "tune_plan": plan})
+    )
+    with pytest.raises(PlanCacheError, match="unknown execution mode 'process'"):
+        cache.lookup(tkey)
+    plan["candidates"].pop()
+    (tmp_path / f"{tkey.digest}.json").write_text(
+        json.dumps({"schema": CACHE_SCHEMA, "key": tkey.to_dict(), "tune_plan": plan})
+    )
+    assert cache.lookup(tkey).tune_plan.best.mode == "serial"
 
 
 # -- hit/miss/evict bookkeeping ----------------------------------------------

@@ -6,6 +6,9 @@ crutch between devices, so any missing synchronisation shows up as a
 torn halo and a bitwise mismatch against the serial replay.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from repro import resilience as res
 from repro.resilience import FaultPlan
 from repro.solvers import ElasticitySolver, PoissonSolver
 from repro.solvers.lbm import KarmanVortexStreet, LidDrivenCavity
-from repro.system import Backend, ParallelFallbackWarning
+from repro.system import EXECUTION_MODES, Backend, ParallelFallbackWarning
 
 
 def _lbm_run(devices: int, mode: str, iters: int = 3, shape=(16, 8, 8)) -> np.ndarray:
@@ -108,7 +111,15 @@ def test_armed_resilience_forces_serial_fallback():
     assert np.array_equal(cavity.current.to_numpy(), reference.current.to_numpy())
 
 
-def test_unknown_mode_rejected():
+@pytest.mark.parametrize("mode", ["speculative", "process"])
+def test_unknown_mode_rejected(mode):
     cavity = LidDrivenCavity(Backend.sim_gpus(2), (8, 6, 6))
-    with pytest.raises(ValueError, match="unknown execution mode"):
-        cavity.skeletons[0].run(mode="speculative")
+    sk = cavity.skeletons[0]
+    expected = re.escape(f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a typed error, never a warning-and-serial
+        with pytest.raises(ValueError, match=expected):
+            sk.run(mode=mode)
+        with pytest.raises(ValueError, match=expected):
+            sk.plan.execute(mode=mode)
+    assert EXECUTION_MODES == ("serial", "parallel")

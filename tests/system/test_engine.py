@@ -156,3 +156,32 @@ def test_bad_timeout_rejected():
 
 def test_empty_batch_is_a_noop(engine):
     engine.execute([])
+
+
+def test_idle_worker_does_not_pin_the_replayed_plan():
+    """An idle worker blocks in ``inbox.get()`` with its frame alive; if the
+    frame still held the last job, the job's closure would keep the whole
+    compiled plan — commands, kernels, fields, device payloads — reachable."""
+    import gc
+    import weakref
+
+    from repro.solvers.lbm import LidDrivenCavity
+    from repro.system import Backend
+
+    cavity = LidDrivenCavity(Backend.sim_gpus(2), (8, 6, 6))
+    cavity.step(2, mode="parallel")
+    plan = cavity.skeletons[0].plan
+    workers = list(plan._engine._workers.values())
+    commands = weakref.ref(plan._program.queues[0])  # owner of one command list
+    assert len(workers) == 2 and commands() is not None
+    del cavity, plan
+    gc.collect()
+    try:
+        assert all(w.thread.is_alive() for w in workers)
+        assert commands() is None
+    finally:
+        for w in workers:
+            w.stop()
+        for w in workers:
+            w.thread.join(timeout=5.0)
+    assert not any(w.thread.is_alive() for w in workers)

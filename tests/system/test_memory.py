@@ -17,6 +17,17 @@ def test_buffer_zero_initialised(dev):
     assert np.all(buf.array == 0.0)
 
 
+def test_large_payload_zeroed_writable_and_outlives_its_buffer(dev):
+    # 4 MiB and up comes from an anonymous mapping (memory._zeroed_payload)
+    buf = DeviceAllocator().allocate(dev, (1024, 3, 256), np.float64)
+    arr = buf.array
+    assert arr.shape == (1024, 3, 256) and arr.dtype == np.float64
+    assert arr.flags.writeable and arr.flags.c_contiguous and not arr.any()
+    arr[-1, -1, -1] = 7.0
+    del buf
+    assert arr[-1, -1, -1] == 7.0  # the array keeps the mapping alive
+
+
 def test_allocated_bytes_rounds_to_alignment(dev):
     alloc = DeviceAllocator()
     buf = alloc.allocate(dev, (3,), np.float32, MemOptions(alignment=256))

@@ -46,6 +46,22 @@ def test_main_requires_subcommand():
         main([])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "lbm", "--mode", "process"],
+        ["trace", "fig1", "--mode", "process"],
+        ["serve", "--mode", "process"],
+        ["sanitize", "lbm", "--mode", "all"],
+        ["bench", "lbm", "--process-gate", "1.0"],
+    ],
+)
+def test_deleted_process_mode_switches_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_reproduce_runs_one_bench():
     proc = run_cli("reproduce", "fig1")
     assert proc.returncode == 0

@@ -34,7 +34,7 @@ def test_autotune_improves_on_heterogeneous_machine(cavity):
 def test_autotune_candidates_cover_search_space(cavity):
     decision = cavity.skeletons[0].autotune()
     combos = {(occ, mode) for occ, mode, _ in decision.candidates}
-    assert combos == {(o.value, m) for o in Occ for m in ("serial", "parallel", "process")}
+    assert combos == {(o.value, m) for o in Occ for m in ("serial", "parallel")}
 
 
 def test_autotune_respects_restricted_levels(cavity):

@@ -26,7 +26,7 @@ def test_tuned_weights_beat_uniform_like_for_like(mixed_plan):
     """Weights alone (same OCC, same mode) must already win on the
     heterogeneous machine — the improvement is not all from the mode."""
     by = {(c.occ, c.mode, c.weights is None): c.makespan for c in mixed_plan.candidates}
-    for mode in ("serial", "parallel", "process"):
+    for mode in ("serial", "parallel"):
         uniform = by[("standard", mode, True)]
         tuned = by[("standard", mode, False)]
         assert tuned < uniform
@@ -51,10 +51,15 @@ def test_baseline_is_uniform_standard_serial(mixed_plan):
 
 
 def test_candidate_matrix_is_complete(mixed_plan):
-    # weights {uniform, tuned, blend} x occ {4} x mode {3}
-    assert len(mixed_plan.candidates) == 3 * len(Occ) * 3
+    # weights {uniform, tuned, blend} x occ {4} x mode {2}
+    assert len(mixed_plan.candidates) == 3 * len(Occ) * 2
     labels = {(c.occ, c.mode) for c in mixed_plan.candidates}
-    assert labels == {(o.value, m) for o in Occ for m in ("serial", "parallel", "process")}
+    assert labels == {(o.value, m) for o in Occ for m in ("serial", "parallel")}
+
+
+def test_deleted_mode_is_rejected_not_degraded():
+    with pytest.raises(ValueError, match="'process'"):
+        tune_workload("poisson", pcie_a100(4), devices=4, modes=("serial", "process"))
 
 
 def test_plan_json_round_trip(tmp_path, mixed_plan):
