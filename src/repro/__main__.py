@@ -131,10 +131,8 @@ def cmd_trace(name: str, out: str, devices: int, fuse: bool = True, mode: str = 
         print(f"--devices must be >= 1, got {devices}", file=sys.stderr)
         return 2
     try:
-        # --no-fuse: freeze the plans without the fusion pass so the
-        # trace shows raw per-step dispatch (fused runs still emit every
-        # constituent span — observability routes units through the
-        # per-step path — but their envelopes change the span nesting)
+        # --no-fuse: one dispatch unit per step, so no cat="fused" envelopes
+        # change the span nesting (fused runs emit every constituent span too)
         with fusion.disabled() if not fuse else contextlib.nullcontext():
             obs.enable()
             workload = build_workload(name, devices=devices)
@@ -282,9 +280,8 @@ def cmd_sanitize(
     modes = EXECUTION_MODES if mode == "both" else (mode,)
     reports = []
     try:
-        # --no-fuse sanitizes the raw per-step plans; either way the
-        # sanitizer sees per-constituent commands (fused replay routes
-        # units through the per-step path whenever SAN is active)
+        # --no-fuse sanitizes one-step units; either way the sanitizer
+        # records every constituent command of a unit
         with fusion.disabled() if not fuse else contextlib.nullcontext():
             for m in modes:
                 reports.append(sanitize_workload(name, devices=devices, occ=occ, mode=m))

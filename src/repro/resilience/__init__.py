@@ -115,7 +115,7 @@ _FAULT_CLS = {"launch": LaunchFault, "copy": CopyFault}
 def execute_command(kind: str, site: str, ranks: tuple[int, ...], fn) -> None:
     """Run one queue command under the armed plan: loss check, inject, retry.
 
-    Called from ``CommandQueue`` behind the ``RES.active`` guard.  The
+    Called by :func:`repro.system.layers.lower` when resilience is armed.  The
     involved device ranks are loss-checked first (a command touching a
     lost device raises :class:`DeviceLost`, which is never retried);
     transient faults are then injected and retried per the policy.

@@ -23,9 +23,9 @@ Scheduling policy, in order:
 
 Cross-cutting layers stay correct under concurrency via a
 shared/exclusive lock: ordinary jobs run shared; jobs that arm the
-process-global resilience state (fault injection) or flip the
-process-global fusion flag (``fused=False``) run exclusive, so they
-never overlap another job's execution or program freeze.
+process-global resilience state (fault injection) run exclusive, so
+they never overlap another job's execution.  Nothing else is
+process-global: ``fused=False`` is pinned on the job's own plans.
 
 Per-tenant latency lands in the standard histogram metrics
 (``serve_job_seconds{tenant=...}``, ``serve_queue_wait_seconds``), so
@@ -46,7 +46,6 @@ from time import perf_counter
 from repro import observability as _obs
 from repro import resilience as res
 from repro.sim import dgx_a100, pcie_a100
-from repro.skeleton import fusion
 from repro.system import Backend
 from repro.tuner import tune_workload
 
@@ -109,8 +108,8 @@ class Job:
 
     @property
     def exclusive(self) -> bool:
-        """Must this job run alone? (armed faults / process-global fusion flip)"""
-        return self.fault_profile is not None or not self.spec.fused
+        """Must this job run alone? (it arms the process-global fault plan)"""
+        return self.fault_profile is not None
 
     def done(self) -> bool:
         return self._done.is_set()
@@ -425,11 +424,7 @@ class Gateway:
         if entry is None:
             entry = self.cache.store(job.key)
         t0 = perf_counter()
-        # fused=False flips the process-global fusion flag, consulted at
-        # program-freeze (first replay) — such jobs hold the exclusive
-        # section, so the flip cannot leak into a concurrent freeze
-        ctx = fusion.disabled() if not spec.fused else _null_ctx()
-        with ctx, entry.lock:
+        with entry.lock:
             app = entry.program
             if app is None:
                 cache_hit = False
@@ -511,11 +506,6 @@ class Gateway:
                 "tenants": {t: tq.vtime for t, tq in self._tenants.items()},
                 "cache": self.cache.stats(),
             }
-
-
-@contextmanager
-def _null_ctx():
-    yield
 
 
 __all__ = [

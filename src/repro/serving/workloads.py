@@ -292,10 +292,15 @@ def build_served(spec: JobSpec, machine=None) -> _Served:
 
     Compilation — graph build, OCC, scheduling — happens here, under the
     caller's observability spans; the gateway calls this exactly once
-    per plan key and replays via ``reset()`` afterwards.
+    per plan key and replays via ``reset()`` afterwards.  No program is
+    frozen yet (``estimate_seconds()`` / first ``run()`` does that), so
+    ``spec.fused`` is pinned on this job's plans, not flipped process-wide.
     """
     backend = Backend.sim_gpus(spec.devices, machine=machine)
-    return _ADAPTERS[spec.experiment](spec, backend)
+    app = _ADAPTERS[spec.experiment](spec, backend)
+    for sk in app.skeletons:
+        sk.plan.fuse = spec.fused
+    return app
 
 
 __all__ = ["JobSpec", "build_served", "plan_key", "workload_signature"]

@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro import observability as _obs
-from repro import resilience as _res
 
 from .dataset import MultiDeviceData
-from .launch import estimate_cost, wrap_kernel_faults, wrap_kernel_timing
+from .launch import estimate_cost
 from .loader import AccessToken, Loader, Pattern, ReduceMode
 from .mstream import MultiStream
 from .views import DataView
@@ -51,10 +50,11 @@ class Container:
         #: that can prove pre-binding is safe: ``(rank, view, span) ->
         #: callable | None``.  The fusion pass calls it at program-freeze
         #: time; a returned closure replaces the interpreted per-launch
-        #: kernel in *fused fast-path dispatch only* and MUST be bitwise
-        #: equivalent to it.  Containers whose loading lambda reads
-        #: mutable scalar cells at load time (e.g. CG's alpha/beta) must
-        #: leave this None — pre-binding would freeze iteration-0 scalars.
+        #: kernel in every replay of that program, instrumented or not,
+        #: and MUST be bitwise equivalent to it.  Containers whose loading
+        #: lambda reads mutable scalar cells at load time (e.g. CG's
+        #: alpha/beta) must leave this None — pre-binding would freeze
+        #: iteration-0 scalars.
         self.specialize = None
 
     def tokens(self) -> list[AccessToken]:
@@ -126,18 +126,11 @@ class Container:
                     for piece in span.pieces():
                         compute(piece)
 
-                if _res.RES.active:
-                    kernel = wrap_kernel_faults(kernel, self.name, self.tokens(), rank)
-
-            label = f"{self.name}@{view}[{rank}]"
             if _obs.OBS.active:
-                if not virtual:
-                    kernel = wrap_kernel_timing(kernel, label, rank)
                 _obs.OBS.metrics.counter("container_launches", container=self.name).inc()
-                with _obs.span(label, cat="kernel", pid=f"device{rank}", tid=streams[rank].name):
-                    streams[rank].enqueue_kernel(label, kernel, cost)
-            else:
-                streams[rank].enqueue_kernel(label, kernel, cost)
+            streams[rank].enqueue_kernel(
+                f"{self.name}@{view}[{rank}]", kernel, cost, container=None if virtual else self
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Container({self.name}, {self.pattern.value})"

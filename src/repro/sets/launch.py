@@ -9,8 +9,8 @@ This is also the resilience layer's launch-level injection site:
 :func:`wrap_kernel_faults` decorates a compute kernel with seeded
 NaN/Inf corruption of one written field buffer, modelling silent data
 corruption (a bit flip, a racy write) that only the divergence guardrail
-can catch.  Call sites guard on ``resilience.RES.active`` so the
-disabled path never sees the wrapper.
+can catch.  Only :func:`repro.system.layers.lower` applies it, and only
+when resilience is armed, so the disabled path never sees the wrapper.
 """
 
 from __future__ import annotations
@@ -111,33 +111,6 @@ def estimate_cost(
     return cost
 
 
-def wrap_kernel_timing(kernel: Callable[[], None], label: str, rank: int) -> Callable[[], None]:
-    """Wrap a compute kernel so its wall-clock feeds ``kernel_seconds``.
-
-    The histogram is labeled ``{device, kernel}`` — the same join keys
-    :func:`repro.tuner.feedback.samples_from_metrics` uses to rebuild
-    calibration samples without a full span trace.  Call sites guard on
-    ``observability.OBS.active`` so the disabled path never sees the
-    wrapper (mirroring :func:`wrap_kernel_faults` and ``RES.active``).
-    """
-    from time import perf_counter  # noqa: PLC0415 - hot-path-local import
-
-    device = f"device{rank}"
-
-    def timed_kernel():
-        t0 = perf_counter()
-        kernel()
-        if _obs.OBS.active:  # may have been disabled mid-run
-            _obs.OBS.metrics.histogram(
-                "kernel_seconds",
-                bounds=_obs.Histogram.TIME_BOUNDS,
-                device=device,
-                kernel=label,
-            ).observe(perf_counter() - t0)
-
-    return timed_kernel
-
-
 def wrap_kernel_faults(
     kernel: Callable[[], None],
     container_name: str,
@@ -190,7 +163,6 @@ __all__ = [
     "estimate_cost",
     "token_access_parts",
     "wrap_kernel_faults",
-    "wrap_kernel_timing",
     "Access",
     "Pattern",
 ]

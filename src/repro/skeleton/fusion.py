@@ -2,12 +2,12 @@
 
 ``BENCH_lbm.json`` put the problem on the table: a 4-device LBM
 miniature spends ~50x more wall-clock in per-step Python dispatch than
-its simulated makespan — every compiled step pays a flight-ring record,
-a span probe, a resilience check and a sanitizer check even when all of
-those layers are dormant.  This pass runs once at ``CompiledProgram``
-freeze time and collapses the step list into *dispatch units*: maximal
+its simulated makespan.  This pass runs at every ``CompiledProgram``
+freeze and collapses the step list into *dispatch units*: maximal
 chains of same-queue, same-kind steps whose recorded wiring proves the
-batch is reordering-free, each executing one precomposed closure.
+batch is reordering-free, each executing one precomposed closure.  With
+fusion off every step is its own unspecialised unit, so replay has one
+shape — a walk over ``program.dispatch`` — whatever the setting.
 
 **It is a pure plan-to-plan transform.**  The recorded queues, commands,
 events and per-step metadata are untouched — the DES timing model, the
@@ -43,17 +43,18 @@ same-kind step ``s`` only when:
    (1) for scheduler-produced programs and exists to catch hand-built
    or future schedules that violate the wiring invariant.
 
-**Precomposition.**  The unit's fast-path closure hoists every
-loop-invariant lookup out of the per-step path: copy chains that form a
-complete SoA component family collapse into one multi-component staged
-copy (:meth:`DenseField.batched_halo_fn`), kernel steps whose container
+**Precomposition.**  Copy chains that form a complete SoA component
+family collapse into one multi-component staged copy
+(:meth:`DenseField.batched_halo_fn`), kernel steps whose container
 registered a ``specialize`` hook get an ahead-of-time compiled,
 pre-bound kernel (:mod:`repro.codegen`), and everything else runs its
-already-frozen command closures back to back.  The fast path is taken
-only when resilience, the sanitizer and observability are all inactive;
-any active cross-cutting layer routes the unit through the ordinary
-per-constituent ``Plan._run_step`` so fault sites, sanitizer records and
-per-kernel spans are exactly those of the unfused program.
+already-frozen command closures back to back.
+
+**Lowering.**  A replay runs :meth:`FusedStep.lower` of each unit for
+the armed layer set: bare, the precomposed closure itself; otherwise the
+constituents' *own* closures — the same specialised kernels — each
+wrapped once by :func:`repro.system.layers.lower`, so fault sites,
+sanitizer records and per-kernel spans are those of the unfused program.
 
 Fusion is **on by default**; ``--no-fuse`` CLI flags and the
 :func:`disabled` context manager (or ``Plan.fuse = False`` before first
@@ -64,11 +65,15 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro import observability as _obs
+from repro.observability.flight import FLIGHT as _FLIGHT
 from repro.sanitizer.access import step_accesses
 from repro.sanitizer.program import StepInfo
+from repro.system import layers as _layers
 from repro.system.queue import RecordEventCommand
 
 
@@ -83,12 +88,6 @@ class _FusionConfig:
 
 FUSION = _FusionConfig()
 _config_lock = threading.Lock()
-
-
-def set_enabled(on: bool) -> None:
-    """Set the process-wide fusion default for plans frozen after this."""
-    with _config_lock:
-        FUSION.enabled = bool(on)
 
 
 @contextmanager
@@ -108,10 +107,10 @@ class FusedStep:
     """One replay dispatch unit: a chain of steps behind one closure.
 
     ``steps`` are the constituent ``_Step``s in issue order (length 1 is
-    common — a lone kernel still gains the hoisted fast path and any
-    specialized codegen).  ``fn`` is the precomposed fast-path closure;
-    the slow path (any cross-cutting layer active) ignores it and runs
-    the constituents through ``Plan._run_step`` unchanged.
+    common — a lone kernel still gains any specialized codegen).  ``fn``
+    is the precomposed closure a bare replay calls, ``fns`` the
+    constituents' own closures an instrumented one wraps, ``kind`` the
+    flight-ring kind of a bare replay's slot.
     """
 
     steps: list
@@ -120,6 +119,7 @@ class FusedStep:
     label: str
     site: str
     fn: Callable[[], None]
+    fns: tuple = ()
     specialized: bool = False
     kind: str = "fused"
     sites: tuple = field(default_factory=tuple)
@@ -127,6 +127,35 @@ class FusedStep:
     def __post_init__(self) -> None:
         if not self.sites:
             self.sites = tuple(s.site for s in self.steps)
+
+    def lower(self, layers: frozenset[str], flight: bool) -> Callable[[], None]:
+        """The callable that runs this unit under ``layers``: bare, ``fn``
+        (behind one ring slot for the unit when ``flight``); otherwise each
+        constituent instrumented as its own step, inside a ``cat="fused"``
+        envelope span when observability sees a batch."""
+        if not layers:
+            return partial(_ringed, (self.pid, self.kind, self.site), self.fn) if flight else self.fn
+        pairs = zip(self.steps, self.fns)
+        runs = [_layers.lower(s.command, s.queue, layers, fn, halo=s.kind == "copy") for s, fn in pairs]
+        if flight:  # always-on black box: one slot per step, carrying its site key
+            runs = [partial(_ringed, (s.pid, s.kind, s.site), run) for s, run in zip(self.steps, runs)]
+        if len(runs) == 1:
+            return runs[0]
+        if "obs" not in layers:
+            return partial(_chain, nullcontext, runs)
+        args = {"cat": "fused", "pid": self.pid, "tid": self.queue.name, "fused": len(runs)}
+        return partial(_chain, partial(_obs.tracer().span, self.label, **args), runs)
+
+
+def _ringed(slot: tuple, fn: Callable[[], None]) -> None:
+    _FLIGHT.record(*slot)
+    fn()
+
+
+def _chain(envelope, runs: list) -> None:
+    with envelope():
+        for run in runs:
+            run()
 
 
 def _step_info(step) -> StepInfo:
@@ -235,15 +264,9 @@ def build_chains(program) -> list[list]:
     return chains
 
 
-def _compose(steps) -> tuple[Callable[[], None], bool]:
-    """The fast-path closure for one chain; True when codegen-specialized."""
-    if all(s.kind == "copy" for s in steps) and len(steps) > 1:
-        fld = steps[0].halo_field
-        batched = getattr(fld, "batched_halo_fn", None)
-        if batched is not None and all(s.halo_field is fld for s in steps):
-            fn = batched([s.msg for s in steps])
-            if fn is not None:
-                return fn, False
+def _compose(steps) -> tuple[Callable[[], None], tuple, bool]:
+    """``(fn, fns, specialized)`` for one chain: the composed closure, the
+    per-constituent ones, and whether codegen produced any of them."""
     fns: list[Callable[[], None]] = []
     specialized = False
     for s in steps:
@@ -256,47 +279,51 @@ def _compose(steps) -> tuple[Callable[[], None], bool]:
                 specialized = specialized or fn is not None
         fns.append(fn if fn is not None else s.command.fn)
     if len(fns) == 1:
-        return fns[0], specialized
+        return fns[0], tuple(fns), specialized
+    if all(s.kind == "copy" for s in steps):
+        fld = steps[0].halo_field
+        batched = getattr(fld, "batched_halo_fn", None)
+        if batched is not None and all(s.halo_field is fld for s in steps):
+            fn = batched([s.msg for s in steps])
+            if fn is not None:
+                return fn, tuple(fns), False
 
     def run_chain(fns=tuple(fns)):
         for f in fns:
             f()
 
-    return run_chain, specialized
+    return run_chain, tuple(fns), specialized
 
 
-def fuse_program(program) -> None:
-    """Annotate a compiled program with its fused dispatch plan, in place.
+def fuse_program(program, fuse: bool = True) -> None:
+    """Annotate a compiled program with its dispatch plan, in place.
 
     Populates ``program.dispatch`` (list of :class:`FusedStep`),
-    ``program.fused_heads`` / ``program.fused_members`` (head-command ->
-    unit map and the set of non-head member commands, for the parallel
-    engine callback), and the ``fused_steps`` / ``dispatch_units`` /
-    ``fusion_ratio`` schedule stats.
+    ``program.fused_heads`` (head command -> unit, in dispatch order; a
+    member command has no entry, which is how the parallel engine
+    callback skips it) and the ``fused_steps`` / ``dispatch_units`` /
+    ``fusion_ratio`` schedule stats.  ``fuse=False`` makes every step a
+    singleton unit around its own command closure: no chains, no hooks.
     """
-    chains = build_chains(program)
     dispatch: list[FusedStep] = []
-    for chain in chains:
-        fn, specialized = _compose(chain)
+    for chain in build_chains(program) if fuse else ([s] for s in program.steps):
         head = chain[0]
-        if len(chain) == 1:
-            label = head.label
-        else:
-            label = f"fused[{len(chain)}]:{head.label}"
+        fn, fns, specialized = _compose(chain) if fuse else (head.command.fn, (head.command.fn,), False)
         dispatch.append(
             FusedStep(
                 steps=chain,
                 queue=head.queue,
                 pid=head.pid,
-                label=label,
+                label=head.label if len(chain) == 1 else f"fused[{len(chain)}]:{head.label}",
                 site=head.site if len(chain) == 1 else f"fused:{head.site}+{len(chain) - 1}",
                 fn=fn,
+                fns=fns,
                 specialized=specialized,
+                kind="fused" if fuse else head.kind,
             )
         )
     program.dispatch = dispatch
     program.fused_heads = {u.steps[0].command: u for u in dispatch}
-    program.fused_members = {s.command for u in dispatch for s in u.steps[1:]}
     stats = program.stats
     stats.fused_steps = sum(len(u.steps) for u in dispatch if len(u.steps) > 1)
     stats.dispatch_units = len(dispatch)

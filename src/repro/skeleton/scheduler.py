@@ -20,6 +20,13 @@ dependency couples (same-rank for compute-compute, message source/
 destination for halo edges).  A piece that is empty on some rank (e.g. a
 BOUNDARY launch on a border device) is transparent: its dependencies
 flow through to its consumers.
+
+Replay has one shape: freezing always yields dispatch units
+(:mod:`repro.skeleton.fusion`), and ``Plan.execute`` reads the armed
+layers (observability, resilience, sanitizer, flight recorder) once per
+call, then calls the program's lowering for that set — one callable per
+unit, wrappers already composed.  A layer armed or disarmed *during* a
+replay takes effect at the next one.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from repro import resilience as _res
 from repro.observability.flight import FLIGHT as _FLIGHT
 from repro.sanitizer.state import SAN as _SAN
 from repro.sets import Container, DataView, ReduceMode
-from repro.sets.launch import wrap_kernel_faults
 from repro.sets.loader import Loader
 from repro.system import (
     EXECUTION_MODES,
@@ -46,7 +52,7 @@ from repro.system import (
     ParallelEngine,
     ParallelFallbackWarning,
 )
-from repro.system.queue import _site_name
+from repro.system import layers as _layers
 
 from .depgraph import DepGraph, GraphNode, NodeKind, Scope
 from .fusion import FUSION, FusedStep, fuse_program
@@ -67,7 +73,7 @@ class ScheduleStats:
     copy_bytes: int = 0
     # fusion annotations (populated by repro.skeleton.fusion.fuse_program)
     fused_steps: int = 0  # constituent steps living inside multi-step units
-    dispatch_units: int = 0  # len(program.dispatch) after fusion
+    dispatch_units: int = 0  # len(program.dispatch)
     fusion_ratio: float = 1.0  # steps per dispatch unit (>= 1.0)
 
 
@@ -83,10 +89,9 @@ class _Step:
     """One replayable kernel or copy of a compiled program.
 
     Everything a replay needs is resolved at freeze time: the target
-    queue, the observability span arguments, and the resilience
-    injection-site key (computed with the same :func:`_site_name`
-    normalisation the eager enqueue path used, so seeded fault plans
-    reproduce identically across the refactor).
+    queue, the trace / flight track and the resilience injection-site
+    key (:func:`repro.system.layers.describe`, which the eager enqueue
+    path shares, so seeded fault plans reproduce identically on either).
     """
 
     kind: str  # "kernel" | "copy"
@@ -94,7 +99,6 @@ class _Step:
     label: str
     pid: str
     site: str
-    ranks: tuple[int, ...]
     command: Command | None = None
     # kernel steps only
     container: Container | None = None
@@ -104,9 +108,6 @@ class _Step:
     # copy steps only
     msg: object | None = None
     halo_field: object | None = None
-    # per-step metrics-handle cache: (registry, *handles), re-resolved when
-    # the registry identity changes (obs.enable(reset=True) swaps it)
-    metrics_cache: tuple | None = None
 
 
 @dataclass
@@ -118,10 +119,10 @@ class CompiledProgram:
     runtime state reset per parallel replay; the recording metadata and
     dependency wiring never change.
 
-    When the fusion pass ran at freeze time, ``dispatch`` holds the
-    batched replay plan (see :mod:`repro.skeleton.fusion`); ``steps`` /
-    ``step_of`` / ``queues`` stay per-constituent either way, so the
-    DES, sanitizer and tuner views of the program are fusion-invariant.
+    ``dispatch`` holds the replay plan (see :mod:`repro.skeleton.fusion`;
+    one unit per step with fusion off); ``steps`` / ``step_of`` /
+    ``queues`` stay per-constituent either way, so the DES, sanitizer
+    and tuner views of the program are fusion-invariant.
     """
 
     queues: list[CommandQueue]
@@ -129,9 +130,27 @@ class CompiledProgram:
     step_of: dict[Command, _Step]
     events: dict[PieceKey, Event]
     stats: ScheduleStats
-    dispatch: list[FusedStep] | None = None
+    dispatch: list[FusedStep] = field(default_factory=list)
     fused_heads: dict[Command, FusedStep] = field(default_factory=dict)
-    fused_members: set[Command] = field(default_factory=set)
+    # bool(layers) -> (key, runners): only the bare lowering and the latest
+    # instrumented one are kept, so dead registries are never accumulated
+    _lowered: dict[bool, tuple] = field(default_factory=dict, repr=False)
+
+    def runners(self, layers: frozenset[str], flight: bool) -> dict[Command, Callable[[], None]]:
+        """Head command -> the callable that runs its unit, in dispatch order;
+        re-lowered when a layer, or the tracer / registry / fault plan its
+        wrappers closed over, has changed since the last replay."""
+        closed = ("obs" in layers and (_obs.OBS.tracer, _obs.OBS.metrics), "res" in layers and _res.RES.plan)
+        key = (layers, flight, closed)
+        cached = self._lowered.get(bool(layers))
+        if cached is None or cached[0] != key:
+            runners = {cmd: unit.lower(layers, flight) for cmd, unit in self.fused_heads.items()}
+            cached = self._lowered[bool(layers)] = (key, runners)
+        return cached[1]
+
+
+def _member() -> None:
+    """What the engine runs at a member command: its unit's head already did the work."""
 
 
 class Plan:
@@ -385,20 +404,8 @@ class Plan:
                             node.reduce_mode,
                             node.container.index_data.span_for(idx, node.view),
                         )
-                    cmd = q.enqueue_kernel(label, fn, cost)
-                    step = _Step(
-                        kind="kernel",
-                        queue=q,
-                        label=label,
-                        pid=f"device{idx}",
-                        site=f"{_site_name(label)}@{idx}",
-                        ranks=(idx,),
-                        command=cmd,
-                        container=node.container,
-                        rank=idx,
-                        virtual=virtual,
-                        view=node.view,
-                    )
+                    cmd = q.enqueue_kernel(label, fn, cost, container=None if virtual else node.container)
+                    extra = {"container": node.container, "rank": idx, "virtual": virtual, "view": node.view}
                     stats.num_kernels += 1
                     stats.kernel_bytes += cost.bytes_moved
                     stats.kernel_flops += cost.flops
@@ -413,19 +420,11 @@ class Plan:
                         self.backend.device(msg.dst_rank),
                         msg.nbytes,
                     )
-                    step = _Step(
-                        kind="copy",
-                        queue=q,
-                        label=name,
-                        pid=f"device{msg.src_rank}",
-                        site=f"{_site_name(name)}@{msg.src_rank}->{msg.dst_rank}",
-                        ranks=(msg.src_rank, msg.dst_rank),
-                        command=cmd,
-                        msg=msg,
-                        halo_field=node.halo_field,
-                    )
+                    extra = {"msg": msg, "halo_field": node.halo_field}
                     stats.num_copies += 1
                     stats.copy_bytes += msg.nbytes
+                pid, site, _ = _layers.describe(cmd, q)
+                step = _Step(kind=cmd.kind, queue=q, label=cmd.name, pid=pid, site=site, command=cmd, **extra)
                 steps.append(step)
                 step_of[cmd] = step
                 if piece in needs_event:
@@ -442,122 +441,21 @@ class Plan:
         if self._program is None:
             with _obs.span("plan.compile_program", cat="phase"):
                 program = self._compile_program()
-                fuse = FUSION.enabled if self.fuse is None else self.fuse
-                if fuse:
-                    with _obs.span("plan.fuse_program", cat="phase"):
-                        fuse_program(program)
+                with _obs.span("plan.fuse_program", cat="phase"):
+                    fuse_program(program, FUSION.enabled if self.fuse is None else self.fuse)
                 self._program = program
         return self._program
 
     # -- replay ----------------------------------------------------------------
-    def _run_step(self, step: _Step) -> None:
-        """Execute one frozen step with observability + resilience applied.
+    def _replay_parallel(self, program: CompiledProgram, runners: dict[Command, Callable[[], None]]) -> None:
+        """Engine replay: one worker per device, event-wired synchronisation.
 
-        Shared by both replay modes; in parallel mode it runs on the
-        worker thread of the step's device (the tracer and metrics
-        registry are thread-safe).
+        Commands are batched by unit: the head command runs the whole
+        unit, member commands have no runner and are no-ops at their
+        original positions (their event records stay in place, so
+        signals still fire only after the batched work completed at or
+        before head position).
         """
-        if _FLIGHT.enabled:
-            # always-on black box: one ring slot per step, site key included
-            _FLIGHT.record(step.pid, step.kind, step.site)
-        if step.kind == "kernel":
-            with _obs.span(step.label, cat="kernel", pid=step.pid, tid=step.queue.name) as sp:
-                fn = step.command.fn
-                if _res.RES.active:
-                    if not step.virtual:
-                        fn = wrap_kernel_faults(fn, step.container.name, step.container.tokens(), step.rank)
-                    # launch-fault injection site: loss check + retry/backoff
-                    _res.execute_command("launch", step.site, step.ranks, fn)
-                else:
-                    fn()
-            if sp is not None:
-                # labeled-series resolution hoisted: the handle is cached on
-                # the step and re-resolved only when the registry is swapped
-                m = _obs.OBS.metrics
-                cache = step.metrics_cache
-                if cache is None or cache[0] is not m:
-                    cache = (
-                        m,
-                        m.histogram(
-                            "kernel_seconds",
-                            bounds=_obs.Histogram.TIME_BOUNDS,
-                            device=step.pid,
-                            kernel=step.label,
-                        ),
-                    )
-                    step.metrics_cache = cache
-                cache[1].observe(sp.duration)
-        else:
-            msg = step.msg
-            with _obs.span(step.label, cat="copy", pid=step.pid, tid=step.queue.name, nbytes=msg.nbytes) as sp:
-                if _res.RES.active:
-                    # copy-fault injection site: both endpoints are loss-checked
-                    _res.execute_command("copy", step.site, step.ranks, msg.fn)
-                else:
-                    msg.fn()
-            if sp is not None:
-                m = _obs.OBS.metrics
-                cache = step.metrics_cache
-                if cache is None or cache[0] is not m:
-                    src, dst = str(msg.src_rank), str(msg.dst_rank)
-                    cache = (
-                        m,
-                        m.counter("halo_bytes_sent", src=src, dst=dst),
-                        m.counter("halo_messages", src=src, dst=dst),
-                        m.histogram("copy_seconds", bounds=_obs.Histogram.TIME_BOUNDS, src=src, dst=dst),
-                        m.histogram("copy_size_bytes", src=src, dst=dst),
-                    )
-                    step.metrics_cache = cache
-                cache[1].inc(msg.nbytes)
-                cache[2].inc()
-                cache[3].observe(sp.duration)
-                cache[4].observe(msg.nbytes)
-        if _SAN.active:
-            _SAN.record(step.command)
-
-    def _run_fused(self, unit: FusedStep) -> None:
-        """Execute one fused dispatch unit.
-
-        Fast path (no cross-cutting layer active): one flight-ring slot
-        for the unit, then its precomposed closure — this is the whole
-        point of fusion.  Slow path (resilience, sanitizer or
-        observability armed): the constituents run through
-        :meth:`_run_step` unchanged, so fault sites re-raise with their
-        original keys, the sanitizer records every merged command, and
-        per-kernel spans/histograms are exactly the unfused ones (a
-        ``cat="fused"`` envelope span marks multi-step units in traces).
-        """
-        if _res.RES.active or _SAN.active or _obs.OBS.active:
-            if _obs.OBS.active and len(unit.steps) > 1:
-                with _obs.span(
-                    unit.label, cat="fused", pid=unit.pid, tid=unit.queue.name, fused=len(unit.steps)
-                ):
-                    for s in unit.steps:
-                        self._run_step(s)
-            else:
-                for s in unit.steps:
-                    self._run_step(s)
-            return
-        if _FLIGHT.enabled:
-            _FLIGHT.record(unit.pid, "fused", unit.site)
-        unit.fn()
-
-    def _replay_serial(self, program: CompiledProgram) -> None:
-        """Host-ordered replay: every step in task-list order (historical).
-
-        With a fused dispatch plan the walk is over units instead of
-        steps — each unit runs at its head's position, which the fusion
-        legality rules prove is order-equivalent.
-        """
-        if program.dispatch is not None:
-            for unit in program.dispatch:
-                self._run_fused(unit)
-        else:
-            for step in program.steps:
-                self._run_step(step)
-
-    def _replay_parallel(self, program: CompiledProgram) -> None:
-        """Engine replay: one worker per device, event-wired synchronisation."""
         if self._engine is None:
             # double-checked: two threads replaying one plan concurrently
             # must share a single engine, whose batch lock then serialises
@@ -566,29 +464,7 @@ class Plan:
             with self._engine_lock:
                 if self._engine is None:
                     self._engine = ParallelEngine()
-        self._engine.execute(program.queues, run_command=self._make_run_command(program))
-
-    def _make_run_command(self, program: CompiledProgram):
-        """The engine callback that executes one kernel/copy command.
-
-        With a fused dispatch plan, commands are batched by unit: the
-        head command triggers the whole unit, members are no-ops at
-        their original positions (their event records stay in place, so
-        signals still fire only after the batched work completed at or
-        before head position).
-        """
-        if program.dispatch is not None:
-            heads, members = program.fused_heads, program.fused_members
-
-            def run(cmd: Command) -> None:
-                unit = heads.get(cmd)
-                if unit is not None:
-                    self._run_fused(unit)
-                elif cmd not in members:
-                    self._run_step(program.step_of[cmd])
-
-            return run
-        return lambda cmd: self._run_step(program.step_of[cmd])
+        self._engine.execute(program.queues, run_command=lambda cmd: runners.get(cmd, _member)())
 
     def close_engines(self) -> None:
         """Retire this plan's parallel engine deterministically (idempotent).
@@ -616,6 +492,7 @@ class Plan:
         ``ValueError``.  An armed resilience session forces serial replay
         with a :class:`~repro.system.ParallelFallbackWarning`, because
         rollback-and-replay recovery assumes host-ordered execution.
+        The armed layers and the flight switch are read once, here.
         """
         if mode is None:
             mode = self.default_mode
@@ -624,7 +501,10 @@ class Plan:
         with _obs.span("plan.execute", cat="phase", eager=eager, mode=mode):
             program = self._ensure_program()
             if eager:
-                if mode == "parallel" and _res.RES.active:
+                on = (("obs", _obs.OBS.active), ("res", _res.RES.active), ("san", _SAN.active))
+                layers = frozenset(name for name, active in on if active)
+                runners = program.runners(layers, _FLIGHT.enabled)
+                if mode == "parallel" and "res" in layers:
                     warnings.warn(
                         "resilience session is armed: rollback-and-replay recovery assumes "
                         "host-ordered replay; falling back to mode='serial'",
@@ -634,9 +514,12 @@ class Plan:
                     mode = "serial"
                 with _obs.span(f"plan.replay.{mode}", cat="phase") as sp:
                     if mode == "parallel":
-                        self._replay_parallel(program)
+                        self._replay_parallel(program, runners)
                     else:
-                        self._replay_serial(program)
+                        # host order: each unit at its head's task-list position,
+                        # which the fusion legality rules prove order-equivalent
+                        for run in runners.values():
+                            run()
                 if sp is not None:
                     m = _obs.OBS.metrics
                     m.counter("plan_replays", mode=mode).inc()

@@ -61,7 +61,8 @@ from repro.modes import EXECUTION_MODES  # noqa: F401  (re-exported)
 from repro.observability import flight as _flight
 from repro.sanitizer.state import SAN as _SAN
 
-from .queue import Command, CommandQueue, CopyCommand, KernelCommand, RecordEventCommand, WaitEventCommand
+from . import layers as _layers
+from .queue import Command, CommandQueue, RecordEventCommand, WaitEventCommand
 
 
 class EngineDeadlock(RuntimeError):
@@ -145,14 +146,17 @@ class ParallelEngine:
 
         ``run_command`` receives each :class:`KernelCommand` /
         :class:`CopyCommand` (event commands are handled by the engine);
-        when omitted the command's own ``fn`` is called.  Exceptions in
-        any worker abort the replay and re-raise in the calling thread.
+        when omitted each command's own ``fn`` runs under the layers
+        armed at this call.  Exceptions in any worker abort the replay
+        and re-raise in the calling thread.
         """
         programs = self._build_programs(queues)
         if not programs:
             return
         if run_command is None:
-            run_command = self._default_run
+            armed = _layers.armed()
+            runners = {c: _layers.lower(c, q, armed) for q in queues for c in q.commands if hasattr(c, "fn")}
+            run_command = lambda cmd: runners[cmd]()  # noqa: E731 - a command kind without ``fn`` fails loudly
         t0 = perf_counter() if _obs.OBS.active else 0.0
 
         abort = threading.Event()
@@ -285,12 +289,3 @@ class ParallelEngine:
                 _SAN.record(cmd, "signal")
         else:
             run_command(cmd)
-
-    @staticmethod
-    def _default_run(cmd: Command) -> None:
-        if isinstance(cmd, (KernelCommand, CopyCommand)):
-            cmd.fn()
-            if _SAN.active:
-                _SAN.record(cmd)
-        else:  # pragma: no cover - future command kinds fail loudly
-            raise TypeError(f"parallel engine cannot execute {type(cmd).__name__}")

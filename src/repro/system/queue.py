@@ -9,7 +9,8 @@ worth spelling out:
 
 * the *eager* functional path runs each kernel/copy inline at enqueue
   time (the host issues commands in a dependency-respecting order,
-  exactly as the Skeleton's ordered task list guarantees in the paper).
+  exactly as the Skeleton's ordered task list guarantees in the paper),
+  under the layers armed at that moment (:mod:`repro.system.layers`).
   Events are pure markers here — the host order already serialises
   everything;
 * the *recorded* path (``eager=False``) appends commands without running
@@ -39,12 +40,10 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro import observability as _obs
-from repro import resilience as _res
-from repro.sanitizer.state import SAN as _SAN
 
+from . import layers as _layers
 from .device import Device
 
 
@@ -169,14 +168,20 @@ class Command:
 
 
 class KernelCommand(Command):
-    """A device kernel launch: runs ``fn`` and costs ``cost`` in the model."""
+    """A device kernel launch: runs ``fn`` and costs ``cost`` in the model.
 
-    __slots__ = ("fn", "cost")
+    ``container`` is the Container a real (non-virtual) launch runs: the
+    resilience layer corrupts one of its written fields after the kernel.
+    """
 
-    def __init__(self, name: str, fn: Callable[[], None], cost: KernelCost):
+    __slots__ = ("fn", "cost", "container")
+    kind = "kernel"
+
+    def __init__(self, name: str, fn: Callable[[], None], cost: KernelCost, container=None):
         super().__init__(name)
         self.fn = fn
         self.cost = cost
+        self.container = container
 
 
 class CopyCommand(Command):
@@ -188,6 +193,7 @@ class CopyCommand(Command):
     """
 
     __slots__ = ("fn", "src", "dst", "nbytes", "pinned")
+    kind = "copy"
 
     def __init__(
         self,
@@ -228,17 +234,6 @@ class WaitEventCommand(Command):
         self.event = event
 
 
-def _site_name(name: str) -> str:
-    """Stable injection-site key for a command name.
-
-    Command names may carry a ``#<uid>`` disambiguator (repeated halo
-    updates of one field); uids are process-global counters, so they are
-    stripped here to keep fault decisions reproducible across runs.
-    """
-    base, sep, tail = name.rpartition("#")
-    return base if sep and tail.isdigit() else name
-
-
 class CommandQueue:
     """An in-order asynchronous queue bound to one device (a stream)."""
 
@@ -249,8 +244,8 @@ class CommandQueue:
         self.eager = eager
         self.commands: list[Command] = []
 
-    def enqueue_kernel(self, name: str, fn: Callable[[], None], cost: KernelCost) -> KernelCommand:
-        cmd = KernelCommand(name, fn, cost)
+    def enqueue_kernel(self, name: str, fn: Callable[[], None], cost: KernelCost, container=None) -> KernelCommand:
+        cmd = KernelCommand(name, fn, cost, container)
         self.commands.append(cmd)
         if _obs.OBS.active:
             m = _obs.OBS.metrics
@@ -259,15 +254,7 @@ class CommandQueue:
             m.counter("kernel_bytes_modeled", device=dev).inc(cost.bytes_moved)
             m.gauge("queue_depth", queue=self.name).set(len(self.commands))
         if self.eager:
-            if _res.RES.active:
-                # launch-fault injection site: loss check + retry/backoff
-                _res.execute_command(
-                    "launch", f"{_site_name(name)}@{self.device.index}", (self.device.index,), fn
-                )
-            else:
-                fn()
-            if _SAN.active:
-                _SAN.record(cmd)
+            _layers.lower(cmd, self, _layers.armed())()
         return cmd
 
     def enqueue_copy(
@@ -286,26 +273,8 @@ class CommandQueue:
             m.counter("copies", device=self.device.metric_label).inc()
             m.counter("copy_bytes", src=src.metric_label, dst=dst.metric_label).inc(nbytes)
             m.gauge("queue_depth", queue=self.name).set(len(self.commands))
-            m.histogram("copy_size_bytes", src=str(src.index), dst=str(dst.index)).observe(nbytes)
         if self.eager:
-            t0 = perf_counter() if _obs.OBS.active else 0.0
-            if _res.RES.active:
-                # copy-fault injection site: both endpoints are loss-checked
-                _res.execute_command(
-                    "copy", f"{_site_name(name)}@{src.index}->{dst.index}", (src.index, dst.index), fn
-                )
-            else:
-                fn()
-            if _obs.OBS.active:
-                # observed latency includes any retry/backoff — that IS the cost
-                _obs.OBS.metrics.histogram(
-                    "copy_seconds",
-                    bounds=_obs.Histogram.TIME_BOUNDS,
-                    src=str(src.index),
-                    dst=str(dst.index),
-                ).observe(perf_counter() - t0)
-            if _SAN.active:
-                _SAN.record(cmd)
+            _layers.lower(cmd, self, _layers.armed())()
         return cmd
 
     def record_event(self, event: Event) -> RecordEventCommand:

@@ -60,14 +60,13 @@ def test_lbm_program_actually_fuses():
     fw.step(1)
     for sk in fw.skeletons:
         program = sk.plan._ensure_program()
-        assert program.dispatch is not None
         assert len(program.dispatch) < len(program.steps)
         assert program.stats.fusion_ratio > 5.0
         chain_lengths = sorted(len(u.steps) for u in program.dispatch if len(u.steps) > 1)
         assert chain_lengths, "no multi-step units: copy chains did not fuse"
 
 
-def test_disabled_context_leaves_no_dispatch():
+def test_disabled_context_leaves_singleton_unspecialised_units():
     from repro.solvers.lbm import LidDrivenCavity
     from repro.system import Backend
 
@@ -77,4 +76,6 @@ def test_disabled_context_leaves_no_dispatch():
         fw = LidDrivenCavity(Backend.sim_gpus(2), LBM_SHAPE, omega=1.1, lid_velocity=0.08)
         fw.step(1)
         for sk in fw.skeletons:
-            assert sk.plan._ensure_program().dispatch is None
+            program = sk.plan._ensure_program()
+            assert [u.steps for u in program.dispatch] == [[s] for s in program.steps]
+            assert not any(u.specialized for u in program.dispatch)

@@ -1,0 +1,108 @@
+"""The layer axis of the conformance matrix: mode x layer set x fusion.
+
+A compiled program is lowered once per armed-layer set
+(:meth:`repro.skeleton.scheduler.CompiledProgram.runners`); arming
+observability, the sanitizer or resilience changes what is *recorded*
+about a replay, never what it computes or which kernels it runs.  Every
+cell here — four solver miniatures x {serial, parallel} x {fused,
+unfused} x six layer sets — must reproduce the bare serial fused run bit
+for bit.  The resilience x parallel cells do not exist yet (ROADMAP 5a):
+they must announce their serial fallback with the typed
+:class:`~repro.system.ParallelFallbackWarning`, not degrade silently.
+
+The last test is the reason the single lowering exists: an instrumented
+replay of a fully specialised LBM program runs the same compiled kernels
+as a bare one — the container's interpreted ``loading`` lambda is never
+called — while still reporting one ``kernel_seconds`` sample per
+constituent kernel.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import warnings
+
+import pytest
+
+from repro import observability as obs
+from repro import resilience as res
+from repro.sanitizer import state as san
+from repro.skeleton import Occ, fusion
+from repro.system import ParallelFallbackWarning
+
+from .harness import MODES, SOLVERS, assert_bitwise_equal
+
+DEVICES = 2
+LAYER_SETS = [(), ("obs",), ("san",), ("obs", "san"), ("res",), ("obs", "res", "san")]
+
+
+@contextlib.contextmanager
+def armed(layers):
+    """Arm exactly ``layers`` (the suite fixture has observability on)."""
+    with contextlib.ExitStack() as stack:
+        if "obs" not in layers:
+            obs.disable()
+            stack.callback(obs.enable, reset=False)
+        if "san" in layers:
+            san.enable()
+            stack.callback(san.disable)
+        if "res" in layers:
+            # every rate zero: all sites are consulted, none injects
+            stack.enter_context(res.session(res.FaultPlan(seed=0)))
+        yield
+
+
+@functools.lru_cache(maxsize=None)
+def bare_serial_fused(solver: str):
+    run, _native = SOLVERS[solver]
+    with armed(()):
+        return run(DEVICES, Occ.STANDARD, "serial", None)
+
+
+@pytest.mark.parametrize("layers", LAYER_SETS, ids=lambda ls: "+".join(ls) or "bare")
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_layer_axis_matches_bare_serial_fused_bitwise(solver, mode, fuse, layers):
+    want = bare_serial_fused(solver)
+    run, _native = SOLVERS[solver]
+    falls_back = mode == "parallel" and "res" in layers
+    with contextlib.nullcontext() if fuse else fusion.disabled(), armed(layers):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ParallelFallbackWarning)
+            got = run(DEVICES, Occ.STANDARD, mode, None)
+    fell_back = any(issubclass(w.category, ParallelFallbackWarning) for w in caught)
+    assert fell_back == falls_back, "resilience x parallel must warn; nothing else may"
+    label = f"{solver}[{mode}-{'fused' if fuse else 'unfused'}-{'+'.join(layers) or 'bare'}]"
+    assert_bitwise_equal(got, want, label)
+
+
+def test_traced_replay_runs_the_specialised_kernels_not_the_interpreted_ones():
+    from repro import codegen
+    from repro.solvers.lbm import LidDrivenCavity
+    from repro.system import Backend
+
+    from .harness import LBM_SHAPE
+
+    if not codegen.available():
+        pytest.skip("no C compiler in this environment")
+    fw = LidDrivenCavity(Backend.sim_gpus(4), LBM_SHAPE, omega=1.1, lid_velocity=0.08)
+    fw.step(2)  # freeze both programs
+    programs = [sk.plan._ensure_program() for sk in fw.skeletons]
+    kernel_units = [u for p in programs for u in p.dispatch if u.steps[0].kind == "kernel"]
+    assert kernel_units and all(u.specialized for u in kernel_units), "fixture must be fully specialised"
+
+    interpreted_calls = []
+    for sk in fw.skeletons:
+        for container in sk.containers:
+            inner = container.loading
+            container.loading = lambda loader, inner=inner: (interpreted_calls.append(1), inner(loader))[1]
+
+    obs.enable(reset=True)
+    fw.step(2)  # one traced replay of each program
+    assert not interpreted_calls, "tracing swapped the compiled kernels for the interpreted ones"
+    samples = sum(row["count"] for row in obs.metrics().histogram_summaries("kernel_seconds"))
+    assert samples == sum(p.stats.num_kernels for p in programs)
+    kernel_spans = [s for s in obs.tracer().spans if s.cat == "kernel"]
+    assert len(kernel_spans) == samples

@@ -1,14 +1,15 @@
 """Metric-handle hoisting: enabled-observability replay stops paying a
 labeled-series resolution per step per call.
 
-``Plan._run_step`` historically resolved its histogram/counter handles
+Instrumented replay historically resolved its histogram/counter handles
 through the registry on *every* step execution — a dict lookup plus
 label-tuple hashing per kernel and four of them per copy, dominating the
-instrumented replay's overhead.  The handles are now cached on the step
-(keyed on registry identity, so ``obs.enable(reset=True)`` re-resolves
-them).  The micro-benchmark here is count-based rather than wall-clock
-based — lookup *counts* are deterministic on a noisy CI host where
-timings are not.
+instrumented replay's overhead.  The handles are now resolved when the
+program is lowered for the armed layer set (the lowering is keyed on
+registry identity, so ``obs.enable(reset=True)`` re-lowers).  The
+micro-benchmark here is count-based rather than wall-clock based —
+lookup *counts* are deterministic on a noisy CI host where timings are
+not.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def _build_skeleton(devices=2):
     return Skeleton(backend, [ops.axpy(grid, 2.0, y, x), laplace], name="hoist")
 
 
-# the labeled series _run_step resolves per step (other instrumentation
+# the labeled series the lowering resolves per step (other instrumentation
 # sites — enqueue counters, engine batch histograms, staging pool — have
-# their own budgets and are not what the step-cache hoisting targets)
+# their own budgets and are not what the hoisting targets)
 STEP_SERIES = frozenset(
     {"kernel_seconds", "copy_seconds", "copy_size_bytes", "halo_bytes_sent", "halo_messages"}
 )
@@ -77,16 +78,16 @@ def test_handle_resolutions_amortize_to_zero():
     obs.enable(reset=True)
     try:
         sk = _build_skeleton()
-        sk.run()  # freeze + first instrumented replay populates the caches
+        sk.run()  # freeze + first instrumented replay lowers the program
         counting = _CountingRegistry(obs.OBS.metrics)
         obs.OBS.metrics = counting
         # the wrapper is a *new* registry identity, so the first replay
-        # re-resolves once per step...
+        # re-lowers, resolving once per step...
         sk.run()
         per_step = counting.step_resolutions
         assert per_step > 0
         counting.step_resolutions = 0
-        # ...and every later replay hits the cache: zero resolutions of
+        # ...and every later replay reuses that lowering: zero resolutions of
         # the per-step series, regardless of how many steps execute
         sk.run()
         sk.run()
@@ -106,7 +107,7 @@ def test_registry_swap_invalidates_the_cache():
         sk = _build_skeleton()
         sk.run()
         assert obs.metrics().histogram_summaries("kernel_seconds")
-        obs.enable(reset=True)  # fresh registry, steps still hold old handles
+        obs.enable(reset=True)  # fresh registry, the cached lowering holds old handles
         sk.run()
         # observations must land in the NEW registry — stale handles
         # would leave it empty while feeding the dead one

@@ -1,13 +1,15 @@
 """The overhead guarantee: disabled observability costs < 2% of run().
 
-Every instrumentation site is guarded by one attribute read on the
-slotted ``OBS`` singleton.  The microbenchmark (a) counts how many
-instrumentation events one ``Skeleton.run()`` triggers when enabled,
-(b) measures the per-guard cost pessimistically (through a Python-level
-callable, which is strictly slower than the inline ``if`` at a site),
-and (c) asserts the implied worst-case disabled overhead stays under 2%
-of the measured run time.  CI runs this file as its own job step so an
-instrumentation regression (e.g. work outside the guard) fails loudly.
+A replay reads the process-global switches once (``Plan.execute``) and
+then calls the program's lowering for the armed layer set; with nothing
+armed that lowering is each dispatch unit's own closure behind one
+flight-ring slot.  Two tests pin that down: a structural one (the bare
+lowering's runner for every unit *is* ``unit.fn``) and a budget — the
+per-replay switch reads plus the always-on flight records, costed
+pessimistically, stay under 2% of the measured run time of the default
+(fused) program.  CI runs this file as its own job step so an
+instrumentation regression (e.g. work put back on the bare path) fails
+loudly.
 """
 
 import subprocess
@@ -18,7 +20,7 @@ from repro import observability as obs
 from repro.observability import flight
 from repro.core import ops
 from repro.domain import STENCIL_7PT, DenseGrid
-from repro.skeleton import Skeleton, fusion
+from repro.skeleton import Skeleton
 from repro.system import Backend
 
 
@@ -55,77 +57,42 @@ def test_disabled_by_default():
     assert proc.stdout.strip() == "False"
 
 
+def test_bare_lowering_is_the_units_own_closures():
+    sk = _build_skeleton()
+    sk.run()
+    program = sk.plan._ensure_program()
+    runners = program.runners(frozenset(), flight=False)
+    assert list(runners) == [u.steps[0].command for u in program.dispatch]
+    assert all(run is unit.fn for run, unit in zip(runners.values(), program.dispatch))
+    # and the lowering is cached, not rebuilt per replay
+    assert program.runners(frozenset(), flight=False) is runners
+
+
 def test_disabled_overhead_under_2_percent():
-    # The per-site guard model below matches the per-step dispatch path,
-    # so the whole measurement runs with fusion disabled: the enabled
-    # counting run always takes the per-step path anyway, and budgeting
-    # its site count against a fused run's (much shorter) wall-clock
-    # would compare different dispatch paths.  The fused fast path
-    # executes strictly fewer guarded sites and has its own bound in
-    # test_disabled_overhead_fused_path.
-    with fusion.disabled():
-        # (a) instrumentation events per run, counted on an enabled
-        # recording.  The flight recorder is always-on (it exists for
-        # post-mortems), so its ring-buffer appends are part of the same
-        # budget: every histogram observation, span, and flight record
-        # counts as one guarded event.
-        obs.enable()
-        flight.reset()
-        sk = _build_skeleton()
-        sk.run()
-        events = obs.metrics().updates + len(obs.tracer())
-        flight_records = flight.FLIGHT.records
-        assert events > 0
-
-        # (b) per-event costs, measured pessimistically.  Guarded sites
-        # pay one attribute read while disabled; flight records pay the
-        # real ring append (they are always-on by design), so they are
-        # costed at their full record() price, not the guard price.
-        obs.reset()
-        n = 50_000
-        per_guard = timeit.timeit(lambda: obs.OBS.active, number=n) / n
-        rec = flight.FlightRecorder()
-        per_record = timeit.timeit(lambda: rec.record("d0", "kernel", "k"), number=n) / n
-
-        # (c) actual disabled run time of the same skeleton
-        sk.run()  # warm caches
-        t_run = min(timeit.repeat(sk.run, number=1, repeat=5))
-
-    worst_case_overhead = events * per_guard + flight_records * per_record
-    assert worst_case_overhead < 0.02 * t_run, (
-        f"disabled instrumentation bound violated: {events} guarded sites x "
-        f"{per_guard * 1e9:.0f} ns + {flight_records} flight records x "
-        f"{per_record * 1e9:.0f} ns = {worst_case_overhead * 1e6:.1f} us vs "
-        f"run() = {t_run * 1e6:.1f} us"
-    )
-
-
-def test_disabled_overhead_fused_path():
-    """The fused fast path keeps the same bound against its faster runs.
-
-    Fused dispatch pays per *unit*, not per step: three layer guards plus
-    one flight record per dispatch unit.  Both are counted from the real
-    replay (the flight ring is always-on, so its record counter is exact)
-    and budgeted against the fused disabled wall-clock.
-    """
     obs.reset()
     sk = _build_skeleton()
-    sk.run()  # warm caches, freeze the fused program
+    sk.run()  # warm caches, freeze the program, build the bare lowering
     before = flight.FLIGHT.records
     sk.run()
     flight_records = flight.FLIGHT.records - before
-    assert flight_records > 0
+    assert flight_records == len(sk.plan._ensure_program().dispatch)
 
+    # per-event costs, measured pessimistically: a switch read through a
+    # Python-level callable is strictly slower than the inline read, and
+    # flight records pay the real ring append (always-on by design)
     n = 50_000
     per_guard = timeit.timeit(lambda: obs.OBS.active, number=n) / n
     rec = flight.FlightRecorder()
     per_record = timeit.timeit(lambda: rec.record("d0", "kernel", "k"), number=n) / n
     t_run = min(timeit.repeat(sk.run, number=1, repeat=5))
 
-    # four guards per unit: resilience, sanitizer, observability, flight
-    worst_case_overhead = 4 * flight_records * per_guard + flight_records * per_record
+    # per replay, not per unit: observability, resilience, sanitizer,
+    # flight, plus the span probes around plan.execute / replay / run
+    guards_per_replay = 8
+    worst_case_overhead = guards_per_replay * per_guard + flight_records * per_record
     assert worst_case_overhead < 0.02 * t_run, (
-        f"fused-path bound violated: {flight_records} units x "
-        f"(4 x {per_guard * 1e9:.0f} ns + {per_record * 1e9:.0f} ns) = "
-        f"{worst_case_overhead * 1e6:.1f} us vs run() = {t_run * 1e6:.1f} us"
+        f"disabled instrumentation bound violated: {guards_per_replay} switch reads x "
+        f"{per_guard * 1e9:.0f} ns + {flight_records} flight records x "
+        f"{per_record * 1e9:.0f} ns = {worst_case_overhead * 1e6:.1f} us vs "
+        f"run() = {t_run * 1e6:.1f} us"
     )

@@ -29,8 +29,7 @@ def fused_lbm():
     wl = build_workload("lbm", devices=4, occ=Occ.STANDARD)
     sk = wl.skeletons[0]
     program = sk.plan._ensure_program()
-    assert program.dispatch is not None, "fixture must be a fused program"
-    assert any(len(u.steps) > 1 for u in program.dispatch)
+    assert any(len(u.steps) > 1 for u in program.dispatch), "fixture must be a fused program"
     return sk
 
 

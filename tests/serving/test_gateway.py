@@ -215,16 +215,36 @@ def test_dead_mode_is_refused_at_admission():
 
 
 # -- unfused jobs -------------------------------------------------------------
-def test_unfused_jobs_run_exclusive_and_match_fused():
+def test_unfused_and_fused_jobs_run_concurrently_on_their_own_plans():
+    """``fused`` is pinned on the job's plans, not flipped process-wide: an
+    unfused job shares the gateway with a fused one and neither leaks into
+    the other's program freeze."""
+    from repro.serving.workloads import build_served
+
     unfused = JobSpec.make("lbm", (8, 6, 6), 2, devices=2, fused=False, omega=1.1)
+    direct = {}
+    for spec in (LBM, unfused):
+        app = build_served(spec)
+        try:
+            direct[spec] = app.run()["f"]
+        finally:
+            app.close()
     with Gateway(workers=2) as gw:
-        fused_r = gw.submit("a", LBM).result(timeout=300)
-        unfused_r = gw.submit("b", unfused).result(timeout=300)
-        warm = gw.submit("b", unfused).result(timeout=300)
+        # several of each in flight at once, so the two workers overlap them
+        jobs = [gw.submit(tenant, spec) for _ in range(3) for tenant, spec in (("a", LBM), ("b", unfused))]
+        assert not any(job.exclusive for job in jobs)
+        results = [job.result(timeout=300) for job in jobs]
+        ratios = {
+            spec: [sk.plan._ensure_program().stats.fusion_ratio for sk in gw.cache.peek(job.key).program.skeletons]
+            for job, spec in zip(jobs[:2], (LBM, unfused))
+        }
+    for r in results:
+        assert np.array_equal(r.fingerprints["f"], direct[r.spec])
     # fusion is dispatch-only: the numbers are identical either way
-    assert np.array_equal(fused_r.fingerprints["f"], unfused_r.fingerprints["f"])
-    assert warm.cache_hit  # fused/unfused cache under *different* keys
-    assert np.array_equal(warm.fingerprints["f"], unfused_r.fingerprints["f"])
+    assert np.array_equal(direct[LBM], direct[unfused])
+    assert all(ratio > 1 for ratio in ratios[LBM])
+    assert all(ratio == 1 for ratio in ratios[unfused])
+    assert any(r.cache_hit for r in results if r.spec == unfused)  # its own cache key
 
 
 def test_gateway_shares_cache_and_estimates_order_admission(tmp_path):

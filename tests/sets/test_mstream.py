@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from repro import observability as obs
 from repro.sets import MultiEvent, MultiStream
 from repro.system import Backend, KernelCost, ParallelEngine
 
@@ -83,3 +84,53 @@ def test_device_count_mismatch_rejected_naming_both_sizes(op_name):
     # no partial side effects: nothing recorded, nothing enqueued
     assert all(ev[r].recorded_in is None for r in range(2))
     assert all(not q.commands for q in stream)
+
+
+# -- Set-level launches are instrumented when they run, not when recorded -----
+def _increment_container(devices=2):
+    from repro.domain import DenseGrid
+
+    backend = Backend.sim_gpus(devices)
+    grid = DenseGrid(backend, (4 * devices, 4, 4), name="setlevel")
+    u = grid.new_field("u")
+    u.fill(0.0)
+
+    def loading(loader):
+        up = loader.read_write(u)
+
+        def compute(span):
+            up.view_all(span)[...] += 1.0
+
+        return compute
+
+    return backend, u, grid.new_container("inc", loading)
+
+
+def _kernel_seconds_count() -> int:
+    return sum(row["count"] for row in obs.metrics().histogram_summaries("kernel_seconds"))
+
+
+def test_recording_a_launch_emits_no_kernel_span_until_replay():
+    backend, u, inc = _increment_container()
+    ms = MultiStream.create(backend, "rec", eager=False)
+    inc.run(ms)  # observability is on (suite fixture): recorded, not run
+    assert not [s for s in obs.tracer().spans if s.cat == "kernel"]
+    assert _kernel_seconds_count() == 0
+    ms.execute_parallel()
+    assert (u.to_numpy() == 1.0).all()
+    assert len([s for s in obs.tracer().spans if s.cat == "kernel"]) == len(ms)
+    assert _kernel_seconds_count() == len(ms)
+
+
+def test_stream_recorded_untraced_is_instrumented_when_replayed_traced():
+    backend, u, inc = _increment_container()
+    ms = MultiStream.create(backend, "rec", eager=False)
+    obs.disable()
+    inc.run(ms)
+    ms.execute_parallel()  # bare replay: nothing observed
+    obs.enable(reset=False)
+    assert _kernel_seconds_count() == 0
+    ms.execute_parallel()
+    ms.execute_parallel()
+    assert _kernel_seconds_count() == 2 * len(ms)
+    assert (u.to_numpy() == 3.0).all()

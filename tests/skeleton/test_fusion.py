@@ -51,7 +51,6 @@ def test_chain_legality_invariants():
     fw.step(1)
     saw_multi = False
     for program in _programs(fw):
-        assert program.dispatch is not None
         # dispatch covers every step exactly once, in issue order
         covered = [s for u in program.dispatch for s in u.steps]
         assert covered == program.steps
@@ -67,12 +66,21 @@ def test_chain_legality_invariants():
                 for a, b in zip(unit.steps, unit.steps[1:]):
                     interior = q.commands[pos[a.command] + 1 : pos[b.command]]
                     assert all(isinstance(c, RecordEventCommand) for c in interior)
+        # every data command is a unit's head or one of its members
         heads = {u.steps[0].command for u in program.dispatch}
         assert set(program.fused_heads) == heads
-        assert program.fused_members == {
+        assert set(program.step_of) - heads == {
             s.command for u in program.dispatch for s in u.steps[1:]
         }
     assert saw_multi, "no multi-step units: nothing actually fused"
+
+
+def _unfused(program) -> bool:
+    """Fusion off still yields a dispatch plan: one unspecialised unit per step."""
+    return len(program.dispatch) == len(program.steps) and all(
+        len(u.steps) == 1 and not u.specialized and u.fn is u.steps[0].command.fn
+        for u in program.dispatch
+    )
 
 
 def test_plan_fuse_tristate_override():
@@ -80,14 +88,14 @@ def test_plan_fuse_tristate_override():
     for sk in fw.skeletons:
         sk.plan.fuse = False
     fw.step(1)
-    assert all(p.dispatch is None for p in _programs(fw))
+    assert all(_unfused(p) for p in _programs(fw))
 
     with fusion.disabled():
         fw2 = _cavity(devices=2)
         for sk in fw2.skeletons:
             sk.plan.fuse = True  # explicit True beats the disabled default
         fw2.step(1)
-    assert all(p.dispatch is not None for p in _programs(fw2))
+    assert not any(_unfused(p) for p in _programs(fw2))
 
 
 def test_timing_model_unchanged_by_fusion():
@@ -167,7 +175,7 @@ def test_fusion_stats_populated():
 
 def test_single_device_program_still_fuses_kernels():
     """No halo copies at one device, but kernel steps still become
-    (possibly specialized) singleton units behind the fast path."""
+    (possibly specialized) dispatch units."""
     fw = _cavity(devices=1)
     fw.step(3)
     with fusion.disabled():
@@ -175,4 +183,4 @@ def test_single_device_program_still_fuses_kernels():
         plain.step(3)
     assert np.array_equal(fw.current.to_numpy(), plain.current.to_numpy())
     for program in _programs(fw):
-        assert program.dispatch is not None
+        assert program.dispatch and all(s.kind == "kernel" for u in program.dispatch for s in u.steps)
