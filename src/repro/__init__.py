@@ -10,6 +10,8 @@ The package mirrors the paper's abstraction hierarchy:
 * :mod:`repro.core`    — the user-facing facade plus BLAS-like ops
 * :mod:`repro.sim`     — the machine model replacing real GPUs
 * :mod:`repro.solvers` — LBM, Poisson, linear elasticity applications
+* :mod:`repro.workloads` — the one description (``JobSpec``) and the one
+  constructor (``build``) of the four experiments every tool runs
 * :mod:`repro.baselines` — hand-written comparators (cuboltz/stlbm roles)
 * :mod:`repro.bench`   — metrics and harnesses for the paper's tables/figures
 * :mod:`repro.observability` — structured tracing, metrics, profiling hooks

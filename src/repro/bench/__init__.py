@@ -1,13 +1,14 @@
 """Benchmark harness: metrics, table formatting, result persistence.
 
-Heavier pieces — the serial-vs-parallel miniatures
-(:mod:`repro.bench.parallel`), the performance-observatory dashboard
-(:mod:`repro.bench.dashboard`) and the regression checker
-(:mod:`repro.bench.regress`) — are imported explicitly by their users
-rather than re-exported here, so ``import repro.bench`` stays cheap.
+Heavier pieces — the fault-matrix and chaos miniatures
+(:mod:`repro.bench.faulted`, :mod:`repro.bench.chaos`) and the
+performance-observatory dashboard (:mod:`repro.bench.dashboard`) — are
+imported explicitly by their users rather than re-exported here, so
+``import repro.bench`` stays cheap.  Performance regressions are judged
+by the repo's benchmark (``perf/run.py`` + ``BENCHMARK.json``), not here.
 """
 
-from .harness import format_table, read_bench_json, sweep, wall_time, write_bench_json
+from .harness import format_table, sweep, wall_time, write_bench_json
 from .metrics import lups, mlups, parallel_efficiency, speedup
 from .plot import ascii_plot
 from .report import load_result, save_result
@@ -19,7 +20,6 @@ __all__ = [
     "lups",
     "mlups",
     "parallel_efficiency",
-    "read_bench_json",
     "save_result",
     "speedup",
     "sweep",

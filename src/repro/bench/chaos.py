@@ -27,10 +27,8 @@ renders through the dashboard (:func:`repro.bench.dashboard.chaos_to_text`
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +37,9 @@ from repro import resilience as res
 from repro.observability import flight as _flight
 from repro.sim import mixed_pcie
 from repro.system import Backend
+from repro.workloads import JobSpec, build, check_experiment, resilient_factory
 
-from .faulted import _CavityApp, _ExactPoissonCGApp
+from .faulted import WORKLOADS
 
 CHAOS_SCHEMA = "repro-chaos/1"
 
@@ -55,33 +54,8 @@ _MAX_RATE = 0.2
 #: expectation, and the soak's contract is a *minimum* event count
 _OVERSHOOT = 1.8
 
-
-@dataclass(frozen=True)
-class ChaosWorkload:
-    name: str
-    description: str
-    factory: Callable[..., object]
-    #: tuner workload key driving tuned degradation / online retuning
-    experiment: str
-    steps: int
-
-
-CHAOS_WORKLOADS = {
-    "lbm": ChaosWorkload(
-        "lbm",
-        "lid-driven-cavity D3Q19 LBM miniature (full-state checkpoints)",
-        _CavityApp,
-        experiment="lbm",
-        steps=20,
-    ),
-    "poisson": ChaosWorkload(
-        "poisson",
-        "Poisson conjugate-gradient miniature (exact Krylov-state checkpoints)",
-        _ExactPoissonCGApp,
-        experiment="poisson",
-        steps=48,
-    ),
-}
+#: soak length per fault-matrix miniature (same shapes and forcing, more steps)
+CHAOS_STEPS = {"lbm": 20, "poisson": 48}
 
 
 def _backend(devices: int) -> Backend:
@@ -89,7 +63,7 @@ def _backend(devices: int) -> Backend:
     return Backend.sim_gpus(devices, machine=mixed_pcie(devices))
 
 
-def _probe(wl: ChaosWorkload, devices: int, seed: int, mode: str = "serial"):
+def _probe(spec: JobSpec, seed: int):
     """Fault-free reference run that doubles as the storm calibrator.
 
     Armed with a zero-rate plan (plus never-firing loss triggers on every
@@ -98,11 +72,10 @@ def _probe(wl: ChaosWorkload, devices: int, seed: int, mode: str = "serial"):
     many injection opportunities one clean run offers.  The storm's rates
     and loss triggers are derived from exactly these counts.
     """
-    plan = res.FaultPlan(seed, device_loss={r: 10**9 for r in range(devices)})
-    app = wl.factory(_backend(devices), mode=mode)
+    plan = res.FaultPlan(seed, device_loss={r: 10**9 for r in range(spec.devices)})
+    app = build(spec, backend=_backend(spec.devices))
     with res.session(plan, res.RecoveryPolicy()):
-        for i in range(wl.steps):
-            app.step(i)
+        app.run()
     reference = app.result_array()
     draws: dict[str, int] = {}
     for (kind, _site), n in plan._draws.items():
@@ -316,9 +289,7 @@ def run_chaos(
     chiefly proves (and demonstrates) that the degradation path is
     clean under a full fault storm.
     """
-    if name not in CHAOS_WORKLOADS:
-        supported = ", ".join(sorted(CHAOS_WORKLOADS))
-        raise KeyError(f"no chaos workload named '{name}'; supported: {supported}")
+    check_experiment(name, tuple(CHAOS_STEPS))
     if events < 1:
         raise ValueError("events must be >= 1")
     if losses < 1 or devices - losses < 2:
@@ -326,8 +297,8 @@ def run_chaos(
             f"need >= 1 loss and >= 2 survivors (tuned degradation wants a fleet), "
             f"got devices={devices}, losses={losses}"
         )
-    wl = CHAOS_WORKLOADS[name]
-    reference, draws, touches = _probe(wl, devices, seed, mode=mode)
+    spec = WORKLOADS[name].spec(devices, mode=mode, steps=CHAOS_STEPS[name])
+    reference, draws, touches = _probe(spec, seed)
     plan = make_chaos_plan(seed, events, draws, touches, devices, losses)
     if policy is None:
         # short intervals + several generations: corruption rollbacks stay
@@ -336,15 +307,15 @@ def run_chaos(
             checkpoint_interval=2,
             max_rollbacks=64 + 4 * events,
             checkpoint_generations=3,
-            recalibrate_interval=max(4, wl.steps // 4),
+            recalibrate_interval=max(4, spec.steps // 4),
         )
     driver = ChaosDriver(
-        functools.partial(wl.factory, mode=mode),
+        resilient_factory(spec),
         _backend(devices),
-        wl.steps,
+        spec.steps,
         policy=policy,
         plan=plan,
-        experiment=wl.experiment,
+        experiment=name,
         tamper_seed=seed,
     )
     with res.session(plan, policy):
@@ -356,7 +327,7 @@ def run_chaos(
         devices=devices,
         surviving_devices=driver.backend.num_devices,
         seed=seed,
-        steps=wl.steps,
+        steps=spec.steps,
         events_requested=events,
         losses_planned=losses,
         injected={k: v for k, v in plan.describe()["injected"].items() if v},

@@ -1,7 +1,8 @@
 """The performance dashboard behind ``python -m repro report``.
 
-One report = one instrumented run of a traceable miniature
-(:mod:`repro.bench.traceable`) joined with its DES replay:
+One report = one instrumented run of an experiment of
+:mod:`repro.workloads` at miniature size (:func:`miniature`; ``trace``
+runs the same specs) joined with its DES replay:
 
 * measured **wall-clock** of the run, histogram summaries
   (p50/p90/p99) of every timing metric the run produced;
@@ -25,14 +26,32 @@ from __future__ import annotations
 
 import html as _html
 import json
+from collections import Counter
 from time import perf_counter
 
 from repro import observability as obs
 from repro.observability import flight as _flight
 from repro.observability.critpath import critical_path, dependency_chain, device_utilization
 from repro.sim.replay import sim_replay
+from repro.workloads import JobSpec, build, check_experiment
 
 REPORT_SCHEMA = "repro-report/1"
+
+#: experiment -> (shape, steps): small enough to execute for real in a
+#: second or two, large enough that the tracer sees compile phases,
+#: kernel launches and halo copies of non-trivial size
+_MINIATURES = {
+    "lbm": ((16, 16, 16), 2),
+    "karman": ((24, 48), 4),
+    "poisson": ((24, 24, 24), 4),
+    "elasticity": ((12,), 2),
+}
+
+
+def miniature(exp: str, devices: int, mode: str = "serial", fused: bool = True) -> JobSpec:
+    """The spec ``trace`` and ``report`` run for one experiment."""
+    shape, steps = _MINIATURES[check_experiment(exp)]
+    return JobSpec.make(exp, shape, steps, devices=devices, mode=mode, fused=fused)
 
 #: the timing/size histograms worth a table row in the dashboard
 _HISTOGRAMS = (
@@ -52,19 +71,27 @@ _HISTOGRAMS = (
 def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
     """Run the miniature instrumented and join it with its DES replay.
 
-    ``mode`` selects the host-dispatch model for the simulated side
-    (``"serial"`` matches the default replay path the run used).
+    ``mode`` is the replay mode of the run and the host-dispatch model of
+    the simulated side.
     """
-    from repro.bench.traceable import build_workload  # noqa: PLC0415 - heavy import
-
-    workload = build_workload(exp, devices)
+    spec = miniature(exp, devices, mode)
+    app = build(spec)
     prev = (obs.OBS.active, obs.OBS.tracer, obs.OBS.metrics)
     obs.enable()
     try:
-        workload.run()  # warm-up: compile + freeze every program
+        app.run()  # warm-up: compile + freeze every program
+        app.reset()
+        tracer = obs.tracer()
         t0 = perf_counter()
-        workload.run()
+        app.run()
         wall = perf_counter() - t0
+        # replays per skeleton in the timed run, as the tracer saw them
+        # (a CG solve may converge before its iteration budget)
+        runs = Counter(
+            s.args["skeleton"]
+            for s in tracer.spans
+            if s.name.startswith("skeleton.run:") and s.start >= t0 - tracer.epoch
+        )
         registry = obs.metrics()
         histograms = {
             name: registry.histogram_summaries(name)
@@ -74,25 +101,31 @@ def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
         label_overflows = dict(registry.label_overflows)
     finally:
         obs.OBS.active, obs.OBS.tracer, obs.OBS.metrics = prev
+        app.close()
 
     skeletons = []
-    modeled_once = 0.0  # summed makespan of one pass over the skeletons
+    modeled_total = 0.0
+    breakdown = {"kernel": 0.0, "copy": 0.0, "wait": 0.0, "dispatch": 0.0}
     util_acc: dict[int, dict[str, float]] = {}
-    for sk in workload.skeletons:
+    for sk in app.skeletons:
         result = sk.last_result or sk.record()
         trace = sim_replay(result, sk.backend.machine, mode=mode)
         cp = critical_path(trace)
         dep = dependency_chain(result.queues, sk.backend.machine)
         util = device_utilization(trace)
-        modeled_once += trace.makespan
+        weight = trace.makespan * runs[sk.name]
+        modeled_total += weight
+        for k in breakdown:
+            breakdown[k] += cp.breakdown[k] * runs[sk.name]
         for dev, fractions in util.items():
             acc = util_acc.setdefault(dev, {"busy": 0.0, "blocked": 0.0, "idle": 0.0, "_w": 0.0})
             for k in ("busy", "blocked", "idle"):
-                acc[k] += fractions[k] * trace.makespan
-            acc["_w"] += trace.makespan
+                acc[k] += fractions[k] * weight
+            acc["_w"] += weight
         skeletons.append(
             {
                 "name": sk.name,
+                "runs": runs[sk.name],
                 "sim_makespan_s": trace.makespan,
                 "critical_path": cp.to_json(),
                 "dependency_chain": {"total": dep.total, "commands": list(dep.commands)},
@@ -100,17 +133,12 @@ def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
             }
         )
 
-    # makespan-weighted average utilization across the skeleton sequence
+    # makespan-weighted average utilization across the replayed skeletons
     utilization = {
         dev: {k: (acc[k] / acc["_w"] if acc["_w"] else 0.0) for k in ("busy", "blocked", "idle")}
         for dev, acc in sorted(util_acc.items())
     }
 
-    modeled_total = modeled_once * workload.iterations
-    breakdown = {"kernel": 0.0, "copy": 0.0, "wait": 0.0, "dispatch": 0.0}
-    for entry in skeletons:
-        for k in breakdown:
-            breakdown[k] += entry["critical_path"]["breakdown"][k] * workload.iterations
     attribution = dict(breakdown)
     attribution["makespan"] = modeled_total
     attribution["wall_seconds"] = wall
@@ -119,10 +147,10 @@ def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "exp": exp,
-        "description": workload.description,
+        "description": spec.label,
         "devices": devices,
         "mode": mode,
-        "iterations": workload.iterations,
+        "iterations": spec.steps,
         "wall_seconds": wall,
         "sim_makespan_s": modeled_total,
         "attribution": attribution,
@@ -452,6 +480,7 @@ __all__ = [
     "build_report",
     "chaos_to_html",
     "chaos_to_text",
+    "miniature",
     "to_html",
     "to_text",
 ]

@@ -1,173 +1,67 @@
-"""Fault-matrix miniatures: the traceable workloads under seeded faults.
+"""Fault-matrix miniatures: small real solves under seeded faults.
 
-Companion to :mod:`repro.bench.traceable`: the same tiny, real-execution
-Poisson-CG and LBM pipelines, but driven through the resilience layer
-under a seeded :class:`~repro.resilience.FaultPlan`.  Each run produces
-a *fault-free* reference first, then replays the workload with faults
-armed and full recovery (retry, rollback-and-replay, device-loss
-degradation), and reports whether the recovered result matches the
-reference — the end-to-end guarantee the fault model promises: faults
-either recover or raise typed errors, never silent corruption.
+The Poisson-CG and LBM-cavity experiments of :mod:`repro.workloads`, at
+miniature size, driven through the resilience layer under a seeded
+:class:`~repro.resilience.FaultPlan`.  Each run produces a *fault-free*
+reference first, then replays the workload with faults armed and full
+recovery (retry, rollback-and-replay, device-loss degradation), and
+reports whether the recovered result matches the reference — the
+end-to-end guarantee the fault model promises: faults either recover or
+raise typed errors, never silent corruption.
 
 Used by ``python -m repro faults`` and the CI fault-matrix job.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import resilience as res
-from repro.domain import STENCIL_7PT, DenseGrid
 from repro.sim import pcie_a100
-from repro.skeleton import Occ, check_trace_dependencies, simulate_result
+from repro.skeleton import check_trace_dependencies, simulate_result
 from repro.system import Backend
-
-
-class _PoissonCGApp:
-    """Poisson-CG miniature implementing the resilient-driver protocol.
-
-    Two recovery flavours: by default checkpoints carry only the iterate
-    ``x`` and any restore restarts the Krylov iteration via ``begin()``
-    (convergent, but a different trajectory than the fault-free run);
-    with ``exact=True`` checkpoints carry the full Krylov state
-    (``x, r, p`` + host scalars) and a restore *resumes* the identical
-    trajectory — bitwise-reproducible recovery, which is what the chaos
-    soak harness demands.
-
-    The tuned kwargs (``occ``, ``mode``, ``partition_weights``) let the
-    adaptive driver rebuild this app with the degraded-fleet
-    configuration the autotuner picked.
-    """
-
-    def __init__(
-        self,
-        backend: Backend,
-        shape=(16, 16, 16),
-        tolerance: float = 1e-8,
-        occ: Occ = Occ.STANDARD,
-        mode: str = "serial",
-        partition_weights=None,
-        exact: bool = False,
-    ):
-        from repro.solvers.cg import ConjugateGradient
-        from repro.solvers.poisson import make_neg_laplacian
-
-        grid = DenseGrid(
-            backend, shape, stencils=[STENCIL_7PT], name="rescg", partition_weights=partition_weights
-        )
-        self.b = grid.new_field("b")
-        self.x = grid.new_field("x")
-        # deterministic, spectrally rich forcing (an off-centre bump — NOT a
-        # Laplacian eigenvector, which would make CG converge in one step)
-        self.b.init(
-            lambda i, j, k: np.exp(
-                -0.05 * ((i - 4.0) ** 2 + (j - 7.0) ** 2 + (k - 10.0) ** 2)
-            )
-            + 0.01 * (i - j + 2.0 * k)
-        )
-        self.cg = ConjugateGradient(
-            grid, make_neg_laplacian, self.b, self.x, occ=occ, name="rescg", mode=mode
-        )
-        self.tolerance = tolerance
-        self.exact = exact
-        self._begun = False
-
-    @property
-    def skeletons(self):
-        return [self.cg.sk_init, self.cg.sk_a, self.cg.sk_b]
-
-    def fields(self):
-        return self.cg.krylov_fields() if self.exact else self.cg.checkpoint_fields()
-
-    def scalars(self) -> dict:
-        return self.cg.krylov_scalars() if self.exact else {}
-
-    def on_restore(self, scalars: dict) -> None:
-        self._begun = self.cg.resume(scalars) if self.exact else False
-
-    def step(self, i: int) -> None:
-        if not self._begun:
-            self.cg.begin(self.tolerance)
-            self._begun = True
-        self.cg.iterate()
-
-    def result_array(self) -> np.ndarray:
-        return self.x.to_numpy()
-
-
-class _ExactPoissonCGApp(_PoissonCGApp):
-    """Factory alias: the bitwise-recovery flavour used by the chaos soak."""
-
-    def __init__(self, backend: Backend, **kwargs):
-        kwargs.setdefault("exact", True)
-        super().__init__(backend, **kwargs)
-
-
-class _CavityApp:
-    """Lid-driven-cavity LBM miniature under the resilient-driver protocol."""
-
-    def __init__(
-        self,
-        backend: Backend,
-        shape=(12, 12, 12),
-        occ: Occ = Occ.STANDARD,
-        mode: str = "serial",
-        partition_weights=None,
-    ):
-        from repro.solvers.lbm import LidDrivenCavity
-
-        self.cavity = LidDrivenCavity(backend, shape, occ=occ, partition_weights=partition_weights)
-        self.mode = mode
-
-    @property
-    def skeletons(self):
-        return self.cavity.skeletons
-
-    def fields(self):
-        return self.cavity.checkpoint_fields()
-
-    def scalars(self) -> dict:
-        return self.cavity.checkpoint_scalars()
-
-    def on_restore(self, scalars: dict) -> None:
-        self.cavity.restore_scalars(scalars)
-
-    def step(self, i: int) -> None:
-        self.cavity.step(1, mode=self.mode)
-
-    def result_array(self) -> np.ndarray:
-        return self.cavity.current.to_numpy()
+from repro.workloads import JobSpec, build, check_experiment, resilient_factory
 
 
 @dataclass(frozen=True)
 class FaultWorkload:
+    """One fault-matrix miniature: what to solve and how to judge it."""
+
     name: str
-    description: str
-    factory: Callable[[Backend], object]
+    shape: tuple[int, ...]
     steps: int
+    #: solver params of the spec (forcing, solver tolerance)
+    params: dict
     #: absolute/relative tolerance for faulted-vs-fault-free comparison
     tol: float
     #: command count on the highest rank at which the loss profile fires
     loss_after: int
 
+    def spec(self, devices: int, mode: str = "serial", steps: int | None = None) -> JobSpec:
+        return JobSpec.make(
+            self.name, self.shape, self.steps if steps is None else steps,
+            devices=devices, mode=mode, **self.params,
+        )
+
 
 WORKLOADS = {
-    "cg": FaultWorkload(
-        "cg",
-        "Poisson conjugate-gradient miniature (restart-from-iterate recovery)",
-        _PoissonCGApp,
+    # Poisson conjugate-gradient miniature (Krylov-state checkpoints)
+    "poisson": FaultWorkload(
+        "poisson",
+        (16, 16, 16),
         steps=80,
+        params={"rhs": "bump", "tolerance": 1e-8},
         tol=1e-5,
         loss_after=300,
     ),
+    # lid-driven-cavity D3Q19 LBM miniature (full-state checkpoints)
     "lbm": FaultWorkload(
         "lbm",
-        "lid-driven-cavity D3Q19 LBM miniature (full-state checkpoints)",
-        _CavityApp,
+        (12, 12, 12),
         steps=16,
+        params={},
         tol=1e-8,
         loss_after=350,
     ),
@@ -177,7 +71,7 @@ PROFILES = ("transient", "transient+loss", "corruption")
 
 
 def make_plan(workload: FaultWorkload, profile: str, seed: int, devices: int) -> res.FaultPlan:
-    """The seeded FaultPlan of one named profile for one workload."""
+    """The seeded FaultPlan of one named profile (``workload`` times the loss)."""
     if profile == "transient":
         return res.FaultPlan(seed, launch=0.05, copy=0.05)
     if profile == "transient+loss":
@@ -234,10 +128,8 @@ def _backend(devices: int) -> Backend:
 
 def fault_free_result(name: str, devices: int = 3) -> np.ndarray:
     """Reference result of one workload with no faults armed."""
-    wl = WORKLOADS[name]
-    app = wl.factory(_backend(devices))
-    for i in range(wl.steps):
-        app.step(i)
+    app = build(WORKLOADS[name].spec(devices), backend=_backend(devices))
+    app.run()
     return app.result_array()
 
 
@@ -249,10 +141,7 @@ def run_faulted(
     policy: res.RecoveryPolicy | None = None,
 ) -> FaultedRunReport:
     """One full fault-matrix run: reference, faulted replay, comparison."""
-    if name not in WORKLOADS:
-        supported = ", ".join(sorted(WORKLOADS))
-        raise KeyError(f"no fault-matrix workload named '{name}'; supported: {supported}")
-    wl = WORKLOADS[name]
+    wl = WORKLOADS[check_experiment(name, tuple(WORKLOADS))]
     reference = fault_free_result(name, devices)
 
     plan = make_plan(wl, profile, seed, devices)
@@ -266,7 +155,9 @@ def run_faulted(
             if profile == "corruption"
             else res.RecoveryPolicy(checkpoint_interval=4)
         )
-    driver = res.ResilientDriver(wl.factory, _backend(devices), wl.steps, policy=policy, plan=plan)
+    driver = res.ResilientDriver(
+        resilient_factory(wl.spec(devices)), _backend(devices), wl.steps, policy=policy, plan=plan
+    )
     with res.session(plan, policy):
         app = driver.run()
 

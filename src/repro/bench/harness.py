@@ -1,23 +1,14 @@
 """Small harness utilities shared by the per-table/figure benchmarks.
 
 Besides the text-table helpers the benchmarks print, this module owns
-the machine-readable result format: :func:`write_bench_json` emits a
-``BENCH_<exp>.json`` document (schema ``repro-bench/5``) recording the
-experiment id, its parameters, the runtime environment (python / numpy
-versions, usable CPU core count — essential context for wall-clock
-numbers), and one entry per measured configuration with wall-clock
-seconds, simulated makespan and MLUPS (the ``bench`` miniatures add a
-``fused`` flag per row).  Three optional top-level annotations ride
-along: ``percentiles`` (per-site latency distributions from an
-instrumented pass), ``critical_path`` (the modeled makespan's exact
-attribution) and ``fusion`` (static ``fusion_ratio`` / ``fused_steps``
-/ per-mode ``speedup`` from a fused-vs-unfused sweep).  There is one
-schema: :func:`read_bench_json` rejects every other version, so
-regenerate a baseline rather than comparing across versions.  CI
-uploads these artifacts so the perf trajectory of the repo is diffable
-across commits, and ``python -m repro report --compare old.json
-new.json`` (see :mod:`repro.bench.regress`) turns a pair of them into a
-regression verdict.
+the one machine-readable report ``python -m repro serve -o`` writes:
+:func:`write_bench_json` emits a document (schema ``repro-bench/5``)
+recording the experiment id, its parameters, the runtime environment
+(python / numpy versions, usable CPU core count — essential context for
+wall-clock numbers), one entry per measured configuration, and an
+optional ``percentiles`` annotation (per-site latency distributions
+from the instrumented run).  It is a report for a reader; nothing gates
+on it — regressions are judged by ``perf/run.py`` + ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -88,8 +79,8 @@ def bench_env() -> dict:
 
     Wall-clock numbers are meaningless without it: a thread-per-device
     engine cannot beat serial replay on a single usable core, so
-    ``cpu_count`` is the first thing a reader (or CI tripwire) must
-    check before comparing modes.
+    ``cpu_count`` is the first thing a reader must check before
+    comparing modes.
     """
     import numpy
 
@@ -108,22 +99,14 @@ def write_bench_json(
     params: dict,
     results: list[dict],
     percentiles: dict | None = None,
-    critical_path: dict | None = None,
-    fusion: dict | None = None,
 ) -> pathlib.Path:
-    """Write one ``BENCH_<exp>.json`` document and return its path.
+    """Write one ``repro-bench/5`` document and return its path.
 
-    ``results`` entries carry at least ``label`` plus whichever of
-    ``wall_clock_s`` / ``sim_makespan_s`` / ``mlups`` the experiment
-    measures; extra keys pass through untouched.  The optional
-    annotations: ``percentiles`` maps metric names to a list of
-    ``{labels, count, mean, p50, p90, p99}`` series (from an
-    instrumented pass), ``critical_path`` is the modeled makespan's
-    attribution (:meth:`repro.observability.CriticalPath.to_json`-shaped),
-    ``fusion`` summarises the fused-vs-unfused sweep: static
-    ``fusion_ratio`` / ``fused_steps`` / ``dispatch_units`` plus a
-    per-mode ``speedup`` map (unfused wall / fused wall).  Each is
-    omitted from the document when None.
+    ``results`` entries carry at least ``label`` plus whatever the
+    experiment measures; extra keys pass through untouched.
+    ``percentiles`` maps metric names to a list of
+    ``{labels, count, mean, p50, p90, p99}`` series and is omitted from
+    the document when None.
     """
     doc = {
         "schema": BENCH_SCHEMA,
@@ -134,23 +117,6 @@ def write_bench_json(
     }
     if percentiles is not None:
         doc["percentiles"] = percentiles
-    if critical_path is not None:
-        doc["critical_path"] = critical_path
-    if fusion is not None:
-        doc["fusion"] = fusion
     out = pathlib.Path(path)
     out.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
     return out
-
-
-def read_bench_json(path) -> dict:
-    """Load a ``BENCH_*.json`` document of the current schema.
-
-    Any other schema raises ``ValueError`` rather than silently
-    comparing apples to oranges.
-    """
-    doc = json.loads(pathlib.Path(path).read_text())
-    schema = doc.get("schema")
-    if schema != BENCH_SCHEMA:
-        raise ValueError(f"{path}: unknown bench schema {schema!r}; expected {BENCH_SCHEMA!r}")
-    return doc

@@ -24,7 +24,7 @@ pays near-zero overhead (bounded by a CI test).  Enable explicitly::
     print(obs.metrics_report())
     obs.export_chrome_trace("trace.json", sim_trace=skeleton.trace())
 
-or from the shell: ``python -m repro trace fig1 -o trace.json``.
+or from the shell: ``python -m repro trace poisson -o trace.json``.
 
 This package is zero-dependency by design (stdlib only) and must never
 import other ``repro`` modules: every layer can import it without

@@ -26,7 +26,7 @@ overhead.  Enable explicitly::
         driver = res.ResilientDriver(build_app, backend, steps=100, plan=plan)
         app = driver.run()
 
-or from the shell: ``python -m repro faults cg --profile transient+loss``.
+or from the shell: ``python -m repro faults poisson --profile transient+loss``.
 
 Import discipline: this package's modules must not import other
 ``repro`` packages at module import time (``repro.observability``

@@ -47,8 +47,7 @@ _LAZY = {
     "sanitize_skeleton": "runner",
     "sanitize_workload": "runner",
     "mutation_matrix": "runner",
-    "WORKLOADS": "workloads",
-    "build_workload": "workloads",
+    "miniature": "runner",
 }
 
 

@@ -10,6 +10,10 @@ and CI:
   device counts, generate confirmed-broken schedule mutants, and check
   the detector flags each one.  No kernels execute here: mutants are
   analyzed statically, so the matrix stays fast enough for CI.
+
+The miniatures are the four experiments of :mod:`repro.workloads` (same
+code paths as the benchmarks), shrunk by :func:`miniature` until a full
+mutation matrix runs in CI time.
 """
 
 from __future__ import annotations
@@ -17,12 +21,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.skeleton import Occ
+from repro.workloads import JobSpec, build, check_experiment
 
 from . import state
 from .detector import Violation, analyze_program, report_violations
 from .mutate import generate_mutants
 from .program import ProgramView
-from .workloads import build_workload
+
+#: experiment -> (minimum axis-0 extent, lateral extents, steps, params):
+#: a couple of replays of every skeleton is all the coverage check needs
+_MINIATURES = {
+    "lbm": (12, (6, 6), 2, {}),
+    "poisson": (12, (6, 6), 2, {"rhs": "ones"}),
+    "karman": (18, (30,), 2, {}),
+    "elasticity": (8, (), 1, {}),
+}
+
+
+def miniature(
+    name: str, devices: int = 4, occ: Occ = Occ.STANDARD, mode: str = "serial", fused: bool = True
+) -> JobSpec:
+    """The checkable-size spec of one experiment.
+
+    Axis 0 scales with the device count so every partition keeps a legal
+    slab (at least ``2 * radius`` cells) up to 8 devices.
+    """
+    minimum, lateral, steps, params = _MINIATURES[check_experiment(name)]
+    shape = (max(minimum, 2 * devices), *lateral)
+    return JobSpec.make(name, shape, steps, devices=devices, occ=occ.value, mode=mode, fused=fused, **params)
 
 
 @dataclass
@@ -82,16 +108,18 @@ def sanitize_skeleton(skeleton, mode: str = "serial", runs: int = 2) -> list[Vio
     return violations
 
 
-def sanitize_workload(name: str, devices: int = 4, occ: Occ = Occ.STANDARD, mode: str = "serial") -> SanitizeReport:
+def sanitize_workload(
+    name: str, devices: int = 4, occ: Occ = Occ.STANDARD, mode: str = "serial", fused: bool = True
+) -> SanitizeReport:
     """Build, replay and analyze one miniature end to end."""
-    wl = build_workload(name, devices=devices, occ=occ)
+    app = build(miniature(name, devices, occ, mode, fused))
     state.enable()
     try:
-        wl.run(mode)
+        app.run()
     finally:
         log = state.disable()
     report = SanitizeReport(workload=name, devices=devices, occ=occ.value, mode=mode, log_entries=len(log))
-    for sk in wl.skeletons:
+    for sk in app.skeletons:
         view = ProgramView.from_compiled(sk.plan._ensure_program(), label=sk.name)
         report.commands += len(view.info)
         violations = analyze_program(view, log)
@@ -165,6 +193,7 @@ def mutation_matrix(
     devices=(2, 4, 8),
     occs=tuple(Occ),
     max_per_kind: int | None = 2,
+    fused: bool = True,
 ) -> MutationReport:
     """Generate and grade schedule mutants across the experiment matrix.
 
@@ -177,8 +206,7 @@ def mutation_matrix(
     for name in workloads:
         for ndev in devices:
             for occ in occs:
-                wl = build_workload(name, devices=ndev, occ=occ)
-                for sk in wl.skeletons:
+                for sk in build(miniature(name, ndev, occ, fused=fused)).skeletons:
                     for mut in generate_mutants(sk.plan, max_per_kind=max_per_kind):
                         findings = analyze_program(mut.view)
                         report.rows.append(

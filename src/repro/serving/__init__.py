@@ -20,8 +20,19 @@ from .gateway import (
     JobFailed,
     JobResult,
 )
-from .plancache import CACHE_SCHEMA, ENV_VAR, CacheEntry, PlanCache, PlanCacheError, PlanKey
-from .workloads import JobSpec, build_served, plan_key, workload_signature
+from repro.workloads import JobSpec
+from repro.workloads import build as build_served
+
+from .plancache import (
+    CACHE_SCHEMA,
+    ENV_VAR,
+    CacheEntry,
+    PlanCache,
+    PlanCacheError,
+    PlanKey,
+    plan_key,
+    workload_signature,
+)
 
 __all__ = [
     "CACHE_SCHEMA",

@@ -1,7 +1,7 @@
 """The multi-tenant job gateway: many jobs, one warm runtime.
 
 ``Gateway`` turns the compile-once/run-many runtime into a server.
-Tenants submit :class:`~repro.serving.workloads.JobSpec`\\ s; a bounded
+Tenants submit :class:`~repro.workloads.JobSpec`\\ s; a bounded
 queue with admission control feeds a small pool of worker threads that
 execute jobs against the shared :class:`~repro.serving.plancache.PlanCache`,
 so identical jobs pay compilation exactly once and every later arrival
@@ -29,8 +29,7 @@ process-global: ``fused=False`` is pinned on the job's own plans.
 
 Per-tenant latency lands in the standard histogram metrics
 (``serve_job_seconds{tenant=...}``, ``serve_queue_wait_seconds``), so
-``python -m repro report`` shows p50/p90/p99 per tenant and
-``report --compare`` can gate them.
+``python -m repro serve`` can print p50/p90/p99 per tenant.
 """
 
 from __future__ import annotations
@@ -45,15 +44,13 @@ from time import perf_counter
 
 from repro import observability as _obs
 from repro import resilience as res
-from repro.sim import dgx_a100, pcie_a100
+from repro.bench import faulted
+from repro.sim import dgx_a100
 from repro.system import Backend
 from repro.tuner import tune_workload
+from repro.workloads import JobSpec, build, check_experiment, resilient_factory
 
-from .plancache import PlanCache, PlanKey
-from .workloads import JobSpec, build_served, plan_key
-
-#: served experiment -> fault-matrix workload (PR 7 profiles)
-_FAULTABLE = {"lbm": "lbm", "poisson": "cg"}
+from .plancache import PlanCache, PlanKey, plan_key
 
 
 class GatewayError(RuntimeError):
@@ -282,14 +279,11 @@ class Gateway:
 
         ``fault_profile`` routes the job through the resilience layer
         (the PR 7 fault-matrix profiles, e.g. ``"transient+loss"``) with
-        the given seed and recovery ``policy``; such jobs run exclusive.
+        the given seed and recovery ``policy``; such jobs run exclusive
+        and solve the same spec a plain job would.
         """
-        if fault_profile is not None and spec.experiment not in _FAULTABLE:
-            supported = ", ".join(sorted(_FAULTABLE))
-            raise KeyError(
-                f"experiment '{spec.experiment}' has no fault-matrix workload; "
-                f"faultable: {supported}"
-            )
+        if fault_profile is not None:
+            check_experiment(spec.experiment, tuple(faulted.WORKLOADS))
         machine = self.machine_factory(spec.devices)
         key = plan_key(spec, machine.name)
         entry = self.cache.peek(key)
@@ -428,7 +422,7 @@ class Gateway:
             app = entry.program
             if app is None:
                 cache_hit = False
-                app = build_served(spec, machine=machine)
+                app = build(spec, machine=machine)
                 self.cache.store(
                     job.key,
                     program=app,
@@ -453,24 +447,22 @@ class Gateway:
         )
 
     def _run_resilient(self, job: Job, queue_wait: float) -> JobResult:
-        from repro.bench import faulted
-
         spec = job.spec
-        wl = faulted.WORKLOADS[_FAULTABLE[spec.experiment]]
-        plan = faulted.make_plan(wl, job.fault_profile, job.fault_seed, spec.devices)
+        plan = faulted.make_plan(
+            faulted.WORKLOADS[spec.experiment], job.fault_profile, job.fault_seed, spec.devices
+        )
         policy = job.policy if job.policy is not None else res.RecoveryPolicy()
-        backend = Backend.sim_gpus(spec.devices, machine=pcie_a100(spec.devices))
+        backend = Backend.sim_gpus(spec.devices, machine=self.machine_factory(spec.devices))
         driver = res.ResilientDriver(
-            wl.factory, backend, spec.steps, policy=policy, plan=plan
+            resilient_factory(spec), backend, spec.steps, policy=policy, plan=plan
         )
         t0 = perf_counter()
         with res.session(plan, policy):
             app = driver.run()
         try:
-            fingerprints = {"result": app.result_array()}
+            fingerprints = app.fingerprints()
         finally:
-            for sk in app.skeletons:
-                sk.plan.close_engines()
+            app.close()
         return JobResult(
             tenant=job.tenant,
             spec=spec,

@@ -57,7 +57,7 @@ class PlanKey:
 
     ``workload`` is the canonical workload signature (experiment, domain
     shape, step count and solver parameters — see
-    :func:`repro.serving.workloads.workload_signature`); the remaining
+    :func:`workload_signature`); the remaining
     fields pin the machine model and every compilation-relevant knob.
     Two keys are equal iff a compiled program for one is exactly
     reusable for the other.
@@ -119,6 +119,33 @@ class PlanKey:
             weights=None,
             fused=False,
         )
+
+
+def workload_signature(spec) -> str:
+    """Canonical workload identity of a :class:`~repro.workloads.JobSpec`:
+    experiment, domain, steps, params.
+
+    Deliberately excludes devices/occ/mode/weights/fused — those are
+    *configuration* axes, separate fields of the :class:`PlanKey` — so
+    the same signature under two configurations shares one tuning
+    identity.
+    """
+    dims = "x".join(str(n) for n in spec.shape)
+    extras = ";".join(f"{k}={v!r}" for k, v in spec.params)
+    return f"{spec.experiment}[{dims}]steps={spec.steps}" + (f";{extras}" if extras else "")
+
+
+def plan_key(spec, machine: str) -> PlanKey:
+    """The plan-cache address of one spec on one machine model."""
+    return PlanKey(
+        workload=workload_signature(spec),
+        machine=machine,
+        devices=spec.devices,
+        occ=spec.occ,
+        mode=spec.mode,
+        weights=spec.weights,
+        fused=spec.fused,
+    )
 
 
 @dataclass
@@ -339,4 +366,13 @@ class PlanCache:
                 entry.program = None
 
 
-__all__ = ["CACHE_SCHEMA", "ENV_VAR", "CacheEntry", "PlanCache", "PlanCacheError", "PlanKey"]
+__all__ = [
+    "CACHE_SCHEMA",
+    "ENV_VAR",
+    "CacheEntry",
+    "PlanCache",
+    "PlanCacheError",
+    "PlanKey",
+    "plan_key",
+    "workload_signature",
+]

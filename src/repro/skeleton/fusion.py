@@ -1,8 +1,10 @@
 """Fusion: batch the frozen step list into coalesced dispatch units.
 
-``BENCH_lbm.json`` put the problem on the table: a 4-device LBM
-miniature spends ~50x more wall-clock in per-step Python dispatch than
-its simulated makespan.  This pass runs at every ``CompiledProgram``
+The dashboards put the problem on the table: a 4-device LBM miniature
+spends ~50x more wall-clock in per-step Python dispatch than its
+simulated makespan (``python -m repro report lbm --devices 4``; the
+benchmark's ``skeleton.fusion_speedup`` measures what this pass buys,
+see docs/runtime.md).  This pass runs at every ``CompiledProgram``
 freeze and collapses the step list into *dispatch units*: maximal
 chains of same-queue, same-kind steps whose recorded wiring proves the
 batch is reordering-free, each executing one precomposed closure.  With

@@ -111,6 +111,8 @@ class ConjugateGradient:
         self.beta = {"v": 0.0}
         self.neg_alpha = {"v": 0.0}
         one = {"v": 1.0}
+        #: the running solve's record; None until :meth:`begin`
+        self.result: CGResult | None = None
 
         # r = b - A x ; p handled by the first iteration's p-update (beta=0)
         self.sk_init = Skeleton(
@@ -144,6 +146,16 @@ class ConjugateGradient:
             occ=occ,
             name=f"{name}_b",
         )
+
+    def reset(self) -> None:
+        """Back to the cold state: a zero iterate, halos included.
+
+        :meth:`begin` rebuilds r/p/q and every host scalar from ``x`` and
+        ``b``, so nothing else carries over into the next solve.
+        """
+        self.x.fill(0.0)
+        self.x.sync_halo_now()
+        self.result = None
 
     def begin(self, tolerance: float = 1e-8) -> CGResult:
         """(Re)start the iteration from the current iterate ``x``.
@@ -215,29 +227,20 @@ class ConjugateGradient:
 
     # -- resilience hooks ---------------------------------------------------
     def checkpoint_fields(self) -> list:
-        """The minimal state a checkpoint must carry: the iterate ``x``.
+        """The complete iteration state: ``x``, ``r`` and ``p``.
 
-        Restart-from-iterate recovery means the Krylov internals
-        (r, p, q and the host scalars) are recomputed by :meth:`begin`,
-        so only ``x`` needs to survive a rollback or migration.
-        """
-        return [self.x]
-
-    def krylov_fields(self) -> list:
-        """The *complete* iteration state: ``x``, ``r`` and ``p``.
-
-        Checkpointing all three (plus :meth:`krylov_scalars`) makes a
-        rollback **bitwise-exact**: :meth:`resume` continues the very
-        same Krylov trajectory instead of restarting it, so a recovered
-        run finishes identical to a fault-free one — the property the
-        chaos soak harness asserts.  (``q`` is recomputed from ``p`` at
-        the top of every iteration and needs no snapshot.)
+        Checkpointing all three (plus :meth:`checkpoint_scalars`) makes a
+        rollback **bitwise-exact**: :meth:`restore_scalars` continues the
+        very same Krylov trajectory instead of restarting it, so a
+        recovered run finishes identical to a fault-free one — the
+        property the chaos soak harness asserts.  (``q`` is recomputed
+        from ``p`` at the top of every iteration and needs no snapshot.)
         """
         return [self.x, self.r, self.p]
 
-    def krylov_scalars(self) -> dict:
-        """Host-side loop state paired with :meth:`krylov_fields`."""
-        if not hasattr(self, "result"):
+    def checkpoint_scalars(self) -> dict:
+        """Host-side loop state paired with :meth:`checkpoint_fields`."""
+        if self.result is None:
             return {"begun": False}
         return {
             "begun": True,
@@ -249,18 +252,18 @@ class ConjugateGradient:
             "residual_norms": list(self.result.residual_norms),
         }
 
-    def resume(self, scalars: dict) -> bool:
+    def restore_scalars(self, scalars: dict) -> None:
         """Continue the checkpointed trajectory after a restore.
 
-        Returns True when the scalars carried live iteration state (the
-        caller must *not* call :meth:`begin`); False when the checkpoint
-        predates :meth:`begin` and the solve should start fresh.  Works
-        across decompositions: the per-slice dot partials keep both CG
-        scalars bitwise partition-invariant, so a device-loss migration
-        resumes the identical trajectory on the survivors.
+        A checkpoint that predates :meth:`begin` leaves ``result`` unset
+        so the solve starts fresh.  Works across decompositions: the
+        per-slice dot partials keep both CG scalars bitwise
+        partition-invariant, so a device-loss migration resumes the
+        identical trajectory on the survivors.
         """
         if not scalars.get("begun"):
-            return False
+            self.result = None
+            return
         self._rr_read = ops.ScalarResult(self.rr_partial)
         self._pq_read = ops.ScalarResult(self.pq_partial)
         self._delta = scalars["delta"]
@@ -273,7 +276,6 @@ class ConjugateGradient:
             iterations=scalars["iterations"],
             residual_norms=list(scalars["residual_norms"]),
         )
-        return True
 
     def iteration_makespan(self, machine=None, include_readback: bool = True) -> float:
         """Simulated time of one CG iteration (both skeletons).

@@ -261,6 +261,10 @@ class ElasticitySolver:
             )
         return cls(grid, top_z=n - 1, **kw)
 
+    def reset(self) -> None:
+        """Zero the displacement (a new solver starts there); the load stays."""
+        self.cg.reset()
+
     def solve(self, max_iterations: int = 300, tolerance: float = 1e-8) -> CGResult:
         return self.cg.solve(max_iterations=max_iterations, tolerance=tolerance)
 

@@ -137,11 +137,7 @@ class KarmanVortexStreet:
                 self.mask.sync_halo_now()
             else:
                 self.mask.init(lambda y, x: fluid[y, x].astype(np.float64))
-            feq0 = lattice.equilibrium(np.float64(RHO0), np.array([0.0, inflow_velocity]))
-            for fld in self.f:
-                for q in range(lattice.q):
-                    fld.fill(float(feq0[q]), comp=q)
-                fld.sync_halo_now()
+        self.reset()
         self.skeletons = [
             Skeleton(
                 backend,
@@ -155,7 +151,18 @@ class KarmanVortexStreet:
             )
             for i in (0, 1)
         ]
+
+    def reset(self) -> None:
+        """The cold state: inflow-velocity equilibrium in both population
+        fields, halos synced, parity zero (the mask is static)."""
         self._parity = 0
+        if self.grid.virtual:
+            return
+        feq0 = self.lattice.equilibrium(np.float64(RHO0), np.array([0.0, self.inflow_velocity]))
+        for fld in self.f:
+            for q in range(self.lattice.q):
+                fld.fill(float(feq0[q]), comp=q)
+            fld.sync_halo_now()
 
     @property
     def current(self):
@@ -165,6 +172,16 @@ class KarmanVortexStreet:
         for _ in range(iterations):
             self.skeletons[self._parity].run(mode=mode)
             self._parity = 1 - self._parity
+
+    # -- resilience hooks (as LidDrivenCavity's; the mask is rebuilt, not restored)
+    def checkpoint_fields(self) -> list:
+        return list(self.f)
+
+    def checkpoint_scalars(self) -> dict:
+        return {"parity": self._parity}
+
+    def restore_scalars(self, scalars: dict) -> None:
+        self._parity = int(scalars["parity"])
 
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lattice.moments(self.current.to_numpy())

@@ -138,12 +138,7 @@ class LidDrivenCavity:
             self.grid.new_field(n, cardinality=lattice.q, outside_value=SOLID_SENTINEL, layout=layout)
             for n in ("f0", "f1")
         ]
-        if not virtual:
-            feq0 = float(RHO0)  # zero-velocity equilibrium: w_q * rho0 per component
-            for fld in self.f:
-                for q in range(lattice.q):
-                    fld.fill(feq0 * lattice.weights[q], comp=q)
-                fld.sync_halo_now()
+        self.reset()
         self.skeletons = [
             Skeleton(
                 backend,
@@ -153,7 +148,17 @@ class LidDrivenCavity:
             )
             for i in (0, 1)
         ]
+
+    def reset(self) -> None:
+        """The cold state: zero-velocity equilibrium (``w_q * rho0`` per
+        component) in both population fields, halos synced, parity zero."""
         self._parity = 0
+        if self.grid.virtual:
+            return
+        for fld in self.f:
+            for q in range(self.lattice.q):
+                fld.fill(RHO0 * self.lattice.weights[q], comp=q)
+            fld.sync_halo_now()
 
     @property
     def current(self):

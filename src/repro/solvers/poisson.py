@@ -67,6 +67,10 @@ class PoissonSolver:
     def set_rhs(self, fn) -> None:
         self.f.init(fn)
 
+    def reset(self) -> None:
+        """Zero the iterate (a new solver starts there); the RHS stays."""
+        self.cg.reset()
+
     def solve(self, max_iterations: int = 500, tolerance: float = 1e-8) -> CGResult:
         return self.cg.solve(max_iterations=max_iterations, tolerance=tolerance)
 

@@ -1,7 +1,8 @@
 """The tuner search: OCC level x execution mode x partition weights.
 
-For each candidate triple the workload miniature is rebuilt (weights
-bind at grid construction), its command stream recorded, and the
+For each candidate triple the workload is rebuilt on *virtual* grids
+(weights bind at grid construction; no payload allocation, record-only
+kernels), its command stream recorded, and the
 recording replayed through the DES under the target
 :class:`~repro.sim.machine.MachineSpec` — the objective is simulated
 seconds per application step, never a wall clock.  The weight axis is
@@ -22,9 +23,48 @@ from repro.sim.machine import MachineSpec
 from repro.sim.replay import sim_makespan_total
 from repro.skeleton import Occ
 from repro.system import EXECUTION_MODES
+from repro.workloads import JobSpec, build, check_experiment
 
 from .weights import device_shares, fixed_seconds, profile_workload
-from .workloads import build_tuner_workload
+
+#: Benchmark-scale domains (the paper's experiments run 192^3..512^3):
+#: virtual recording cost is independent of cell count, so the tuner
+#: scores the schedule of the size class users actually run, where the
+#: compute/communication balance is realistic.  Tiny domains would be
+#: gated by per-transfer latency and make every partitioning look alike.
+TUNER_SHAPES = {
+    "lbm": (1024, 96, 96),
+    "karman": (8192, 256),
+    "poisson": (512, 96, 96),
+    "elasticity": (96,),
+}
+
+
+def record_candidate(
+    experiment: str,
+    machine: MachineSpec,
+    devices: int,
+    occ: Occ = Occ.STANDARD,
+    partition_weights=None,
+) -> tuple[list, int]:
+    """Record one candidate configuration: ``(plans, active cells)``.
+
+    The application is the real one (:func:`repro.workloads.build`), on a
+    fresh virtual backend per candidate; ``plans`` are the recordings of
+    the skeletons one step replays, in order (LBM's single fused kernel,
+    CG's A/B pair) — what :func:`repro.sim.replay.sim_makespan_total`
+    expects.
+    """
+    spec = JobSpec.make(
+        experiment,
+        TUNER_SHAPES[check_experiment(experiment)],
+        steps=1,
+        devices=devices,
+        occ=occ.value,
+        weights=partition_weights,
+    )
+    app = build(spec, machine=machine, virtual=True)
+    return [sk.record() for sk in app.step_skeletons], app.grid.num_active
 
 
 @dataclass(frozen=True)
@@ -151,10 +191,10 @@ def tune_workload(
     # 1. probe: record the uniform workload once to derive the profile
     #    and the per-rank fixed costs, then let the cost model propose
     #    capability-proportional shares
-    probe = build_tuner_workload(experiment, machine, devices)
-    profile = profile_workload(probe.plans, probe.num_active)
-    fixed = fixed_seconds(probe.plans, machine, devices)
-    shares = device_shares(machine, devices, profile, probe.num_active, fixed=fixed)
+    plans, num_active = record_candidate(experiment, machine, devices)
+    profile = profile_workload(plans, num_active)
+    fixed = fixed_seconds(plans, machine, devices)
+    shares = device_shares(machine, devices, profile, num_active, fixed=fixed)
 
     weight_options: list[tuple[float, ...] | None] = [None]
     if machine.is_heterogeneous or len(set(np.round(shares, 6))) > 1:
@@ -172,9 +212,9 @@ def tune_workload(
     best: Candidate | None = None
     for weights in weight_options:
         for occ in occ_levels:
-            wl = build_tuner_workload(experiment, machine, devices, occ=occ, partition_weights=weights)
+            plans, _ = record_candidate(experiment, machine, devices, occ=occ, partition_weights=weights)
             for mode in modes:
-                t = sim_makespan_total(wl.plans, machine, mode=mode)
+                t = sim_makespan_total(plans, machine, mode=mode)
                 cand = Candidate(occ=occ.value, mode=mode, weights=weights, makespan=t)
                 candidates.append(cand)
                 if weights is None and occ is Occ.STANDARD and mode == "serial":
@@ -184,12 +224,12 @@ def tune_workload(
     if baseline is None:
         # the default configuration was excluded from the search space;
         # score it separately so improvement stays anchored
-        wl = build_tuner_workload(experiment, machine, devices, occ=Occ.STANDARD)
+        plans, _ = record_candidate(experiment, machine, devices)
         baseline = Candidate(
             occ=Occ.STANDARD.value,
             mode="serial",
             weights=None,
-            makespan=sim_makespan_total(wl.plans, machine, mode="serial"),
+            makespan=sim_makespan_total(plans, machine, mode="serial"),
         )
     assert best is not None
     return TunePlan(

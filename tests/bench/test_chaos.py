@@ -7,7 +7,7 @@ import pytest
 
 from repro.bench.chaos import (
     CHAOS_SCHEMA,
-    CHAOS_WORKLOADS,
+    CHAOS_STEPS,
     make_chaos_plan,
     run_chaos,
 )
@@ -22,7 +22,7 @@ injected_nonfinite = pytest.mark.filterwarnings(
 
 
 @injected_nonfinite
-@pytest.mark.parametrize("name", sorted(CHAOS_WORKLOADS))
+@pytest.mark.parametrize("name", sorted(CHAOS_STEPS))
 def test_soak_survives_the_full_storm(name):
     """The PR's acceptance criterion: >= 50 seeded fault events — among
     them >= 2 permanent device losses and >= 1 corrupted checkpoint — and
@@ -77,7 +77,7 @@ def test_report_document_and_renderers(tmp_path):
 
 
 def test_rejects_bad_configuration():
-    with pytest.raises(KeyError, match="no chaos workload"):
+    with pytest.raises(KeyError, match="unknown experiment 'nope'; expected one of: lbm, poisson"):
         run_chaos("nope")
     with pytest.raises(ValueError, match="events"):
         run_chaos("lbm", events=0)

@@ -16,13 +16,14 @@ reduction in the framework is computed in a canonical per-slice order
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
 
 from repro.sim.machine import mixed_pcie
-from repro.skeleton import Occ
-from repro.system import Backend
+from repro.skeleton import Occ, fusion
+from repro.workloads import JobSpec, build
 
 # Small but partitionable domains: axis 0 must satisfy
 # shape[0] >= devices * 2 * halo_radius for the deepest split (8 ways).
@@ -59,20 +60,48 @@ def weights_for(solver: str, devices: int, weighting: str):
     return tuned_shares(solver, devices)
 
 
-# -- per-solver runners ------------------------------------------------------
+# -- configurations and runners ------------------------------------------------
 # Each runner returns a dict of named float64 arrays ("fingerprints");
 # the native reference must match every entry bit for bit.
 
 
-def run_lbm(devices: int, occ: Occ, mode: str, weights) -> dict[str, np.ndarray]:
-    from repro.solvers.lbm import LidDrivenCavity
+def served_spec(solver: str, devices: int, occ: Occ, mode: str, weights) -> JobSpec:
+    """The one place a configuration's parameters are written down.
 
-    fw = LidDrivenCavity(
-        Backend.sim_gpus(devices), LBM_SHAPE, omega=1.1, lid_velocity=0.08,
-        occ=occ, partition_weights=weights,
+    The direct runner, the gateway axis and the ``native_*`` references
+    below must all describe the same problem (shape, steps, omega, rhs,
+    tolerance, ...), or the differential comparison would be comparing
+    different problems.
+    """
+    config = {"devices": devices, "occ": occ.value, "mode": mode, "weights": weights}
+    if solver == "lbm":
+        return JobSpec.make("lbm", LBM_SHAPE, LBM_STEPS, omega=1.1, lid_velocity=0.08, **config)
+    if solver == "karman":
+        return JobSpec.make("karman", KARMAN_SHAPE, KARMAN_STEPS, **config)
+    if solver == "poisson":
+        return JobSpec.make(
+            "poisson", POISSON_SHAPE, POISSON_ITERS, rhs="manufactured", tolerance=1e-12, **config
+        )
+    if solver == "elasticity":
+        return JobSpec.make("elasticity", (ELASTIC_N,), ELASTIC_ITERS, tolerance=1e-12, **config)
+    raise KeyError(f"no served spec for solver '{solver}'")
+
+
+def run_direct(solver: str, devices: int, occ: Occ, mode: str, weights) -> dict[str, np.ndarray]:
+    """Build the spec and run it, no gateway in between.
+
+    A served job pins ``spec.fused`` on its own plans; the direct runner
+    follows the process-wide default instead, which is the switch the
+    fused and layer axes flip around it.
+    """
+    spec = dataclasses.replace(
+        served_spec(solver, devices, occ, mode, weights), fused=fusion.FUSION.enabled
     )
-    fw.step(LBM_STEPS, mode=mode)
-    return {"f": fw.current.to_numpy()}
+    app = build(spec)
+    try:
+        return app.run()
+    finally:
+        app.close()
 
 
 @functools.lru_cache(maxsize=1)
@@ -82,16 +111,6 @@ def native_lbm() -> dict[str, np.ndarray]:
     native = NativeCavity(LBM_SHAPE, omega=1.1, lid_velocity=0.08)
     native.step(LBM_STEPS)
     return {"f": native.f}
-
-
-def run_karman(devices: int, occ: Occ, mode: str, weights) -> dict[str, np.ndarray]:
-    from repro.solvers.lbm.d2q9 import KarmanVortexStreet
-
-    fw = KarmanVortexStreet(
-        Backend.sim_gpus(devices), KARMAN_SHAPE, occ=occ, partition_weights=weights
-    )
-    fw.step(KARMAN_STEPS, mode=mode)
-    return {"f": fw.current.to_numpy()}
 
 
 @functools.lru_cache(maxsize=1)
@@ -110,22 +129,6 @@ def _poisson_rhs():
     return f
 
 
-def run_poisson(devices: int, occ: Occ, mode: str, weights) -> dict[str, np.ndarray]:
-    from repro.solvers import PoissonSolver
-
-    f = _poisson_rhs()
-    solver = PoissonSolver(
-        Backend.sim_gpus(devices), POISSON_SHAPE, occ=occ, partition_weights=weights
-    )
-    solver.cg.mode = mode
-    solver.set_rhs(lambda z, y, x: f[z, y, x])
-    res = solver.solve(max_iterations=POISSON_ITERS, tolerance=1e-12)
-    return {
-        "solution": solver.solution(),
-        "residual_norms": np.asarray(res.residual_norms),
-    }
-
-
 @functools.lru_cache(maxsize=1)
 def native_poisson() -> dict[str, np.ndarray]:
     from repro.baselines import NativePoissonCG
@@ -135,20 +138,6 @@ def native_poisson() -> dict[str, np.ndarray]:
     res = native.solve(max_iterations=POISSON_ITERS, tolerance=1e-12)
     return {
         "solution": native.solution(),
-        "residual_norms": np.asarray(res.residual_norms),
-    }
-
-
-def run_elasticity(devices: int, occ: Occ, mode: str, weights) -> dict[str, np.ndarray]:
-    from repro.solvers.elasticity import ElasticitySolver
-
-    solver = ElasticitySolver.solid_cube(
-        Backend.sim_gpus(devices), ELASTIC_N, occ=occ, partition_weights=weights
-    )
-    solver.cg.mode = mode
-    res = solver.solve(max_iterations=ELASTIC_ITERS, tolerance=1e-12)
-    return {
-        "displacement": solver.displacement(),
         "residual_norms": np.asarray(res.residual_norms),
     }
 
@@ -166,10 +155,13 @@ def native_elasticity() -> dict[str, np.ndarray]:
 
 
 SOLVERS = {
-    "lbm": (run_lbm, native_lbm),
-    "karman": (run_karman, native_karman),
-    "poisson": (run_poisson, native_poisson),
-    "elasticity": (run_elasticity, native_elasticity),
+    name: (functools.partial(run_direct, name), native)
+    for name, native in (
+        ("lbm", native_lbm),
+        ("karman", native_karman),
+        ("poisson", native_poisson),
+        ("elasticity", native_elasticity),
+    )
 }
 
 
@@ -192,38 +184,6 @@ def assert_bitwise_equal(got: dict[str, np.ndarray], want: dict[str, np.ndarray]
 # The gateway serves jobs from warm cached programs; the conformance bar
 # is that a served result — cold or warm replay — is bitwise-identical
 # to the direct runner above (and hence to the native baseline).
-
-
-def served_spec(solver: str, devices: int, occ: Occ, mode: str, weights):
-    """The JobSpec matching a direct runner's configuration exactly.
-
-    Every parameter a ``run_*`` function pins (shape, steps, omega, rhs,
-    tolerance, ...) must appear here, or the differential comparison
-    would be comparing different problems.
-    """
-    from repro.serving import JobSpec
-
-    if solver == "lbm":
-        return JobSpec.make(
-            "lbm", LBM_SHAPE, LBM_STEPS, devices=devices, occ=occ.value, mode=mode,
-            weights=weights, omega=1.1, lid_velocity=0.08,
-        )
-    if solver == "karman":
-        return JobSpec.make(
-            "karman", KARMAN_SHAPE, KARMAN_STEPS, devices=devices, occ=occ.value,
-            mode=mode, weights=weights,
-        )
-    if solver == "poisson":
-        return JobSpec.make(
-            "poisson", POISSON_SHAPE, POISSON_ITERS, devices=devices, occ=occ.value,
-            mode=mode, weights=weights, rhs="manufactured", tolerance=1e-12,
-        )
-    if solver == "elasticity":
-        return JobSpec.make(
-            "elasticity", (ELASTIC_N,), ELASTIC_ITERS, devices=devices, occ=occ.value,
-            mode=mode, weights=weights, tolerance=1e-12,
-        )
-    raise KeyError(f"no served spec for solver '{solver}'")
 
 
 def run_served(gateway, solver: str, devices: int, occ: Occ, mode: str, weights, tenant="conformance"):

@@ -13,7 +13,7 @@ The invariants under test are the ones the dashboard's numbers rest on:
 
 import pytest
 
-from repro.bench.traceable import build_workload
+from repro.bench.dashboard import miniature
 from repro.observability import (
     attribute_wall_clock,
     critical_path,
@@ -21,12 +21,13 @@ from repro.observability import (
     device_utilization,
 )
 from repro.sim.replay import sim_replay
+from repro.workloads import build
 
 
 def _traced(exp: str, devices: int, mode: str):
-    wl = build_workload(exp, devices=devices)
-    wl.run()
-    sk = wl.skeletons[0]
+    app = build(miniature(exp, devices))
+    app.run()
+    sk = app.step_skeletons[0]
     result = sk.last_result or sk.record()
     trace = sim_replay(result, sk.backend.machine, mode=mode)
     return sk, result, trace

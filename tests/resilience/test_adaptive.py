@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import resilience as res
-from repro.bench.faulted import _CavityApp
+from repro.bench.faulted import WORKLOADS
 from repro.domain import STENCIL_7PT, DenseGrid
 from repro.observability import flight
 from repro.resilience import (
@@ -25,16 +25,20 @@ from repro.resilience import (
 )
 from repro.sim import mixed_pcie
 from repro.system import Backend
+from repro.workloads import build, resilient_factory
 
 
 def mixed_backend(n=4, **kw):
     return Backend.sim_gpus(n, machine=mixed_pcie(n), **kw)
 
 
+#: the fault matrix's 12^3 cavity; the driver, not the spec, counts the steps
+cavity_factory = resilient_factory(WORKLOADS["lbm"].spec(4))
+
+
 def cavity_reference(steps, devices=4):
-    app = _CavityApp(mixed_backend(devices))
-    for i in range(steps):
-        app.step(i)
+    app = build(WORKLOADS["lbm"].spec(devices, steps=steps), backend=mixed_backend(devices))
+    app.run()
     return app.result_array()
 
 
@@ -78,7 +82,7 @@ def test_degrade_adopts_tuned_shares_on_heterogeneous_fleet():
     plan = FaultPlan(7, device_loss={3: 120})
     policy = RecoveryPolicy(checkpoint_interval=2)
     driver = ResilientDriver(
-        _CavityApp, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"
+        cavity_factory, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"
     )
     with res.session(plan, policy):
         app = driver.run()
@@ -97,7 +101,7 @@ def test_degrade_adopts_tuned_shares_on_heterogeneous_fleet():
 def test_degrade_without_experiment_keeps_uniform_rebuild():
     plan = FaultPlan(7, device_loss={3: 120})
     policy = RecoveryPolicy(checkpoint_interval=2)
-    driver = ResilientDriver(_CavityApp, mixed_backend(4), 6, policy=policy, plan=plan)
+    driver = ResilientDriver(cavity_factory, mixed_backend(4), 6, policy=policy, plan=plan)
     with res.session(plan, policy):
         driver.run()
     assert driver.devices_lost == 1
@@ -109,7 +113,7 @@ def test_degrade_event_records_tuned_vs_uniform_in_flight_ring():
     plan = FaultPlan(7, device_loss={3: 120})
     policy = RecoveryPolicy(checkpoint_interval=2)
     driver = ResilientDriver(
-        _CavityApp, mixed_backend(4), 6, policy=policy, plan=plan, experiment="lbm"
+        cavity_factory, mixed_backend(4), 6, policy=policy, plan=plan, experiment="lbm"
     )
     with res.session(plan, policy):
         driver.run()
@@ -132,7 +136,7 @@ def test_two_losses_at_different_steps_complete_bitwise():
     plan = FaultPlan(11, device_loss={3: 150, 2: 700})
     policy = RecoveryPolicy(checkpoint_interval=2)
     driver = ResilientDriver(
-        _CavityApp, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"
+        cavity_factory, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"
     )
     with res.session(plan, policy):
         app = driver.run()
@@ -166,7 +170,7 @@ def test_back_to_back_loss_during_rebuild_completes_bitwise():
     probe = SnoopPlan(11, device_loss={3: 150, 2: 10**9})
     policy = RecoveryPolicy(checkpoint_interval=2)
     driver = ResilientDriver(
-        _CavityApp, mixed_backend(4), steps, policy=policy, plan=probe, experiment="lbm"
+        cavity_factory, mixed_backend(4), steps, policy=policy, plan=probe, experiment="lbm"
     )
     with res.session(probe, policy):
         driver.run()
@@ -177,7 +181,7 @@ def test_back_to_back_loss_during_rebuild_completes_bitwise():
 
     def factory(backend, **kwargs):
         built.append(backend.num_devices)
-        app = _CavityApp(backend, **kwargs)
+        app = cavity_factory(backend, **kwargs)
         inner = app.step
 
         def step(i):
@@ -278,7 +282,7 @@ def test_online_recalibration_retunes_and_repartitions_live():
     reference = cavity_reference(steps, devices=2)
     policy = RecoveryPolicy(checkpoint_interval=4, recalibrate_interval=3)
     driver = ResilientDriver(
-        _CavityApp, mixed_backend(2), steps, policy=policy, experiment="lbm"
+        cavity_factory, mixed_backend(2), steps, policy=policy, experiment="lbm"
     )
     app = driver.run()
 

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro import resilience as res
-from repro.bench.faulted import PROFILES, WORKLOADS, make_plan, run_faulted
+from repro.bench.faulted import PROFILES, WORKLOADS, _backend, make_plan, run_faulted
 from repro.resilience import CorruptionDetected, FaultPlan, RecoveryPolicy
+from repro.workloads import resilient_factory
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -34,15 +35,15 @@ def test_fault_matrix_recovers_and_matches(name, profile):
 
 def test_corruption_profile_actually_rolls_back():
     # seed chosen so the CG miniature takes corruption hits
-    report = run_faulted("cg", profile="corruption", seed=1234)
+    report = run_faulted("poisson", profile="corruption", seed=1234)
     assert report.faults["injected"]["corrupt"] > 0
     assert report.rollbacks > 0
     assert report.match
 
 
 def test_same_seed_reproduces_the_same_fault_history():
-    a = run_faulted("cg", profile="transient", seed=7)
-    b = run_faulted("cg", profile="transient", seed=7)
+    a = run_faulted("poisson", profile="transient", seed=7)
+    b = run_faulted("poisson", profile="transient", seed=7)
     assert a.faults == b.faults
     assert a.rollbacks == b.rollbacks
     assert a.max_abs_error == b.max_abs_error
@@ -52,12 +53,12 @@ def test_corruption_without_recovery_is_never_silent():
     # with rollback disabled ("raise"), an injected corruption must surface
     # as a typed error — the run may also happen to dodge every draw, but a
     # wrong silent answer is forbidden
-    wl = WORKLOADS["cg"]
+    wl = WORKLOADS["poisson"]
     plan = make_plan(wl, "corruption", seed=1234, devices=3)
     policy = RecoveryPolicy(divergence="raise")
-    from repro.bench.faulted import _backend
-
-    driver = res.ResilientDriver(wl.factory, _backend(3), wl.steps, policy=policy, plan=plan)
+    driver = res.ResilientDriver(
+        resilient_factory(wl.spec(3)), _backend(3), wl.steps, policy=policy, plan=plan
+    )
     with res.session(plan, policy):
         with pytest.raises(CorruptionDetected):
             driver.run()
@@ -66,25 +67,26 @@ def test_corruption_without_recovery_is_never_silent():
 
 def test_loss_profile_requires_two_devices():
     with pytest.raises(ValueError, match="at least 2"):
-        make_plan(WORKLOADS["cg"], "transient+loss", seed=0, devices=1)
+        make_plan(WORKLOADS["poisson"], "transient+loss", seed=0, devices=1)
 
 
 def test_unknown_workload_and_profile_rejected():
-    with pytest.raises(KeyError, match="no fault-matrix workload"):
+    with pytest.raises(KeyError, match="unknown experiment 'nope'; expected one of: poisson, lbm"):
         run_faulted("nope")
+    with pytest.raises(KeyError, match="unknown experiment 'cg'"):
+        run_faulted("cg")  # one name per experiment: the CG miniature is `poisson`
     with pytest.raises(KeyError, match="unknown fault profile"):
-        make_plan(WORKLOADS["cg"], "nope", seed=0, devices=3)
+        make_plan(WORKLOADS["poisson"], "nope", seed=0, devices=3)
 
 
 def test_alloc_faults_surface_during_build():
     # allocation faults hit at field-creation time; the driver does not
     # checkpoint-recover builds, so the typed error must propagate
-    from repro.bench.faulted import _backend
     from repro.system import AllocationError
 
-    wl = WORKLOADS["cg"]
+    wl = WORKLOADS["poisson"]
     plan = FaultPlan(seed=0, alloc=1.0)
-    driver = res.ResilientDriver(wl.factory, _backend(3), wl.steps, plan=plan)
+    driver = res.ResilientDriver(resilient_factory(wl.spec(3)), _backend(3), wl.steps, plan=plan)
     with res.session(plan):
         with pytest.raises(AllocationError, match="injected"):
             driver.run()

@@ -36,4 +36,4 @@ def test_sanitize_rejects_bad_arguments():
 
     proc = run_cli("sanitize", "nosuch")
     assert proc.returncode == 2
-    assert "unknown sanitize workload" in proc.stderr
+    assert "unknown experiment 'nosuch'" in proc.stderr

@@ -13,8 +13,8 @@ from repro.sanitizer import analyze_program, report_violations, sanitize_skeleto
 from repro.sanitizer.mutate import _halo_read_regions
 from repro.sanitizer.program import ProgramView, QueueView
 from repro.sanitizer.state import SAN
-from repro.sanitizer.workloads import build_workload
-from repro.skeleton import Occ
+from repro.sanitizer.runner import miniature
+from repro.workloads import build
 from repro.system import Backend, Event
 from repro.system.queue import CopyCommand, RecordEventCommand, WaitEventCommand
 
@@ -22,8 +22,7 @@ from repro.system.queue import CopyCommand, RecordEventCommand, WaitEventCommand
 @pytest.fixture(scope="module")
 def lbm_skeleton():
     """One compiled LBM skeleton on 2 devices at OCC STANDARD."""
-    wl = build_workload("lbm", devices=2, occ=Occ.STANDARD)
-    sk = wl.skeletons[0]
+    sk = build(miniature("lbm", devices=2)).skeletons[0]
     sk.plan._ensure_program()
     return sk
 

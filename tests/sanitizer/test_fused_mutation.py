@@ -19,15 +19,14 @@ from repro.sanitizer import analyze_program, sanitize_skeleton
 from repro.sanitizer.mutate import generate_mutants
 from repro.sanitizer.program import ProgramView
 from repro.sanitizer.state import SAN
-from repro.sanitizer.workloads import build_workload
-from repro.skeleton import Occ
+from repro.sanitizer.runner import miniature
+from repro.workloads import build
 
 
 @pytest.fixture(scope="module")
 def fused_lbm():
     """A 4-device LBM skeleton frozen with fusion on (the default)."""
-    wl = build_workload("lbm", devices=4, occ=Occ.STANDARD)
-    sk = wl.skeletons[0]
+    sk = build(miniature("lbm", devices=4)).skeletons[0]
     program = sk.plan._ensure_program()
     assert any(len(u.steps) > 1 for u in program.dispatch), "fixture must be a fused program"
     return sk

@@ -17,11 +17,11 @@ crossing 20 distinct mutants.
 import pytest
 
 from repro.sanitizer import mutation_matrix, sanitize_workload
-from repro.sanitizer.workloads import WORKLOADS
 from repro.skeleton import Occ
+from repro.workloads import EXPERIMENTS
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
+@pytest.mark.parametrize("name", EXPERIMENTS)
 def test_unmutated_experiments_are_clean_everywhere(name):
     for occ in Occ:
         for devices in (1, 2, 4, 8):

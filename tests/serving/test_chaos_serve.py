@@ -19,8 +19,8 @@ from repro import resilience as res
 from repro.serving import Gateway, JobFailed, JobSpec
 
 POISSON = JobSpec.make("poisson", (8, 6, 6), 3, devices=2)
-#: the faulted lbm miniature (12^3 cavity) — spec.steps drives the
-#: resilient driver; shape/params ride along for cache identity only
+#: the fault matrix's lbm miniature (12^3 cavity, 16 steps), so the
+#: profile's loss trigger fires mid-run; a fault job runs its spec
 VICTIM = JobSpec.make("lbm", (12, 12, 12), 16, devices=3)
 
 SEED = 1234
@@ -39,8 +39,8 @@ def test_device_loss_mid_serve_recovers_and_other_tenants_keep_serving():
 
     # the device loss actually fired and recovery degraded onto survivors
     assert vr.devices_lost >= 1
-    assert vr.fingerprints["result"].shape[-3:] == (12, 12, 12)
-    assert np.isfinite(vr.fingerprints["result"]).all()
+    assert vr.fingerprints["f"].shape[-3:] == (12, 12, 12)
+    assert np.isfinite(vr.fingerprints["f"]).all()
     assert obs.OBS.metrics.total("devices_lost") >= 1
     assert obs.OBS.metrics.total("faults_injected") >= 1
 
@@ -73,7 +73,7 @@ def test_seeded_chaos_is_reproducible():
             runs.append(job.result(timeout=600))
     assert runs[0].devices_lost == runs[1].devices_lost
     assert runs[0].rollbacks == runs[1].rollbacks
-    assert np.array_equal(runs[0].fingerprints["result"], runs[1].fingerprints["result"])
+    assert np.array_equal(runs[0].fingerprints["f"], runs[1].fingerprints["f"])
 
 
 def test_transient_faults_retry_per_policy_and_surface_budget_exhaustion():
@@ -87,7 +87,7 @@ def test_transient_faults_retry_per_policy_and_surface_budget_exhaustion():
             policy=res.RecoveryPolicy(checkpoint_interval=8),
         ).result(timeout=600)
     assert ok.devices_lost == 0
-    assert np.isfinite(ok.fingerprints["result"]).all()
+    assert np.isfinite(ok.fingerprints["solution"]).all()
     assert obs.OBS.metrics.total("retries") >= 0  # retry path exists under obs
 
     # a policy that forbids degrading below the full fleet fails *typed*
@@ -106,3 +106,24 @@ def test_transient_faults_retry_per_policy_and_surface_budget_exhaustion():
         assert isinstance(exc_info.value.__cause__, res.ResilienceError)
         assert bystander.result(timeout=600).fingerprints["solution"].shape == (8, 6, 6)
     assert gw.stats()["failed"] == 1 and gw.stats()["done"] == 1
+
+
+def test_fault_profile_job_solves_the_spec_it_was_submitted_with():
+    """A fault job is the plain job plus recovery: same problem (shape,
+    params, occ), same fingerprint keys, and — transient faults absorbed
+    by a generous retry budget, Krylov-state checkpoints — the same bits."""
+    specs = [
+        JobSpec.make("lbm", (10, 6, 6), 6, devices=2, occ="extended", omega=1.2, lid_velocity=0.07),
+        JobSpec.make("poisson", (8, 6, 6), 4, devices=2, rhs="ones"),
+    ]
+    policy = res.RecoveryPolicy(retry=res.RetryPolicy(max_attempts=12), checkpoint_interval=2)
+    with Gateway(workers=1) as gw:
+        for spec in specs:
+            plain = gw.submit("plain", spec).result(timeout=600)
+            faulted = gw.submit(
+                "victim", spec, fault_profile="transient", fault_seed=SEED, policy=policy
+            ).result(timeout=600)
+            assert set(faulted.fingerprints) == set(plain.fingerprints)
+            for key, want in plain.fingerprints.items():
+                assert np.array_equal(faulted.fingerprints[key], want), f"{spec.experiment}/{key}"
+    assert obs.OBS.metrics.total("faults_injected") >= 1

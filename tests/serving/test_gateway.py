@@ -77,10 +77,10 @@ def test_warm_latency_beats_cold_by_4x():
 
 
 def test_unknown_experiment_and_bad_fault_target_raise():
-    with pytest.raises(KeyError, match="no served workload"):
+    with pytest.raises(KeyError, match="unknown experiment 'navier'"):
         JobSpec.make("navier", (8,), 2)
     with Gateway(workers=1) as gw:
-        with pytest.raises(KeyError, match="no fault-matrix workload"):
+        with pytest.raises(KeyError, match="unknown experiment 'karman'; expected one of: poisson, lbm"):
             gw.submit("a", JobSpec.make("karman", (16, 24), 2), fault_profile="transient")
 
 
@@ -219,7 +219,7 @@ def test_unfused_and_fused_jobs_run_concurrently_on_their_own_plans():
     """``fused`` is pinned on the job's plans, not flipped process-wide: an
     unfused job shares the gateway with a fused one and neither leaks into
     the other's program freeze."""
-    from repro.serving.workloads import build_served
+    from repro.serving import build_served
 
     unfused = JobSpec.make("lbm", (8, 6, 6), 2, devices=2, fused=False, omega=1.1)
     direct = {}

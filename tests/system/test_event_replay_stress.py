@@ -14,10 +14,10 @@ import threading
 
 import numpy as np
 
-from repro.sanitizer.workloads import build_workload
-from repro.skeleton import Occ
+from repro.sanitizer.runner import miniature
 from repro.system import Backend, Event, ParallelEngine
 from repro.system.queue import KernelCost
+from repro.workloads import build
 
 THREADS = 4
 REPLAYS_PER_THREAD = 25
@@ -85,10 +85,9 @@ def test_concurrent_skeleton_parallel_runs_stay_deterministic():
     must be bitwise what the same number of serial runs produces.
     """
     repeats = 3
-    wl = build_workload("lbm", devices=2, occ=Occ.STANDARD)
-    sk = wl.skeletons[0]
+    sk = build(miniature("lbm", devices=2)).skeletons[0]
 
-    ref = build_workload("lbm", devices=2, occ=Occ.STANDARD).skeletons[0]
+    ref = build(miniature("lbm", devices=2)).skeletons[0]
     for _ in range(THREADS * repeats):
         ref.run(mode="serial")
 

@@ -50,10 +50,12 @@ def test_main_requires_subcommand():
     "argv",
     [
         ["bench", "lbm", "--mode", "process"],
-        ["trace", "fig1", "--mode", "process"],
+        ["trace", "lbm", "--mode", "process"],
         ["serve", "--mode", "process"],
         ["sanitize", "lbm", "--mode", "all"],
         ["bench", "lbm", "--process-gate", "1.0"],
+        ["bench", "lbm"],  # the second benchmark is gone: perf/run.py is the one
+        ["report", "--compare", "a", "b"],
     ],
 )
 def test_deleted_process_mode_switches_exit_2(argv):
@@ -69,7 +71,7 @@ def test_reproduce_runs_one_bench():
 
 def test_trace_writes_chrome_trace(tmp_path):
     out = tmp_path / "t.json"
-    proc = run_cli("trace", "fig1", "-o", str(out))
+    proc = run_cli("trace", "poisson", "-o", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "halo bytes sent" in proc.stdout
 
@@ -87,7 +89,7 @@ def test_trace_writes_chrome_trace(tmp_path):
 def test_trace_unknown_workload_rejected(tmp_path):
     proc = run_cli("trace", "fig99", "-o", str(tmp_path / "x.json"))
     assert proc.returncode == 2
-    assert "no traceable workload" in proc.stderr
+    assert "unknown experiment 'fig99'" in proc.stderr
 
 
 def test_tune_writes_plan_json(tmp_path):
@@ -109,7 +111,7 @@ def test_tune_writes_plan_json(tmp_path):
 def test_tune_unknown_workload_rejected():
     proc = run_cli("tune", "fig99")
     assert proc.returncode == 2
-    assert "unknown workload" in proc.stderr
+    assert "unknown experiment 'fig99'" in proc.stderr
 
 
 def test_chaos_soak_survives_and_writes_report(tmp_path):
@@ -137,4 +139,4 @@ def test_chaos_soak_survives_and_writes_report(tmp_path):
 def test_chaos_unknown_workload_rejected():
     proc = run_cli("chaos", "nope")
     assert proc.returncode == 2
-    assert "no chaos workload" in proc.stderr
+    assert "unknown experiment 'nope'; expected one of: lbm, poisson" in proc.stderr

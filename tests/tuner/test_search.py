@@ -78,7 +78,7 @@ def test_best_occ_resolves_to_enum(mixed_plan):
 
 
 def test_unknown_workload_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown experiment 'nonsense'"):
         tune_workload("nonsense", pcie_a100(2), devices=2)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.sim.machine import DeviceSpec, dgx_a100, mixed_pcie, multi_node_a100, pcie_a100
-from repro.tuner import WorkloadProfile, build_tuner_workload, device_shares, profile_workload
+from repro.tuner import WorkloadProfile, device_shares, profile_workload, record_candidate
 from repro.tuner.weights import fixed_seconds
 
 BW_BOUND = WorkloadProfile(bytes_per_cell=300.0, flops_per_cell=100.0)
@@ -61,23 +61,23 @@ def test_device_shares_validates_inputs():
 
 
 def test_profile_workload_derives_per_cell_demand():
-    wl = build_tuner_workload("lbm", dgx_a100(2), 2)
-    prof = profile_workload(wl.plans, wl.num_active)
+    plans, num_active = record_candidate("lbm", dgx_a100(2), 2)
+    prof = profile_workload(plans, num_active)
     # D3Q19 two-population streaming moves 19 reads + 19 writes of f64
     assert prof.bytes_per_cell == pytest.approx(19 * 8 * 2, rel=0.2)
     assert prof.flops_per_cell > 0
 
 
 def test_profile_workload_rejects_empty_grid():
-    wl = build_tuner_workload("lbm", dgx_a100(2), 2)
+    plans, _ = record_candidate("lbm", dgx_a100(2), 2)
     with pytest.raises(ValueError):
-        profile_workload(wl.plans, 0)
+        profile_workload(plans, 0)
 
 
 def test_fixed_seconds_charges_launch_overheads():
     m = dgx_a100(2)
-    wl = build_tuner_workload("poisson", m, 2)
-    fixed = fixed_seconds(wl.plans, m, 2)
+    plans, _ = record_candidate("poisson", m, 2)
+    fixed = fixed_seconds(plans, m, 2)
     assert fixed.shape == (2,)
     assert np.all(fixed >= 0)
     # at least one kernel launch per rank must be charged
@@ -89,11 +89,11 @@ def test_fixed_seconds_exposes_internode_asymmetry():
     node boundary pay the slow link; their fixed cost must exceed the
     intra-node ranks', and their share must shrink accordingly."""
     m = multi_node_a100(2, 2)  # ranks 0,1 node A; ranks 2,3 node B
-    wl = build_tuner_workload("lbm", m, 4)
-    fixed = fixed_seconds(wl.plans, m, 4)
+    plans, num_active = record_candidate("lbm", m, 4)
+    fixed = fixed_seconds(plans, m, 4)
     assert fixed[1] > fixed[0] and fixed[2] > fixed[3]
-    prof = profile_workload(wl.plans, wl.num_active)
-    shares = device_shares(m, 4, prof, wl.num_active, fixed=fixed)
+    prof = profile_workload(plans, num_active)
+    shares = device_shares(m, 4, prof, num_active, fixed=fixed)
     assert shares[1] < shares[0] and shares[2] < shares[3]
 
 
