@@ -13,20 +13,37 @@ Design constraints, in order:
   standard-library ``ctypes``; when neither compiler exists,
   :func:`compile_shared` returns ``None`` and callers keep the
   interpreted path.
-* **Compile once** — one shared object per cache key, built in a
-  private temp dir and kept loaded for the life of the process (the
-  CDLL handle is held in the cache so the mapping never goes away under
-  a live function pointer).
+* **Compile once per machine** — a built object is published in a
+  content-addressed per-user cache, ``<tempfile.gettempdir()>/repro-cc-<uid>/
+  <sha256>.so``, keyed on the source text, :data:`CFLAGS` and the
+  compiler's identity (real path, size, mtime).  The first process on a
+  machine pays ``cc``; every later one — each benchmark leg, served cold
+  job and CLI run is a fresh process — only ``dlopen``\\ s.  The directory
+  is created ``0700`` and trusted only while it is ours and not group- or
+  world-writable; objects appear by write-to-temp + ``os.replace``, so a
+  concurrent process never maps a partial file; an object that is
+  truncated or fails to load is rebuilt and replaced.  Deleting the
+  directory is always safe.
+  When it cannot be trusted the unit is built in a private temporary
+  directory that is removed as soon as the object is mapped.  The
+  location follows the standard ``TMPDIR``; there is no switch of its own.
+* **Load once per process** — the CDLL handle is held for the life of the
+  process so the mapping never goes away under a live function pointer,
+  and a failed build is remembered so its cost is paid once.
 
-Set ``REPRO_DISABLE_CC=1`` to force the interpreted fallback (used by
-tests to pin the fallback path, and as an operator escape hatch).
+Set ``REPRO_DISABLE_CC=1`` to force the interpreted fallback: no C, and
+no cache touched (used by tests to pin the fallback path, and as an
+operator escape hatch).
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import shutil
+import stat
+import struct
 import subprocess
 import tempfile
 import threading
@@ -39,7 +56,8 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _lock = threading.Lock()
 _compiler: str | None = None
 _compiler_checked = False
-_cache: dict[tuple, object] = {}  # key -> (ctypes fn, CDLL, build dir) | None
+_cache: dict[tuple, object] = {}  # key -> bound ctypes function | None
+_libs: dict[str, ctypes.CDLL | None] = {}  # source text -> loaded object | None (build failed)
 
 
 def hexf(x: float) -> str:
@@ -69,36 +87,100 @@ def available() -> bool:
     return compiler() is not None
 
 
-def compile_shared(key: tuple, source: str, symbol: str, argtypes: list, restype=None):
-    """Build ``source``, load it, and return the bound ``symbol``.
+def _cache_dir() -> Path | None:
+    """The per-user object cache, or None when it cannot be trusted.
 
-    ``key`` identifies the translation unit for the process-wide cache
-    (callers key on everything baked into the source).  Returns ``None``
-    on any failure — missing compiler, compile error, load error — and
-    caches the failure so the cost is paid once.
+    A directory somebody else owns or may write to (or a plain file in
+    its place) could hand us a foreign shared object to ``dlopen``.
+    """
+    path = Path(tempfile.gettempdir(), f"repro-cc-{os.getuid()}")
+    try:
+        path.mkdir(mode=0o700, exist_ok=True)
+        st = path.lstat()
+    except OSError:
+        return None
+    ours = stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+    return path if ours else None
+
+
+def _object_name(source: str) -> str:
+    """Content address of the object ``source`` builds into on this machine."""
+    cc = os.path.realpath(compiler())
+    st = os.stat(cc)
+    identity = (source, " ".join(CFLAGS), cc, str(st.st_size), str(st.st_mtime_ns))
+    return hashlib.sha256("\0".join(identity).encode()).hexdigest() + ".so"
+
+
+def _whole(path: Path) -> bool:
+    """False for an ELF object that ends before its own tables do.
+
+    ``dlopen`` maps a truncated object without complaint and the process
+    dies of SIGBUS on the first touch of a missing page, so truncation
+    must be caught before loading.  The linker writes the section-header
+    table last: it lies inside the file exactly when the file is whole.
+    Anything that is not 64-bit ELF is left to the loader's own checks.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(64)
+    if head[:5] != b"\x7fELF\x02":
+        return True
+    if len(head) < 64:
+        return False
+    order = "<" if head[5] == 1 else ">"
+    (shoff,) = struct.unpack_from(order + "Q", head, 0x28)
+    shentsize, shnum = struct.unpack_from(order + "HH", head, 0x3A)
+    return shoff + shentsize * shnum <= path.stat().st_size
+
+
+def _load(source: str) -> ctypes.CDLL:
+    """Map the object built from ``source``: from the cache when it holds a
+    loadable one, else built now (and published when there is a cache).
+
+    Raises ``OSError`` / ``subprocess.CalledProcessError`` on failure.
+    """
+    cache = _cache_dir()
+    if cache is not None:
+        cached = cache / _object_name(source)
+        try:
+            if _whole(cached):
+                return ctypes.CDLL(str(cached))
+        except OSError:
+            pass  # absent or unloadable
+        # fall through: build it and replace whatever is there
+    # inside the cache the build directory shares its filesystem, so the
+    # rename that publishes the object is atomic
+    with tempfile.TemporaryDirectory(prefix="repro-cc-build-", dir=cache) as build:
+        c_path, built = Path(build, "kernel.c"), Path(build, "kernel.so")
+        c_path.write_text(source)
+        subprocess.run([compiler(), *CFLAGS, str(c_path), "-o", str(built)], check=True, capture_output=True)
+        if cache is None:
+            return ctypes.CDLL(str(built))  # the mapping outlives the unlinked file
+        os.replace(built, cached)
+    return ctypes.CDLL(str(cached))
+
+
+def compile_shared(key: tuple, source: str, symbol: str, argtypes: list, restype=None):
+    """Build or load ``source`` and return its bound ``symbol``.
+
+    ``key`` identifies the bound function in the process-wide cache
+    (callers key on everything baked into the source, and on the symbol
+    when one translation unit exports several).  Returns ``None`` on any
+    failure — missing compiler, compile error, load error, missing
+    symbol — and caches the failure so the cost is paid once.
     """
     if not available():
         return None
     with _lock:
         if key in _cache:
-            entry = _cache[key]
-            return entry[0] if entry else None
+            return _cache[key]
+        fn = _cache[key] = None
         try:
-            build = Path(tempfile.mkdtemp(prefix="repro-cc-"))
-            c_path = build / "kernel.c"
-            so_path = build / "kernel.so"
-            c_path.write_text(source)
-            subprocess.run(
-                [compiler(), *CFLAGS, str(c_path), "-o", str(so_path)],
-                check=True,
-                capture_output=True,
-            )
-            lib = ctypes.CDLL(str(so_path))
-            fn = getattr(lib, symbol)
-            fn.argtypes = argtypes
-            fn.restype = restype
+            if source not in _libs:
+                _libs[source] = None  # a build that fails is not tried again
+                _libs[source] = _load(source)
+            if _libs[source] is not None:
+                fn = _cache[key] = _libs[source][symbol]
+                fn.argtypes, fn.restype = argtypes, restype
         except (OSError, subprocess.CalledProcessError, AttributeError):
-            _cache[key] = None
-            return None
-        _cache[key] = (fn, lib, build)
+            pass  # no build, no load or no such symbol: the caller keeps its interpreted path
         return fn

@@ -1,0 +1,349 @@
+"""Generated-C kernels for the three Container shapes grid solvers are made of.
+
+A CG-type solver is a handful of elementwise **maps** (``p = r + beta p``),
+one constant-coefficient **stencil** (``q = A p``) and per-slice
+**reduces** (``<p, q>``).  Interpreted, each is a NumPy closure making
+9-22 array passes over multi-MB temporaries; here each is one in-place C
+loop, registered through the container's existing ``specialize`` hook
+(:mod:`repro.skeleton.fusion`) — the loading lambda and its tokens are
+untouched, so graphs, schedules, DES costs, sanitizer access sets and
+fault sites do not know the difference.  The NumPy closures stay: they
+are the oracle the tests compare against, the ``REPRO_DISABLE_CC`` /
+no-compiler leg, and what every unsupported layout runs.
+
+**What is supported.**  Dense SoA float64 fields of any cardinality,
+non-virtual, on 3-D grids for the stencil; one C call per span piece, so
+INTERNAL / BOUNDARY / STANDARD views and every OCC level share the same
+compiled functions.  Anything else — sparse grids, AoS layouts, virtual
+fields, per-rank (non-slice) partials — makes the hook return ``None``
+and the interpreted closure runs.
+
+**Bitwise contract.**
+
+* *map*: the expression of :data:`MAP_FORMS`, evaluated per element as
+  written; coefficients are read from their host cells when the kernel
+  *runs* (only pointers are pre-bound), so CG's ``alpha`` / ``beta``
+  updates between replays of one frozen program are seen.
+* *stencil*: the terms in declared order, ``acc = c0 * u[o0]`` then
+  ``acc = acc - u[ok]`` (coefficient -1), ``acc + u[ok]`` (+1) or
+  ``acc + ck * u[ok]`` — exactly how the closure associates.  Lateral
+  out-of-range reads resolve to ``outside_value``; axis-0 reads go
+  through the ghost slices.
+* *reduce*: one sum per axis-0 slice over the component-first contiguous
+  slice, reproducing :meth:`SliceReduceAccessor.deposit_sums` — NumPy's
+  ``pairwise_sum`` (sequential ``-0.0``-seeded below 8 elements, 8
+  accumulators up to a block of 128, ``n/2`` rounded down to a multiple
+  of 8 above) added to the reduction's ``0.0`` identity, with products
+  formed leaf by leaf so no temporary is materialised.  The tree is
+  NumPy's implementation detail, so a bound reduce kernel is checked
+  against ``np.sum`` once (:func:`_tree_matches_numpy`) and *declined* on
+  mismatch: a NumPy that sums differently degrades to the interpreted
+  kernels instead of breaking the conformance matrix.
+
+**One translation unit per grid.**  The map and reduce families are fixed
+text; the stencil operators are generated from what the grid's
+containers declared (:func:`stencil`).  Every hook of a grid binds its
+symbol out of that one unit, so a solver costs one ``cc`` call — and,
+through :mod:`repro.codegen.cc`'s on-disk cache, one per machine.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+
+import numpy as np
+
+from repro import codegen as _cc
+from repro.domain import DenseField, DenseStrip, Layout
+
+#: elementwise forms: name -> C expression over ``x[i]``, ``y[i]`` and the
+#: run-time scalars ``a``, ``b``.  ``axpby_or_ax`` is CG's restart-safe
+#: update: ``b == 0`` assigns ``a*x`` outright so a stale (even NaN) ``y``
+#: cannot leak through ``0 * y``.
+MAP_FORMS = {
+    "set": "a",
+    "copy": "x[i]",
+    "ax": "a * x[i]",
+    "sub": "x[i] - y[i]",
+    "axpby": "a * x[i] + b * y[i]",
+    "axpby_or_ax": "(b == 0.0) ? a * x[i] : a * x[i] + b * y[i]",
+}
+#: NumPy's ``PW_BLOCKSIZE``: the longest run summed by one 8-accumulator block
+PAIRWISE_BLOCK = 128
+
+_D = ctypes.POINTER(ctypes.c_double)
+_L = ctypes.c_long
+_MAP_ARGS = [_D, _D, _D, _L, _L, _L, _L, ctypes.c_double, ctypes.c_double]
+_REDUCE_ARGS = [_D, _D, _D, _L, _L, _L, _L, _L, _L]
+_STENCIL_ARGS = [_D, _D, _L, _L, _L, _L, _L, ctypes.c_double]
+
+# ``out`` may alias ``x`` or ``y`` (in-place updates): no restrict
+_MAP_C = """
+#define DEFINE_MAP(NAME, EXPR) \\
+void NAME(double* out, const double* xs, const double* ys, long card, long cstride, \\
+          long start, long n, double a, double b) { \\
+  for (long c = 0; c < card; ++c) { \\
+    double* o = out + c * cstride + start; \\
+    const double* x = xs + c * cstride + start; \\
+    const double* y = ys + c * cstride + start; \\
+    for (long i = 0; i < n; ++i) o[i] = EXPR; \\
+  } \\
+}
+"""
+
+# block_sum is NumPy's pairwise_sum below/at one block; NAME_tree is its
+# recursion, with the leaves of a block gathered (products formed) into a
+# stack buffer first so a block may straddle two components of the slice
+_REDUCE_C = """
+#define PW_BLOCK %d
+
+static double block_sum(const double* a, long n) {
+  if (n < 8) {
+    double res = -0.0;
+    for (long i = 0; i < n; ++i) res += a[i];
+    return res;
+  }
+  double r[8], res;
+  long i;
+  for (int k = 0; k < 8; ++k) r[k] = a[k];
+  for (i = 8; i < n - (n %% 8); i += 8)
+    for (int k = 0; k < 8; ++k) r[k] += a[i + k];
+  res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+  for (; i < n; ++i) res += a[i];
+  return res;
+}
+
+#define DEFINE_REDUCE(NAME, LEAF) \\
+static double NAME##_tree(const double* x, const double* y, long j0, long n, long plane, long gap) { \\
+  if (n <= PW_BLOCK) { \\
+    double buf[PW_BLOCK]; \\
+    long j = j0, end = j0 + n, k = 0; \\
+    while (j < end) { \\
+      long c = j / plane, run = (c + 1) * plane - j; \\
+      if (run > end - j) run = end - j; \\
+      long p = j + c * gap; \\
+      for (long i = 0; i < run; ++i) buf[k + i] = LEAF; \\
+      k += run; \\
+      j += run; \\
+    } \\
+    return block_sum(buf, n); \\
+  } \\
+  long n2 = n / 2; \\
+  n2 -= n2 %% 8; \\
+  return NAME##_tree(x, y, j0, n2, plane, gap) + NAME##_tree(x, y, j0 + n2, n - n2, plane, gap); \\
+} \\
+void NAME(const double* x, const double* y, double* row, long card, long cstride, \\
+          long plane, long h, long lo, long hi) { \\
+  for (long s = lo; s < hi; ++s) { \\
+    long base = (h + s) * plane; \\
+    row[s] = 0.0 + NAME##_tree(x + base, y + base, 0, card * plane, plane, cstride - plane); \\
+  } \\
+}
+DEFINE_REDUCE(slice_dot, x[p + i] * y[p + i])
+DEFINE_REDUCE(slice_sum, x[p + i])
+"""
+
+
+def _stencil_source(name: str, terms: tuple) -> str:
+    """C for one constant-coefficient 3-D stencil over slices ``[lo, hi)``."""
+    hexf = _cc.hexf
+    lines = [
+        f"void {name}(const double* restrict src, double* restrict dst, long n1, long n2,",
+        "    long h, long lo, long hi, double outside) {",
+        "  long plane = n1 * n2;",
+        "  for (long z = h + lo; z < h + hi; ++z)",
+        "    for (long y = 0; y < n1; ++y)",
+        "      for (long x = 0; x < n2; ++x) {",
+        "        long c = (z * n1 + y) * n2 + x;",
+        "        double acc;",
+    ]
+    for k, ((d0, d1, d2), coeff) in enumerate(terms):
+        value = f"src[c + ({d0}) * plane + ({d1}) * n2 + ({d2})]"
+        inside = [
+            f"{var} + ({d}) >= 0 && {var} + ({d}) < {size}"
+            for var, d, size in (("y", d1, "n1"), ("x", d2, "n2"))
+            if d
+        ]
+        if inside:
+            value = f"(({' && '.join(inside)}) ? {value} : outside)"
+        if k == 0:
+            lines.append(f"        acc = {hexf(coeff)} * {value};")
+        elif coeff == -1.0:
+            lines.append(f"        acc = acc - {value};")
+        elif coeff == 1.0:
+            lines.append(f"        acc = acc + {value};")
+        else:
+            lines.append(f"        acc = acc + {hexf(coeff)} * {value};")
+    lines += ["        dst[c] = acc;", "      }", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=16)
+def _source(stencils: tuple) -> str:
+    """The translation unit of a grid that declared ``stencils``."""
+    maps = "".join(f"DEFINE_MAP(map_{name}, {expr})\n" for name, expr in MAP_FORMS.items())
+    reduces = _REDUCE_C % PAIRWISE_BLOCK
+    operators = "".join(_stencil_source(f"stencil_{k}", terms) for k, terms in enumerate(stencils))
+    return _MAP_C + maps + reduces + operators
+
+
+def _declared(grid) -> list:
+    """Stencil operators declared on ``grid`` so far (kept on the grid: they
+    are what makes its translation unit, and die with it)."""
+    return vars(grid).setdefault("_c_stencils", [])
+
+
+def _bind(grid, symbol: str, argtypes: list):
+    """``symbol`` out of the grid's unit, or None (no compiler, build failed)."""
+    source = _source(tuple(_declared(grid)))
+    # looked up through the package on every call: the benchmark's probe
+    # interposes on that name
+    return _cc.compile_shared((symbol, source), source, symbol, argtypes)
+
+
+def dense_slabs(rank: int, span, fields) -> tuple[list, list] | None:
+    """``(backing arrays, span strips)`` when a C kernel can address them.
+
+    Every field must be a non-virtual dense SoA float64 field and all must
+    share one storage shape; the span must be made of dense strips.
+    """
+    arrays = []
+    for field in fields:
+        if not isinstance(field, DenseField) or field.virtual or field.layout is not Layout.SOA:
+            return None
+        array = field.partition(rank).storage
+        if array.dtype != np.float64 or not array.flags["C_CONTIGUOUS"]:
+            return None
+        arrays.append(array)
+    strips = span.pieces()
+    if len({a.shape for a in arrays}) != 1 or not all(isinstance(s, DenseStrip) for s in strips):
+        return None
+    return arrays, strips
+
+
+def _pointer(array: np.ndarray):
+    return array.ctypes.data_as(_D)
+
+
+def launcher(fn, calls: list, keep, scalars=lambda: ()):
+    """The closure a replay runs: one C call per span piece.
+
+    ``keep`` pins the arrays the raw pointers in ``calls`` point into;
+    ``scalars()`` is evaluated per launch and appended to every call.
+    """
+
+    def kernel(calls=calls, fn=fn, scalars=scalars, _keep=keep):
+        tail = scalars()
+        for args in calls:
+            fn(*args, *tail)
+
+    return kernel
+
+
+def elementwise(form: str, out, x=None, y=None, scalars=lambda: (0.0, 0.0)):
+    """``specialize`` hook: ``out <- MAP_FORMS[form](x, y, a, b)`` on owned cells.
+
+    ``scalars() -> (a, b)`` runs on every launch, never at bind time.
+    Operands a form does not read may be omitted.
+    """
+    fields = (out, out if x is None else x, out if y is None else y)
+
+    def specialize(rank, view, span):
+        slabs = dense_slabs(rank, span, fields)
+        fn = slabs and _bind(out.grid, f"map_{form}", _MAP_ARGS)
+        if not fn:
+            return None
+        arrays, strips = slabs
+        card, slices = arrays[0].shape[:2]
+        plane, h = arrays[0][0, 0].size, out.grid.radius
+        pointers = [_pointer(a) for a in arrays]
+        calls = [(*pointers, card, slices * plane, (h + s.lo) * plane, (s.hi - s.lo) * plane) for s in strips]
+        return launcher(fn, calls, arrays, scalars)
+
+    return specialize
+
+
+def stencil(src, dst, terms):
+    """``specialize`` hook: ``dst <- sum_k coeff_k * src[cell + offset_k]``.
+
+    ``terms`` is ``((offset, coeff), ...)`` in the order the interpreted
+    closure accumulates them (component 0 of both fields, like it).
+    Declaring the operator adds it to the grid's translation unit.
+    """
+    terms = tuple((tuple(int(d) for d in off), float(c)) for off, c in terms)
+    grid = src.grid
+    if grid.ndim != 3 or src is dst or any(len(off) != 3 for off, _ in terms):
+        return None
+    declared = _declared(grid)
+    if terms not in declared:
+        declared.append(terms)
+
+    def specialize(rank, view, span):
+        if max(abs(off[0]) for off, _ in terms) > grid.radius:
+            return None
+        slabs = dense_slabs(rank, span, (src, dst))
+        fn = slabs and _bind(grid, f"stencil_{_declared(grid).index(terms)}", _STENCIL_ARGS)
+        if not fn:
+            return None
+        arrays, strips = slabs
+        n1, n2 = arrays[0].shape[2:]
+        pointers = [_pointer(a) for a in arrays]
+        outside = float(src.outside_value)
+        calls = [(*pointers, n1, n2, grid.radius, s.lo, s.hi, outside) for s in strips]
+        return launcher(fn, calls, arrays)
+
+    return specialize
+
+
+def slice_sums(partial, x, y=None):
+    """``specialize`` hook: per-slice sums of ``x * y`` (``x`` alone without
+    ``y``) into a ``slice_reduce`` partial, bitwise what
+    ``SliceReduceAccessor.deposit_sums`` deposits."""
+
+    def specialize(rank, view, span):
+        if not getattr(partial, "slice_reduce", False) or partial.virtual:
+            return None
+        row = partial.partition(rank).array
+        if row.dtype != np.float64 or row.ndim != 1 or not row.flags["C_CONTIGUOUS"]:
+            return None
+        slabs = dense_slabs(rank, span, (x, x if y is None else y))
+        fn = slabs and _bind(x.grid, "slice_sum" if y is None else "slice_dot", _REDUCE_ARGS)
+        if fn and not hasattr(fn, "sums_like_numpy"):
+            fn.sums_like_numpy = _tree_matches_numpy(fn)  # once per bound function
+        if not fn or not fn.sums_like_numpy:
+            return None
+        arrays, strips = slabs
+        card, slices = arrays[0].shape[:2]
+        plane, h = arrays[0][0, 0].size, x.grid.radius
+        if len(row) != slices - 2 * h:
+            return None
+        pointers = [_pointer(a) for a in (*arrays, row)]
+        calls = [(*pointers, card, slices * plane, plane, h, s.lo, s.hi) for s in strips]
+        return launcher(fn, calls, (*arrays, row))
+
+    return specialize
+
+
+#: lengths straddling the sequential / one-block / split regimes, odd halves included
+_CHECK_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 255, 257, 1000, 2073)
+
+
+def _tree_matches_numpy(fn) -> bool:
+    """Does a bound reduce kernel sum exactly like ``np.sum`` here?
+
+    ``y = 1`` makes the dot's leaves the plain values (``x * 1.0`` is
+    exact); the all ``-0.0`` vector pins the ``0.0`` identity NumPy adds
+    the tree to.
+    """
+    # sines of integers: values of mixed sign and magnitude whose sums round
+    # differently under any other association (numpy.random is not worth
+    # importing for this: 2 MB and 15 ms in a process that never draws)
+    vectors = [np.sin(np.arange(1.0, n + 1.0)) * 10.0 ** (n % 7 - 3) for n in _CHECK_LENGTHS]
+    vectors.append(np.full(3, -0.0))
+    for x in vectors:
+        got, ones = np.empty(1), np.ones(len(x))
+        fn(_pointer(x), _pointer(ones), _pointer(got), 1, len(x), len(x), 0, 0, 1)
+        if got.tobytes() != np.sum(x).tobytes():
+            return False
+    return True

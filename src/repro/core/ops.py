@@ -8,12 +8,18 @@ All operations are cardinality-generic: they act on every component of
 their fields through the layout-independent ``view_all`` accessor, so
 the same Container works for scalar and vector fields, SoA or AoS,
 dense or element-sparse grids.
+
+Each map and sum-reduce also registers its generated-C equivalent as the
+container's ``specialize`` hook (:mod:`repro.codegen.grid_kernels`); the
+hook declines everything but dense SoA float64 fields, and the NumPy
+closure below stays the reference the C kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.codegen import grid_kernels as _c
 from repro.sets import Container, MemSet
 from repro.domain.grid import Grid
 
@@ -27,7 +33,9 @@ def copy(grid: Grid, src, dst, name: str = "copy") -> Container:
         d = loader.write(dst)
         return lambda span: np.copyto(d.view_all(span), s.view_all(span))
 
-    return grid.new_container(name, loading)
+    container = grid.new_container(name, loading)
+    container.specialize = _c.elementwise("copy", dst, src)
+    return container
 
 
 def set_value(grid: Grid, dst, value: float, name: str = "set") -> Container:
@@ -42,7 +50,9 @@ def set_value(grid: Grid, dst, value: float, name: str = "set") -> Container:
 
         return compute
 
-    return grid.new_container(name, loading)
+    container = grid.new_container(name, loading)
+    container.specialize = _c.elementwise("set", dst, scalars=lambda: (value, 0.0))
+    return container
 
 
 def scale(grid: Grid, alpha: float, x, name: str = "scale") -> Container:
@@ -57,7 +67,9 @@ def scale(grid: Grid, alpha: float, x, name: str = "scale") -> Container:
 
         return compute
 
-    return grid.new_container(name, loading)
+    container = grid.new_container(name, loading)
+    container.specialize = _c.elementwise("ax", x, x, scalars=lambda: (alpha, 0.0))
+    return container
 
 
 def axpy(grid: Grid, alpha: float, x, y, name: str = "axpy") -> Container:
@@ -73,7 +85,10 @@ def axpy(grid: Grid, alpha: float, x, y, name: str = "axpy") -> Container:
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=2.0 * x.cardinality)
+    # y + alpha*x == alpha*x + 1.0*y bit for bit (1.0*y is exact, + commutes)
+    container = grid.new_container(name, loading, flops_per_cell=2.0 * x.cardinality)
+    container.specialize = _c.elementwise("axpby", y, x, y, scalars=lambda: (alpha, 1.0))
+    return container
 
 
 def axpby(grid: Grid, alpha: float, x, beta: float, y, name: str = "axpby") -> Container:
@@ -90,7 +105,9 @@ def axpby(grid: Grid, alpha: float, x, beta: float, y, name: str = "axpby") -> C
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
+    container = grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
+    container.specialize = _c.elementwise("axpby", y, x, y, scalars=lambda: (alpha, beta))
+    return container
 
 
 def dot(grid: Grid, x, y, partial: MemSet, name: str = "dot") -> Container:
@@ -113,7 +130,9 @@ def dot(grid: Grid, x, y, partial: MemSet, name: str = "dot") -> Container:
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=2.0 * x.cardinality)
+    container = grid.new_container(name, loading, flops_per_cell=2.0 * x.cardinality)
+    container.specialize = _c.slice_sums(partial, x, y)
+    return container
 
 
 def norm2_squared(grid: Grid, x, partial: MemSet, name: str = "norm2sq") -> Container:
@@ -135,7 +154,9 @@ def waxpby(grid: Grid, alpha: float, x, beta: float, y, w, name: str = "waxpby")
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
+    container = grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
+    container.specialize = _c.elementwise("axpby", w, x, y, scalars=lambda: (alpha, beta))
+    return container
 
 
 def max_abs(grid: Grid, x, partial: MemSet, name: str = "amax") -> Container:
@@ -171,7 +192,9 @@ def total(grid: Grid, x, partial: MemSet, name: str = "sum") -> Container:
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=1.0 * x.cardinality)
+    container = grid.new_container(name, loading, flops_per_cell=1.0 * x.cardinality)
+    container.specialize = _c.slice_sums(partial, x)
+    return container
 
 
 class ScalarResult:

@@ -46,15 +46,16 @@ class Container:
         self.flops_per_cell = flops_per_cell
         self.stencil_read_redundancy = stencil_read_redundancy
         self._tokens: list[AccessToken] | None = None
-        #: optional fused-replay specialization hook, set by solver code
-        #: that can prove pre-binding is safe: ``(rank, view, span) ->
-        #: callable | None``.  The fusion pass calls it at program-freeze
+        #: optional fused-replay specialization hook: ``(rank, view, span)
+        #: -> callable | None``.  The fusion pass calls it at program-freeze
         #: time; a returned closure replaces the interpreted per-launch
         #: kernel in every replay of that program, instrumented or not,
-        #: and MUST be bitwise equivalent to it.  Containers whose loading
-        #: lambda reads mutable scalar cells at load time (e.g. CG's
-        #: alpha/beta) must leave this None — pre-binding would freeze
-        #: iteration-0 scalars.
+        #: and MUST be bitwise equivalent to it.  The loading lambda runs
+        #: per launch, so whatever it reads from mutable host cells at load
+        #: time (e.g. CG's alpha/beta) the specialised closure must read
+        #: *when it runs*: pointers and shapes may be pre-bound, values
+        #: may not — a value captured at freeze time would pin iteration-0
+        #: scalars into every later replay.
         self.specialize = None
 
     def tokens(self) -> list[AccessToken]:

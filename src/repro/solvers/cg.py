@@ -13,8 +13,9 @@ OCC level knows how to split:
     host:       beta = delta' / delta, convergence check
 
 Scalars are passed into containers through mutable cells read at launch
-time (the loading lambda runs per launch), so the compiled skeletons are
-reused across iterations unchanged.
+time (the loading lambda runs per launch, and the generated-C kernels of
+:mod:`repro.codegen.grid_kernels` read the same cells on every call), so
+the compiled skeletons are reused across iterations unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.codegen import grid_kernels
 from repro.core import ops
 from repro.domain.grid import Grid
 from repro.resilience import SolverDiverged
@@ -76,7 +78,11 @@ def _axpby_cell(grid, a_cell: dict, x, b_cell: dict, y, name: str):
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
+    container = grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
+    container.specialize = grid_kernels.elementwise(
+        "axpby_or_ax", y, x, y, scalars=lambda: (a_cell["v"], b_cell["v"])
+    )
+    return container
 
 
 class ConjugateGradient:
@@ -312,4 +318,6 @@ def _init_residual(grid, b, q, r):
 
         return compute
 
-    return grid.new_container("init_residual", loading)
+    container = grid.new_container("init_residual", loading)
+    container.specialize = grid_kernels.elementwise("sub", r, b, q)
+    return container

@@ -19,15 +19,24 @@ per-element IEEE-754 operation sequence exactly:
 * equilibrium: parenthesised exactly as the Python source associates —
   ``(w * rho) * (((1 + 3 eu) + (4.5 eu) eu) - 1.5 usq)``;
 * bounce-back / moving-lid / sentinel selection per direction, with the
-  lid correction added as ``bb + (from_lid ? corr : 0.0)`` (matching the
-  ``np.where`` add in the interpreted kernel);
-* all constants embedded as C hex-float literals, and the translation
-  unit built with ``-ffp-contract=off`` (:mod:`repro.codegen.cc`).
+  lid correction added as ``bb + (from_lid ? corr[k] : 0.0)`` (matching
+  the ``np.where`` add in the interpreted kernel);
+* all lattice constants embedded as C hex-float literals, and the
+  translation unit built with ``-ffp-contract=off`` (:mod:`repro.codegen.cc`).
+
+**One object per lattice, compiled once per machine.**  The lid speed is
+not baked into the source: the few lid-correction constants are computed
+in Python exactly as the interpreted kernel computes them
+(:func:`lid_corrections`) and passed as a run-time ``double`` array, so
+every seed and every tenant-chosen lid velocity shares one cached object
+(:mod:`repro.codegen.cc`).  ``lid_velocity == 0.0`` keeps its own unit
+with no correction lines — adding ``+ 0.0`` would flip a ``-0.0``.
 
 The specializer declines (returns ``None``) for anything but a dense
-SoA float64 3-D layout with a C-contiguous backing array — sparse
-grids, AoS layouts, virtual planning-only fields and 2-D lattices keep
-the interpreted path, as does any host without a C compiler.
+SoA float64 3-D layout with a C-contiguous backing array
+(:func:`repro.codegen.grid_kernels.dense_slabs`) — sparse grids, AoS
+layouts, virtual planning-only fields and 2-D lattices keep the
+interpreted path, as does any host without a C compiler.
 """
 
 from __future__ import annotations
@@ -37,26 +46,36 @@ import ctypes
 import numpy as np
 
 from repro import codegen as _cc
-from repro.domain import Layout
+from repro.codegen.grid_kernels import dense_slabs, launcher
 
 #: keep in sync with d3q19 (imported lazily there to avoid a cycle)
 SOLID_SENTINEL = -1.0
 RHO0 = 1.0
 
-_ARGTYPES = [ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double)] + [
-    ctypes.c_long
-] * 8 + [ctypes.c_double]
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+_ARGTYPES = [_DOUBLES, _DOUBLES] + [ctypes.c_long] * 8 + [ctypes.c_double, _DOUBLES]
 
 
-def generate_twopop_source(lattice, lid_velocity: float) -> str:
+def lid_corrections(lattice, lid_velocity: float) -> np.ndarray:
+    """Moving-wall terms of the directions pulled from above the top plane,
+    in direction order — the values the interpreted kernel adds."""
+    vel, w = lattice.velocities, lattice.weights
+    return np.array(
+        [6.0 * w[q] * RHO0 * (vel[q][2] * lid_velocity) for q in range(1, lattice.q) if vel[q][0] < 0]
+    )
+
+
+def generate_twopop_source(lattice, moving_lid: bool) -> str:
     """C source for one z-strip of the pull-scheme collide+stream kernel.
 
     Signature: ``twopop_span(fin, fout, zs, ny, nx, h, lo, hi, gstart,
-    nztot, omega)`` — ``zs`` is the storage z-extent (owned + 2h ghost
-    slices), ``[lo, hi)`` the local owned z-range to process, ``gstart``
-    the rank's global z offset and ``nztot`` the global domain depth
-    (for the moving-lid test).  Strides are derived from ``ny``/``nx``,
-    so one compiled unit serves every rank and partition weighting.
+    nztot, omega, corr)`` — ``zs`` is the storage z-extent (owned + 2h
+    ghost slices), ``[lo, hi)`` the local owned z-range to process,
+    ``gstart`` the rank's global z offset, ``nztot`` the global domain
+    depth (for the moving-lid test) and ``corr`` the
+    :func:`lid_corrections` array (unread without ``moving_lid``).
+    Strides are derived from ``ny``/``nx``, so one compiled unit serves
+    every rank, partition weighting and lid speed.
     """
     hexf = _cc.hexf
     q_count = lattice.q
@@ -65,7 +84,7 @@ def generate_twopop_source(lattice, lid_velocity: float) -> str:
     emit = lines.append
     emit("void twopop_span(const double* restrict fin, double* restrict fout,")
     emit("    long zs, long ny, long nx, long h, long lo, long hi, long gstart,")
-    emit("    long nztot, double omega) {")
+    emit("    long nztot, double omega, const double* restrict corr) {")
     emit(f"  const double thr = {hexf(SOLID_SENTINEL + 0.5)};")
     emit(f"  const double sentinel = {hexf(SOLID_SENTINEL)};")
     emit("  long plane = ny * nx;")
@@ -79,6 +98,7 @@ def generate_twopop_source(lattice, lid_velocity: float) -> str:
     emit(f"        double fq[{q_count}];")
     emit("        double g, bb;")
     emit("        fq[0] = fin[c];")
+    lid_terms = 0
     for q in range(1, q_count):
         e = vel[q]
         offz, offy, offx = (int(-comp) for comp in e)
@@ -96,9 +116,9 @@ def generate_twopop_source(lattice, lid_velocity: float) -> str:
         else:
             emit(f"        g = fin[{idx}];")
         emit(f"        bb = fin[{int(opp[q])} * qstride + c];")
-        if e[0] < 0 and lid_velocity != 0.0:
-            corr = 6.0 * w[q] * RHO0 * (e[2] * lid_velocity)
-            emit(f"        bb = bb + (from_lid ? {hexf(corr)} : 0.0);")
+        if e[0] < 0 and moving_lid:
+            emit(f"        bb = bb + (from_lid ? corr[{lid_terms}] : 0.0);")
+            lid_terms += 1
         emit(f"        fq[{q}] = (g <= thr) ? bb : g;")
     emit("        double rho = fq[0] + fq[1];")
     for q in range(2, q_count):
@@ -152,12 +172,10 @@ def generate_twopop_source(lattice, lid_velocity: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compile_twopop(lattice, lid_velocity: float):
-    """Compiled ``twopop_span`` for one (lattice, lid) pair, or None."""
-    key = ("lbm.twopop", lattice.name, _cc.hexf(lid_velocity))
-    return _cc.compile_shared(
-        key, generate_twopop_source(lattice, lid_velocity), "twopop_span", _ARGTYPES
-    )
+def compile_twopop(lattice, moving_lid: bool):
+    """Compiled ``twopop_span`` of one lattice, with or without a moving lid, or None."""
+    key = ("lbm.twopop", lattice.name, moving_lid)
+    return _cc.compile_shared(key, generate_twopop_source(lattice, moving_lid), "twopop_span", _ARGTYPES)
 
 
 def make_twopop_specializer(grid, f_in, f_out, omega: float, lid_velocity: float, lattice):
@@ -170,51 +188,20 @@ def make_twopop_specializer(grid, f_in, f_out, omega: float, lid_velocity: float
     """
 
     def specialize(rank, view, span):
-        if lattice.ndim != 3:
+        slabs = dense_slabs(rank, span, (f_in, f_out))
+        if lattice.ndim != 3 or grid.radius < 1 or slabs is None:
             return None
-        if getattr(f_in, "virtual", False) or getattr(f_out, "virtual", False):
+        (si, so), strips = slabs
+        if si.shape[0] != lattice.q:
             return None
-        if getattr(f_in, "layout", None) is not Layout.SOA or getattr(f_out, "layout", None) is not Layout.SOA:
-            return None
-        try:
-            si = f_in.partition(rank).storage
-            so = f_out.partition(rank).storage
-        except (AttributeError, KeyError, IndexError):
-            return None
-        if si is None or so is None:
-            return None
-        for arr in (si, so):
-            if arr.dtype != np.float64 or arr.ndim != 4 or not arr.flags["C_CONTIGUOUS"]:
-                return None
-            if arr.shape[0] != lattice.q:
-                return None
-        nztot, ny, nx = (int(s) for s in grid.shape)
-        if si.shape[2:] != (ny, nx) or so.shape != si.shape:
-            return None
-        h = int(grid.radius)
-        if h < 1:
-            return None
-        pieces = list(span.pieces())
-        if not all(hasattr(p, "lo") and hasattr(p, "hi") for p in pieces):
-            return None
-        kfn = compile_twopop(lattice, lid_velocity)
+        kfn = compile_twopop(lattice, lid_velocity != 0.0)
         if kfn is None:
             return None
-        zs = int(si.shape[1])
+        corr = lid_corrections(lattice, lid_velocity)
+        (_, zs, ny, nx), nztot, h = si.shape, int(grid.shape[0]), int(grid.radius)
         gstart = int(grid.bounds[rank][0])
-        pin = si.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-        pout = so.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-        calls = [
-            (pin, pout, zs, ny, nx, h, int(p.lo), int(p.hi), gstart, nztot, float(omega))
-            for p in pieces
-        ]
-
-        def fused_kernel(calls=calls, kfn=kfn, _keep=(si, so)):
-            # _keep pins the backing arrays: the raw pointers in `calls`
-            # must never outlive the ndarrays they point into
-            for args in calls:
-                kfn(*args)
-
-        return fused_kernel
+        pin, pout, pcorr = (a.ctypes.data_as(_DOUBLES) for a in (si, so, corr))
+        calls = [(pin, pout, zs, ny, nx, h, s.lo, s.hi, gstart, nztot, float(omega), pcorr) for s in strips]
+        return launcher(kfn, calls, (si, so, corr))
 
     return specialize

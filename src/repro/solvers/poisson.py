@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.codegen import grid_kernels
 from repro.domain import STENCIL_7PT, DenseGrid
 from repro.domain.grid import Grid
 from repro.skeleton import Occ
@@ -37,7 +38,12 @@ def make_neg_laplacian(grid: Grid, u, out, name: str = "laplacian"):
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=7.0)
+    container = grid.new_container(name, loading, flops_per_cell=7.0)
+    # the same operator as data, in the closure's order: 6*centre first
+    # (STENCIL_7PT lists it first), then minus each face neighbour
+    terms = [(off, 6.0 if off == (0, 0, 0) else -1.0) for off in STENCIL_7PT]
+    container.specialize = grid_kernels.stencil(u, out, terms)
+    return container
 
 
 class PoissonSolver:

@@ -19,7 +19,7 @@ import contextlib
 
 import pytest
 
-from repro.skeleton import fusion
+from repro.skeleton import Occ, fusion
 
 from .harness import SOLVERS, assert_bitwise_equal, matrix_configs, weights_for
 
@@ -64,6 +64,25 @@ def test_lbm_program_actually_fuses():
         assert program.stats.fusion_ratio > 5.0
         chain_lengths = sorted(len(u.steps) for u in program.dispatch if len(u.steps) > 1)
         assert chain_lengths, "no multi-step units: copy chains did not fuse"
+
+
+def test_poisson_program_runs_generated_kernels():
+    """Same for the CG solvers: with a C compiler every Poisson kernel unit
+    — stencil, maps, dots, on every data view — must be specialised, or the
+    fused leg above silently measures the interpreted closures."""
+    from repro import codegen
+    from repro.workloads import build
+
+    from .harness import served_spec
+
+    if not codegen.available():
+        pytest.skip("no C compiler in this environment")
+    app = build(served_spec("poisson", 4, Occ.TWO_WAY, "serial", None))
+    app.run()
+    for sk in app.skeletons:
+        kernel_units = [u for u in sk.plan._ensure_program().dispatch if u.steps[0].kind == "kernel"]
+        assert kernel_units and all(u.specialized for u in kernel_units), sk.name
+    app.close()
 
 
 def test_disabled_context_leaves_singleton_unspecialised_units():

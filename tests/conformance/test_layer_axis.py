@@ -11,10 +11,11 @@ they must announce their serial fallback with the typed
 :class:`~repro.system.ParallelFallbackWarning`, not degrade silently.
 
 The last test is the reason the single lowering exists: an instrumented
-replay of a fully specialised LBM program runs the same compiled kernels
-as a bare one — the container's interpreted ``loading`` lambda is never
-called — while still reporting one ``kernel_seconds`` sample per
-constituent kernel.
+replay of a specialised program (LBM, Poisson, elasticity's vector
+updates and dots) runs the same compiled kernels as a bare one — the
+interpreted ``loading`` lambda of a container that has a generated-C
+kernel is never called — while still reporting one ``kernel_seconds``
+sample per constituent kernel.
 """
 
 from __future__ import annotations
@@ -78,31 +79,53 @@ def test_layer_axis_matches_bare_serial_fused_bitwise(solver, mode, fuse, layers
     assert_bitwise_equal(got, want, label)
 
 
-def test_traced_replay_runs_the_specialised_kernels_not_the_interpreted_ones():
-    from repro import codegen
-    from repro.solvers.lbm import LidDrivenCavity
-    from repro.system import Backend
+#: containers that have no generated-C kernel yet and must say so: the
+#: elasticity operator (27-point block stencil + its projection map)
+INTERPRETED = {
+    "lbm": set(),
+    "poisson": set(),
+    "elasticity": {"A_x0_project", "A_x0_apply", "A_p_project", "A_p_apply"},
+}
 
-    from .harness import LBM_SHAPE
+
+@pytest.mark.parametrize("solver", sorted(INTERPRETED))
+def test_traced_replay_runs_the_specialised_kernels_not_the_interpreted_ones(solver):
+    from collections import Counter
+
+    from repro import codegen
+    from repro.workloads import build
+
+    from .harness import served_spec
 
     if not codegen.available():
         pytest.skip("no C compiler in this environment")
-    fw = LidDrivenCavity(Backend.sim_gpus(4), LBM_SHAPE, omega=1.1, lid_velocity=0.08)
-    fw.step(2)  # freeze both programs
-    programs = [sk.plan._ensure_program() for sk in fw.skeletons]
-    kernel_units = [u for p in programs for u in p.dispatch if u.steps[0].kind == "kernel"]
-    assert kernel_units and all(u.specialized for u in kernel_units), "fixture must be fully specialised"
+    app = build(served_spec(solver, 4, Occ.STANDARD, "serial", None))
+    app.run()  # freeze every program
+    programs = {sk.name: sk.plan._ensure_program() for sk in app.skeletons}
+    kernels = [
+        (step, fn)
+        for program in programs.values()
+        for unit in program.dispatch
+        for step, fn in zip(unit.steps, unit.fns)
+        if step.kind == "kernel"
+    ]
+    hooked = [(step, fn) for step, fn in kernels if step.container.specialize is not None]
+    assert hooked and all(fn is not step.command.fn for step, fn in hooked), "a hook declined"
+    assert {step.container.name for step, _ in kernels if step.container.specialize is None} == INTERPRETED[solver]
 
     interpreted_calls = []
-    for sk in fw.skeletons:
-        for container in sk.containers:
-            inner = container.loading
-            container.loading = lambda loader, inner=inner: (interpreted_calls.append(1), inner(loader))[1]
+    for container in {step.container for step, _ in hooked}:
+        inner = container.loading
+        container.loading = lambda loader, inner=inner: (interpreted_calls.append(1), inner(loader))[1]
 
+    app.reset()
     obs.enable(reset=True)
-    fw.step(2)  # one traced replay of each program
+    app.run()  # the same job again, traced
     assert not interpreted_calls, "tracing swapped the compiled kernels for the interpreted ones"
+    runs = [s.name for s in obs.tracer().spans if s.name.startswith("skeleton.run:")]
+    replays = Counter(name.removeprefix("skeleton.run:") for name in runs)
     samples = sum(row["count"] for row in obs.metrics().histogram_summaries("kernel_seconds"))
-    assert samples == sum(p.stats.num_kernels for p in programs)
+    assert samples == sum(replays[name] * program.stats.num_kernels for name, program in programs.items())
     kernel_spans = [s for s in obs.tracer().spans if s.cat == "kernel"]
     assert len(kernel_spans) == samples
+    app.close()

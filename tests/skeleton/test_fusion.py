@@ -109,27 +109,40 @@ def test_timing_model_unchanged_by_fusion():
     assert fused.iteration_makespan() == plain.iteration_makespan()
 
 
-def test_fallback_without_cc_is_bitwise():
+def test_fallback_without_cc_is_bitwise(tmp_path):
     """REPRO_DISABLE_CC forces the interpreted kernels inside fused
-    units; results must not change (separate process: the codegen cache
-    and the availability probe are process-global)."""
+    units — LBM's and the CG maps / stencil / dots alike; results must
+    not change and no object cache may be touched (separate process: the
+    codegen cache and the availability probe are process-global)."""
+    poisson = (
+        "from repro.solvers import PoissonSolver, manufactured_problem\n"
+        "ps = PoissonSolver(Backend.sim_gpus(2), (8, 6, 5))\n"
+        "rhs = manufactured_problem((8, 6, 5))[1]\n"
+        "ps.set_rhs(lambda z, y, x: rhs[z, y, x])\n"
+        "ps.solve(max_iterations=6, tolerance=1e-30)\n"
+    )
     code = (
         "import numpy as np\n"
         "from repro.system import Backend\n"
         "from repro.solvers.lbm import LidDrivenCavity\n"
         f"fw = LidDrivenCavity(Backend.sim_gpus(4), {SHAPE!r}, omega=1.1, lid_velocity=0.08)\n"
-        "fw.step(5)\n"
-        "np.save('fused_nocc.npy', fw.current.to_numpy())\n"
+        "fw.step(5)\n" + poisson + "units = [u for sk in (*fw.skeletons, ps.cg.sk_init, ps.cg.sk_a, ps.cg.sk_b)"
+        " for u in sk.plan._ensure_program().dispatch]\n"
+        "assert not any(u.specialized for u in units)\n"
+        f"np.savez({str(tmp_path / 'nocc.npz')!r}, lbm=fw.current.to_numpy(), poisson=ps.solution())\n"
     )
-    env = dict(os.environ, REPRO_DISABLE_CC="1", PYTHONPATH="src")
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, REPRO_DISABLE_CC="1", PYTHONPATH="src", TMPDIR=str(tmpdir))
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=300)
-    try:
-        got = np.load("fused_nocc.npy")
-    finally:
-        os.unlink("fused_nocc.npy")
+    assert list(tmpdir.iterdir()) == [], "REPRO_DISABLE_CC must touch no cache"
+    got = np.load(tmp_path / "nocc.npz")
     ref = _cavity()
     ref.step(5)
-    assert np.array_equal(got, ref.current.to_numpy())
+    assert np.array_equal(got["lbm"], ref.current.to_numpy())
+    here = {"Backend": Backend}
+    exec(poisson, here)  # the same solve in this process, whatever kernels it has
+    assert np.array_equal(got["poisson"], here["ps"].solution())
 
 
 def test_specialized_kernels_used_when_cc_available():
