@@ -405,7 +405,7 @@ def args_chaos(p) -> None:
     p.add_argument("--losses", type=int, default=2, help="permanent device losses to schedule (default 2)")
     _rendered(p, "json")
     _output(p, "write the chaos report (e.g. CHAOS_lbm.json)")
-    _mode(p, "execution mode for the soak; armed resilience degrades to serial")
+    _mode(p, "execution mode for the soak")
 
 
 def run_chaos(args) -> int:

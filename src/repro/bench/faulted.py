@@ -158,8 +158,7 @@ def run_faulted(
     driver = res.ResilientDriver(
         resilient_factory(wl.spec(devices)), _backend(devices), wl.steps, policy=policy, plan=plan
     )
-    with res.session(plan, policy):
-        app = driver.run()
+    app = driver.run()
 
     # the recovered schedule must still prove its own synchronisation
     violations = 0

@@ -14,17 +14,20 @@ alone enforces correctness; this layer extends that guarantee to a
   graceful degradation onto surviving devices (re-partition, migrate,
   recompile, resume).
 
-**Off by default.**  Exactly like ``repro.observability``, every
-injection/guardrail site is guarded by a single attribute read on the
-slotted ``RES`` singleton, so the disabled runtime pays near-zero
-overhead.  Enable explicitly::
+**Off by default, armed per backend.**  A fault session belongs to one
+:class:`~repro.system.Backend` — its allocator, queues, plans and
+skeletons — and every injection/guardrail site is guarded by a single
+attribute read on that backend's ``session`` slot, so an unarmed backend
+pays near-zero overhead and two backends in one process never see each
+other's faults.  The driver arms every backend it runs on::
 
     from repro import resilience as res
 
     plan = res.FaultPlan(seed=7, launch=0.05, copy=0.05, device_loss={2: 40})
-    with res.session(plan, res.RecoveryPolicy(checkpoint_interval=4)):
-        driver = res.ResilientDriver(build_app, backend, steps=100, plan=plan)
-        app = driver.run()
+    policy = res.RecoveryPolicy(checkpoint_interval=4)
+    app = res.ResilientDriver(build_app, backend, steps=100, policy=policy, plan=plan).run()
+
+and ``with res.session(backend, plan, policy):`` arms one by hand.
 
 or from the shell: ``python -m repro faults poisson --profile transient+loss``.
 
@@ -35,8 +38,6 @@ excepted — it is itself import-free), so ``repro.system`` and
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro import observability as _obs
 
@@ -56,71 +57,21 @@ from .errors import (
 )
 from .faults import FaultPlan, unit_draw
 from .retry import RetryPolicy, run_with_retry
-from .runner import RecoveryPolicy, ResilientDriver, degraded_backend
-
-
-class _ResState:
-    """Process-global resilience switchboard (slotted for fast reads)."""
-
-    __slots__ = ("active", "plan", "policy")
-
-    def __init__(self) -> None:
-        self.active = False
-        self.plan: FaultPlan | None = None
-        self.policy: RecoveryPolicy | None = None
-
-
-RES = _ResState()
-"""The singleton hot-path guard: sites check ``RES.active`` before injecting."""
-
-
-def enabled() -> bool:
-    """Whether fault injection/guardrails are live (default: False)."""
-    return RES.active
-
-
-def enable(plan: FaultPlan | None = None, policy: RecoveryPolicy | None = None) -> None:
-    """Arm the injection sites with a plan and a recovery policy."""
-    RES.plan = plan
-    RES.policy = policy or RecoveryPolicy()
-    RES.active = True
-
-
-def disable() -> None:
-    """Disarm the sites; the plan/policy stay readable."""
-    RES.active = False
-
-
-def reset() -> None:
-    """Disarm and drop all state (used by the test fixture)."""
-    RES.active = False
-    RES.plan = None
-    RES.policy = None
-
-
-@contextmanager
-def session(plan: FaultPlan | None = None, policy: RecoveryPolicy | None = None):
-    """Scoped enable/restore, safe to nest around a resilient run."""
-    prev = (RES.active, RES.plan, RES.policy)
-    enable(plan, policy)
-    try:
-        yield RES
-    finally:
-        RES.active, RES.plan, RES.policy = prev
+from .runner import FaultSession, RecoveryPolicy, ResilientDriver, degraded_backend, session
 
 
 _FAULT_CLS = {"launch": LaunchFault, "copy": CopyFault}
 
 
-def execute_command(kind: str, site: str, ranks: tuple[int, ...], fn) -> None:
-    """Run one queue command under the armed plan: loss check, inject, retry.
+def execute_command(faults: FaultSession, kind: str, site: str, ranks: tuple[int, ...], fn) -> None:
+    """Run one queue command under ``faults``: loss check, inject, retry.
 
-    Called by :func:`repro.system.layers.lower` when resilience is armed.  The
+    Called by :func:`repro.system.layers.lower` on an armed backend.  The
     involved device ranks are loss-checked first (a command touching a
     lost device raises :class:`DeviceLost`, which is never retried);
     transient faults are then injected and retried per the policy.
     """
-    plan = RES.plan
+    plan = faults.plan
     if plan is not None:
         for rank in ranks:
             try:
@@ -135,18 +86,16 @@ def execute_command(kind: str, site: str, ranks: tuple[int, ...], fn) -> None:
                     f"device{rank}", "fault", site, {"kind": "device_lost", "rank": rank}
                 )
                 raise
-    policy = RES.policy.retry if RES.policy is not None else RetryPolicy()
-    run_with_retry(fn, kind, site, policy, plan, _FAULT_CLS.get(kind, TransientFault))
+    run_with_retry(fn, kind, site, faults.policy.retry, plan, _FAULT_CLS.get(kind, TransientFault))
 
 
-def should_fail_allocation(rank: int, site: str) -> bool:
+def should_fail_allocation(plan: FaultPlan | None, rank: int, site: str) -> bool:
     """Loss-check ``rank`` and decide whether this allocation fails.
 
     Called from ``DeviceAllocator`` behind the guard; the caller raises
     its own ``AllocationError`` so the memory layer keeps its exception
     type.
     """
-    plan = RES.plan
     if plan is None:
         return False
     try:
@@ -166,7 +115,6 @@ def should_fail_allocation(rank: int, site: str) -> bool:
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
-    "RES",
     "Checkpoint",
     "CheckpointCorrupt",
     "CheckpointStore",
@@ -176,6 +124,7 @@ __all__ = [
     "DeviceLost",
     "FaultExhausted",
     "FaultPlan",
+    "FaultSession",
     "LaunchFault",
     "RecoveryBudgetExceeded",
     "RecoveryPolicy",
@@ -185,11 +134,7 @@ __all__ = [
     "SolverDiverged",
     "TransientFault",
     "degraded_backend",
-    "disable",
-    "enable",
-    "enabled",
     "execute_command",
-    "reset",
     "run_with_retry",
     "session",
     "should_fail_allocation",

@@ -15,7 +15,7 @@ controller that unifies the resilience and tuner layers:
   to the survivors — each keeping its *own* ``DeviceSpec``
   (:meth:`MachineSpec.without_rank`) — feed the shrunken machine through
   the autotuner, rebuild the application with the water-filled partition
-  shares and the DES-chosen OCC/mode, migrate field state from the
+  shares and the DES-chosen OCC level, migrate field state from the
   checkpoint, and resume.  The tuned-vs-uniform makespan delta of the
   degraded plan is recorded in the flight recorder's degrade event;
 * **online recalibration** closes the loop while the job is healthy:
@@ -37,8 +37,9 @@ Applications plug in through a small duck-typed protocol::
 ``factory`` must be deterministic in everything it does not restore from
 the checkpoint (boundary conditions, coefficients), so a rebuilt
 application is the same computation on a new decomposition.  The tuned
-keyword arguments (``partition_weights``, ``occ``, ``mode``) are passed
-only when the factory's signature accepts them.
+keyword arguments (``partition_weights``, ``occ``) are passed only when
+the factory's signature accepts them; a recovery action never changes
+the replay mode the job asked for (docs/resilience.md, "Reproducibility").
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ from __future__ import annotations
 import inspect
 import math
 from collections.abc import Callable
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 from repro import observability as _obs
 from repro.observability import flight as _flight
@@ -61,13 +64,14 @@ from .errors import (
     RecoveryBudgetExceeded,
     ResilienceError,
 )
+from .faults import FaultPlan
 from .retry import RetryPolicy
 
 #: divergence-guardrail reactions (checked by RecoveryPolicy)
 DIVERGENCE_POLICIES = ("raise", "rollback", "log", "off")
 
 #: tuned kwargs the driver offers a factory on (re)build
-TUNED_KWARGS = ("partition_weights", "occ", "mode")
+TUNED_KWARGS = ("partition_weights", "occ")
 
 
 @dataclass
@@ -109,6 +113,33 @@ class RecoveryPolicy:
             raise ValueError("recalibrate_interval must be >= 1 (or None to disable)")
 
 
+class FaultSession(NamedTuple):
+    """What :func:`session` arms on one backend."""
+
+    plan: FaultPlan | None
+    policy: RecoveryPolicy
+
+
+def session(backend, plan: FaultPlan | None = None, policy: RecoveryPolicy | None = None):
+    """Context manager arming ``backend`` — its allocator, queues, plans and
+    skeletons, and nothing else in the process — for the block; nests."""
+    return backend.session.arm("faults", FaultSession(plan, policy or RecoveryPolicy()))
+
+
+def _backend_like(backend, machine, devices: int | None = None):
+    """A fresh backend with ``backend``'s memory limits (and, unless given,
+    device count) on ``machine``."""
+    from repro.system.backend import Backend  # deferred: keeps this package import-cycle-free
+    from repro.system.device import DeviceSet
+
+    return Backend(
+        DeviceSet.gpus(backend.num_devices if devices is None else devices),
+        machine=machine,
+        memory_capacity=backend.allocator.capacity_bytes,
+        mem_options=backend.mem_options,
+    )
+
+
 def degraded_backend(backend, lost_rank: int, min_devices: int = 1):
     """A new backend on the survivors of ``backend`` after losing one rank.
 
@@ -118,9 +149,6 @@ def degraded_backend(backend, lost_rank: int, min_devices: int = 1):
     degraded cost model must describe the cards that actually survived,
     not a truncated override table.
     """
-    from repro.system.backend import Backend  # deferred: keeps this package import-cycle-free
-    from repro.system.device import DeviceSet
-
     n = backend.num_devices - 1
     if n < min_devices:
         raise DeviceLost(
@@ -133,12 +161,7 @@ def degraded_backend(backend, lost_rank: int, min_devices: int = 1):
         machine = machine.without_rank(lost_rank)
     else:  # out-of-model rank: fall back to a plain resize
         machine = machine.with_devices(n)
-    return Backend(
-        DeviceSet.gpus(n),
-        machine=machine,
-        memory_capacity=backend.allocator.capacity_bytes,
-        mem_options=backend.mem_options,
-    )
+    return _backend_like(backend, machine, n)
 
 
 class ResilientDriver:
@@ -203,19 +226,11 @@ class ResilientDriver:
         accepts_var_kw = any(
             p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
         )
-        kwargs = {
+        return {
             k: v
             for k, v in self._tuned.items()
             if v is not None and (accepts_var_kw or k in params)
         }
-        if kwargs.get("mode") == "parallel":
-            from repro import resilience as _res  # self-package, deferred
-
-            if _res.RES.active:
-                # an armed session forces serial replay anyway; pass it
-                # outright instead of warning on every skeleton run
-                kwargs["mode"] = "serial"
-        return kwargs
 
     def _capture(self, app, step: int) -> Checkpoint:
         scalars = app.scalars() if hasattr(app, "scalars") else {}
@@ -255,12 +270,14 @@ class ResilientDriver:
         self.rollbacks += 1
         if _obs.OBS.active:
             _obs.OBS.metrics.counter("rollbacks", cause=type(cause).__name__).inc()
-        with _obs.span("resilience.rollback", cat="resilience"):
-            step = self._restore(app)
-        _flight.record(
-            "host", "rollback", type(cause).__name__, {"to_step": step, "n": self.rollbacks}
-        )
-        self._charge_recovery("rollback", t0)
+        try:
+            with _obs.span("resilience.rollback", cat="resilience"):
+                step = self._restore(app)
+            _flight.record(
+                "host", "rollback", type(cause).__name__, {"to_step": step, "n": self.rollbacks}
+            )
+        finally:  # a restore that exhausts its own retries still spent the time
+            self._charge_recovery("rollback", t0)
         return step
 
     def _degrade(self, lost: DeviceLost):
@@ -290,31 +307,25 @@ class ResilientDriver:
         self._charge_recovery("degrade", t0)
         return new_backend
 
-    def _tune_for(self, backend) -> dict | None:
-        """Autotune the shrunken fleet; adopt shares/OCC/mode for rebuild.
+    def _adopt_tuning(self, plan) -> None:
+        """The next rebuild uses ``plan``'s shares and OCC level."""
+        self.last_tune_plan = plan
+        self._tuned = dict(zip(TUNED_KWARGS, (plan.best.weights, plan.best_occ)))
 
-        Tuning records candidate schedules on a *virtual* miniature — it
-        is simulation, not work on the real fleet — so the fault plan is
-        disarmed around it: an injection (or the next scheduled loss)
-        must not fire inside the recovery path itself.
+    def _tune_for(self, backend) -> dict | None:
+        """Autotune the shrunken fleet; adopt shares/OCC for the rebuild.
+
+        Tuning records candidate schedules on *virtual* miniatures, each
+        built on a backend of its own that nothing arms: an injection (or
+        the next scheduled loss) cannot fire inside the recovery path.
         """
-        from repro import resilience as _res  # self-package, deferred
         from repro.tuner.search import tune_workload  # deferred: tuner imports system
 
-        armed = _res.RES.active
-        _res.RES.active = False
         try:
             plan = tune_workload(self.experiment, backend.machine, devices=backend.num_devices)
         except (KeyError, ValueError):
             return None  # not a tuner workload: keep the uniform rebuild
-        finally:
-            _res.RES.active = armed
-        self.last_tune_plan = plan
-        self._tuned = {
-            "partition_weights": plan.best.weights,
-            "occ": plan.best_occ,
-            "mode": plan.best.mode,
-        }
+        self._adopt_tuning(plan)
         report = {
             "experiment": self.experiment,
             "machine": backend.machine.name,
@@ -384,25 +395,11 @@ class ResilientDriver:
                 continue
             rec.ingest(kernel_samples_from_trace(fresh, result, metrics=metrics))
 
-        # like _tune_for: the re-tune's candidate recording is simulation,
-        # shielded from the armed fault plan
-        from repro import resilience as _res  # self-package, deferred
-
-        armed = _res.RES.active
-        _res.RES.active = False
-        try:
-            plan = rec.maybe_retune(self.experiment, devices=self.backend.num_devices)
-        finally:
-            _res.RES.active = armed
+        plan = rec.maybe_retune(self.experiment, devices=self.backend.num_devices)
         if plan is None:
             return False
         self.retunes += 1
-        self.last_tune_plan = plan
-        self._tuned = {
-            "partition_weights": plan.best.weights,
-            "occ": plan.best_occ,
-            "mode": plan.best.mode,
-        }
+        self._adopt_tuning(plan)
         report = {
             "step": step,
             "fit_quality": plan.fit_quality,
@@ -424,15 +421,7 @@ class ResilientDriver:
 
         # adopt the corrected machine model and re-partition through the
         # checkpoint/migrate path: capture *now*, rebuild, restore here
-        from repro.system.backend import Backend  # deferred
-        from repro.system.device import DeviceSet
-
-        self.backend = Backend(
-            DeviceSet.gpus(self.backend.num_devices),
-            machine=rec.machine,
-            memory_capacity=self.backend.allocator.capacity_bytes,
-            mem_options=self.backend.mem_options,
-        )
+        self.backend = _backend_like(self.backend, rec.machine)
         self._capture(app, step)
         return True
 
@@ -467,42 +456,63 @@ class ResilientDriver:
         policy = self.policy
         app = None
         i = 0
-        with _obs.span("resilience.run", cat="resilience", steps=self.steps):
+        owed = None  # the fault whose rollback has not succeeded yet
+        with ExitStack() as armed, _obs.span("resilience.run", cat="resilience", steps=self.steps):
             while True:
                 try:
                     if app is None:
-                        recovery = self._recovery_rebuild
-                        self._recovery_rebuild = False
+                        # every backend the job adopts — initial, degraded,
+                        # recalibrated, rebuilt — is armed with this driver's
+                        # plan and policy until run() returns
+                        armed.enter_context(session(self.backend, self.plan, policy))
+                        recovery, self._recovery_rebuild = self._recovery_rebuild, False
                         t0 = perf_counter()
-                        app = self._build(self.backend)
+                        built = self._build(self.backend)
                         if len(self.store) == 0:
-                            self._capture(app, 0)
+                            self._capture(built, 0)
                         else:
-                            i = self._restore(app)
+                            i = self._restore(built)
+                        app = built
                         if recovery:
                             self._charge_recovery("rebuild", t0)
+                    elif owed is not None:
+                        i = self._rollback(app, owed)
+                    owed = None
                     while i < self.steps:
-                        try:
-                            app.step(i)
-                            i += 1
-                            if i % policy.checkpoint_interval == 0 and i < self.steps:
-                                self._capture(app, i)
-                            if (
-                                policy.recalibrate_interval
-                                and i < self.steps
-                                and i % policy.recalibrate_interval == 0
-                                and self._recalibrate(app, i)
-                            ):
-                                app = None
-                                break
-                        except (FaultExhausted, CorruptionDetected) as exc:
-                            if isinstance(exc, CorruptionDetected) and policy.divergence == "raise":
-                                raise
-                            if self.rollbacks >= policy.max_rollbacks:
-                                raise
-                            i = self._rollback(app, exc)
+                        app.step(i)
+                        i += 1
+                        if i % policy.checkpoint_interval == 0 and i < self.steps:
+                            self._capture(app, i)
+                        if (
+                            policy.recalibrate_interval
+                            and i < self.steps
+                            and i % policy.recalibrate_interval == 0
+                            and self._recalibrate(app, i)
+                        ):
+                            app = None
+                            break
                     if app is not None:
                         return app
+                except RecoveryBudgetExceeded:
+                    raise  # the wall-clock budget is terminal whatever the rollback budget says
+                except (FaultExhausted, CorruptionDetected) as exc:
+                    # wherever it surfaced — a step, a capture, the factory's
+                    # eager halo sync, a restore's halo refresh — it costs one
+                    # rollback; the recovery action is retried under advanced
+                    # draw counters until the budget says stop
+                    if isinstance(exc, CorruptionDetected) and policy.divergence == "raise":
+                        raise
+                    if self.rollbacks >= policy.max_rollbacks:
+                        raise
+                    if app is not None:
+                        owed = exc
+                    else:  # the (re)build itself failed: start over on a clean backend
+                        self.rollbacks += 1
+                        _flight.record(
+                            "host", "rollback", type(exc).__name__, {"rebuild": True, "n": self.rollbacks}
+                        )
+                        self._recovery_rebuild = True
+                        self.backend = _backend_like(self.backend, self.backend.machine)
                 except DeviceLost as exc:
                     self.backend = self._degrade(exc)
                     app = None

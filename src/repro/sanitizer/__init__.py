@@ -5,8 +5,8 @@ The paper's central claim is that the Skeleton's stream/event wiring
 parallel engine executes exactly that wiring, so a single missing event
 edge is a silent wrong-answer bug.  This package is the safety net:
 
-* runtime hooks (:mod:`~repro.sanitizer.state`) log what a sanitized run
-  actually executed;
+* a per-backend recording scope (:mod:`~repro.sanitizer.state`) logs
+  what a sanitized run actually executed;
 * an access model (:mod:`~repro.sanitizer.access`) derives each compiled
   command's memory footprint at owned/halo-slab granularity;
 * a vector-clock happens-before analysis (:mod:`~repro.sanitizer.hb`)
@@ -18,15 +18,14 @@ edge is a silent wrong-answer bug.  This package is the safety net:
   asserting every injected schedule defect is flagged while unmutated
   experiments stay violation-free.
 
-This ``__init__`` stays import-light on purpose: the runtime hot paths
-(``system.queue``, ``system.engine``, ``skeleton.scheduler``) import
-``repro.sanitizer.state`` — which pulls in this module — so anything
-heavier than the stdlib is exposed lazily via ``__getattr__``.
+This ``__init__`` stays import-light on purpose: ``skeleton.fusion``
+imports ``repro.sanitizer.access`` — which pulls in this module — so
+anything heavier than the stdlib is exposed lazily via ``__getattr__``.
 """
 
 from __future__ import annotations
 
-from .state import SAN, ExecRecord, disable, enable, reset
+from .state import ExecLog, ExecRecord, recording
 
 _LAZY = {
     "MemAccess": "access",
@@ -60,4 +59,4 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{mod}", __name__), name)
 
 
-__all__ = ["SAN", "ExecRecord", "enable", "disable", "reset", *sorted(_LAZY)]
+__all__ = ["ExecLog", "ExecRecord", "recording", *sorted(_LAZY)]

@@ -96,12 +96,10 @@ def sanitize_skeleton(skeleton, mode: str = "serial", runs: int = 2) -> list[Vio
     static analysis sees the frozen program either way.  Findings are
     forwarded to observability when it is enabled.
     """
-    state.enable()
-    try:
+    with state.recording(skeleton.backend) as recorded:
         for _ in range(runs):
             skeleton.run(mode=mode)
-    finally:
-        log = state.disable()
+    log = recorded.drain()
     view = ProgramView.from_compiled(skeleton.plan._ensure_program(), label=skeleton.name)
     violations = analyze_program(view, log)
     report_violations(violations, program=skeleton.name)
@@ -113,11 +111,9 @@ def sanitize_workload(
 ) -> SanitizeReport:
     """Build, replay and analyze one miniature end to end."""
     app = build(miniature(name, devices, occ, mode, fused))
-    state.enable()
-    try:
+    with state.recording(app.backend) as recorded:
         app.run()
-    finally:
-        log = state.disable()
+    log = recorded.drain()
     report = SanitizeReport(workload=name, devices=devices, occ=occ.value, mode=mode, log_entries=len(log))
     for sk in app.skeletons:
         view = ProgramView.from_compiled(sk.plan._ensure_program(), label=sk.name)

@@ -1,10 +1,12 @@
-"""Sanitizer arming state + the execution log runtime hooks write into.
+"""The sanitizer's execution log, and the scope that arms it on one backend.
 
 Like :mod:`repro.observability`, this module is stdlib-only and imports
-nothing from ``repro`` so the hot runtime paths (scheduler replay, the
-parallel engine's workers, eager queues) can guard on a single attribute
-read — ``SAN.active`` — without import cycles or measurable disabled
-overhead.  The heavy analysis modules (:mod:`repro.sanitizer.detector`,
+nothing from ``repro``.  A log sits in the ``session`` slot of the
+:class:`~repro.system.Backend` that :func:`recording` armed, so the hot
+runtime paths (scheduler replay, the parallel engine's workers, eager
+queues) guard on a single attribute read — ``session.log`` — of their own
+backend, without import cycles or measurable disabled overhead.  The
+heavy analysis modules (:mod:`repro.sanitizer.detector`,
 :mod:`repro.sanitizer.mutate`) live downstream and are only imported by
 the CLI and tests.
 
@@ -32,18 +34,17 @@ class ExecRecord:
     command: object  # the Command (or Event for signal/wait ops)
 
 
-class _SanState:
-    """Process-global sanitizer switchboard (slotted for fast reads)."""
+class ExecLog:
+    """The retired operations of one recording scope (thread-safe)."""
 
-    __slots__ = ("active", "_lock", "_log")
+    __slots__ = ("_lock", "_log")
 
     def __init__(self) -> None:
-        self.active = False
         self._lock = threading.Lock()
         self._log: list[ExecRecord] = []
 
     def record(self, command: object, op: str = "run") -> None:
-        """Append one retired operation (thread-safe, called from workers)."""
+        """Append one retired operation (called from engine workers too)."""
         with self._lock:
             self._log.append(ExecRecord(len(self._log), threading.get_ident(), op, command))
 
@@ -58,23 +59,7 @@ class _SanState:
             return len(self._log)
 
 
-SAN = _SanState()
-"""The singleton hot-path guard: hooks check ``SAN.active`` before recording."""
-
-
-def enable() -> None:
-    """Arm execution recording, starting from an empty log."""
-    SAN.drain()
-    SAN.active = True
-
-
-def disable() -> list[ExecRecord]:
-    """Disarm recording and return the captured execution log."""
-    SAN.active = False
-    return SAN.drain()
-
-
-def reset() -> None:
-    """Disarm and drop any captured state (test-fixture hygiene)."""
-    SAN.active = False
-    SAN.drain()
+def recording(backend):
+    """Context manager logging what ``backend`` — and nothing else — executes
+    inside the block; yields the :class:`ExecLog` (``drain()`` it after)."""
+    return backend.session.arm("log", ExecLog())

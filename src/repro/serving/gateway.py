@@ -21,11 +21,12 @@ Scheduling policy, in order:
    work.  Measured wall time, not the estimate, is what a tenant is
    charged afterwards.
 
-Cross-cutting layers stay correct under concurrency via a
-shared/exclusive lock: ordinary jobs run shared; jobs that arm the
-process-global resilience state (fault injection) run exclusive, so
-they never overlap another job's execution.  Nothing else is
-process-global: ``fused=False`` is pinned on the job's own plans.
+Jobs need no lock between them: a fault-profile job builds and arms its
+own backend (:func:`repro.resilience.session` is per backend), and
+``fused=False`` is pinned on the job's own plans, so it overlaps plain
+jobs like any other.  What stays process-level — the tracer / metrics
+registry, the flight recorder — changes what is recorded, never a result
+(docs/serving.md).
 
 Per-tenant latency lands in the standard histogram metrics
 (``serve_job_seconds{tenant=...}``, ``serve_queue_wait_seconds``), so
@@ -38,7 +39,6 @@ import dataclasses
 import heapq
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -103,11 +103,6 @@ class Job:
         self._result: JobResult | None = None
         self._error: BaseException | None = None
 
-    @property
-    def exclusive(self) -> bool:
-        """Must this job run alone? (it arms the process-global fault plan)"""
-        return self.fault_profile is not None
-
     def done(self) -> bool:
         return self._done.is_set()
 
@@ -123,47 +118,6 @@ class Job:
     def _resolve(self, result: JobResult | None, error: BaseException | None) -> None:
         self._result, self._error = result, error
         self._done.set()
-
-
-class _SharedExclusive:
-    """Writer-preferring shared/exclusive lock (no lock upgrading)."""
-
-    def __init__(self):
-        self._cond = threading.Condition(threading.Lock())
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    @contextmanager
-    def shared(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
-
-    @contextmanager
-    def exclusive(self):
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
 
 
 @dataclass
@@ -228,7 +182,6 @@ class Gateway:
         self._pending = 0
         self._seq = 0
         self._closed = False
-        self._exec_lock = _SharedExclusive()
         self.jobs_done = 0
         self.jobs_failed = 0
         self.batch_joins = 0
@@ -279,8 +232,8 @@ class Gateway:
 
         ``fault_profile`` routes the job through the resilience layer
         (the PR 7 fault-matrix profiles, e.g. ``"transient+loss"``) with
-        the given seed and recovery ``policy``; such jobs run exclusive
-        and solve the same spec a plain job would.
+        the given seed and recovery ``policy``; such jobs solve the same
+        spec a plain job would, on a backend of their own.
         """
         if fault_profile is not None:
             check_experiment(spec.experiment, tuple(faulted.WORKLOADS))
@@ -386,29 +339,27 @@ class Gateway:
         if _obs.OBS.active:
             _obs.OBS.metrics.gauge("serve_inflight").inc()
         t0 = perf_counter()
+        result = error = None
         try:
-            section = self._exec_lock.exclusive() if job.exclusive else self._exec_lock.shared()
-            with section:
-                if job.fault_profile is not None:
-                    result = self._run_resilient(job, queue_wait)
-                else:
-                    result = self._run_cached(job, queue_wait)
+            if job.fault_profile is not None:
+                result = self._run_resilient(job, queue_wait)
+            else:
+                result = self._run_cached(job, queue_wait)
         except BaseException as exc:  # noqa: BLE001 - resolved into the handle
-            self.jobs_failed += 1
-            self._count("serve_jobs", tenant=job.tenant, status="error")
-            job._resolve(None, exc)
-        else:
-            self.jobs_done += 1
-            self._count("serve_jobs", tenant=job.tenant, status="ok")
-            job._resolve(result, None)
-        finally:
-            elapsed = perf_counter() - t0
-            self._observe("serve_job_seconds", elapsed, tenant=job.tenant)
-            if _obs.OBS.active:
-                _obs.OBS.metrics.gauge("serve_inflight").dec()
-            with self._cv:
-                tq = self._tenants.setdefault(job.tenant, _TenantQueue())
-                tq.vtime += elapsed  # charge measured service, not the estimate
+            error = exc
+        elapsed = perf_counter() - t0
+        self._count("serve_jobs", tenant=job.tenant, status="ok" if error is None else "error")
+        self._observe("serve_job_seconds", elapsed, tenant=job.tenant)
+        if _obs.OBS.active:
+            _obs.OBS.metrics.gauge("serve_inflight").dec()
+        with self._cv:  # the counters are shared by the workers; stats() reads them here
+            if error is None:
+                self.jobs_done += 1
+            else:
+                self.jobs_failed += 1
+            tq = self._tenants.setdefault(job.tenant, _TenantQueue())
+            tq.vtime += elapsed  # charge measured service, not the estimate
+        job._resolve(result, error)
 
     def _run_cached(self, job: Job, queue_wait: float) -> JobResult:
         spec = job.spec
@@ -457,8 +408,7 @@ class Gateway:
             resilient_factory(spec), backend, spec.steps, policy=policy, plan=plan
         )
         t0 = perf_counter()
-        with res.session(plan, policy):
-            app = driver.run()
+        app = driver.run()
         try:
             fingerprints = app.fingerprints()
         finally:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro import observability as _obs
-from repro import resilience as _res
 from repro.system import KernelCost
 
 from .dataset import MultiDeviceData
@@ -113,20 +112,20 @@ def estimate_cost(
 
 def wrap_kernel_faults(
     kernel: Callable[[], None],
+    plan,
     container_name: str,
     tokens: list[AccessToken],
     rank: int,
 ) -> Callable[[], None]:
     """Wrap a compute kernel with seeded post-launch buffer corruption.
 
-    When the armed :class:`~repro.resilience.FaultPlan` decides to
-    corrupt this launch, one written field buffer of the container is
-    picked (seeded) and a single element is poisoned with NaN or Inf at
-    a seeded position.  The corruption is silent by construction — only
+    When ``plan`` — the :class:`~repro.resilience.FaultPlan` armed on the
+    launch's backend — decides to corrupt this launch, one written field
+    buffer of the container is picked (seeded) and a single element is
+    poisoned with NaN or Inf at a seeded position.  The corruption is silent by construction — only
     the Skeleton's divergence guardrail or the solver's residual check
     can surface it, which is exactly the failure mode under test.
     """
-    plan = _res.RES.plan
     if plan is None or plan.rates.get("corrupt", 0.0) <= 0.0:
         return kernel
     # only checkpoint-restorable fields (load_numpy marks the Field API):

@@ -179,17 +179,17 @@ def scan_non_finite(containers) -> list[str]:
     return bad
 
 
-def enforce_divergence_guardrail(containers, skeleton_name: str = "") -> None:
+def enforce_divergence_guardrail(containers, policy, skeleton_name: str = "") -> None:
     """The Skeleton-level NaN/Inf guardrail (resilience injection site).
 
-    Called after every ``Skeleton.run()`` while resilience is armed.
-    The reaction follows the recovery policy: ``raise`` and ``rollback``
-    both surface :class:`~repro.resilience.CorruptionDetected` (the
-    resilient driver converts the latter into rollback-and-replay);
-    ``log`` only counts the event; ``off`` skips the scan entirely.
+    Called after every ``Skeleton.run()`` on a backend with an armed
+    fault session.  The reaction follows the session's recovery
+    ``policy``: ``raise`` and ``rollback`` both surface
+    :class:`~repro.resilience.CorruptionDetected` (the resilient driver
+    converts the latter into rollback-and-replay); ``log`` only counts
+    the event; ``off`` skips the scan entirely.
     """
-    policy = _res.RES.policy
-    mode = policy.divergence if policy is not None else "off"
+    mode = policy.divergence
     if mode == "off":
         return
     with _obs.span("resilience.divergence_scan", cat="resilience", skeleton=skeleton_name):

@@ -66,7 +66,7 @@ execute) opt out per run.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -130,7 +130,7 @@ class FusedStep:
         if not self.sites:
             self.sites = tuple(s.site for s in self.steps)
 
-    def lower(self, layers: frozenset[str], flight: bool) -> Callable[[], None]:
+    def lower(self, layers: Mapping[str, object], flight: bool) -> Callable[[], None]:
         """The callable that runs this unit under ``layers``: bare, ``fn``
         (behind one ring slot for the unit when ``flight``); otherwise each
         constituent instrumented as its own step, inside a ``cat="fused"``

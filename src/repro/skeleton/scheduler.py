@@ -23,24 +23,22 @@ flow through to its consumers.
 
 Replay has one shape: freezing always yields dispatch units
 (:mod:`repro.skeleton.fusion`), and ``Plan.execute`` reads the armed
-layers (observability, resilience, sanitizer, flight recorder) once per
-call, then calls the program's lowering for that set — one callable per
-unit, wrappers already composed.  A layer armed or disarmed *during* a
-replay takes effect at the next one.
+layers (process-wide observability and flight recorder; the fault
+session and sanitizer log of its own backend) once per call, then calls
+the program's lowering for that set — one callable per unit, wrappers
+already composed.  A layer armed or disarmed *during* a replay takes
+effect at the next one.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import threading
 
 from repro import observability as _obs
-from repro import resilience as _res
 from repro.observability.flight import FLIGHT as _FLIGHT
-from repro.sanitizer.state import SAN as _SAN
 from repro.sets import Container, DataView, ReduceMode
 from repro.sets.loader import Loader
 from repro.system import (
@@ -50,7 +48,6 @@ from repro.system import (
     CommandQueue,
     Event,
     ParallelEngine,
-    ParallelFallbackWarning,
 )
 from repro.system import layers as _layers
 
@@ -136,12 +133,12 @@ class CompiledProgram:
     # instrumented one are kept, so dead registries are never accumulated
     _lowered: dict[bool, tuple] = field(default_factory=dict, repr=False)
 
-    def runners(self, layers: frozenset[str], flight: bool) -> dict[Command, Callable[[], None]]:
+    def runners(self, layers: Mapping[str, object], flight: bool) -> dict[Command, Callable[[], None]]:
         """Head command -> the callable that runs its unit, in dispatch order;
-        re-lowered when a layer, or the tracer / registry / fault plan its
-        wrappers closed over, has changed since the last replay."""
-        closed = ("obs" in layers and (_obs.OBS.tracer, _obs.OBS.metrics), "res" in layers and _res.RES.plan)
-        key = (layers, flight, closed)
+        re-lowered when ``layers`` (:meth:`repro.system.layers.Session.layers`:
+        the armed layers and the tracer / registry / fault session / log
+        their wrappers close over) has changed since the last replay."""
+        key = (layers, flight)
         cached = self._lowered.get(bool(layers))
         if cached is None or cached[0] != key:
             runners = {cmd: unit.lower(layers, flight) for cmd, unit in self.fused_heads.items()}
@@ -489,10 +486,9 @@ class Plan:
         task-list order; ``mode="parallel"`` uses the per-device worker
         thread engine; ``mode=None`` uses :attr:`default_mode` (serial
         unless the autotuner chose otherwise); any other value raises
-        ``ValueError``.  An armed resilience session forces serial replay
-        with a :class:`~repro.system.ParallelFallbackWarning`, because
-        rollback-and-replay recovery assumes host-ordered execution.
-        The armed layers and the flight switch are read once, here.
+        ``ValueError``.  The armed layers and the flight switch are read
+        once, here; a fault raised in a parallel worker aborts the batch
+        and re-raises on the host, where recovery takes it from.
         """
         if mode is None:
             mode = self.default_mode
@@ -501,17 +497,7 @@ class Plan:
         with _obs.span("plan.execute", cat="phase", eager=eager, mode=mode):
             program = self._ensure_program()
             if eager:
-                on = (("obs", _obs.OBS.active), ("res", _res.RES.active), ("san", _SAN.active))
-                layers = frozenset(name for name, active in on if active)
-                runners = program.runners(layers, _FLIGHT.enabled)
-                if mode == "parallel" and "res" in layers:
-                    warnings.warn(
-                        "resilience session is armed: rollback-and-replay recovery assumes "
-                        "host-ordered replay; falling back to mode='serial'",
-                        ParallelFallbackWarning,
-                        stacklevel=2,
-                    )
-                    mode = "serial"
+                runners = program.runners(self.backend.session.layers(), _FLIGHT.enabled)
                 with _obs.span(f"plan.replay.{mode}", cat="phase") as sp:
                     if mode == "parallel":
                         self._replay_parallel(program, runners)

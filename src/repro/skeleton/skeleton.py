@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import observability as _obs
-from repro import resilience as _res
 from repro.sets import Container
 from repro.sim import MachineSpec, Trace
 from repro.system import EXECUTION_MODES, Backend
@@ -87,10 +86,8 @@ class Skeleton:
         :class:`~repro.system.ParallelEngine`: one worker thread per
         device, synchronised only by the recorded stream/event wiring
         (bitwise-identical results, concurrent wall-clock).
-        Any other mode raises ``ValueError``.  While a resilience
-        session is armed the plan forces serial replay and emits a
-        :class:`~repro.system.ParallelFallbackWarning`, since rollback-
-        and-replay recovery assumes host-ordered execution.
+        Any other mode raises ``ValueError``.  A fault session armed on
+        the backend applies in either mode.
 
         Either way the schedule itself is frozen after the first call:
         repeated ``run()`` re-derives no dependencies and allocates no
@@ -98,8 +95,9 @@ class Skeleton:
         """
         with _obs.span(f"skeleton.run:{self.name}", cat="phase", skeleton=self.name):
             self.last_result = self.plan.execute(eager=True, mode=mode)
-            if _res.RES.active:
-                enforce_divergence_guardrail(self.containers, self.name)
+            faults = self.backend.session.faults
+            if faults is not None:
+                enforce_divergence_guardrail(self.containers, faults.policy, self.name)
         return self.last_result
 
     def record(self) -> ExecutionResult:

@@ -2,7 +2,7 @@
 
 from .backend import Backend
 from .device import HOST, Device, DeviceSet, DeviceType
-from .engine import EXECUTION_MODES, EngineDeadlock, ParallelEngine, ParallelFallbackWarning
+from .engine import EXECUTION_MODES, EngineDeadlock, ParallelEngine
 from .memory import AllocationError, DeviceAllocator, DeviceBuffer, MemOptions, StagingPool
 from .queue import (
     Command,
@@ -34,7 +34,6 @@ __all__ = [
     "KernelCost",
     "MemOptions",
     "ParallelEngine",
-    "ParallelFallbackWarning",
     "RecordEventCommand",
     "StagingPool",
     "WaitEventCommand",

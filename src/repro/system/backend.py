@@ -12,6 +12,7 @@ from repro import observability as _obs
 from repro.sim.machine import MachineSpec, cpu_host, dgx_a100
 
 from .device import Device, DeviceSet, DeviceType
+from .layers import Session
 from .memory import DeviceAllocator, MemOptions, StagingPool
 from .queue import CommandQueue
 
@@ -30,7 +31,9 @@ class Backend:
         self.machine = machine or dgx_a100(len(devices))
         if self.machine.num_devices != len(devices):
             self.machine = self.machine.with_devices(len(devices))
-        self.allocator = DeviceAllocator(capacity_bytes=memory_capacity)
+        #: the fault session and sanitizer log armed on this backend (neither, by default)
+        self.session = Session()
+        self.allocator = DeviceAllocator(capacity_bytes=memory_capacity, session=self.session)
         self.mem_options = mem_options or MemOptions()
         self.staging = StagingPool()
 
@@ -58,7 +61,7 @@ class Backend:
     def new_queue(self, rank: int, name: str = "", eager: bool = True) -> CommandQueue:
         if _obs.OBS.active:
             _obs.OBS.metrics.counter("queues_created", device=self.devices[rank].metric_label).inc()
-        return CommandQueue(self.devices[rank], name=name, eager=eager)
+        return CommandQueue(self.devices[rank], name=name, eager=eager, session=self.session)
 
     def allocate(self, rank: int, shape, dtype, options: MemOptions | None = None, virtual: bool = False):
         return self.allocator.allocate(

@@ -59,7 +59,6 @@ from time import perf_counter
 from repro import observability as _obs
 from repro.modes import EXECUTION_MODES  # noqa: F401  (re-exported)
 from repro.observability import flight as _flight
-from repro.sanitizer.state import SAN as _SAN
 
 from . import layers as _layers
 from .queue import Command, CommandQueue, RecordEventCommand, WaitEventCommand
@@ -67,15 +66,6 @@ from .queue import Command, CommandQueue, RecordEventCommand, WaitEventCommand
 
 class EngineDeadlock(RuntimeError):
     """A worker blocked on an event that can no longer be signalled."""
-
-
-class ParallelFallbackWarning(UserWarning):
-    """Parallel execution was requested but the engine fell back to serial.
-
-    Raised as a *warning* (not an error) because the fallback preserves
-    semantics exactly; the typed class lets callers and tests assert the
-    degradation happened (e.g. resilience forcing host-ordered replay).
-    """
 
 
 class _Worker:
@@ -147,16 +137,17 @@ class ParallelEngine:
         ``run_command`` receives each :class:`KernelCommand` /
         :class:`CopyCommand` (event commands are handled by the engine);
         when omitted each command's own ``fn`` runs under the layers
-        armed at this call.  Exceptions in any worker abort the replay
-        and re-raise in the calling thread.
+        armed on its queue's backend at this call.  Exceptions in any worker
+        abort the replay and re-raise in the calling thread.
         """
         programs = self._build_programs(queues)
         if not programs:
             return
         if run_command is None:
-            armed = _layers.armed()
-            runners = {c: _layers.lower(c, q, armed) for q in queues for c in q.commands if hasattr(c, "fn")}
+            armed = [(q, q.session.layers()) for q in queues]
+            runners = {c: _layers.lower(c, q, on) for q, on in armed for c in q.commands if hasattr(c, "fn")}
             run_command = lambda cmd: runners[cmd]()  # noqa: E731 - a command kind without ``fn`` fails loudly
+        log = queues[0].session.log  # a batch replays one backend's queues
         t0 = perf_counter() if _obs.OBS.active else 0.0
 
         abort = threading.Event()
@@ -170,7 +161,7 @@ class ParallelEngine:
                     for cmd in program:
                         if abort.is_set():
                             break
-                        self._step(cmd, run_command, abort)
+                        self._step(cmd, run_command, abort, log)
                 except BaseException as exc:  # noqa: BLE001 - propagated to caller
                     with errors_lock:
                         errors.append(exc)
@@ -193,7 +184,7 @@ class ParallelEngine:
                 # single device: no cross-thread dependencies are
                 # possible, run inline and keep the exception story trivial
                 for cmd in next(iter(programs.values())):
-                    self._step(cmd, run_command, abort=None)
+                    self._step(cmd, run_command, None, log)
                 self._observe_batch(t0, programs)
                 return
             for dev_uid, program in sorted(programs.items()):
@@ -265,7 +256,7 @@ class ParallelEngine:
                 "the replay would block forever"
             )
 
-    def _step(self, cmd: Command, run_command: Callable[[Command], None], abort: threading.Event | None) -> None:
+    def _step(self, cmd: Command, run_command: Callable[[Command], None], abort: threading.Event | None, log) -> None:
         if isinstance(cmd, WaitEventCommand):
             deadline = self.deadlock_timeout
             # poll in short slices so an abort elsewhere unblocks us promptly
@@ -281,11 +272,11 @@ class ParallelEngine:
                         f"worker stalled {self.deadlock_timeout:.0f}s on {cmd.name}; "
                         "the recording queue made no progress"
                     )
-            if _SAN.active:
-                _SAN.record(cmd, "wait")
+            if log is not None:
+                log.record(cmd, "wait")
         elif isinstance(cmd, RecordEventCommand):
             cmd.event.signal()
-            if _SAN.active:
-                _SAN.record(cmd, "signal")
+            if log is not None:
+                log.record(cmd, "signal")
         else:
             run_command(cmd)

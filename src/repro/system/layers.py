@@ -12,23 +12,55 @@ layers armed when it *runs*, never for those armed when it was recorded.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
+from contextlib import contextmanager
 from functools import partial
+from types import MappingProxyType
 
 from repro import observability as _obs
 from repro import resilience as _res
-from repro.sanitizer.state import SAN as _SAN
+
+_BARE: Mapping[str, object] = MappingProxyType({})
 
 
-_BARE: frozenset[str] = frozenset()
+class Session:
+    """What is armed on one :class:`~repro.system.Backend` and nowhere else.
 
+    ``faults`` is the fault session :func:`repro.resilience.session` arms
+    (plan + recovery policy), ``log`` the execution log of
+    :func:`repro.sanitizer.state.recording`; both ``None`` by default.
+    The backend, its allocator and every queue it creates share one
+    instance, so arming the backend reaches all of them; a queue built by
+    hand gets a session of its own that nothing arms.
+    """
 
-def armed() -> frozenset[str]:
-    """The layer set armed at this instant."""
-    if not (_obs.OBS.active or _res.RES.active or _SAN.active):
-        return _BARE  # eager queues ask per command: keep the common answer allocation-free
-    on = (("obs", _obs.OBS.active), ("res", _res.RES.active), ("san", _SAN.active))
-    return frozenset(name for name, active in on if active)
+    __slots__ = ("faults", "log")
+
+    def __init__(self) -> None:
+        self.faults = None
+        self.log = None
+
+    @contextmanager
+    def arm(self, slot: str, value):
+        """Put ``value`` in ``slot`` for the block, then what was there before
+        (so scopes nest); yields ``value``."""
+        prev = getattr(self, slot)
+        setattr(self, slot, value)
+        try:
+            yield value
+        finally:
+            setattr(self, slot, prev)
+
+    def layers(self) -> Mapping[str, object]:
+        """The layer set armed at this instant: each armed layer's name ->
+        what its wrappers close over (the process tracer + registry, the
+        fault session, the log).  Empty is bare; two sets are equal exactly
+        when a lowering made for one serves the other."""
+        obs, faults, log = _obs.OBS.active, self.faults, self.log
+        if not obs and faults is None and log is None:
+            return _BARE  # eager queues ask per command: keep the common answer allocation-free
+        on = {"obs": (_obs.OBS.tracer, _obs.OBS.metrics) if obs else None, "res": faults, "san": log}
+        return {name: what for name, what in on.items() if what is not None}
 
 
 def describe(cmd, queue) -> tuple[str, str, tuple[int, ...]]:
@@ -61,20 +93,22 @@ def lower(cmd, queue, layers, fn=None, *, halo: bool = False) -> Callable[[], No
         return run
     kernel = cmd.kind == "kernel"
     pid, site, ranks = describe(cmd, queue)
-    if "res" in layers:
+    faults = layers.get("res")
+    if faults is not None:
         if kernel and cmd.container is not None:
             from repro.sets.launch import wrap_kernel_faults  # noqa: PLC0415 - repro.sets imports this package
 
-            run = wrap_kernel_faults(run, cmd.container.name, cmd.container.tokens(), ranks[0])
-        run = partial(_res.execute_command, "launch" if kernel else "copy", site, ranks, run)
+            run = wrap_kernel_faults(run, faults.plan, cmd.container.name, cmd.container.tokens(), ranks[0])
+        run = partial(_res.execute_command, faults, "launch" if kernel else "copy", site, ranks, run)
     if "obs" in layers:
         run = _observed(cmd, queue.name, pid, run, halo)
-    if "san" not in layers:
+    log = layers.get("san")
+    if log is None:
         return run
 
-    def logged(body=run) -> None:
+    def logged(body=run, record=log.record) -> None:
         body()
-        _SAN.record(cmd)
+        record(cmd)
 
     return logged
 

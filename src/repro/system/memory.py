@@ -22,6 +22,7 @@ from repro import observability as _obs
 from repro import resilience as _res
 
 from .device import Device
+from .layers import Session
 
 
 class AllocationError(RuntimeError):
@@ -158,8 +159,9 @@ class DeviceAllocator:
     lets the reproduction exhibit the same failure mode deterministically.
     """
 
-    def __init__(self, capacity_bytes: int | None = None):
+    def __init__(self, capacity_bytes: int | None = None, session: Session | None = None):
         self.capacity_bytes = capacity_bytes
+        self.session = session if session is not None else Session()
         self._used: dict[int, int] = {}
         self._live: dict[int, list[DeviceBuffer]] = {}
 
@@ -191,9 +193,10 @@ class DeviceAllocator:
     def allocate(
         self, device: Device, shape, dtype, options: MemOptions | None = None, virtual: bool = False
     ) -> DeviceBuffer:
-        if _res.RES.active:
+        faults = self.session.faults
+        if faults is not None:
             # allocation-fault injection site (also loss-checks the device)
-            if _res.should_fail_allocation(device.index, f"alloc@{device.index}"):
+            if _res.should_fail_allocation(faults.plan, device.index, f"alloc@{device.index}"):
                 raise AllocationError(
                     f"device {device.index}: injected allocation fault (seeded); "
                     f"{self._oom_detail(device)}"

@@ -237,11 +237,13 @@ class WaitEventCommand(Command):
 class CommandQueue:
     """An in-order asynchronous queue bound to one device (a stream)."""
 
-    def __init__(self, device: Device, name: str = "", eager: bool = True):
+    def __init__(self, device: Device, name: str = "", eager: bool = True, session: _layers.Session | None = None):
         self.device = device
         self.uid = next(_queue_ids)
         self.name = name or f"q{self.uid}"
         self.eager = eager
+        #: what is armed on the backend that created this queue
+        self.session = session if session is not None else _layers.Session()
         self.commands: list[Command] = []
 
     def enqueue_kernel(self, name: str, fn: Callable[[], None], cost: KernelCost, container=None) -> KernelCommand:
@@ -254,7 +256,7 @@ class CommandQueue:
             m.counter("kernel_bytes_modeled", device=dev).inc(cost.bytes_moved)
             m.gauge("queue_depth", queue=self.name).set(len(self.commands))
         if self.eager:
-            _layers.lower(cmd, self, _layers.armed())()
+            _layers.lower(cmd, self, self.session.layers())()
         return cmd
 
     def enqueue_copy(
@@ -274,7 +276,7 @@ class CommandQueue:
             m.counter("copy_bytes", src=src.metric_label, dst=dst.metric_label).inc(nbytes)
             m.gauge("queue_depth", queue=self.name).set(len(self.commands))
         if self.eager:
-            _layers.lower(cmd, self, _layers.armed())()
+            _layers.lower(cmd, self, self.session.layers())()
         return cmd
 
     def record_event(self, event: Event) -> RecordEventCommand:

@@ -316,10 +316,11 @@ def resilient_factory(spec: JobSpec):
 
     The driver calls it with the backend it currently has — fewer
     devices after a loss — and whichever of the tuned partition weights /
-    OCC / mode it adopted; everything else of the spec stays as submitted.
+    OCC it adopted; everything else of the spec, the replay mode included,
+    stays as submitted.
     """
 
-    def factory(backend: Backend, partition_weights=None, occ=None, mode=None) -> _App:
+    def factory(backend: Backend, partition_weights=None, occ=None) -> _App:
         weights = partition_weights
         if weights is None and backend.num_devices == spec.devices:
             weights = spec.weights
@@ -329,7 +330,6 @@ def resilient_factory(spec: JobSpec):
                 devices=backend.num_devices,
                 weights=weights,
                 occ=spec.occ if occ is None else Occ(occ).value,
-                mode=spec.mode if mode is None else mode,
             ),
             backend=backend,
         )

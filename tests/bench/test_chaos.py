@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro import observability as obs
 from repro.bench.chaos import (
     CHAOS_SCHEMA,
     CHAOS_STEPS,
@@ -40,6 +41,25 @@ def test_soak_survives_the_full_storm(name):
     for rep in report.degrade_reports:
         assert rep["improvement"] >= 0.10
         assert len(set(rep["weights"])) > 1
+
+
+@injected_nonfinite
+def test_serial_soak_is_a_pure_function_of_its_seed():
+    """Recovery never changes the replay mode a job asked for and no
+    session outlives the run that armed it, so a serial soak's whole fault
+    history repeats, twice in one process too.  Observability is off: with
+    it on, online recalibration fits the tuned shares to wall-clock kernel
+    spans of the *process* tracer (the first run's included) — the one
+    input of a soak that is not its seed (docs/resilience.md)."""
+    obs.disable()  # the suite fixture's reset restores the default
+    first, second = (run_chaos("poisson", events=50, seed=2026) for _ in range(2))
+    assert first.ok and second.ok
+    assert (first.injected, first.rollbacks, first.tampers, first.device_losses) == (
+        second.injected,
+        second.rollbacks,
+        second.tampers,
+        second.device_losses,
+    )
 
 
 def test_plan_calibration_targets_the_budget():

@@ -87,17 +87,18 @@ def served_spec(solver: str, devices: int, occ: Occ, mode: str, weights) -> JobS
     raise KeyError(f"no served spec for solver '{solver}'")
 
 
-def run_direct(solver: str, devices: int, occ: Occ, mode: str, weights) -> dict[str, np.ndarray]:
+def run_direct(solver: str, devices: int, occ: Occ, mode: str, weights, backend=None) -> dict[str, np.ndarray]:
     """Build the spec and run it, no gateway in between.
 
     A served job pins ``spec.fused`` on its own plans; the direct runner
     follows the process-wide default instead, which is the switch the
-    fused and layer axes flip around it.
+    fused and layer axes flip around it.  ``backend`` is the one to build
+    on (the layer axis arms it first); a fresh one by default.
     """
     spec = dataclasses.replace(
         served_spec(solver, devices, occ, mode, weights), fused=fusion.FUSION.enabled
     )
-    app = build(spec)
+    app = build(spec, backend=backend)
     try:
         return app.run()
     finally:

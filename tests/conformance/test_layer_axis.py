@@ -6,9 +6,8 @@ observability, the sanitizer or resilience changes what is *recorded*
 about a replay, never what it computes or which kernels it runs.  Every
 cell here — four solver miniatures x {serial, parallel} x {fused,
 unfused} x six layer sets — must reproduce the bare serial fused run bit
-for bit.  The resilience x parallel cells do not exist yet (ROADMAP 5a):
-they must announce their serial fallback with the typed
-:class:`~repro.system.ParallelFallbackWarning`, not degrade silently.
+for bit, resilience x parallel included: a fault session is armed on the
+backend the cell builds on, and the engine replays under it.
 
 The last test is the reason the single lowering exists: an instrumented
 replay of a specialised program (LBM, Poisson, elasticity's vector
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import warnings
 
 import pytest
 
@@ -30,7 +28,7 @@ from repro import observability as obs
 from repro import resilience as res
 from repro.sanitizer import state as san
 from repro.skeleton import Occ, fusion
-from repro.system import ParallelFallbackWarning
+from repro.system import Backend
 
 from .harness import MODES, SOLVERS, assert_bitwise_equal
 
@@ -40,25 +38,30 @@ LAYER_SETS = [(), ("obs",), ("san",), ("obs", "san"), ("res",), ("obs", "res", "
 
 @contextlib.contextmanager
 def armed(layers):
-    """Arm exactly ``layers`` (the suite fixture has observability on)."""
+    """A backend with exactly ``layers`` armed (the suite fixture has
+    observability on; the other two belong to the backend)."""
+    backend = Backend.sim_gpus(DEVICES)
+    log = plan = None
     with contextlib.ExitStack() as stack:
         if "obs" not in layers:
             obs.disable()
             stack.callback(obs.enable, reset=False)
         if "san" in layers:
-            san.enable()
-            stack.callback(san.disable)
+            log = stack.enter_context(san.recording(backend))
         if "res" in layers:
             # every rate zero: all sites are consulted, none injects
-            stack.enter_context(res.session(res.FaultPlan(seed=0)))
-        yield
+            plan = res.FaultPlan(seed=0)
+            stack.enter_context(res.session(backend, plan))
+        yield backend
+        assert log is None or len(log), "the sanitizer was armed and recorded nothing"
+        assert plan is None or plan._draws, "a fault session was armed and no site consulted it"
 
 
 @functools.lru_cache(maxsize=None)
 def bare_serial_fused(solver: str):
     run, _native = SOLVERS[solver]
-    with armed(()):
-        return run(DEVICES, Occ.STANDARD, "serial", None)
+    with armed(()) as backend:
+        return run(DEVICES, Occ.STANDARD, "serial", None, backend)
 
 
 @pytest.mark.parametrize("layers", LAYER_SETS, ids=lambda ls: "+".join(ls) or "bare")
@@ -68,13 +71,8 @@ def bare_serial_fused(solver: str):
 def test_layer_axis_matches_bare_serial_fused_bitwise(solver, mode, fuse, layers):
     want = bare_serial_fused(solver)
     run, _native = SOLVERS[solver]
-    falls_back = mode == "parallel" and "res" in layers
-    with contextlib.nullcontext() if fuse else fusion.disabled(), armed(layers):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ParallelFallbackWarning)
-            got = run(DEVICES, Occ.STANDARD, mode, None)
-    fell_back = any(issubclass(w.category, ParallelFallbackWarning) for w in caught)
-    assert fell_back == falls_back, "resilience x parallel must warn; nothing else may"
+    with contextlib.nullcontext() if fuse else fusion.disabled(), armed(layers) as backend:
+        got = run(DEVICES, Occ.STANDARD, mode, None, backend)
     label = f"{solver}[{mode}-{'fused' if fuse else 'unfused'}-{'+'.join(layers) or 'bare'}]"
     assert_bitwise_equal(got, want, label)
 

@@ -9,8 +9,6 @@ documented default (observability off) true between tests.
 import pytest
 
 from repro import observability as obs
-from repro import resilience as res
-from repro import sanitizer as san
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -53,23 +51,3 @@ def flight_sandboxed(tmp_path):
     finally:
         flight.reset()
         flight.FLIGHT.dump_dir = "."
-
-
-@pytest.fixture(autouse=True)
-def resilience_disarmed():
-    """Keep the documented default (no fault injection) true between tests."""
-    res.reset()
-    try:
-        yield
-    finally:
-        res.reset()
-
-
-@pytest.fixture(autouse=True)
-def sanitizer_disarmed():
-    """Keep the documented default (no execution recording) true between tests."""
-    san.reset()
-    try:
-        yield
-    finally:
-        san.reset()

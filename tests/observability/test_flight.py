@@ -68,7 +68,6 @@ def test_permanent_device_loss_dump_names_failing_site(tmp_path):
     event carries the failing command's site key."""
     import pytest
 
-    from repro import resilience as res
     from repro.resilience import (
         DeviceLost,
         FaultPlan,
@@ -88,7 +87,7 @@ def test_permanent_device_loss_dump_names_failing_site(tmp_path):
         # min_devices == device count: losing any device is terminal
         policy=RecoveryPolicy(min_devices=2),
     )
-    with res.session(plan), pytest.raises(DeviceLost):
+    with pytest.raises(DeviceLost):
         driver.run()
 
     dumps = sorted(tmp_path.glob("FLIGHT_resilience_*.json"))

@@ -1,7 +1,8 @@
 """The overhead guarantee: disabled observability costs < 2% of run().
 
-A replay reads the process-global switches once (``Plan.execute``) and
-then calls the program's lowering for the armed layer set; with nothing
+A replay reads the armed layers once (``Plan.execute``: the process's
+observability and flight switches, its own backend's session) and then
+calls the program's lowering for that set; with nothing
 armed that lowering is each dispatch unit's own closure behind one
 flight-ring slot.  Two tests pin that down: a structural one (the bare
 lowering's runner for every unit *is* ``unit.fn``) and a budget — the
@@ -61,11 +62,11 @@ def test_bare_lowering_is_the_units_own_closures():
     sk = _build_skeleton()
     sk.run()
     program = sk.plan._ensure_program()
-    runners = program.runners(frozenset(), flight=False)
+    runners = program.runners({}, flight=False)
     assert list(runners) == [u.steps[0].command for u in program.dispatch]
     assert all(run is unit.fn for run, unit in zip(runners.values(), program.dispatch))
     # and the lowering is cached, not rebuilt per replay
-    assert program.runners(frozenset(), flight=False) is runners
+    assert program.runners({}, flight=False) is runners
 
 
 def test_disabled_overhead_under_2_percent():

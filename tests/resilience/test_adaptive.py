@@ -22,6 +22,7 @@ from repro.resilience import (
     RecoveryBudgetExceeded,
     RecoveryPolicy,
     ResilientDriver,
+    degraded_backend,
 )
 from repro.sim import mixed_pcie
 from repro.system import Backend
@@ -84,8 +85,7 @@ def test_degrade_adopts_tuned_shares_on_heterogeneous_fleet():
     driver = ResilientDriver(
         cavity_factory, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"
     )
-    with res.session(plan, policy):
-        app = driver.run()
+    app = driver.run()
 
     assert driver.devices_lost == 1
     assert driver.backend.num_devices == 3
@@ -102,8 +102,7 @@ def test_degrade_without_experiment_keeps_uniform_rebuild():
     plan = FaultPlan(7, device_loss={3: 120})
     policy = RecoveryPolicy(checkpoint_interval=2)
     driver = ResilientDriver(cavity_factory, mixed_backend(4), 6, policy=policy, plan=plan)
-    with res.session(plan, policy):
-        driver.run()
+    driver.run()
     assert driver.devices_lost == 1
     assert driver.degrade_reports == []
     assert driver._tuned is None
@@ -115,8 +114,7 @@ def test_degrade_event_records_tuned_vs_uniform_in_flight_ring():
     driver = ResilientDriver(
         cavity_factory, mixed_backend(4), 6, policy=policy, plan=plan, experiment="lbm"
     )
-    with res.session(plan, policy):
-        driver.run()
+    driver.run()
     degrades = [
         ev
         for ring in flight.FLIGHT.tracks.values()
@@ -129,6 +127,20 @@ def test_degrade_event_records_tuned_vs_uniform_in_flight_ring():
     assert detail["improvement"] >= 0.10
 
 
+def test_tuning_a_degrade_never_consults_the_armed_plan():
+    """The tuner's miniatures are built on backends of their own, which
+    nothing arms: the plan that is live on the job's backend sees no draw
+    and no touch from the whole search."""
+    backend = mixed_backend(4)
+    plan = FaultPlan(7, launch=1.0, copy=1.0, alloc=1.0, device_loss={0: 1})
+    driver = ResilientDriver(cavity_factory, backend, 6, plan=plan, experiment="lbm")
+    with res.session(backend, plan):
+        report = driver._tune_for(degraded_backend(backend, 3))
+        assert backend.session.faults.plan is plan  # armed throughout, no shield
+    assert report is not None and len(driver.last_tune_plan.candidates) > 1
+    assert not plan._draws and not plan._touches and not plan.lost
+
+
 # -- multiple losses ---------------------------------------------------------
 def test_two_losses_at_different_steps_complete_bitwise():
     steps = 10
@@ -138,8 +150,7 @@ def test_two_losses_at_different_steps_complete_bitwise():
     driver = ResilientDriver(
         cavity_factory, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"
     )
-    with res.session(plan, policy):
-        app = driver.run()
+    app = driver.run()
 
     assert driver.devices_lost == 2
     assert driver.backend.num_devices == 2
@@ -172,8 +183,7 @@ def test_back_to_back_loss_during_rebuild_completes_bitwise():
     driver = ResilientDriver(
         cavity_factory, mixed_backend(4), steps, policy=policy, plan=probe, experiment="lbm"
     )
-    with res.session(probe, policy):
-        driver.run()
+    driver.run()
     trigger = probe.at_loss[2] + 1
 
     # phase B: rank 2 dies on its very next command — inside the rebuild
@@ -195,8 +205,7 @@ def test_back_to_back_loss_during_rebuild_completes_bitwise():
     driver = ResilientDriver(
         factory, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"
     )
-    with res.session(plan, policy):
-        app = driver.run()
+    app = driver.run()
 
     assert driver.devices_lost == 2
     assert built == [4, 3, 2]
@@ -215,7 +224,7 @@ def test_degrade_over_capacity_is_typed_with_byte_shortfall():
     driver = ResilientDriver(
         lambda b, **kw: FlakyApp(b, shape=shape), backend, 8, policy=policy, plan=plan
     )
-    with res.session(plan, policy), pytest.raises(DegradeOverCapacity) as ei:
+    with pytest.raises(DegradeOverCapacity) as ei:
         driver.run()
     exc = ei.value
     assert isinstance(exc, DeviceLost)

@@ -13,8 +13,9 @@ import pytest
 
 from repro import resilience as res
 from repro.bench.faulted import PROFILES, WORKLOADS, _backend, make_plan, run_faulted
-from repro.resilience import CorruptionDetected, FaultPlan, RecoveryPolicy
-from repro.workloads import resilient_factory
+from repro.resilience import CorruptionDetected, FaultPlan, RecoveryPolicy, RetryPolicy
+from repro.system import ParallelEngine
+from repro.workloads import build, resilient_factory
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -59,9 +60,8 @@ def test_corruption_without_recovery_is_never_silent():
     driver = res.ResilientDriver(
         resilient_factory(wl.spec(3)), _backend(3), wl.steps, policy=policy, plan=plan
     )
-    with res.session(plan, policy):
-        with pytest.raises(CorruptionDetected):
-            driver.run()
+    with pytest.raises(CorruptionDetected):
+        driver.run()
     assert plan.injected("corrupt") > 0
 
 
@@ -87,6 +87,64 @@ def test_alloc_faults_surface_during_build():
     wl = WORKLOADS["poisson"]
     plan = FaultPlan(seed=0, alloc=1.0)
     driver = res.ResilientDriver(resilient_factory(wl.spec(3)), _backend(3), wl.steps, plan=plan)
-    with res.session(plan):
-        with pytest.raises(AllocationError, match="injected"):
-            driver.run()
+    with pytest.raises(AllocationError, match="injected"):
+        driver.run()
+
+
+# -- faults inside the recovery actions themselves ----------------------------
+def _driven(name, plan, policy, mode="serial", steps=None):
+    """(driver, recovered result, fault-free result) of one miniature under ``plan``."""
+    wl = WORKLOADS[name]
+    spec = wl.spec(3, mode=mode, steps=steps)
+    reference = build(spec, backend=_backend(3))
+    reference.run()
+    driver = res.ResilientDriver(resilient_factory(spec), _backend(3), spec.steps, policy=policy, plan=plan)
+    return driver, driver.run().result_array(), reference.result_array()
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_a_fault_that_exhausts_a_recovery_action_costs_one_more_rollback(seed):
+    """Seeds 1, 5, 6 exhaust a copy inside the factory's eager halo sync,
+    seeds 2, 3, 4, 7 inside a rollback's restore (its halo refresh): the
+    build / restore is retried under advanced draw counters and the job
+    finishes bitwise, instead of dying with most of its budget unspent."""
+    plan = FaultPlan(seed, launch=0.25, copy=0.25)
+    retry = RetryPolicy(max_attempts=2, base_delay=0.0)
+    policy = RecoveryPolicy(checkpoint_interval=2, max_rollbacks=1000, retry=retry)
+    driver, got, want = _driven("poisson", plan, policy, steps=4)
+    assert np.array_equal(got, want)
+    assert 2 < driver.rollbacks <= 1000
+
+    none = RecoveryPolicy(checkpoint_interval=2, max_rollbacks=0, retry=retry)
+    with pytest.raises(res.FaultExhausted):
+        _driven("poisson", FaultPlan(seed, launch=0.25, copy=0.25), none, steps=4)
+
+
+# -- recovery under the parallel engine ---------------------------------------
+# corruption NaNs flow through CG's dot-product partials until the guardrail
+# rolls the step back: expected injection, as in the chaos soak
+@pytest.mark.filterwarnings("ignore:invalid value encountered in reduce:RuntimeWarning")
+@pytest.mark.parametrize("name, copy", [("poisson", 0.03), ("lbm", 0.01)])
+def test_harsh_plan_recovers_bitwise_when_worker_faults_abort_parallel_batches(name, copy, monkeypatch):
+    """A fault that exhausts its retries inside an engine worker aborts the
+    batch and re-raises on the host; the driver rolls back from there and
+    the recovered result is the fault-free one, bit for bit."""
+    aborted = []
+    execute = ParallelEngine.execute
+
+    def counting(self, *args, **kwargs):
+        try:
+            return execute(self, *args, **kwargs)
+        except res.ResilienceError:
+            aborted.append(1)
+            raise
+
+    monkeypatch.setattr(ParallelEngine, "execute", counting)
+    policy = RecoveryPolicy(
+        checkpoint_interval=2, max_rollbacks=400, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
+    )
+    for seed in (1, 2, 3):
+        plan = FaultPlan(seed, launch=0.2, copy=copy, corrupt=0.005)
+        _driver, got, want = _driven(name, plan, policy, mode="parallel")
+        assert np.array_equal(got, want), f"{name} seed {seed}"
+    assert aborted, "no batch aborted: the plan is not harsh enough to test anything"

@@ -1,7 +1,8 @@
 """The injection sites: queue launch/copy, allocation, corruption, guardrail.
 
-Every site hides behind the single ``resilience.RES.active`` attribute
-read; with the layer disarmed the faulted paths must be unreachable.
+Every site hides behind one attribute read on its own backend's
+``session`` slot; on a backend nobody armed the faulted paths must be
+unreachable, whatever is armed on another backend of the process.
 """
 
 import numpy as np
@@ -42,20 +43,23 @@ def build(devices=2, shape=(4, 4, 4)):
 
 
 def test_disarmed_layer_injects_nothing():
-    backend, grid, u = build()
     plan = FaultPlan(seed=0, launch=1.0, copy=1.0, alloc=1.0, corrupt=1.0)
-    assert not res.enabled()
-    sk = Skeleton(backend, [make_increment(grid, u)], name="calm")
-    sk.run()
-    assert np.all(u.to_numpy() == 1.0)
-    assert plan.injected() == 0
+    with res.session(Backend.sim_gpus(2), plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=1))):
+        backend, grid, u = build()  # allocates and fills beside the armed backend
+        assert backend.session.faults is None
+        sk = Skeleton(backend, [make_increment(grid, u)], name="calm")
+        u.sync_halo_now()
+        sk.run()
+        sk.run(mode="parallel")
+        assert np.all(u.to_numpy() == 2.0)
+    assert plan.injected() == 0 and not plan._draws
 
 
 def test_launch_faults_absorbed_by_queue_retry():
     backend, grid, u = build()
     plan = FaultPlan(seed=3, launch=0.4)
     sk = Skeleton(backend, [make_increment(grid, u)], name="retrying")
-    with res.session(plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=6))):
+    with res.session(backend, plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=6))):
         for _ in range(10):
             sk.run()
     assert plan.injected("launch") > 0
@@ -66,7 +70,7 @@ def test_launch_fault_exhaustion_surfaces_typed_error():
     backend, grid, u = build()
     plan = FaultPlan(seed=0, launch=1.0)
     sk = Skeleton(backend, [make_increment(grid, u)], name="doomed")
-    with res.session(plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=2, base_delay=0.0))):
+    with res.session(backend, plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=2, base_delay=0.0))):
         with pytest.raises(FaultExhausted):
             sk.run()
 
@@ -74,7 +78,7 @@ def test_launch_fault_exhaustion_surfaces_typed_error():
 def test_copy_faults_injected_on_halo_exchange():
     backend, grid, u = build()
     plan = FaultPlan(seed=1, copy=0.5)
-    with res.session(plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=8))):
+    with res.session(backend, plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=8))):
         u.sync_halo_now()
         u.sync_halo_now()
     assert plan.injected("copy") > 0
@@ -83,7 +87,7 @@ def test_copy_faults_injected_on_halo_exchange():
 def test_allocation_fault_raises_allocation_error_with_report():
     backend, grid, _ = build()
     plan = FaultPlan(seed=0, alloc=1.0)
-    with res.session(plan):
+    with res.session(backend, plan):
         with pytest.raises(AllocationError, match="injected"):
             grid.new_field("doomed")
 
@@ -92,7 +96,7 @@ def test_corruption_injected_into_owned_cells_only():
     backend, grid, u = build()
     plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
     sk = Skeleton(backend, [make_increment(grid, u)], name="sdc")
-    with res.session(plan, RecoveryPolicy(divergence="log")):
+    with res.session(backend, plan, RecoveryPolicy(divergence="log")):
         sk.run()
     assert plan.injected("corrupt") == 1
     # exactly one owned cell poisoned (NaN or Inf) ...
@@ -107,7 +111,7 @@ def test_guardrail_rolls_corruption_into_typed_error():
     backend, grid, u = build()
     plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
     sk = Skeleton(backend, [make_increment(grid, u)], name="guarded")
-    with res.session(plan, RecoveryPolicy(divergence="rollback")):
+    with res.session(backend, plan, RecoveryPolicy(divergence="rollback")):
         with pytest.raises(CorruptionDetected, match="u"):
             sk.run()
 
@@ -116,7 +120,7 @@ def test_guardrail_log_policy_only_counts():
     backend, grid, u = build()
     plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
     sk = Skeleton(backend, [make_increment(grid, u)], name="logged")
-    with res.session(plan, RecoveryPolicy(divergence="log")):
+    with res.session(backend, plan, RecoveryPolicy(divergence="log")):
         sk.run()  # must not raise
 
 
@@ -124,7 +128,7 @@ def test_guardrail_off_policy_skips_scan():
     backend, grid, u = build()
     plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
     sk = Skeleton(backend, [make_increment(grid, u)], name="unguarded")
-    with res.session(plan, RecoveryPolicy(divergence="off")):
+    with res.session(backend, plan, RecoveryPolicy(divergence="off")):
         sk.run()  # corrupted, but nobody looks
 
 
@@ -146,6 +150,6 @@ def test_device_loss_at_queue_site():
     backend, grid, u = build(devices=3, shape=(6, 4, 4))
     plan = FaultPlan(seed=0, device_loss={2: 1})
     sk = Skeleton(backend, [make_increment(grid, u)], name="lossy")
-    with res.session(plan):
+    with res.session(backend, plan):
         with pytest.raises(res.DeviceLost):
             sk.run()

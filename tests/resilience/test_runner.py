@@ -161,8 +161,7 @@ def test_driver_device_loss_consumes_plan_entry():
         return CountingApp(backend, fail_at=2 if fail else None, fail_with=fail, fail_times=1)
 
     driver = ResilientDriver(factory, Backend.sim_gpus(3), steps=4, plan=plan)
-    with res.session(plan):
-        app = driver.run()
+    app = driver.run()
     assert plan.device_loss == {}  # acknowledged: survivors are not shadowed
     assert app.value() == 4.0
 
@@ -173,13 +172,24 @@ def test_driver_rejects_negative_steps():
 
 
 def test_session_restores_prior_state():
-    plan = FaultPlan(seed=1, launch=0.5)
-    assert not res.enabled()
-    with res.session(plan):
-        assert res.enabled()
-        assert res.RES.plan is plan
-    assert not res.enabled()
-    assert res.RES.plan is None
+    backend, plan, inner = Backend.sim_gpus(2), FaultPlan(seed=1, launch=0.5), FaultPlan(seed=2)
+    assert backend.session.faults is None
+    with res.session(backend, plan) as outer:
+        assert backend.session.faults is outer and outer.plan is plan
+        assert isinstance(outer.policy, RecoveryPolicy)  # the default one
+        with res.session(backend, inner, RecoveryPolicy(divergence="off")):
+            assert backend.session.faults.plan is inner
+        assert backend.session.faults is outer
+    assert backend.session.faults is None
+
+
+def test_driver_disarms_every_backend_it_adopted():
+    plan = FaultPlan(seed=0, device_loss={1: 1})
+    first = Backend.sim_gpus(3)
+    driver = ResilientDriver(CountingApp, first, steps=2, plan=plan)
+    driver.run()
+    assert driver.backend is not first and driver.devices_lost == 1
+    assert first.session.faults is None and driver.backend.session.faults is None
 
 
 def test_zero_steps_still_builds_and_returns_app():

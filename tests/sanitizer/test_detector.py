@@ -12,7 +12,7 @@ from repro import observability as obs
 from repro.sanitizer import analyze_program, report_violations, sanitize_skeleton
 from repro.sanitizer.mutate import _halo_read_regions
 from repro.sanitizer.program import ProgramView, QueueView
-from repro.sanitizer.state import SAN
+from repro.sanitizer.state import recording
 from repro.sanitizer.runner import miniature
 from repro.workloads import build
 from repro.system import Backend, Event
@@ -99,13 +99,9 @@ def test_sanitize_skeleton_clean_and_coverage(lbm_skeleton):
 
     # replay under recording, then pretend one kernel never retired:
     # coverage must name exactly that command
-    SAN.drain()
-    SAN.active = True
-    try:
+    with recording(lbm_skeleton.backend) as recorded:
         lbm_skeleton.run()
-    finally:
-        SAN.active = False
-        log = SAN.drain()
+    log = recorded.drain()
     view = _view(lbm_skeleton)
     victim = next(
         cmd

@@ -18,7 +18,7 @@ import pytest
 from repro.sanitizer import analyze_program, sanitize_skeleton
 from repro.sanitizer.mutate import generate_mutants
 from repro.sanitizer.program import ProgramView
-from repro.sanitizer.state import SAN
+from repro.sanitizer.state import recording
 from repro.sanitizer.runner import miniature
 from repro.workloads import build
 
@@ -60,16 +60,12 @@ def test_sanitized_fused_replay_is_clean(fused_lbm, mode):
 
 
 def test_fused_replay_logs_every_constituent_command(fused_lbm):
-    """With SAN armed the fused replay takes the per-constituent slow
-    path; the log must cover every data command of every unit, so the
+    """Under recording the fused replay runs each constituent's own
+    closure; the log must cover every data command of every unit, so the
     coverage check ('unexecuted-command') stays meaningful under fusion."""
-    SAN.drain()
-    SAN.active = True
-    try:
+    with recording(fused_lbm.backend) as recorded:
         fused_lbm.run()
-    finally:
-        SAN.active = False
-        log = SAN.drain()
+    log = recorded.drain()
     program = fused_lbm.plan._ensure_program()
     logged = {rec.command for rec in log}
     for unit in program.dispatch:

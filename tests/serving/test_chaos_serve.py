@@ -11,6 +11,8 @@ survivors), and the *other* tenants' latency histograms stay populated
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,64 @@ def test_fault_profile_job_solves_the_spec_it_was_submitted_with():
             for key, want in plain.fingerprints.items():
                 assert np.array_equal(faulted.fingerprints[key], want), f"{spec.experiment}/{key}"
     assert obs.OBS.metrics.total("faults_injected") >= 1
+
+
+# -- fault jobs overlap plain jobs: no lock, no leak --------------------------
+def test_fault_job_completes_while_a_plain_job_is_parked_mid_flight():
+    """Nothing makes a fault job wait for the other workers to drain: with
+    one worker parked inside a plain job, the fault job on the second
+    worker runs to completion."""
+    from tests.serving.test_gateway import entry_lock, wait_until_picked
+
+    policy = res.RecoveryPolicy(checkpoint_interval=4)
+    with Gateway(workers=2) as gw:
+        with entry_lock(gw, POISSON):
+            parked = gw.submit("steady", POISSON)
+            wait_until_picked(gw)  # a worker holds it, stalled on the lock
+            victim = gw.submit(
+                "victim", VICTIM, fault_profile="transient+loss", fault_seed=SEED, policy=policy
+            )
+            assert victim.result(timeout=120).devices_lost >= 1
+            assert not parked.done()
+        assert parked.result(timeout=120).fingerprints["solution"].shape == (8, 6, 6)
+
+
+def test_plain_jobs_of_the_same_spec_run_untouched_beside_an_armed_fault_job(monkeypatch):
+    """A fault job armed at rate 1.0 is held mid-flight — session armed, first
+    launch undecided — while plain jobs of the *same spec* go through the
+    other worker: they finish bitwise on their direct run without one draw
+    from the plan, then the fault job fails typed, alone."""
+    from repro.bench import faulted
+    from repro.serving import build_served
+
+    app = build_served(POISSON)
+    direct = app.run()
+    app.close()
+
+    reached, release = threading.Event(), threading.Event()
+
+    class HeldPlan(res.FaultPlan):
+        def decide(self, kind, site):
+            reached.set()
+            assert release.wait(120), "the test never released the fault job"
+            return super().decide(kind, site)
+
+    plan = HeldPlan(SEED, launch=1.0)
+    monkeypatch.setattr(faulted, "make_plan", lambda *args: plan)
+    once = res.RecoveryPolicy(retry=res.RetryPolicy(max_attempts=1), max_rollbacks=0)
+    with Gateway(workers=2) as gw:
+        doomed = gw.submit("victim", POISSON, fault_profile="transient", policy=once)
+        assert reached.wait(120), "the fault job never reached an injection site"
+        try:
+            plain = [gw.submit("steady", POISSON).result(timeout=120) for _ in range(3)]
+            assert not doomed.done() and not plan._draws  # nobody else consulted the plan
+        finally:
+            release.set()
+        with pytest.raises(JobFailed) as exc_info:
+            doomed.result(timeout=120)
+    assert isinstance(exc_info.value.__cause__, res.FaultExhausted)
+    assert plan.injected() == 1
+    for r in plain:
+        for key, want in direct.items():
+            assert np.array_equal(r.fingerprints[key], want), key
+    assert gw.stats()["done"] == 3 and gw.stats()["failed"] == 1

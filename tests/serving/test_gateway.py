@@ -20,10 +20,26 @@ from repro.serving import (
     GatewayClosed,
     JobSpec,
     PlanCache,
+    plan_key,
 )
+from repro.serving.gateway import JobResult
 
 LBM = JobSpec.make("lbm", (8, 6, 6), 2, devices=2, omega=1.1)
 POISSON = JobSpec.make("poisson", (8, 6, 6), 3, devices=2)
+
+
+def entry_lock(gw: Gateway, spec: JobSpec):
+    """The plan-cache lock of ``spec``'s warm program: while the test holds
+    it, a worker that picked a plain job of that spec is parked mid-job."""
+    return gw.cache.store(plan_key(spec, gw.machine_factory(spec.devices).name)).lock
+
+
+def wait_until_picked(gw: Gateway) -> None:
+    """Return once the workers have taken every queued job (bounded wait)."""
+    for _ in range(500):
+        if gw.stats()["pending"] == 0:
+            return
+        threading.Event().wait(0.01)
 
 
 def _gauge_value(name: str) -> float:
@@ -96,16 +112,11 @@ def test_submit_after_close_raises():
 def test_bounded_queue_rejects_past_max_queue():
     gw = Gateway(workers=1, max_queue=2)
     try:
-        with gw._exec_lock.exclusive():  # stall the worker mid-execute
+        with entry_lock(gw, POISSON):  # stall the worker mid-execute
             first = gw.submit("a", POISSON)
-            # wait until the worker has *picked* the first job (pending
-            # drained to 0) so the two below are deterministic queue fill
-            deadline = threading.Event()
-            for _ in range(200):
-                with gw._cv:
-                    if gw._pending == 0:
-                        break
-                deadline.wait(0.01)
+            # the worker has *picked* the first job (pending drained to 0),
+            # so the two below are deterministic queue fill
+            wait_until_picked(gw)
             queued = [gw.submit("a", POISSON) for _ in range(2)]
             with pytest.raises(AdmissionRejected):
                 gw.submit("b", POISSON)
@@ -124,7 +135,7 @@ def test_fair_scheduling_interleaves_tenants():
     tenant's backlog — submission order is not completion order."""
     gw = Gateway(workers=1, batch_limit=1)  # batch_limit=1: pure fairness
     try:
-        with gw._exec_lock.exclusive():  # hold the worker so the queue pre-fills
+        with entry_lock(gw, POISSON):  # hold the worker so the queue pre-fills
             a_jobs = [gw.submit("a", POISSON) for _ in range(4)]
             b_jobs = [gw.submit("b", POISSON) for _ in range(4)]
         results_a = [j.result(timeout=300) for j in a_jobs]
@@ -143,7 +154,7 @@ def test_fair_scheduling_interleaves_tenants():
 def test_batching_joins_same_key_jobs():
     gw = Gateway(workers=1, batch_limit=4)
     try:
-        with gw._exec_lock.exclusive():
+        with entry_lock(gw, LBM):
             jobs = [gw.submit("a", LBM) for _ in range(5)]
         results = [j.result(timeout=300) for j in jobs]
     finally:
@@ -232,7 +243,6 @@ def test_unfused_and_fused_jobs_run_concurrently_on_their_own_plans():
     with Gateway(workers=2) as gw:
         # several of each in flight at once, so the two workers overlap them
         jobs = [gw.submit(tenant, spec) for _ in range(3) for tenant, spec in (("a", LBM), ("b", unfused))]
-        assert not any(job.exclusive for job in jobs)
         results = [job.result(timeout=300) for job in jobs]
         ratios = {
             spec: [sk.plan._ensure_program().stats.fusion_ratio for sk in gw.cache.peek(job.key).program.skeletons]
@@ -256,3 +266,28 @@ def test_gateway_shares_cache_and_estimates_order_admission(tmp_path):
         job = gw2.submit("a", POISSON)
         assert job.estimate > 0.0  # DES estimate, read back from disk
         job.result(timeout=300)
+
+
+def test_job_counters_lose_no_update_under_contention(monkeypatch):
+    """``done`` / ``failed`` are bumped by every worker: with jobs reduced to
+    nothing and the interpreter switching threads as often as it can, a
+    read-modify-write outside the gateway's lock would drop increments."""
+    import sys
+
+    def instant(self, job, queue_wait):
+        if job.tenant == "bad":
+            raise RuntimeError("boom")
+        return JobResult(job.tenant, job.spec, {}, 0.0, queue_wait, cache_hit=True)
+
+    monkeypatch.setattr(Gateway, "_run_cached", instant)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Gateway(workers=8, max_queue=4096) as gw:
+            jobs = [gw.submit("bad" if n % 3 == 0 else "ok", POISSON) for n in range(3000)]
+            for job in jobs:
+                assert job._done.wait(120), "a job never resolved"
+            stats = gw.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert (stats["done"], stats["failed"]) == (2000, 1000)

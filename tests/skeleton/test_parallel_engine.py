@@ -17,7 +17,7 @@ from repro import resilience as res
 from repro.resilience import FaultPlan
 from repro.solvers import ElasticitySolver, PoissonSolver
 from repro.solvers.lbm import KarmanVortexStreet, LidDrivenCavity
-from repro.system import EXECUTION_MODES, Backend, ParallelFallbackWarning
+from repro.system import EXECUTION_MODES, Backend, ParallelEngine
 
 
 def _lbm_run(devices: int, mode: str, iters: int = 3, shape=(16, 8, 8)) -> np.ndarray:
@@ -101,13 +101,22 @@ def test_parallel_replay_reports_identical_metrics():
     assert m.total("halo_messages") == 2 * serial_msgs
 
 
-def test_armed_resilience_forces_serial_fallback():
-    cavity = LidDrivenCavity(Backend.sim_gpus(2), (12, 8, 8))
+def test_armed_resilience_replays_on_the_engine_bitwise_serial(monkeypatch):
+    backend = Backend.sim_gpus(2)
+    cavity = LidDrivenCavity(backend, (12, 8, 8))
     reference = LidDrivenCavity(Backend.sim_gpus(2), (12, 8, 8))
     reference.step(2, mode="serial")
-    with res.session(FaultPlan(seed=7)):  # zero rates: injection armed, no faults
-        with pytest.warns(ParallelFallbackWarning, match="host-ordered"):
-            cavity.step(2, mode="parallel")
+    batches = []
+    execute = ParallelEngine.execute
+    monkeypatch.setattr(
+        ParallelEngine, "execute", lambda self, *a, **kw: (batches.append(1), execute(self, *a, **kw))[1]
+    )
+    plan = FaultPlan(seed=7)  # zero rates: every site is consulted, none injects
+    with res.session(backend, plan), warnings.catch_warnings():
+        warnings.simplefilter("error")  # no fallback-by-warning
+        cavity.step(2, mode="parallel")
+    assert len(batches) == 2, "the armed replay did not run on the parallel engine"
+    assert plan._draws, "the armed replay consulted no injection site"
     assert np.array_equal(cavity.current.to_numpy(), reference.current.to_numpy())
 
 
