@@ -12,11 +12,16 @@ are the oracle the tests compare against, the ``REPRO_DISABLE_CC`` /
 no-compiler leg, and what every unsupported layout runs.
 
 **What is supported.**  Dense SoA float64 fields of any cardinality,
-non-virtual, on 3-D grids for the stencil; one C call per span piece, so
+non-virtual, on 3-D grids for the stencil; one op per span piece, so
 INTERNAL / BOUNDARY / STANDARD views and every OCC level share the same
 compiled functions.  Anything else — sparse grids, AoS layouts, virtual
 fields, per-rank (non-slice) partials — makes the hook return ``None``
 and the interpreted closure runs.
+
+**What a hook returns** is an op table (:mod:`repro.codegen.table`): every
+kernel exports the one record-taking entry signature, and a unit's
+closure is the table of its span-piece ops — one C call however many
+pieces, and the thing a bare serial replay concatenates across units.
 
 **Bitwise contract.**
 
@@ -57,6 +62,8 @@ import numpy as np
 from repro import codegen as _cc
 from repro.domain import DenseField, DenseStrip, Layout
 
+from . import table as _table
+
 #: elementwise forms: name -> C expression over ``x[i]``, ``y[i]`` and the
 #: run-time scalars ``a``, ``b``.  ``axpby_or_ax`` is CG's restart-safe
 #: update: ``b == 0`` assigns ``a*x`` outright so a stale (even NaN) ``y``
@@ -72,23 +79,22 @@ MAP_FORMS = {
 #: NumPy's ``PW_BLOCKSIZE``: the longest run summed by one 8-accumulator block
 PAIRWISE_BLOCK = 128
 
-_D = ctypes.POINTER(ctypes.c_double)
-_L = ctypes.c_long
-_MAP_ARGS = [_D, _D, _D, _L, _L, _L, _L, ctypes.c_double, ctypes.c_double]
-_REDUCE_ARGS = [_D, _D, _D, _L, _L, _L, _L, _L, _L]
-_STENCIL_ARGS = [_D, _D, _L, _L, _L, _L, _L, ctypes.c_double]
-
+# Every kernel is a static body with the operands it always had, behind an
+# exported entry that unpacks them from the op record (table.OP_H).
 # ``out`` may alias ``x`` or ``y`` (in-place updates): no restrict
 _MAP_C = """
 #define DEFINE_MAP(NAME, EXPR) \\
-void NAME(double* out, const double* xs, const double* ys, long card, long cstride, \\
-          long start, long n, double a, double b) { \\
+static void NAME##_body(double* out, const double* xs, const double* ys, long card, long cstride, \\
+                        long start, long n, double a, double b) { \\
   for (long c = 0; c < card; ++c) { \\
     double* o = out + c * cstride + start; \\
     const double* x = xs + c * cstride + start; \\
     const double* y = ys + c * cstride + start; \\
     for (long i = 0; i < n; ++i) o[i] = EXPR; \\
   } \\
+} \\
+void NAME(const op_t* op) { \\
+  NAME##_body(op->p[0], op->p[1], op->p[2], op->n[0], op->n[1], op->n[2], op->n[3], *op->s[0], *op->s[1]); \\
 }
 """
 
@@ -133,9 +139,11 @@ static double NAME##_tree(const double* x, const double* y, long j0, long n, lon
   n2 -= n2 %% 8; \\
   return NAME##_tree(x, y, j0, n2, plane, gap) + NAME##_tree(x, y, j0 + n2, n - n2, plane, gap); \\
 } \\
-void NAME(const double* x, const double* y, double* row, long card, long cstride, \\
-          long plane, long h, long lo, long hi) { \\
-  for (long s = lo; s < hi; ++s) { \\
+void NAME(const op_t* op) { \\
+  const double *x = op->p[0], *y = op->p[1]; \\
+  double* row = op->p[2]; \\
+  long card = op->n[0], cstride = op->n[1], plane = op->n[2], h = op->n[3]; \\
+  for (long s = op->n[4]; s < op->n[5]; ++s) { \\
     long base = (h + s) * plane; \\
     row[s] = 0.0 + NAME##_tree(x + base, y + base, 0, card * plane, plane, cstride - plane); \\
   } \\
@@ -149,7 +157,7 @@ def _stencil_source(name: str, terms: tuple) -> str:
     """C for one constant-coefficient 3-D stencil over slices ``[lo, hi)``."""
     hexf = _cc.hexf
     lines = [
-        f"void {name}(const double* restrict src, double* restrict dst, long n1, long n2,",
+        f"static void {name}_body(const double* restrict src, double* restrict dst, long n1, long n2,",
         "    long h, long lo, long hi, double outside) {",
         "  long plane = n1 * n2;",
         "  for (long z = h + lo; z < h + hi; ++z)",
@@ -175,7 +183,9 @@ def _stencil_source(name: str, terms: tuple) -> str:
             lines.append(f"        acc = acc + {value};")
         else:
             lines.append(f"        acc = acc + {hexf(coeff)} * {value};")
-    lines += ["        dst[c] = acc;", "      }", "}"]
+    longs = ", ".join(f"op->n[{k}]" for k in range(5))
+    entry = f"void {name}(const op_t* op) {{ {name}_body(op->p[0], op->p[1], {longs}, *op->s[0]); }}"
+    lines += ["        dst[c] = acc;", "      }", "}", entry]
     return "\n".join(lines) + "\n"
 
 
@@ -185,7 +195,7 @@ def _source(stencils: tuple) -> str:
     maps = "".join(f"DEFINE_MAP(map_{name}, {expr})\n" for name, expr in MAP_FORMS.items())
     reduces = _REDUCE_C % PAIRWISE_BLOCK
     operators = "".join(_stencil_source(f"stencil_{k}", terms) for k, terms in enumerate(stencils))
-    return _MAP_C + maps + reduces + operators
+    return _table.OP_H + _MAP_C + maps + reduces + operators
 
 
 def _declared(grid) -> list:
@@ -194,12 +204,10 @@ def _declared(grid) -> list:
     return vars(grid).setdefault("_c_stencils", [])
 
 
-def _bind(grid, symbol: str, argtypes: list):
+def _bind(grid, symbol: str):
     """``symbol`` out of the grid's unit, or None (no compiler, build failed)."""
     source = _source(tuple(_declared(grid)))
-    # looked up through the package on every call: the benchmark's probe
-    # interposes on that name
-    return _cc.compile_shared((symbol, source), source, symbol, argtypes)
+    return _table.bind((symbol, source), source, symbol)
 
 
 def dense_slabs(rank: int, span, fields) -> tuple[list, list] | None:
@@ -222,44 +230,44 @@ def dense_slabs(rank: int, span, fields) -> tuple[list, list] | None:
     return arrays, strips
 
 
-def _pointer(array: np.ndarray):
-    return array.ctypes.data_as(_D)
+def launcher(fn, calls: list, keep, slot=None, scalars=None):
+    """What a replay runs for one unit: the table of its span-piece ops.
 
-
-def launcher(fn, calls: list, keep, scalars=lambda: ()):
-    """The closure a replay runs: one C call per span piece.
-
-    ``keep`` pins the arrays the raw pointers in ``calls`` point into;
-    ``scalars()`` is evaluated per launch and appended to every call.
+    ``calls`` holds one ``(array addresses, longs)`` pair per piece and
+    ``keep`` pins the arrays behind the addresses.  The ops read their
+    run-time scalars from the ``double[2]`` ``slot``, which every call
+    refills from ``scalars()`` first (never at bind time); a ``slot``
+    without ``scalars`` holds constants.  None when no walker can be built.
     """
-
-    def kernel(calls=calls, fn=fn, scalars=scalars, _keep=keep):
-        tail = scalars()
-        for args in calls:
-            fn(*args, *tail)
-
-    return kernel
+    records = [_table.record(fn, pointers, slot, longs) for pointers, longs in calls]
+    return _table.table(records, [(scalars, slot)] if scalars else [], (keep, slot))
 
 
-def elementwise(form: str, out, x=None, y=None, scalars=lambda: (0.0, 0.0)):
+def scalar_slot(a: float = 0.0, b: float = 0.0):
+    """Host-owned storage for the two scalars an op may read."""
+    return (ctypes.c_double * 2)(a, b)
+
+
+def elementwise(form: str, out, x=None, y=None, scalars=None):
     """``specialize`` hook: ``out <- MAP_FORMS[form](x, y, a, b)`` on owned cells.
 
     ``scalars() -> (a, b)`` runs on every launch, never at bind time.
-    Operands a form does not read may be omitted.
+    Operands (and scalars) a form does not read may be omitted.
     """
     fields = (out, out if x is None else x, out if y is None else y)
+    slot = scalar_slot()  # one per container: every unit of it reads the same cells
 
     def specialize(rank, view, span):
         slabs = dense_slabs(rank, span, fields)
-        fn = slabs and _bind(out.grid, f"map_{form}", _MAP_ARGS)
+        fn = slabs and _bind(out.grid, f"map_{form}")
         if not fn:
             return None
         arrays, strips = slabs
         card, slices = arrays[0].shape[:2]
         plane, h = arrays[0][0, 0].size, out.grid.radius
-        pointers = [_pointer(a) for a in arrays]
-        calls = [(*pointers, card, slices * plane, (h + s.lo) * plane, (s.hi - s.lo) * plane) for s in strips]
-        return launcher(fn, calls, arrays, scalars)
+        pointers = [a.ctypes.data for a in arrays]
+        calls = [(pointers, (card, slices * plane, (h + s.lo) * plane, (s.hi - s.lo) * plane)) for s in strips]
+        return launcher(fn, calls, arrays, slot, scalars)
 
     return specialize
 
@@ -283,15 +291,14 @@ def stencil(src, dst, terms):
         if max(abs(off[0]) for off, _ in terms) > grid.radius:
             return None
         slabs = dense_slabs(rank, span, (src, dst))
-        fn = slabs and _bind(grid, f"stencil_{_declared(grid).index(terms)}", _STENCIL_ARGS)
+        fn = slabs and _bind(grid, f"stencil_{_declared(grid).index(terms)}")
         if not fn:
             return None
         arrays, strips = slabs
         n1, n2 = arrays[0].shape[2:]
-        pointers = [_pointer(a) for a in arrays]
-        outside = float(src.outside_value)
-        calls = [(*pointers, n1, n2, grid.radius, s.lo, s.hi, outside) for s in strips]
-        return launcher(fn, calls, arrays)
+        pointers = [a.ctypes.data for a in arrays]
+        calls = [(pointers, (n1, n2, grid.radius, s.lo, s.hi)) for s in strips]
+        return launcher(fn, calls, arrays, scalar_slot(float(src.outside_value)))
 
     return specialize
 
@@ -308,7 +315,7 @@ def slice_sums(partial, x, y=None):
         if row.dtype != np.float64 or row.ndim != 1 or not row.flags["C_CONTIGUOUS"]:
             return None
         slabs = dense_slabs(rank, span, (x, x if y is None else y))
-        fn = slabs and _bind(x.grid, "slice_sum" if y is None else "slice_dot", _REDUCE_ARGS)
+        fn = slabs and _bind(x.grid, "slice_sum" if y is None else "slice_dot")
         if fn and not hasattr(fn, "sums_like_numpy"):
             fn.sums_like_numpy = _tree_matches_numpy(fn)  # once per bound function
         if not fn or not fn.sums_like_numpy:
@@ -318,8 +325,8 @@ def slice_sums(partial, x, y=None):
         plane, h = arrays[0][0, 0].size, x.grid.radius
         if len(row) != slices - 2 * h:
             return None
-        pointers = [_pointer(a) for a in (*arrays, row)]
-        calls = [(*pointers, card, slices * plane, plane, h, s.lo, s.hi) for s in strips]
+        pointers = [a.ctypes.data for a in (*arrays, row)]
+        calls = [(pointers, (card, slices * plane, plane, h, s.lo, s.hi)) for s in strips]
         return launcher(fn, calls, (*arrays, row))
 
     return specialize
@@ -343,7 +350,7 @@ def _tree_matches_numpy(fn) -> bool:
     vectors.append(np.full(3, -0.0))
     for x in vectors:
         got, ones = np.empty(1), np.ones(len(x))
-        fn(_pointer(x), _pointer(ones), _pointer(got), 1, len(x), len(x), 0, 0, 1)
+        fn(_table.record(fn, [a.ctypes.data for a in (x, ones, got)], None, (1, len(x), len(x), 0, 0, 1)))
         if got.tobytes() != np.sum(x).tobytes():
             return False
     return True

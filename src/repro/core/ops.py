@@ -208,17 +208,22 @@ class ScalarResult:
     def __init__(self, partial: MemSet, op=np.add):
         self.partial = partial
         self.op = op
+        self._rows = self._row = None
+        if getattr(partial, "slice_reduce", False) and not partial.virtual:
+            # device payload arrays are never rebound: hold the rank rows and
+            # one row to gather them into, instead of rebuilding both per read
+            self._rows = [buf.array for buf in partial.buffers]
+            self._row = np.concatenate(self._rows)
 
     def value(self) -> float:
         if self.partial.virtual:
             raise RuntimeError("reduction partials of a virtual grid have no payload")
-        if getattr(self.partial, "slice_reduce", False):
+        if self._rows is not None:
             # per-slice partials: concatenating the rank rows in rank
             # order reproduces the global slice order, so the summation
             # tree depends only on the domain extent — bitwise identical
             # for every partition (sum-only; see Grid.new_dot_partial)
-            rows = [np.asarray(self.partial.partition(r).array) for r in range(self.partial.num_devices)]
-            return float(np.sum(np.concatenate(rows)))
+            return float(np.sum(np.concatenate(self._rows, out=self._row)))
         vals = [float(self.partial.partition(r).array[0]) for r in range(self.partial.num_devices)]
         out = vals[0]
         for v in vals[1:]:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.codegen import table as _table
 from repro.sets.memset import MemSet
 from repro.system import Backend
 
 from .field import Field
 from .grid import Grid
-from .halo import HaloMsg, exchange_pairs, staged_copy
+from .halo import HaloMsg, exchange_pairs
 from .layout import Layout
 from .partition import normalized_shares, slab_partition, weighted_slab_partition
 from .stencil import Stencil
@@ -225,6 +226,7 @@ class DenseField(Field):
             if buf.array is not None:
                 buf.array[...] = outside_value
             self.buffers.append(buf)
+        self._halo_msgs: list[HaloMsg] | None = None
 
     def partition(self, rank: int) -> DenseFieldPartition:
         return DenseFieldPartition(self, rank)
@@ -259,7 +261,20 @@ class DenseField(Field):
             out[:, a:b] = self.partition(rank).view_all(span)
         return out
 
+    def _staged_copy(self, src_rank: int, dst: np.ndarray, src: np.ndarray):
+        """What moves ``src`` into ``dst`` through staging: a one-op table
+        (:func:`repro.codegen.table.staged_copy`), else the pool's own copy."""
+        pool, dev = self.grid.backend.staging, self.grid.backend.device(src_rank)
+        return _table.staged_copy(pool, dev, dst, src) or (lambda: pool.staged_copy(dev, dst, src))
+
     def halo_messages(self) -> list[HaloMsg]:
+        """Built once per field: payload arrays are never rebound, and every
+        message's copy holds its staging block for the field's lifetime."""
+        if self._halo_msgs is None:
+            self._halo_msgs = self._build_halo_messages()
+        return self._halo_msgs
+
+    def _build_halo_messages(self) -> list[HaloMsg]:
         h = self.grid.radius
         if h == 0 or self.num_devices == 1:
             return []
@@ -288,12 +303,7 @@ class DenseField(Field):
                     else:
                         cc = 0 if c is None else c
                         s_arr, d_arr = sp._comp(cc), dp._comp(cc)
-                    pool = self.grid.backend.staging
-                    src_dev = self.grid.backend.device(src)
-
-                    def fn(s_arr=s_arr, d_arr=d_arr, src_sl=src_sl, dst_sl=dst_sl, pool=pool, dev=src_dev):
-                        staged_copy(pool, dev, d_arr[dst_sl], s_arr[src_sl])
-
+                    fn = self._staged_copy(src, d_arr[dst_sl], s_arr[src_sl])
                 msgs.append(HaloMsg(name, src, dst, slab_bytes, fn))
         return msgs
 
@@ -304,11 +314,11 @@ class DenseField(Field):
         SoA halo messages it coalesced (one ``(src, dst)`` pair, every
         component exactly once, any order); the returned closure moves
         the multi-component slab ``storage[:, slices]`` through staging
-        in a single :func:`staged_copy` — same bytes to the same ghost
-        slots as the per-component copies, one dispatch instead of
-        ``cardinality``.  Returns ``None`` whenever the messages are not
-        exactly such a family, so callers can always fall back to
-        running the constituent copies one by one.
+        in a single staged copy (``cardinality`` strided chunks) — same
+        bytes to the same ghost slots as the per-component copies, one
+        dispatch instead of ``cardinality``.  Returns ``None`` whenever
+        the messages are not exactly such a family, so callers can always
+        fall back to running the constituent copies one by one.
         """
         if self.virtual or self.layout is not Layout.SOA or self.cardinality <= 1:
             return None
@@ -329,12 +339,5 @@ class DenseField(Field):
         else:
             src_sl = slice(h, 2 * h)
             dst_sl = slice(n_dst + h, n_dst + 2 * h)
-        s_slab = self.partition(src).storage[:, src_sl]
-        d_slab = self.partition(dst).storage[:, dst_sl]
-        pool = self.grid.backend.staging
-        src_dev = self.grid.backend.device(src)
-
-        def fn(s=s_slab, d=d_slab, pool=pool, dev=src_dev):
-            staged_copy(pool, dev, d, s)
-
-        return fn
+        d_slab, s_slab = self.partition(dst).storage[:, dst_sl], self.partition(src).storage[:, src_sl]
+        return self._staged_copy(src, d_slab, s_slab)

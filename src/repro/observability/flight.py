@@ -24,9 +24,10 @@ Event shape (one tuple per ring slot, JSON-ified on dump)::
 
 ``seq`` is a process-global monotonic ordinal so events from different
 tracks can be interleaved into one timeline; ``kind`` is one of
-``kernel | copy | wait | fault | violation | deadlock | rollback |
-degrade | retune | note``; ``detail`` is a small dict (site key, ranks,
-bytes, attempt number...) or ``None``.
+``kernel | copy | fused | program | wait | fault | violation | deadlock |
+rollback | degrade | retune | note`` (``program``: one C call running a
+whole run of op-table units, named ``<first site>+<n>ops``); ``detail``
+is a small dict (site key, ranks, bytes, attempt number...) or ``None``.
 
 Like the rest of this package, the module imports no other ``repro``
 modules; instrumented sites import it lazily.

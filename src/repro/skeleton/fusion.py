@@ -57,6 +57,11 @@ the armed layer set: bare, the precomposed closure itself; otherwise the
 constituents' *own* closures — the same specialised kernels — each
 wrapped once by :func:`repro.system.layers.lower`, so fault sites,
 sanitizer records and per-kernel spans are those of the unfused program.
+A specialised kernel or dense halo copy is an op table
+(:mod:`repro.codegen.table`), and a bare *serial* replay goes one step
+further (:func:`lower_serial`): every maximal run of consecutive
+table-carrying units becomes one table — one host call — with the units
+whose closure is still Python left in place between the runs.
 
 Fusion is **on by default**; ``--no-fuse`` CLI flags and the
 :func:`disabled` context manager (or ``Plan.fuse = False`` before first
@@ -72,6 +77,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro import observability as _obs
+from repro.codegen.table import Table, concat
 from repro.observability.flight import FLIGHT as _FLIGHT
 from repro.sanitizer.access import step_accesses
 from repro.sanitizer.program import StepInfo
@@ -152,6 +158,41 @@ class FusedStep:
 def _ringed(slot: tuple, fn: Callable[[], None]) -> None:
     _FLIGHT.record(*slot)
     fn()
+
+
+def segments(dispatch: list) -> list[list[FusedStep]]:
+    """``dispatch`` cut into the host calls of a bare serial replay: maximal
+    runs of consecutive units whose closure is an op table, and every unit
+    whose closure is Python on its own."""
+    out: list[list[FusedStep]] = []
+    for unit in dispatch:
+        if isinstance(unit.fn, Table) and out and isinstance(out[-1][-1].fn, Table):
+            out[-1].append(unit)
+        else:
+            out.append([unit])
+    return out
+
+
+def lower_serial(dispatch: list, flight: bool) -> list[Callable[[], None]]:
+    """The bare serial lowering: one callable per segment, in dispatch order.
+
+    A run of table units is the concatenation of their tables behind one
+    ring slot (kind ``program``: first site + op count — ops cannot raise,
+    so no post-mortem ring ever ends inside one); a Python unit lowers as
+    it always did.  Scalars are read at segment entry, which equals per
+    launch because only a Python unit could change one, and it ends the
+    segment.
+    """
+    runs = []
+    for units in segments(dispatch):
+        head = units[0]
+        if not isinstance(head.fn, Table):
+            runs.append(head.lower({}, flight))
+            continue
+        table = concat([u.fn for u in units])
+        slot = (head.pid, "program", f"{head.sites[0]}+{len(table.ops)}ops")
+        runs.append(partial(_ringed, slot, table) if flight else table)
+    return runs
 
 
 def _chain(envelope, runs: list) -> None:
@@ -289,6 +330,8 @@ def _compose(steps) -> tuple[Callable[[], None], tuple, bool]:
             fn = batched([s.msg for s in steps])
             if fn is not None:
                 return fn, tuple(fns), False
+    if all(isinstance(f, Table) for f in fns):
+        return concat(fns), tuple(fns), specialized
 
     def run_chain(fns=tuple(fns)):
         for f in fns:
@@ -304,8 +347,9 @@ def fuse_program(program, fuse: bool = True) -> None:
     ``program.fused_heads`` (head command -> unit, in dispatch order; a
     member command has no entry, which is how the parallel engine
     callback skips it) and the ``fused_steps`` / ``dispatch_units`` /
-    ``fusion_ratio`` schedule stats.  ``fuse=False`` makes every step a
-    singleton unit around its own command closure: no chains, no hooks.
+    ``host_calls`` / ``fusion_ratio`` schedule stats.  ``fuse=False`` makes
+    every step a singleton unit around its own command closure: no chains,
+    no hooks.
     """
     dispatch: list[FusedStep] = []
     for chain in build_chains(program) if fuse else ([s] for s in program.steps):
@@ -329,4 +373,5 @@ def fuse_program(program, fuse: bool = True) -> None:
     stats = program.stats
     stats.fused_steps = sum(len(u.steps) for u in dispatch if len(u.steps) > 1)
     stats.dispatch_units = len(dispatch)
+    stats.host_calls = len(segments(dispatch))
     stats.fusion_ratio = (len(program.steps) / len(dispatch)) if dispatch else 1.0

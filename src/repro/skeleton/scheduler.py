@@ -52,7 +52,7 @@ from repro.system import (
 from repro.system import layers as _layers
 
 from .depgraph import DepGraph, GraphNode, NodeKind, Scope
-from .fusion import FUSION, FusedStep, fuse_program
+from .fusion import FUSION, FusedStep, fuse_program, lower_serial
 
 PieceKey = tuple  # ("c", node_uid, rank) | ("h", node_uid, msg_index)
 
@@ -71,6 +71,7 @@ class ScheduleStats:
     # fusion annotations (populated by repro.skeleton.fusion.fuse_program)
     fused_steps: int = 0  # constituent steps living inside multi-step units
     dispatch_units: int = 0  # len(program.dispatch)
+    host_calls: int = 0  # callables a bare serial replay runs: table segments + Python units
     fusion_ratio: float = 1.0  # steps per dispatch unit (>= 1.0)
 
 
@@ -133,17 +134,21 @@ class CompiledProgram:
     # instrumented one are kept, so dead registries are never accumulated
     _lowered: dict[bool, tuple] = field(default_factory=dict, repr=False)
 
-    def runners(self, layers: Mapping[str, object], flight: bool) -> dict[Command, Callable[[], None]]:
-        """Head command -> the callable that runs its unit, in dispatch order;
-        re-lowered when ``layers`` (:meth:`repro.system.layers.Session.layers`:
+    def runners(self, layers: Mapping[str, object], flight: bool) -> tuple[dict[Command, Callable[[], None]], list]:
+        """``(by_head, host_calls)``: head command -> the callable that runs
+        its unit, in dispatch order (what the engine looks up), and the
+        callables a serial replay runs — the same ones under any layer, the
+        segment tables of :func:`repro.skeleton.fusion.lower_serial` bare.
+        Re-lowered when ``layers`` (:meth:`repro.system.layers.Session.layers`:
         the armed layers and the tracer / registry / fault session / log
         their wrappers close over) has changed since the last replay."""
         key = (layers, flight)
         cached = self._lowered.get(bool(layers))
         if cached is None or cached[0] != key:
-            runners = {cmd: unit.lower(layers, flight) for cmd, unit in self.fused_heads.items()}
-            cached = self._lowered[bool(layers)] = (key, runners)
-        return cached[1]
+            by_head = {cmd: unit.lower(layers, flight) for cmd, unit in self.fused_heads.items()}
+            host_calls = list(by_head.values()) if layers else lower_serial(self.dispatch, flight)
+            cached = self._lowered[bool(layers)] = (key, by_head, host_calls)
+        return cached[1:]
 
 
 def _member() -> None:
@@ -497,14 +502,14 @@ class Plan:
         with _obs.span("plan.execute", cat="phase", eager=eager, mode=mode):
             program = self._ensure_program()
             if eager:
-                runners = program.runners(self.backend.session.layers(), _FLIGHT.enabled)
+                runners, host_calls = program.runners(self.backend.session.layers(), _FLIGHT.enabled)
                 with _obs.span(f"plan.replay.{mode}", cat="phase") as sp:
                     if mode == "parallel":
                         self._replay_parallel(program, runners)
                     else:
                         # host order: each unit at its head's task-list position,
                         # which the fusion legality rules prove order-equivalent
-                        for run in runners.values():
+                        for run in host_calls:
                             run()
                 if sp is not None:
                     m = _obs.OBS.metrics

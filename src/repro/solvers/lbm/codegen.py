@@ -41,19 +41,15 @@ interpreted path, as does any host without a C compiler.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from repro import codegen as _cc
-from repro.codegen.grid_kernels import dense_slabs, launcher
+from repro.codegen import table as _table
+from repro.codegen.grid_kernels import dense_slabs, launcher, scalar_slot
 
 #: keep in sync with d3q19 (imported lazily there to avoid a cycle)
 SOLID_SENTINEL = -1.0
 RHO0 = 1.0
-
-_DOUBLES = ctypes.POINTER(ctypes.c_double)
-_ARGTYPES = [_DOUBLES, _DOUBLES] + [ctypes.c_long] * 8 + [ctypes.c_double, _DOUBLES]
 
 
 def lid_corrections(lattice, lid_velocity: float) -> np.ndarray:
@@ -68,21 +64,23 @@ def lid_corrections(lattice, lid_velocity: float) -> np.ndarray:
 def generate_twopop_source(lattice, moving_lid: bool) -> str:
     """C source for one z-strip of the pull-scheme collide+stream kernel.
 
-    Signature: ``twopop_span(fin, fout, zs, ny, nx, h, lo, hi, gstart,
-    nztot, omega, corr)`` — ``zs`` is the storage z-extent (owned + 2h
-    ghost slices), ``[lo, hi)`` the local owned z-range to process,
-    ``gstart`` the rank's global z offset, ``nztot`` the global domain
-    depth (for the moving-lid test) and ``corr`` the
-    :func:`lid_corrections` array (unread without ``moving_lid``).
-    Strides are derived from ``ny``/``nx``, so one compiled unit serves
-    every rank, partition weighting and lid speed.
+    The exported ``twopop_span(op)`` unpacks an op record
+    (:data:`repro.codegen.table.OP_H`) into ``twopop_body(fin, fout, zs,
+    ny, nx, h, lo, hi, gstart, nztot, omega, corr)`` — ``zs`` is the
+    storage z-extent (owned + 2h ghost slices), ``[lo, hi)`` the local
+    owned z-range to process, ``gstart`` the rank's global z offset,
+    ``nztot`` the global domain depth (for the moving-lid test) and
+    ``corr`` the :func:`lid_corrections` array (unread without
+    ``moving_lid``).  Strides are derived from ``ny``/``nx``, so one
+    compiled unit serves every rank, partition weighting and lid speed.
     """
     hexf = _cc.hexf
     q_count = lattice.q
     vel, w, opp = lattice.velocities, lattice.weights, lattice.opposite
     lines: list[str] = []
     emit = lines.append
-    emit("void twopop_span(const double* restrict fin, double* restrict fout,")
+    emit(_table.OP_H)
+    emit("static void twopop_body(const double* restrict fin, double* restrict fout,")
     emit("    long zs, long ny, long nx, long h, long lo, long hi, long gstart,")
     emit("    long nztot, double omega, const double* restrict corr) {")
     emit(f"  const double thr = {hexf(SOLID_SENTINEL + 0.5)};")
@@ -169,13 +167,15 @@ def generate_twopop_source(lattice, moving_lid: bool) -> str:
     emit("    }")
     emit("  }")
     emit("}")
+    longs = ", ".join(f"op->n[{k}]" for k in range(8))
+    emit(f"void twopop_span(const op_t* op) {{ twopop_body(op->p[0], op->p[1], {longs}, *op->s[0], op->p[2]); }}")
     return "\n".join(lines) + "\n"
 
 
 def compile_twopop(lattice, moving_lid: bool):
     """Compiled ``twopop_span`` of one lattice, with or without a moving lid, or None."""
     key = ("lbm.twopop", lattice.name, moving_lid)
-    return _cc.compile_shared(key, generate_twopop_source(lattice, moving_lid), "twopop_span", _ARGTYPES)
+    return _table.bind(key, generate_twopop_source(lattice, moving_lid), "twopop_span")
 
 
 def make_twopop_specializer(grid, f_in, f_out, omega: float, lid_velocity: float, lattice):
@@ -200,8 +200,8 @@ def make_twopop_specializer(grid, f_in, f_out, omega: float, lid_velocity: float
         corr = lid_corrections(lattice, lid_velocity)
         (_, zs, ny, nx), nztot, h = si.shape, int(grid.shape[0]), int(grid.radius)
         gstart = int(grid.bounds[rank][0])
-        pin, pout, pcorr = (a.ctypes.data_as(_DOUBLES) for a in (si, so, corr))
-        calls = [(pin, pout, zs, ny, nx, h, s.lo, s.hi, gstart, nztot, float(omega), pcorr) for s in strips]
-        return launcher(kfn, calls, (si, so, corr))
+        pointers = [a.ctypes.data for a in (si, so, corr)]
+        calls = [(pointers, (zs, ny, nx, h, s.lo, s.hi, gstart, nztot)) for s in strips]
+        return launcher(kfn, calls, (si, so, corr), scalar_slot(float(omega)))
 
     return specialize

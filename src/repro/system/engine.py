@@ -1,19 +1,22 @@
-"""Concurrent functional execution: one worker thread per device.
+"""Concurrent functional execution: worker threads, each serving a block of devices.
 
 The functional plane historically ran every kernel inline on the host in
 task-list order — correct, but serial, so ``run()`` wall-clock scaled
 with total work rather than with the critical path the paper's OCC
 schedules are designed to shorten.  This module replays *recorded*
-command queues with one worker thread per simulated device (NumPy
-kernels release the GIL, the standard parallelism mechanism in
-NumPy-backed runtimes), turning ``RecordEventCommand`` /
-``WaitEventCommand`` into real cross-thread synchronisation.
+command queues on ``min(devices, os.cpu_count())`` worker threads (NumPy
+and generated-C kernels release the GIL, the standard parallelism
+mechanism in NumPy-backed runtimes), turning ``RecordEventCommand`` /
+``WaitEventCommand`` into real cross-thread synchronisation.  Devices map
+onto workers in contiguous blocks: slab neighbours share a worker, so
+most halo events never cross a thread, and more threads than cores would
+only hand one GIL back and forth.
 
 The engine honours exactly the stream/event wiring:
 
-* all queues of one device are merged into a single per-device program
+* all queues of one worker's devices are merged into a single program
   ordered by ``Command.issue_seq`` (the host task-list order projected
-  onto that device — this mirrors the DES machine model, which also
+  onto those devices — this mirrors the DES machine model, which also
   serialises kernels through one compute engine per device);
 * a ``WaitEventCommand`` blocks the worker until the event's signal is
   set; a ``RecordEventCommand`` sets it; kernel and copy commands run
@@ -44,13 +47,16 @@ topological order where every event record precedes all of its waits in
 ``issue_seq``; take the blocked wait with the smallest ``issue_seq`` —
 its record has a smaller seq on another device, whose worker must then
 be blocked at an even smaller wait, a contradiction.  Hand-built
-schedules that violate record-before-wait host order are caught by a
-pre-flight check (waits on events never recorded in the batch) and a
-watchdog timeout.
+schedules that violate record-before-wait host order are rejected by a
+pre-flight check (waits on events never recorded in the batch, or
+recorded only after the wait in issue order — on one worker that wait
+could never retire, and how many workers there are is the machine's
+business, not the schedule's); the watchdog timeout is the backstop.
 """
 
 from __future__ import annotations
 
+import os
 import queue as _queue
 import threading
 from collections.abc import Callable
@@ -69,7 +75,7 @@ class EngineDeadlock(RuntimeError):
 
 
 class _Worker:
-    """A persistent per-device thread draining a job inbox.
+    """A persistent thread draining a job inbox.
 
     Jobs are zero-argument callables that never raise (the engine wraps
     each batch so errors are collected and the completion latch is
@@ -102,9 +108,9 @@ class _Worker:
 
 
 class ParallelEngine:
-    """Replays recorded command queues with one worker thread per device.
+    """Replays recorded command queues on up to ``os.cpu_count()`` worker threads.
 
-    Workers are *persistent*: the first replay that touches a device
+    Workers are *persistent*: the first replay that needs a worker slot
     spawns its thread, and every later replay reuses it, so a
     1000-iteration loop pays thread-creation cost once (the same
     amortisation the compiled replay plans give the graph cost).  Keep
@@ -132,7 +138,7 @@ class ParallelEngine:
         queues: list[CommandQueue],
         run_command: Callable[[Command], None] | None = None,
     ) -> None:
-        """Run every command of ``queues`` on per-device worker threads.
+        """Run every command of ``queues`` on the worker threads.
 
         ``run_command`` receives each :class:`KernelCommand` /
         :class:`CopyCommand` (event commands are handled by the engine);
@@ -181,19 +187,20 @@ class ParallelEngine:
         with self._batch_lock:
             self._reset_and_check_events(programs)
             if len(programs) == 1:
-                # single device: no cross-thread dependencies are
-                # possible, run inline and keep the exception story trivial
+                # one worker's worth (a single device, or a one-CPU host): no
+                # cross-thread dependencies are possible, run inline and
+                # keep the exception story trivial
                 for cmd in next(iter(programs.values())):
                     self._step(cmd, run_command, None, log)
-                self._observe_batch(t0, programs)
+                self._observe_batch(t0, queues)
                 return
-            for dev_uid, program in sorted(programs.items()):
-                self._worker(dev_uid).submit(make_job(program))
+            for slot, program in programs.items():
+                self._worker(slot).submit(make_job(program))
             for _ in programs:
                 done.acquire()
         if errors:
             raise errors[0]
-        self._observe_batch(t0, programs)
+        self._observe_batch(t0, queues)
 
     def close(self) -> None:
         """Retire every persistent worker thread (idempotent)."""
@@ -206,30 +213,32 @@ class ParallelEngine:
 
     # -- internals ----------------------------------------------------------
     @staticmethod
-    def _observe_batch(t0: float, programs: dict[int, list[Command]]) -> None:
+    def _observe_batch(t0: float, queues: list[CommandQueue]) -> None:
         """Record one successful batch replay into the metrics registry."""
         if not _obs.OBS.active:
             return
         m = _obs.OBS.metrics
-        m.counter("engine_batches", devices=str(len(programs))).inc()
-        m.histogram(
-            "engine_batch_seconds",
-            bounds=_obs.Histogram.TIME_BOUNDS,
-            devices=str(len(programs)),
-        ).observe(perf_counter() - t0)
+        devices = str(len({q.device.uid for q in queues}))
+        m.counter("engine_batches", devices=devices).inc()
+        m.histogram("engine_batch_seconds", bounds=_obs.Histogram.TIME_BOUNDS, devices=devices).observe(
+            perf_counter() - t0
+        )
 
-    def _worker(self, dev_uid: int) -> _Worker:
-        w = self._workers.get(dev_uid)
+    def _worker(self, slot: int) -> _Worker:
+        w = self._workers.get(slot)
         if w is None:
-            w = self._workers[dev_uid] = _Worker(f"engine-dev{dev_uid}")
+            w = self._workers[slot] = _Worker(f"engine-w{slot}")
         return w
 
     @staticmethod
     def _build_programs(queues: list[CommandQueue]) -> dict[int, list[Command]]:
-        """Merge each device's queues into one issue-ordered program."""
+        """Worker slot -> the issue-ordered program of its block of devices."""
+        devices = sorted({q.device.uid for q in queues})
+        workers = min(len(devices), os.cpu_count() or 1)
+        slot_of = {uid: i * workers // len(devices) for i, uid in enumerate(devices)}
         programs: dict[int, list[Command]] = {}
         for q in queues:
-            programs.setdefault(q.device.uid, []).extend(q.commands)
+            programs.setdefault(slot_of[q.device.uid], []).extend(q.commands)
         for program in programs.values():
             program.sort(key=lambda cmd: cmd.issue_seq)
         return programs
@@ -237,23 +246,23 @@ class ParallelEngine:
     @staticmethod
     def _reset_and_check_events(programs: dict[int, list[Command]]) -> None:
         """Reset every event signal and reject waits that could never retire."""
-        recorded: set[int] = set()
-        waited: dict[int, Command] = {}
+        recorded: dict[int, int] = {}  # event uid -> issue seq of its record
+        waits: list[Command] = []
         for program in programs.values():
             for cmd in program:
                 if isinstance(cmd, RecordEventCommand):
                     cmd.event.reset_signal()
-                    recorded.add(cmd.event.uid)
+                    recorded[cmd.event.uid] = cmd.issue_seq
                 elif isinstance(cmd, WaitEventCommand):
-                    waited.setdefault(cmd.event.uid, cmd)
-        missing = [cmd for uid, cmd in waited.items() if uid not in recorded]
+                    waits.append(cmd)
+        missing = [cmd for cmd in waits if recorded.get(cmd.event.uid, cmd.issue_seq) >= cmd.issue_seq]
         if missing:
             names = ", ".join(cmd.name for cmd in missing[:5])
             _flight.record("host", "deadlock", "engine.preflight", {"missing_waits": names})
             _flight.dump("engine_deadlock", {"stage": "preflight", "missing": len(missing)})
             raise EngineDeadlock(
-                f"{len(missing)} wait(s) on events never recorded in this batch ({names}); "
-                "the replay would block forever"
+                f"{len(missing)} wait(s) on events never recorded in this batch, or recorded "
+                f"after the wait in issue order ({names}); the replay would block forever"
             )
 
     def _step(self, cmd: Command, run_command: Callable[[Command], None], abort: threading.Event | None, log) -> None:

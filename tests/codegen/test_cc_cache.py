@@ -84,16 +84,16 @@ def objects(tmpdir) -> list:
 
 def test_first_process_compiles_later_ones_only_load(tmp_path):
     cold = finish(spawn(tmp_path, "lbm"))
-    assert cold["compiles"] == 2, "one translation unit per solver: D3Q19 and the Poisson grid's"
+    assert cold["compiles"] == 3, "one translation unit per solver (D3Q19, the Poisson grid's) + the op walker"
     assert cold["specialized"] == cold["kernel_units"] > 0
     # the build-directory leak: a process leaves the per-user cache and nothing else
     assert [p.name for p in tmp_path.iterdir()] == [cache_dir(tmp_path).name]
     assert stat.S_IMODE(cache_dir(tmp_path).stat().st_mode) == 0o700
-    assert len(objects(tmp_path)) == 2
+    assert len(objects(tmp_path)) == 3
 
     warm = finish(spawn(tmp_path, "lbm", "no-cc"))  # subprocess.run raises in this child
     assert warm == {**cold, "compiles": 0}
-    assert len(objects(tmp_path)) == 2
+    assert len(objects(tmp_path)) == 3
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +105,15 @@ def poisson_cold(tmp_path_factory):
 
 def test_truncated_object_is_rebuilt_and_replaced(poisson_cold):
     tmpdir, cold = poisson_cold
-    assert cold["compiles"] == 1 and cold["specialized"] == cold["kernel_units"] > 0
-    (cached,) = objects(tmpdir)
-    whole = cached.stat().st_size
-    with open(cached, "r+b") as fh:
-        fh.truncate(whole // 2)
+    assert cold["compiles"] == 2 and cold["specialized"] == cold["kernel_units"] > 0  # the grid's unit + the op walker
+    cached = objects(tmpdir)
+    sizes = [obj.stat().st_size for obj in cached]
+    for obj, whole in zip(cached, sizes):
+        with open(obj, "r+b") as fh:
+            fh.truncate(whole // 2)
     again = finish(spawn(tmpdir))
-    assert again == cold, "rebuilt (one compile) and bitwise the same run"
-    assert objects(tmpdir) == [cached] and cached.stat().st_size == whole
+    assert again == cold, "rebuilt (one compile each) and bitwise the same run"
+    assert objects(tmpdir) == cached and [obj.stat().st_size for obj in cached] == sizes
 
 
 @pytest.mark.parametrize("obstacle", ["world-writable directory", "plain file"])
@@ -125,7 +126,7 @@ def test_untrusted_cache_location_means_a_private_build(tmp_path, poisson_cold, 
         spot.mkdir()
         spot.chmod(0o777)
     got = finish(spawn(untrusted))
-    assert got == reference, "built privately: one compile, same kernels, same bytes"
+    assert got == reference, "built privately: the same compiles, same kernels, same bytes"
     # nothing was published into it or loaded from it, and the private build dir is gone
     assert [p.name for p in untrusted.iterdir()] == [spot.name]
     if obstacle == "plain file":
@@ -137,5 +138,5 @@ def test_untrusted_cache_location_means_a_private_build(tmp_path, poisson_cold, 
 def test_two_cold_processes_publish_one_object(tmp_path, poisson_cold):
     racers = [spawn(tmp_path), spawn(tmp_path)]
     for got in [finish(child) for child in racers]:
-        assert {**got, "compiles": 1} == poisson_cold[1]  # the loser of the race may have loaded instead
-    assert len(objects(tmp_path)) == 1, "one content address, no partial file, no build directory left"
+        assert {**got, "compiles": 2} == poisson_cold[1]  # the loser of a race may have loaded instead
+    assert len(objects(tmp_path)) == 2, "one content address per unit, no partial file, no build directory left"

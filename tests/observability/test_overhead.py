@@ -3,12 +3,15 @@
 A replay reads the armed layers once (``Plan.execute``: the process's
 observability and flight switches, its own backend's session) and then
 calls the program's lowering for that set; with nothing
-armed that lowering is each dispatch unit's own closure behind one
-flight-ring slot.  Two tests pin that down: a structural one (the bare
-lowering's runner for every unit *is* ``unit.fn``) and a budget — the
-per-replay switch reads plus the always-on flight records, costed
-pessimistically, stay under 2% of the measured run time of the default
-(fused) program.  CI runs this file as its own job step so an
+armed that lowering is each dispatch unit's own closure — consecutive
+op-table units concatenated into one table — behind one flight-ring slot
+per host call.  Two tests pin that down: a structural one (every bare
+runner is a unit's own closure, or the table built from exactly the
+consecutive units it covers) and a budget — the per-replay switch reads
+plus the always-on flight records, costed pessimistically, stay under 2%
+of the measured run time of the default (fused) program.  The skeleton
+mixes a Python stencil with a specialised ``axpy``, so it exercises the
+segmentation.  CI runs this file as its own job step so an
 instrumentation regression (e.g. work put back on the bare path) fails
 loudly.
 """
@@ -17,6 +20,7 @@ import subprocess
 import sys
 import timeit
 
+from repro import codegen
 from repro import observability as obs
 from repro.observability import flight
 from repro.core import ops
@@ -62,11 +66,26 @@ def test_bare_lowering_is_the_units_own_closures():
     sk = _build_skeleton()
     sk.run()
     program = sk.plan._ensure_program()
-    runners = program.runners({}, flight=False)
-    assert list(runners) == [u.steps[0].command for u in program.dispatch]
-    assert all(run is unit.fn for run, unit in zip(runners.values(), program.dispatch))
+    by_head, host_calls = program.runners({}, flight=False)
+    # the engine's view stays per unit: every unit's own closure, under its head
+    assert list(by_head) == [u.steps[0].command for u in program.dispatch]
+    assert all(run is unit.fn for run, unit in zip(by_head.values(), program.dispatch))
+    # the serial view: every runner is a unit's own closure, or the table
+    # built from exactly the consecutive units it covers — in dispatch order
+    units = iter(program.dispatch)
+    for run in host_calls:
+        unit = next(units)
+        if run is unit.fn:
+            continue
+        covered = bytes(unit.fn.ops)
+        while len(covered) < len(bytes(run.ops)):
+            covered += bytes(next(units).fn.ops)
+        assert bytes(run.ops) == covered
+    assert next(units, None) is None
+    assert len(host_calls) == program.stats.host_calls
+    assert len(host_calls) < len(program.dispatch) or not codegen.available()
     # and the lowering is cached, not rebuilt per replay
-    assert program.runners({}, flight=False) is runners
+    assert program.runners({}, flight=False)[1] is host_calls
 
 
 def test_disabled_overhead_under_2_percent():
@@ -76,7 +95,7 @@ def test_disabled_overhead_under_2_percent():
     before = flight.FLIGHT.records
     sk.run()
     flight_records = flight.FLIGHT.records - before
-    assert flight_records == len(sk.plan._ensure_program().dispatch)
+    assert flight_records == sk.plan._ensure_program().stats.host_calls
 
     # per-event costs, measured pessimistically: a switch read through a
     # Python-level callable is strictly slower than the inline read, and

@@ -1,4 +1,4 @@
-"""ParallelEngine: per-device workers, event sync, failure modes."""
+"""ParallelEngine: workers serving blocks of devices, event sync, failure modes."""
 
 import threading
 import time
@@ -15,6 +15,12 @@ from repro.system import (
 )
 
 COST = KernelCost(bytes_moved=8)
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """These cases are about two workers, whatever the host has."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
 
 
 @pytest.fixture
@@ -72,6 +78,39 @@ def test_wait_without_record_is_rejected_up_front(engine):
     q1.wait_event(Event("never-recorded"))
     with pytest.raises(EngineDeadlock, match="never recorded"):
         engine.execute([q0, q1])
+
+
+def test_wait_issued_before_its_record_is_rejected_up_front(engine):
+    """A hand-built schedule whose record follows its wait in issue order: on
+    one worker (a one-CPU host merges every device) the wait could never
+    retire, so the pre-flight check refuses it on any machine — at once,
+    not after the watchdog's timeout."""
+    d0, d1 = DeviceSet.gpus(2)
+    q0 = CommandQueue(d0, eager=False, name="q0")
+    q1 = CommandQueue(d1, eager=False, name="q1")
+    ev = Event("late")
+    q0.wait_event(ev)  # issued first
+    q0.enqueue_kernel("after", lambda: None, COST)
+    q1.enqueue_kernel("k", lambda: None, COST)
+    q1.record_event(ev)
+    t0 = time.perf_counter()
+    with pytest.raises(EngineDeadlock, match="after the wait in issue order"):
+        engine.execute([q0, q1])
+    assert time.perf_counter() - t0 < 1.0, "pre-flight, not the watchdog"
+
+
+def test_devices_share_at_most_cpu_count_workers_in_contiguous_blocks(engine, monkeypatch):
+    devices = DeviceSet.gpus(8)
+    queues = [CommandQueue(d, eager=False, name=f"q{d.index}") for d in devices]
+    ran: dict[int, str] = {}
+    for i, q in enumerate(queues):
+        q.enqueue_kernel(f"k{i}", lambda i=i: ran.setdefault(i, threading.current_thread().name), COST)
+    engine.execute(queues)
+    assert [ran[i] for i in range(8)] == ["engine-w0"] * 4 + ["engine-w1"] * 4
+    monkeypatch.setattr("os.cpu_count", lambda: 1)  # one program: the inline path
+    ran.clear()
+    engine.execute(queues)
+    assert set(ran.values()) == {threading.current_thread().name}
 
 
 def test_worker_exception_propagates_and_aborts(engine):
