@@ -62,7 +62,6 @@ _HISTOGRAMS = (
     "serve_queue_wait_seconds",
     "engine_batch_seconds",
     "copy_size_bytes",
-    "staging_acquire_seconds",
     "launch_cost_bytes",
     "allocation_size_bytes",
 )

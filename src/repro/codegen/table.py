@@ -17,8 +17,9 @@ launch because no Python runs inside a table: whatever could change a
 host cell is a Python unit, which ends the table before it.
 
 **Lifetime.**  Records hold raw addresses; ``keep`` pins what they point
-into (field payloads, partial rows, staging blocks, scalar slots), so a
-table stays valid after every other reference to its solver is dropped.
+into (field payloads, partial rows, scalar slots), so a table stays valid
+after every other reference to its solver is dropped.  Payload arrays are
+never rebound, which is why a field builds its copy tables once.
 
 The walker is its own tiny translation unit, bound through
 ``repro.codegen.compile_shared`` like every other (looked up per call: the
@@ -54,15 +55,13 @@ void run_ops(const op_t* ops, long n) {
   for (long i = 0; i < n; ++i) ops[i].fn(&ops[i]);
 }
 
-/* two-hop copy p[0] -> staging p[1] -> p[2]: n[0] chunks of n[1] bytes,
-   n[2] bytes apart at the source and n[3] at the destination */
+/* copy p[0] -> p[1]: n[0] chunks of n[1] bytes, n[2] bytes apart at the
+   source and n[3] at the destination */
 void copy_op(const op_t* op) {
   const char* src = (const char*)op->p[0];
-  char* stage = (char*)op->p[1];
-  char* dst = (char*)op->p[2];
+  char* dst = (char*)op->p[1];
   long chunks = op->n[0], bytes = op->n[1];
-  for (long c = 0; c < chunks; ++c) memcpy(stage + c * bytes, src + c * op->n[2], bytes);
-  for (long c = 0; c < chunks; ++c) memcpy(dst + c * op->n[3], stage + c * bytes, bytes);
+  for (long c = 0; c < chunks; ++c) memcpy(dst + c * op->n[3], src + c * op->n[2], bytes);
 }
 """
 )
@@ -139,18 +138,12 @@ def _chunks(view: np.ndarray) -> tuple[int, int, int] | None:
     return None
 
 
-def staged_copy(pool, device, dst: np.ndarray, src: np.ndarray) -> Table | None:
-    """``pool.staged_copy(device, dst, src)`` as a one-op table, or None when
-    it cannot be one (no compiler, empty or oddly strided operands).
-
-    The staging block is taken from ``pool`` here and held for the life of
-    the table, so the pool's resident accounting covers it and a replay
-    touches no lock and no free list.
-    """
+def copy(dst: np.ndarray, src: np.ndarray) -> Table | None:
+    """``np.copyto(dst, src)`` as a one-op table, or None when it cannot be
+    one (no compiler, empty or oddly strided operands)."""
     s, d = _chunks(src), _chunks(dst)
     fn = s and d and s[:2] == d[:2] and src.nbytes and bind(("optable", "copy_op"), _WALKER_C, "copy_op")
     if not fn:
         return None
-    stage = pool.acquire(device, src.nbytes)
-    op = record(fn, (src.ctypes.data, stage.ctypes.data, dst.ctypes.data), None, (*s, d[2]))
-    return table([op], [], (src, dst, stage))
+    op = record(fn, (src.ctypes.data, dst.ctypes.data), None, (*s, d[2]))
+    return table([op], [], (src, dst))

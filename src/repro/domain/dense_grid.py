@@ -14,6 +14,8 @@ user kernels (e.g. as a 0/1 indicator field) and defines ``num_active``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.codegen import table as _table
@@ -261,18 +263,21 @@ class DenseField(Field):
             out[:, a:b] = self.partition(rank).view_all(span)
         return out
 
-    def _staged_copy(self, src_rank: int, dst: np.ndarray, src: np.ndarray):
-        """What moves ``src`` into ``dst`` through staging: a one-op table
-        (:func:`repro.codegen.table.staged_copy`), else the pool's own copy."""
-        pool, dev = self.grid.backend.staging, self.grid.backend.device(src_rank)
-        return _table.staged_copy(pool, dev, dst, src) or (lambda: pool.staged_copy(dev, dst, src))
-
     def halo_messages(self) -> list[HaloMsg]:
-        """Built once per field: payload arrays are never rebound, and every
-        message's copy holds its staging block for the field's lifetime."""
+        """Built once per field: payload arrays are never rebound, so
+        ``sync_halo_now()`` and every replay reuse the built copy ops."""
         if self._halo_msgs is None:
             self._halo_msgs = self._build_halo_messages()
         return self._halo_msgs
+
+    def _slab_slices(self, src: int, dst: int) -> tuple[slice, slice]:
+        """Storage slices of the slab ``src`` sends and of the ghost slots it fills on ``dst``."""
+        h = self.grid.radius
+        if dst == src + 1:
+            n_src = self.grid.local_slices(src)
+            return slice(n_src, n_src + h), slice(0, h)  # top owned slices -> low halo slots
+        n_dst = self.grid.local_slices(dst)
+        return slice(h, 2 * h), slice(n_dst + h, n_dst + 2 * h)  # low owned slices -> high halo slots
 
     def _build_halo_messages(self) -> list[HaloMsg]:
         h = self.grid.radius
@@ -284,14 +289,7 @@ class DenseField(Field):
         comps = range(self.cardinality) if per_comp else [None]
         slab_bytes = h * lateral_cells * self.dtype.itemsize * (1 if per_comp else self.cardinality)
         for src, dst in exchange_pairs(self.num_devices):
-            n_src = self.grid.local_slices(src)
-            n_dst = self.grid.local_slices(dst)
-            if dst == src + 1:
-                src_sl = slice(n_src, n_src + h)  # top owned slices (storage offset +h folds in)
-                dst_sl = slice(0, h)  # low halo slots
-            else:
-                src_sl = slice(h, 2 * h)  # low owned slices
-                dst_sl = slice(n_dst + h, n_dst + 2 * h)  # high halo slots
+            src_sl, dst_sl = self._slab_slices(src, dst)
             for c in comps:
                 name = f"halo:{self.name}" + (f".{c}" if c is not None else "") + f":{src}->{dst}"
                 if self.virtual:
@@ -303,20 +301,20 @@ class DenseField(Field):
                     else:
                         cc = 0 if c is None else c
                         s_arr, d_arr = sp._comp(cc), dp._comp(cc)
-                    fn = self._staged_copy(src, d_arr[dst_sl], s_arr[src_sl])
+                    fn = _copy(d_arr[dst_sl], s_arr[src_sl])
                 msgs.append(HaloMsg(name, src, dst, slab_bytes, fn))
         return msgs
 
     def batched_halo_fn(self, msgs):
-        """One staged copy standing in for a whole per-component message family.
+        """One copy standing in for a whole per-component message family.
 
         The fusion pass hands this the contiguous run of per-component
         SoA halo messages it coalesced (one ``(src, dst)`` pair, every
         component exactly once, any order); the returned closure moves
-        the multi-component slab ``storage[:, slices]`` through staging
-        in a single staged copy (``cardinality`` strided chunks) — same
-        bytes to the same ghost slots as the per-component copies, one
-        dispatch instead of ``cardinality``.  Returns ``None`` whenever
+        the multi-component slab ``storage[:, slices]`` in a single copy
+        (``cardinality`` strided chunks) — same bytes to the same ghost
+        slots as the per-component copies, one dispatch instead of
+        ``cardinality``.  Returns ``None`` whenever
         the messages are not exactly such a family, so callers can always
         fall back to running the constituent copies one by one.
         """
@@ -330,14 +328,10 @@ class DenseField(Field):
             return None
         if any(m.src_rank != src or m.dst_rank != dst for m in msgs):
             return None
-        h = self.grid.radius
-        n_src = self.grid.local_slices(src)
-        n_dst = self.grid.local_slices(dst)
-        if dst == src + 1:
-            src_sl = slice(n_src, n_src + h)
-            dst_sl = slice(0, h)
-        else:
-            src_sl = slice(h, 2 * h)
-            dst_sl = slice(n_dst + h, n_dst + 2 * h)
-        d_slab, s_slab = self.partition(dst).storage[:, dst_sl], self.partition(src).storage[:, src_sl]
-        return self._staged_copy(src, d_slab, s_slab)
+        src_sl, dst_sl = self._slab_slices(src, dst)
+        return _copy(self.partition(dst).storage[:, dst_sl], self.partition(src).storage[:, src_sl])
+
+
+def _copy(dst: np.ndarray, src: np.ndarray):
+    """What moves ``src`` into ``dst``: a one-op table, else ``np.copyto``."""
+    return _table.copy(dst, src) or functools.partial(np.copyto, dst, src)

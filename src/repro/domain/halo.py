@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class HaloMsg:
@@ -75,15 +73,3 @@ def exchange_pairs(num_devices: int) -> list[tuple[int, int]]:
         pairs.append((r, r + 1))  # push up
         pairs.append((r + 1, r))  # push down
     return pairs
-
-
-def staged_copy(pool, device, dst: np.ndarray, src: np.ndarray) -> None:
-    """Copy ``src`` into ``dst`` through a pooled staging buffer.
-
-    The transfer path a halo message takes: source partition -> staging
-    block -> destination halo slots.  The staging block comes from the
-    backend's :class:`~repro.system.memory.StagingPool` (size-bucketed,
-    per-device free lists) and returns to it when the copy retires, so
-    steady-state exchanges allocate nothing.
-    """
-    pool.staged_copy(device, dst, src)

@@ -22,13 +22,15 @@ the span/cost machinery needs at paper scale.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.system import Backend
 
 from .field import Field
 from .grid import Grid
-from .halo import HaloMsg, exchange_pairs, staged_copy
+from .halo import HaloMsg, exchange_pairs
 from .layout import Layout
 from .partition import weighted_slab_partition
 from .stencil import Stencil
@@ -354,11 +356,7 @@ class SparseField(Field):
                     else:
                         cc = 0 if c is None else c
                         s_arr, d_arr = sp._comp(cc), dp._comp(cc)
-                    pool = self.grid.backend.staging
-                    src_dev = self.grid.backend.device(src)
-
-                    def fn(s_arr=s_arr, d_arr=d_arr, src_sl=src_sl, dst_sl=dst_sl, pool=pool, dev=src_dev):
-                        staged_copy(pool, dev, d_arr[dst_sl], s_arr[src_sl])
+                    fn = functools.partial(np.copyto, d_arr[dst_sl], s_arr[src_sl])
 
                 msgs.append(HaloMsg(name, src, dst, nbytes, fn))
         return msgs

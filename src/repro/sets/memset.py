@@ -9,6 +9,7 @@ responsibility — the caller states how many elements each device gets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,14 +115,9 @@ class MemSet(MultiDeviceData):
     def update_device(self, rank: int, queue: CommandQueue) -> None:
         """Enqueue a host->device transfer for one partition."""
         src, dst = self.host_slice(rank), self.buffers[rank].array
-        pool, dev = self.backend.staging, self.backend.device(rank)
-
-        def do(src=src, dst=dst, pool=pool, dev=dev):
-            pool.staged_copy(dev, dst, src)
-
         queue.enqueue_copy(
             f"h2d:{self.name}[{rank}]",
-            do,
+            functools.partial(np.copyto, dst, src),
             HOST,
             self.backend.device(rank),
             src.nbytes,
@@ -131,14 +127,9 @@ class MemSet(MultiDeviceData):
     def update_host(self, rank: int, queue: CommandQueue) -> None:
         """Enqueue a device->host transfer for one partition."""
         src, dst = self.buffers[rank].array, self.host_slice(rank)
-        pool, dev = self.backend.staging, self.backend.device(rank)
-
-        def do(src=src, dst=dst, pool=pool, dev=dev):
-            pool.staged_copy(dev, dst, src)
-
         queue.enqueue_copy(
             f"d2h:{self.name}[{rank}]",
-            do,
+            functools.partial(np.copyto, dst, src),
             self.backend.device(rank),
             HOST,
             src.nbytes,

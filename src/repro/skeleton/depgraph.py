@@ -19,8 +19,6 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.sets import Container, DataView, Pattern, ReduceMode
 from repro.sets.loader import Access
 
@@ -97,32 +95,54 @@ class GraphNode:
 
 
 class DepGraph:
-    """A DAG of GraphNodes with typed, scoped edges."""
+    """A DAG of GraphNodes with typed, scoped edges.
+
+    Adjacency is two insertion-ordered dicts, ``_succ`` and ``_pred``:
+    node -> {neighbour: (kinds, scopes)}, both directions sharing one
+    tuple per edge.  Nodes iterate in insertion order and each node's
+    edges in the order they were first added.
+    """
 
     def __init__(self) -> None:
-        self.g = nx.DiGraph()
+        self._succ: dict[GraphNode, dict[GraphNode, tuple[set[DepKind], set[Scope]]]] = {}
+        self._pred: dict[GraphNode, dict[GraphNode, tuple[set[DepKind], set[Scope]]]] = {}
 
     # -- construction ------------------------------------------------------
     def add_node(self, node: GraphNode) -> GraphNode:
-        self.g.add_node(node)
+        self._succ.setdefault(node, {})
+        self._pred.setdefault(node, {})
         return node
 
     def add_edge(self, a: GraphNode, b: GraphNode, kind: DepKind, scope: Scope = Scope.LOCAL) -> None:
         if a is b:
             return
-        if self.g.has_edge(a, b):
-            self.g[a][b]["kinds"].add(kind)
-            self.g[a][b]["scopes"].add(scope)
+        if self.has_edge(a, b):
+            kinds, scopes = self._succ[a][b]
+            kinds.add(kind)
+            scopes.add(scope)
         else:
-            self.g.add_edge(a, b, kinds={kind}, scopes={scope})
+            self.add_node(a)
+            self.add_node(b)
+            self._succ[a][b] = self._pred[b][a] = ({kind}, {scope})
+
+    def remove_edge(self, a: GraphNode, b: GraphNode) -> None:
+        del self._succ[a][b]
+        del self._pred[b][a]
+
+    def remove_node(self, node: GraphNode) -> None:
+        """Drop ``node`` and every edge into or out of it."""
+        for b in self._succ.pop(node):
+            del self._pred[b][node]
+        for a in self._pred.pop(node):
+            del self._succ[a][node]
 
     # -- queries ----------------------------------------------------------
     @property
     def nodes(self) -> list[GraphNode]:
-        return sorted(self.g.nodes, key=lambda n: (n.seq, n.uid))
+        return sorted(self._succ, key=lambda n: (n.seq, n.uid))
 
     def edges(self) -> list[tuple[GraphNode, GraphNode, set[DepKind], set[Scope]]]:
-        return [(a, b, d["kinds"], d["scopes"]) for a, b, d in self.g.edges(data=True)]
+        return [(a, b, kinds, scopes) for a, nbrs in self._succ.items() for b, (kinds, scopes) in nbrs.items()]
 
     def data_edges(self):
         """Edges that are real data dependencies (hints excluded)."""
@@ -136,26 +156,23 @@ class DepGraph:
                 yield a, b
 
     def parents(self, node: GraphNode, with_hints: bool = False):
-        for a in self.g.predecessors(node):
-            kinds = self.g[a][node]["kinds"]
+        for a, (kinds, _scopes) in self._pred[node].items():
             if with_hints or kinds - {DepKind.SCHED}:
                 yield a
 
     def children(self, node: GraphNode, with_hints: bool = False):
-        for b in self.g.successors(node):
-            kinds = self.g[node][b]["kinds"]
+        for b, (kinds, _scopes) in self._succ[node].items():
             if with_hints or kinds - {DepKind.SCHED}:
                 yield b
 
     def edge_info(self, a: GraphNode, b: GraphNode) -> tuple[set[DepKind], set[Scope]]:
-        d = self.g[a][b]
-        return d["kinds"], d["scopes"]
+        return self._succ[a][b]
 
     def has_edge(self, a: GraphNode, b: GraphNode) -> bool:
-        return self.g.has_edge(a, b)
+        return b in self._succ.get(a, ())
 
     def find(self, name: str) -> GraphNode:
-        hits = [n for n in self.g.nodes if n.name == name]
+        hits = [n for n in self._succ if n.name == name]
         if len(hits) != 1:
             raise KeyError(f"{len(hits)} nodes named '{name}'")
         return hits[0]
@@ -168,7 +185,7 @@ class DepGraph:
         """
         placed: dict[GraphNode, int] = {}
         levels: list[list[GraphNode]] = []
-        pending = set(self.g.nodes)
+        pending = set(self._succ)
         while pending:
             frontier = [
                 n
@@ -193,24 +210,45 @@ class DepGraph:
         removal in Fig 4c).  Edges involved in halo scopes synchronise
         *different* ranks per hop and are never redundant at rank
         granularity, so they are kept.
+
+        An edge ``a -> b`` of the LOCAL data subgraph is redundant when
+        some other child of ``a`` reaches ``b`` in that subgraph, i.e. when
+        a LOCAL data path of two or more edges joins them.
         """
-        local = nx.DiGraph()
-        local.add_nodes_from(self.g.nodes)
-        for a, b, d in self.g.edges(data=True):
-            if d["scopes"] == {Scope.LOCAL} and d["kinds"] != {DepKind.SCHED}:
-                local.add_edge(a, b)
-        reduced = nx.transitive_reduction(local)
-        removed = 0
-        for a, b in list(local.edges):
-            if not reduced.has_edge(a, b):
-                kinds = self.g[a][b]["kinds"]
-                if DepKind.SCHED in kinds:
-                    # keep the hint, drop the data-dependency role
-                    self.g[a][b]["kinds"] = {DepKind.SCHED}
-                else:
-                    self.g.remove_edge(a, b)
-                removed += 1
-        return removed
+        local = {
+            a: [b for b, (kinds, scopes) in nbrs.items() if scopes == {Scope.LOCAL} and kinds != {DepKind.SCHED}]
+            for a, nbrs in self._succ.items()
+        }
+        # reverse topological order, so every child's reach is known first
+        indegree = dict.fromkeys(local, 0)
+        for children in local.values():
+            for b in children:
+                indegree[b] += 1
+        order = [n for n, d in indegree.items() if d == 0]
+        for n in order:
+            for b in local[n]:
+                indegree[b] -= 1
+                if indegree[b] == 0:
+                    order.append(b)
+        if len(order) != len(local):
+            raise RuntimeError("cycle in dependency graph")
+        bit = {n: 1 << i for i, n in enumerate(order)}
+        below: dict[GraphNode, int] = {}  # bitset of nodes reachable by >= 1 LOCAL data edge
+        for n in reversed(order):
+            below[n] = 0
+            for b in local[n]:
+                below[n] |= bit[b] | below[b]
+        redundant = [
+            (a, b) for a, children in local.items() for b in children if any(below[c] & bit[b] for c in children)
+        ]
+        for a, b in redundant:
+            kinds, scopes = self._succ[a][b]
+            if DepKind.SCHED in kinds:
+                # keep the hint, drop the data-dependency role
+                self._succ[a][b] = self._pred[b][a] = ({DepKind.SCHED}, scopes)
+            else:
+                self.remove_edge(a, b)
+        return len(redundant)
 
 
 def _scope_for(resource: Resource, a: GraphNode, b: GraphNode) -> Scope:

@@ -78,9 +78,9 @@ def _clone(node: GraphNode, view: DataView) -> GraphNode:
 
 def _split(graph: DepGraph, node: GraphNode):
     """Remove ``node``; return its halves and its former edges for routing."""
-    ins = [(p, *graph.edge_info(p, node)) for p in graph.g.predecessors(node)]
-    outs = [(c, *graph.edge_info(node, c)) for c in graph.g.successors(node)]
-    graph.g.remove_node(node)
+    ins = [(p, *graph.edge_info(p, node)) for p in graph.parents(node, with_hints=True)]
+    outs = [(c, *graph.edge_info(node, c)) for c in graph.children(node, with_hints=True)]
+    graph.remove_node(node)
     n_int = graph.add_node(_clone(node, DataView.INTERNAL))
     n_bnd = graph.add_node(_clone(node, DataView.BOUNDARY))
     return n_int, n_bnd, ins, outs

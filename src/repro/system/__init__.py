@@ -3,7 +3,7 @@
 from .backend import Backend
 from .device import HOST, Device, DeviceSet, DeviceType
 from .engine import EXECUTION_MODES, EngineDeadlock, ParallelEngine
-from .memory import AllocationError, DeviceAllocator, DeviceBuffer, MemOptions, StagingPool
+from .memory import AllocationError, DeviceAllocator, DeviceBuffer, MemOptions
 from .queue import (
     Command,
     CommandQueue,
@@ -35,6 +35,5 @@ __all__ = [
     "MemOptions",
     "ParallelEngine",
     "RecordEventCommand",
-    "StagingPool",
     "WaitEventCommand",
 ]

@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
-import threading
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -231,130 +229,3 @@ class DeviceAllocator:
             m = _obs.OBS.metrics
             m.counter("frees", device=dev).inc()
             m.gauge("memory_used_bytes", device=dev).set(self._used[buf.device.uid])
-
-
-_MIN_STAGING_BUCKET = 256
-
-
-class StagingPool:
-    """Size-bucketed pool of reusable staging arrays, keyed per device.
-
-    Halo exchanges and host<->device mirrors need a transient contiguous
-    staging area per transfer (explicit copies are the paper's chosen
-    halo strategy, section IV-C2).  Allocating a fresh NumPy array per
-    transfer puts an allocator round-trip on the exchange fast path of
-    every iteration; the pool instead hands out buffers from per-device
-    free lists bucketed by power-of-two size, so a steady-state solver
-    loop reuses the same few staging blocks forever.
-
-    The pool is thread-safe (one lock; acquire/release are O(1) list
-    operations) because the parallel engine issues halo copies from
-    per-device worker threads concurrently.
-
-    Observability: ``staging_pool_hits`` / ``staging_pool_misses``
-    counters and a ``staging_pool_resident_bytes{device}`` gauge track
-    reuse quality; ``stats()`` returns the same numbers for tests and
-    benchmark reports.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._free: dict[tuple[int, int], list[np.ndarray]] = {}
-        self._resident: dict[int, int] = {}
-        self._hits = 0
-        self._misses = 0
-
-    @staticmethod
-    def _bucket(nbytes: int) -> int:
-        if nbytes < 0:
-            raise ValueError("negative staging size")
-        b = _MIN_STAGING_BUCKET
-        while b < nbytes:
-            b <<= 1
-        return b
-
-    def acquire(self, device: Device, nbytes: int) -> np.ndarray:
-        """A 1-D uint8 staging array of at least ``nbytes`` bytes.
-
-        The returned array is bucket-sized; callers slice the prefix they
-        need (``buf[:nbytes]``) and must hand the *same* array back to
-        :meth:`release` when the transfer retires.
-        """
-        t0 = perf_counter() if _obs.OBS.active else 0.0
-        bucket = self._bucket(nbytes)
-        key = (device.uid, bucket)
-        with self._lock:
-            free = self._free.get(key)
-            if free:
-                self._hits += 1
-                arr = free.pop()
-                hit = True
-            else:
-                self._misses += 1
-                self._resident[device.uid] = self._resident.get(device.uid, 0) + bucket
-                arr = None
-                hit = False
-            resident = self._resident.get(device.uid, 0)
-        if arr is None:
-            # allocate outside the lock; the resident accounting above
-            # already reserved the bucket for this device
-            arr = np.empty(bucket, dtype=np.uint8)
-        if _obs.OBS.active:
-            m = _obs.OBS.metrics
-            m.counter("staging_pool_hits" if hit else "staging_pool_misses").inc()
-            m.gauge("staging_pool_resident_bytes", device=device.metric_label).set(resident)
-            # distinguishes the O(1) free-list pop from an allocator round-trip
-            m.histogram(
-                "staging_acquire_seconds",
-                bounds=_obs.Histogram.TIME_BOUNDS,
-                outcome="hit" if hit else "miss",
-            ).observe(perf_counter() - t0)
-        return arr
-
-    def release(self, device: Device, arr: np.ndarray) -> None:
-        """Return a staging array to its device's free list."""
-        key = (device.uid, arr.nbytes)
-        with self._lock:
-            self._free.setdefault(key, []).append(arr)
-
-    def staged_copy(self, device: Device, dst: np.ndarray, src: np.ndarray) -> None:
-        """Copy ``src`` into ``dst`` through a pooled staging buffer.
-
-        Models the explicit two-hop transfer path of a peer copy (source
-        partition -> staging area -> destination halo slots / mirror)
-        without paying a fresh allocation per transfer.  Each concurrent
-        transfer holds its own block, so the helper is safe to call from
-        the parallel engine's per-device workers.
-        """
-        nbytes = src.nbytes
-        if nbytes == 0:
-            return
-        stage = self.acquire(device, nbytes)
-        try:
-            view = stage[:nbytes].view(src.dtype).reshape(src.shape)
-            np.copyto(view, src)
-            np.copyto(dst, view)
-        finally:
-            self.release(device, stage)
-
-    def drain(self) -> None:
-        """Drop every pooled block and reset resident accounting.
-
-        Teardown hook (``Backend.close``): draining deterministically on
-        close keeps a failing test from carrying resident-bytes state —
-        or a reference to a dead backend's blocks — into the next one.
-        """
-        with self._lock:
-            self._free.clear()
-            self._resident.clear()
-
-    def stats(self) -> dict[str, float]:
-        """Pool quality snapshot: hits, misses, hit rate, resident bytes."""
-        with self._lock:
-            total = self._hits + self._misses
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "hit_rate": self._hits / total if total else 0.0,
-                "resident_bytes": sum(self._resident.values()),
-            }

@@ -7,7 +7,8 @@ consecutive table units as one C call and leaves the units whose closure
 is still Python in place between them.  Pinned here: the three ways of
 running one frozen program agree bitwise, the published host-call count,
 what a Python unit in the middle of a program does to scalar reads, what a
-table keeps alive, the no-compiler leg and the engine's worker cap.
+table keeps alive and what each halo copy points into, the no-compiler leg
+and the engine's worker cap.
 
 Nothing in this file skips where a C compiler exists (CI fails on a
 skip); under ``REPRO_DISABLE_CC`` the same cells run the interpreted
@@ -17,6 +18,7 @@ closures and the counts say so.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import gc
 import json
 import os
@@ -30,6 +32,7 @@ import pytest
 
 from repro import codegen
 from repro import observability as obs
+from repro.codegen import table as table_module
 from repro.codegen.table import Table
 from repro.domain import STENCIL_7PT, DataView, DenseGrid
 from repro.skeleton import Occ, Skeleton, fusion, scheduler
@@ -62,7 +65,6 @@ def fingerprints(job: JobSpec) -> dict[str, bytes]:
         return {key: value.tobytes() for key, value in app.run().items()}
     finally:
         app.close()
-        app.backend.close()
 
 
 def programs(app) -> list:
@@ -212,7 +214,7 @@ def _pinned(keep) -> list:
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler in this environment")
-def test_lowered_runner_pins_fields_staging_and_slots():
+def test_lowered_runner_pins_fields_and_slots():
     reference = _poisson()
     reference.cg.sk_a.run()
     want = [a.tobytes() for a in _payloads(reference.cg)]
@@ -220,21 +222,50 @@ def test_lowered_runner_pins_fields_staging_and_slots():
     solver = _poisson()
     (runner,) = solver.cg.sk_a.plan._ensure_program().runners({}, flight=False)[1]
     watched = [weakref.ref(a) for a in _payloads(solver.cg)]
-    backend = solver.backend
     for sk in (solver.cg.sk_init, solver.cg.sk_a, solver.cg.sk_b):
         sk.close()
     del solver, sk
-    backend.close()  # drains the pool: the tables' staging blocks are their own
-    del backend
     gc.collect()
     assert all(ref() is not None for ref in watched), "the table pins what its records point into"
     pinned = _pinned(runner.keep)
-    assert any(a.dtype == np.uint8 for a in pinned), "staging blocks included"
-    runner()  # reads beta through its slot, copies through its staging blocks
+    assert not any(a.dtype == np.uint8 for a in pinned), "no staging block: a copy goes straight across"
+    runner()  # reads beta through its slot, copies boundary slabs into ghost slots
     assert [ref().tobytes() for ref in watched] == want
     del runner, pinned
     gc.collect()
     assert all(ref() is None for ref in watched), "and nothing else does"
+
+
+def _copy_tables(app) -> list[Table]:
+    """The one-op copy tables of every program of ``app``, in dispatch order."""
+    copy_op = table_module.bind(("optable", "copy_op"), table_module._WALKER_C, "copy_op")
+    address = ctypes.cast(copy_op, ctypes.c_void_p).value
+    return [
+        unit.fn
+        for program in programs(app)
+        for unit in program.dispatch
+        if isinstance(unit.fn, Table) and unit.fn.ops[0].fn == address
+    ]
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler in this environment")
+@pytest.mark.parametrize("experiment, devices", [("lbm", 2), ("poisson", 4)])
+def test_every_halo_copy_op_pins_its_two_views_and_points_into_payloads(experiment, devices):
+    app = build(spec(experiment, devices, "standard"))
+    payloads = [buf.array for bufs in app.backend.allocator._live.values() for buf in bufs]
+    spans = [(a.ctypes.data, a.ctypes.data + a.nbytes) for a in payloads if a is not None]
+    copies = _copy_tables(app)
+    assert copies, "a multi-device program has halo copies"
+    for t in copies:
+        (op,) = t.ops
+        src, dst = t.keep
+        assert (op.p[0], op.p[1], op.p[2]) == (src.ctypes.data, dst.ctypes.data, None)
+        chunks, nbytes, src_stride, dst_stride = op.n[:4]
+        assert chunks * nbytes == src.nbytes == dst.nbytes > 0
+        for base, stride in ((op.p[0], src_stride), (op.p[1], dst_stride)):
+            lo, hi = base, base + (chunks - 1) * stride + nbytes
+            assert any(a <= lo and hi <= b for a, b in spans), "inside one field payload"
+    app.close()
 
 
 # -- (v) no compiler: no walker, nothing written ------------------------------------------

@@ -44,7 +44,7 @@ def _build_skeleton(devices=2):
 
 
 # the labeled series the lowering resolves per step (other instrumentation
-# sites — enqueue counters, engine batch histograms, staging pool — have
+# sites — enqueue counters, engine batch histograms — have
 # their own budgets and are not what the hoisting targets)
 STEP_SERIES = frozenset(
     {"kernel_seconds", "copy_seconds", "copy_size_bytes", "halo_bytes_sent", "halo_messages"}
