@@ -69,7 +69,6 @@ EXPERIMENTS = {
     "ablation-scheduler": ("bench_ablation_scheduler.py", "Ablation: stream reuse"),
     "ablation-fusion": ("bench_ablation_fusion.py", "Ablation: container fusion"),
     "ext-multinode": ("bench_ext_multinode.py", "Extension: multi-node scaling"),
-    "ext-pipelining": ("bench_ext_pipelining.py", "Extension: iteration pipelining"),
     "micro": ("bench_microbench.py", "Framework microbenchmarks"),
 }
 

@@ -8,8 +8,8 @@ imported explicitly by their users rather than re-exported here, so
 by the repo's benchmark (``perf/run.py`` + ``BENCHMARK.json``), not here.
 """
 
-from .harness import format_table, sweep, wall_time, write_bench_json
-from .metrics import lups, mlups, parallel_efficiency, speedup
+from .harness import format_table, wall_time, write_bench_json
+from .metrics import lups, mlups, parallel_efficiency
 from .plot import ascii_plot
 from .report import load_result, save_result
 
@@ -21,8 +21,6 @@ __all__ = [
     "mlups",
     "parallel_efficiency",
     "save_result",
-    "speedup",
-    "sweep",
     "wall_time",
     "write_bench_json",
 ]

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 import pathlib
 import platform
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 BENCH_SCHEMA = "repro-bench/5"
 
@@ -61,19 +60,6 @@ def wall_time(fn: Callable[[], None], repeats: int = 3, warmup: int = 1) -> floa
     return best
 
 
-def sweep(values: Iterable, fn: Callable) -> list:
-    """Evaluate ``fn`` over a parameter axis, returning [(value, result)]."""
-    return [(v, fn(v)) for v in values]
-
-
-def usable_cpu_count() -> int:
-    """CPU cores actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
 def bench_env() -> dict:
     """Runtime context stamped into every benchmark document.
 
@@ -83,6 +69,8 @@ def bench_env() -> dict:
     comparing modes.
     """
     import numpy
+
+    from repro.system.engine import usable_cpu_count
 
     return {
         "python": sys.version.split()[0],

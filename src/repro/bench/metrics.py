@@ -14,13 +14,6 @@ def parallel_efficiency(t_baseline: float, t_n: float, n: int) -> float:
     return t_baseline / (n * t_n)
 
 
-def speedup(t_baseline: float, t_n: float) -> float:
-    """Plain time ratio t_baseline / t_n."""
-    if t_baseline <= 0 or t_n <= 0:
-        raise ValueError("times must be positive")
-    return t_baseline / t_n
-
-
 def mlups(num_cells: int, iterations: int, seconds: float) -> float:
     """Million lattice-cell updates per second (Table II metric)."""
     if seconds <= 0 or num_cells < 0 or iterations < 0:

@@ -15,8 +15,6 @@ from .mgraph import build_multi_gpu_graph, expand_with_halo_nodes
 from .occ import Occ, OccReport, apply_occ
 from .scheduler import CompiledProgram, ExecutionResult, Plan, ScheduleStats
 from .skeleton import Skeleton, TuneDecision
-from .unroll import steady_state_iteration_time, unroll, unrolled_skeleton
-from .viz import graph_to_dot
 
 __all__ = [
     "FUSION",
@@ -42,9 +40,5 @@ __all__ = [
     "containers_to_nodes",
     "expand_with_halo_nodes",
     "fuse_program",
-    "graph_to_dot",
     "simulate_result",
-    "steady_state_iteration_time",
-    "unroll",
-    "unrolled_skeleton",
 ]

@@ -136,8 +136,8 @@ def apply_occ(graph: DepGraph, occ: Occ) -> OccReport:
         for c, kinds, scopes in outs:
             if c.kind is NodeKind.HALO:
                 # a halo update only reads the writer's *boundary* cells,
-                # so it needs just the boundary half — this is what lets
-                # an unrolled next iteration's exchange start early
+                # so it waits on just the boundary half, and the internal
+                # half overlaps the exchange
                 _add(graph, s_bnd, c, kinds, scopes)
             else:
                 _add(graph, s_int, c, kinds, scopes)

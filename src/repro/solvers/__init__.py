@@ -1,35 +1,15 @@
 """Applications (paper section VI): LBM, Poisson, linear elasticity."""
 
 from .cg import CGResult, ConjugateGradient
-from .eigen import (
-    EigenResult,
-    PowerIteration,
-    laplacian_spectrum_bounds,
-    largest_eigenvalue,
-    smallest_eigenvalue,
-)
 from .elasticity import (
     ElasticitySolver,
     assembled_node_blocks,
     hex_element_stiffness,
     make_elastic_operator,
 )
-from .multigrid import TwoGridPoisson, prolong_trilinear, restrict_full_weighting
 from .poisson import PoissonSolver, make_neg_laplacian, manufactured_problem
-from .smoothers import IterativePoisson, make_jacobi_sweep, make_rb_half_sweep
 
 __all__ = [
-    "EigenResult",
-    "IterativePoisson",
-    "PowerIteration",
-    "laplacian_spectrum_bounds",
-    "largest_eigenvalue",
-    "TwoGridPoisson",
-    "make_jacobi_sweep",
-    "make_rb_half_sweep",
-    "prolong_trilinear",
-    "restrict_full_weighting",
-    "smallest_eigenvalue",
     "CGResult",
     "ConjugateGradient",
     "ElasticitySolver",

@@ -4,7 +4,7 @@ The functional plane historically ran every kernel inline on the host in
 task-list order — correct, but serial, so ``run()`` wall-clock scaled
 with total work rather than with the critical path the paper's OCC
 schedules are designed to shorten.  This module replays *recorded*
-command queues on ``min(devices, os.cpu_count())`` worker threads (NumPy
+command queues on ``min(devices, usable_cpu_count())`` worker threads (NumPy
 and generated-C kernels release the GIL, the standard parallelism
 mechanism in NumPy-backed runtimes), turning ``RecordEventCommand`` /
 ``WaitEventCommand`` into real cross-thread synchronisation.  Devices map
@@ -70,6 +70,14 @@ from . import layers as _layers
 from .queue import Command, CommandQueue, RecordEventCommand, WaitEventCommand
 
 
+def usable_cpu_count() -> int:
+    """CPU cores this process may run on (affinity-aware, unlike ``os.cpu_count()``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
+
+
 class EngineDeadlock(RuntimeError):
     """A worker blocked on an event that can no longer be signalled."""
 
@@ -108,7 +116,7 @@ class _Worker:
 
 
 class ParallelEngine:
-    """Replays recorded command queues on up to ``os.cpu_count()`` worker threads.
+    """Replays recorded command queues on up to :func:`usable_cpu_count` worker threads.
 
     Workers are *persistent*: the first replay that needs a worker slot
     spawns its thread, and every later replay reuses it, so a
@@ -234,7 +242,7 @@ class ParallelEngine:
     def _build_programs(queues: list[CommandQueue]) -> dict[int, list[Command]]:
         """Worker slot -> the issue-ordered program of its block of devices."""
         devices = sorted({q.device.uid for q in queues})
-        workers = min(len(devices), os.cpu_count() or 1)
+        workers = min(len(devices), usable_cpu_count())
         slot_of = {uid: i * workers // len(devices) for i, uid in enumerate(devices)}
         programs: dict[int, list[Command]] = {}
         for q in queues:

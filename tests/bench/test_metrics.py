@@ -1,6 +1,6 @@
 import pytest
 
-from repro.bench import format_table, lups, mlups, parallel_efficiency, speedup, sweep, wall_time
+from repro.bench import format_table, lups, mlups, parallel_efficiency, wall_time
 
 
 def test_parallel_efficiency_ideal():
@@ -22,8 +22,6 @@ def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         parallel_efficiency(1.0, 1.0, 0)
     with pytest.raises(ValueError):
-        speedup(1.0, 0.0)
-    with pytest.raises(ValueError):
         mlups(100, 1, 0.0)
 
 
@@ -43,7 +41,3 @@ def test_format_table_aligns():
 def test_wall_time_measures_positive():
     t = wall_time(lambda: sum(range(1000)), repeats=2, warmup=1)
     assert t > 0
-
-
-def test_sweep_pairs_values_with_results():
-    assert sweep([1, 2, 3], lambda v: v * v) == [(1, 1), (2, 4), (3, 9)]

@@ -38,7 +38,8 @@ from repro.domain import STENCIL_7PT, DataView, DenseGrid
 from repro.skeleton import Occ, Skeleton, fusion, scheduler
 from repro.solvers import PoissonSolver, manufactured_problem
 from repro.solvers import cg as cg_module
-from repro.system import Backend
+from repro.system import Backend, ParallelEngine
+from repro.system.engine import usable_cpu_count
 from repro.workloads import JobSpec, build
 
 HAVE_CC = codegen.available()
@@ -296,21 +297,43 @@ def test_without_a_compiler_no_walker_is_built_and_nothing_is_written(tmp_path):
 
 
 # -- (vi) the engine's worker cap -----------------------------------------------------------
-def test_eight_devices_share_at_most_cpu_count_workers_and_stay_bitwise():
-    serial = _poisson(devices=8, iterations=4)
+@contextlib.contextmanager
+def _solved_in_parallel(serial: PoissonSolver):
+    """Solve ``serial``'s 8-device problem again under ``mode="parallel"``,
+    check it is bitwise the serial answer, and yield its three skeletons."""
     solver = PoissonSolver(Backend.sim_gpus(8), serial.grid.shape)
     rhs = manufactured_problem(serial.grid.shape)[1]
     solver.set_rhs(lambda z, y, x: rhs[z, y, x])
     solver.cg.mode = "parallel"
-    before = {t for t in threading.enumerate() if t.name.startswith("engine-w")}
+    skeletons = (solver.cg.sk_init, solver.cg.sk_a, solver.cg.sk_b)
     try:
         solver.solve(max_iterations=4, tolerance=1e-30)
-        workers = {t for t in threading.enumerate() if t.name.startswith("engine-w")} - before
-        engines = [sk.plan._engine for sk in (solver.cg.sk_init, solver.cg.sk_a, solver.cg.sk_b)]
-        assert all(0 < len(e._workers) <= (os.cpu_count() or 1) for e in engines if e is not None)
-        assert len(workers) <= 3 * (os.cpu_count() or 1)  # one engine per skeleton
         assert solver.solution().tobytes() == serial.solution().tobytes()
         assert solver.cg.result.residual_norms == serial.cg.result.residual_norms
+        yield skeletons
     finally:
-        for sk in (solver.cg.sk_init, solver.cg.sk_a, solver.cg.sk_b):
+        for sk in skeletons:
             sk.close()
+
+
+def test_eight_devices_share_at_most_cpu_count_workers_and_stay_bitwise():
+    serial = _poisson(devices=8, iterations=4)
+    before = {t for t in threading.enumerate() if t.name.startswith("engine-w")}
+    with _solved_in_parallel(serial) as skeletons:
+        workers = {t for t in threading.enumerate() if t.name.startswith("engine-w")} - before
+        engines = [sk.plan._engine for sk in skeletons]
+        assert all(0 < len(e._workers) <= usable_cpu_count() for e in engines if e is not None)
+        assert len(workers) <= 3 * usable_cpu_count()  # one engine per skeleton
+
+
+def test_a_process_pinned_to_one_core_replays_eight_devices_inline(monkeypatch):
+    """``os.cpu_count()`` counts the machine, not the cores this process may
+    use: under ``taskset -c 0`` on a two-core host it still says 2.  The
+    engine sizes itself by the affinity mask, so all eight devices merge into
+    one program that runs on the calling thread."""
+    serial = _poisson(devices=8, iterations=4)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    with _solved_in_parallel(serial) as skeletons:
+        assert all(len(ParallelEngine._build_programs(sk.plan._program.queues)) == 1 for sk in skeletons)
+        assert all(sk.plan._engine is not None and not sk.plan._engine._workers for sk in skeletons)

@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from repro.sim.machine import mixed_pcie
-from repro.skeleton import Occ, fusion
+from repro.skeleton import Occ
 from repro.workloads import JobSpec, build
 
 # Small but partitionable domains: axis 0 must satisfy
@@ -87,17 +87,16 @@ def served_spec(solver: str, devices: int, occ: Occ, mode: str, weights) -> JobS
     raise KeyError(f"no served spec for solver '{solver}'")
 
 
-def run_direct(solver: str, devices: int, occ: Occ, mode: str, weights, backend=None) -> dict[str, np.ndarray]:
+def run_direct(
+    solver: str, devices: int, occ: Occ, mode: str, weights, backend=None, fused: bool = True
+) -> dict[str, np.ndarray]:
     """Build the spec and run it, no gateway in between.
 
-    A served job pins ``spec.fused`` on its own plans; the direct runner
-    follows the process-wide default instead, which is the switch the
-    fused and layer axes flip around it.  ``backend`` is the one to build
-    on (the layer axis arms it first); a fresh one by default.
+    ``fused`` is the spec field the fused and layer axes flip; ``build``
+    pins it on the application's own plans.  ``backend`` is the one to
+    build on (the layer axis arms it first); a fresh one by default.
     """
-    spec = dataclasses.replace(
-        served_spec(solver, devices, occ, mode, weights), fused=fusion.FUSION.enabled
-    )
+    spec = dataclasses.replace(served_spec(solver, devices, occ, mode, weights), fused=fused)
     app = build(spec, backend=backend)
     try:
         return app.run()

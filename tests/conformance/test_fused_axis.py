@@ -4,8 +4,7 @@ Kernel fusion is on by default, so the main differential matrix
 (``test_differential.py``) already proves *fused* dispatch bitwise
 against the native baselines.  This module pins the axis explicitly:
 every solver runs each multi-device (occ, mode) configuration twice —
-once fused, once under :func:`repro.skeleton.fusion.disabled` — and
-both legs must match the native fingerprints bit for bit.  That makes
+once with ``JobSpec.fused`` True, once False — and both legs must match the native fingerprints bit for bit.  That makes
 "fusion is a pure plan-to-plan transform" a tested invariant rather
 than a design note: if a fused chain ever reorders a dependent step,
 batches a halo exchange wrongly, or a codegen-specialized kernel drifts
@@ -15,11 +14,11 @@ configuration.
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 
 import pytest
 
-from repro.skeleton import Occ, fusion
+from repro.skeleton import Occ
 
 from .harness import SOLVERS, assert_bitwise_equal, matrix_configs, weights_for
 
@@ -41,8 +40,7 @@ def test_fused_axis_matches_native_bitwise(solver, config, fuse):
     devices, occ, mode, weighting = config
     run, native = SOLVERS[solver]
     weights = weights_for(solver, devices, weighting)
-    with contextlib.nullcontext() if fuse else fusion.disabled():
-        got = run(devices, occ, mode, weights)
+    got = run(devices, occ, mode, weights, fused=fuse)
     label = f"{solver}[{_config_id(config)}-{'fused' if fuse else 'unfused'}]"
     assert_bitwise_equal(got, native(), label)
 
@@ -86,15 +84,14 @@ def test_poisson_program_runs_generated_kernels():
 
 
 def test_disabled_context_leaves_singleton_unspecialised_units():
-    from repro.solvers.lbm import LidDrivenCavity
-    from repro.system import Backend
+    from repro.workloads import build
 
-    from .harness import LBM_SHAPE
+    from .harness import served_spec
 
-    with fusion.disabled():
-        fw = LidDrivenCavity(Backend.sim_gpus(2), LBM_SHAPE, omega=1.1, lid_velocity=0.08)
-        fw.step(1)
-        for sk in fw.skeletons:
-            program = sk.plan._ensure_program()
-            assert [u.steps for u in program.dispatch] == [[s] for s in program.steps]
-            assert not any(u.specialized for u in program.dispatch)
+    app = build(dataclasses.replace(served_spec("lbm", 2, Occ.STANDARD, "serial", None), fused=False))
+    app.run()
+    for sk in app.skeletons:
+        program = sk.plan._ensure_program()
+        assert [u.steps for u in program.dispatch] == [[s] for s in program.steps]
+        assert not any(u.specialized for u in program.dispatch)
+    app.close()

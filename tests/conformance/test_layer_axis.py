@@ -27,7 +27,7 @@ import pytest
 from repro import observability as obs
 from repro import resilience as res
 from repro.sanitizer import state as san
-from repro.skeleton import Occ, fusion
+from repro.skeleton import Occ
 from repro.system import Backend
 
 from .harness import MODES, SOLVERS, assert_bitwise_equal
@@ -71,8 +71,8 @@ def bare_serial_fused(solver: str):
 def test_layer_axis_matches_bare_serial_fused_bitwise(solver, mode, fuse, layers):
     want = bare_serial_fused(solver)
     run, _native = SOLVERS[solver]
-    with contextlib.nullcontext() if fuse else fusion.disabled(), armed(layers) as backend:
-        got = run(DEVICES, Occ.STANDARD, mode, None, backend)
+    with armed(layers) as backend:
+        got = run(DEVICES, Occ.STANDARD, mode, None, backend, fused=fuse)
     label = f"{solver}[{mode}-{'fused' if fuse else 'unfused'}-{'+'.join(layers) or 'bare'}]"
     assert_bitwise_equal(got, want, label)
 

@@ -1,9 +1,9 @@
 """Regression: a *hybrid* container (stencil read + reduce target) must
 keep its full reduction value when OCC splits it.
 
-Found via the multigrid residual-norm container: under STANDARD OCC the
-hybrid was split as a stencil into two ASSIGN halves and the boundary
-half overwrote the internal contribution.
+A residual-norm container is such a hybrid: under STANDARD OCC it was
+once split as a stencil into two ASSIGN halves, and the boundary half
+overwrote the internal contribution.
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.skeleton import Occ, Skeleton, graph_to_dot
+from repro.skeleton import Occ, Skeleton
 from repro.system import Backend
 
 from .conftest import combine_partial, make_axpy, make_dot, make_laplace
@@ -60,17 +60,6 @@ def test_kernel_count_accounts_empty_boundaries():
     names = [s.name for s in trace.spans if s.kind.value == "kernel"]
     assert len(names) == result.stats.num_kernels
     assert not any("boundary" in n and n.endswith("[]") for n in names)
-
-
-def test_dot_export_contains_structure():
-    sk, _ = build_skeleton(occ=Occ.TWO_WAY)
-    dot = graph_to_dot(sk.graph, title="fig4d")
-    assert dot.startswith("digraph")
-    assert "fig4d" in dot
-    assert "halo(X)" in dot
-    assert "laplace.internal" in dot
-    assert "style=dashed" in dot  # scheduling hints
-    assert dot.count("->") >= 10
 
 
 def test_chrome_trace_export_round_trips():

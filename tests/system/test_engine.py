@@ -20,7 +20,7 @@ COST = KernelCost(bytes_moved=8)
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
     """These cases are about two workers, whatever the host has."""
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("repro.system.engine.usable_cpu_count", lambda: 2)
 
 
 @pytest.fixture
@@ -107,7 +107,7 @@ def test_devices_share_at_most_cpu_count_workers_in_contiguous_blocks(engine, mo
         q.enqueue_kernel(f"k{i}", lambda i=i: ran.setdefault(i, threading.current_thread().name), COST)
     engine.execute(queues)
     assert [ran[i] for i in range(8)] == ["engine-w0"] * 4 + ["engine-w1"] * 4
-    monkeypatch.setattr("os.cpu_count", lambda: 1)  # one program: the inline path
+    monkeypatch.setattr("repro.system.engine.usable_cpu_count", lambda: 1)  # one program: the inline path
     ran.clear()
     engine.execute(queues)
     assert set(ran.values()) == {threading.current_thread().name}

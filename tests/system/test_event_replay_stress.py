@@ -122,11 +122,13 @@ def test_concurrent_skeleton_parallel_runs_stay_deterministic():
 def test_event_signal_lifecycle_is_reentrant():
     """signal/wait/reset from racing threads never wedge or misreport."""
     ev = Event("hammer")
-    stop = threading.Event()
+    stop, waiter_done = threading.Event(), threading.Event()
     seen_timeouts = []
 
     def signaller():
-        while not stop.is_set():
+        # outlive the waiter: a wait entered just before ``stop`` must still
+        # have a signaller, or the resetter's last clear strands it
+        while not waiter_done.is_set():
             ev.signal()
 
     def waiter():
@@ -141,11 +143,13 @@ def test_event_signal_lifecycle_is_reentrant():
 
     # with a live signaller, waiters must always make progress no matter
     # how the resets interleave — a lost wakeup shows up as a timeout
-    threads = [threading.Thread(target=f) for f in (signaller, signaller, waiter, resetter)]
+    threads = [threading.Thread(target=f) for f in (waiter, resetter, signaller, signaller)]
     for t in threads:
         t.start()
     stop_timer = threading.Timer(0.5, stop.set)
     stop_timer.start()
+    threads[0].join(timeout=30)
+    waiter_done.set()
     for t in threads:
         t.join(timeout=30)
     stop_timer.cancel()

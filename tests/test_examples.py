@@ -18,7 +18,6 @@ FAST = [
     "set_level_manual.py",
     "elastic_sparse.py",
     "poisson_occ.py",
-    "advanced_solvers.py",
 ]
 
 
