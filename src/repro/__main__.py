@@ -12,11 +12,11 @@ miniature size; any other name exits 2 with the same message:
     python -m repro trace poisson -o trace.json
         # run with the observability layer armed and export a Chrome /
         # Perfetto trace (real + simulated timelines + metrics)
-    python -m repro report lbm --devices 4 --format html -o report.html
-        # performance observatory dashboard: latency histograms
-        # (p50/p90/p99), the exact DES critical path with its {kernel,
-        # copy, wait, dispatch} attribution, per-device utilization, and
-        # the measured-wall vs modeled-makespan gap; text|json|html
+    python -m repro report lbm --devices 4 -o REPORT_lbm.json
+        # performance observatory: measured wall-clock and latency
+        # histograms (p50/p90/p99) beside the modeled DES side (the exact
+        # critical path with its {kernel, copy, wait, dispatch} breakdown,
+        # per-device utilization); prints the text view, -o writes JSON
     python -m repro sanitize lbm --devices 4 --occ standard --mutate
         # replay under the graph race sanitizer (vector-clock
         # happens-before checking of the compiled schedule); --mutate
@@ -31,7 +31,8 @@ miniature size; any other name exits 2 with the same message:
     python -m repro chaos lbm --events 50 --seed 2026 -o CHAOS_lbm.json
         # (lbm | poisson) calibrated storm of transient faults, silent
         # corruption, device losses and checkpoint tampering; the run must
-        # finish *bitwise identical* to its fault-free reference
+        # finish *bitwise identical* to its fault-free reference; -o
+        # writes the report, flight-recorder sample included
 
     python -m repro serve --jobs 20 --tenants 3 -o BENCH_serve.json
         # multi-tenant serving smoke: a seeded mix of lbm/poisson jobs
@@ -73,7 +74,6 @@ EXPERIMENTS = {
 }
 
 TUNE_MACHINES = ("dgx_a100", "pcie_a100", "pcie_gv100", "mixed_pcie", "multi_node_a100")
-FORMATS = ("text", "json", "html")
 
 
 # -- the shared argument pieces, each written once ------------------------------
@@ -112,11 +112,6 @@ def _seed(p, what: str, default: int) -> None:
     p.add_argument("--seed", type=int, default=default, help=f"{what} (default {default})")
 
 
-def _rendered(p, default: str) -> None:
-    p.add_argument("--format", default=default, choices=FORMATS, help=f"output format (default {default})")
-    p.add_argument("--flight-out", default=None, help="also write a flight-recorder snapshot JSON (CI artifact)")
-
-
 @contextlib.contextmanager
 def _armed():
     """Arm observability for one command; always disarm, whatever it raises."""
@@ -132,26 +127,6 @@ def _armed():
 def _write(path: str, text: str) -> None:
     pathlib.Path(path).write_text(text)
     print(f"wrote {path}")
-
-
-def _write_flight(path: str | None, reason: str, **context) -> None:
-    """A flight-recorder ring snapshot, same shape as a crash dump but
-    captured on a run that survived (the driver only dumps on failure)."""
-    if not path:
-        return
-    from repro.observability import flight
-
-    doc = {"schema": "repro-flight/1", "reason": reason}
-    if context:
-        doc["context"] = context
-    doc["tracks"] = flight.FLIGHT.snapshot()
-    _write(path, json.dumps(doc, indent=2) + "\n")
-
-
-def _render(doc: dict, fmt: str, to_text: Callable, to_html: Callable) -> str:
-    if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
-    return to_html(doc) if fmt == "html" else to_text(doc) + "\n"
 
 
 # -- list / reproduce / collect / info ------------------------------------------
@@ -378,20 +353,16 @@ def args_report(p) -> None:
     _experiment(p)
     _devices(p, 4)
     _mode(p, "replay mode of the run and of the modeled timeline")
-    _rendered(p, "text")
-    _output(p, "write the dashboard here instead of stdout")
+    _output(p, "write the report as JSON (e.g. REPORT_lbm.json)")
 
 
 def run_report(args) -> int:
-    from repro.bench.dashboard import build_report, to_html, to_text
+    from repro.bench.dashboard import build_report, to_text
 
     report = build_report(args.name, devices=args.devices, mode=args.mode)
-    rendered = _render(report, args.format, to_text, to_html)
+    print(to_text(report))
     if args.output:
-        _write(args.output, rendered)
-    else:
-        print(rendered, end="")
-    _write_flight(args.flight_out, "report_sample")
+        _write(args.output, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -402,22 +373,19 @@ def args_chaos(p) -> None:
     _seed(p, "storm seed", 2026)
     _devices(p, 4)
     p.add_argument("--losses", type=int, default=2, help="permanent device losses to schedule (default 2)")
-    _rendered(p, "json")
-    _output(p, "write the chaos report (e.g. CHAOS_lbm.json)")
+    _output(p, "write the chaos report as JSON (e.g. CHAOS_lbm.json)")
     _mode(p, "execution mode for the soak")
 
 
 def run_chaos(args) -> int:
     from repro.bench.chaos import run_chaos as soak
-    from repro.bench.dashboard import chaos_to_html, chaos_to_text
 
     report = soak(
         args.name, events=args.events, seed=args.seed, devices=args.devices, losses=args.losses, mode=args.mode
     )
     print(report.summary())
     if args.output:
-        _write(args.output, _render(report.to_json(), args.format, chaos_to_text, chaos_to_html))
-    _write_flight(args.flight_out, "chaos_sample", workload=args.name, seed=args.seed, ok=report.ok)
+        _write(args.output, json.dumps(report.to_json(), indent=2) + "\n")
     return 0 if report.ok else 1
 
 

@@ -20,14 +20,14 @@ state — a chaos run that survives the storm must finish **bitwise
 identical** to the fault-free run.  ``np.array_equal``, not allclose, is
 the bar.
 
-Used by ``python -m repro chaos`` and the CI chaos-soak job; the report
-renders through the dashboard (:func:`repro.bench.dashboard.chaos_to_text`
-/ ``chaos_to_html``).
+Used by ``python -m repro chaos`` and the CI chaos-soak job:
+:meth:`ChaosReport.summary` is the terminal view and
+:meth:`ChaosReport.to_json` the ``repro-chaos/1`` document, flight-recorder
+sample included.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -192,6 +192,7 @@ class ChaosReport:
     degrade_reports: list
     retune_reports: list
     flight_kinds: dict
+    flight_sample: dict
     faults: dict
     match: bool
     max_abs_error: float
@@ -234,16 +235,11 @@ class ChaosReport:
             "degrade_reports": list(self.degrade_reports),
             "retune_reports": list(self.retune_reports),
             "flight_kinds": dict(self.flight_kinds),
+            "flight_sample": self.flight_sample,
             "faults": dict(self.faults),
             "result": {"match_bitwise": self.match, "max_abs_error": self.max_abs_error},
             "ok": self.ok,
         }
-
-    def save(self, path: str) -> str:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
-        return path
 
     def summary(self) -> str:
         verdict = "SURVIVED" if self.ok else "FAILED"
@@ -339,6 +335,7 @@ def run_chaos(
         degrade_reports=list(driver.degrade_reports),
         retune_reports=list(driver.retune_reports),
         flight_kinds=_flight.FLIGHT.kind_counts(),
+        flight_sample=_flight.FLIGHT.snapshot(),
         faults=plan.describe(),
         match=bool(np.array_equal(got, reference)),
         max_abs_error=float(np.max(np.abs(got - reference))),

@@ -5,9 +5,10 @@ miniature size, driven through the resilience layer under a seeded
 :class:`~repro.resilience.FaultPlan`.  Each run produces a *fault-free*
 reference first, then replays the workload with faults armed and full
 recovery (retry, rollback-and-replay, device-loss degradation), and
-reports whether the recovered result matches the reference — the
-end-to-end guarantee the fault model promises: faults either recover or
-raise typed errors, never silent corruption.
+reports whether the recovered result is *bitwise identical* to the
+reference (``np.array_equal``, the chaos soak's bar) — the end-to-end
+guarantee the fault model promises: faults either recover or raise typed
+errors, never silent corruption.
 
 Used by ``python -m repro faults`` and the CI fault-matrix job.
 """
@@ -34,8 +35,6 @@ class FaultWorkload:
     steps: int
     #: solver params of the spec (forcing, solver tolerance)
     params: dict
-    #: absolute/relative tolerance for faulted-vs-fault-free comparison
-    tol: float
     #: command count on the highest rank at which the loss profile fires
     loss_after: int
 
@@ -53,7 +52,6 @@ WORKLOADS = {
         (16, 16, 16),
         steps=80,
         params={"rhs": "bump", "tolerance": 1e-8},
-        tol=1e-5,
         loss_after=300,
     ),
     # lid-driven-cavity D3Q19 LBM miniature (full-state checkpoints)
@@ -62,7 +60,6 @@ WORKLOADS = {
         (12, 12, 12),
         steps=16,
         params={},
-        tol=1e-8,
         loss_after=350,
     ),
 }
@@ -115,8 +112,8 @@ class FaultedRunReport:
             f"  devices:            {self.devices} -> {self.surviving_devices} surviving",
             f"  injected faults:    {self.faults.get('injected', {})}",
             f"  rollbacks:          {self.rollbacks}; devices lost: {self.devices_lost}",
-            f"  result vs fault-free: max |err| = {self.max_abs_error:.3e} "
-            f"({'match' if self.match else 'MISMATCH'})",
+            f"  result vs fault-free: "
+            f"{'bitwise identical' if self.match else f'MISMATCH (max |err| = {self.max_abs_error:.3e})'}",
             f"  dependency violations on recovered schedule: {self.violations}",
         ]
         return "\n".join(lines)
@@ -174,7 +171,7 @@ def run_faulted(
         surviving_devices=driver.backend.num_devices,
         seed=seed,
         steps=wl.steps,
-        match=bool(np.allclose(got, reference, rtol=wl.tol, atol=wl.tol)),
+        match=bool(np.array_equal(got, reference)),
         max_abs_error=float(np.max(np.abs(got - reference))),
         violations=violations,
         rollbacks=driver.rollbacks,

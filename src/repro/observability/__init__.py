@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 
-from .critpath import attribute_wall_clock, critical_path, dependency_chain, device_utilization
+from .critpath import critical_path, dependency_chain, device_utilization
 from .export import merge_chrome_traces, write_chrome_trace
 from .flight import FLIGHT, FlightRecorder
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -175,7 +175,6 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "TraceSpan",
-    "attribute_wall_clock",
     "critical_path",
     "dependency_chain",
     "device_utilization",

@@ -9,11 +9,8 @@ Answers the three questions a Gantt chart only hints at:
   constraint releases, so the reconstructed chain's durations plus its
   host-dispatch gaps sum to the makespan *by construction* — the path
   total is exact, not an estimate;
-* **what the wall-clock is made of** — the path's per-kind breakdown
-  attributes the makespan to {kernel, copy, wait, dispatch}, and
-  :func:`attribute_wall_clock` extends that to a measured real run,
-  attributing the wall-vs-makespan gap to Python dispatch overhead (the
-  interpreter cost the fusion roadmap item targets);
+* **what the makespan is made of** — the path's per-kind breakdown
+  attributes the simulated makespan to {kernel, copy, wait, dispatch};
 * **where each device's time goes** — :func:`device_utilization` splits
   every device's timeline into busy / blocked (waiting on another
   device's event or a contended resource) / idle fractions that sum
@@ -39,7 +36,6 @@ __all__ = [
     "CriticalPath",
     "DependencyChain",
     "PathSegment",
-    "attribute_wall_clock",
     "critical_path",
     "dependency_chain",
     "device_utilization",
@@ -258,19 +254,3 @@ def dependency_chain(queues, machine) -> DependencyChain:
     chain.reverse()
     return DependencyChain(total=finish[end], commands=tuple(chain))
 
-
-def attribute_wall_clock(trace, wall_seconds: float | None = None) -> dict[str, float]:
-    """Attribute time: the makespan to its path, the wall gap to Python.
-
-    Returns the critical path's {kernel, copy, wait, dispatch} breakdown
-    plus ``makespan``; when ``wall_seconds`` (a measured real run) is
-    given, ``python_dispatch_overhead = wall - makespan`` quantifies the
-    interpreter cost the model does not see.
-    """
-    cp = critical_path(trace)
-    out = dict(cp.breakdown)
-    out["makespan"] = cp.total
-    if wall_seconds is not None:
-        out["wall_seconds"] = wall_seconds
-        out["python_dispatch_overhead"] = max(0.0, wall_seconds - cp.total)
-    return out

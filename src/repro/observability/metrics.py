@@ -7,12 +7,12 @@ lock, so concurrent instrumented code (e.g. future threaded executors)
 stays consistent; the lock is only ever taken when observability is
 enabled, so the disabled path pays nothing.
 
-Histograms are distribution summaries, not just bucket counts: each one
-keeps an exact reservoir of its first :data:`Histogram.SAMPLE_MAX`
-observations (percentiles are exact for short runs, which is what tests
-compare against) and three P² streaming-quantile estimators (Jain &
-Chlamtac 1985) for p50/p90/p99 that keep working at serving-run scale
-with O(1) memory.  ``summary()`` packages count/sum/min/max/mean and
+Histograms are distribution summaries: each one keeps an exact
+reservoir of its first :data:`Histogram.SAMPLE_MAX` observations
+(percentiles are exact for short runs, which is what tests compare
+against) and three P² streaming-quantile estimators (Jain & Chlamtac
+1985) for p50/p90/p99 that keep working at serving-run scale with O(1)
+memory.  ``summary()`` packages count/sum/min/max/mean and
 the three percentiles for dashboards and the tuner's cheap
 recalibration path.
 
@@ -159,7 +159,7 @@ def _exact_quantile(ordered: list[float], p: float) -> float:
 
 
 class Histogram:
-    """A distribution summary: count/sum/min/max, buckets, p50/p90/p99.
+    """A distribution summary: count/sum/min/max and p50/p90/p99.
 
     Percentiles are exact while the observation count stays within the
     bounded reservoir (:data:`SAMPLE_MAX`) and switch to the P²
@@ -174,37 +174,23 @@ class Histogram:
         "total",
         "min",
         "max",
-        "bounds",
-        "buckets",
         "_sample",
         "_quantiles",
         "_lock",
     )
 
-    #: bucket upper bounds: 4^0 .. 4^15 then +inf (covers 1 B .. ~1 GB)
-    BOUNDS = tuple(4.0**i for i in range(16)) + (float("inf"),)
-    #: bucket bounds for durations in seconds: 1 us .. ~17 min, then +inf
-    TIME_BOUNDS = tuple(1e-6 * 4.0**i for i in range(16)) + (float("inf"),)
     #: exact-percentile reservoir size; beyond it P² estimates take over
     SAMPLE_MAX = 512
     #: the percentiles every histogram tracks as streaming estimators
     QUANTILES = (0.5, 0.9, 0.99)
 
-    def __init__(
-        self,
-        name: str,
-        labels: dict[str, str],
-        lock: threading.Lock,
-        bounds: tuple[float, ...] | None = None,
-    ):
+    def __init__(self, name: str, labels: dict[str, str], lock: threading.Lock):
         self.name = name
         self.labels = labels
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.bounds = tuple(bounds) if bounds is not None else self.BOUNDS
-        self.buckets = [0] * len(self.bounds)
         self._sample: list[float] = []
         self._quantiles = tuple(_P2Quantile(q) for q in self.QUANTILES)
         self._lock = lock
@@ -217,10 +203,6 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.buckets[i] += 1
-                    break
             if len(self._sample) < self.SAMPLE_MAX:
                 self._sample.append(value)
             for est in self._quantiles:
@@ -276,7 +258,7 @@ class MetricsRegistry:
         self.label_overflows: dict[str, int] = {}
         self.updates = 0  # instrumentation events, for overhead accounting
 
-    def _get(self, cls, name: str, labels: dict[str, str], **kwargs):
+    def _get(self, cls, name: str, labels: dict[str, str]):
         key = (name, tuple(sorted(labels.items())))
         with self._lock:
             self.updates += 1
@@ -289,13 +271,11 @@ class MetricsRegistry:
                     key = (name, tuple(sorted(self.OVERFLOW_LABELS.items())))
                     series = self._series.get(key)
                     if series is None:
-                        series = self._series[key] = cls(
-                            name, dict(self.OVERFLOW_LABELS), self._lock, **kwargs
-                        )
+                        series = self._series[key] = cls(name, dict(self.OVERFLOW_LABELS), self._lock)
                     labels = dict(self.OVERFLOW_LABELS)
                 else:
                     self._cardinality[name] = self._cardinality.get(name, 0) + 1
-                    series = self._series[key] = cls(name, labels, self._lock, **kwargs)
+                    series = self._series[key] = cls(name, labels, self._lock)
             if not isinstance(series, cls):
                 raise TypeError(f"metric '{name}' already registered as {type(series).__name__}")
         return series
@@ -306,12 +286,7 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, *, bounds: tuple[float, ...] | None = None, **labels: str
-    ) -> Histogram:
-        """A histogram series; ``bounds`` applies on first creation only."""
-        if bounds is not None:
-            return self._get(Histogram, name, labels, bounds=bounds)
+    def histogram(self, name: str, **labels: str) -> Histogram:
         return self._get(Histogram, name, labels)
 
     # -- queries -----------------------------------------------------------

@@ -88,13 +88,8 @@ class RecoveryPolicy:
     #: cumulative wall-clock seconds allowed inside recovery actions
     #: (rollback, degrade, recovery rebuild+migrate); None = unbounded
     max_recovery_seconds: float | None = None
-    #: re-tune the degraded fleet through the autotuner (needs the
-    #: driver's ``experiment`` to name a tuner workload)
-    tuned_degrade: bool = True
     #: run the recalibration loop every N steps; None = off
     recalibrate_interval: int | None = None
-    #: relative RMS error above which the machine model counts as drifted
-    retune_quality_threshold: float = 0.25
 
     def __post_init__(self) -> None:
         if self.divergence not in DIVERGENCE_POLICIES:
@@ -288,7 +283,7 @@ class ResilientDriver:
         with _obs.span("resilience.degrade", cat="resilience", lost_rank=lost.rank):
             new_backend = degraded_backend(self.backend, lost.rank, self.policy.min_devices)
             tune = None
-            if self.policy.tuned_degrade and self.experiment and new_backend.num_devices > 1:
+            if self.experiment and new_backend.num_devices > 1:
                 tune = self._tune_for(new_backend)
             self._check_capacity(lost.rank, new_backend)
             if self.plan is not None:
@@ -377,9 +372,7 @@ class ResilientDriver:
             self._recalibrator is None
             or self._recalibrator.machine.num_devices != self.backend.num_devices
         ):
-            self._recalibrator = Recalibrator(
-                self.backend.machine, quality_threshold=self.policy.retune_quality_threshold
-            )
+            self._recalibrator = Recalibrator(self.backend.machine)
             self._span_cursor = 0
         rec = self._recalibrator
 

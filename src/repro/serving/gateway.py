@@ -209,9 +209,7 @@ class Gateway:
     @staticmethod
     def _observe(name: str, value: float, **labels: str) -> None:
         if _obs.OBS.active:
-            _obs.OBS.metrics.histogram(
-                name, bounds=_obs.Histogram.TIME_BOUNDS, **labels
-            ).observe(value)
+            _obs.OBS.metrics.histogram(name, **labels).observe(value)
 
     def _depth_gauge(self) -> None:
         # caller holds self._cv

@@ -52,28 +52,16 @@ class MultiStream:
         :meth:`MultiEvent.wait_all`), so a correct result demonstrates
         the synchronisation is sufficient.  Replaying an *eager* stream
         runs every command a second time — almost never what you want.
+        Without ``engine`` the call builds one and closes it on return;
+        a caller's engine stays open.
         """
-        (engine or ParallelEngine()).execute(self.queues)
-
-    def check_event_wiring(self) -> list[str]:
-        """Static lint of hand-built record/wait wiring (Set-level code).
-
-        Returns human-readable problems — waits on events no queue of
-        this stream records, and record/wait cycles no replay order can
-        satisfy — the same checks the Skeleton-level sanitizer applies
-        to compiled programs, surfaced before ``execute_parallel`` turns
-        them into an :class:`~repro.system.engine.EngineDeadlock`.
-        """
-        from repro.sanitizer.hb import build_hb  # noqa: PLC0415 - analysis stays out of hot imports
-
-        hb = build_hb(self.queues)
-        problems = [
-            f"queue {qname} waits on {wait.event.name!r} but no command in this stream records it"
-            for wait, qname in hb.unrecorded_waits
-        ]
-        if hb.cycle_events:
-            problems.append("record/wait wiring is cyclic through events: " + ", ".join(hb.cycle_events))
-        return problems
+        owned = engine is None
+        engine = engine or ParallelEngine()
+        try:
+            engine.execute(self.queues)
+        finally:
+            if owned:
+                engine.close()
 
 
 class MultiEvent:

@@ -514,7 +514,5 @@ class Plan:
                 if sp is not None:
                     m = _obs.OBS.metrics
                     m.counter("plan_replays", mode=mode).inc()
-                    m.histogram(
-                        "replay_seconds", bounds=_obs.Histogram.TIME_BOUNDS, mode=mode
-                    ).observe(sp.duration)
+                    m.histogram("replay_seconds", mode=mode).observe(sp.duration)
             return ExecutionResult(queues=list(program.queues), stats=program.stats, plan=self)

@@ -228,9 +228,7 @@ class ParallelEngine:
         m = _obs.OBS.metrics
         devices = str(len({q.device.uid for q in queues}))
         m.counter("engine_batches", devices=devices).inc()
-        m.histogram("engine_batch_seconds", bounds=_obs.Histogram.TIME_BOUNDS, devices=devices).observe(
-            perf_counter() - t0
-        )
+        m.histogram("engine_batch_seconds", devices=devices).observe(perf_counter() - t0)
 
     def _worker(self, slot: int) -> _Worker:
         w = self._workers.get(slot)

@@ -114,9 +114,9 @@ def lower(cmd, queue, layers, fn=None, *, halo: bool = False) -> Callable[[], No
 
 
 def _observed(cmd, tid: str, pid: str, body: Callable[[], None], halo: bool) -> Callable[[], None]:
-    span, m, name, bounds = _obs.tracer().span, _obs.metrics(), cmd.name, _obs.Histogram.TIME_BOUNDS
+    span, m, name = _obs.tracer().span, _obs.metrics(), cmd.name
     if cmd.kind == "kernel":
-        seconds = m.histogram("kernel_seconds", bounds=bounds, device=pid, kernel=name)
+        seconds = m.histogram("kernel_seconds", device=pid, kernel=name)
 
         def observed_kernel() -> None:
             with span(name, cat="kernel", pid=pid, tid=tid) as sp:
@@ -125,7 +125,7 @@ def _observed(cmd, tid: str, pid: str, body: Callable[[], None], halo: bool) -> 
 
         return observed_kernel
     nbytes, ends = cmd.nbytes, {"src": str(cmd.src.index), "dst": str(cmd.dst.index)}
-    seconds, sizes = m.histogram("copy_seconds", bounds=bounds, **ends), m.histogram("copy_size_bytes", **ends)
+    seconds, sizes = m.histogram("copy_seconds", **ends), m.histogram("copy_size_bytes", **ends)
     sent = m.counter("halo_bytes_sent", **ends) if halo else None
     messages = m.counter("halo_messages", **ends) if halo else None
 

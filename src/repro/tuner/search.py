@@ -178,7 +178,6 @@ def tune_workload(
     devices: int = 4,
     occ_levels=None,
     modes: tuple[str, ...] = EXECUTION_MODES,
-    extra_weight_options: tuple = (),
 ) -> TunePlan:
     """Full tuner search for one workload on one machine.
 
@@ -203,8 +202,6 @@ def tune_workload(
         uniform = np.full(devices, 1.0 / devices)
         blended = 0.5 * shares + 0.5 * uniform
         weight_options.append(tuple(float(s) for s in blended / blended.sum()))
-    for extra in extra_weight_options:
-        weight_options.append(tuple(float(w) for w in extra))
 
     # 2. enumerate: every (weights, occ, mode) triple, scored by DES replay
     candidates: list[Candidate] = []

@@ -7,19 +7,13 @@ The invariants under test are the ones the dashboard's numbers rest on:
   replay of the schedule's own reasoning, not an estimate);
 * the happens-before dependency chain never exceeds any replay's
   makespan (it ignores resource contention and host dispatch);
-* per-device busy/blocked/idle fractions sum to 1;
-* :func:`attribute_wall_clock` conserves time.
+* per-device busy/blocked/idle fractions sum to 1.
 """
 
 import pytest
 
 from repro.bench.dashboard import miniature
-from repro.observability import (
-    attribute_wall_clock,
-    critical_path,
-    dependency_chain,
-    device_utilization,
-)
+from repro.observability import critical_path, dependency_chain, device_utilization
 from repro.sim.replay import sim_replay
 from repro.workloads import build
 
@@ -64,22 +58,6 @@ def test_device_utilization_fractions_sum_to_one(exp):
         assert all(v >= -1e-12 for v in frac.values()), (dev, frac)
         assert sum(frac.values()) == pytest.approx(1.0, abs=1e-9)
         assert frac["busy"] > 0.0
-
-
-def test_attribute_wall_clock_conserves_time():
-    _, _, trace = _traced("poisson", 2, "serial")
-    wall = trace.makespan * 3.0  # pretend the interpreter tripled it
-    attr = attribute_wall_clock(trace, wall_seconds=wall)
-    assert attr["makespan"] == pytest.approx(trace.makespan)
-    assert attr["python_dispatch_overhead"] == pytest.approx(wall - trace.makespan)
-    modeled = attr["kernel"] + attr["copy"] + attr["wait"] + attr["dispatch"]
-    assert modeled == pytest.approx(attr["makespan"], rel=1e-9)
-
-
-def test_attribute_wall_clock_never_negative():
-    _, _, trace = _traced("poisson", 2, "serial")
-    attr = attribute_wall_clock(trace, wall_seconds=trace.makespan * 0.5)
-    assert attr["python_dispatch_overhead"] == 0.0
 
 
 def test_empty_trace_degenerates_cleanly():

@@ -1,5 +1,5 @@
 """Histogram metrics: exact small-sample percentiles, P² streaming
-estimates at scale, bucket bounds, and the label-cardinality guard."""
+estimates at scale, and the label-cardinality guard."""
 
 import random
 
@@ -8,8 +8,8 @@ import pytest
 from repro.observability.metrics import Histogram, MetricsRegistry, _exact_quantile
 
 
-def _hist(bounds=None):
-    return MetricsRegistry().histogram("h", bounds=bounds)
+def _hist():
+    return MetricsRegistry().histogram("h")
 
 
 def test_empty_histogram_summary():
@@ -49,7 +49,7 @@ def test_streaming_quantiles_track_uniform_distribution():
 def test_streaming_quantiles_track_heavy_tail():
     # exponential-ish tail: the shape real latencies have
     rng = random.Random(7)
-    h = _hist(bounds=Histogram.TIME_BOUNDS)
+    h = _hist()
     import math
 
     vals = [1e-4 * -math.log(1.0 - rng.random()) for _ in range(10_000)]
@@ -67,20 +67,6 @@ def test_untracked_quantile_raises_beyond_reservoir():
         h.observe(float(i))
     with pytest.raises(ValueError, match="not tracked"):
         h.quantile(0.75)
-
-
-def test_bucket_bounds_partition_observations():
-    h = _hist(bounds=(1.0, 10.0, float("inf")))
-    for v in (0.5, 1.0, 5.0, 50.0):
-        h.observe(v)
-    assert h.buckets == [2, 1, 1]  # <=1, <=10, +inf
-    assert sum(h.buckets) == h.count
-
-
-def test_default_bounds_cover_bytes_and_time():
-    assert Histogram.BOUNDS[0] == 1.0 and Histogram.BOUNDS[-1] == float("inf")
-    assert Histogram.TIME_BOUNDS[0] == pytest.approx(1e-6)
-    assert Histogram.TIME_BOUNDS[-1] == float("inf")
 
 
 def test_registry_histogram_summaries_include_labels():

@@ -300,7 +300,7 @@ def test_online_recalibration_retunes_and_repartitions_live():
     assert driver.retunes >= 1
     rep = driver.retune_reports[0]
     assert rep["step"] in (3, 6)
-    assert rep["fit_quality"] > policy.retune_quality_threshold
+    assert rep["fit_quality"] > driver._recalibrator.quality_threshold
     # live re-partition: same fleet size, no restart, bitwise result
     assert driver.backend.num_devices == 2
     assert driver.devices_lost == 0 and driver.rollbacks == 0

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import pytest
@@ -72,6 +73,26 @@ def test_execute_parallel_honours_multi_event_wiring():
         engine.close()
     for rank in range(2):
         assert order.index(("p", rank)) < order.index(("c", rank))
+
+
+def test_execute_parallel_closes_the_engine_it_builds(monkeypatch):
+    monkeypatch.setattr("repro.system.engine.usable_cpu_count", lambda: 2)
+    backend = Backend.sim_gpus(4)
+    ms = MultiStream.create(backend, "work", eager=False)
+    for rank, q in enumerate(ms):
+        q.enqueue_kernel(f"k{rank}", lambda: None, KernelCost(bytes_moved=1))
+    before = threading.active_count()
+    for _ in range(5):
+        ms.execute_parallel()
+    assert threading.active_count() == before
+    # a caller's engine is the caller's to close: its workers stay up
+    engine = ParallelEngine()
+    try:
+        ms.execute_parallel(engine)
+        assert threading.active_count() == before + 2
+    finally:
+        engine.close()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("op_name", ["record_all", "wait_all"])

@@ -116,10 +116,7 @@ def test_tune_unknown_workload_rejected():
 
 def test_chaos_soak_survives_and_writes_report(tmp_path):
     out = tmp_path / "CHAOS_poisson.json"
-    flight_out = tmp_path / "FLIGHT_chaos.json"
-    proc = run_cli(
-        "chaos", "poisson", "--events", "25", "-o", str(out), "--flight-out", str(flight_out)
-    )
+    proc = run_cli("chaos", "poisson", "--events", "25", "-o", str(out))
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert "SURVIVED" in proc.stdout
     assert "bitwise identical" in proc.stdout
@@ -132,8 +129,7 @@ def test_chaos_soak_survives_and_writes_report(tmp_path):
     assert doc["events"]["total"] >= 25
     assert doc["events"]["device_losses"] >= 2
     assert doc["events"]["checkpoint_tampers"] >= 1
-    flight_doc = json.loads(flight_out.read_text())
-    assert flight_doc["schema"] == "repro-flight/1"
+    assert doc["flight_sample"]  # the rings travel inside the one document
 
 
 def test_chaos_unknown_workload_rejected():
