@@ -14,9 +14,12 @@ no-compiler leg, and what every unsupported layout runs.
 **What is supported.**  Dense SoA float64 fields of any cardinality,
 non-virtual, on 3-D grids for the stencil; one op per span piece, so
 INTERNAL / BOUNDARY / STANDARD views and every OCC level share the same
-compiled functions.  Anything else — sparse grids, AoS layouts, virtual
-fields, per-rank (non-slice) partials — makes the hook return ``None``
-and the interpreted closure runs.
+compiled functions.  A kernel steps between components by the stride the
+field's layout gave its storage (``strides[0]``, the component pitch of
+:func:`repro.domain.layout.component_pitch`), passed in the op record as
+``cstride``; nothing derives it from the grid's extents.  Anything else —
+sparse grids, AoS layouts, virtual fields, per-rank (non-slice) partials
+— makes the hook return ``None`` and the interpreted closure runs.
 
 **What a hook returns** is an op table (:mod:`repro.codegen.table`): every
 kernel exports the one record-taking entry signature, and a unit's
@@ -211,23 +214,32 @@ def _bind(grid, symbol: str):
 
 
 def dense_slabs(rank: int, span, fields) -> tuple[list, list] | None:
-    """``(backing arrays, span strips)`` when a C kernel can address them.
+    """``(storage arrays, span strips)`` when a C kernel can address them.
 
-    Every field must be a non-virtual dense SoA float64 field and all must
-    share one storage shape; the span must be made of dense strips.
+    Every field must be a non-virtual dense SoA float64 field whose
+    components are each C-contiguous, and all must share one storage
+    ``(shape, strides)``: a kernel walks every operand with the one
+    component stride :func:`component_stride` reads.  The storage as a
+    whole need not be C-contiguous (the components are pitched).  The span
+    must be made of dense strips.
     """
     arrays = []
     for field in fields:
         if not isinstance(field, DenseField) or field.virtual or field.layout is not Layout.SOA:
             return None
         array = field.partition(rank).storage
-        if array.dtype != np.float64 or not array.flags["C_CONTIGUOUS"]:
+        if array.dtype != np.float64 or not array[0].flags["C_CONTIGUOUS"]:
             return None
         arrays.append(array)
     strips = span.pieces()
-    if len({a.shape for a in arrays}) != 1 or not all(isinstance(s, DenseStrip) for s in strips):
+    if len({(a.shape, a.strides) for a in arrays}) != 1 or not all(isinstance(s, DenseStrip) for s in strips):
         return None
     return arrays, strips
+
+
+def component_stride(array: np.ndarray) -> int:
+    """Elements from one component of an SoA storage array to the next."""
+    return array.strides[0] // array.itemsize
 
 
 def launcher(fn, calls: list, keep, slot=None, scalars=None):
@@ -263,10 +275,10 @@ def elementwise(form: str, out, x=None, y=None, scalars=None):
         if not fn:
             return None
         arrays, strips = slabs
-        card, slices = arrays[0].shape[:2]
+        card, cstride = arrays[0].shape[0], component_stride(arrays[0])
         plane, h = arrays[0][0, 0].size, out.grid.radius
         pointers = [a.ctypes.data for a in arrays]
-        calls = [(pointers, (card, slices * plane, (h + s.lo) * plane, (s.hi - s.lo) * plane)) for s in strips]
+        calls = [(pointers, (card, cstride, (h + s.lo) * plane, (s.hi - s.lo) * plane)) for s in strips]
         return launcher(fn, calls, arrays, slot, scalars)
 
     return specialize
@@ -326,7 +338,7 @@ def slice_sums(partial, x, y=None):
         if len(row) != slices - 2 * h:
             return None
         pointers = [a.ctypes.data for a in (*arrays, row)]
-        calls = [(pointers, (card, slices * plane, plane, h, s.lo, s.hi)) for s in strips]
+        calls = [(pointers, (card, component_stride(arrays[0]), plane, h, s.lo, s.hi)) for s in strips]
         return launcher(fn, calls, (*arrays, row))
 
     return specialize

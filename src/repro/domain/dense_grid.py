@@ -25,7 +25,7 @@ from repro.system import Backend
 from .field import Field
 from .grid import Grid
 from .halo import HaloMsg, exchange_pairs
-from .layout import Layout
+from .layout import Layout, component_pitch
 from .partition import normalized_shares, slab_partition, weighted_slab_partition
 from .stencil import Stencil
 from .views import DataView, DenseStrip, MultiSpan
@@ -215,16 +215,25 @@ class DenseFieldPartition:
 
 
 class DenseField(Field):
-    """Field stored over the full bounding box, with ghost slices."""
+    """Field stored over the full bounding box, with ghost slices.
+
+    Each rank's ``storage`` is ``(cardinality, n, *lateral)`` for SoA and
+    ``(n, *lateral, cardinality)`` for AoS, ``n`` counting the ghost
+    slices.  A multi-component SoA field's components are C-contiguous
+    blocks :func:`~repro.domain.layout.component_pitch` elements apart, so
+    the storage as a whole is not C-contiguous.
+    """
 
     def __init__(self, grid: DenseGrid, name, cardinality, dtype, outside_value, layout):
         super().__init__(grid, name, cardinality, dtype, outside_value, layout)
         h = grid.radius
+        pitched = layout is Layout.SOA and cardinality > 1
         for rank in range(grid.num_devices):
             n = grid.local_slices(rank) + 2 * h
             cells = (n, *grid.shape[1:])
             shape = (cardinality, *cells) if layout is Layout.SOA else (*cells, cardinality)
-            buf = grid.backend.allocate(rank, shape, dtype, virtual=grid.virtual)
+            pitch = component_pitch(n * grid.lateral, self.dtype.itemsize) if pitched else None
+            buf = grid.backend.allocate(rank, shape, dtype, virtual=grid.virtual, pitch=pitch)
             if buf.array is not None:
                 buf.array[...] = outside_value
             self.buffers.append(buf)

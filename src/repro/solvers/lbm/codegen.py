@@ -33,10 +33,10 @@ every seed and every tenant-chosen lid velocity shares one cached object
 with no correction lines — adding ``+ 0.0`` would flip a ``-0.0``.
 
 The specializer declines (returns ``None``) for anything but a dense
-SoA float64 3-D layout with a C-contiguous backing array
-(:func:`repro.codegen.grid_kernels.dense_slabs`) — sparse grids, AoS
-layouts, virtual planning-only fields and 2-D lattices keep the
-interpreted path, as does any host without a C compiler.
+SoA float64 3-D layout whose populations are C-contiguous blocks one
+shared stride apart (:func:`repro.codegen.grid_kernels.dense_slabs`) —
+sparse grids, AoS layouts, virtual planning-only fields and 2-D lattices
+keep the interpreted path, as does any host without a C compiler.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import codegen as _cc
 from repro.codegen import table as _table
-from repro.codegen.grid_kernels import dense_slabs, launcher, scalar_slot
+from repro.codegen.grid_kernels import component_stride, dense_slabs, launcher, scalar_slot
 
 #: keep in sync with d3q19 (imported lazily there to avoid a cycle)
 SOLID_SENTINEL = -1.0
@@ -65,14 +65,16 @@ def generate_twopop_source(lattice, moving_lid: bool) -> str:
     """C source for one z-strip of the pull-scheme collide+stream kernel.
 
     The exported ``twopop_span(op)`` unpacks an op record
-    (:data:`repro.codegen.table.OP_H`) into ``twopop_body(fin, fout, zs,
-    ny, nx, h, lo, hi, gstart, nztot, omega, corr)`` — ``zs`` is the
-    storage z-extent (owned + 2h ghost slices), ``[lo, hi)`` the local
-    owned z-range to process, ``gstart`` the rank's global z offset,
-    ``nztot`` the global domain depth (for the moving-lid test) and
-    ``corr`` the :func:`lid_corrections` array (unread without
-    ``moving_lid``).  Strides are derived from ``ny``/``nx``, so one
-    compiled unit serves every rank, partition weighting and lid speed.
+    (:data:`repro.codegen.table.OP_H`) into ``twopop_body(fin, fout,
+    qstride, ny, nx, h, lo, hi, gstart, nztot, omega, corr)`` —
+    ``qstride`` is the elements from one population to the next, read
+    from the storage (the layout's component pitch), ``[lo, hi)`` the
+    local owned z-range to process, ``gstart`` the rank's global z
+    offset, ``nztot`` the global domain depth (for the moving-lid test)
+    and ``corr`` the :func:`lid_corrections` array (unread without
+    ``moving_lid``).  Every extent and stride arrives in the record, so
+    one compiled unit serves every rank, partition weighting, pitch and
+    lid speed.
     """
     hexf = _cc.hexf
     q_count = lattice.q
@@ -81,12 +83,11 @@ def generate_twopop_source(lattice, moving_lid: bool) -> str:
     emit = lines.append
     emit(_table.OP_H)
     emit("static void twopop_body(const double* restrict fin, double* restrict fout,")
-    emit("    long zs, long ny, long nx, long h, long lo, long hi, long gstart,")
+    emit("    long qstride, long ny, long nx, long h, long lo, long hi, long gstart,")
     emit("    long nztot, double omega, const double* restrict corr) {")
     emit(f"  const double thr = {hexf(SOLID_SENTINEL + 0.5)};")
     emit(f"  const double sentinel = {hexf(SOLID_SENTINEL)};")
     emit("  long plane = ny * nx;")
-    emit("  long qstride = zs * plane;")
     emit("  for (long z = lo; z < hi; ++z) {")
     emit("    long zz = z + h;")
     emit("    int from_lid = (gstart + z + 1 >= nztot);")
@@ -198,10 +199,10 @@ def make_twopop_specializer(grid, f_in, f_out, omega: float, lid_velocity: float
         if kfn is None:
             return None
         corr = lid_corrections(lattice, lid_velocity)
-        (_, zs, ny, nx), nztot, h = si.shape, int(grid.shape[0]), int(grid.radius)
-        gstart = int(grid.bounds[rank][0])
+        (_, _, ny, nx), nztot, h = si.shape, int(grid.shape[0]), int(grid.radius)
+        gstart, qstride = int(grid.bounds[rank][0]), component_stride(si)
         pointers = [a.ctypes.data for a in (si, so, corr)]
-        calls = [(pointers, (zs, ny, nx, h, s.lo, s.hi, gstart, nztot)) for s in strips]
+        calls = [(pointers, (qstride, ny, nx, h, s.lo, s.hi, gstart, nztot)) for s in strips]
         return launcher(kfn, calls, (si, so, corr), scalar_slot(float(omega)))
 
     return specialize

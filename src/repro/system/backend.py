@@ -73,9 +73,17 @@ class Backend:
             _obs.OBS.metrics.counter("queues_created", device=self.devices[rank].metric_label).inc()
         return CommandQueue(self.devices[rank], name=name, eager=eager, session=self.session)
 
-    def allocate(self, rank: int, shape, dtype, options: MemOptions | None = None, virtual: bool = False):
+    def allocate(
+        self,
+        rank: int,
+        shape,
+        dtype,
+        options: MemOptions | None = None,
+        virtual: bool = False,
+        pitch: int | None = None,
+    ):
         return self.allocator.allocate(
-            self.devices[rank], shape, dtype, options or self.mem_options, virtual=virtual
+            self.devices[rank], shape, dtype, options or self.mem_options, virtual=virtual, pitch=pitch
         )
 
     def memory_report(self) -> dict[int, int]:

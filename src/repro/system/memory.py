@@ -4,7 +4,11 @@ Buffers are NumPy arrays tagged with an owning :class:`~repro.system.device.Devi
 Allocation options (alignment, padding, pinned host mirrors) mirror the
 memory properties the paper lists as user-tunable backend parameters; in
 the simulation they affect the reported allocation footprint and the
-cost model, not physical placement.
+cost model, not physical placement.  What does move bytes is a buffer's
+*pitch*, chosen by the data layout that asks for the buffer (the way
+``cudaMallocPitch`` pads rows): the leading-axis entries sit ``pitch``
+elements apart in one backing block, and the gap between them is booked
+as padding.
 """
 
 from __future__ import annotations
@@ -92,6 +96,12 @@ class DeviceBuffer:
     commands recorded for the simulator, so the distinction is preserved
     where it matters.
 
+    With a ``pitch``, ``array`` is the ``shape`` view of a ``(shape[0],
+    pitch)`` backing block: entry ``i`` along the leading axis is a
+    contiguous run starting ``i * pitch`` elements in.  ``nbytes`` stays
+    the logical payload; the ``shape[0] * (pitch - cells)`` elements of
+    slack count as :attr:`padding_bytes`.
+
     A *virtual* buffer carries shape/dtype/footprint metadata but no
     payload.  Virtual allocations let the benchmark harness plan and
     time paper-scale domains (e.g. 512^3 x 19 components) whose payload
@@ -107,6 +117,7 @@ class DeviceBuffer:
         dtype,
         options: MemOptions | None = None,
         virtual: bool = False,
+        pitch: int | None = None,
     ):
         self.device = device
         self.options = options or MemOptions()
@@ -115,7 +126,18 @@ class DeviceBuffer:
         self._shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
         if any(s < 0 for s in self._shape):
             raise ValueError(f"negative dimension in shape {self._shape}")
-        self.array = None if virtual else _zeroed_payload(self._shape, self._dtype)
+        self.array, self._slack = None, 0
+        if pitch is None:
+            if not virtual:
+                self.array = _zeroed_payload(self._shape, self._dtype)
+        else:
+            lead, cells = self._shape[0], math.prod(self._shape[1:])
+            if pitch < cells:
+                raise ValueError(f"pitch {pitch} is shorter than the {cells} elements it separates")
+            self._slack = lead * (pitch - cells)
+            if not virtual:
+                backing = _zeroed_payload((lead, pitch), self._dtype)
+                self.array = backing[:, :cells].reshape(self._shape)  # a view: only axis 1 splits
         self.uid = next(_buffer_ids)
 
     @property
@@ -143,7 +165,8 @@ class DeviceBuffer:
 
     @property
     def padding_bytes(self) -> int:
-        return self.options.padding * self._dtype.itemsize
+        """Tail padding plus pitch slack."""
+        return (self.options.padding + self._slack) * self._dtype.itemsize
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DeviceBuffer(dev={self.device.index}, shape={self.shape}, dtype={self.dtype})"
@@ -189,7 +212,13 @@ class DeviceAllocator:
         )
 
     def allocate(
-        self, device: Device, shape, dtype, options: MemOptions | None = None, virtual: bool = False
+        self,
+        device: Device,
+        shape,
+        dtype,
+        options: MemOptions | None = None,
+        virtual: bool = False,
+        pitch: int | None = None,
     ) -> DeviceBuffer:
         faults = self.session.faults
         if faults is not None:
@@ -199,7 +228,7 @@ class DeviceAllocator:
                     f"device {device.index}: injected allocation fault (seeded); "
                     f"{self._oom_detail(device)}"
                 )
-        buf = DeviceBuffer(device, shape, dtype, options, virtual=virtual)
+        buf = DeviceBuffer(device, shape, dtype, options, virtual=virtual, pitch=pitch)
         if self.capacity_bytes is not None:
             if self.used_bytes(device) + buf.allocated_bytes > self.capacity_bytes:
                 raise AllocationError(

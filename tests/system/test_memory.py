@@ -42,6 +42,20 @@ def test_padding_adds_elements(dev):
     assert buf.allocated_bytes == 4 * 8 + 16
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 7), (2, 1024, 3, 256)])  # the second is mmap-backed
+def test_pitched_buffer_is_a_view_of_one_block(dev, shape):
+    cells = int(np.prod(shape[1:]))
+    buf = DeviceAllocator().allocate(dev, shape, np.float64, MemOptions(alignment=1, padding=1), pitch=cells + 8)
+    arr = buf.array
+    assert arr.shape == shape and arr.strides[0] == (cells + 8) * 8 and not arr.any()
+    assert all(arr[i].flags.c_contiguous for i in range(shape[0]))
+    assert buf.nbytes == shape[0] * cells * 8  # logical payload
+    assert buf.padding_bytes == (1 + shape[0] * 8) * 8  # tail padding + pitch slack
+    assert buf.allocated_bytes == buf.nbytes + buf.padding_bytes
+    with pytest.raises(ValueError, match="pitch"):
+        DeviceAllocator().allocate(dev, shape, np.float64, pitch=cells - 1)
+
+
 def test_capacity_enforced_per_device():
     ds = DeviceSet.gpus(2)
     alloc = DeviceAllocator(capacity_bytes=1024)
