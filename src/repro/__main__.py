@@ -5,7 +5,7 @@
     python -m repro collect              # print measured tables (markdown)
     python -m repro info                 # package / machine-model summary
 
-Six subcommands take one of the four experiments of ``repro.workloads``
+Five subcommands take one of the four experiments of ``repro.workloads``
 (``lbm``, ``karman``, ``poisson``, ``elasticity``) and run the *solver* at
 miniature size; any other name exits 2 with the same message:
 
@@ -25,14 +25,14 @@ miniature size; any other name exits 2 with the same message:
     python -m repro tune lbm --machine mixed_pcie --devices 4 -o TUNE_lbm.json
         # cost-model-driven autotuner: OCC level x execution mode x
         # partition weights, scored by DES replay of each candidate
-    python -m repro faults poisson --profile transient+loss -o recovery.json
-        # (lbm | poisson) a seeded FaultPlan with full recovery armed,
-        # verified against a fault-free run; exits non-zero on mismatch
     python -m repro chaos lbm --events 50 --seed 2026 -o CHAOS_lbm.json
         # (lbm | poisson) calibrated storm of transient faults, silent
         # corruption, device losses and checkpoint tampering; the run must
         # finish *bitwise identical* to its fault-free reference; -o
         # writes the report, flight-recorder sample included
+    python -m repro chaos poisson --profile transient+loss --seed 1234
+        # one fault class at a time: --profile transient | transient+loss
+        # | corruption is the same harness with a different split
 
     python -m repro serve --jobs 20 --tenants 3 -o BENCH_serve.json
         # multi-tenant serving smoke: a seeded mix of lbm/poisson jobs
@@ -215,53 +215,6 @@ def run_trace(args) -> int:
     return 0
 
 
-# -- faults ----------------------------------------------------------------------
-def args_faults(p) -> None:
-    _experiment(p, "lbm or poisson")
-    p.add_argument(
-        "--profile",
-        default="transient",
-        choices=["transient", "transient+loss", "corruption"],
-        help="seeded fault profile (default transient)",
-    )
-    _output(p, "Chrome trace JSON output path", default="recovery.json")
-    _devices(p, 3)
-    _seed(p, "FaultPlan seed", 1234)
-
-
-def run_faults(args) -> int:
-    from repro import observability as obs
-    from repro.bench.faulted import run_faulted
-
-    report = run_faulted(args.name, profile=args.profile, devices=args.devices, seed=args.seed)
-    path = obs.export_chrome_trace(
-        args.output,
-        meta={
-            "experiment": f"faults:{args.name}",
-            "profile": args.profile,
-            "seed": args.seed,
-            "devices": args.devices,
-            "faults": report.faults,
-        },
-    )
-    m = obs.metrics()
-    print(report.summary())
-    print("\nrecovery counters:")
-    for counter in (
-        "faults_injected",
-        "retries",
-        "checkpoints",
-        "checkpoint_restores",
-        "rollbacks",
-        "devices_lost",
-        "divergence_detected",
-    ):
-        print(f"  {counter:<20} {m.total(counter):g}")
-    print(f"\n{m.to_markdown()}")
-    print(f"\nwrote {path} — open in https://ui.perfetto.dev (resilience.* spans)")
-    return 0 if report.ok else 1
-
-
 # -- sanitize --------------------------------------------------------------------
 def args_sanitize(p) -> None:
     _experiment(p)
@@ -370,9 +323,13 @@ def run_report(args) -> int:
 def args_chaos(p) -> None:
     _experiment(p, "lbm or poisson")
     p.add_argument("--events", type=int, default=50, help="minimum fault events to deliver (default 50)")
-    _seed(p, "storm seed", 2026)
+    _seed(p, "fault-plan seed", 2026)
     _devices(p, 4)
-    p.add_argument("--losses", type=int, default=2, help="permanent device losses to schedule (default 2)")
+    p.add_argument(
+        "--profile",
+        default="storm",
+        help="fault profile: storm (default; every fault class at once), transient, transient+loss or corruption",
+    )
     _output(p, "write the chaos report as JSON (e.g. CHAOS_lbm.json)")
     _mode(p, "execution mode for the soak")
 
@@ -381,7 +338,7 @@ def run_chaos(args) -> int:
     from repro.bench.chaos import run_chaos as soak
 
     report = soak(
-        args.name, events=args.events, seed=args.seed, devices=args.devices, losses=args.losses, mode=args.mode
+        args.name, events=args.events, seed=args.seed, devices=args.devices, profile=args.profile, mode=args.mode
     )
     print(report.summary())
     if args.output:
@@ -516,11 +473,10 @@ COMMANDS = (
     Command("collect", "print measured result tables as markdown", None, run_collect),
     Command("info", "package and machine-model summary", None, run_info),
     Command("trace", "run an instrumented miniature and export a Chrome trace", args_trace, run_trace, True),
-    Command("faults", "run a fault-matrix miniature with recovery armed", args_faults, run_faults, True),
     Command("sanitize", "race-sanitize a miniature's compiled schedule", args_sanitize, run_sanitize, True),
     Command("tune", "autotune one experiment on one machine model", args_tune, run_tune),
     Command("report", "performance observatory dashboard", args_report, run_report),
-    Command("chaos", "chaos soak: composite fault storm with a bitwise bar", args_chaos, run_chaos, True),
+    Command("chaos", "fault harness: a seeded fault profile (default the storm) with a bitwise bar", args_chaos, run_chaos, True),
     Command("serve", "multi-tenant gateway smoke: mixed jobs through the plan cache", args_serve, run_serve, True),
 )
 

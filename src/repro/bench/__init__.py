@@ -1,7 +1,6 @@
 """Benchmark harness: metrics, table formatting, result persistence.
 
-Heavier pieces — the fault-matrix and chaos miniatures
-(:mod:`repro.bench.faulted`, :mod:`repro.bench.chaos`) and the
+Heavier pieces — the fault harness (:mod:`repro.bench.chaos`) and the
 performance-observatory dashboard (:mod:`repro.bench.dashboard`) — are
 imported explicitly by their users rather than re-exported here, so
 ``import repro.bench`` stays cheap.  Performance regressions are judged

@@ -1,23 +1,27 @@
-"""Chaos soak harness: a seeded long-horizon fault storm with a bitwise bar.
+"""The fault harness: seeded fault profiles with a bitwise bar.
 
-The fault matrix (:mod:`repro.bench.faulted`) proves each recovery path
-in isolation; the chaos soak composes them.  One run drives a miniature
-through the adaptive :class:`~repro.resilience.ResilientDriver` under a
-storm of *every* fault class at once — transient launch/copy failures,
-silent NaN/Inf corruption, multiple permanent device losses — plus an
-attack the fault plan cannot express: seeded byte-flips in the newest
-stored checkpoint generation, injected right before a rollback so the
-recovery path itself is what gets damaged.
+One run drives a miniature through the adaptive
+:class:`~repro.resilience.ResilientDriver` under one *profile* of
+:data:`PROFILES`.  The default, ``storm``, composes every fault class at
+once — transient launch/copy failures, silent NaN/Inf corruption, two
+permanent device losses — plus an attack the fault plan cannot express:
+seeded byte-flips in the newest stored checkpoint generation, injected
+right before a rollback so the recovery path itself is what gets
+damaged.  The other profiles are the same storm with a different split:
+``transient`` (launch + copy faults only), ``transient+loss`` (the same
+plus one device loss) and ``corruption`` (silent corruption only), so
+each recovery path can also be proven in isolation.
 
-The storm is calibrated, not guessed: a fault-free probe run (armed with
-a zero-rate plan) counts the draw opportunities of each fault kind and
-the per-rank command touches, and the requested ``--events`` budget is
+Every profile is calibrated, not guessed: a fault-free probe run (armed
+with a zero-rate plan) counts the draw opportunities of each fault kind
+and the per-rank command touches, and the requested ``events`` budget is
 converted into per-draw rates and loss triggers from those counts.  The
 same probe run is the *reference*: because the conformance suite pins
 results bitwise across device counts, partition weights, OCC levels and
 execution modes — and the CG miniature checkpoints its full Krylov
-state — a chaos run that survives the storm must finish **bitwise
-identical** to the fault-free run.  ``np.array_equal``, not allclose, is
+state — a run that survives its profile must finish **bitwise
+identical** to the fault-free run, on a recovered schedule that still
+proves its own synchronisation.  ``np.array_equal``, not allclose, is
 the bar.
 
 Used by ``python -m repro chaos`` and the CI chaos-soak job:
@@ -29,22 +33,38 @@ sample included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import resilience as res
 from repro.observability import flight as _flight
 from repro.sim import mixed_pcie
+from repro.skeleton import check_trace_dependencies, simulate_result
 from repro.system import Backend
 from repro.workloads import JobSpec, build, check_experiment, resilient_factory
 
-from .faulted import WORKLOADS
-
 CHAOS_SCHEMA = "repro-chaos/1"
 
-#: fraction of the requested event budget aimed at each drawn fault kind
-_STORM_SPLIT = {"launch": 0.40, "copy": 0.25, "corrupt": 0.35}
+
+class Profile(NamedTuple):
+    """One fault profile: a storm with its own split."""
+
+    #: fraction of the requested event budget aimed at each drawn fault kind
+    split: dict[str, float]
+    #: permanent device losses, staggered over the top ranks
+    losses: int
+    #: whether the checkpoint-tamper attack runs
+    tamper: bool
+
+
+PROFILES = {
+    "storm": Profile({"launch": 0.40, "copy": 0.25, "corrupt": 0.35}, losses=2, tamper=True),
+    "transient": Profile({"launch": 0.50, "copy": 0.50}, losses=0, tamper=False),
+    "transient+loss": Profile({"launch": 0.50, "copy": 0.50}, losses=1, tamper=False),
+    "corruption": Profile({"corrupt": 1.0}, losses=0, tamper=False),
+}
 
 #: per-draw rate ceiling: past this, retries stop converging and the
 #: storm degenerates into one endless replay instead of a soak
@@ -54,8 +74,19 @@ _MAX_RATE = 0.2
 #: expectation, and the soak's contract is a *minimum* event count
 _OVERSHOOT = 1.8
 
-#: soak length per fault-matrix miniature (same shapes and forcing, more steps)
-CHAOS_STEPS = {"lbm": 20, "poisson": 48}
+#: the miniatures every profile runs (4 devices, serial replay)
+CHAOS_SPECS = {
+    # lid-driven-cavity D3Q19 LBM (full-state checkpoints)
+    "lbm": JobSpec.make("lbm", (12, 12, 12), 20, devices=4),
+    # Poisson conjugate gradient (Krylov-state checkpoints)
+    "poisson": JobSpec.make("poisson", (16, 16, 16), 48, devices=4, rhs="bump", tolerance=1e-8),
+}
+
+
+def chaos_spec(name: str, devices: int = 4, mode: str = "serial", steps: int | None = None) -> JobSpec:
+    """The miniature ``name`` of :data:`CHAOS_SPECS` on ``devices`` devices."""
+    spec = CHAOS_SPECS[check_experiment(name, tuple(CHAOS_SPECS))]
+    return replace(spec, devices=devices, mode=mode, steps=spec.steps if steps is None else steps)
 
 
 def _backend(devices: int) -> Backend:
@@ -64,12 +95,12 @@ def _backend(devices: int) -> Backend:
 
 
 def _probe(spec: JobSpec, seed: int):
-    """Fault-free reference run that doubles as the storm calibrator.
+    """Fault-free reference run that doubles as the profile calibrator.
 
     Armed with a zero-rate plan (plus never-firing loss triggers on every
     rank), the run injects nothing and computes the bitwise reference —
     while the plan's draw counters and per-rank touch counts record how
-    many injection opportunities one clean run offers.  The storm's rates
+    many injection opportunities one clean run offers.  A profile's rates
     and loss triggers are derived from exactly these counts.
     """
     plan = res.FaultPlan(seed, device_loss={r: 10**9 for r in range(spec.devices)})
@@ -89,42 +120,37 @@ def make_chaos_plan(
     draws: dict[str, int],
     touches: dict[int, int],
     devices: int,
-    losses: int,
+    profile: str = "storm",
 ) -> res.FaultPlan:
-    """The storm: event budget -> per-draw rates + scheduled loss triggers.
+    """One profile's plan: event budget -> per-draw rates + loss triggers.
 
-    Rates target ``_STORM_SPLIT`` of the budget against the probe's draw
-    counts; replayed steps re-draw with advanced counters, so the real
-    run only ever sees *more* opportunities than the probe counted.
-    Losses take the top ``losses`` ranks (removing the highest rank never
-    re-indexes the remaining scheduled ranks) at staggered fractions of
-    each rank's touch count, so the fleet shrinks mid-run, not at the
-    edges.
+    Rates target the profile's split of the budget against the probe's
+    draw counts; replayed steps re-draw with advanced counters, so the
+    real run only ever sees *more* opportunities than the probe counted.
+    Losses take the top ranks (removing the highest rank never re-indexes
+    the remaining scheduled ranks) at staggered fractions of each rank's
+    touch count, so the fleet shrinks mid-run, not at the edges.
     """
+    row = PROFILES[profile]
     rates = {}
-    for kind, frac in _STORM_SPLIT.items():
+    for kind, frac in row.split.items():
         # the zero-rate probe never reaches the corruption wrapper (it is
         # compiled out below rate 0), but corruption draws once per kernel
         # launch — the launch draw count is its opportunity count
         d = draws.get(kind, 0) or (draws.get("launch", 0) if kind == "corrupt" else 0)
         rates[kind] = min(_MAX_RATE, _OVERSHOOT * frac * events / d) if d else 0.0
     device_loss = {}
-    for j in range(losses):
+    for j in range(row.losses):
         rank = devices - 1 - j
         t = touches.get(rank, devices)
         device_loss[rank] = max(1, int(t * (0.35 + 0.3 * j)))
     # corruption is the expensive kind (every hit is a rollback + replay):
     # cap it near its share of the budget so replay re-draws cannot
     # snowball the storm into an unbounded rollback cascade
-    corrupt_cap = int(math.ceil(_STORM_SPLIT["corrupt"] * events)) + 3
-    return res.FaultPlan(
-        seed,
-        launch=rates["launch"],
-        copy=rates["copy"],
-        corrupt=rates["corrupt"],
-        device_loss=device_loss,
-        max_injections={"corrupt": corrupt_cap},
-    )
+    caps = {}
+    if "corrupt" in row.split:
+        caps["corrupt"] = int(math.ceil(row.split["corrupt"] * events)) + 3
+    return res.FaultPlan(seed, **rates, device_loss=device_loss, max_injections=caps)
 
 
 class ChaosDriver(res.ResilientDriver):
@@ -135,12 +161,13 @@ class ChaosDriver(res.ResilientDriver):
     model, aimed at the recovery path itself.  The store must detect the
     mismatched CRC and fall back one generation; a run that restores the
     tampered snapshot would break the bitwise bar and fail the soak.
+    ``tamper_every=None`` turns the attack off.
     """
 
-    def __init__(self, *args, tamper_seed: int = 0, tamper_every: int = 4, **kwargs):
+    def __init__(self, *args, tamper_seed: int = 0, tamper_every: int | None = 4, **kwargs):
         super().__init__(*args, **kwargs)
         self.tamper_seed = tamper_seed
-        self.tamper_every = max(1, tamper_every)
+        self.tamper_every = tamper_every
         self.tampers = 0
         self._rollback_seen = 0
 
@@ -149,7 +176,11 @@ class ChaosDriver(res.ResilientDriver):
         # tamper only when an older generation exists to fall back to:
         # corrupting the sole snapshot terminates the run instead of
         # exercising the fallback path the soak is here to prove
-        if len(self.store) >= 2 and (self._rollback_seen - 1) % self.tamper_every == 0:
+        if (
+            self.tamper_every
+            and len(self.store) >= 2
+            and (self._rollback_seen - 1) % self.tamper_every == 0
+        ):
             self._tamper_latest()
         return super()._rollback(app, cause)
 
@@ -173,27 +204,26 @@ class ChaosDriver(res.ResilientDriver):
 
 @dataclass
 class ChaosReport:
-    """Outcome of one chaos soak, compared against its fault-free twin."""
+    """Outcome of one profile run, compared against its fault-free twin."""
 
     workload: str
+    profile: str
     devices: int
     surviving_devices: int
     seed: int
     steps: int
     events_requested: int
-    losses_planned: int
     injected: dict
     device_losses: int
     tampers: int
     rollbacks: int
-    retunes: int
     recovery_seconds: float
     checkpoints: dict
     degrade_reports: list
-    retune_reports: list
     flight_kinds: dict
     flight_sample: dict
     faults: dict
+    violations: int
     match: bool
     max_abs_error: float
 
@@ -203,18 +233,23 @@ class ChaosReport:
 
     @property
     def ok(self) -> bool:
+        """The one verdict: bitwise, a schedule that proves itself, and
+        every event the profile's row asks for delivered."""
+        row = PROFILES[self.profile]
         return (
             self.match
+            and self.violations == 0
             and self.events_total >= self.events_requested
-            and self.device_losses >= self.losses_planned
-            and self.tampers >= 1
-            and self.checkpoints.get("fallbacks", 0) >= 1
+            and all(self.injected.get(kind, 0) >= 1 for kind in row.split)
+            and self.device_losses >= row.losses
+            and (not row.tamper or (self.tampers >= 1 and self.checkpoints.get("fallbacks", 0) >= 1))
         )
 
     def to_json(self) -> dict:
         return {
             "schema": CHAOS_SCHEMA,
             "workload": self.workload,
+            "profile": self.profile,
             "devices": self.devices,
             "surviving_devices": self.surviving_devices,
             "seed": self.seed,
@@ -228,23 +263,25 @@ class ChaosReport:
             },
             "recoveries": {
                 "rollbacks": self.rollbacks,
-                "retunes": self.retunes,
                 "recovery_seconds": self.recovery_seconds,
                 "checkpoints": dict(self.checkpoints),
             },
             "degrade_reports": list(self.degrade_reports),
-            "retune_reports": list(self.retune_reports),
             "flight_kinds": dict(self.flight_kinds),
             "flight_sample": self.flight_sample,
             "faults": dict(self.faults),
-            "result": {"match_bitwise": self.match, "max_abs_error": self.max_abs_error},
+            "result": {
+                "match_bitwise": self.match,
+                "max_abs_error": self.max_abs_error,
+                "violations": self.violations,
+            },
             "ok": self.ok,
         }
 
     def summary(self) -> str:
         verdict = "SURVIVED" if self.ok else "FAILED"
         lines = [
-            f"chaos soak: {self.workload} (seed {self.seed}): {verdict}",
+            f"chaos {self.profile}: {self.workload} (seed {self.seed}): {verdict}",
             f"  events:   {self.events_total} total "
             f"(requested >= {self.events_requested}): {self.injected} "
             f"+ {self.device_losses} device loss(es) + {self.tampers} checkpoint tamper(s)",
@@ -252,7 +289,7 @@ class ChaosReport:
             f"  recovery: {self.rollbacks} rollbacks, "
             f"{self.checkpoints.get('fallbacks', 0)} checkpoint fallback(s) "
             f"(max restore depth {self.checkpoints.get('max_restore_depth', 0)}), "
-            f"{self.retunes} online retune(s), {self.recovery_seconds:.3f}s recovering",
+            f"{self.recovery_seconds:.3f}s recovering",
         ]
         for rep in self.degrade_reports:
             lines.append(
@@ -261,10 +298,11 @@ class ChaosReport:
                 f"vs uniform {rep['uniform_makespan'] * 1e3:.3f} ms "
                 f"({100 * rep['improvement']:.1f}% better)"
             )
-        lines.append(
+        lines += [
             f"  result vs fault-free: "
-            f"{'bitwise identical' if self.match else f'MISMATCH (max |err| = {self.max_abs_error:.3e})'}"
-        )
+            f"{'bitwise identical' if self.match else f'MISMATCH (max |err| = {self.max_abs_error:.3e})'}",
+            f"  dependency violations on the recovered schedule: {self.violations}",
+        ]
         return "\n".join(lines)
 
 
@@ -273,37 +311,38 @@ def run_chaos(
     events: int = 50,
     seed: int = 2026,
     devices: int = 4,
-    losses: int = 2,
+    profile: str = "storm",
     policy: res.RecoveryPolicy | None = None,
     mode: str = "serial",
 ) -> ChaosReport:
-    """One full soak: probe/reference, calibrated storm, bitwise verdict.
+    """One full run: probe/reference, calibrated profile, bitwise verdict.
 
     ``mode`` is the replay mode of every app step, before and after
     every recovery.  ``serial`` makes the whole report a pure function of
-    ``seed``; under ``parallel`` the verdict is the same bitwise one while
-    the injected / rollback counts depend on the thread schedule once a
-    batch has aborted (docs/resilience.md, "Reproducibility").
+    ``seed`` — the run never recalibrates from wall-clock timings, and
+    tuned degradation scores on the DES alone; under ``parallel`` the
+    verdict is the same bitwise one while the injected / rollback counts
+    depend on the thread schedule once a batch has aborted
+    (docs/resilience.md, "Reproducibility").
     """
-    check_experiment(name, tuple(CHAOS_STEPS))
+    spec = chaos_spec(name, devices, mode)
+    if profile not in PROFILES:
+        raise ValueError(f"unknown fault profile '{profile}'; expected one of: {', '.join(PROFILES)}")
     if events < 1:
         raise ValueError("events must be >= 1")
-    if losses < 1 or devices - losses < 2:
+    losses = PROFILES[profile].losses
+    if devices - losses < 2:
         raise ValueError(
-            f"need >= 1 loss and >= 2 survivors (tuned degradation wants a fleet), "
-            f"got devices={devices}, losses={losses}"
+            f"profile '{profile}' loses {losses} device(s) and needs >= 2 survivors "
+            f"(tuned degradation wants a fleet), got devices={devices}"
         )
-    spec = WORKLOADS[name].spec(devices, mode=mode, steps=CHAOS_STEPS[name])
     reference, draws, touches = _probe(spec, seed)
-    plan = make_chaos_plan(seed, events, draws, touches, devices, losses)
+    plan = make_chaos_plan(seed, events, draws, touches, devices, profile)
     if policy is None:
         # short intervals + several generations: corruption rollbacks stay
         # cheap and the tamper attack always has an older snapshot to hit
         policy = res.RecoveryPolicy(
-            checkpoint_interval=2,
-            max_rollbacks=64 + 4 * events,
-            checkpoint_generations=3,
-            recalibrate_interval=max(4, spec.steps // 4),
+            checkpoint_interval=2, max_rollbacks=64 + 4 * events, checkpoint_generations=3
         )
     driver = ChaosDriver(
         resilient_factory(spec),
@@ -313,30 +352,36 @@ def run_chaos(
         plan=plan,
         experiment=name,
         tamper_seed=seed,
+        tamper_every=4 if PROFILES[profile].tamper else None,
     )
     app = driver.run()
+
+    # the recovered schedule must still prove its own synchronisation
+    violations = 0
+    for sk in app.skeletons:
+        recorded = sk.record()
+        violations += len(check_trace_dependencies(recorded, simulate_result(recorded)))
 
     got = app.result_array()
     return ChaosReport(
         workload=name,
+        profile=profile,
         devices=devices,
         surviving_devices=driver.backend.num_devices,
         seed=seed,
         steps=spec.steps,
         events_requested=events,
-        losses_planned=losses,
         injected={k: v for k, v in plan.describe()["injected"].items() if v},
         device_losses=driver.devices_lost,
         tampers=driver.tampers,
         rollbacks=driver.rollbacks,
-        retunes=driver.retunes,
         recovery_seconds=driver.recovery_seconds,
         checkpoints=driver.store.describe(),
         degrade_reports=list(driver.degrade_reports),
-        retune_reports=list(driver.retune_reports),
         flight_kinds=_flight.FLIGHT.kind_counts(),
         flight_sample=_flight.FLIGHT.snapshot(),
         faults=plan.describe(),
+        violations=violations,
         match=bool(np.array_equal(got, reference)),
         max_abs_error=float(np.max(np.abs(got - reference))),
     )

@@ -159,26 +159,6 @@ def waxpby(grid: Grid, alpha: float, x, beta: float, y, w, name: str = "waxpby")
     return container
 
 
-def max_abs(grid: Grid, x, partial: MemSet, name: str = "amax") -> Container:
-    """partial[rank] <- max |x| over the rank's cells (the BLAS IAMAX value).
-
-    Combine the partials with ``ScalarResult(partial, op=np.maximum)``.
-    """
-    _check(grid, x)
-
-    def loading(loader):
-        xp = loader.read(x)
-        acc = loader.reduce_target(partial, op=np.maximum)
-
-        def compute(span):
-            v = xp.view_all(span)
-            acc.deposit(float(np.abs(v).max()) if v.size else 0.0)
-
-        return compute
-
-    return grid.new_container(name, loading, flops_per_cell=1.0 * x.cardinality)
-
-
 def total(grid: Grid, x, partial: MemSet, name: str = "sum") -> Container:
     """partial[rank] <- sum of all components of x over the rank's cells."""
     _check(grid, x)

@@ -29,7 +29,7 @@ other's faults.  The driver arms every backend it runs on::
 
 and ``with res.session(backend, plan, policy):`` arms one by hand.
 
-or from the shell: ``python -m repro faults poisson --profile transient+loss``.
+or from the shell: ``python -m repro chaos poisson --profile transient+loss``.
 
 Import discipline: this package's modules must not import other
 ``repro`` packages at module import time (``repro.observability``

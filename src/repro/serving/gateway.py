@@ -21,7 +21,7 @@ Scheduling policy, in order:
    work.  Measured wall time, not the estimate, is what a tenant is
    charged afterwards.
 
-Jobs need no lock between them: a fault-profile job builds and arms its
+Jobs need no lock between them: a fault job builds and arms its
 own backend (:func:`repro.resilience.session` is per backend), and
 ``fused=False`` is pinned on the job's own plans, so it overlaps plain
 jobs like any other.  What stays process-level — the tracer / metrics
@@ -44,11 +44,10 @@ from time import perf_counter
 
 from repro import observability as _obs
 from repro import resilience as res
-from repro.bench import faulted
 from repro.sim import dgx_a100
 from repro.system import Backend
 from repro.tuner import tune_workload
-from repro.workloads import JobSpec, build, check_experiment, resilient_factory
+from repro.workloads import JobSpec, build, resilient_factory
 
 from .plancache import PlanCache, PlanKey, plan_key
 
@@ -94,8 +93,7 @@ class Job:
         self.digest = key.digest
         self.estimate = estimate
         self.submitted = perf_counter()
-        self.fault_profile: str | None = None
-        self.fault_seed = 0
+        self.faults: res.FaultPlan | None = None
         self.policy: res.RecoveryPolicy | None = None
         self.taken = False  # lazy-deletion flag shared by heap + affinity deque
         self.batched = False
@@ -222,19 +220,17 @@ class Gateway:
         tenant: str,
         spec: JobSpec,
         *,
-        fault_profile: str | None = None,
-        fault_seed: int = 0,
+        faults: res.FaultPlan | None = None,
         policy: res.RecoveryPolicy | None = None,
     ) -> Job:
         """Admit one job for ``tenant``; returns a :class:`Job` handle.
 
-        ``fault_profile`` routes the job through the resilience layer
-        (the PR 7 fault-matrix profiles, e.g. ``"transient+loss"``) with
-        the given seed and recovery ``policy``; such jobs solve the same
-        spec a plain job would, on a backend of their own.
+        ``faults`` routes the job through the resilience layer: a
+        :class:`~repro.resilience.ResilientDriver` runs it under that
+        seeded plan and the recovery ``policy``.  Such a job solves the
+        same spec a plain job would, on a backend of its own; a plan holds
+        its draw counters, so give each job a fresh one.
         """
-        if fault_profile is not None:
-            check_experiment(spec.experiment, tuple(faulted.WORKLOADS))
         machine = self.machine_factory(spec.devices)
         key = plan_key(spec, machine.name)
         entry = self.cache.peek(key)
@@ -242,8 +238,7 @@ class Gateway:
         if entry is not None and entry.estimate_seconds is not None:
             estimate = float(entry.estimate_seconds)
         job = Job(tenant, spec, key, estimate)
-        job.fault_profile = fault_profile
-        job.fault_seed = int(fault_seed)
+        job.faults = faults
         job.policy = policy
         with self._cv:
             if self._closed:
@@ -339,7 +334,7 @@ class Gateway:
         t0 = perf_counter()
         result = error = None
         try:
-            if job.fault_profile is not None:
+            if job.faults is not None:
                 result = self._run_resilient(job, queue_wait)
             else:
                 result = self._run_cached(job, queue_wait)
@@ -397,13 +392,10 @@ class Gateway:
 
     def _run_resilient(self, job: Job, queue_wait: float) -> JobResult:
         spec = job.spec
-        plan = faulted.make_plan(
-            faulted.WORKLOADS[spec.experiment], job.fault_profile, job.fault_seed, spec.devices
-        )
         policy = job.policy if job.policy is not None else res.RecoveryPolicy()
         backend = Backend.sim_gpus(spec.devices, machine=self.machine_factory(spec.devices))
         driver = res.ResilientDriver(
-            resilient_factory(spec), backend, spec.steps, policy=policy, plan=plan
+            resilient_factory(spec), backend, spec.steps, policy=policy, plan=job.faults
         )
         t0 = perf_counter()
         app = driver.run()

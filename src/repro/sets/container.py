@@ -84,9 +84,6 @@ class Container:
             return Pattern.REDUCE
         return Pattern.MAP
 
-    def stencil_reads(self) -> list[AccessToken]:
-        return [t for t in self.tokens() if t.pattern is Pattern.STENCIL]
-
     def cost_for(self, rank: int, view: DataView):
         return estimate_cost(
             self.index_data,

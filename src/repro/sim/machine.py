@@ -68,9 +68,6 @@ class MachineSpec:
                 return spec
         return self.device
 
-    def device_specs(self) -> list[DeviceSpec]:
-        return [self.device_spec(r) for r in range(self.num_devices)]
-
     def with_devices(self, count: int) -> "MachineSpec":
         """Same machine class, different GPU count (for scaling sweeps)."""
         overrides = tuple((r, spec) for r, spec in self.device_overrides if r < count)

@@ -140,12 +140,6 @@ class Recalibrator:
         """Merge samples distilled from ``kernel_seconds`` histograms."""
         self.ingest(samples_from_metrics(metrics, result))
 
-    def sample_count(self, rank: int | None = None) -> int:
-        """Observed samples so far (for one rank, or in total)."""
-        if rank is not None:
-            return len(self._samples.get(rank, []))
-        return sum(len(batch) for batch in self._samples.values())
-
     # -- model assessment --------------------------------------------------
     def check(self) -> CalibrationReport:
         """Fit each observed device and score the *current* model on the

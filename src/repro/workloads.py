@@ -18,7 +18,7 @@ consumer drives the same way —
 (``fields()``, ``scalars()``, ``on_restore()``, ``step(i)``,
 ``result_array()``), so the object a fault run recovers is the object a
 plain run replays.  ``trace``, ``report``, ``sanitize``, ``tune``,
-``faults``, ``chaos`` and the serving gateway all build through here;
+``chaos`` and the serving gateway all build through here;
 what they keep of their own is a table of *specs* (shapes, step counts,
 the right-hand side as a value of the ``rhs`` param), never a builder.
 """

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro import observability as obs
 from repro.bench.chaos import (
     CHAOS_SCHEMA,
-    CHAOS_STEPS,
+    CHAOS_SPECS,
     make_chaos_plan,
     run_chaos,
 )
@@ -21,13 +20,14 @@ injected_nonfinite = pytest.mark.filterwarnings(
 
 
 @injected_nonfinite
-@pytest.mark.parametrize("name", sorted(CHAOS_STEPS))
+@pytest.mark.parametrize("name", sorted(CHAOS_SPECS))
 def test_soak_survives_the_full_storm(name):
     """The PR's acceptance criterion: >= 50 seeded fault events — among
     them >= 2 permanent device losses and >= 1 corrupted checkpoint — and
     the run still finishes bitwise identical to its fault-free twin."""
     report = run_chaos(name, events=50, seed=2026)
     assert report.match, "recovered result must be bitwise identical"
+    assert report.violations == 0
     assert report.events_total >= 50
     assert report.device_losses >= 2
     assert report.tampers >= 1
@@ -43,13 +43,11 @@ def test_soak_survives_the_full_storm(name):
 
 @injected_nonfinite
 def test_serial_soak_is_a_pure_function_of_its_seed():
-    """Recovery never changes the replay mode a job asked for and no
-    session outlives the run that armed it, so a serial soak's whole fault
-    history repeats, twice in one process too.  Observability is off: with
-    it on, online recalibration fits the tuned shares to wall-clock kernel
-    spans of the *process* tracer (the first run's included) — the one
-    input of a soak that is not its seed (docs/resilience.md)."""
-    obs.disable()  # the suite fixture's reset restores the default
+    """Recovery never changes the replay mode a job asked for, no session
+    outlives the run that armed it, and the soak never recalibrates from
+    wall-clock timings, so a serial soak's whole fault history repeats,
+    twice in one process too — with observability armed, as the CLI runs
+    it (docs/resilience.md)."""
     first, second = (run_chaos("poisson", events=50, seed=2026) for _ in range(2))
     assert first.ok and second.ok
     assert (first.injected, first.rollbacks, first.tampers, first.device_losses) == (
@@ -62,7 +60,7 @@ def test_serial_soak_is_a_pure_function_of_its_seed():
 
 def test_plan_calibration_targets_the_budget():
     draws = {"launch": 1000, "copy": 500}
-    plan = make_chaos_plan(3, 50, draws, {3: 400, 2: 800}, devices=4, losses=2)
+    plan = make_chaos_plan(3, 50, draws, {3: 400, 2: 800}, devices=4, profile="storm")
     for kind in ("launch", "copy", "corrupt"):
         assert 0.0 < plan.rates[kind] <= 0.2, kind
     # corruption opportunities are proxied by launch draws (the zero-rate
@@ -74,6 +72,14 @@ def test_plan_calibration_targets_the_budget():
     assert plan.device_loss[2] == int(800 * (0.35 + 0.3))
     assert plan.max_injections["corrupt"] >= int(0.35 * 50)
 
+    # a single-class row arms only its own kinds and losses
+    transient = make_chaos_plan(3, 50, draws, {3: 400}, devices=4, profile="transient+loss")
+    assert transient.rates["corrupt"] == 0.0 and transient.rates["launch"] > 0.0
+    assert set(transient.device_loss) == {3} and not transient.max_injections
+    corruption = make_chaos_plan(3, 50, draws, {}, devices=4, profile="corruption")
+    assert corruption.rates["launch"] == corruption.rates["copy"] == 0.0
+    assert corruption.rates["corrupt"] > 0.0 and not corruption.device_loss
+
 
 @injected_nonfinite
 def test_report_document_and_renderers():
@@ -81,12 +87,14 @@ def test_report_document_and_renderers():
     doc = json.loads(json.dumps(report.to_json()))  # JSON-serialisable as-is
     assert doc["schema"] == CHAOS_SCHEMA
     assert doc["workload"] == "poisson"
+    assert doc["profile"] == "storm"
     assert doc["events"]["total"] == report.events_total
     assert doc["result"]["match_bitwise"] is True
+    assert doc["result"]["violations"] == 0
     assert doc["flight_sample"] and all(isinstance(ring, list) for ring in doc["flight_sample"].values())
 
     text = report.summary()  # the one terminal view
-    assert "chaos soak: poisson" in text
+    assert "chaos storm: poisson" in text
     assert "device loss(es)" in text
     assert "bitwise identical" in text
 
@@ -97,4 +105,4 @@ def test_rejects_bad_configuration():
     with pytest.raises(ValueError, match="events"):
         run_chaos("lbm", events=0)
     with pytest.raises(ValueError, match="survivors"):
-        run_chaos("lbm", devices=2, losses=1)
+        run_chaos("lbm", devices=3)  # the storm loses two

@@ -25,29 +25,6 @@ def test_waxpby(grid):
     assert np.allclose(y.to_numpy(), 3.0)
 
 
-def test_max_abs(grid):
-    x = grid.new_field("x")
-    x.init(lambda z, y, xx: np.where((z == 5) & (y == 2) & (xx == 1), -17.0, 0.5))
-    partial = grid.new_reduce_partial("p")
-    run_one(grid, ops.max_abs(grid, x, partial))
-    assert ScalarResult(partial, op=np.maximum).value() == pytest.approx(17.0)
-
-
-def test_max_abs_multi_device_equals_single():
-    vals = {}
-    for ndev in (1, 2):
-        g = DenseGrid(Backend.sim_gpus(ndev), (8, 4, 4))
-        x = g.new_field("x")
-        rng = np.random.default_rng(4)
-        data = rng.standard_normal(g.shape)
-        x.init(lambda z, y, xx: data[z, y, xx])
-        partial = g.new_reduce_partial("p")
-        run_one(g, ops.max_abs(g, x, partial))
-        vals[ndev] = ScalarResult(partial, op=np.maximum).value()
-    assert vals[1] == pytest.approx(vals[2])
-    assert vals[1] == pytest.approx(float(np.abs(data).max()))
-
-
 def test_total(grid):
     x = grid.new_field("x", cardinality=2)
     x.fill(1.5)

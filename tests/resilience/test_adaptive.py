@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import resilience as res
-from repro.bench.faulted import WORKLOADS
+from repro.bench.chaos import chaos_spec
 from repro.domain import STENCIL_7PT, DenseGrid
 from repro.observability import flight
 from repro.resilience import (
@@ -33,12 +33,12 @@ def mixed_backend(n=4, **kw):
     return Backend.sim_gpus(n, machine=mixed_pcie(n), **kw)
 
 
-#: the fault matrix's 12^3 cavity; the driver, not the spec, counts the steps
-cavity_factory = resilient_factory(WORKLOADS["lbm"].spec(4))
+#: the chaos miniatures' 12^3 cavity; the driver, not the spec, counts the steps
+cavity_factory = resilient_factory(chaos_spec("lbm", 4))
 
 
 def cavity_reference(steps, devices=4):
-    app = build(WORKLOADS["lbm"].spec(devices, steps=steps), backend=mixed_backend(devices))
+    app = build(chaos_spec("lbm", devices, steps=steps), backend=mixed_backend(devices))
     app.run()
     return app.result_array()
 
@@ -304,6 +304,22 @@ def test_online_recalibration_retunes_and_repartitions_live():
     # live re-partition: same fleet size, no restart, bitwise result
     assert driver.backend.num_devices == 2
     assert driver.devices_lost == 0 and driver.rollbacks == 0
+    assert np.array_equal(app.result_array(), reference)
+
+
+def test_recalibration_under_transient_faults_stays_bitwise():
+    """Retries and a live re-partition compose: the job recalibrates (and
+    re-tunes) while transient faults fire, and still ends on the bits."""
+    steps = 9
+    reference = cavity_reference(steps, devices=2)
+    plan = FaultPlan(7, launch=0.05, copy=0.05)
+    policy = RecoveryPolicy(checkpoint_interval=4, recalibrate_interval=3)
+    driver = ResilientDriver(
+        cavity_factory, mixed_backend(2), steps, policy=policy, plan=plan, experiment="lbm"
+    )
+    app = driver.run()
+    assert plan.injected("launch") + plan.injected("copy") > 0
+    assert driver.retunes >= 1
     assert np.array_equal(app.result_array(), reference)
 
 

@@ -1,50 +1,64 @@
 """The fault matrix: every fault class either recovers or raises typed.
 
-Runs the miniature Poisson-CG and LBM pipelines under each seeded fault
-profile and asserts the end-to-end guarantee: the recovered result
-matches the fault-free run (within solver tolerance), the recovered
-schedule proves its dependencies, and recovery genuinely fired — faults
-were injected, retries absorbed them, losses degraded the backend.
-Silent corruption is the one outcome that must be impossible.
+Runs the chaos miniatures (Poisson CG and the LBM cavity) under each
+single-class fault profile of :data:`repro.bench.chaos.PROFILES` and
+asserts the end-to-end guarantee: the recovered result is bitwise the
+fault-free one, the recovered schedule proves its dependencies, and
+recovery genuinely fired — every fault kind the profile arms was
+injected, retries absorbed the transient ones, corruption rolled back,
+losses degraded the backend.  Silent corruption is the one outcome that
+must be impossible.
 """
 
 import numpy as np
 import pytest
 
 from repro import resilience as res
-from repro.bench.faulted import PROFILES, WORKLOADS, _backend, make_plan, run_faulted
+from repro.bench.chaos import CHAOS_SPECS, PROFILES, _backend, chaos_spec, run_chaos
 from repro.resilience import CorruptionDetected, FaultPlan, RecoveryPolicy, RetryPolicy
 from repro.system import ParallelEngine
 from repro.workloads import build, resilient_factory
 
+#: the single-class rows; the composite storm is tests/bench/test_chaos.py's
+SINGLE_CLASS = tuple(p for p in PROFILES if p != "storm")
 
-@pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+
+@pytest.mark.parametrize("profile", SINGLE_CLASS)
+@pytest.mark.parametrize("name", sorted(CHAOS_SPECS))
 def test_fault_matrix_recovers_and_matches(name, profile):
-    report = run_faulted(name, profile=profile)
+    report = run_chaos(name, profile=profile, seed=1234)
     assert report.match, f"recovered result diverged: max |err| = {report.max_abs_error:.3e}"
     assert report.violations == 0
-    if profile in ("transient", "transient+loss"):
-        assert report.faults["injected"]["launch"] + report.faults["injected"]["copy"] > 0
+    assert report.ok
+    # no vacuous cell: every kind the row arms was delivered at least once
+    for kind in PROFILES[profile].split:
+        assert report.injected.get(kind, 0) >= 1, (kind, report.injected)
+    if profile == "corruption":
+        assert report.rollbacks >= 1
+    else:  # retries absorb the transient faults
+        assert report.rollbacks == 0
     if profile == "transient+loss":
-        assert report.devices_lost == 1
+        assert report.device_losses == 1
         assert report.surviving_devices == report.devices - 1
     else:
-        assert report.devices_lost == 0
+        assert report.device_losses == 0
         assert report.surviving_devices == report.devices
 
 
 def test_corruption_profile_actually_rolls_back():
-    # seed chosen so the CG miniature takes corruption hits
-    report = run_faulted("poisson", profile="corruption", seed=1234)
+    report = run_chaos("poisson", profile="corruption", events=20, seed=1234)
     assert report.faults["injected"]["corrupt"] > 0
     assert report.rollbacks > 0
     assert report.match
+    # the row's cap bounds the replay cascade, and a row that does not
+    # tamper restores every rollback from the newest generation
+    assert report.injected["corrupt"] <= 20 + 3
+    assert report.tampers == 0 and report.checkpoints["fallbacks"] == 0
 
 
 def test_same_seed_reproduces_the_same_fault_history():
-    a = run_faulted("poisson", profile="transient", seed=7)
-    b = run_faulted("poisson", profile="transient", seed=7)
+    a = run_chaos("poisson", profile="transient", seed=7)
+    b = run_chaos("poisson", profile="transient", seed=7)
     assert a.faults == b.faults
     assert a.rollbacks == b.rollbacks
     assert a.max_abs_error == b.max_abs_error
@@ -54,29 +68,23 @@ def test_corruption_without_recovery_is_never_silent():
     # with rollback disabled ("raise"), an injected corruption must surface
     # as a typed error — the run may also happen to dodge every draw, but a
     # wrong silent answer is forbidden
-    wl = WORKLOADS["poisson"]
-    plan = make_plan(wl, "corruption", seed=1234, devices=3)
-    policy = RecoveryPolicy(divergence="raise")
-    driver = res.ResilientDriver(
-        resilient_factory(wl.spec(3)), _backend(3), wl.steps, policy=policy, plan=plan
-    )
     with pytest.raises(CorruptionDetected):
-        driver.run()
-    assert plan.injected("corrupt") > 0
+        run_chaos("poisson", profile="corruption", seed=1234, policy=RecoveryPolicy(divergence="raise"))
 
 
 def test_loss_profile_requires_two_devices():
-    with pytest.raises(ValueError, match="at least 2"):
-        make_plan(WORKLOADS["poisson"], "transient+loss", seed=0, devices=1)
+    # two survivors at least: tuned degradation wants a fleet
+    with pytest.raises(ValueError, match="needs >= 2 survivors"):
+        run_chaos("poisson", profile="transient+loss", devices=2)
 
 
 def test_unknown_workload_and_profile_rejected():
-    with pytest.raises(KeyError, match="unknown experiment 'nope'; expected one of: poisson, lbm"):
-        run_faulted("nope")
+    with pytest.raises(KeyError, match="unknown experiment 'nope'; expected one of: lbm, poisson"):
+        run_chaos("nope")
     with pytest.raises(KeyError, match="unknown experiment 'cg'"):
-        run_faulted("cg")  # one name per experiment: the CG miniature is `poisson`
-    with pytest.raises(KeyError, match="unknown fault profile"):
-        make_plan(WORKLOADS["poisson"], "nope", seed=0, devices=3)
+        run_chaos("cg")  # one name per experiment: the CG miniature is `poisson`
+    with pytest.raises(ValueError, match="unknown fault profile 'nope'"):
+        run_chaos("poisson", profile="nope")
 
 
 def test_alloc_faults_surface_during_build():
@@ -84,9 +92,9 @@ def test_alloc_faults_surface_during_build():
     # checkpoint-recover builds, so the typed error must propagate
     from repro.system import AllocationError
 
-    wl = WORKLOADS["poisson"]
+    spec = chaos_spec("poisson", 3)
     plan = FaultPlan(seed=0, alloc=1.0)
-    driver = res.ResilientDriver(resilient_factory(wl.spec(3)), _backend(3), wl.steps, plan=plan)
+    driver = res.ResilientDriver(resilient_factory(spec), _backend(3), spec.steps, plan=plan)
     with pytest.raises(AllocationError, match="injected"):
         driver.run()
 
@@ -94,8 +102,7 @@ def test_alloc_faults_surface_during_build():
 # -- faults inside the recovery actions themselves ----------------------------
 def _driven(name, plan, policy, mode="serial", steps=None):
     """(driver, recovered result, fault-free result) of one miniature under ``plan``."""
-    wl = WORKLOADS[name]
-    spec = wl.spec(3, mode=mode, steps=steps)
+    spec = chaos_spec(name, 3, mode=mode, steps=steps)
     reference = build(spec, backend=_backend(3))
     reference.run()
     driver = res.ResilientDriver(resilient_factory(spec), _backend(3), spec.steps, policy=policy, plan=plan)

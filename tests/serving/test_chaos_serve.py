@@ -1,9 +1,9 @@
 """Seeded chaos soak for the gateway: a device dies mid-serve.
 
-Reuses the PR 7 fault-matrix profiles (``transient+loss`` kills the
-highest rank after a fixed command count) against a victim tenant's job
-routed through the resilience layer, while other tenants keep serving
-plain jobs from warm programs.  The bar: the in-flight job recovers per
+A victim tenant's job is routed through the resilience layer under a
+seeded :class:`~repro.resilience.FaultPlan` (transient launch/copy faults,
+and a loss that kills the highest rank after a fixed command count),
+while other tenants keep serving plain jobs from warm programs.  The bar: the in-flight job recovers per
 its :class:`RecoveryPolicy` (rollback-and-replay, degradation onto the
 survivors), and the *other* tenants' latency histograms stay populated
 — one tenant's faults are not another tenant's outage.
@@ -21,11 +21,20 @@ from repro import resilience as res
 from repro.serving import Gateway, JobFailed, JobSpec
 
 POISSON = JobSpec.make("poisson", (8, 6, 6), 3, devices=2)
-#: the fault matrix's lbm miniature (12^3 cavity, 16 steps), so the
-#: profile's loss trigger fires mid-run; a fault job runs its spec
+#: a 12^3 cavity, 16 steps, so the loss trigger fires mid-run; a fault
+#: job runs its spec
 VICTIM = JobSpec.make("lbm", (12, 12, 12), 16, devices=3)
 
 SEED = 1234
+
+
+def transient(seed=SEED):
+    return res.FaultPlan(seed, launch=0.05, copy=0.05)
+
+
+def transient_and_loss():
+    """Transient faults, and the victim's top rank dies after 350 commands."""
+    return res.FaultPlan(SEED, launch=0.05, copy=0.05, device_loss={VICTIM.devices - 1: 350})
 
 
 def test_device_loss_mid_serve_recovers_and_other_tenants_keep_serving():
@@ -33,7 +42,7 @@ def test_device_loss_mid_serve_recovers_and_other_tenants_keep_serving():
     with Gateway(workers=2) as gw:
         before = [gw.submit("steady", POISSON) for _ in range(2)]
         victim = gw.submit(
-            "victim", VICTIM, fault_profile="transient+loss", fault_seed=SEED, policy=policy
+            "victim", VICTIM, faults=transient_and_loss(), policy=policy
         )
         after = [gw.submit("steady", POISSON) for _ in range(2)]
         results = [j.result(timeout=600) for j in before + after]
@@ -70,7 +79,7 @@ def test_seeded_chaos_is_reproducible():
     for _ in range(2):
         with Gateway(workers=1) as gw:
             job = gw.submit(
-                "v", VICTIM, fault_profile="transient+loss", fault_seed=SEED, policy=policy
+                "v", VICTIM, faults=transient_and_loss(), policy=policy
             )
             runs.append(job.result(timeout=600))
     assert runs[0].devices_lost == runs[1].devices_lost
@@ -84,8 +93,7 @@ def test_transient_faults_retry_per_policy_and_surface_budget_exhaustion():
         ok = gw.submit(
             "v",
             JobSpec.make("poisson", (16, 16, 16), 20, devices=2),
-            fault_profile="transient",
-            fault_seed=7,
+            faults=transient(7),
             policy=res.RecoveryPolicy(checkpoint_interval=8),
         ).result(timeout=600)
     assert ok.devices_lost == 0
@@ -98,8 +106,7 @@ def test_transient_faults_retry_per_policy_and_surface_budget_exhaustion():
         doomed = gw.submit(
             "v",
             VICTIM,
-            fault_profile="transient+loss",
-            fault_seed=SEED,
+            faults=transient_and_loss(),
             policy=res.RecoveryPolicy(checkpoint_interval=4, min_devices=VICTIM.devices),
         )
         bystander = gw.submit("steady", POISSON)
@@ -123,12 +130,25 @@ def test_fault_profile_job_solves_the_spec_it_was_submitted_with():
         for spec in specs:
             plain = gw.submit("plain", spec).result(timeout=600)
             faulted = gw.submit(
-                "victim", spec, fault_profile="transient", fault_seed=SEED, policy=policy
+                "victim", spec, faults=transient(), policy=policy
             ).result(timeout=600)
             assert set(faulted.fingerprints) == set(plain.fingerprints)
             for key, want in plain.fingerprints.items():
                 assert np.array_equal(faulted.fingerprints[key], want), f"{spec.experiment}/{key}"
     assert obs.OBS.metrics.total("faults_injected") >= 1
+
+
+def test_any_experiment_takes_a_fault_plan():
+    """A fault job is not limited to the chaos miniatures: a Kármán job
+    under transient faults returns the plain job's fingerprints bitwise."""
+    spec = JobSpec.make("karman", (16, 24), 6, devices=2)
+    with Gateway(workers=1) as gw:
+        plain = gw.submit("plain", spec).result(timeout=600)
+        faulted = gw.submit("victim", spec, faults=(plan := transient(7))).result(timeout=600)
+    assert plan.injected() >= 1
+    assert set(faulted.fingerprints) == set(plain.fingerprints)
+    for key, want in plain.fingerprints.items():
+        assert np.array_equal(faulted.fingerprints[key], want), key
 
 
 # -- fault jobs overlap plain jobs: no lock, no leak --------------------------
@@ -144,19 +164,18 @@ def test_fault_job_completes_while_a_plain_job_is_parked_mid_flight():
             parked = gw.submit("steady", POISSON)
             wait_until_picked(gw)  # a worker holds it, stalled on the lock
             victim = gw.submit(
-                "victim", VICTIM, fault_profile="transient+loss", fault_seed=SEED, policy=policy
+                "victim", VICTIM, faults=transient_and_loss(), policy=policy
             )
             assert victim.result(timeout=120).devices_lost >= 1
             assert not parked.done()
         assert parked.result(timeout=120).fingerprints["solution"].shape == (8, 6, 6)
 
 
-def test_plain_jobs_of_the_same_spec_run_untouched_beside_an_armed_fault_job(monkeypatch):
+def test_plain_jobs_of_the_same_spec_run_untouched_beside_an_armed_fault_job():
     """A fault job armed at rate 1.0 is held mid-flight — session armed, first
     launch undecided — while plain jobs of the *same spec* go through the
     other worker: they finish bitwise on their direct run without one draw
     from the plan, then the fault job fails typed, alone."""
-    from repro.bench import faulted
     from repro.serving import build_served
 
     app = build_served(POISSON)
@@ -172,10 +191,9 @@ def test_plain_jobs_of_the_same_spec_run_untouched_beside_an_armed_fault_job(mon
             return super().decide(kind, site)
 
     plan = HeldPlan(SEED, launch=1.0)
-    monkeypatch.setattr(faulted, "make_plan", lambda *args: plan)
     once = res.RecoveryPolicy(retry=res.RetryPolicy(max_attempts=1), max_rollbacks=0)
     with Gateway(workers=2) as gw:
-        doomed = gw.submit("victim", POISSON, fault_profile="transient", policy=once)
+        doomed = gw.submit("victim", POISSON, faults=plan, policy=once)
         assert reached.wait(120), "the fault job never reached an injection site"
         try:
             plain = [gw.submit("steady", POISSON).result(timeout=120) for _ in range(3)]

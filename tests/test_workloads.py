@@ -122,10 +122,9 @@ def _experiment_subcommands() -> dict[str, tuple[str, ...]]:
     """Subcommand -> the experiments it declares, for every subcommand
     whose parser takes the positional experiment argument."""
     from repro.__main__ import build_parser
-    from repro.bench.chaos import CHAOS_STEPS
-    from repro.bench.faulted import WORKLOADS as FAULT_WORKLOADS
+    from repro.bench.chaos import CHAOS_SPECS
 
-    subsets = {"faults": tuple(FAULT_WORKLOADS), "chaos": tuple(CHAOS_STEPS)}
+    subsets = {"chaos": tuple(CHAOS_SPECS)}
     subparsers = next(a for a in build_parser()._actions if hasattr(a, "choices") and a.dest == "command")
     return {
         name: subsets.get(name, EXPERIMENTS)
@@ -136,20 +135,20 @@ def _experiment_subcommands() -> dict[str, tuple[str, ...]]:
 
 def test_cli_subcommands_that_take_an_experiment():
     accepted = _experiment_subcommands()
-    assert set(accepted) == {"trace", "report", "sanitize", "tune", "faults", "chaos"}
-    assert set(accepted["faults"]) == set(accepted["chaos"]) == {"lbm", "poisson"}
+    assert set(accepted) == {"trace", "report", "sanitize", "tune", "chaos"}
+    assert set(accepted["chaos"]) == {"lbm", "poisson"}
     for names in accepted.values():
         assert set(names) <= set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("command", ["trace", "report", "sanitize", "tune", "faults", "chaos"])
+@pytest.mark.parametrize("command", ["trace", "report", "sanitize", "tune", "chaos"])
 def test_cli_rejects_any_other_name_with_the_same_message_and_disarms(command, tmp_path, capsys):
     """A bad experiment name -> exit 2, the registry's message listing the
     subcommand's names, and no process-global layer left armed."""
     from repro.__main__ import main
 
     obs.disable()
-    output = ["-o", str(tmp_path / "out.json")] if command in ("trace", "faults") else []
+    output = ["-o", str(tmp_path / "out.json")] if command == "trace" else []
     assert main([command, "fig99", *output]) == 2
     expected = ", ".join(_experiment_subcommands()[command])
     assert f"unknown experiment 'fig99'; expected one of: {expected}" in capsys.readouterr().err
@@ -161,8 +160,9 @@ def test_cli_usage_errors_after_arming_still_disarm(tmp_path):
     from repro.__main__ import main
 
     obs.disable()
-    out = str(tmp_path / "recovery.json")
-    assert main(["faults", "poisson", "--profile", "transient+loss", "--devices", "1", "-o", out]) == 2
+    out = str(tmp_path / "chaos.json")
+    assert main(["chaos", "poisson", "--profile", "transient+loss", "--devices", "2", "-o", out]) == 2
+    assert main(["chaos", "poisson", "--profile", "hurricane"]) == 2
     assert main(["sanitize", "lbm", "--occ", "warp-speed"]) == 2
     assert main(["chaos", "lbm", "--events", "0"]) == 2
     assert not obs.OBS.active
