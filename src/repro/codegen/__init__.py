@@ -9,8 +9,9 @@ builds, caches (once per machine, on disk) and binds; :mod:`.table` is
 the one kernel ABI (a packed op record) and the op tables a replay walks
 with one C call;
 :mod:`.grid_kernels` emits the map / stencil / per-slice-reduce kernels
-CG-type solvers are made of; :mod:`repro.solvers.lbm.codegen` emits the
-D3Q19 kernel.  Everything degrades gracefully: when no compiler is found
+CG-type solvers are made of; :mod:`.lattice_kernels` emits the
+collide-stream kernel of any lattice (the D3Q19 cavity, the D2Q9 Kármán
+street).  Everything degrades gracefully: when no compiler is found
 (or compilation fails) the callers fall back to the interpreted NumPy
 path and results are identical either way, because generated kernels
 replicate the exact IEEE-754 operation sequence of the NumPy code they

@@ -1,10 +1,11 @@
 """Generated-C kernels for the three Container shapes grid solvers are made of.
 
 A CG-type solver is a handful of elementwise **maps** (``p = r + beta p``),
-one constant-coefficient **stencil** (``q = A p``) and per-slice
-**reduces** (``<p, q>``).  Interpreted, each is a NumPy closure making
-9-22 array passes over multi-MB temporaries; here each is one in-place C
-loop, registered through the container's existing ``specialize`` hook
+one **stencil** operator (``q = A p``: Poisson's constant-coefficient 7-pt
+Laplacian, or elasticity's Dirichlet projection and 27-pt block operator)
+and per-slice **reduces** (``<p, q>``).  Interpreted, each is a NumPy
+closure making 9-200 array passes over multi-MB temporaries; here each is
+one in-place C loop, registered through the container's existing ``specialize`` hook
 (:mod:`repro.skeleton.fusion`) — the loading lambda and its tokens are
 untouched, so graphs, schedules, DES costs, sanitizer access sets and
 fault sites do not know the difference.  The NumPy closures stay: they
@@ -12,7 +13,8 @@ are the oracle the tests compare against, the ``REPRO_DISABLE_CC`` /
 no-compiler leg, and what every unsupported layout runs.
 
 **What is supported.**  Dense SoA float64 fields of any cardinality,
-non-virtual, on 3-D grids for the stencil; one op per span piece, so
+non-virtual, on 3-D grids for the stencil operators (whose card-1 indicator
+field, if any, must be laid out like one component); one op per span piece, so
 INTERNAL / BOUNDARY / STANDARD views and every OCC level share the same
 compiled functions.  A kernel steps between components by the stride the
 field's layout gave its storage (``strides[0]``, the component pitch of
@@ -37,6 +39,16 @@ pieces, and the thing a bare serial replay concatenates across units.
   ``acc + ck * u[ok]`` — exactly how the closure associates.  Lateral
   out-of-range reads resolve to ``outside_value``; axis-0 reads go
   through the ghost slices.
+* *block stencil* (:func:`block_stencil`): per output component ``c`` an
+  accumulator starting at ``0.0`` takes ``acc + coeff * src[d](cell+off)``
+  for every nonzero block entry in the closure's (offset, d) order, each
+  coefficient a hex float; the result is stored where ``(z > 0) * mask >
+  0.5`` and ``keep[c]`` is copied elsewhere — ``np.where`` of the same
+  values.  Reads resolve like the stencil's.  The *projection*
+  (:func:`projection`) is ``((z > 0) * mask) * u[c]``, the bool cast to
+  ``1.0`` / ``0.0`` first, as NumPy casts it.  ``z`` is the global axis-0
+  coordinate: the rank's offset arrives in the op record, the mask's
+  address in its ``s[1]``.
 * *reduce*: one sum per axis-0 slice over the component-first contiguous
   slice, reproducing :meth:`SliceReduceAccessor.deposit_sums` — NumPy's
   ``pairwise_sum`` (sequential ``-0.0``-seeded below 8 elements, 8
@@ -50,7 +62,9 @@ pieces, and the thing a bare serial replay concatenates across units.
 
 **One translation unit per grid.**  The map and reduce families are fixed
 text; the stencil operators are generated from what the grid's
-containers declared (:func:`stencil`).  Every hook of a grid binds its
+containers declared (:func:`stencil`, :func:`projection`,
+:func:`block_stencil`), so a grid without them compiles exactly the text
+it did before they existed.  Every hook of a grid binds its
 symbol out of that one unit, so a solver costs one ``cc`` call — and,
 through :mod:`repro.codegen.cc`'s on-disk cache, one per machine.
 """
@@ -192,24 +206,97 @@ def _stencil_source(name: str, terms: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _projection_source(name: str, card: int) -> str:
+    """C for ``mu[c] = ((z > 0) * mask) * u[c]`` over slices ``[lo, hi)``,
+    ``z`` the global axis-0 coordinate."""
+    return f"""static void {name}_body(const double* restrict u, const double* restrict mask, double* restrict mu,
+    long cstride, long plane, long h, long lo, long hi, long gstart) {{
+  for (long z = h + lo; z < h + hi; ++z) {{
+    double above = (gstart + z - h > 0) ? 1.0 : 0.0;
+    for (long i = z * plane; i < (z + 1) * plane; ++i) {{
+      double fr = above * mask[i];
+      for (long k = 0; k < {card}; ++k) mu[k * cstride + i] = fr * u[k * cstride + i];
+    }}
+  }}
+}}
+void {name}(const op_t* op) {{
+  {name}_body(op->p[0], op->p[1], op->p[2], op->n[0], op->n[1], op->n[2], op->n[3], op->n[4], op->n[5]);
+}}
+"""
+
+
+def _block_stencil_source(name: str, terms: tuple) -> str:
+    """C for ``out[c] = fr > 0.5 ? sum coeff * src[d](cell + off) : keep[c]``
+    with ``fr = (z > 0) * mask``, over slices ``[lo, hi)``.
+
+    ``terms`` is ``((offset, ((c, d, coeff), ...)), ...)``: every nonzero
+    block entry, offsets in the closure's order and ``(c, d)`` row-major
+    within each, so each ``a<c>`` accumulates in the closure's (offset, d)
+    order from ``0.0``.  ``keep`` and ``out`` may alias: a cell reads its
+    own ``keep`` before writing ``out``.
+    """
+    hexf = _cc.hexf
+    card = 1 + max(c for _, entries in terms for c, _, _ in entries)
+    acc = ", ".join(f"a{c} = 0.0" for c in range(card))
+    lines = [
+        f"static void {name}_body(const double* restrict src, const double* keep, double* out,",
+        "    const double* restrict mask, long cstride, long n1, long n2, long h, long lo, long hi,",
+        "    long gstart, double outside) {",
+        "  long plane = n1 * n2;",
+        "  for (long z = h + lo; z < h + hi; ++z) {",
+        "    double above = (gstart + z - h > 0) ? 1.0 : 0.0;",
+        "    for (long y = 0; y < n1; ++y)",
+        "      for (long x = 0; x < n2; ++x) {",
+        "        long i = (z * n1 + y) * n2 + x;",
+        "        if (!(above * mask[i] > 0.5)) {",
+        f"          for (long k = 0; k < {card}; ++k) out[k * cstride + i] = keep[k * cstride + i];",
+        "          continue;",
+        "        }",
+        f"        double {acc}, v;",
+    ]
+    for (d0, d1, d2), entries in terms:
+        inside = " && ".join(
+            f"{var} + ({d}) >= 0 && {var} + ({d}) < {size}" for var, d, size in (("y", d1, "n1"), ("x", d2, "n2")) if d
+        )
+        read = f"i + ({d0}) * plane + ({d1}) * n2 + ({d2})"
+        for d in sorted({d for _, d, _ in entries}):
+            value = f"src[{d} * cstride + {read}]"
+            lines.append(f"        v = ({inside}) ? {value} : outside;" if inside else f"        v = {value};")
+            lines += [f"        a{c} = a{c} + {hexf(coeff)} * v;" for c, dd, coeff in entries if dd == d]
+    lines += [f"        out[{c} * cstride + i] = a{c};" for c in range(card)]
+    longs = ", ".join(f"op->n[{k}]" for k in range(7))
+    call = f"{name}_body(op->p[0], op->p[1], op->p[2], op->s[1], {longs}, *op->s[0]);"
+    entry = f"void {name}(const op_t* op) {{ {call} }}"
+    lines += ["      }", "  }", "}", entry]
+    return "\n".join(lines) + "\n"
+
+
+#: operator kind -> emitter of ``(symbol, declared terms)``
+_OPERATORS = {"stencil": _stencil_source, "projection": _projection_source, "block_stencil": _block_stencil_source}
+
+
 @functools.lru_cache(maxsize=16)
-def _source(stencils: tuple) -> str:
-    """The translation unit of a grid that declared ``stencils``."""
+def _source(operators: tuple) -> str:
+    """The translation unit of a grid that declared ``operators``."""
     maps = "".join(f"DEFINE_MAP(map_{name}, {expr})\n" for name, expr in MAP_FORMS.items())
     reduces = _REDUCE_C % PAIRWISE_BLOCK
-    operators = "".join(_stencil_source(f"stencil_{k}", terms) for k, terms in enumerate(stencils))
-    return _table.OP_H + _MAP_C + maps + reduces + operators
+    emitted = "".join(_OPERATORS[kind](f"{kind}_{k}", terms) for k, (kind, terms) in enumerate(operators))
+    return _table.OP_H + _MAP_C + maps + reduces + emitted
 
 
-def _declared(grid) -> list:
-    """Stencil operators declared on ``grid`` so far (kept on the grid: they
-    are what makes its translation unit, and die with it)."""
-    return vars(grid).setdefault("_c_stencils", [])
+def _declare(grid, kind: str, terms) -> str:
+    """Add operator ``(kind, terms)`` to ``grid``'s translation unit (once);
+    returns its symbol.  The declarations are kept on the grid: they are
+    what makes its unit, and die with it."""
+    declared = vars(grid).setdefault("_c_operators", [])
+    if (kind, terms) not in declared:
+        declared.append((kind, terms))
+    return f"{kind}_{declared.index((kind, terms))}"
 
 
 def _bind(grid, symbol: str):
     """``symbol`` out of the grid's unit, or None (no compiler, build failed)."""
-    source = _source(tuple(_declared(grid)))
+    source = _source(tuple(vars(grid).get("_c_operators", ())))
     return _table.bind((symbol, source), source, symbol)
 
 
@@ -242,16 +329,18 @@ def component_stride(array: np.ndarray) -> int:
     return array.strides[0] // array.itemsize
 
 
-def launcher(fn, calls: list, keep, slot=None, scalars=None):
+def launcher(fn, calls: list, keep, slot=None, scalars=None, extra=None):
     """What a replay runs for one unit: the table of its span-piece ops.
 
     ``calls`` holds one ``(array addresses, longs)`` pair per piece and
     ``keep`` pins the arrays behind the addresses.  The ops read their
     run-time scalars from the ``double[2]`` ``slot``, which every call
     refills from ``scalars()`` first (never at bind time); a ``slot``
-    without ``scalars`` holds constants.  None when no walker can be built.
+    without ``scalars`` holds constants.  ``extra`` is a fourth array
+    address (:func:`repro.codegen.table.record`).  None when no walker can
+    be built.
     """
-    records = [_table.record(fn, pointers, slot, longs) for pointers, longs in calls]
+    records = [_table.record(fn, pointers, slot, longs, extra) for pointers, longs in calls]
     return _table.table(records, [(scalars, slot)] if scalars else [], (keep, slot))
 
 
@@ -295,15 +384,13 @@ def stencil(src, dst, terms):
     grid = src.grid
     if grid.ndim != 3 or src is dst or any(len(off) != 3 for off, _ in terms):
         return None
-    declared = _declared(grid)
-    if terms not in declared:
-        declared.append(terms)
+    symbol = _declare(grid, "stencil", terms)
 
     def specialize(rank, view, span):
         if max(abs(off[0]) for off, _ in terms) > grid.radius:
             return None
         slabs = dense_slabs(rank, span, (src, dst))
-        fn = slabs and _bind(grid, f"stencil_{_declared(grid).index(terms)}")
+        fn = slabs and _bind(grid, symbol)
         if not fn:
             return None
         arrays, strips = slabs
@@ -311,6 +398,76 @@ def stencil(src, dst, terms):
         pointers = [a.ctypes.data for a in arrays]
         calls = [(pointers, (n1, n2, grid.radius, s.lo, s.hi)) for s in strips]
         return launcher(fn, calls, arrays, scalar_slot(float(src.outside_value)))
+
+    return specialize
+
+
+def indicator_slab(rank: int, span, field, like: np.ndarray) -> np.ndarray | None:
+    """The storage of a card-1 dense SoA float64 ``field`` laid out cell for
+    cell like one component of ``like``, or None."""
+    slabs = dense_slabs(rank, span, (field,))
+    array = slabs and slabs[0][0]
+    return array if array is not None and array.shape == (1, *like.shape[1:]) else None
+
+
+def projection(src, mask, dst):
+    """``specialize`` hook: ``dst[c] <- ((z > 0) * mask) * src[c]`` for the
+    closure's three components, ``z`` the global axis-0 coordinate (the
+    elasticity operator's Dirichlet / void projection).  Declaring it adds
+    it to the grid's translation unit."""
+    card = 3
+    symbol = _declare(src.grid, "projection", card)
+
+    def specialize(rank, view, span):
+        slabs = dense_slabs(rank, span, (src, dst))
+        m = slabs and indicator_slab(rank, span, mask, slabs[0][0])
+        fn = m is not None and slabs[0][0].shape[0] == card and _bind(src.grid, symbol)
+        if not fn:
+            return None
+        arrays, strips = slabs
+        plane, h, gstart = arrays[0][0, 0].size, src.grid.radius, int(src.grid.bounds[rank][0])
+        pointers = [a.ctypes.data for a in (arrays[0], m, arrays[1])]
+        calls = [(pointers, (component_stride(arrays[0]), plane, h, s.lo, s.hi, gstart)) for s in strips]
+        return launcher(fn, calls, (*arrays, m))
+
+    return specialize
+
+
+def block_stencil(src, mask, keep, dst, terms):
+    """``specialize`` hook: ``dst[c] <- sum coeff * src[d][cell + offset]``
+    where ``(z > 0) * mask > 0.5``, else ``keep[c]`` (the elasticity
+    operator's 27-point block stencil).
+
+    ``terms`` is ``((offset, ((c, d, coeff), ...)), ...)``, every nonzero
+    block entry in the order the interpreted closure accumulates them.
+    Lateral out-of-range reads resolve to ``src.outside_value``; axis-0
+    reads go through the ghost slices.  Declaring the operator adds it to
+    the grid's translation unit.
+    """
+    terms = tuple(
+        (tuple(int(d) for d in off), tuple((int(c), int(d), float(v)) for c, d, v in entries)) for off, entries in terms
+    )
+    grid = src.grid
+    if grid.ndim != 3 or src is dst or any(len(off) != 3 for off, _ in terms):
+        return None
+    symbol = _declare(grid, "block_stencil", terms)
+    card = 1 + max(c for _, entries in terms for c, _, _ in entries)
+
+    def specialize(rank, view, span):
+        if max(abs(off[0]) for off, _ in terms) > grid.radius:
+            return None
+        slabs = dense_slabs(rank, span, (src, keep, dst))
+        m = slabs and indicator_slab(rank, span, mask, slabs[0][0])
+        fn = m is not None and slabs[0][0].shape[0] == card and _bind(grid, symbol)
+        if not fn:
+            return None
+        arrays, strips = slabs
+        n1, n2 = arrays[0].shape[2:]
+        gstart, cstride = int(grid.bounds[rank][0]), component_stride(arrays[0])
+        pointers = [a.ctypes.data for a in arrays]
+        calls = [(pointers, (cstride, n1, n2, grid.radius, s.lo, s.hi, gstart)) for s in strips]
+        slot = scalar_slot(float(src.outside_value))
+        return launcher(fn, calls, (*arrays, m), slot, extra=m.ctypes.data)
 
     return specialize
 

@@ -83,14 +83,21 @@ def bind(key: tuple, source: str, symbol: str):
     return _cc.compile_shared(key, source, symbol, [ctypes.POINTER(Op)])
 
 
-def record(fn, pointers=(), slot=None, longs=()) -> Op:
+def record(fn, pointers=(), slot=None, longs=(), extra=None) -> Op:
     """One op: bound kernel ``fn`` over array addresses ``pointers`` and
-    ``longs``, its scalars read from the ``double[2]`` ``slot``."""
+    ``longs``, its scalars read from the ``double[2]`` ``slot``.
+
+    ``extra`` is the address of one more read-only array (a fourth operand
+    for the kernels that take one); it rides in ``s[1]``, so such an op
+    reads a single scalar, ``slot[0]``.
+    """
     op = Op(fn=ctypes.cast(fn, ctypes.c_void_p).value)
     op.p[: len(pointers)] = pointers
     if slot is not None:
         base = ctypes.addressof(slot)
         op.s[:] = (base, base + ctypes.sizeof(ctypes.c_double))
+    if extra is not None:
+        op.s[1] = extra
     op.n[: len(longs)] = longs
     return op
 

@@ -25,6 +25,7 @@ import itertools
 
 import numpy as np
 
+from repro.codegen import grid_kernels
 from repro.domain import STENCIL_27PT, DenseGrid, SparseGrid
 from repro.domain.grid import Grid
 from repro.skeleton import Occ
@@ -107,6 +108,11 @@ def make_elastic_operator(E: float = 1.0, nu: float = 0.3):
     """
     blocks = assembled_node_blocks(E, nu)
     offsets = [off for off, blk in blocks.items() if np.any(np.abs(blk) > 1e-14)]
+    # every term the apply closure accumulates, in its order: the C kernel's description
+    terms = tuple(
+        (off, tuple((c, d, blocks[off][c, d]) for c in range(3) for d in range(3) if blocks[off][c, d] != 0.0))
+        for off in offsets
+    )
 
     def apply_op(grid: Grid, u, out, name: str):
         mask = _mask_field(grid)
@@ -126,6 +132,7 @@ def make_elastic_operator(E: float = 1.0, nu: float = 0.3):
             return compute
 
         project = grid.new_container(f"{name}_project", loading_project)
+        project.specialize = grid_kernels.projection(u, mask, mu)
 
         def loading_apply(loader):
             mup = loader.read(mu, stencil=True)
@@ -151,6 +158,7 @@ def make_elastic_operator(E: float = 1.0, nu: float = 0.3):
             return compute
 
         stencil = grid.new_container(f"{name}_apply", loading_apply, flops_per_cell=500.0)
+        stencil.specialize = grid_kernels.block_stencil(mu, mask, u, out, terms)
         return [project, stencil]
 
     return apply_op

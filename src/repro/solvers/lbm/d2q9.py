@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.codegen import lattice_kernels
 from repro.domain import D2Q9_STENCIL, DenseGrid, Layout, SparseGrid
 from repro.skeleton import Occ, Skeleton
 from repro.system import Backend
@@ -81,7 +82,9 @@ def make_karman_container(
 
         return compute
 
-    return grid.new_container(name, loading, flops_per_cell=150.0)
+    container = grid.new_container(name, loading, flops_per_cell=150.0)
+    container.specialize = lattice_kernels.karman(grid, f_in, f_out, mask, omega, feq_in, lattice, RHO0)
+    return container
 
 
 class KarmanVortexStreet:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.codegen import lattice_kernels
 from repro.domain import D3Q19_STENCIL, DenseGrid, Layout, SparseGrid
 from repro.skeleton import Occ, Skeleton
 from repro.system import Backend
@@ -72,14 +73,12 @@ def make_twopop_container(
         return compute
 
     container = grid.new_container(name, loading, flops_per_cell=350.0)
-    if isinstance(grid, DenseGrid) and not getattr(grid, "virtual", False):
-        # opt into fused-kernel codegen: the loading lambda above closes
-        # over plain floats (no mutable scalar cells), so pre-binding the
-        # whole launch into one compiled closure is semantics-preserving;
-        # the hook itself still declines unsupported layouts at freeze time
-        from .codegen import make_twopop_specializer
-
-        container.specialize = make_twopop_specializer(grid, f_in, f_out, omega, lid_velocity, lattice)
+    # the loading lambda above closes over plain floats (no mutable scalar
+    # cells), so pre-binding the whole launch is semantics-preserving; the
+    # hook declines unsupported layouts at freeze time
+    container.specialize = lattice_kernels.twopop(
+        grid, f_in, f_out, omega, lid_velocity, lattice, SOLID_SENTINEL, RHO0
+    )
     return container
 
 

@@ -56,7 +56,7 @@ def spec(experiment: str, devices: int, occ: str) -> JobSpec:
     """Two slices per device from 4 devices up: every boundary strip is one
     slice and the middle ranks' INTERNAL span is empty."""
     n0 = max(4, 2 * devices)
-    shape = {"poisson": (n0, 5, 7), "lbm": (n0, 6, 6), "elasticity": (n0, n0, n0)}[experiment]
+    shape = {"poisson": (n0, 5, 7), "lbm": (n0, 6, 6), "karman": (n0, 12), "elasticity": (n0, n0, n0)}[experiment]
     return JobSpec.make(experiment, shape, 3, devices=devices, occ=occ)
 
 
@@ -75,7 +75,7 @@ def programs(app) -> list:
 # -- (i) one frozen program, three ways to run it ----------------------------------
 @pytest.mark.parametrize("occ", OCCS)
 @pytest.mark.parametrize("devices", [1, 2, 4, 8])
-@pytest.mark.parametrize("experiment", ["poisson", "lbm", "elasticity"])
+@pytest.mark.parametrize("experiment", ["poisson", "lbm", "karman", "elasticity"])
 def test_tables_equal_unit_by_unit_equal_interpreted(experiment, devices, occ, monkeypatch):
     job = spec(experiment, devices, occ)
     tables = fingerprints(job)
@@ -89,7 +89,7 @@ def test_tables_equal_unit_by_unit_equal_interpreted(experiment, devices, occ, m
 # -- (ii) the published host-call count --------------------------------------------
 @pytest.mark.parametrize("occ", OCCS)
 @pytest.mark.parametrize("devices", [1, 2, 4, 8])
-@pytest.mark.parametrize("experiment", ["poisson", "lbm"])
+@pytest.mark.parametrize("experiment", ["poisson", "lbm", "karman", "elasticity"])
 def test_fully_specialised_programs_are_one_host_call(experiment, devices, occ):
     app = build(spec(experiment, devices, occ))
     for program in programs(app):
@@ -99,34 +99,14 @@ def test_fully_specialised_programs_are_one_host_call(experiment, devices, occ):
         assert stats.dispatch_units == len(program.dispatch) > 1 or devices == 1
 
 
-def elasticity_cg():
-    app = build(JobSpec.make("elasticity", (8, 8, 8), 3, devices=2))
-    return app, app.solver.cg
-
-
-def test_elasticity_counts_segments_plus_python_units():
-    app, cg = elasticity_cg()
-    for sk, program in zip(app.skeletons, programs(app)):
-        is_table = [isinstance(unit.fn, Table) for unit in program.dispatch]
-        python_units = is_table.count(False)
-        table_runs = sum(now and not before for before, now in zip([False, *is_table], is_table))
-        assert program.stats.host_calls == python_units + table_runs
-        if not HAVE_CC:
-            assert table_runs == 0
-        elif sk is cg.sk_b:  # two maps and a dot: nothing interpreted
-            assert (python_units, table_runs) == (0, 1)
-        else:  # the 27-point operator is interpreted, with maps / copies / dots around it
-            assert python_units > 0 and table_runs >= 2
-            assert 1 < program.stats.host_calls < program.stats.dispatch_units
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN injected on purpose
-def test_interpreted_operator_runs_between_the_right_segments():
-    """``p = r`` (C) -> ``q = A p`` (Python, through a halo copy) -> ``<p, q>``
-    (C): a NaN planted in ``r`` must reach ``q`` exactly around its cell and
-    the dot's slices beside it — it would reach neither had the operator run
-    ahead of the segment that moves it into ``p``."""
-    app, cg = elasticity_cg()
+def test_compiled_operator_runs_in_program_order():
+    """``p = r`` -> ``mu = M P p`` -> halo copy -> ``q = A mu`` -> ``<p, q>``,
+    one table where ``cc`` exists: a NaN planted in ``r`` must reach ``q`` exactly
+    around its cell and the dot's slices beside it — it would reach neither
+    had the operator run ahead of the ops that move it into ``p``."""
+    app = build(JobSpec.make("elasticity", (8, 8, 8), 3, devices=2))
+    cg = app.solver.cg
     app.run()
     n = app.spec.shape[0]
     z, y, x = n // 2 - 1, 3, 4  # the last slice device 0 owns: the stencil crosses the cut
@@ -275,7 +255,7 @@ import json, sys
 from repro.codegen.table import Table
 from repro.workloads import JobSpec, build
 out = {}
-for experiment, shape in (("poisson", (8, 5, 7)), ("lbm", (8, 6, 6)), ("elasticity", (8, 8, 8))):
+for experiment, shape in (("poisson", (8, 5, 7)), ("lbm", (8, 6, 6)), ("karman", (8, 12)), ("elasticity", (8, 8, 8))):
     app = build(JobSpec.make(experiment, shape, 3, devices=4))
     out[experiment] = {key: value.tobytes().hex() for key, value in app.run().items()}
     programs = [sk.plan._ensure_program() for sk in app.skeletons]
@@ -291,7 +271,7 @@ def test_without_a_compiler_no_walker_is_built_and_nothing_is_written(tmp_path):
     assert child.returncode == 0, child.stderr
     assert list(tmp_path.iterdir()) == [], "REPRO_DISABLE_CC must touch no cache"
     for experiment, got in json.loads(child.stdout).items():
-        shape = {"poisson": (8, 5, 7), "lbm": (8, 6, 6), "elasticity": (8, 8, 8)}[experiment]
+        shape = {"poisson": (8, 5, 7), "lbm": (8, 6, 6), "karman": (8, 12), "elasticity": (8, 8, 8)}[experiment]
         here = fingerprints(JobSpec.make(experiment, shape, 3, devices=4))
         assert {key: value.hex() for key, value in here.items()} == got, experiment
 

@@ -1,9 +1,11 @@
-"""The bitwise contract of the generated map / stencil / reduce kernels.
+"""The bitwise contract of the generated map / stencil / reduce kernels,
+elasticity's block operator and the Kármán collide-stream step.
 
 Each container keeps its interpreted NumPy closure (the oracle) beside the
 ``specialize`` hook that binds the generated-C kernel
-(:mod:`repro.codegen.grid_kernels`).  Here both run on identical data —
-every rank, every data view — and must leave identical bytes behind.
+(:mod:`repro.codegen.grid_kernels`, :mod:`repro.codegen.lattice_kernels`).
+Here both run on identical data — every rank, every data view — and must
+leave identical bytes behind.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from repro import codegen
 from repro.baselines.reductions import slice_sums
 from repro.codegen import grid_kernels
 from repro.core import ops
-from repro.domain import STENCIL_7PT, DataView, DenseGrid, Layout, SparseGrid
+from repro.domain import D2Q9_STENCIL, STENCIL_7PT, STENCIL_27PT, DataView, DenseGrid, Layout, SparseGrid
 from repro.sets.loader import Loader
 from repro.skeleton import Occ, fusion
 from repro.solvers import cg as cg_module
 from repro.solvers.cg import ConjugateGradient
+from repro.solvers.elasticity import make_elastic_operator
+from repro.solvers.lbm import cylinder_mask, make_karman_container
 from repro.solvers.poisson import make_neg_laplacian
 from repro.system import Backend
 
@@ -59,6 +63,22 @@ def restore(datas, saved) -> None:
         for r in range(d.num_devices):
             storage = d.partition(r).storage
             storage[...] = np.frombuffer(next(it)).reshape(storage.shape)
+
+
+def fields_of(*containers) -> list:
+    """Every field the containers touch, once each, in first-use order."""
+    return list({t.data.uid: t.data for c in containers for t in c.tokens()}.values())
+
+
+def plant(field, rng, cells) -> None:
+    """NaN, -0.0 and +0.0 into random components of ``cells`` (global
+    coordinates on axis 0, through the owning rank's storage)."""
+    grid = field.grid
+    for k, cell in enumerate(cells):
+        rank = next(r for r, (a, b) in enumerate(grid.bounds) if a <= cell[0] < b)
+        local = (cell[0] - grid.bounds[rank][0] + grid.radius, *cell[1:])
+        comp = int(rng.integers(field.cardinality))
+        field.partition(rank).storage[(comp, *local)] = (np.nan, -0.0, 0.0)[k % 3]
 
 
 def launch(container, view, compiled: bool) -> None:
@@ -211,20 +231,121 @@ def test_stencil_equals_its_closure_on_every_view(devices):
     assert_same_bytes(make_neg_laplacian(grid, u, out), [u, out])
 
 
+# -- elasticity's operator: the projection and the 27-point block stencil ------------
+def elastic_grid(devices: int, shape, solid: bool) -> DenseGrid:
+    """A solid cube; ``solid`` leaves a void border around a narrower cuboid
+    (what ``solid_fraction < 1`` does), so masked cells meet free ones."""
+    mask = None
+    if solid:
+        mask = np.zeros(shape, dtype=bool)
+        mask[:, shape[1] // 3 : shape[1] - shape[1] // 3, shape[2] // 3 : shape[2] - shape[2] // 3] = True
+    return DenseGrid(Backend.sim_gpus(devices), shape, stencils=[STENCIL_27PT], mask=mask)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lateral=st.sampled_from([(1, 1), (1, 4), (3, 1), (5, 3)]) | st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    slab=st.sampled_from([(1, 1), (1, 5), (2, 4), (2, 7), (4, 8), (4, 11)]),
+    solid=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_elastic_operator_equals_its_closures(lateral, slab, solid, seed):
+    devices, n0 = slab
+    shape = (n0, *lateral)
+    grid = elastic_grid(devices, shape, solid)
+    u, out = grid.new_field("u", cardinality=3), grid.new_field("out", cardinality=3)
+    project, apply = make_elastic_operator()(grid, u, out, "A")
+    rng = np.random.default_rng(seed)
+    mu = next(f for f in fields_of(apply) if f.name == "A_masked_in")
+    for field in (u, mu, out):
+        randomise(field, rng)
+    # on Dirichlet (z = 0) and free nodes, void ones when ``solid``
+    cells = [(0, 0, 0), *(tuple(int(rng.integers(n)) for n in shape) for _ in range(8))]
+    plant(u, rng, cells)
+    plant(mu, rng, cells[::-1])
+    for container in (project, apply):
+        assert_same_bytes(container, fields_of(project, apply))
+
+
+# -- the Kármán collide-stream step ------------------------------------------------------
+def karman_case(devices: int, shape, rng, center=None):
+    """A 2-D channel: f_in random (ghost rows too), the fluid mask a cylinder
+    centred on ``center`` (default: on the first partition cut)."""
+    grid = DenseGrid(Backend.sim_gpus(devices), shape, stencils=[D2Q9_STENCIL])
+    f_in, f_out = (grid.new_field(n, cardinality=9) for n in ("f0", "f1"))
+    mask = grid.new_field("mask")
+    cut = grid.bounds[0][1]
+    fluid = cylinder_mask(shape, center or (cut - 0.5, shape[1] / 4.0), max(1.0, shape[0] / 6.0))
+    mask.init(lambda y, x: fluid[y, x].astype(np.float64))
+    randomise(f_in, rng, 0.1)
+    for rank in range(devices):
+        f_in.partition(rank).storage[...] += 1.0 / 9.0
+    return grid, make_karman_container(grid, f_in, f_out, mask, omega=1.3, inflow_velocity=0.04), [f_in, f_out, mask]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.sampled_from([(4, 2), (8, 2), (11, 3), (6, 40)]) | st.tuples(st.integers(8, 16), st.integers(2, 24)),
+    devices=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**16),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN planted on purpose
+def test_karman_step_equals_its_closure(shape, devices, seed):
+    rng = np.random.default_rng(seed)
+    grid, step, fields = karman_case(devices, (max(shape[0], 2 * devices), shape[1]), rng)
+    n0, nx = grid.shape
+    cells = [(0, 0), (n0 - 1, nx - 1), *((int(rng.integers(n0)), int(rng.integers(nx))) for _ in range(6))]
+    plant(fields[0], rng, cells)
+    assert_same_bytes(step, fields)
+
+
+def test_karman_declines_only_one_cell_pieces():
+    """NumPy sums a single cell's populations pairwise, not sequentially:
+    a one-cell span piece (one row of a one-column channel) keeps the
+    closure, and every other piece runs C, bitwise."""
+    grid, step, fields = karman_case(4, (8, 1), np.random.default_rng(5), center=(3.5, 0.0))
+    cold = snapshot(*fields)
+    for view in DataView:
+        for rank in range(4):
+            span = grid.span_for(rank, view)
+            kernel = step.specialize(rank, view, span)
+            assert (kernel is None) == any(piece.count == 1 for piece in span.pieces()), (view, rank)
+            compute = step.loading(Loader(rank=rank, view=view))
+            for piece in span.pieces():
+                compute(piece)
+            want = snapshot(*fields)
+            restore(fields, cold)
+            if kernel is not None:
+                kernel()
+                assert snapshot(*fields) == want, (view, rank)
+            restore(fields, cold)
+
+
 # -- what must keep the interpreted closure ----------------------------------------
 def test_hooks_decline_what_the_kernels_cannot_address():
     backend = Backend.sim_gpus(2)
-    dense = DenseGrid(backend, (8, 4, 4), stencils=[STENCIL_7PT])
-    sparse = SparseGrid(backend, mask=np.ones((8, 4, 4), dtype=bool), stencils=[STENCIL_7PT])
-    virtual = DenseGrid(backend, (8, 4, 4), stencils=[STENCIL_7PT], virtual=True)
+    dense = DenseGrid(backend, (8, 4, 4), stencils=[STENCIL_7PT, STENCIL_27PT])
+    sparse = SparseGrid(backend, mask=np.ones((8, 4, 4), dtype=bool), stencils=[STENCIL_7PT, STENCIL_27PT])
+    virtual = DenseGrid(backend, (8, 4, 4), stencils=[STENCIL_7PT, STENCIL_27PT], virtual=True)
     cases = []
     for grid, kw in ((dense, {"layout": Layout.AOS, "cardinality": 2}), (sparse, {}), (virtual, {})):
         x, y = grid.new_field("x", **kw), grid.new_field("y", **kw)
         cases += [ops.axpy(grid, 2.0, x, y), ops.dot(grid, x, y, grid.new_dot_partial("p"))]
         if kw.get("cardinality", 1) == 1:
             cases.append(make_neg_laplacian(grid, x, y))
+        layout = kw.get("layout", Layout.SOA)
+        u, out = (grid.new_field(n, cardinality=3, layout=layout) for n in ("u", "out"))
+        cases += make_elastic_operator()(grid, u, out, "A")
     x, y = dense.new_field("x"), dense.new_field("y")
     cases.append(ops.dot(dense, x, y, dense.new_reduce_partial("per_rank")))
+    channel = np.ones((8, 6), dtype=bool)
+    for grid, layout in (
+        (DenseGrid(backend, (8, 6), stencils=[D2Q9_STENCIL]), Layout.AOS),
+        (SparseGrid(backend, mask=channel, stencils=[D2Q9_STENCIL]), Layout.SOA),
+        (DenseGrid(backend, (8, 6), stencils=[D2Q9_STENCIL], virtual=True), Layout.SOA),
+    ):
+        f_in, f_out = (grid.new_field(n, cardinality=9, layout=layout) for n in ("f0", "f1"))
+        cases.append(make_karman_container(grid, f_in, f_out, grid.new_field("mask"), 1.3, 0.04))
     for container in cases:
         span = container.index_data.span_for(0, DataView.STANDARD)
         assert container.specialize is None or container.specialize(0, DataView.STANDARD, span) is None

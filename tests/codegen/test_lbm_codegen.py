@@ -19,8 +19,9 @@ from repro.codegen.table import Table
 from repro.resilience import Checkpoint
 from repro.skeleton import fusion
 from repro.skeleton.executor import scan_non_finite
+from repro.codegen.lattice_kernels import compile_twopop, generate_twopop_source, lid_corrections
 from repro.solvers.lbm import LidDrivenCavity
-from repro.solvers.lbm.codegen import compile_twopop, generate_twopop_source, lid_corrections
+from repro.solvers.lbm.d3q19 import RHO0, SOLID_SENTINEL
 from repro.solvers.lbm.lattice import D3Q19
 from repro.system import Backend
 from repro.workloads import JobSpec, build
@@ -46,10 +47,11 @@ def test_compiled_cavity_equals_interpreted_at_any_lid_speed(lid):
 
 
 def test_lid_speed_is_not_part_of_the_translation_unit():
-    moving, still = generate_twopop_source(D3Q19, True), generate_twopop_source(D3Q19, False)
-    assert moving.count("from_lid ? corr[") == len(lid_corrections(D3Q19, 0.05)) == 5
+    moving, still = (generate_twopop_source(D3Q19, lid, SOLID_SENTINEL) for lid in (True, False))
+    assert moving.count("from_lid ? corr[") == len(lid_corrections(D3Q19, 0.05, RHO0)) == 5
     assert "from_lid ?" not in still, "a still lid adds nothing: + 0.0 would flip a -0.0"
-    assert compile_twopop(D3Q19, True) is compile_twopop(D3Q19, True) is not compile_twopop(D3Q19, False)
+    one, other = (compile_twopop(D3Q19, lid, SOLID_SENTINEL) for lid in (True, False))
+    assert one is compile_twopop(D3Q19, True, SOLID_SENTINEL) is not other
 
 
 #: 16^3 on 2 devices: 10 storage slices of 16 x 16 cells, a natural
