@@ -9,18 +9,32 @@ Design constraints, in order:
   preserve the written IEEE-754 operation order.  Generators embed float
   constants through :func:`hexf` (C hexadecimal float literals), which
   round-trips every double exactly.
+* **Built for the host CPU** — ``-march=native`` lets the compiler
+  vectorise with whatever the machine has (AVX-512 masked loads turn the
+  kernels' guarded neighbour reads into vector code), and none of it
+  moves a bit: ``-ffp-contract=off`` still forbids FMA contraction, a
+  vector lane computes each element with the same correctly rounded
+  IEEE-754 operations a scalar register does, whatever the width, and
+  every sum that crosses elements — the reduce tree, the sequential
+  population and block sums — is written out in the source, which the
+  compiler keeps in order without fast-math (no reassociation, so no
+  vector partial sums).  :func:`repro.codegen.grid_kernels._tree_matches_numpy`
+  still checks the tree against NumPy on first use.
 * **Zero new dependencies** — ``cc`` (or ``gcc``/``clang``) plus the
   standard-library ``ctypes``; when neither compiler exists,
   :func:`compile_shared` returns ``None`` and callers keep the
   interpreted path.
 * **Compile once per machine** — a built object is published in a
   content-addressed per-user cache, ``<tempfile.gettempdir()>/repro-cc-<uid>/
-  <sha256>.so``, keyed on the source text, :data:`CFLAGS` and the
-  compiler's identity (real path, size, mtime).  The first process on a
-  machine pays ``cc``; every later one — each benchmark leg, served cold
-  job and CLI run is a fresh process — only ``dlopen``\\ s.  The directory
-  is created ``0700`` and trusted only while it is ours and not group- or
-  world-writable; objects appear by write-to-temp + ``os.replace``, so a
+  <sha256>.so``, keyed on the source text, :data:`CFLAGS`, the
+  compiler's identity (real path, size, mtime) and the host CPU's (its
+  ``/proc/cpuinfo`` model name and flags, :func:`_host_cpu`), so a
+  ``TMPDIR`` shared by two different CPUs never maps an object built for
+  the other.  The first process on a machine pays ``cc``; every later
+  one — each benchmark leg, served cold job and CLI run is a fresh
+  process — only ``dlopen``\\ s.  The directory is created ``0700`` and
+  trusted only while it is ours and not group- or world-writable;
+  objects appear by write-to-temp + ``os.replace``, so a
   concurrent process never maps a partial file; an object that is
   truncated or fails to load is rebuilt and replaced.  Deleting the
   directory is always safe.
@@ -39,8 +53,10 @@ operator escape hatch).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
+import platform
 import shutil
 import stat
 import struct
@@ -50,8 +66,9 @@ import threading
 from pathlib import Path
 
 #: flags shared by every generated translation unit; -ffp-contract=off is
-#: load-bearing for bitwise identity (see module docstring)
-CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: load-bearing for bitwise identity, -march=native for speed (see module
+#: docstring)
+CFLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 
 _lock = threading.Lock()
 _compiler: str | None = None
@@ -103,11 +120,24 @@ def _cache_dir() -> Path | None:
     return path if ours else None
 
 
+@functools.cache
+def _host_cpu() -> str:
+    """What ``-march=native`` builds for: the first ``model name`` and
+    ``flags`` lines of ``/proc/cpuinfo`` (``Features`` on Arm), else the
+    platform's machine and processor names."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        lines = []
+    found = [next((ln for ln in lines if ln.startswith(key)), "") for key in ("model name", "flags", "Features")]
+    return "\n".join(found) if any(found) else f"{platform.machine()} {platform.processor()}"
+
+
 def _object_name(source: str) -> str:
     """Content address of the object ``source`` builds into on this machine."""
     cc = os.path.realpath(compiler())
     st = os.stat(cc)
-    identity = (source, " ".join(CFLAGS), cc, str(st.st_size), str(st.st_mtime_ns))
+    identity = (source, " ".join(CFLAGS), cc, str(st.st_size), str(st.st_mtime_ns), _host_cpu())
     return hashlib.sha256("\0".join(identity).encode()).hexdigest() + ".so"
 
 

@@ -51,17 +51,24 @@ class LatticeSpec:
         ``rho`` has any shape S, ``u`` has shape (ndim, *S); the result
         has shape (Q, *S).
         """
+        out = np.empty((self.q, *np.shape(rho)), dtype=np.float64)
+        for qi, feq in self.equilibrium_directions(rho, u):
+            out[qi] = feq
+        return out
+
+    def equilibrium_directions(self, rho: np.ndarray, u: np.ndarray):
+        """Yield ``(q, feq_q)`` in direction order: :meth:`equilibrium`
+        one direction at a time, without the ``(Q, *S)`` result array.
+        Each ``feq_q`` is a fresh array the caller may overwrite."""
         usq = np.zeros_like(rho, dtype=np.float64)
         for d in range(self.ndim):
             usq = usq + u[d] * u[d]
-        out = np.empty((self.q, *np.shape(rho)), dtype=np.float64)
         for qi in range(self.q):
             eu = np.zeros_like(rho, dtype=np.float64)
             for d in range(self.ndim):
                 if self.velocities[qi, d]:
                     eu = eu + self.velocities[qi, d] * u[d]
-            out[qi] = self.weights[qi] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
-        return out
+            yield qi, self.weights[qi] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
 
     def moments(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Density and velocity from distributions of shape (Q, *S)."""

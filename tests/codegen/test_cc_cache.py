@@ -21,7 +21,8 @@ from repro import codegen
 pytestmark = pytest.mark.skipif(not codegen.available(), reason="no C compiler in this environment")
 
 #: a fresh interpreter that specialises Poisson (and LBM with ``lbm`` in
-#: argv), counts compiler runs, and refuses to compile with ``no-cc``
+#: argv), counts compiler runs, and refuses to compile with ``no-cc``;
+#: ``cpu=<name>`` fakes the host CPU identity
 CHILD = r"""
 import hashlib, json, subprocess, sys
 import numpy as np
@@ -33,6 +34,11 @@ def run(cmd, *args, **kwargs):
     compiles.append(cmd[0])
     return real_run(cmd, *args, **kwargs)
 subprocess.run = run  # the name repro.codegen.cc calls
+
+from repro.codegen import cc
+for arg in sys.argv:
+    if arg.startswith("cpu="):  # a faked host CPU: what the object name is keyed on
+        cc._host_cpu = lambda name=arg[4:]: name
 
 from repro.solvers import PoissonSolver, manufactured_problem
 from repro.solvers.lbm import LidDrivenCavity
@@ -140,3 +146,15 @@ def test_two_cold_processes_publish_one_object(tmp_path, poisson_cold):
     for got in [finish(child) for child in racers]:
         assert {**got, "compiles": 2} == poisson_cold[1]  # the loser of a race may have loaded instead
     assert len(objects(tmp_path)) == 2, "one content address per unit, no partial file, no build directory left"
+
+
+def test_objects_are_keyed_on_the_host_cpu(tmp_path, poisson_cold):
+    """Objects are built with ``-march=native``: two CPUs sharing one TMPDIR
+    each build and publish their own, and neither maps the other's."""
+    for cpu, published in (("cpu-a", 2), ("cpu-b", 4)):
+        # the second CPU finds the first one's objects and compiles anyway
+        assert finish(spawn(tmp_path, f"cpu={cpu}")) == poisson_cold[1]  # one real CPU: same compiles, same bytes
+        assert len(objects(tmp_path)) == published
+    for cpu in ("cpu-a", "cpu-b"):
+        assert finish(spawn(tmp_path, f"cpu={cpu}", "no-cc")) == {**poisson_cold[1], "compiles": 0}
+    assert len(objects(tmp_path)) == 4

@@ -19,10 +19,16 @@ from repro.codegen.table import Table
 from repro.resilience import Checkpoint
 from repro.skeleton import fusion
 from repro.skeleton.executor import scan_non_finite
-from repro.codegen.lattice_kernels import compile_twopop, generate_twopop_source, lid_corrections
+from repro.codegen.lattice_kernels import (
+    collide_stream_source,
+    compile_twopop,
+    generate_twopop_source,
+    karman_rule,
+    lid_corrections,
+)
 from repro.solvers.lbm import LidDrivenCavity
 from repro.solvers.lbm.d3q19 import RHO0, SOLID_SENTINEL
-from repro.solvers.lbm.lattice import D3Q19
+from repro.solvers.lbm.lattice import D2Q9, D3Q19
 from repro.system import Backend
 from repro.workloads import JobSpec, build
 
@@ -52,6 +58,18 @@ def test_lid_speed_is_not_part_of_the_translation_unit():
     assert "from_lid ?" not in still, "a still lid adds nothing: + 0.0 would flip a -0.0"
     one, other = (compile_twopop(D3Q19, lid, SOLID_SENTINEL) for lid in (True, False))
     assert one is compile_twopop(D3Q19, True, SOLID_SENTINEL) is not other
+
+
+def test_collide_stream_x_loop_has_no_control_flow():
+    """Selects, not branches, so the compiler can vectorise the x loop
+    (CI asserts that GCC's report says it did)."""
+    units = [generate_twopop_source(D3Q19, lid, SOLID_SENTINEL) for lid in (True, False)]
+    units.append(collide_stream_source(D2Q9, karman_rule(D2Q9, 0.0, 0.0, RHO0)))
+    for source in units:
+        pragma, loop = source.split("for (long x = 0; x < nx; ++x)")
+        assert pragma.rstrip().endswith("#endif") and "#pragma GCC ivdep" in pragma
+        # no branch, and run-time constants are read outside the loop
+        assert "if (" not in loop and "else" not in loop and "corr[" not in loop and "feq_in[" not in loop
 
 
 #: 16^3 on 2 devices: 10 storage slices of 16 x 16 cells, a natural
