@@ -319,8 +319,8 @@ def run_chaos(
 
     ``mode`` is the replay mode of every app step, before and after
     every recovery.  ``serial`` makes the whole report a pure function of
-    ``seed`` — the run never recalibrates from wall-clock timings, and
-    tuned degradation scores on the DES alone; under ``parallel`` the
+    ``seed`` — tuned degradation scores on the DES alone and nothing
+    reads a wall clock or the tracer; under ``parallel`` the
     verdict is the same bitwise one while the injected / rollback counts
     depend on the thread schedule once a batch has aborted
     (docs/resilience.md, "Reproducibility").

@@ -242,27 +242,6 @@ class DenseField(Field):
     def partition(self, rank: int) -> DenseFieldPartition:
         return DenseFieldPartition(self, rank)
 
-    def fill(self, value, comp: int | None = None) -> None:
-        self._require_storage()
-        for rank in range(self.num_devices):
-            part = self.partition(rank)
-            span = self.grid.span_for(rank, DataView.STANDARD)
-            if comp is None:
-                part.view_all(span)[...] = value
-            else:
-                part.view(span, comp)[...] = value
-
-    def init(self, fn, comp: int | None = None) -> None:
-        self._require_storage()
-        for rank in range(self.num_devices):
-            part = self.partition(rank)
-            span = self.grid.span_for(rank, DataView.STANDARD)
-            values = fn(*part.coords(span))
-            comps = range(self.cardinality) if comp is None else [comp]
-            for c in comps:
-                part.view(span, c)[...] = values
-        self.sync_halo_now()
-
     def to_numpy(self) -> np.ndarray:
         self._require_storage()
         out = np.full((self.cardinality, *self.grid.shape), self.outside_value, dtype=self.dtype)

@@ -70,11 +70,17 @@ class Field(MultiDeviceData, abc.ABC):
         Inactive/outside cells read as ``outside_value``.
         """
 
-    @abc.abstractmethod
     def fill(self, value, comp: int | None = None) -> None:
         """Set owned cells (every component, or one) to a constant."""
+        self._require_storage()
+        for rank in range(self.num_devices):
+            part = self.partition(rank)
+            span = self.grid.span_for(rank, DataView.STANDARD)
+            if comp is None:
+                part.view_all(span)[...] = value
+            else:
+                part.view(span, comp)[...] = value
 
-    @abc.abstractmethod
     def init(self, fn, comp: int | None = None) -> None:
         """Set owned cells from ``fn(*coords)`` and refresh halos.
 
@@ -82,6 +88,19 @@ class Field(MultiDeviceData, abc.ABC):
         grid axis and must return values broadcastable to the cells'
         shape — the same callable works on dense and sparse grids.
         """
+        self._scatter(fn, range(self.cardinality) if comp is None else [comp])
+        self.sync_halo_now()
+
+    def _scatter(self, fn, comps) -> None:
+        """Set components ``comps`` of the owned cells from ``fn(*coords)``;
+        halos are left stale for the caller to refresh."""
+        self._require_storage()
+        for rank in range(self.num_devices):
+            part = self.partition(rank)
+            span = self.grid.span_for(rank, DataView.STANDARD)
+            values = fn(*part.coords(span))
+            for c in comps:
+                part.view(span, c)[...] = values
 
     def _require_storage(self) -> None:
         if self.virtual:
@@ -94,7 +113,7 @@ class Field(MultiDeviceData, abc.ABC):
         of the grid's partitioning — which is what lets a checkpoint
         taken on ``n`` devices restore onto the surviving ``n-1`` after a
         device loss (the array is re-scattered across the new slabs and
-        halos are refreshed).
+        halos are refreshed once, after every component is in place).
         """
         self._require_storage()
         arr = np.asarray(array, dtype=self.dtype)
@@ -102,7 +121,8 @@ class Field(MultiDeviceData, abc.ABC):
         if arr.shape != expected:
             raise ValueError(f"field '{self.name}' expects shape {expected}, got {arr.shape}")
         for c in range(self.cardinality):
-            self.init(lambda *coords, _comp=arr[c]: _comp[tuple(coords)], comp=c)
+            self._scatter(lambda *coords, _comp=arr[c]: _comp[tuple(coords)], [c])
+        self.sync_halo_now()
 
     def sync_halo_now(self) -> None:
         """Eagerly run a full halo update (init-time convenience).

@@ -25,7 +25,7 @@ Event shape (one tuple per ring slot, JSON-ified on dump)::
 ``seq`` is a process-global monotonic ordinal so events from different
 tracks can be interleaved into one timeline; ``kind`` is one of
 ``kernel | copy | fused | program | wait | fault | violation | deadlock |
-rollback | degrade | retune | note`` (``program``: one C call running a
+rollback | degrade | note`` (``program``: one C call running a
 whole run of op-table units, named ``<first site>+<n>ops``); ``detail``
 is a small dict (site key, ranks, bytes, attempt number...) or ``None``.
 

@@ -13,8 +13,8 @@ reservoir of its first :data:`Histogram.SAMPLE_MAX` observations
 against) and three P² streaming-quantile estimators (Jain & Chlamtac
 1985) for p50/p90/p99 that keep working at serving-run scale with O(1)
 memory.  ``summary()`` packages count/sum/min/max/mean and
-the three percentiles for dashboards and the tuner's cheap
-recalibration path.
+the three percentiles for dashboards and reports; no result-affecting
+decision reads them.
 
 Long-running servers must not leak series: the registry caps the number
 of distinct label-sets per metric name (``max_label_sets``).  Past the

@@ -17,13 +17,10 @@ controller that unifies the resilience and tuner layers:
   the autotuner, rebuild the application with the water-filled partition
   shares and the DES-chosen OCC level, migrate field state from the
   checkpoint, and resume.  The tuned-vs-uniform makespan delta of the
-  degraded plan is recorded in the flight recorder's degrade event;
-* **online recalibration** closes the loop while the job is healthy:
-  every ``recalibrate_interval`` steps the driver joins observed kernel
-  timings (tracer spans, or the histogram fallback) to the compiled
-  step costs, refits the machine model, and on drift re-tunes and
-  live-repartitions through the same checkpoint/migrate path — no
-  restart.
+  degraded plan is recorded in the flight recorder's degrade event.
+
+Every decision above reads the fault plan, the checkpoints and the
+machine model, never the tracer: observability only records.
 
 Applications plug in through a small duck-typed protocol::
 
@@ -32,7 +29,6 @@ Applications plug in through a small duck-typed protocol::
     app.scalars()              # -> dict: host-side loop state (optional)
     app.step(i)                # run iteration i
     app.on_restore(scalars)    # re-seed host state after a restore (optional)
-    app.skeletons              # -> list[Skeleton] (optional; recalibration)
 
 ``factory`` must be deterministic in everything it does not restore from
 the checkpoint (boundary conditions, coefficients), so a rebuilt
@@ -88,8 +84,6 @@ class RecoveryPolicy:
     #: cumulative wall-clock seconds allowed inside recovery actions
     #: (rollback, degrade, recovery rebuild+migrate); None = unbounded
     max_recovery_seconds: float | None = None
-    #: run the recalibration loop every N steps; None = off
-    recalibrate_interval: int | None = None
 
     def __post_init__(self) -> None:
         if self.divergence not in DIVERGENCE_POLICIES:
@@ -104,8 +98,6 @@ class RecoveryPolicy:
             raise ValueError("checkpoint_generations must be >= 1")
         if self.max_recovery_seconds is not None and self.max_recovery_seconds < 0:
             raise ValueError("max_recovery_seconds must be >= 0 (or None for unbounded)")
-        if self.recalibrate_interval is not None and self.recalibrate_interval < 1:
-            raise ValueError("recalibrate_interval must be >= 1 (or None to disable)")
 
 
 class FaultSession(NamedTuple):
@@ -164,9 +156,8 @@ class ResilientDriver:
 
     ``experiment`` optionally names a tuner workload (``lbm``,
     ``poisson``, ``karman``, ``elasticity``); when set, device-loss
-    degradation re-partitions with tuned shares and the recalibration
-    loop can re-tune on model drift.  Without it the driver behaves like
-    the classic uniform-rebuild controller.
+    degradation re-partitions with tuned shares.  Without it the driver
+    behaves like the classic uniform-rebuild controller.
     """
 
     def __init__(
@@ -188,18 +179,13 @@ class ResilientDriver:
         self.experiment = experiment
         self.rollbacks = 0
         self.devices_lost = 0
-        self.retunes = 0
         #: cumulative wall-clock seconds spent inside recovery actions
         self.recovery_seconds = 0.0
         self.store = CheckpointStore(keep=self.policy.checkpoint_generations)
         #: one dict per degrade event: tuned vs uniform DES makespans
         self.degrade_reports: list[dict] = []
-        #: one dict per online retune: fit quality + adopted config
-        self.retune_reports: list[dict] = []
         self.last_tune_plan = None
         self._tuned: dict | None = None
-        self._recalibrator = None
-        self._span_cursor = 0
         self._recovery_rebuild = False
 
     # -- recovery actions ---------------------------------------------------
@@ -302,11 +288,6 @@ class ResilientDriver:
         self._charge_recovery("degrade", t0)
         return new_backend
 
-    def _adopt_tuning(self, plan) -> None:
-        """The next rebuild uses ``plan``'s shares and OCC level."""
-        self.last_tune_plan = plan
-        self._tuned = dict(zip(TUNED_KWARGS, (plan.best.weights, plan.best_occ)))
-
     def _tune_for(self, backend) -> dict | None:
         """Autotune the shrunken fleet; adopt shares/OCC for the rebuild.
 
@@ -320,7 +301,8 @@ class ResilientDriver:
             plan = tune_workload(self.experiment, backend.machine, devices=backend.num_devices)
         except (KeyError, ValueError):
             return None  # not a tuner workload: keep the uniform rebuild
-        self._adopt_tuning(plan)
+        self.last_tune_plan = plan
+        self._tuned = dict(zip(TUNED_KWARGS, (plan.best.weights, plan.best_occ)))
         report = {
             "experiment": self.experiment,
             "machine": backend.machine.name,
@@ -360,64 +342,6 @@ class ResilientDriver:
         if demand > capacity:
             raise DegradeOverCapacity(lost_rank, demand - capacity, demand, capacity)
 
-    # -- online recalibration ----------------------------------------------
-    def _recalibrate(self, app, step: int) -> bool:
-        """Ingest fresh samples; on model drift, re-tune and request a
-        live re-partition (returns True when the app must be rebuilt)."""
-        if not self.experiment:
-            return False
-        from repro.tuner.feedback import Recalibrator, kernel_samples_from_trace
-
-        if (
-            self._recalibrator is None
-            or self._recalibrator.machine.num_devices != self.backend.num_devices
-        ):
-            self._recalibrator = Recalibrator(self.backend.machine)
-            self._span_cursor = 0
-        rec = self._recalibrator
-
-        spans, metrics = [], None
-        if _obs.OBS.active:
-            spans = list(_obs.OBS.tracer.spans)
-            metrics = _obs.OBS.metrics
-        fresh = spans[self._span_cursor :]
-        self._span_cursor = len(spans)
-        for sk in getattr(app, "skeletons", []) or []:
-            result = getattr(sk, "last_result", None)
-            if result is None:
-                continue
-            rec.ingest(kernel_samples_from_trace(fresh, result, metrics=metrics))
-
-        plan = rec.maybe_retune(self.experiment, devices=self.backend.num_devices)
-        if plan is None:
-            return False
-        self.retunes += 1
-        self._adopt_tuning(plan)
-        report = {
-            "step": step,
-            "fit_quality": plan.fit_quality,
-            "machine": rec.machine.name,
-            "occ": plan.best.occ,
-            "mode": plan.best.mode,
-            "weights": plan.best.weights,
-            "improvement": plan.improvement,
-        }
-        self.retune_reports.append(report)
-        _flight.record(
-            "host",
-            "retune",
-            "model_drift",
-            {"step": step, "fit_quality": plan.fit_quality, "occ": plan.best.occ, "mode": plan.best.mode},
-        )
-        if _obs.OBS.active:
-            _obs.OBS.metrics.counter("online_retunes").inc()
-
-        # adopt the corrected machine model and re-partition through the
-        # checkpoint/migrate path: capture *now*, rebuild, restore here
-        self.backend = _backend_like(self.backend, rec.machine)
-        self._capture(app, step)
-        return True
-
     # -- the loop -----------------------------------------------------------
     def run(self):
         """Run to completion; return the (possibly rebuilt) application.
@@ -437,7 +361,6 @@ class ResilientDriver:
                     "error": str(exc),
                     "rollbacks": self.rollbacks,
                     "devices_lost": self.devices_lost,
-                    "retunes": self.retunes,
                     "recovery_seconds": self.recovery_seconds,
                     "checkpoints": self.store.describe(),
                     "steps": self.steps,
@@ -455,8 +378,8 @@ class ResilientDriver:
                 try:
                     if app is None:
                         # every backend the job adopts — initial, degraded,
-                        # recalibrated, rebuilt — is armed with this driver's
-                        # plan and policy until run() returns
+                        # rebuilt — is armed with this driver's plan and
+                        # policy until run() returns
                         armed.enter_context(session(self.backend, self.plan, policy))
                         recovery, self._recovery_rebuild = self._recovery_rebuild, False
                         t0 = perf_counter()
@@ -476,16 +399,7 @@ class ResilientDriver:
                         i += 1
                         if i % policy.checkpoint_interval == 0 and i < self.steps:
                             self._capture(app, i)
-                        if (
-                            policy.recalibrate_interval
-                            and i < self.steps
-                            and i % policy.recalibrate_interval == 0
-                            and self._recalibrate(app, i)
-                        ):
-                            app = None
-                            break
-                    if app is not None:
-                        return app
+                    return app
                 except RecoveryBudgetExceeded:
                     raise  # the wall-clock budget is terminal whatever the rollback budget says
                 except (FaultExhausted, CorruptionDetected) as exc:

@@ -73,12 +73,6 @@ class MachineSpec:
         overrides = tuple((r, spec) for r, spec in self.device_overrides if r < count)
         return replace(self, topology=self.topology.resized(count), device_overrides=overrides)
 
-    def with_device_overrides(self, overrides: dict[int, DeviceSpec]) -> "MachineSpec":
-        """Copy of this machine with some ranks' specs replaced."""
-        merged = {r: s for r, s in self.device_overrides}
-        merged.update(overrides)
-        return replace(self, device_overrides=tuple(sorted(merged.items())))
-
     def without_rank(self, rank: int) -> "MachineSpec":
         """This machine after losing ``rank``: survivors keep their specs.
 

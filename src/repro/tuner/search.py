@@ -92,7 +92,6 @@ class TunePlan:
     baseline: Candidate
     shares: tuple[float, ...]
     candidates: list[Candidate] = field(default_factory=list)
-    fit_quality: float | None = None
 
     @property
     def improvement(self) -> float:
@@ -136,6 +135,8 @@ class TunePlan:
         The derived ``improvement`` / ``tuned_vs_uniform`` keys are
         ignored — they are properties recomputed from the candidates —
         so ``TunePlan.from_dict(plan.to_dict())`` round-trips exactly.
+        So is any other unknown key, such as the ``fit_quality`` older
+        plan caches carry.
         """
 
         def candidate(c: dict) -> Candidate:
@@ -157,7 +158,6 @@ class TunePlan:
             baseline=candidate(d["baseline"]),
             shares=tuple(float(s) for s in d["shares"]),
             candidates=[candidate(c) for c in d.get("candidates", [])],
-            fit_quality=d.get("fit_quality"),
         )
 
     def to_json(self, indent: int = 2) -> str:

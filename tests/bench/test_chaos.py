@@ -44,8 +44,8 @@ def test_soak_survives_the_full_storm(name):
 @injected_nonfinite
 def test_serial_soak_is_a_pure_function_of_its_seed():
     """Recovery never changes the replay mode a job asked for, no session
-    outlives the run that armed it, and the soak never recalibrates from
-    wall-clock timings, so a serial soak's whole fault history repeats,
+    outlives the run that armed it, and no recovery decision reads a wall
+    clock or the tracer, so a serial soak's whole fault history repeats,
     twice in one process too — with observability armed, as the CLI runs
     it (docs/resilience.md)."""
     first, second = (run_chaos("poisson", events=50, seed=2026) for _ in range(2))

@@ -1,4 +1,4 @@
-"""The adaptive driver: tuned degradation, budgets, recalibration, fallback.
+"""The adaptive driver: tuned degradation, budgets, fallback.
 
 These tests close the loop the runner promises: a heterogeneous fleet
 that loses devices re-partitions with *tuned* shares (and the DES says
@@ -10,6 +10,7 @@ tampered checkpoint costs one generation — never the run.
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro import resilience as res
 from repro.bench.chaos import chaos_spec
 from repro.domain import STENCIL_7PT, DenseGrid
@@ -139,6 +140,37 @@ def test_tuning_a_degrade_never_consults_the_armed_plan():
         assert backend.session.faults.plan is plan  # armed throughout, no shield
     assert report is not None and len(driver.last_tune_plan.candidates) > 1
     assert not plan._draws and not plan._touches and not plan.lost
+
+
+def test_fault_history_does_not_depend_on_observability():
+    """No recovery decision reads the tracer: one seeded serial job with
+    transient faults and a device loss injects, rolls back, degrades and
+    tunes identically with observability off and on, and ends on the
+    same bits."""
+
+    def run():
+        plan = FaultPlan(7, launch=0.15, copy=0.15, device_loss={3: 120})
+        policy = RecoveryPolicy(checkpoint_interval=2)
+        driver = ResilientDriver(
+            cavity_factory, mixed_backend(4), 8, policy=policy, plan=plan, experiment="lbm"
+        )
+        app = driver.run()
+        counts = (plan.injected(), driver.rollbacks, driver.devices_lost)
+        shares = [rep["shares"] for rep in driver.degrade_reports]
+        return counts, plan.history, shares, app.result_array()
+
+    obs.disable()
+    try:
+        bare = run()
+    finally:
+        obs.enable()
+    traced = run()
+
+    counts, history, shares, bits = bare
+    assert counts[0] > 0 and counts[1] > 0 and counts[2] == 1 and len(shares) == 1
+    assert traced[:3] == (counts, history, shares)
+    assert np.array_equal(traced[3], bits)
+    assert obs.tracer().spans  # the second run really was traced
 
 
 # -- multiple losses ---------------------------------------------------------
@@ -283,49 +315,3 @@ def test_tampered_newest_checkpoint_falls_back_one_generation():
     assert driver.store.fallbacks == 1
     assert driver.store.corrupt_dropped == 1
     assert driver.store.max_restore_depth == 1
-
-
-# -- online recalibration ----------------------------------------------------
-def test_online_recalibration_retunes_and_repartitions_live():
-    steps = 9
-    reference = cavity_reference(steps, devices=2)
-    policy = RecoveryPolicy(checkpoint_interval=4, recalibrate_interval=3)
-    driver = ResilientDriver(
-        cavity_factory, mixed_backend(2), steps, policy=policy, experiment="lbm"
-    )
-    app = driver.run()
-
-    # observed wall-clock timings drift wildly from the simulated spec,
-    # so the first recalibration epoch must refit and re-tune
-    assert driver.retunes >= 1
-    rep = driver.retune_reports[0]
-    assert rep["step"] in (3, 6)
-    assert rep["fit_quality"] > driver._recalibrator.quality_threshold
-    # live re-partition: same fleet size, no restart, bitwise result
-    assert driver.backend.num_devices == 2
-    assert driver.devices_lost == 0 and driver.rollbacks == 0
-    assert np.array_equal(app.result_array(), reference)
-
-
-def test_recalibration_under_transient_faults_stays_bitwise():
-    """Retries and a live re-partition compose: the job recalibrates (and
-    re-tunes) while transient faults fire, and still ends on the bits."""
-    steps = 9
-    reference = cavity_reference(steps, devices=2)
-    plan = FaultPlan(7, launch=0.05, copy=0.05)
-    policy = RecoveryPolicy(checkpoint_interval=4, recalibrate_interval=3)
-    driver = ResilientDriver(
-        cavity_factory, mixed_backend(2), steps, policy=policy, plan=plan, experiment="lbm"
-    )
-    app = driver.run()
-    assert plan.injected("launch") + plan.injected("copy") > 0
-    assert driver.retunes >= 1
-    assert np.array_equal(app.result_array(), reference)
-
-
-def test_recalibration_without_experiment_is_inert():
-    policy = RecoveryPolicy(checkpoint_interval=4, recalibrate_interval=2)
-    driver = ResilientDriver(lambda b, **kw: FlakyApp(b), Backend.sim_gpus(2), 6, policy=policy)
-    app = driver.run()
-    assert app.value() == 6.0
-    assert driver.retunes == 0 and driver.retune_reports == []

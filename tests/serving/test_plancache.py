@@ -197,6 +197,20 @@ def test_entries_naming_a_deleted_mode_raise_typed_errors(tmp_path):
     assert cache.lookup(tkey).tune_plan.best.mode == "serial"
 
 
+def test_entries_carrying_a_stale_fit_quality_still_load(tmp_path):
+    """Plans written before online recalibration was removed carry a
+    ``fit_quality`` key; the plan and the cache both ignore it."""
+    key = plan_key(JobSpec.make("poisson", (8, 6, 6), 5), "dgx-a100-2").tuning_key()
+    plan = _plan()
+    stale = dict(plan.to_dict(), fit_quality=0.4)
+    assert TunePlan.from_dict(stale).to_dict() == plan.to_dict()
+    (tmp_path / f"{key.digest}.json").write_text(
+        json.dumps({"schema": CACHE_SCHEMA, "key": key.to_dict(), "tune_plan": stale})
+    )
+    entry = PlanCache(root=tmp_path).lookup(key)
+    assert entry.tune_plan.to_dict() == plan.to_dict()
+
+
 # -- hit/miss/evict bookkeeping ----------------------------------------------
 class _FakeProgram:
     def __init__(self):

@@ -10,6 +10,9 @@ from repro.sim.calibrate import (
     fit_link,
     fit_quality,
 )
+from repro.sim.costmodel import kernel_duration
+from repro.sim.machine import pcie_a100
+from repro.system.queue import KernelCost
 
 
 def synth_kernels(bw, overhead, rng, n=8, noise=0.0):
@@ -28,6 +31,20 @@ def test_exact_recovery_from_clean_samples():
     spec = fit_device(samples)
     assert spec.mem_bandwidth == pytest.approx(1.4e12, rel=1e-6)
     assert spec.launch_overhead == pytest.approx(4e-6, rel=1e-6)
+    assert fit_quality(samples, spec) < 1e-9
+
+
+def test_fit_inverts_the_cost_model():
+    """Feeding ``kernel_duration``'s own predictions back through the fit
+    recovers the DeviceSpec the DES scored them with."""
+    spec = pcie_a100(2).device_spec(0)
+    samples = []
+    for nbytes in (1e6, 4e6, 1.6e7, 6.4e7, 2.56e8):
+        cost = KernelCost(bytes_moved=nbytes, flops=0.0, launches=1)
+        samples.append(KernelSample(nbytes, 1, kernel_duration(cost, spec)))
+    fitted = fit_device(samples, flops=spec.flops)
+    assert fitted.mem_bandwidth == pytest.approx(spec.mem_bandwidth, rel=1e-6)
+    assert fitted.launch_overhead == pytest.approx(spec.launch_overhead, rel=1e-6)
     assert fit_quality(samples, spec) < 1e-9
 
 

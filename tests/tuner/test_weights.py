@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,8 +101,9 @@ def test_fixed_seconds_exposes_internode_asymmetry():
 
 def test_two_tier_custom_machine():
     """device_shares works for hand-built two-tier specs, not just presets."""
-    m = pcie_a100(2).with_device_overrides(
-        {1: DeviceSpec(mem_bandwidth=0.7e12, flops=5e12, launch_overhead=5e-6)}
+    m = replace(
+        pcie_a100(2),
+        device_overrides=((1, DeviceSpec(mem_bandwidth=0.7e12, flops=5e12, launch_overhead=5e-6)),),
     )
     assert m.is_heterogeneous
     shares = device_shares(m, 2, BW_BOUND, total_cells=50_000)
