@@ -89,21 +89,3 @@ def intersection(*masks: np.ndarray) -> np.ndarray:
 
 def difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a & ~b
-
-
-def ensure_partitionable(mask: np.ndarray, num_devices: int, radius: int = 1) -> np.ndarray:
-    """Check a mask can be slab-partitioned for a device count/halo depth.
-
-    Raises with a helpful message if the axis-0 extent cannot provide
-    ``2 * radius`` slices per device; returns the mask unchanged
-    otherwise (for fluent use inside grid constructors).
-    """
-    need = num_devices * max(1, 2 * radius)
-    if mask.shape[0] < need:
-        raise ValueError(
-            f"axis-0 extent {mask.shape[0]} cannot host {num_devices} devices with halo "
-            f"radius {radius} (needs >= {need} slices)"
-        )
-    if not mask.any():
-        raise ValueError("mask has no active cells")
-    return mask

@@ -7,8 +7,8 @@ alone enforces correctness; this layer extends that guarantee to a
 * :mod:`repro.resilience.faults`     — :class:`FaultPlan`: seeded,
   site-keyed injection of transient launch/copy failures, allocation
   errors, NaN/Inf field corruption and permanent device loss;
-* :mod:`repro.resilience.retry`      — exponential backoff + seeded
-  jitter for transient faults at the command-queue layer;
+* :mod:`repro.resilience.retry`      — immediate, bounded retry of
+  transient faults at the command-queue layer;
 * :mod:`repro.resilience.checkpoint` / :mod:`repro.resilience.runner` —
   checkpoint/restore of Field state with rollback-and-replay, and
   graceful degradation onto surviving devices (re-partition, migrate,
@@ -50,13 +50,12 @@ from .errors import (
     DeviceLost,
     FaultExhausted,
     LaunchFault,
-    RecoveryBudgetExceeded,
     ResilienceError,
     SolverDiverged,
     TransientFault,
 )
 from .faults import FaultPlan, unit_draw
-from .retry import RetryPolicy, run_with_retry
+from .retry import run_with_retry
 from .runner import FaultSession, RecoveryPolicy, ResilientDriver, degraded_backend, session
 
 
@@ -86,7 +85,7 @@ def execute_command(faults: FaultSession, kind: str, site: str, ranks: tuple[int
                     f"device{rank}", "fault", site, {"kind": "device_lost", "rank": rank}
                 )
                 raise
-    run_with_retry(fn, kind, site, faults.policy.retry, plan, _FAULT_CLS.get(kind, TransientFault))
+    run_with_retry(fn, kind, site, faults.policy.max_attempts, plan, _FAULT_CLS.get(kind, TransientFault))
 
 
 def should_fail_allocation(plan: FaultPlan | None, rank: int, site: str) -> bool:
@@ -126,11 +125,9 @@ __all__ = [
     "FaultPlan",
     "FaultSession",
     "LaunchFault",
-    "RecoveryBudgetExceeded",
     "RecoveryPolicy",
     "ResilienceError",
     "ResilientDriver",
-    "RetryPolicy",
     "SolverDiverged",
     "TransientFault",
     "degraded_backend",

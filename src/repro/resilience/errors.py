@@ -61,28 +61,6 @@ class FaultExhausted(ResilienceError):
         self.attempts = attempts
 
 
-class RecoveryBudgetExceeded(FaultExhausted):
-    """Cumulative recovery time overran ``RecoveryPolicy.max_recovery_seconds``.
-
-    A :class:`FaultExhausted` refinement: the retry/rollback machinery is
-    still making progress, but not fast enough to be worth continuing —
-    the wall-clock budget, not the attempt budget, ran out.
-    """
-
-    def __init__(self, phase: str, spent: float, budget: float):
-        # bypass FaultExhausted.__init__'s message; keep its fields coherent
-        ResilienceError.__init__(
-            self,
-            f"recovery budget exhausted during {phase}: "
-            f"{spent:.3f}s spent recovering against a {budget:.3f}s budget",
-        )
-        self.kind = "recovery-budget"
-        self.site = phase
-        self.attempts = 0
-        self.spent = spent
-        self.budget = budget
-
-
 class DeviceLost(ResilienceError):
     """A device failed permanently; commands on it can never succeed."""
 

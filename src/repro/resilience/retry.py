@@ -1,22 +1,21 @@
-"""Retry with exponential backoff and deterministic jitter.
+"""Retry of transient faults at the command-queue layer.
 
 Transient launch/copy faults are absorbed where they occur — at the
-command-queue layer — by re-attempting the command under a
-:class:`RetryPolicy`.  Backoff delays grow geometrically and are
-jittered, but the jitter is drawn from the fault plan's seed (keyed by
-site and attempt), so a seeded run backs off identically every time.
+command-queue layer — by re-attempting the command up to
+:attr:`RecoveryPolicy.max_attempts` times.  A retry re-runs at once:
+the faults are injected by a seeded plan, so waiting would change
+nothing but the wall clock.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 
 from repro import observability as _obs
 from repro.observability import flight as _flight
 
 from .errors import FaultExhausted, TransientFault
-from .faults import FaultPlan, unit_draw
+from .faults import FaultPlan
 
 
 def _fault_track(site: str) -> str:
@@ -25,70 +24,21 @@ def _fault_track(site: str) -> str:
     return f"device{tail.split('->')[0]}" if sep else "host"
 
 
-class RetryPolicy:
-    """Exponential backoff with plan-seeded jitter.
-
-    ``delay(attempt) = min(base_delay * multiplier**(attempt-1), max_delay)``
-    scaled by ``1 ± jitter``.  The defaults keep simulated runs fast
-    (sub-millisecond base) while still exercising the growth curve.
-    """
-
-    __slots__ = ("max_attempts", "base_delay", "max_delay", "multiplier", "jitter")
-
-    def __init__(
-        self,
-        max_attempts: int = 4,
-        base_delay: float = 0.0005,
-        max_delay: float = 0.05,
-        multiplier: float = 2.0,
-        jitter: float = 0.5,
-    ):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if base_delay < 0 or max_delay < 0 or multiplier < 1.0 or not 0.0 <= jitter <= 1.0:
-            raise ValueError(
-                f"invalid RetryPolicy(base_delay={base_delay}, max_delay={max_delay}, "
-                f"multiplier={multiplier}, jitter={jitter})"
-            )
-        self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.multiplier = multiplier
-        self.jitter = jitter
-
-    def delay(self, attempt: int, seed: int = 0, site: str = "") -> float:
-        """Backoff before retry number ``attempt`` (1-based), jittered."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        d = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-        if d > 0.0 and self.jitter > 0.0:
-            d *= 1.0 + self.jitter * (2.0 * unit_draw(seed, "jitter", site, attempt) - 1.0)
-        return d
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RetryPolicy(max_attempts={self.max_attempts}, base_delay={self.base_delay}, "
-            f"max_delay={self.max_delay}, x{self.multiplier}, jitter={self.jitter})"
-        )
-
-
 def run_with_retry(
     fn: Callable[[], None],
     kind: str,
     site: str,
-    policy: RetryPolicy,
+    max_attempts: int,
     plan: FaultPlan | None,
     fault_cls: type[TransientFault] = TransientFault,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> int:
     """Run ``fn`` under injection + retry; return the attempt that succeeded.
 
     Each attempt first consults the plan (an injected fault fails the
     attempt *before* the command runs, modelling a launch/DMA error),
     then runs ``fn``; a :class:`TransientFault` raised by either path is
-    retried with backoff until the policy's budget is exhausted, at
-    which point :class:`FaultExhausted` propagates for checkpoint-level
-    recovery.
+    retried until ``max_attempts`` attempts have failed, at which point
+    :class:`FaultExhausted` propagates for checkpoint-level recovery.
     """
     attempt = 1
     while True:
@@ -103,16 +53,11 @@ def run_with_retry(
             fn()
             return attempt
         except TransientFault as exc:
-            if attempt >= policy.max_attempts:
+            if attempt >= max_attempts:
                 _flight.record(
                     _fault_track(site), "fault", site, {"kind": f"{kind}_exhausted", "attempts": attempt}
                 )
                 raise FaultExhausted(kind, site, attempt) from exc
-            d = policy.delay(attempt, plan.seed if plan is not None else 0, site)
             if _obs.OBS.active:
-                m = _obs.OBS.metrics
-                m.counter("retries", kind=kind).inc()
-                m.histogram("retry_backoff_seconds", kind=kind).observe(d)
-            if d > 0.0:
-                sleep(d)
+                _obs.OBS.metrics.counter("retries", kind=kind).inc()
             attempt += 1

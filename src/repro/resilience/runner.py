@@ -44,7 +44,7 @@ import inspect
 import math
 from collections.abc import Callable
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import NamedTuple
 
@@ -57,14 +57,9 @@ from .errors import (
     DegradeOverCapacity,
     DeviceLost,
     FaultExhausted,
-    RecoveryBudgetExceeded,
     ResilienceError,
 )
 from .faults import FaultPlan
-from .retry import RetryPolicy
-
-#: divergence-guardrail reactions (checked by RecoveryPolicy)
-DIVERGENCE_POLICIES = ("raise", "rollback", "log", "off")
 
 #: tuned kwargs the driver offers a factory on (re)build
 TUNED_KWARGS = ("partition_weights", "occ")
@@ -72,32 +67,28 @@ TUNED_KWARGS = ("partition_weights", "occ")
 
 @dataclass
 class RecoveryPolicy:
-    """Tunable recovery behaviour shared by the injection sites and driver."""
+    """Recovery budgets shared by the injection sites and the driver.
 
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    ``max_rollbacks=0`` surfaces the first exhausted fault or detected
+    corruption instead of recovering from it.
+    """
+
     checkpoint_interval: int = 8
-    divergence: str = "rollback"
     max_rollbacks: int = 32
-    min_devices: int = 1
     #: checkpoint generations kept for corrupt-snapshot fallback
     checkpoint_generations: int = 3
-    #: cumulative wall-clock seconds allowed inside recovery actions
-    #: (rollback, degrade, recovery rebuild+migrate); None = unbounded
-    max_recovery_seconds: float | None = None
+    #: attempts per command before a transient fault is exhausted
+    max_attempts: int = 4
 
     def __post_init__(self) -> None:
-        if self.divergence not in DIVERGENCE_POLICIES:
-            raise ValueError(
-                f"divergence policy must be one of {DIVERGENCE_POLICIES}, got '{self.divergence}'"
-            )
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if self.max_rollbacks < 0 or self.min_devices < 1:
-            raise ValueError("max_rollbacks must be >= 0 and min_devices >= 1")
+        if self.max_rollbacks < 0:
+            raise ValueError("max_rollbacks must be >= 0")
         if self.checkpoint_generations < 1:
             raise ValueError("checkpoint_generations must be >= 1")
-        if self.max_recovery_seconds is not None and self.max_recovery_seconds < 0:
-            raise ValueError("max_recovery_seconds must be >= 0 (or None for unbounded)")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
 
 
 class FaultSession(NamedTuple):
@@ -127,22 +118,18 @@ def _backend_like(backend, machine, devices: int | None = None):
     )
 
 
-def degraded_backend(backend, lost_rank: int, min_devices: int = 1):
+def degraded_backend(backend, lost_rank: int):
     """A new backend on the survivors of ``backend`` after losing one rank.
 
     Survivors are re-indexed ``0..n-2`` (ranks are positional in a
     DeviceSet) and keep their own per-rank ``DeviceSpec``s via
     :meth:`MachineSpec.without_rank` — on a heterogeneous machine the
     degraded cost model must describe the cards that actually survived,
-    not a truncated override table.
+    not a truncated override table.  Losing the last device is terminal.
     """
     n = backend.num_devices - 1
-    if n < min_devices:
-        raise DeviceLost(
-            lost_rank,
-            f"device {lost_rank} lost but only {backend.num_devices} device(s) remain "
-            f"(min_devices={min_devices}); cannot degrade further",
-        )
+    if n < 1:
+        raise DeviceLost(lost_rank, f"device {lost_rank} lost and no device survives; cannot degrade")
     machine = backend.machine
     if 0 <= lost_rank < machine.num_devices and machine.num_devices > 1:
         machine = machine.without_rank(lost_rank)
@@ -180,6 +167,7 @@ class ResilientDriver:
         self.rollbacks = 0
         self.devices_lost = 0
         #: cumulative wall-clock seconds spent inside recovery actions
+        #: (rollback, degrade, recovery rebuild); measured, never acted on
         self.recovery_seconds = 0.0
         self.store = CheckpointStore(keep=self.policy.checkpoint_generations)
         #: one dict per degrade event: tuned vs uniform DES makespans
@@ -233,19 +221,6 @@ class ResilientDriver:
             app.on_restore(scalars)
         return ckpt.step
 
-    def _charge_recovery(self, phase: str, t0: float) -> None:
-        """Account recovery wall-clock; enforce the budget if one is set."""
-        self.recovery_seconds += perf_counter() - t0
-        budget = self.policy.max_recovery_seconds
-        if budget is not None and self.recovery_seconds > budget:
-            _flight.record(
-                "host",
-                "fault",
-                "recovery_budget",
-                {"phase": phase, "spent": self.recovery_seconds, "budget": budget},
-            )
-            raise RecoveryBudgetExceeded(phase, self.recovery_seconds, budget)
-
     def _rollback(self, app, cause: Exception) -> int:
         t0 = perf_counter()
         self.rollbacks += 1
@@ -258,7 +233,7 @@ class ResilientDriver:
                 "host", "rollback", type(cause).__name__, {"to_step": step, "n": self.rollbacks}
             )
         finally:  # a restore that exhausts its own retries still spent the time
-            self._charge_recovery("rollback", t0)
+            self.recovery_seconds += perf_counter() - t0
         return step
 
     def _degrade(self, lost: DeviceLost):
@@ -267,7 +242,7 @@ class ResilientDriver:
         if _obs.OBS.active:
             _obs.OBS.metrics.counter("devices_lost", rank=str(lost.rank)).inc()
         with _obs.span("resilience.degrade", cat="resilience", lost_rank=lost.rank):
-            new_backend = degraded_backend(self.backend, lost.rank, self.policy.min_devices)
+            new_backend = degraded_backend(self.backend, lost.rank)
             tune = None
             if self.experiment and new_backend.num_devices > 1:
                 tune = self._tune_for(new_backend)
@@ -285,7 +260,7 @@ class ResilientDriver:
             )
         _flight.record(f"device{lost.rank}", "degrade", f"device{lost.rank} lost", detail)
         self._recovery_rebuild = True
-        self._charge_recovery("degrade", t0)
+        self.recovery_seconds += perf_counter() - t0
         return new_backend
 
     def _tune_for(self, backend) -> dict | None:
@@ -346,11 +321,10 @@ class ResilientDriver:
     def run(self):
         """Run to completion; return the (possibly rebuilt) application.
 
-        A terminal failure — the retry/rollback budget exhausted, the
-        wall-clock recovery budget overrun, every checkpoint generation
-        corrupt, or a device loss that cannot be degraded around — dumps
-        the flight recorder's rings to a ``FLIGHT_*.json`` post-mortem
-        before the exception propagates.
+        A terminal failure — the retry/rollback budget exhausted, every
+        checkpoint generation corrupt, or a device loss that cannot be
+        degraded around — dumps the flight recorder's rings to a
+        ``FLIGHT_*.json`` post-mortem before the exception propagates.
         """
         try:
             return self._run()
@@ -390,7 +364,7 @@ class ResilientDriver:
                             i = self._restore(built)
                         app = built
                         if recovery:
-                            self._charge_recovery("rebuild", t0)
+                            self.recovery_seconds += perf_counter() - t0
                     elif owed is not None:
                         i = self._rollback(app, owed)
                     owed = None
@@ -400,15 +374,11 @@ class ResilientDriver:
                         if i % policy.checkpoint_interval == 0 and i < self.steps:
                             self._capture(app, i)
                     return app
-                except RecoveryBudgetExceeded:
-                    raise  # the wall-clock budget is terminal whatever the rollback budget says
                 except (FaultExhausted, CorruptionDetected) as exc:
                     # wherever it surfaced — a step, a capture, the factory's
                     # eager halo sync, a restore's halo refresh — it costs one
                     # rollback; the recovery action is retried under advanced
                     # draw counters until the budget says stop
-                    if isinstance(exc, CorruptionDetected) and policy.divergence == "raise":
-                        raise
                     if self.rollbacks >= policy.max_rollbacks:
                         raise
                     if app is not None:

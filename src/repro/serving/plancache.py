@@ -93,10 +93,6 @@ class PlanKey:
         """Canonical JSON: sorted keys, exact float repr — digest input."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PlanKey":
-        return cls.from_dict(json.loads(text))
-
     @property
     def digest(self) -> str:
         """Content address: SHA-256 of the canonical JSON form."""

@@ -63,10 +63,6 @@ class AccessToken:
     access: Access
     pattern: Pattern
 
-    def conflicts_with(self, other: "AccessToken") -> bool:
-        """True if the two accesses to the same data need ordering."""
-        return self.data.uid == other.data.uid and (self.access.writes or other.access.writes)
-
 
 class ReduceAccessor:
     """Rank-local handle for depositing one partial reduction result."""

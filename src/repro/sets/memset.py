@@ -136,18 +136,6 @@ class MemSet(MultiDeviceData):
             pinned=self.buffers[rank].options.pinned_host,
         )
 
-    def push_all(self) -> None:
-        """Synchronously mirror host -> every device (init-time helper)."""
-        for rank in range(self.num_devices):
-            q = self.backend.new_queue(rank, name=f"init:{self.name}")
-            self.update_device(rank, q)
-
-    def pull_all(self) -> None:
-        """Synchronously mirror every device -> host (readback helper)."""
-        for rank in range(self.num_devices):
-            q = self.backend.new_queue(rank, name=f"readback:{self.name}")
-            self.update_host(rank, q)
-
     def fill(self, value) -> None:
         """Set every element (host and devices) to ``value``."""
         if self.host is not None:

@@ -7,15 +7,16 @@ them automatically.
 
 Set-level code gets the same two execution paths the Skeleton has: eager
 streams run each command inline at enqueue (host-ordered), while a
-*recorded* stream (``eager=False``) can be replayed concurrently through
-:meth:`MultiStream.execute_parallel` — one worker thread per device,
-cross-device dependencies enforced purely by the
-:class:`MultiEvent` record/wait wiring the user laid down.
+*recorded* stream (``eager=False``) can be replayed concurrently by
+handing its queues to :meth:`ParallelEngine.execute
+<repro.system.ParallelEngine.execute>` — cross-device dependencies
+enforced purely by the :class:`MultiEvent` record/wait wiring the user
+laid down.
 """
 
 from __future__ import annotations
 
-from repro.system import Backend, CommandQueue, Event, ParallelEngine
+from repro.system import Backend, CommandQueue, Event
 
 
 class MultiStream:
@@ -42,26 +43,6 @@ class MultiStream:
 
     def __iter__(self):
         return iter(self.queues)
-
-    def execute_parallel(self, engine: ParallelEngine | None = None) -> None:
-        """Replay the recorded commands with one worker thread per device.
-
-        Meant for streams created with ``eager=False``: the queues hold
-        the recorded program, and cross-queue ordering comes only from
-        the event wiring (e.g. :meth:`MultiEvent.record_all` /
-        :meth:`MultiEvent.wait_all`), so a correct result demonstrates
-        the synchronisation is sufficient.  Replaying an *eager* stream
-        runs every command a second time — almost never what you want.
-        Without ``engine`` the call builds one and closes it on return;
-        a caller's engine stays open.
-        """
-        owned = engine is None
-        engine = engine or ParallelEngine()
-        try:
-            engine.execute(self.queues)
-        finally:
-            if owned:
-                engine.close()
 
 
 class MultiEvent:

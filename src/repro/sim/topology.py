@@ -119,6 +119,3 @@ class Topology:
             return self._links[(src_rank, dst_rank)]
         except KeyError:
             raise KeyError(f"no link {src_rank}->{dst_rank} in topology") from None
-
-    def has_link(self, src_rank: int, dst_rank: int) -> bool:
-        return (src_rank, dst_rank) in self._links

@@ -71,13 +71,6 @@ class Trace:
     def makespan(self) -> float:
         return max((s.end for s in self.spans), default=0.0)
 
-    def kind_time(self, kind: SpanKind) -> float:
-        """Total busy time of a kind, summed over resources (can exceed makespan)."""
-        return sum(s.duration for s in self.spans if s.kind is kind)
-
-    def device_busy(self, device: int) -> float:
-        return sum(s.duration for s in self.spans if s.device == device and s.kind is SpanKind.KERNEL)
-
     def copy_exposed_time(self) -> float:
         """Wall-clock time during which a copy runs but no kernel does.
 

@@ -179,24 +179,18 @@ def scan_non_finite(containers) -> list[str]:
     return bad
 
 
-def enforce_divergence_guardrail(containers, policy, skeleton_name: str = "") -> None:
+def enforce_divergence_guardrail(containers, skeleton_name: str = "") -> None:
     """The Skeleton-level NaN/Inf guardrail (resilience injection site).
 
     Called after every ``Skeleton.run()`` on a backend with an armed
-    fault session.  The reaction follows the session's recovery
-    ``policy``: ``raise`` and ``rollback`` both surface
-    :class:`~repro.resilience.CorruptionDetected` (the resilient driver
-    converts the latter into rollback-and-replay); ``log`` only counts
-    the event; ``off`` skips the scan entirely.
+    fault session: non-finite written state surfaces as
+    :class:`~repro.resilience.CorruptionDetected`, which the resilient
+    driver answers with rollback-and-replay.
     """
-    mode = policy.divergence
-    if mode == "off":
-        return
     with _obs.span("resilience.divergence_scan", cat="resilience", skeleton=skeleton_name):
         bad = scan_non_finite(containers)
     if not bad:
         return
     if _obs.OBS.active:
-        _obs.OBS.metrics.counter("divergence_detected", policy=mode).inc()
-    if mode != "log":
-        raise _res.CorruptionDetected(bad)
+        _obs.OBS.metrics.counter("divergence_detected").inc()
+    raise _res.CorruptionDetected(bad)

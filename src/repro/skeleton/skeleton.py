@@ -95,9 +95,8 @@ class Skeleton:
         """
         with _obs.span(f"skeleton.run:{self.name}", cat="phase", skeleton=self.name):
             self.last_result = self.plan.execute(eager=True, mode=mode)
-            faults = self.backend.session.faults
-            if faults is not None:
-                enforce_divergence_guardrail(self.containers, faults.policy, self.name)
+            if self.backend.session.faults is not None:
+                enforce_divergence_guardrail(self.containers, self.name)
         return self.last_result
 
     def record(self) -> ExecutionResult:

@@ -46,10 +46,6 @@ class CGResult:
     residual_norms: list[float] = field(default_factory=list)
 
     @property
-    def final_residual(self) -> float:
-        return self.residual_norms[-1] if self.residual_norms else float("inf")
-
-    @property
     def diverged(self) -> bool:
         """True when any recorded residual is non-finite (NaN/Inf)."""
         return any(not np.isfinite(r) for r in self.residual_norms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro import observability as _obs
 from repro.sim.machine import MachineSpec, cpu_host, dgx_a100
 
-from .device import Device, DeviceSet, DeviceType
+from .device import Device, DeviceSet
 from .layers import Session
 from .memory import DeviceAllocator, MemOptions
 from .queue import CommandQueue
@@ -60,10 +60,6 @@ class Backend:
     @property
     def num_devices(self) -> int:
         return len(self.devices)
-
-    @property
-    def is_cpu(self) -> bool:
-        return all(d.kind is DeviceType.CPU for d in self.devices)
 
     def device(self, rank: int) -> Device:
         return self.devices[rank]

@@ -46,10 +46,6 @@ class Device:
     uid: int = field(default_factory=lambda: next(_device_counter))
 
     @property
-    def is_host(self) -> bool:
-        return self.kind is DeviceType.CPU
-
-    @property
     def metric_label(self) -> str:
         """Stable label for this device in metric series (e.g. ``gpu0``)."""
         return f"{self.kind.value}{self.index}"

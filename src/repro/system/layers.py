@@ -131,7 +131,7 @@ def _observed(cmd, tid: str, pid: str, body: Callable[[], None], halo: bool) -> 
 
     def observed_copy() -> None:
         with span(name, cat="copy", pid=pid, tid=tid, nbytes=nbytes) as sp:
-            body()  # observed latency includes any retry/backoff — that IS the cost
+            body()  # observed latency includes any retries — that IS the cost
         if halo:
             sent.inc(nbytes)
             messages.inc()

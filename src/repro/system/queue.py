@@ -101,11 +101,6 @@ class Event:
     def is_recorded(self) -> bool:
         return self.recorded_in is not None
 
-    @property
-    def is_signaled(self) -> bool:
-        """Whether the current replay has retired this event's record."""
-        return self._signal.is_set()
-
     def signal(self) -> None:
         """Mark the event complete for the current replay (thread-safe)."""
         self._signal.set()

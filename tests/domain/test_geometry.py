@@ -58,13 +58,16 @@ def test_csg_algebra():
     assert geo.difference(a, b).sum() == 12
 
 
-def test_ensure_partitionable():
+def test_grid_rejects_slabs_too_thin_for_the_halo():
+    from repro.domain import STENCIL_7PT, SparseGrid
+    from repro.system import Backend
+
     m = geo.full((8, 4, 4))
-    assert geo.ensure_partitionable(m, 4, radius=1) is m
-    with pytest.raises(ValueError, match="slices"):
-        geo.ensure_partitionable(m, 8, radius=1)
-    with pytest.raises(ValueError, match="active"):
-        geo.ensure_partitionable(np.zeros((8, 4), dtype=bool), 2)
+    assert SparseGrid(Backend.sim_gpus(4), mask=m, stencils=[STENCIL_7PT]).num_devices == 4
+    with pytest.raises(ValueError, match="slabs of ~1 slices"):
+        SparseGrid(Backend.sim_gpus(8), mask=m, stencils=[STENCIL_7PT])
+    with pytest.raises(ValueError, match="no active cells"):
+        SparseGrid(Backend.sim_gpus(2), mask=np.zeros((8, 4, 4), dtype=bool), stencils=[STENCIL_7PT])
 
 
 @settings(max_examples=20, deadline=None)

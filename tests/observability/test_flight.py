@@ -68,25 +68,14 @@ def test_permanent_device_loss_dump_names_failing_site(tmp_path):
     event carries the failing command's site key."""
     import pytest
 
-    from repro.resilience import (
-        DeviceLost,
-        FaultPlan,
-        RecoveryPolicy,
-        ResilientDriver,
-    )
+    from repro.resilience import DeviceLost, FaultPlan, ResilientDriver
     from repro.system import Backend
     from tests.resilience.test_runner import CountingApp
 
     flight.configure(dump_dir=str(tmp_path))
-    plan = FaultPlan(seed=0, device_loss={1: 1})
-    driver = ResilientDriver(
-        CountingApp,
-        Backend.sim_gpus(2),
-        steps=4,
-        plan=plan,
-        # min_devices == device count: losing any device is terminal
-        policy=RecoveryPolicy(min_devices=2),
-    )
+    # a one-device fleet: losing its device leaves nothing to degrade onto
+    plan = FaultPlan(seed=0, device_loss={0: 1})
+    driver = ResilientDriver(CountingApp, Backend.sim_gpus(1), steps=4, plan=plan)
     with pytest.raises(DeviceLost):
         driver.run()
 
@@ -96,13 +85,13 @@ def test_permanent_device_loss_dump_names_failing_site(tmp_path):
     assert doc["schema"] == "repro-flight/1"
     faults = [
         e
-        for e in doc["tracks"].get("device1", [])
+        for e in doc["tracks"].get("device0", [])
         if e["kind"] == "fault" and e.get("detail", {}).get("kind") == "device_lost"
     ]
     assert faults, f"no device_lost fault event in dump tracks: {sorted(doc['tracks'])}"
     # the site key names the command that touched the lost device
     assert "@" in faults[0]["name"]
-    assert faults[0]["detail"]["rank"] == 1
+    assert faults[0]["detail"]["rank"] == 0
 
 
 def test_kind_counts_tallies_surviving_events_across_tracks():

@@ -1,8 +1,8 @@
-"""The adaptive driver: tuned degradation, budgets, fallback.
+"""The adaptive driver: tuned degradation, measured recovery, fallback.
 
 These tests close the loop the runner promises: a heterogeneous fleet
 that loses devices re-partitions with *tuned* shares (and the DES says
-by how much that wins), recovery time is a budget with a typed overrun,
+by how much that wins), recovery time is measured but never acted on,
 hopeless degradations fail fast before a half-built app exists, and a
 tampered checkpoint costs one generation — never the run.
 """
@@ -20,7 +20,6 @@ from repro.resilience import (
     DeviceLost,
     FaultExhausted,
     FaultPlan,
-    RecoveryBudgetExceeded,
     RecoveryPolicy,
     ResilientDriver,
     degraded_backend,
@@ -266,21 +265,9 @@ def test_degrade_over_capacity_is_typed_with_byte_shortfall():
     assert any("DegradeOverCapacity" in p for p in flight.FLIGHT.dumps)
 
 
-# -- recovery budget ---------------------------------------------------------
-def test_recovery_budget_overrun_raises_typed_error_with_post_mortem():
-    policy = RecoveryPolicy(checkpoint_interval=2, max_recovery_seconds=0.0)
-    exc = FaultExhausted("launch", "site", 4)
-    driver = ResilientDriver(
-        lambda b, **kw: FlakyApp(b, fail_at=3, exc=exc), Backend.sim_gpus(2), 6, policy=policy
-    )
-    with pytest.raises(RecoveryBudgetExceeded) as ei:
-        driver.run()
-    assert isinstance(ei.value, FaultExhausted)  # escalation stays in-family
-    assert ei.value.spent > 0.0 and ei.value.budget == 0.0
-    assert any("RecoveryBudgetExceeded" in p for p in flight.FLIGHT.dumps)
-
-
+# -- recovery time ------------------------------------------------------------
 def test_recovery_budget_unset_never_trips():
+    """Recovery wall-clock is reported; no amount of it stops a run."""
     exc = FaultExhausted("launch", "site", 4)
     driver = ResilientDriver(
         lambda b, **kw: FlakyApp(b, fail_at=3, exc=exc),

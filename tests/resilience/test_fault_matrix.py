@@ -15,7 +15,7 @@ import pytest
 
 from repro import resilience as res
 from repro.bench.chaos import CHAOS_SPECS, PROFILES, _backend, chaos_spec, run_chaos
-from repro.resilience import CorruptionDetected, FaultPlan, RecoveryPolicy, RetryPolicy
+from repro.resilience import CorruptionDetected, FaultPlan, RecoveryPolicy
 from repro.system import ParallelEngine
 from repro.workloads import build, resilient_factory
 
@@ -65,11 +65,11 @@ def test_same_seed_reproduces_the_same_fault_history():
 
 
 def test_corruption_without_recovery_is_never_silent():
-    # with rollback disabled ("raise"), an injected corruption must surface
-    # as a typed error — the run may also happen to dodge every draw, but a
-    # wrong silent answer is forbidden
+    # with rollback disabled (max_rollbacks=0), an injected corruption must
+    # surface as a typed error — the run may also happen to dodge every
+    # draw, but a wrong silent answer is forbidden
     with pytest.raises(CorruptionDetected):
-        run_chaos("poisson", profile="corruption", seed=1234, policy=RecoveryPolicy(divergence="raise"))
+        run_chaos("poisson", profile="corruption", seed=1234, policy=RecoveryPolicy(max_rollbacks=0))
 
 
 def test_loss_profile_requires_two_devices():
@@ -116,13 +116,12 @@ def test_a_fault_that_exhausts_a_recovery_action_costs_one_more_rollback(seed):
     build / restore is retried under advanced draw counters and the job
     finishes bitwise, instead of dying with most of its budget unspent."""
     plan = FaultPlan(seed, launch=0.25, copy=0.25)
-    retry = RetryPolicy(max_attempts=2, base_delay=0.0)
-    policy = RecoveryPolicy(checkpoint_interval=2, max_rollbacks=1000, retry=retry)
+    policy = RecoveryPolicy(checkpoint_interval=2, max_rollbacks=1000, max_attempts=2)
     driver, got, want = _driven("poisson", plan, policy, steps=4)
     assert np.array_equal(got, want)
     assert 2 < driver.rollbacks <= 1000
 
-    none = RecoveryPolicy(checkpoint_interval=2, max_rollbacks=0, retry=retry)
+    none = RecoveryPolicy(checkpoint_interval=2, max_rollbacks=0, max_attempts=2)
     with pytest.raises(res.FaultExhausted):
         _driven("poisson", FaultPlan(seed, launch=0.25, copy=0.25), none, steps=4)
 
@@ -147,9 +146,7 @@ def test_harsh_plan_recovers_bitwise_when_worker_faults_abort_parallel_batches(n
             raise
 
     monkeypatch.setattr(ParallelEngine, "execute", counting)
-    policy = RecoveryPolicy(
-        checkpoint_interval=2, max_rollbacks=400, retry=RetryPolicy(max_attempts=3, base_delay=0.0)
-    )
+    policy = RecoveryPolicy(checkpoint_interval=2, max_rollbacks=400, max_attempts=3)
     for seed in (1, 2, 3):
         plan = FaultPlan(seed, launch=0.2, copy=copy, corrupt=0.005)
         _driver, got, want = _driven(name, plan, policy, mode="parallel")

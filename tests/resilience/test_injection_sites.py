@@ -15,7 +15,6 @@ from repro.resilience import (
     FaultExhausted,
     FaultPlan,
     RecoveryPolicy,
-    RetryPolicy,
 )
 from repro.skeleton import Skeleton
 from repro.skeleton.executor import scan_non_finite
@@ -44,7 +43,7 @@ def build(devices=2, shape=(4, 4, 4)):
 
 def test_disarmed_layer_injects_nothing():
     plan = FaultPlan(seed=0, launch=1.0, copy=1.0, alloc=1.0, corrupt=1.0)
-    with res.session(Backend.sim_gpus(2), plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=1))):
+    with res.session(Backend.sim_gpus(2), plan, RecoveryPolicy(max_attempts=1)):
         backend, grid, u = build()  # allocates and fills beside the armed backend
         assert backend.session.faults is None
         sk = Skeleton(backend, [make_increment(grid, u)], name="calm")
@@ -59,7 +58,7 @@ def test_launch_faults_absorbed_by_queue_retry():
     backend, grid, u = build()
     plan = FaultPlan(seed=3, launch=0.4)
     sk = Skeleton(backend, [make_increment(grid, u)], name="retrying")
-    with res.session(backend, plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=6))):
+    with res.session(backend, plan, RecoveryPolicy(max_attempts=6)):
         for _ in range(10):
             sk.run()
     assert plan.injected("launch") > 0
@@ -70,7 +69,7 @@ def test_launch_fault_exhaustion_surfaces_typed_error():
     backend, grid, u = build()
     plan = FaultPlan(seed=0, launch=1.0)
     sk = Skeleton(backend, [make_increment(grid, u)], name="doomed")
-    with res.session(backend, plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=2, base_delay=0.0))):
+    with res.session(backend, plan, RecoveryPolicy(max_attempts=2)):
         with pytest.raises(FaultExhausted):
             sk.run()
 
@@ -78,7 +77,7 @@ def test_launch_fault_exhaustion_surfaces_typed_error():
 def test_copy_faults_injected_on_halo_exchange():
     backend, grid, u = build()
     plan = FaultPlan(seed=1, copy=0.5)
-    with res.session(backend, plan, RecoveryPolicy(retry=RetryPolicy(max_attempts=8))):
+    with res.session(backend, plan, RecoveryPolicy(max_attempts=8)):
         u.sync_halo_now()
         u.sync_halo_now()
     assert plan.injected("copy") > 0
@@ -96,7 +95,7 @@ def test_corruption_injected_into_owned_cells_only():
     backend, grid, u = build()
     plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
     sk = Skeleton(backend, [make_increment(grid, u)], name="sdc")
-    with res.session(backend, plan, RecoveryPolicy(divergence="log")):
+    with res.session(backend, plan), pytest.raises(CorruptionDetected):
         sk.run()
     assert plan.injected("corrupt") == 1
     # exactly one owned cell poisoned (NaN or Inf) ...
@@ -111,25 +110,9 @@ def test_guardrail_rolls_corruption_into_typed_error():
     backend, grid, u = build()
     plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
     sk = Skeleton(backend, [make_increment(grid, u)], name="guarded")
-    with res.session(backend, plan, RecoveryPolicy(divergence="rollback")):
+    with res.session(backend, plan):
         with pytest.raises(CorruptionDetected, match="u"):
             sk.run()
-
-
-def test_guardrail_log_policy_only_counts():
-    backend, grid, u = build()
-    plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
-    sk = Skeleton(backend, [make_increment(grid, u)], name="logged")
-    with res.session(backend, plan, RecoveryPolicy(divergence="log")):
-        sk.run()  # must not raise
-
-
-def test_guardrail_off_policy_skips_scan():
-    backend, grid, u = build()
-    plan = FaultPlan(seed=2, corrupt=1.0, max_injections={"corrupt": 1})
-    sk = Skeleton(backend, [make_increment(grid, u)], name="unguarded")
-    with res.session(backend, plan, RecoveryPolicy(divergence="off")):
-        sk.run()  # corrupted, but nobody looks
 
 
 def test_scan_ignores_buffer_slack_but_sees_owned_cells():

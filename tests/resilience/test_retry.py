@@ -1,24 +1,27 @@
-"""Retry with exponential backoff: absorption, exhaustion, determinism."""
+"""Bounded retry of transient faults: absorption, exhaustion, no waiting."""
 
+import sys
+import time
+
+import numpy as np
 import pytest
 
 from repro import observability as obs
+from repro import resilience as res
 from repro.resilience import (
     FaultExhausted,
     FaultPlan,
     LaunchFault,
-    RetryPolicy,
+    RecoveryPolicy,
     TransientFault,
     run_with_retry,
 )
-
-
-def no_sleep(_):
-    pass
+from repro.skeleton import Skeleton
+from tests.resilience.test_injection_sites import build, make_increment
 
 
 def test_success_without_faults_is_one_attempt():
-    attempt = run_with_retry(lambda: None, "launch", "s", RetryPolicy(), None, sleep=no_sleep)
+    attempt = run_with_retry(lambda: None, "launch", "s", 4, None)
     assert attempt == 1
 
 
@@ -26,9 +29,7 @@ def test_injected_transients_are_absorbed():
     # inject exactly 2 faults, then the plan runs dry
     plan = FaultPlan(seed=0, launch=1.0, max_injections={"launch": 2})
     ran = []
-    attempt = run_with_retry(
-        lambda: ran.append(1), "launch", "s", RetryPolicy(max_attempts=4), plan, sleep=no_sleep
-    )
+    attempt = run_with_retry(lambda: ran.append(1), "launch", "s", 4, plan)
     assert attempt == 3
     assert ran == [1]  # the command itself ran exactly once
 
@@ -36,7 +37,7 @@ def test_injected_transients_are_absorbed():
 def test_exhaustion_raises_typed_error_with_context():
     plan = FaultPlan(seed=0, launch=1.0)
     with pytest.raises(FaultExhausted) as exc_info:
-        run_with_retry(lambda: None, "launch", "s", RetryPolicy(max_attempts=3), plan, sleep=no_sleep)
+        run_with_retry(lambda: None, "launch", "s", 3, plan)
     err = exc_info.value
     assert err.kind == "launch"
     assert err.site == "s"
@@ -51,7 +52,7 @@ def test_fn_raised_transients_also_retry():
         if next(fails):
             raise LaunchFault("s", 0)
 
-    attempt = run_with_retry(flaky, "launch", "s", RetryPolicy(max_attempts=4), None, sleep=no_sleep)
+    attempt = run_with_retry(flaky, "launch", "s", 4, None)
     assert attempt == 3
 
 
@@ -60,31 +61,7 @@ def test_non_transient_errors_propagate_untouched():
         raise ZeroDivisionError
 
     with pytest.raises(ZeroDivisionError):
-        run_with_retry(broken, "launch", "s", RetryPolicy(), None, sleep=no_sleep)
-
-
-def test_backoff_grows_geometrically_and_caps():
-    p = RetryPolicy(base_delay=0.001, max_delay=0.004, multiplier=2.0, jitter=0.0)
-    assert p.delay(1) == pytest.approx(0.001)
-    assert p.delay(2) == pytest.approx(0.002)
-    assert p.delay(3) == pytest.approx(0.004)
-    assert p.delay(4) == pytest.approx(0.004)  # capped
-
-
-def test_jitter_is_seeded_and_bounded():
-    p = RetryPolicy(base_delay=0.001, jitter=0.5)
-    d1 = p.delay(1, seed=7, site="s")
-    assert d1 == p.delay(1, seed=7, site="s")
-    assert 0.0005 <= d1 <= 0.0015
-    assert d1 != p.delay(1, seed=8, site="s")
-
-
-def test_sleep_receives_each_backoff_delay():
-    plan = FaultPlan(seed=0, copy=1.0, max_injections={"copy": 2})
-    slept = []
-    run_with_retry(lambda: None, "copy", "s", RetryPolicy(max_attempts=4), plan, sleep=slept.append)
-    assert len(slept) == 2
-    assert all(d > 0 for d in slept)
+        run_with_retry(broken, "launch", "s", 4, None)
 
 
 def test_retry_metrics_recorded():
@@ -92,7 +69,7 @@ def test_retry_metrics_recorded():
     obs.enable()
     try:
         plan = FaultPlan(seed=0, launch=1.0, max_injections={"launch": 2})
-        run_with_retry(lambda: None, "launch", "s", RetryPolicy(max_attempts=4), plan, sleep=no_sleep)
+        run_with_retry(lambda: None, "launch", "s", 4, plan)
         m = obs.OBS.metrics
         assert m.total("faults_injected") == 2
         assert m.total("retries") == 2
@@ -101,11 +78,36 @@ def test_retry_metrics_recorded():
 
 
 def test_invalid_policy_rejected():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(multiplier=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=2.0)
-    with pytest.raises(ValueError):
-        RetryPolicy().delay(0)
+    with pytest.raises(ValueError, match="max_attempts"):
+        RecoveryPolicy(max_attempts=0)
+
+
+def test_retries_never_sleep(monkeypatch):
+    """A seeded plan forces launch and copy retries; none of them waits,
+    since waiting cannot clear a fault the plan itself raised, and the
+    result is the fault-free one."""
+    real_sleep = time.sleep
+    slept = []
+
+    def refuse(seconds):
+        raise AssertionError(f"a retry slept {seconds} s")
+
+    def watch(frame, event, arg):  # also sees a sleep bound before the patch
+        if event == "c_call" and arg is real_sleep:
+            slept.append(frame.f_code.co_name)
+
+    monkeypatch.setattr(time, "sleep", refuse)
+    backend, grid, u = build()
+    sk = Skeleton(backend, [make_increment(grid, u)], name="patient")
+    plan = FaultPlan(seed=3, launch=0.3, copy=0.3)
+    sys.setprofile(watch)
+    try:
+        with res.session(backend, plan, RecoveryPolicy(max_attempts=6)):
+            for _ in range(6):
+                sk.run()
+                u.sync_halo_now()
+    finally:
+        sys.setprofile(None)
+    assert plan.injected("launch") > 0 and plan.injected("copy") > 0
+    assert not slept, f"retries slept in {slept}"
+    assert np.all(u.to_numpy() == 6.0)

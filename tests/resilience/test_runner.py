@@ -52,12 +52,12 @@ class CountingApp:
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError, match="divergence"):
-        RecoveryPolicy(divergence="explode")
     with pytest.raises(ValueError, match="checkpoint_interval"):
         RecoveryPolicy(checkpoint_interval=0)
-    with pytest.raises(ValueError):
-        RecoveryPolicy(min_devices=0)
+    with pytest.raises(ValueError, match="max_rollbacks"):
+        RecoveryPolicy(max_rollbacks=-1)
+    with pytest.raises(ValueError, match="checkpoint_generations"):
+        RecoveryPolicy(checkpoint_generations=0)
 
 
 def test_degraded_backend_shrinks_devices_and_machine():
@@ -68,10 +68,10 @@ def test_degraded_backend_shrinks_devices_and_machine():
     assert d.allocator.capacity_bytes == b.allocator.capacity_bytes
 
 
-def test_degraded_backend_respects_min_devices():
-    b = Backend.sim_gpus(2)
+def test_degraded_backend_refuses_when_no_device_survives():
+    b = Backend.sim_gpus(1)
     with pytest.raises(DeviceLost, match="cannot degrade"):
-        degraded_backend(b, lost_rank=1, min_devices=2)
+        degraded_backend(b, lost_rank=0)
 
 
 def test_driver_plain_run_without_faults():
@@ -106,14 +106,16 @@ def test_driver_rolls_back_on_corruption_by_default():
 
 
 def test_driver_corruption_raise_policy_propagates():
+    # max_rollbacks=0: surface the corruption, do not recover from it
     def factory(backend):
         return CountingApp(backend, fail_at=3, fail_with=CorruptionDetected(["u"]), fail_times=1)
 
     driver = ResilientDriver(
-        factory, Backend.sim_gpus(2), steps=6, policy=RecoveryPolicy(divergence="raise")
+        factory, Backend.sim_gpus(2), steps=6, policy=RecoveryPolicy(max_rollbacks=0)
     )
     with pytest.raises(CorruptionDetected):
         driver.run()
+    assert driver.rollbacks == 0
 
 
 def test_driver_max_rollbacks_bounds_livelock():
@@ -177,7 +179,7 @@ def test_session_restores_prior_state():
     with res.session(backend, plan) as outer:
         assert backend.session.faults is outer and outer.plan is plan
         assert isinstance(outer.policy, RecoveryPolicy)  # the default one
-        with res.session(backend, inner, RecoveryPolicy(divergence="off")):
+        with res.session(backend, inner, RecoveryPolicy(max_attempts=1)):
             assert backend.session.faults.plan is inner
         assert backend.session.faults is outer
     assert backend.session.faults is None

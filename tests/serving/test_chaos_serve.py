@@ -24,6 +24,8 @@ POISSON = JobSpec.make("poisson", (8, 6, 6), 3, devices=2)
 #: a 12^3 cavity, 16 steps, so the loss trigger fires mid-run; a fault
 #: job runs its spec
 VICTIM = JobSpec.make("lbm", (12, 12, 12), 16, devices=3)
+#: the victim on one device: a loss leaves no survivor to degrade onto
+LONE = JobSpec.make("lbm", (12, 12, 12), 16, devices=1)
 
 SEED = 1234
 
@@ -100,14 +102,14 @@ def test_transient_faults_retry_per_policy_and_surface_budget_exhaustion():
     assert np.isfinite(ok.fingerprints["solution"]).all()
     assert obs.OBS.metrics.total("retries") >= 0  # retry path exists under obs
 
-    # a policy that forbids degrading below the full fleet fails *typed*
-    # when the device dies, and the failure is contained to its handle
+    # a fleet that runs out of devices fails *typed* when its last one
+    # dies, and the failure is contained to its handle
     with Gateway(workers=1) as gw:
         doomed = gw.submit(
             "v",
-            VICTIM,
-            faults=transient_and_loss(),
-            policy=res.RecoveryPolicy(checkpoint_interval=4, min_devices=VICTIM.devices),
+            LONE,
+            faults=res.FaultPlan(SEED, launch=0.05, copy=0.05, device_loss={0: 10}),
+            policy=res.RecoveryPolicy(checkpoint_interval=4),
         )
         bystander = gw.submit("steady", POISSON)
         with pytest.raises(JobFailed) as exc_info:
@@ -125,7 +127,7 @@ def test_fault_profile_job_solves_the_spec_it_was_submitted_with():
         JobSpec.make("lbm", (10, 6, 6), 6, devices=2, occ="extended", omega=1.2, lid_velocity=0.07),
         JobSpec.make("poisson", (8, 6, 6), 4, devices=2, rhs="ones"),
     ]
-    policy = res.RecoveryPolicy(retry=res.RetryPolicy(max_attempts=12), checkpoint_interval=2)
+    policy = res.RecoveryPolicy(max_attempts=12, checkpoint_interval=2)
     with Gateway(workers=1) as gw:
         for spec in specs:
             plain = gw.submit("plain", spec).result(timeout=600)
@@ -191,7 +193,7 @@ def test_plain_jobs_of_the_same_spec_run_untouched_beside_an_armed_fault_job():
             return super().decide(kind, site)
 
     plan = HeldPlan(SEED, launch=1.0)
-    once = res.RecoveryPolicy(retry=res.RetryPolicy(max_attempts=1), max_rollbacks=0)
+    once = res.RecoveryPolicy(max_attempts=1, max_rollbacks=0)
     with Gateway(workers=2) as gw:
         doomed = gw.submit("victim", POISSON, faults=plan, policy=once)
         assert reached.wait(120), "the fault job never reached an injection site"

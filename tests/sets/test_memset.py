@@ -55,10 +55,12 @@ def test_host_logical_view_is_contiguous(backend):
 def test_h2d_then_d2h_roundtrip(backend):
     ms = MemSet(backend, [2, 3, 4], np.float64)
     ms.host[...] = np.arange(9, dtype=float)
-    ms.push_all()
+    for rank in range(ms.num_devices):
+        ms.update_device(rank, backend.new_queue(rank))
     assert np.array_equal(ms.partition(1).array, [2, 3, 4])
     ms.partition(1).array[...] = -1
-    ms.pull_all()
+    for rank in range(ms.num_devices):
+        ms.update_host(rank, backend.new_queue(rank))
     assert np.array_equal(ms.host, [0, 1, -1, -1, -1, 5, 6, 7, 8])
 
 

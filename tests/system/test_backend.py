@@ -18,14 +18,13 @@ def test_machine_resized_to_backend():
 
 def test_cpu_backend_is_single_cpu():
     be = Backend.cpu()
-    assert be.is_cpu
     assert be.num_devices == 1
     assert be.machine.name == "cpu-host"
     assert be.devices[0].kind is DeviceType.CPU
 
 
 def test_gpu_backend_not_cpu():
-    assert not Backend.sim_gpus(2).is_cpu
+    assert all(d.kind is DeviceType.GPU for d in Backend.sim_gpus(2).devices)
 
 
 def test_new_queue_binds_device():

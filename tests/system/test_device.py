@@ -50,6 +50,6 @@ def test_zero_gpu_count_rejected():
 def test_host_device_flag():
     from repro.system import HOST
 
-    assert HOST.is_host
+    assert HOST.kind is DeviceType.CPU
     assert HOST.index == -1
-    assert not DeviceSet.gpus(1)[0].is_host
+    assert DeviceSet.gpus(1)[0].kind is DeviceType.GPU

@@ -32,12 +32,10 @@ def engine():
 
 def test_event_signal_lifecycle():
     ev = Event("sig")
-    assert not ev.is_signaled
+    assert not ev.wait_signal(0.0)
     ev.signal()
-    assert ev.is_signaled
     assert ev.wait_signal(0.0)
     ev.reset_signal()
-    assert not ev.is_signaled
     assert not ev.wait_signal(0.0)
 
 
