@@ -474,7 +474,7 @@ COMMANDS = (
     Command("info", "package and machine-model summary", None, run_info),
     Command("trace", "run an instrumented miniature and export a Chrome trace", args_trace, run_trace, True),
     Command("sanitize", "race-sanitize a miniature's compiled schedule", args_sanitize, run_sanitize, True),
-    Command("tune", "autotune one experiment on one machine model", args_tune, run_tune),
+    Command("tune", "tune one experiment on one machine model", args_tune, run_tune),
     Command("report", "performance observatory dashboard", args_report, run_report),
     Command("chaos", "fault harness: a seeded fault profile (default the storm) with a bitwise bar", args_chaos, run_chaos, True),
     Command("serve", "multi-tenant gateway smoke: mixed jobs through the plan cache", args_serve, run_serve, True),

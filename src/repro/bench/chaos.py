@@ -40,8 +40,8 @@ import numpy as np
 
 from repro import resilience as res
 from repro.observability import flight as _flight
-from repro.sim import mixed_pcie
-from repro.skeleton import check_trace_dependencies, simulate_result
+from repro.sim import mixed_pcie, sim_replay
+from repro.skeleton import check_trace_dependencies
 from repro.system import Backend
 from repro.workloads import JobSpec, build, check_experiment, resilient_factory
 
@@ -360,7 +360,7 @@ def run_chaos(
     violations = 0
     for sk in app.skeletons:
         recorded = sk.record()
-        violations += len(check_trace_dependencies(recorded, simulate_result(recorded)))
+        violations += len(check_trace_dependencies(recorded, sim_replay(recorded, sk.backend.machine)))
 
     got = app.result_array()
     return ChaosReport(

@@ -4,7 +4,7 @@ The layer every other ``repro`` package reports into, and the substrate
 for before/after artifacts in performance work.  Three pieces:
 
 * :mod:`repro.observability.tracer`  — nested wall-clock spans
-  (context-manager / decorator API, monotonic timestamps, thread-safe);
+  (context-manager API, monotonic timestamps, thread-safe);
 * :mod:`repro.observability.metrics` — labeled counters / gauges /
   histograms (``halo_bytes_sent{src,dst}``, ``kernel_launches{device}``,
   ``sync_waits{queue}``, ``allocations_bytes{device}``, ...);
@@ -32,8 +32,6 @@ cycles.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .critpath import critical_path, dependency_chain, device_utilization
 from .export import merge_chrome_traces, write_chrome_trace
@@ -126,24 +124,6 @@ def instant(name: str, cat: str = "mark", pid: str = "host", tid: str | None = N
     return tracer().instant(name, cat=cat, pid=pid, tid=tid, **args)
 
 
-def traced(name: str | None = None, cat: str = "func", pid: str = "host"):
-    """Decorator tracing every call of a function as one span."""
-
-    def wrap(fn):
-        span_name = name or f"{fn.__module__}.{fn.__qualname__}"
-
-        @functools.wraps(fn)
-        def inner(*a, **kw):
-            if not OBS.active:
-                return fn(*a, **kw)
-            with tracer().span(span_name, cat=cat, pid=pid):
-                return fn(*a, **kw)
-
-        return inner
-
-    return wrap
-
-
 def metrics_report() -> str:
     """Markdown table of every recorded metric series."""
     return metrics().to_markdown()
@@ -188,7 +168,6 @@ __all__ = [
     "metrics_report",
     "reset",
     "span",
-    "traced",
     "tracer",
     "write_chrome_trace",
 ]

@@ -39,22 +39,21 @@ import json
 import os
 from collections import deque
 
-__all__ = ["FLIGHT", "FlightRecorder", "record", "dump", "configure", "reset"]
+__all__ = ["FLIGHT", "FlightRecorder", "record", "dump", "reset"]
 
 
 class FlightRecorder:
     """Per-track bounded ring buffers plus the dump machinery.
 
-    Slotted, like ``_ObsState``: the hot path reads ``enabled`` and calls
-    :meth:`record`; everything else is cold.
+    Slotted, like ``_ObsState``: the hot path is :meth:`record`;
+    everything else is cold.
     """
 
-    __slots__ = ("enabled", "capacity", "dump_dir", "tracks", "records", "dumps", "_seq")
+    __slots__ = ("capacity", "dump_dir", "tracks", "records", "dumps", "_seq")
 
     DEFAULT_CAPACITY = 64
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, dump_dir: str = ".") -> None:
-        self.enabled = True
         self.capacity = capacity
         self.dump_dir = dump_dir
         self.tracks: dict[str, deque] = {}
@@ -122,34 +121,17 @@ class FlightRecorder:
 
 
 FLIGHT = FlightRecorder()
-"""The process-global recorder; sites guard on ``FLIGHT.enabled``."""
+"""The process-global recorder; it is always on."""
 
 
 def record(track: str, kind: str, name: str, detail: dict | None = None) -> None:
-    """Module-level convenience: append one event if recording is on."""
-    if FLIGHT.enabled:
-        FLIGHT.record(track, kind, name, detail)
+    """Module-level convenience: append one event to :data:`FLIGHT`."""
+    FLIGHT.record(track, kind, name, detail)
 
 
-def dump(reason: str, context: dict | None = None) -> str | None:
-    """Dump the rings to a ``FLIGHT_*.json`` artifact (None if disabled)."""
-    if not FLIGHT.enabled:
-        return None
+def dump(reason: str, context: dict | None = None) -> str:
+    """Dump the rings to a ``FLIGHT_*.json`` artifact; return its path."""
     return FLIGHT.dump(reason, context)
-
-
-def configure(capacity: int | None = None, dump_dir: str | None = None, enabled: bool | None = None):
-    """Adjust the global recorder; existing rings keep their events
-    unless ``capacity`` changes (which rebuilds them bounded anew)."""
-    if capacity is not None and capacity != FLIGHT.capacity:
-        FLIGHT.capacity = capacity
-        for track, ring in list(FLIGHT.tracks.items()):
-            FLIGHT.tracks[track] = deque(ring, maxlen=capacity)
-    if dump_dir is not None:
-        FLIGHT.dump_dir = dump_dir
-    if enabled is not None:
-        FLIGHT.enabled = enabled
-    return FLIGHT
 
 
 def reset() -> None:

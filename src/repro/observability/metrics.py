@@ -17,9 +17,10 @@ the three percentiles for dashboards and reports; no result-affecting
 decision reads them.
 
 Long-running servers must not leak series: the registry caps the number
-of distinct label-sets per metric name (``max_label_sets``).  Past the
-cap, observations collapse into a single ``overflow="true"`` series for
-that name and a warning counter (:attr:`MetricsRegistry.label_overflows`)
+of distinct label-sets per metric name at
+:attr:`MetricsRegistry.MAX_LABEL_SETS` (256).  Past the cap,
+observations collapse into a single ``overflow="true"`` series for that
+name and a warning counter (:attr:`MetricsRegistry.label_overflows`)
 records how many label-sets were folded, so unbounded per-step or
 per-site labels degrade gracefully instead of growing without bound.
 """
@@ -240,21 +241,20 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe home for every labeled metric series.
 
-    ``max_label_sets`` bounds the number of distinct label combinations
-    one metric name may grow; see the module docstring for the overflow
-    behaviour.
+    :attr:`MAX_LABEL_SETS` bounds the number of distinct label
+    combinations one metric name may grow; see the module docstring for
+    the overflow behaviour.
     """
 
+    #: distinct label-sets one metric name may grow before it overflows
+    MAX_LABEL_SETS = 256
     #: reserved label marking the fold-over series of a capped metric
     OVERFLOW_LABELS = {"overflow": "true"}
 
-    def __init__(self, max_label_sets: int = 256) -> None:
-        if max_label_sets < 1:
-            raise ValueError("max_label_sets must be >= 1")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._series: dict[SeriesKey, object] = {}
         self._cardinality: dict[str, int] = {}
-        self.max_label_sets = max_label_sets
         self.label_overflows: dict[str, int] = {}
         self.updates = 0  # instrumentation events, for overhead accounting
 
@@ -264,7 +264,7 @@ class MetricsRegistry:
             self.updates += 1
             series = self._series.get(key)
             if series is None:
-                if self._cardinality.get(name, 0) >= self.max_label_sets:
+                if self._cardinality.get(name, 0) >= self.MAX_LABEL_SETS:
                     # cardinality guard: fold this label-set into the
                     # per-name overflow series instead of growing forever
                     self.label_overflows[name] = self.label_overflows.get(name, 0) + 1

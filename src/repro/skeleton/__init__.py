@@ -9,12 +9,12 @@ from .depgraph import (
     build_dependency_graph,
     containers_to_nodes,
 )
-from .executor import DependencyViolation, check_trace_dependencies, simulate_result
+from .executor import DependencyViolation, check_trace_dependencies
 from .fusion import FUSION, FusedStep, fuse_program
 from .mgraph import build_multi_gpu_graph, expand_with_halo_nodes
 from .occ import Occ, OccReport, apply_occ
 from .scheduler import CompiledProgram, ExecutionResult, Plan, ScheduleStats
-from .skeleton import Skeleton, TuneDecision
+from .skeleton import Skeleton
 
 __all__ = [
     "FUSION",
@@ -32,7 +32,6 @@ __all__ = [
     "ScheduleStats",
     "Scope",
     "Skeleton",
-    "TuneDecision",
     "apply_occ",
     "build_dependency_graph",
     "build_multi_gpu_graph",
@@ -40,5 +39,4 @@ __all__ = [
     "containers_to_nodes",
     "expand_with_halo_nodes",
     "fuse_program",
-    "simulate_result",
 ]

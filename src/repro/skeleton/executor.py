@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import observability as _obs
 from repro import resilience as _res
-from repro.sim import MachineSpec, Trace, simulate
+from repro.sim import Trace
 
 from .scheduler import ExecutionResult, Plan
 
@@ -87,12 +87,6 @@ def check_trace_dependencies(result: ExecutionResult, trace: Trace) -> list[Depe
                     if p.end > c.start + 1e-15:
                         violations.append(DependencyViolation(prod, cons, p.end, c.start))
     return violations
-
-
-def simulate_result(result: ExecutionResult, machine: MachineSpec | None = None) -> Trace:
-    """Run the DES over an execution's recorded queues."""
-    machine = machine or result.plan.backend.machine
-    return simulate(result.queues, machine)
 
 
 _SCAN_CHUNK_ELEMS = 1 << 18  # ~2 MiB of float64 per isfinite temporary

@@ -57,9 +57,11 @@ the armed layer set: bare, the precomposed closure itself; otherwise the
 constituents' *own* closures — the same specialised kernels — each
 wrapped once by :func:`repro.system.layers.lower`, so fault sites,
 sanitizer records and per-kernel spans are those of the unfused program.
-A specialised kernel or dense halo copy is an op table
-(:mod:`repro.codegen.table`), and a bare *serial* replay goes one step
-further (:func:`lower_serial`): every maximal run of consecutive
+Either way the always-on flight recorder (:mod:`repro.observability.flight`)
+gets one ring slot per host call bare and one per step instrumented; no
+lowering runs without it.  A specialised kernel or dense halo copy is an
+op table (:mod:`repro.codegen.table`), and a bare *serial* replay goes
+one step further (:func:`lower_serial`): every maximal run of consecutive
 table-carrying units becomes one table — one host call — with the units
 whose closure is still Python left in place between the runs.
 
@@ -136,17 +138,17 @@ class FusedStep:
         if not self.sites:
             self.sites = tuple(s.site for s in self.steps)
 
-    def lower(self, layers: Mapping[str, object], flight: bool) -> Callable[[], None]:
+    def lower(self, layers: Mapping[str, object]) -> Callable[[], None]:
         """The callable that runs this unit under ``layers``: bare, ``fn``
-        (behind one ring slot for the unit when ``flight``); otherwise each
-        constituent instrumented as its own step, inside a ``cat="fused"``
-        envelope span when observability sees a batch."""
+        behind one flight-ring slot for the unit; otherwise each constituent
+        instrumented as its own step behind its own slot, inside a
+        ``cat="fused"`` envelope span when observability sees a batch."""
         if not layers:
-            return partial(_ringed, (self.pid, self.kind, self.site), self.fn) if flight else self.fn
-        pairs = zip(self.steps, self.fns)
-        runs = [_layers.lower(s.command, s.queue, layers, fn, halo=s.kind == "copy") for s, fn in pairs]
-        if flight:  # always-on black box: one slot per step, carrying its site key
-            runs = [partial(_ringed, (s.pid, s.kind, s.site), run) for s, run in zip(self.steps, runs)]
+            return partial(_ringed, (self.pid, self.kind, self.site), self.fn)
+        runs = []
+        for s, fn in zip(self.steps, self.fns):
+            run = _layers.lower(s.command, s.queue, layers, fn, halo=s.kind == "copy")
+            runs.append(partial(_ringed, (s.pid, s.kind, s.site), run))
         if len(runs) == 1:
             return runs[0]
         if "obs" not in layers:
@@ -173,7 +175,7 @@ def segments(dispatch: list) -> list[list[FusedStep]]:
     return out
 
 
-def lower_serial(dispatch: list, flight: bool) -> list[Callable[[], None]]:
+def lower_serial(dispatch: list) -> list[Callable[[], None]]:
     """The bare serial lowering: one callable per segment, in dispatch order.
 
     A run of table units is the concatenation of their tables behind one
@@ -187,11 +189,11 @@ def lower_serial(dispatch: list, flight: bool) -> list[Callable[[], None]]:
     for units in segments(dispatch):
         head = units[0]
         if not isinstance(head.fn, Table):
-            runs.append(head.lower({}, flight))
+            runs.append(head.lower({}))
             continue
         table = concat([u.fn for u in units])
         slot = (head.pid, "program", f"{head.sites[0]}+{len(table.ops)}ops")
-        runs.append(partial(_ringed, slot, table) if flight else table)
+        runs.append(partial(_ringed, slot, table))
     return runs
 
 

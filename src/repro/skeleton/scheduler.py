@@ -23,10 +23,10 @@ flow through to its consumers.
 
 Replay has one shape: freezing always yields dispatch units
 (:mod:`repro.skeleton.fusion`), and ``Plan.execute`` reads the armed
-layers (process-wide observability and flight recorder; the fault
-session and sanitizer log of its own backend) once per call, then calls
-the program's lowering for that set — one callable per unit, wrappers
-already composed.  A layer armed or disarmed *during* a replay takes
+layers (process-wide observability; the fault session and sanitizer log
+of its own backend) once per call, then calls the program's lowering for
+that set — one callable per unit, wrappers and flight-ring slot already
+composed.  A layer armed or disarmed *during* a replay takes
 effect at the next one.
 """
 
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import threading
 
 from repro import observability as _obs
-from repro.observability.flight import FLIGHT as _FLIGHT
 from repro.sets import Container, DataView, ReduceMode
 from repro.sets.loader import Loader
 from repro.system import (
@@ -130,11 +129,11 @@ class CompiledProgram:
     stats: ScheduleStats
     dispatch: list[FusedStep] = field(default_factory=list)
     fused_heads: dict[Command, FusedStep] = field(default_factory=dict)
-    # bool(layers) -> (key, runners): only the bare lowering and the latest
-    # instrumented one are kept, so dead registries are never accumulated
+    # bool(layers) -> (layers, runners): only the bare lowering and the
+    # latest instrumented one are kept, so dead registries are never accumulated
     _lowered: dict[bool, tuple] = field(default_factory=dict, repr=False)
 
-    def runners(self, layers: Mapping[str, object], flight: bool) -> tuple[dict[Command, Callable[[], None]], list]:
+    def runners(self, layers: Mapping[str, object]) -> tuple[dict[Command, Callable[[], None]], list]:
         """``(by_head, host_calls)``: head command -> the callable that runs
         its unit, in dispatch order (what the engine looks up), and the
         callables a serial replay runs — the same ones under any layer, the
@@ -142,12 +141,11 @@ class CompiledProgram:
         Re-lowered when ``layers`` (:meth:`repro.system.layers.Session.layers`:
         the armed layers and the tracer / registry / fault session / log
         their wrappers close over) has changed since the last replay."""
-        key = (layers, flight)
         cached = self._lowered.get(bool(layers))
-        if cached is None or cached[0] != key:
-            by_head = {cmd: unit.lower(layers, flight) for cmd, unit in self.fused_heads.items()}
-            host_calls = list(by_head.values()) if layers else lower_serial(self.dispatch, flight)
-            cached = self._lowered[bool(layers)] = (key, by_head, host_calls)
+        if cached is None or cached[0] != layers:
+            by_head = {cmd: unit.lower(layers) for cmd, unit in self.fused_heads.items()}
+            host_calls = list(by_head.values()) if layers else lower_serial(self.dispatch)
+            cached = self._lowered[bool(layers)] = (layers, by_head, host_calls)
         return cached[1:]
 
 
@@ -176,9 +174,6 @@ class Plan:
         self.graph = graph
         self.backend = backend
         self.reuse_parent_streams = reuse_parent_streams
-        #: execution mode used when ``execute``/``run`` gets ``mode=None``;
-        #: the autotuner overwrites this with the mode it selected
-        self.default_mode = "serial"
         #: tri-state fusion override: None follows the process default
         #: (``fusion.FUSION.enabled``) at freeze time; set True/False
         #: before the first ``execute()`` to pin this plan either way
@@ -483,26 +478,23 @@ class Plan:
             engine.close()
 
     # -- phase c: execution -----------------------------------------------------
-    def execute(self, eager: bool = True, mode: str | None = None) -> ExecutionResult:
+    def execute(self, eager: bool = True, mode: str = "serial") -> ExecutionResult:
         """Replay the compiled program (freezing it on first use).
 
         ``eager=False`` returns the recorded queues without running any
         kernel (timing-only).  ``mode="serial"`` replays on the host in
         task-list order; ``mode="parallel"`` uses the per-device worker
-        thread engine; ``mode=None`` uses :attr:`default_mode` (serial
-        unless the autotuner chose otherwise); any other value raises
-        ``ValueError``.  The armed layers and the flight switch are read
-        once, here; a fault raised in a parallel worker aborts the batch
-        and re-raises on the host, where recovery takes it from.
+        thread engine; any other value raises ``ValueError``.  The armed
+        layers are read once, here; a fault raised in a parallel worker
+        aborts the batch and re-raises on the host, where recovery takes
+        it from.
         """
-        if mode is None:
-            mode = self.default_mode
         if mode not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}")
         with _obs.span("plan.execute", cat="phase", eager=eager, mode=mode):
             program = self._ensure_program()
             if eager:
-                runners, host_calls = program.runners(self.backend.session.layers(), _FLIGHT.enabled)
+                runners, host_calls = program.runners(self.backend.session.layers())
                 with _obs.span(f"plan.replay.{mode}", cat="phase") as sp:
                     if mode == "parallel":
                         self._replay_parallel(program, runners)

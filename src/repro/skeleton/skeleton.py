@@ -11,40 +11,15 @@ the performance model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro import observability as _obs
 from repro.sets import Container
-from repro.sim import MachineSpec, Trace
-from repro.system import EXECUTION_MODES, Backend
+from repro.sim import MachineSpec, Trace, sim_replay
+from repro.system import Backend
 
-from .executor import check_trace_dependencies, enforce_divergence_guardrail, simulate_result
+from .executor import check_trace_dependencies, enforce_divergence_guardrail
 from .mgraph import build_multi_gpu_graph
 from .occ import Occ, OccReport, apply_occ
 from .scheduler import ExecutionResult, Plan
-
-
-@dataclass(frozen=True)
-class TuneDecision:
-    """What :meth:`Skeleton.autotune` chose, and why.
-
-    ``candidates`` holds every scored ``(occ, mode, makespan)`` triple;
-    ``baseline_makespan`` is the configuration the skeleton had before
-    tuning, so ``improvement`` is directly the fraction of simulated
-    time the adopted configuration saves.
-    """
-
-    occ: "Occ"
-    mode: str
-    makespan: float
-    baseline_makespan: float
-    candidates: tuple[tuple[str, str, float], ...]
-
-    @property
-    def improvement(self) -> float:
-        if self.baseline_makespan <= 0.0:
-            return 0.0
-        return 1.0 - self.makespan / self.baseline_makespan
 
 
 class Skeleton:
@@ -75,12 +50,10 @@ class Skeleton:
             _obs.OBS.metrics.counter("skeletons_compiled", occ=occ.value).inc()
         self.last_result: ExecutionResult | None = None
 
-    def run(self, mode: str | None = None) -> ExecutionResult:
+    def run(self, mode: str = "serial") -> ExecutionResult:
         """Execute once on the backend's devices; results land in the fields.
 
-        ``mode=None`` (default) uses the plan's default execution mode —
-        serial unless :meth:`autotune` selected otherwise.
-        ``mode="serial"`` replays the compiled program on the
+        ``mode="serial"`` (default) replays the compiled program on the
         host in task-list order — the exact historical semantics.
         ``mode="parallel"`` replays through the
         :class:`~repro.system.ParallelEngine`: one worker thread per
@@ -112,84 +85,15 @@ class Skeleton:
         """
         self.plan.close_engines()
 
-    def autotune(
-        self,
-        machine: MachineSpec | None = None,
-        occ_levels=None,
-        modes: tuple[str, ...] = EXECUTION_MODES,
-    ) -> TuneDecision:
-        """Pick the OCC level and execution mode with the best simulated
-        makespan, and adopt them in place.
-
-        Every candidate is scored by replaying its recorded command
-        stream through the DES under ``machine`` (no wall clock
-        involved).  The winning OCC's compiled plan replaces this
-        skeleton's, and the winning mode becomes the plan's default, so
-        subsequent ``run()`` calls use the tuned configuration.
-        Weights are not searched here — re-partitioning needs a grid
-        rebuild; see :func:`repro.tuner.tune_workload` for the full
-        search.
-        """
-        from repro.sim.replay import sim_makespan  # noqa: PLC0415 - keep sim out of hot imports
-
-        machine = machine or self.backend.machine
-        occ_levels = list(occ_levels) if occ_levels is not None else list(Occ)
-        baseline = sim_makespan(self.record(), machine, mode=self.plan.default_mode)
-        candidates: list[tuple[str, str, float]] = []
-        best: tuple[float, "Skeleton", Occ, str] | None = None
-        for occ in occ_levels:
-            sk = (
-                self
-                if occ is self.occ
-                else Skeleton(self.backend, self.containers, occ=occ, name=self.name)
-            )
-            rec = sk.record()
-            for mode in modes:
-                t = sim_makespan(rec, machine, mode=mode)
-                candidates.append((occ.value, mode, t))
-                if best is None or t < best[0]:
-                    best = (t, sk, occ, mode)
-        assert best is not None
-        makespan, winner, occ, mode = best
-        if winner is not self:
-            self.graph = winner.graph
-            self.occ_report = winner.occ_report
-            self.redundant_edges_removed = winner.redundant_edges_removed
-            self.plan = winner.plan
-            self.occ = occ
-        self.plan.default_mode = mode
-        return TuneDecision(
-            occ=occ.value,
-            mode=mode,
-            makespan=makespan,
-            baseline_makespan=baseline,
-            candidates=tuple(candidates),
-        )
-
     def trace(self, machine: MachineSpec | None = None, result: ExecutionResult | None = None) -> Trace:
         """Simulated timeline of one execution under the machine model."""
         result = result or self.last_result or self.record()
-        return simulate_result(result, machine)
-
-    def sanitize(self, mode: str = "serial", runs: int = 2):
-        """Replay under the race sanitizer; return the violation list.
-
-        Arms execution recording, replays the compiled program ``runs``
-        times in ``mode``, then runs the happens-before race detector,
-        halo-freshness and event-wiring checks over the frozen schedule
-        plus a coverage check over what actually retired.  An empty list
-        is the sanitizer's clean bill; findings are also published to
-        the observability layer (``sanitizer_violations`` counter +
-        instant trace events) when it is enabled.
-        """
-        from repro.sanitizer.runner import sanitize_skeleton  # noqa: PLC0415 - keep analysis out of hot imports
-
-        return sanitize_skeleton(self, mode=mode, runs=runs)
+        return sim_replay(result, machine or self.backend.machine)
 
     def validate(self, machine: MachineSpec | None = None) -> None:
         """Assert the stream/event wiring alone enforces all dependencies."""
         result = self.record()
-        trace = simulate_result(result, machine)
+        trace = sim_replay(result, machine or self.backend.machine)
         violations = check_trace_dependencies(result, trace)
         if violations:
             lines = "\n".join(str(v) for v in violations[:10])

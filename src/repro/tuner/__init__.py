@@ -11,9 +11,10 @@ Scores the recorded runtime on the simulator, before a run starts:
   benchmark scale, scored by DES replay of its recorded command stream
   (never a wall clock).
 
-Entry points: ``Skeleton.autotune(machine=...)`` for an existing
-skeleton (OCC x mode only — re-partitioning needs a grid rebuild), and
-:func:`tune_workload` / ``python -m repro tune`` for the full search.
+Entry point: :func:`tune_workload` / ``python -m repro tune``, the one
+tuner.  It only ever produces a :class:`TunePlan`, which a caller turns
+into a spec (OCC level, mode, weights) before compiling; a compiled
+skeleton never changes its OCC level or replay mode.
 """
 
 from .search import Candidate, TunePlan, record_candidate, tune_workload

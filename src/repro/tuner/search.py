@@ -172,21 +172,14 @@ class TunePlan:
         return Occ(self.best.occ)
 
 
-def tune_workload(
-    experiment: str,
-    machine: MachineSpec,
-    devices: int = 4,
-    occ_levels=None,
-    modes: tuple[str, ...] = EXECUTION_MODES,
-) -> TunePlan:
+def tune_workload(experiment: str, machine: MachineSpec, devices: int = 4) -> TunePlan:
     """Full tuner search for one workload on one machine.
 
     The baseline — what a user gets with no tuning — is the uniform
     split at :attr:`Occ.STANDARD` with serial host dispatch; its
-    makespan anchors :attr:`TunePlan.improvement`.
+    makespan anchors :attr:`TunePlan.improvement`.  The search space
+    is fixed: every OCC level x every execution mode x the weight options.
     """
-    occ_levels = list(occ_levels) if occ_levels is not None else list(Occ)
-
     # 1. probe: record the uniform workload once to derive the profile
     #    and the per-rank fixed costs, then let the cost model propose
     #    capability-proportional shares
@@ -208,9 +201,9 @@ def tune_workload(
     baseline: Candidate | None = None
     best: Candidate | None = None
     for weights in weight_options:
-        for occ in occ_levels:
+        for occ in Occ:
             plans, _ = record_candidate(experiment, machine, devices, occ=occ, partition_weights=weights)
-            for mode in modes:
+            for mode in EXECUTION_MODES:
                 t = sim_makespan_total(plans, machine, mode=mode)
                 cand = Candidate(occ=occ.value, mode=mode, weights=weights, makespan=t)
                 candidates.append(cand)
@@ -218,17 +211,7 @@ def tune_workload(
                     baseline = cand
                 if best is None or t < best.makespan:
                     best = cand
-    if baseline is None:
-        # the default configuration was excluded from the search space;
-        # score it separately so improvement stays anchored
-        plans, _ = record_candidate(experiment, machine, devices)
-        baseline = Candidate(
-            occ=Occ.STANDARD.value,
-            mode="serial",
-            weights=None,
-            makespan=sim_makespan_total(plans, machine, mode="serial"),
-        )
-    assert best is not None
+    assert best is not None and baseline is not None
     return TunePlan(
         experiment=experiment,
         machine=machine.name,

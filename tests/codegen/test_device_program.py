@@ -80,7 +80,7 @@ def test_tables_equal_unit_by_unit_equal_interpreted(experiment, devices, occ, m
     job = spec(experiment, devices, occ)
     tables = fingerprints(job)
     with monkeypatch.context() as patch:  # every unit's own closure, in dispatch order
-        patch.setattr(scheduler, "lower_serial", lambda dispatch, flight: [unit.fn for unit in dispatch])
+        patch.setattr(scheduler, "lower_serial", lambda dispatch: [unit.fn for unit in dispatch])
         assert fingerprints(job) == tables
     monkeypatch.setenv("REPRO_DISABLE_CC", "1")  # every hook declines: the NumPy closures
     assert fingerprints(job) == tables
@@ -95,7 +95,7 @@ def test_fully_specialised_programs_are_one_host_call(experiment, devices, occ):
     for program in programs(app):
         stats = program.stats
         assert stats.host_calls == (1 if HAVE_CC else stats.dispatch_units), stats
-        assert len(program.runners({}, flight=True)[1]) == stats.host_calls
+        assert len(program.runners({})[1]) == stats.host_calls
         assert stats.dispatch_units == len(program.dispatch) > 1 or devices == 1
 
 
@@ -201,18 +201,19 @@ def test_lowered_runner_pins_fields_and_slots():
     want = [a.tobytes() for a in _payloads(reference.cg)]
 
     solver = _poisson()
-    (runner,) = solver.cg.sk_a.plan._ensure_program().runners({}, flight=False)[1]
+    (runner,) = solver.cg.sk_a.plan._ensure_program().runners({})[1]
+    _slot, table = runner.args  # one flight-ring slot around the table
     watched = [weakref.ref(a) for a in _payloads(solver.cg)]
     for sk in (solver.cg.sk_init, solver.cg.sk_a, solver.cg.sk_b):
         sk.close()
     del solver, sk
     gc.collect()
     assert all(ref() is not None for ref in watched), "the table pins what its records point into"
-    pinned = _pinned(runner.keep)
+    pinned = _pinned(table.keep)
     assert not any(a.dtype == np.uint8 for a in pinned), "no staging block: a copy goes straight across"
     runner()  # reads beta through its slot, copies boundary slabs into ghost slots
     assert [ref().tobytes() for ref in watched] == want
-    del runner, pinned
+    del runner, table, pinned
     gc.collect()
     assert all(ref() is None for ref in watched), "and nothing else does"
 

@@ -43,25 +43,6 @@ def test_dump_writes_schema_and_events(tmp_path):
     assert (tmp_path / "FLIGHT_unit_test_1.json").exists()
 
 
-def test_module_record_respects_enabled_flag():
-    flight.configure(enabled=False)
-    try:
-        flight.record("host", "note", "dropped")
-        assert flight.FLIGHT.records == 0
-        assert flight.dump("nope") is None
-    finally:
-        flight.configure(enabled=True)
-
-
-def test_configure_capacity_rebounds_existing_rings():
-    flight.record("host", "note", "a")
-    flight.record("host", "note", "b")
-    flight.record("host", "note", "c")
-    flight.configure(capacity=2)
-    snap = flight.FLIGHT.snapshot()
-    assert [e["name"] for e in snap["host"]] == ["b", "c"]
-
-
 def test_permanent_device_loss_dump_names_failing_site(tmp_path):
     """End-to-end post-mortem: an injected permanent device loss that the
     driver cannot degrade around must leave a FLIGHT dump whose fault
@@ -72,7 +53,7 @@ def test_permanent_device_loss_dump_names_failing_site(tmp_path):
     from repro.system import Backend
     from tests.resilience.test_runner import CountingApp
 
-    flight.configure(dump_dir=str(tmp_path))
+    flight.FLIGHT.dump_dir = str(tmp_path)
     # a one-device fleet: losing its device leaves nothing to degrade onto
     plan = FaultPlan(seed=0, device_loss={0: 1})
     driver = ResilientDriver(CountingApp, Backend.sim_gpus(1), steps=4, plan=plan)

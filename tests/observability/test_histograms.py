@@ -79,12 +79,13 @@ def test_registry_histogram_summaries_include_labels():
 
 
 def test_label_cardinality_guard_folds_overflow():
-    m = MetricsRegistry(max_label_sets=3)
-    for i in range(10):
+    m = MetricsRegistry()
+    cap = MetricsRegistry.MAX_LABEL_SETS
+    for i in range(cap + 7):
         m.histogram("lat", site=str(i)).observe(float(i))
-    # 3 real series + one fold-over series holding the other 7
+    # 256 real series + one fold-over series holding the other 7
     series = m.series("lat")
-    assert len(series) == 4
+    assert len(series) == cap + 1
     overflow = [s for s in series if s.labels == MetricsRegistry.OVERFLOW_LABELS]
     assert len(overflow) == 1 and overflow[0].count == 7
     assert m.label_overflows == {"lat": 7}
@@ -96,10 +97,11 @@ def test_label_cardinality_guard_folds_overflow():
 
 
 def test_cardinality_guard_is_per_metric_name():
-    m = MetricsRegistry(max_label_sets=2)
-    m.counter("a", k="1").inc()
-    m.counter("a", k="2").inc()
+    m = MetricsRegistry()
+    cap = MetricsRegistry.MAX_LABEL_SETS
+    for i in range(cap):
+        m.counter("a", k=str(i)).inc()
     m.counter("b", k="1").inc()  # different name: its own budget
-    m.counter("a", k="3").inc()  # over budget for "a"
+    m.counter("a", k=str(cap)).inc()  # the 257th label set: over budget for "a"
     assert m.label_overflows == {"a": 1}
     assert m.value("b", k="1") == 1.0

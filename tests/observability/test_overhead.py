@@ -1,31 +1,33 @@
 """The overhead guarantee: disabled observability costs < 2% of run().
 
 A replay reads the armed layers once (``Plan.execute``: the process's
-observability and flight switches, its own backend's session) and then
-calls the program's lowering for that set; with nothing
-armed that lowering is each dispatch unit's own closure — consecutive
-op-table units concatenated into one table — behind one flight-ring slot
-per host call.  Two tests pin that down: a structural one (every bare
-runner is a unit's own closure, or the table built from exactly the
-consecutive units it covers) and a budget — the per-replay switch reads
-plus the always-on flight records, costed pessimistically, stay under 2%
-of the measured run time of the default (fused) program.  The skeleton
-mixes a Python stencil with a specialised ``axpy``, so it exercises the
-segmentation.  CI runs this file as its own job step so an
-instrumentation regression (e.g. work put back on the bare path) fails
-loudly.
+observability switch, its own backend's session) and then calls the
+program's lowering for that set; with nothing armed that lowering is
+each dispatch unit's own closure — consecutive op-table units
+concatenated into one table — behind one slot of the always-on flight
+recorder per host call.  Three tests pin that down: a structural one
+(every bare runner is one ring slot around a unit's own closure, or
+around the table built from exactly the consecutive units it covers),
+the ring records a bare parallel replay leaves (one per dispatch unit),
+and a budget — the per-replay switch reads plus the flight records,
+costed pessimistically, stay under 2% of the measured run time of the
+default (fused) program.  The skeleton mixes a Python stencil with a
+specialised ``axpy``, so it exercises the segmentation.  CI runs this
+file as its own job step so an instrumentation regression (e.g. work put
+back on the bare path) fails loudly.
 """
 
 import subprocess
 import sys
 import timeit
+from functools import partial
 
 from repro import codegen
 from repro import observability as obs
 from repro.observability import flight
 from repro.core import ops
 from repro.domain import STENCIL_7PT, DenseGrid
-from repro.skeleton import Skeleton
+from repro.skeleton import Skeleton, fusion
 from repro.system import Backend
 
 
@@ -62,30 +64,58 @@ def test_disabled_by_default():
     assert proc.stdout.strip() == "False"
 
 
+def _ring_slot(run):
+    """``(slot, body)`` of a bare runner, which must be one flight-ring slot
+    around one body."""
+    assert isinstance(run, partial) and run.func is fusion._ringed, run
+    slot, body = run.args
+    return slot, body
+
+
 def test_bare_lowering_is_the_units_own_closures():
     sk = _build_skeleton()
     sk.run()
     program = sk.plan._ensure_program()
-    by_head, host_calls = program.runners({}, flight=False)
-    # the engine's view stays per unit: every unit's own closure, under its head
+    by_head, host_calls = program.runners({})
+    # the engine's view stays per unit: every unit's own closure behind the
+    # unit's own slot, under its head
     assert list(by_head) == [u.steps[0].command for u in program.dispatch]
-    assert all(run is unit.fn for run, unit in zip(by_head.values(), program.dispatch))
-    # the serial view: every runner is a unit's own closure, or the table
-    # built from exactly the consecutive units it covers — in dispatch order
+    for run, unit in zip(by_head.values(), program.dispatch):
+        assert _ring_slot(run) == ((unit.pid, unit.kind, unit.site), unit.fn)
+    # the serial view: every runner is one slot around a unit's own closure,
+    # or around the table built from exactly the consecutive units it
+    # covers — in dispatch order
     units = iter(program.dispatch)
     for run in host_calls:
+        slot, body = _ring_slot(run)
         unit = next(units)
-        if run is unit.fn:
+        if body is unit.fn:
+            assert slot == (unit.pid, unit.kind, unit.site)
             continue
+        assert slot[1] == "program"
         covered = bytes(unit.fn.ops)
-        while len(covered) < len(bytes(run.ops)):
+        while len(covered) < len(bytes(body.ops)):
             covered += bytes(next(units).fn.ops)
-        assert bytes(run.ops) == covered
+        assert bytes(body.ops) == covered
     assert next(units, None) is None
     assert len(host_calls) == program.stats.host_calls
     assert len(host_calls) < len(program.dispatch) or not codegen.available()
     # and the lowering is cached, not rebuilt per replay
-    assert program.runners({}, flight=False)[1] is host_calls
+    assert program.runners({})[1] is host_calls
+
+
+def test_bare_parallel_replay_records_one_ring_slot_per_unit():
+    obs.reset()
+    sk = _build_skeleton()
+    try:
+        sk.run(mode="parallel")  # freeze, lower, start the engine
+        units = sk.plan._ensure_program().stats.dispatch_units
+        for _ in range(3):
+            before = flight.FLIGHT.records
+            sk.run(mode="parallel")
+            assert flight.FLIGHT.records - before == units
+    finally:
+        sk.close()
 
 
 def test_disabled_overhead_under_2_percent():
@@ -106,8 +136,8 @@ def test_disabled_overhead_under_2_percent():
     per_record = timeit.timeit(lambda: rec.record("d0", "kernel", "k"), number=n) / n
     t_run = min(timeit.repeat(sk.run, number=1, repeat=5))
 
-    # per replay, not per unit: observability, resilience, sanitizer,
-    # flight, plus the span probes around plan.execute / replay / run
+    # per replay, not per unit: observability, resilience, sanitizer, plus
+    # the span probes around plan.execute / replay / run, rounded up
     guards_per_replay = 8
     worst_case_overhead = guards_per_replay * per_guard + flight_records * per_record
     assert worst_case_overhead < 0.02 * t_run, (

@@ -49,23 +49,6 @@ def test_tracer_is_thread_safe():
     assert all(s.depth == 0 for s in t.spans)
 
 
-def test_traced_decorator_only_records_when_enabled():
-    calls = []
-
-    @obs.traced("decorated", cat="func")
-    def fn(x):
-        calls.append(x)
-        return x * 2
-
-    obs.reset()
-    assert fn(2) == 4  # disabled: plain passthrough
-    obs.enable()
-    assert fn(3) == 6
-    names = [s.name for s in obs.tracer().spans]
-    assert names == ["decorated"]
-    assert calls == [2, 3]
-
-
 def test_chrome_export_matches_sim_format():
     """Real events carry the exact keys Trace.to_chrome_trace emits."""
     obs.enable()

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.domain import STENCIL_7PT, DenseGrid
+from repro.sanitizer import sanitize_skeleton
 from repro.sets import Access, Pattern
-from repro.skeleton import Occ, Skeleton, check_trace_dependencies, simulate_result
+from repro.sim import sim_replay
+from repro.skeleton import Occ, Skeleton, check_trace_dependencies
 from repro.system import Backend
 
 NUM_FIELDS = 3
@@ -158,7 +160,7 @@ def test_random_programs_parallel_replay_matches_and_sanitizes_clean(program, oc
     for a, b in zip(ref_outs, outs):
         np.testing.assert_allclose(a, b, atol=1e-10)
     np.testing.assert_allclose(ref_sums, sums, rtol=1e-10)
-    assert sk.sanitize(mode="parallel", runs=1) == []
+    assert sanitize_skeleton(sk, mode="parallel", runs=1) == []
 
 
 @settings(max_examples=15, deadline=None)
@@ -166,7 +168,7 @@ def test_random_programs_parallel_replay_matches_and_sanitizes_clean(program, oc
 def test_random_programs_have_valid_schedules(program, occ):
     _, _, sk, _ = build_and_run(program, 3, occ)
     rec = sk.record()
-    trace = simulate_result(rec)
+    trace = sim_replay(rec, sk.backend.machine)
     violations = check_trace_dependencies(rec, trace)
     assert violations == []
 
@@ -239,4 +241,4 @@ def test_random_sparse_programs_parallel_replay_and_sanitizer(program, occ, seed
     for a, b in zip(ref[0], got[0]):
         np.testing.assert_allclose(a, b, atol=1e-10)
     np.testing.assert_allclose(ref[1], got[1], rtol=1e-10)
-    assert got[2].sanitize(mode="parallel", runs=1) == []
+    assert sanitize_skeleton(got[2], mode="parallel", runs=1) == []

@@ -19,6 +19,7 @@ def test_heterogeneous_improvement_meets_acceptance_bar(mixed_plan):
     uniform-slab default-OCC baseline in DES makespan."""
     assert mixed_plan.improvement >= 0.15
     assert mixed_plan.best.weights is not None, "winner must use tuned slabs"
+    assert mixed_plan.best.mode == "parallel", "per-device issue must win on the mixed box"
     assert mixed_plan.best.makespan < mixed_plan.baseline.makespan
 
 
@@ -57,11 +58,6 @@ def test_candidate_matrix_is_complete(mixed_plan):
     assert labels == {(o.value, m) for o in Occ for m in ("serial", "parallel")}
 
 
-def test_deleted_mode_is_rejected_not_degraded():
-    with pytest.raises(ValueError, match="'process'"):
-        tune_workload("poisson", pcie_a100(4), devices=4, modes=("serial", "process"))
-
-
 def test_plan_json_round_trip(tmp_path, mixed_plan):
     path = tmp_path / "TUNE_lbm.json"
     mixed_plan.save(str(path))
@@ -80,17 +76,6 @@ def test_best_occ_resolves_to_enum(mixed_plan):
 def test_unknown_workload_rejected():
     with pytest.raises(ValueError, match="unknown experiment 'nonsense'"):
         tune_workload("nonsense", pcie_a100(2), devices=2)
-
-
-def test_restricted_search_space_still_anchors_baseline():
-    """Excluding the default configuration from the search must not
-    break the improvement anchor: the baseline is scored separately."""
-    plan = tune_workload(
-        "poisson", mixed_pcie(2), devices=2, occ_levels=[Occ.NONE], modes=("parallel",)
-    )
-    assert plan.baseline.occ == Occ.STANDARD.value
-    assert plan.baseline.mode == "serial"
-    assert all(c.occ == Occ.NONE.value for c in plan.candidates)
 
 
 def test_uniform_best_and_tuned_delta(mixed_plan):
