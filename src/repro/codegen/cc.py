@@ -189,8 +189,8 @@ def _load(source: str) -> ctypes.CDLL:
     return ctypes.CDLL(str(cached))
 
 
-def compile_shared(key: tuple, source: str, symbol: str, argtypes: list, restype=None):
-    """Build or load ``source`` and return its bound ``symbol``.
+def compile_shared(key: tuple, source: str, symbol: str, argtypes: list):
+    """Build or load ``source`` and return its bound ``symbol`` (a void function).
 
     ``key`` identifies the bound function in the process-wide cache
     (callers key on everything baked into the source, and on the symbol
@@ -210,7 +210,7 @@ def compile_shared(key: tuple, source: str, symbol: str, argtypes: list, restype
                 _libs[source] = _load(source)
             if _libs[source] is not None:
                 fn = _cache[key] = _libs[source][symbol]
-                fn.argtypes, fn.restype = argtypes, restype
+                fn.argtypes, fn.restype = argtypes, None
         except (OSError, subprocess.CalledProcessError, AttributeError):
             pass  # no build, no load or no such symbol: the caller keeps its interpreted path
         return fn

@@ -29,7 +29,7 @@ from repro.domain import (
 from repro.sets import Container, Loader, MemSet, MultiEvent, MultiStream, Pattern
 from repro.sim import MachineSpec, Trace, cpu_host, dgx_a100, pcie_gv100, simulate
 from repro.skeleton import Occ, Skeleton
-from repro.system import Backend, MemOptions
+from repro.system import Backend
 
 from . import ops
 from .ops import ScalarResult
@@ -48,7 +48,6 @@ __all__ = [
     "Layout",
     "Loader",
     "MachineSpec",
-    "MemOptions",
     "MemSet",
     "MultiEvent",
     "MultiStream",

@@ -105,7 +105,7 @@ class DenseGrid(Grid):
     def span_for(self, rank: int, view: DataView):
         return self._spans[rank][view]
 
-    def new_dot_partial(self, name: str, dtype=np.float64):
+    def new_dot_partial(self, name: str):
         """One slot per owned slice: the partition-invariant reduction.
 
         Dense spans index whole slices, so every reduce launch can
@@ -116,7 +116,7 @@ class DenseGrid(Grid):
         execution modes.
         """
         counts = [self.local_slices(r) for r in range(self.num_devices)]
-        partial = MemSet(self.backend, counts, dtype, name=name, virtual=self.virtual)
+        partial = MemSet(self.backend, counts, np.float64, name=name, virtual=self.virtual)
         partial.slice_reduce = True
         return partial
 

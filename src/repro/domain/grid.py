@@ -113,21 +113,15 @@ class Grid(MultiDeviceData, abc.ABC):
         """Create a Field of this grid (paper Listing 1)."""
 
     # -- computation factories ----------------------------------------------
-    def new_container(self, name: str, loading, flops_per_cell: float = 0.0, stencil_read_redundancy: float = 1.0):
+    def new_container(self, name: str, loading, flops_per_cell: float = 0.0):
         """Create a Container iterating this grid's active cells."""
-        return Container(
-            name,
-            self,
-            loading,
-            flops_per_cell=flops_per_cell,
-            stencil_read_redundancy=stencil_read_redundancy,
-        )
+        return Container(name, self, loading, flops_per_cell=flops_per_cell)
 
-    def new_reduce_partial(self, name: str, dtype=np.float64) -> MemSet:
-        """One reduction slot per device, for ReduceOp containers."""
-        return MemSet(self.backend, [1] * self.num_devices, dtype, name=name, virtual=self.virtual)
+    def new_reduce_partial(self, name: str) -> MemSet:
+        """One float64 reduction slot per device, for ReduceOp containers."""
+        return MemSet(self.backend, [1] * self.num_devices, np.float64, name=name, virtual=self.virtual)
 
-    def new_dot_partial(self, name: str, dtype=np.float64) -> MemSet:
+    def new_dot_partial(self, name: str) -> MemSet:
         """Partial buffer for *partition-invariant* sum reductions.
 
         Grids that can, override this with a per-axis-0-slice partial
@@ -136,7 +130,7 @@ class Grid(MultiDeviceData, abc.ABC):
         base implementation falls back to the per-rank partial, whose
         combined value depends on where the slab cuts fall.
         """
-        return self.new_reduce_partial(name, dtype)
+        return self.new_reduce_partial(name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name}, shape={self.shape}, devices={self.num_devices})"

@@ -54,7 +54,6 @@ class SparseGrid(Grid):
         active_per_slice: np.ndarray | None = None,
         name: str = "",
         virtual: bool = False,
-        indirection: float | None = None,
         partition_weights=None,
     ):
         if mask is not None:
@@ -66,10 +65,6 @@ class SparseGrid(Grid):
         elif shape is None:
             raise ValueError("provide a mask or an explicit shape")
         super().__init__(backend, shape, stencils, name or "sparse", virtual)
-        if indirection is not None:
-            if indirection < 1.0:
-                raise ValueError("indirection must be >= 1.0")
-            self.indirection = indirection
         if mask is None and active_per_slice is None:
             raise ValueError("provide a mask, or active_per_slice for virtual planning")
         if mask is None and not virtual:

@@ -191,7 +191,7 @@ def dependency_chain(queues, machine) -> DependencyChain:
     from collections import deque  # noqa: PLC0415
 
     from repro.sanitizer.hb import build_hb  # noqa: PLC0415 - lazy: keeps this package import-free
-    from repro.sim.costmodel import kernel_duration, transfer_duration  # noqa: PLC0415
+    from repro.sim.costmodel import kernel_duration  # noqa: PLC0415
     from repro.system.queue import CopyCommand, KernelCommand, WaitEventCommand  # noqa: PLC0415
 
     hb = build_hb(queues)
@@ -200,8 +200,7 @@ def dependency_chain(queues, machine) -> DependencyChain:
         if isinstance(cmd, KernelCommand):
             return kernel_duration(cmd.cost, machine.device_spec(device_index))
         if isinstance(cmd, CopyCommand):
-            link = machine.topology.link(cmd.src.index, cmd.dst.index)
-            return transfer_duration(cmd.nbytes, link, pinned=cmd.pinned)
+            return machine.topology.link(cmd.src.index, cmd.dst.index).transfer_time(cmd.nbytes)
         return 0.0
 
     preds: dict = {}

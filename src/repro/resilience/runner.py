@@ -114,7 +114,6 @@ def _backend_like(backend, machine, devices: int | None = None):
         DeviceSet.gpus(backend.num_devices if devices is None else devices),
         machine=machine,
         memory_capacity=backend.allocator.capacity_bytes,
-        mem_options=backend.mem_options,
     )
 
 

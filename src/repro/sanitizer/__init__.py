@@ -35,7 +35,6 @@ _LAZY = {
     "build_hb": "hb",
     "ProgramView": "program",
     "QueueView": "program",
-    "StepInfo": "program",
     "Violation": "detector",
     "analyze_program": "detector",
     "report_violations": "detector",

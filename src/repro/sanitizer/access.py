@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from repro.domain.halo import field_exchanges_halo, halo_sides
 from repro.sets.launch import token_access_parts
 
-from .program import StepInfo
-
 
 @dataclass(frozen=True)
 class MemAccess:
@@ -45,7 +43,7 @@ class MemAccess:
     msg_name: str = ""  # halo writes: canonical message identity
 
 
-def kernel_accesses(info: StepInfo) -> list[MemAccess]:
+def kernel_accesses(info) -> list[MemAccess]:
     """Region atoms one compiled kernel launch reads and writes."""
     out: list[MemAccess] = []
     seen: set[tuple] = set()
@@ -69,7 +67,7 @@ def kernel_accesses(info: StepInfo) -> list[MemAccess]:
     return out
 
 
-def copy_accesses(info: StepInfo) -> list[MemAccess]:
+def copy_accesses(info) -> list[MemAccess]:
     """Region atoms one halo message reads (source) and writes (dest)."""
     msg, fld = info.msg, info.halo_field
     return [
@@ -85,8 +83,13 @@ def copy_accesses(info: StepInfo) -> list[MemAccess]:
     ]
 
 
-def step_accesses(info: StepInfo) -> list[MemAccess]:
-    """Access set of any compiled step (kernels and halo copies)."""
+def step_accesses(info) -> list[MemAccess]:
+    """Access set of any compiled step (kernels and halo copies).
+
+    ``info`` is a scheduler step, read by attribute: ``kind``, ``label``,
+    ``container`` / ``rank`` / ``view`` for a kernel, ``msg`` /
+    ``halo_field`` for a copy.
+    """
     if info.kind == "kernel":
         return kernel_accesses(info)
     if info.kind == "copy" and info.halo_field is not None:

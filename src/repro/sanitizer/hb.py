@@ -76,8 +76,6 @@ def build_hb(queues) -> HBAnalysis:
                 hb.waits.setdefault(cmd.event.uid, []).append(cmd)
 
     preds: dict = {}
-    succs: dict = {}
-    indeg: dict = {}
     for q in hb.queues:
         for pos, cmd in enumerate(q.commands):
             preds[cmd] = []
@@ -90,21 +88,26 @@ def build_hb(queues) -> HBAnalysis:
                 hb.unrecorded_waits.append((w, hb.queues[hb.loc[w][0]].name))
             else:
                 preds[w].append(rec)
-    for cmd, ps in preds.items():
-        indeg[cmd] = len(ps)
-        for p in ps:
-            succs.setdefault(p, []).append(cmd)
 
-    order: list = []
-    ready = deque(cmd for cmd, d in indeg.items() if d == 0)
-    while ready:
-        cmd = ready.popleft()
-        order.append(cmd)
-        for s in succs.get(cmd, ()):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
+    def kahn() -> tuple[list, dict]:
+        """Topological order of ``preds`` and the in-degrees left unmet."""
+        indeg = {cmd: len(ps) for cmd, ps in preds.items()}
+        succs: dict = {}
+        for cmd, ps in preds.items():
+            for p in ps:
+                succs.setdefault(p, []).append(cmd)
+        order: list = []
+        ready = deque(cmd for cmd, d in indeg.items() if d == 0)
+        while ready:
+            cmd = ready.popleft()
+            order.append(cmd)
+            for s in succs.get(cmd, ()):
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    ready.append(s)
+        return order, indeg
 
+    order, indeg = kahn()
     if len(order) < len(hb.loc):
         # a record/wait cycle (only schedule mutation produces one):
         # report the events involved, drop their edges, close the rest
@@ -118,20 +121,7 @@ def build_hb(queues) -> HBAnalysis:
                 if rec in stuck and rec in preds[cmd]:
                     preds[cmd].remove(rec)
         hb.cycle_events = sorted(names)
-        order = []
-        indeg = {cmd: len(ps) for cmd, ps in preds.items()}
-        succs = {}
-        for cmd, ps in preds.items():
-            for p in ps:
-                succs.setdefault(p, []).append(cmd)
-        ready = deque(cmd for cmd, d in indeg.items() if d == 0)
-        while ready:
-            cmd = ready.popleft()
-            order.append(cmd)
-            for s in succs.get(cmd, ()):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
+        order, _ = kahn()
 
     nq = len(hb.queues)
     for cmd in order:

@@ -93,17 +93,15 @@ def _is_exec(cmd) -> bool:
     return not isinstance(cmd, (RecordEventCommand, WaitEventCommand))
 
 
-def generate_mutants(plan, program=None, max_per_kind: int | None = None) -> list[Mutant]:
-    """Every confirmed-broken single-edit mutant of a compiled program.
+def generate_mutants(plan, max_per_kind: int | None = None) -> list[Mutant]:
+    """Every confirmed-broken single-edit mutant of a plan's compiled program.
 
-    ``plan`` supplies the DES machine model and dependency ground truth
-    for the reorder oracles; ``program`` defaults to the plan's own
-    compiled program.  ``max_per_kind`` caps emission per mutant kind
-    (first-come in queue order) to bound matrix runtime.
+    ``plan`` supplies the program, and the DES machine model and
+    dependency ground truth for the reorder oracles.  ``max_per_kind``
+    caps emission per mutant kind (first-come in queue order) to bound
+    matrix runtime.
     """
-    if program is None:
-        program = plan._ensure_program()
-    base = ProgramView.from_compiled(program)
+    base = ProgramView.from_compiled(plan._ensure_program())
     halo_reads = _halo_read_regions(base)
     waited_uids = {
         cmd.event.uid for q in base.queues for cmd in q.commands if isinstance(cmd, WaitEventCommand)
@@ -162,7 +160,7 @@ def generate_mutants(plan, program=None, max_per_kind: int | None = None) -> lis
                 if msg.nbytes >= 2:
                     view = base.clone()
                     short = HaloMsg(msg.name, msg.src_rank, msg.dst_rank, msg.nbytes // 2, msg.fn)
-                    stub = CopyCommand(cmd.name, cmd.fn, cmd.src, cmd.dst, short.nbytes, pinned=cmd.pinned)
+                    stub = CopyCommand(cmd.name, cmd.fn, cmd.src, cmd.dst, short.nbytes)
                     view.queues[qi].commands[pos] = stub
                     view.add_info(stub, info, msg=short)
                     emit("truncate-copy", f"{cmd.name}@{q.name}", view)

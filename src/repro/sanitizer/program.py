@@ -4,8 +4,9 @@ The detector and the mutator must never touch the live
 :class:`~repro.skeleton.scheduler.CompiledProgram` — its queues and
 events are the objects the plan replays, and a mutated schedule must not
 leak back into real execution.  So both operate on duck-typed *views*:
-plain command lists plus the per-command step metadata the scheduler
-froze (container, launch view, rank, halo message).  The views keep the
+plain command lists plus the per-command step the scheduler froze
+(``repro.skeleton.scheduler._Step``: kind, label, container, launch
+view, rank, halo message and field).  The views keep the
 interface the DES simulator reads (``commands`` / ``name`` / ``device``),
 so a mutant can also be fed straight to :func:`repro.sim.des.simulate`
 as a timing oracle.
@@ -14,21 +15,6 @@ as a timing oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-
-@dataclass(frozen=True)
-class StepInfo:
-    """Immutable access-relevant metadata of one kernel/copy command."""
-
-    kind: str  # "kernel" | "copy"
-    label: str
-    # kernel steps
-    container: object | None = None
-    rank: int = -1
-    view: object | None = None  # sets.DataView of the launch
-    # copy steps
-    msg: object | None = None  # domain.halo.HaloMsg
-    halo_field: object | None = None  # the field whose halo the copy updates
 
 
 @dataclass
@@ -48,7 +34,7 @@ class ProgramView:
     """A compiled program as the analyses see it: queues + step metadata."""
 
     queues: list[QueueView]
-    info: dict  # Command -> StepInfo (commands hash by identity)
+    info: dict  # Command -> frozen scheduler step (commands hash by identity)
     label: str = ""
     extra_info: dict = field(default_factory=dict)
 
@@ -56,18 +42,7 @@ class ProgramView:
     def from_compiled(cls, program, label: str = "") -> "ProgramView":
         """Snapshot a CompiledProgram's wiring and step metadata."""
         queues = [QueueView(q.name, q.device, list(q.commands)) for q in program.queues]
-        info = {}
-        for cmd, step in program.step_of.items():
-            info[cmd] = StepInfo(
-                kind=step.kind,
-                label=step.label,
-                container=step.container,
-                rank=step.rank,
-                view=step.view,
-                msg=step.msg,
-                halo_field=step.halo_field,
-            )
-        return cls(queues=queues, info=info, label=label)
+        return cls(queues=queues, info=dict(program.step_of), label=label)
 
     def clone(self) -> "ProgramView":
         """Independent command lists; shared (immutable) step metadata."""
@@ -78,10 +53,10 @@ class ProgramView:
             extra_info=dict(self.extra_info),
         )
 
-    def step_info(self, cmd) -> StepInfo | None:
+    def step_info(self, cmd):
         return self.extra_info.get(cmd) or self.info.get(cmd)
 
-    def add_info(self, cmd, base: StepInfo, **changes) -> None:
+    def add_info(self, cmd, base, **changes) -> None:
         """Register metadata for a mutant-introduced replacement command."""
         self.extra_info[cmd] = replace(base, **changes)
 

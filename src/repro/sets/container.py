@@ -38,13 +38,11 @@ class Container:
         index_data: MultiDeviceData,
         loading: LoadingLambda,
         flops_per_cell: float = 0.0,
-        stencil_read_redundancy: float = 1.0,
     ):
         self.name = name
         self.index_data = index_data
         self.loading = loading
         self.flops_per_cell = flops_per_cell
-        self.stencil_read_redundancy = stencil_read_redundancy
         self._tokens: list[AccessToken] | None = None
         #: optional fused-replay specialization hook: ``(rank, view, span)
         #: -> callable | None``.  The fusion pass calls it at program-freeze
@@ -85,14 +83,7 @@ class Container:
         return Pattern.MAP
 
     def cost_for(self, rank: int, view: DataView):
-        return estimate_cost(
-            self.index_data,
-            self.tokens(),
-            rank,
-            view,
-            flops_per_cell=self.flops_per_cell,
-            stencil_read_redundancy=self.stencil_read_redundancy,
-        )
+        return estimate_cost(self.index_data, self.tokens(), rank, view, flops_per_cell=self.flops_per_cell)
 
     def run(
         self,

@@ -75,15 +75,13 @@ def estimate_cost(
     rank: int,
     view: DataView,
     flops_per_cell: float = 0.0,
-    stencil_read_redundancy: float = 1.0,
 ) -> KernelCost:
     """Roofline inputs for one Container launch on one device.
 
     Per active cell we count one read of every read-loaded field (a
-    stencil read is multiplied by ``stencil_read_redundancy`` to model
-    imperfect cache reuse of neighbour loads) and one write of every
-    written field.  Reduce partials are per-launch, not per-cell, and are
-    negligible, so they are skipped.
+    stencil read too: neighbour loads are assumed to hit cache) and one
+    write of every written field.  Reduce partials are per-launch, not
+    per-cell, and are negligible, so they are skipped.
     """
     span = index_data.span_for(rank, view)
     ncells = span.count
@@ -93,8 +91,7 @@ def estimate_cost(
             continue
         density = tok.data.bytes_per_cell
         if tok.access.reads:
-            factor = stencil_read_redundancy if tok.pattern is Pattern.STENCIL else 1.0
-            bytes_per_cell += density * factor
+            bytes_per_cell += density
         if tok.access.writes:
             bytes_per_cell += density
     cost = KernelCost(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.system import HOST, Backend, CommandQueue, MemOptions
+from repro.system import HOST, Backend, CommandQueue
 
 from .dataset import MultiDeviceData, Span
 from .views import DataView
@@ -65,7 +65,6 @@ class MemSet(MultiDeviceData):
         cardinality: int = 1,
         name: str = "",
         host_mirror: bool = True,
-        options: MemOptions | None = None,
         virtual: bool = False,
     ):
         super().__init__(name)
@@ -81,9 +80,7 @@ class MemSet(MultiDeviceData):
         self.dtype = np.dtype(dtype)
         self.virtual = virtual
         shape = lambda c: (c, cardinality) if cardinality > 1 else (c,)
-        self.buffers = [
-            backend.allocate(r, shape(c), dtype, options, virtual=virtual) for r, c in enumerate(counts)
-        ]
+        self.buffers = [backend.allocate(r, shape(c), dtype, virtual=virtual) for r, c in enumerate(counts)]
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
         self.host = np.zeros(shape(int(self.offsets[-1])), dtype=dtype) if host_mirror and not virtual else None
 
@@ -121,7 +118,6 @@ class MemSet(MultiDeviceData):
             HOST,
             self.backend.device(rank),
             src.nbytes,
-            pinned=self.buffers[rank].options.pinned_host,
         )
 
     def update_host(self, rank: int, queue: CommandQueue) -> None:
@@ -133,7 +129,6 @@ class MemSet(MultiDeviceData):
             self.backend.device(rank),
             HOST,
             src.nbytes,
-            pinned=self.buffers[rank].options.pinned_host,
         )
 
     def fill(self, value) -> None:

@@ -1,6 +1,6 @@
 """Timing substrate: machine models and the discrete-event simulator."""
 
-from .costmodel import kernel_duration, transfer_duration
+from .costmodel import kernel_duration
 from .calibrate import KernelSample, TransferSample, fit_device, fit_link, fit_quality
 from .des import SimulationDeadlock, simulate
 from .machine import (
@@ -43,5 +43,4 @@ __all__ = [
     "sim_makespan_total",
     "sim_replay",
     "simulate",
-    "transfer_duration",
 ]

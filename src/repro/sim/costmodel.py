@@ -5,7 +5,8 @@ the memory-traffic time and the arithmetic time.  Grid kernels in the
 paper (LBM, 7/27-point stencils) are bandwidth bound on A100-class
 hardware, so the memory term dominates — which is why the paper reports
 LBM throughput as a fraction of effective bandwidth.  Transfers use a
-latency + size/bandwidth model per directed link.
+latency + size/bandwidth model per directed link
+(:meth:`repro.sim.topology.Link.transfer_time`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from repro.system.queue import KernelCost
 
 from .machine import DeviceSpec
-from .topology import Link
 
 
 def kernel_duration(cost: KernelCost, spec: DeviceSpec) -> float:
@@ -21,14 +21,3 @@ def kernel_duration(cost: KernelCost, spec: DeviceSpec) -> float:
     mem_time = cost.bytes_moved * cost.indirection / spec.mem_bandwidth
     compute_time = cost.flops / spec.flops
     return cost.launches * spec.launch_overhead + max(mem_time, compute_time)
-
-
-def transfer_duration(nbytes: int, link: Link, pinned: bool = False) -> float:
-    """Duration of one DMA transfer over a directed link.
-
-    Pinned (page-locked) host staging doubles the effective bandwidth —
-    the usual first-order benefit of avoiding the driver's bounce buffer.
-    """
-    if pinned:
-        return link.latency + nbytes / (2.0 * link.bandwidth)
-    return link.transfer_time(nbytes)

@@ -29,7 +29,7 @@ from repro.system.queue import (
     WaitEventCommand,
 )
 
-from .costmodel import kernel_duration, transfer_duration
+from .costmodel import kernel_duration
 from .machine import MachineSpec
 from .trace import Span, SpanKind, Trace
 
@@ -98,8 +98,7 @@ def simulate(
             elif isinstance(cmd, CopyCommand):
                 resource = f"link:{cmd.src.index}->{cmd.dst.index}"
                 start = max(ready, resource_avail.get(resource, 0.0))
-                link = machine.topology.link(cmd.src.index, cmd.dst.index)
-                dur = transfer_duration(cmd.nbytes, link, pinned=cmd.pinned)
+                dur = machine.topology.link(cmd.src.index, cmd.dst.index).transfer_time(cmd.nbytes)
                 kind = SpanKind.COPY
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown command type {type(cmd)!r}")

@@ -82,7 +82,6 @@ from repro import observability as _obs
 from repro.codegen.table import Table, concat
 from repro.observability.flight import FLIGHT as _FLIGHT
 from repro.sanitizer.access import step_accesses
-from repro.sanitizer.program import StepInfo
 from repro.system import layers as _layers
 from repro.system.queue import RecordEventCommand
 
@@ -203,21 +202,9 @@ def _chain(envelope, runs: list) -> None:
             run()
 
 
-def _step_info(step) -> StepInfo:
-    return StepInfo(
-        kind=step.kind,
-        label=step.label,
-        container=step.container,
-        rank=step.rank,
-        view=step.view,
-        msg=step.msg,
-        halo_field=step.halo_field,
-    )
-
-
 def _accesses(step):
     try:
-        return step_accesses(_step_info(step))
+        return step_accesses(step)
     except Exception:  # noqa: BLE001 - unknown step shape: assume the worst
         return None
 

@@ -81,7 +81,7 @@ class ExecutionResult:
     plan: "Plan"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Step:
     """One replayable kernel or copy of a compiled program.
 
@@ -89,6 +89,8 @@ class _Step:
     queue, the trace / flight track and the resilience injection-site
     key (:func:`repro.system.layers.describe`, which the eager enqueue
     path shares, so seeded fault plans reproduce identically on either).
+    The sanitizer reads the same frozen record as a command's access
+    metadata (:mod:`repro.sanitizer.access`).
     """
 
     kind: str  # "kernel" | "copy"

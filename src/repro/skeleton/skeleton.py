@@ -90,10 +90,10 @@ class Skeleton:
         result = result or self.last_result or self.record()
         return sim_replay(result, machine or self.backend.machine)
 
-    def validate(self, machine: MachineSpec | None = None) -> None:
+    def validate(self) -> None:
         """Assert the stream/event wiring alone enforces all dependencies."""
         result = self.record()
-        trace = sim_replay(result, machine or self.backend.machine)
+        trace = sim_replay(result, self.backend.machine)
         violations = check_trace_dependencies(result, trace)
         if violations:
             lines = "\n".join(str(v) for v in violations[:10])

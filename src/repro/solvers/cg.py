@@ -29,6 +29,7 @@ from repro.codegen import grid_kernels
 from repro.core import ops
 from repro.domain.grid import Grid
 from repro.resilience import SolverDiverged
+from repro.sim.topology import HOST_RANK
 from repro.skeleton import Occ, Skeleton
 
 ApplyFactory = Callable[[Grid, object, object, str], object]
@@ -279,11 +280,11 @@ class ConjugateGradient:
             residual_norms=list(scalars["residual_norms"]),
         )
 
-    def iteration_makespan(self, machine=None, include_readback: bool = True) -> float:
+    def iteration_makespan(self, machine=None) -> float:
         """Simulated time of one CG iteration (both skeletons).
 
         CG fundamentally syncs on two scalars per iteration (alpha and
-        the convergence check); ``include_readback`` charges the two
+        the convergence check), so the time includes the two
         device->host reads of the per-device partials (one 8-byte message
         per device, flowing in parallel over the host links — latency
         dominated, exactly like a cuBLAS dot result read).
@@ -292,12 +293,7 @@ class ConjugateGradient:
         t = 0.0
         for sk in (self.sk_a, self.sk_b):
             t += sk.trace(machine=machine, result=sk.record()).makespan
-        if include_readback:
-            from repro.sim.costmodel import transfer_duration
-            from repro.sim.topology import HOST_RANK
-
-            link = machine.topology.link(0, HOST_RANK)
-            t += 2.0 * transfer_duration(8, link)
+        t += 2.0 * machine.topology.link(0, HOST_RANK).transfer_time(8)
         return t
 
 

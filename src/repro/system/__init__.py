@@ -3,7 +3,7 @@
 from .backend import Backend
 from .device import HOST, Device, DeviceSet, DeviceType
 from .engine import EXECUTION_MODES, EngineDeadlock, ParallelEngine
-from .memory import AllocationError, DeviceAllocator, DeviceBuffer, MemOptions
+from .memory import AllocationError, DeviceAllocator, DeviceBuffer
 from .queue import (
     Command,
     CommandQueue,
@@ -32,7 +32,6 @@ __all__ = [
     "Event",
     "KernelCommand",
     "KernelCost",
-    "MemOptions",
     "ParallelEngine",
     "RecordEventCommand",
     "WaitEventCommand",

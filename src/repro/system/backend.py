@@ -13,7 +13,7 @@ from repro.sim.machine import MachineSpec, cpu_host, dgx_a100
 
 from .device import Device, DeviceSet
 from .layers import Session
-from .memory import DeviceAllocator, MemOptions
+from .memory import DeviceAllocator
 from .queue import CommandQueue
 
 
@@ -36,7 +36,6 @@ class Backend:
         devices: DeviceSet,
         machine: MachineSpec | None = None,
         memory_capacity: int | None = None,
-        mem_options: MemOptions | None = None,
     ):
         self.devices = devices
         self.machine = machine or dgx_a100(len(devices))
@@ -45,7 +44,6 @@ class Backend:
         #: the fault session and sanitizer log armed on this backend (neither, by default)
         self.session = Session()
         self.allocator = DeviceAllocator(capacity_bytes=memory_capacity, session=self.session)
-        self.mem_options = mem_options or MemOptions()
 
     @classmethod
     def sim_gpus(cls, count: int, machine: MachineSpec | None = None, **kw) -> "Backend":
@@ -69,18 +67,8 @@ class Backend:
             _obs.OBS.metrics.counter("queues_created", device=self.devices[rank].metric_label).inc()
         return CommandQueue(self.devices[rank], name=name, eager=eager, session=self.session)
 
-    def allocate(
-        self,
-        rank: int,
-        shape,
-        dtype,
-        options: MemOptions | None = None,
-        virtual: bool = False,
-        pitch: int | None = None,
-    ):
-        return self.allocator.allocate(
-            self.devices[rank], shape, dtype, options or self.mem_options, virtual=virtual, pitch=pitch
-        )
+    def allocate(self, rank: int, shape, dtype, virtual: bool = False, pitch: int | None = None):
+        return self.allocator.allocate(self.devices[rank], shape, dtype, virtual=virtual, pitch=pitch)
 
     def memory_report(self) -> dict[int, int]:
         """Bytes currently allocated per device rank (virtual included)."""

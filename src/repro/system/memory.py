@@ -1,14 +1,13 @@
 """Device memory management for the System abstraction.
 
 Buffers are NumPy arrays tagged with an owning :class:`~repro.system.device.Device`.
-Allocation options (alignment, padding, pinned host mirrors) mirror the
-memory properties the paper lists as user-tunable backend parameters; in
-the simulation they affect the reported allocation footprint and the
-cost model, not physical placement.  What does move bytes is a buffer's
-*pitch*, chosen by the data layout that asks for the buffer (the way
-``cudaMallocPitch`` pads rows): the leading-axis entries sit ``pitch``
-elements apart in one backing block, and the gap between them is booked
-as padding.
+Every allocation's footprint rounds up to :data:`ALIGNMENT` bytes, the
+way a device allocator hands out aligned blocks; the rounding shows in
+capacity accounting, not in physical placement.  What does move bytes is
+a buffer's *pitch*, chosen by the data layout that asks for the buffer
+(the way ``cudaMallocPitch`` pads rows): the leading-axis entries sit
+``pitch`` elements apart in one backing block, and the gap between them
+is booked as padding.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro import observability as _obs
@@ -31,32 +28,8 @@ class AllocationError(RuntimeError):
     """Raised when a simulated device cannot satisfy an allocation."""
 
 
-@dataclass(frozen=True)
-class MemOptions:
-    """Memory properties a user can request per allocation.
-
-    Attributes
-    ----------
-    alignment:
-        Requested alignment in bytes; allocation sizes are rounded up to a
-        multiple of it (power of two required).
-    padding:
-        Extra elements appended at the end of each allocation.
-    pinned_host:
-        Whether host mirrors should be treated as pinned (page-locked) by
-        the cost model, which doubles host<->device bandwidth.
-    """
-
-    alignment: int = 256
-    padding: int = 0
-    pinned_host: bool = False
-
-    def __post_init__(self) -> None:
-        if self.alignment <= 0 or (self.alignment & (self.alignment - 1)) != 0:
-            raise ValueError(f"alignment must be a positive power of two, got {self.alignment}")
-        if self.padding < 0:
-            raise ValueError("padding must be non-negative")
-
+#: every allocation's footprint rounds up to a multiple of this many bytes
+ALIGNMENT = 256
 
 _buffer_ids = itertools.count()
 
@@ -115,12 +88,10 @@ class DeviceBuffer:
         device: Device,
         shape,
         dtype,
-        options: MemOptions | None = None,
         virtual: bool = False,
         pitch: int | None = None,
     ):
         self.device = device
-        self.options = options or MemOptions()
         self.virtual = virtual
         self._dtype = np.dtype(dtype)
         self._shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
@@ -158,15 +129,14 @@ class DeviceBuffer:
 
     @property
     def allocated_bytes(self) -> int:
-        """Footprint after padding and alignment rounding."""
+        """Footprint after pitch slack and :data:`ALIGNMENT` rounding."""
         raw = self.nbytes + self.padding_bytes
-        a = self.options.alignment
-        return (raw + a - 1) // a * a
+        return (raw + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
     @property
     def padding_bytes(self) -> int:
-        """Tail padding plus pitch slack."""
-        return (self.options.padding + self._slack) * self._dtype.itemsize
+        """The pitch slack between leading-axis entries."""
+        return self._slack * self._dtype.itemsize
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DeviceBuffer(dev={self.device.index}, shape={self.shape}, dtype={self.dtype})"
@@ -216,7 +186,6 @@ class DeviceAllocator:
         device: Device,
         shape,
         dtype,
-        options: MemOptions | None = None,
         virtual: bool = False,
         pitch: int | None = None,
     ) -> DeviceBuffer:
@@ -228,7 +197,7 @@ class DeviceAllocator:
                     f"device {device.index}: injected allocation fault (seeded); "
                     f"{self._oom_detail(device)}"
                 )
-        buf = DeviceBuffer(device, shape, dtype, options, virtual=virtual, pitch=pitch)
+        buf = DeviceBuffer(device, shape, dtype, virtual=virtual, pitch=pitch)
         if self.capacity_bytes is not None:
             if self.used_bytes(device) + buf.allocated_bytes > self.capacity_bytes:
                 raise AllocationError(

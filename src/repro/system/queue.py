@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import observability as _obs
 
@@ -180,25 +180,12 @@ class KernelCommand(Command):
 
 
 class CopyCommand(Command):
-    """A DMA transfer between two devices (or host<->device).
+    """A DMA transfer between two devices (or host<->device)."""
 
-    ``pinned`` marks host-side staging as page-locked: the cost model
-    doubles the effective host-link bandwidth for such transfers, the
-    standard first-order effect of pinned memory.
-    """
-
-    __slots__ = ("fn", "src", "dst", "nbytes", "pinned")
+    __slots__ = ("fn", "src", "dst", "nbytes")
     kind = "copy"
 
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[], None],
-        src: Device,
-        dst: Device,
-        nbytes: int,
-        pinned: bool = False,
-    ):
+    def __init__(self, name: str, fn: Callable[[], None], src: Device, dst: Device, nbytes: int):
         super().__init__(name)
         if nbytes < 0:
             raise ValueError("negative transfer size")
@@ -206,7 +193,6 @@ class CopyCommand(Command):
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
-        self.pinned = pinned
 
 
 class RecordEventCommand(Command):
@@ -254,16 +240,8 @@ class CommandQueue:
             _layers.lower(cmd, self, self.session.layers())()
         return cmd
 
-    def enqueue_copy(
-        self,
-        name: str,
-        fn: Callable[[], None],
-        src: Device,
-        dst: Device,
-        nbytes: int,
-        pinned: bool = False,
-    ) -> CopyCommand:
-        cmd = CopyCommand(name, fn, src, dst, nbytes, pinned=pinned)
+    def enqueue_copy(self, name: str, fn: Callable[[], None], src: Device, dst: Device, nbytes: int) -> CopyCommand:
+        cmd = CopyCommand(name, fn, src, dst, nbytes)
         self.commands.append(cmd)
         if _obs.OBS.active:
             m = _obs.OBS.metrics

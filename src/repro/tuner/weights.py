@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.costmodel import transfer_duration
 from repro.sim.machine import MachineSpec
 from repro.system.queue import CopyCommand, KernelCommand
 
@@ -88,8 +87,7 @@ def fixed_seconds(plans, machine: MachineSpec, num_devices: int) -> np.ndarray:
                     rank = q.device.index
                     fixed[rank] += cmd.cost.launches * machine.device_spec(rank).launch_overhead
                 elif isinstance(cmd, CopyCommand):
-                    link = machine.topology.link(cmd.src.index, cmd.dst.index)
-                    t = transfer_duration(cmd.nbytes, link, pinned=cmd.pinned)
+                    t = machine.topology.link(cmd.src.index, cmd.dst.index).transfer_time(cmd.nbytes)
                     key = id(q)
                     queue_seconds[key] = queue_seconds.get(key, 0.0) + t
                     queue_ranks.setdefault(key, set()).update(

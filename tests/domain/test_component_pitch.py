@@ -17,6 +17,7 @@ import pytest
 from repro.domain import STENCIL_7PT, DenseGrid, Layout, box, star
 from repro.domain.layout import component_pitch
 from repro.system import AllocationError, Backend
+from repro.system.memory import ALIGNMENT
 
 #: (shape, stencil): cubes whose packed component strides hit 4 KiB
 #: multiples at some device count (64^3 and 16^3 at 2 devices), odd and
@@ -91,8 +92,7 @@ def test_pitch_slack_is_padding_not_payload(virtual):
     slack = 19 * 8 * 8  # one 64 B line per population: 20 480 B -> 20 544 B apart
     assert buf.nbytes == 19 * 10 * 16 * 16 * 8  # the logical payload, a multiple of the alignment
     assert buf.padding_bytes == slack
-    align = buf.options.alignment
-    assert buf.allocated_bytes - buf.nbytes == -(-slack // align) * align
+    assert buf.allocated_bytes - buf.nbytes == -(-slack // ALIGNMENT) * ALIGNMENT
     assert grid.backend.memory_report()[0] == buf.allocated_bytes
     if not virtual:
         assert field.partition(0).storage.strides[0] == 20_480 + 64

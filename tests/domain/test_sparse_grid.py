@@ -176,11 +176,6 @@ def test_empty_mask_rejected():
         SparseGrid(Backend.sim_gpus(1), mask=np.zeros((4, 4, 4), dtype=bool))
 
 
-def test_bad_indirection_rejected():
-    with pytest.raises(ValueError):
-        SparseGrid(Backend.sim_gpus(1), mask=np.ones((4, 4, 4), dtype=bool), indirection=0.9)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_random_masks_keep_halo_block_invariants(seed):

@@ -162,17 +162,3 @@ def test_cost_estimate_counts_reads_and_writes(backend):
     cost = c.cost_for(0, DataView.STANDARD)
     # read x (8) + read y (8) + write y (8) per cell, 100 cells
     assert cost.bytes_moved == pytest.approx(100 * 24)
-
-
-def test_stencil_redundancy_scales_read_bytes(backend):
-    x = MemSet(backend, [100, 100], np.float64)
-    y = MemSet(backend, [100, 100], np.float64)
-
-    def loading(loader):
-        xp = loader.read(x, stencil=True)
-        yp = loader.write(y)
-        return lambda span: None
-
-    c = Container("st", x, loading, stencil_read_redundancy=2.0)
-    cost = c.cost_for(0, DataView.STANDARD)
-    assert cost.bytes_moved == pytest.approx(100 * (8 * 2 + 8))

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.sim import DeviceSpec, kernel_duration, transfer_duration
+from repro.sim import DeviceSpec, kernel_duration
 from repro.sim.topology import Link
 from repro.system import KernelCost
 
@@ -41,7 +41,7 @@ def test_multiple_launches_pay_overhead_each():
 
 def test_transfer_duration_uses_link():
     link = Link(bandwidth=1e10, latency=5e-6)
-    assert transfer_duration(int(1e10), link) == pytest.approx(1.0 + 5e-6)
+    assert link.transfer_time(int(1e10)) == pytest.approx(1.0 + 5e-6)
 
 
 def test_invalid_device_spec_rejected():

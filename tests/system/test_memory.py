@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.system import AllocationError, DeviceAllocator, DeviceSet, MemOptions
+from repro.system import AllocationError, DeviceAllocator, DeviceSet
 
 
 @pytest.fixture
@@ -30,28 +30,23 @@ def test_large_payload_zeroed_writable_and_outlives_its_buffer(dev):
 
 def test_allocated_bytes_rounds_to_alignment(dev):
     alloc = DeviceAllocator()
-    buf = alloc.allocate(dev, (3,), np.float32, MemOptions(alignment=256))
+    buf = alloc.allocate(dev, (3,), np.float32)
     assert buf.nbytes == 12
     assert buf.allocated_bytes == 256
-
-
-def test_padding_adds_elements(dev):
-    alloc = DeviceAllocator()
-    buf = alloc.allocate(dev, (4,), np.float64, MemOptions(alignment=1, padding=2))
-    assert buf.padding_bytes == 16
-    assert buf.allocated_bytes == 4 * 8 + 16
+    assert alloc.allocate(dev, (64,), np.float64).allocated_bytes == 512  # a multiple stays as is
 
 
 @pytest.mark.parametrize("shape", [(3, 5, 7), (2, 1024, 3, 256)])  # the second is mmap-backed
 def test_pitched_buffer_is_a_view_of_one_block(dev, shape):
     cells = int(np.prod(shape[1:]))
-    buf = DeviceAllocator().allocate(dev, shape, np.float64, MemOptions(alignment=1, padding=1), pitch=cells + 8)
+    buf = DeviceAllocator().allocate(dev, shape, np.float64, pitch=cells + 8)
     arr = buf.array
     assert arr.shape == shape and arr.strides[0] == (cells + 8) * 8 and not arr.any()
     assert all(arr[i].flags.c_contiguous for i in range(shape[0]))
     assert buf.nbytes == shape[0] * cells * 8  # logical payload
-    assert buf.padding_bytes == (1 + shape[0] * 8) * 8  # tail padding + pitch slack
-    assert buf.allocated_bytes == buf.nbytes + buf.padding_bytes
+    assert buf.padding_bytes == shape[0] * 8 * 8  # pitch slack
+    raw = buf.nbytes + buf.padding_bytes
+    assert buf.allocated_bytes == -(-raw // 256) * 256
     with pytest.raises(ValueError, match="pitch"):
         DeviceAllocator().allocate(dev, shape, np.float64, pitch=cells - 1)
 
@@ -59,18 +54,18 @@ def test_pitched_buffer_is_a_view_of_one_block(dev, shape):
 def test_capacity_enforced_per_device():
     ds = DeviceSet.gpus(2)
     alloc = DeviceAllocator(capacity_bytes=1024)
-    alloc.allocate(ds[0], (64,), np.float64, MemOptions(alignment=1))  # 512 B
-    alloc.allocate(ds[1], (100,), np.float64, MemOptions(alignment=1))  # other device, fine
+    alloc.allocate(ds[0], (64,), np.float64)  # 512 B
+    alloc.allocate(ds[1], (96,), np.float64)  # 768 B on the other device, fine
     with pytest.raises(AllocationError):
-        alloc.allocate(ds[0], (100,), np.float64, MemOptions(alignment=1))
+        alloc.allocate(ds[0], (96,), np.float64)
 
 
 def test_free_returns_capacity(dev):
     alloc = DeviceAllocator(capacity_bytes=1024)
-    buf = alloc.allocate(dev, (128,), np.float64, MemOptions(alignment=1))
+    buf = alloc.allocate(dev, (128,), np.float64)  # 1024 B: the whole capacity
     alloc.free(buf)
     assert alloc.used_bytes(dev) == 0
-    alloc.allocate(dev, (128,), np.float64, MemOptions(alignment=1))
+    alloc.allocate(dev, (128,), np.float64)
 
 
 def test_double_free_rejected(dev):
@@ -81,30 +76,18 @@ def test_double_free_rejected(dev):
         alloc.free(buf)
 
 
-def test_bad_alignment_rejected():
-    with pytest.raises(ValueError):
-        MemOptions(alignment=3)
-    with pytest.raises(ValueError):
-        MemOptions(alignment=0)
-
-
-def test_negative_padding_rejected():
-    with pytest.raises(ValueError):
-        MemOptions(padding=-1)
-
-
 def test_report_lists_live_allocations_largest_first(dev):
     alloc = DeviceAllocator()
-    alloc.allocate(dev, (4,), np.float64, MemOptions(alignment=1))
-    big = alloc.allocate(dev, (64,), np.float64, MemOptions(alignment=1, padding=2))
-    alloc.allocate(dev, (16,), np.float64, MemOptions(alignment=1))
+    alloc.allocate(dev, (32,), np.float64)  # 256 B
+    big = alloc.allocate(dev, (2, 62), np.float64, pitch=64)  # 992 B + 32 B pitch slack
+    alloc.allocate(dev, (64,), np.float64)  # 512 B
     rows = alloc.report(dev)
     assert len(rows) == 3
-    assert [r[1] for r in rows] == sorted((r[1] for r in rows), reverse=True)
+    assert [r[1] for r in rows] == [1024, 512, 256]
     desc, nbytes, padding = rows[0]
-    assert "shape=(64,)" in desc and "float64" in desc
-    assert nbytes == big.allocated_bytes
-    assert padding == 16
+    assert "shape=(2, 62)" in desc and "float64" in desc
+    assert nbytes == big.allocated_bytes == 1024
+    assert padding == 32
     assert alloc.report(dev, limit=2) == rows[:2]
 
 
@@ -123,10 +106,10 @@ def test_report_excludes_freed_and_other_devices():
 def test_oom_message_names_top_allocations():
     ds = DeviceSet.gpus(1)
     alloc = DeviceAllocator(capacity_bytes=1024)
-    alloc.allocate(ds[0], (64,), np.float64, MemOptions(alignment=1))  # 512 B
-    alloc.allocate(ds[0], (32,), np.float64, MemOptions(alignment=1))  # 256 B
+    alloc.allocate(ds[0], (64,), np.float64)  # 512 B
+    alloc.allocate(ds[0], (32,), np.float64)  # 256 B
     with pytest.raises(AllocationError) as exc_info:
-        alloc.allocate(ds[0], (128,), np.float64, MemOptions(alignment=1))
+        alloc.allocate(ds[0], (128,), np.float64)
     msg = str(exc_info.value)
     assert "live allocations" in msg
     assert "shape=(64,)" in msg  # largest first
