@@ -77,14 +77,15 @@ import functools
 import numpy as np
 
 from repro import codegen as _cc
-from repro.domain import DenseField, DenseStrip, Layout
+from repro.domain import DataView, DenseField, DenseStrip, Layout
 
 from . import table as _table
 
 #: elementwise forms: name -> C expression over ``x[i]``, ``y[i]`` and the
-#: run-time scalars ``a``, ``b``.  ``axpby_or_ax`` is CG's restart-safe
-#: update: ``b == 0`` assigns ``a*x`` outright so a stale (even NaN) ``y``
-#: cannot leak through ``0 * y``.
+#: run-time scalars ``a``, ``b``.  ``axpby_or_ax`` and ``axpby_or_y`` are
+#: CG's restart-safe updates: ``b == 0`` assigns ``a*x`` outright so a stale
+#: (even NaN) ``y`` cannot leak through ``0 * y``, and ``a == 0`` leaves
+#: ``y`` as it is so a stale ``x`` cannot leak through ``0 * x``.
 MAP_FORMS = {
     "set": "a",
     "copy": "x[i]",
@@ -92,6 +93,7 @@ MAP_FORMS = {
     "sub": "x[i] - y[i]",
     "axpby": "a * x[i] + b * y[i]",
     "axpby_or_ax": "(b == 0.0) ? a * x[i] : a * x[i] + b * y[i]",
+    "axpby_or_y": "(a == 0.0) ? y[i] : a * x[i] + b * y[i]",
 }
 #: NumPy's ``PW_BLOCKSIZE``: the longest run summed by one 8-accumulator block
 PAIRWISE_BLOCK = 128
@@ -329,7 +331,20 @@ def component_stride(array: np.ndarray) -> int:
     return array.strides[0] // array.itemsize
 
 
-def launcher(fn, calls: list, keep, slot=None, scalars=None, extra=None):
+def operand(array: np.ndarray, first: int, last: int, write: bool = False) -> _table.Operand:
+    """A dense storage array ``(card, planes, *lateral)`` as a window operand:
+    owned plane ``z`` touches its storage planes ``z + first .. z + last``."""
+    return _table.Operand(array.ctypes.data, array.shape[0], array.strides[0], array.strides[1], first, last, write)
+
+
+def windows(grid, rank: int, strips, slots: tuple[int, int], operands, **kw) -> list[_table.Window]:
+    """One :class:`~repro.codegen.table.Window` per strip of a rank's span."""
+    internal = grid.span_for(rank, DataView.INTERNAL)
+    common = dict(slab=(id(grid), rank), internal=internal.hi - internal.lo, slots=slots, operands=tuple(operands))
+    return [_table.Window(lo=s.lo, hi=s.hi, **common, **kw) for s in strips]
+
+
+def launcher(fn, calls: list, keep, slot=None, scalars=None, extra=None, windows=None):
     """What a replay runs for one unit: the table of its span-piece ops.
 
     ``calls`` holds one ``(array addresses, longs)`` pair per piece and
@@ -337,11 +352,11 @@ def launcher(fn, calls: list, keep, slot=None, scalars=None, extra=None):
     run-time scalars from the ``double[2]`` ``slot``, which every call
     refills from ``scalars()`` first (never at bind time); a ``slot``
     without ``scalars`` holds constants.  ``extra`` is a fourth array
-    address (:func:`repro.codegen.table.record`).  None when no walker can
-    be built.
+    address (:func:`repro.codegen.table.record`); ``windows`` gives each
+    piece's footprint.  None when no walker can be built.
     """
     records = [_table.record(fn, pointers, slot, longs, extra) for pointers, longs in calls]
-    return _table.table(records, [(scalars, slot)] if scalars else [], (keep, slot))
+    return _table.table(records, [(scalars, slot)] if scalars else [], (keep, slot), windows)
 
 
 def scalar_slot(a: float = 0.0, b: float = 0.0):
@@ -368,7 +383,9 @@ def elementwise(form: str, out, x=None, y=None, scalars=None):
         plane, h = arrays[0][0, 0].size, out.grid.radius
         pointers = [a.ctypes.data for a in arrays]
         calls = [(pointers, (card, cstride, (h + s.lo) * plane, (s.hi - s.lo) * plane)) for s in strips]
-        return launcher(fn, calls, arrays, slot, scalars)
+        operands = [operand(a, h, h, write=k == 0) for k, a in enumerate(arrays)]
+        spans = windows(out.grid, rank, strips, (2, 3), operands, cells=plane, h=h)
+        return launcher(fn, calls, arrays, slot, scalars, windows=spans)
 
     return specialize
 
@@ -395,9 +412,12 @@ def stencil(src, dst, terms):
             return None
         arrays, strips = slabs
         n1, n2 = arrays[0].shape[2:]
+        h, reach = grid.radius, [off[0] for off, _ in terms]
         pointers = [a.ctypes.data for a in arrays]
-        calls = [(pointers, (n1, n2, grid.radius, s.lo, s.hi)) for s in strips]
-        return launcher(fn, calls, arrays, scalar_slot(float(src.outside_value)))
+        calls = [(pointers, (n1, n2, h, s.lo, s.hi)) for s in strips]
+        operands = (operand(arrays[0], h + min(reach), h + max(reach)), operand(arrays[1], h, h, write=True))
+        spans = windows(grid, rank, strips, (3, 4), operands)
+        return launcher(fn, calls, arrays, scalar_slot(float(src.outside_value)), windows=spans)
 
     return specialize
 
@@ -428,7 +448,8 @@ def projection(src, mask, dst):
         plane, h, gstart = arrays[0][0, 0].size, src.grid.radius, int(src.grid.bounds[rank][0])
         pointers = [a.ctypes.data for a in (arrays[0], m, arrays[1])]
         calls = [(pointers, (component_stride(arrays[0]), plane, h, s.lo, s.hi, gstart)) for s in strips]
-        return launcher(fn, calls, (*arrays, m))
+        operands = (operand(arrays[0], h, h), operand(m, h, h), operand(arrays[1], h, h, write=True))
+        return launcher(fn, calls, (*arrays, m), windows=windows(src.grid, rank, strips, (3, 4), operands))
 
     return specialize
 
@@ -464,10 +485,18 @@ def block_stencil(src, mask, keep, dst, terms):
         arrays, strips = slabs
         n1, n2 = arrays[0].shape[2:]
         gstart, cstride = int(grid.bounds[rank][0]), component_stride(arrays[0])
+        h, reach = grid.radius, [off[0] for off, _ in terms]
         pointers = [a.ctypes.data for a in arrays]
-        calls = [(pointers, (cstride, n1, n2, grid.radius, s.lo, s.hi, gstart)) for s in strips]
+        calls = [(pointers, (cstride, n1, n2, h, s.lo, s.hi, gstart)) for s in strips]
         slot = scalar_slot(float(src.outside_value))
-        return launcher(fn, calls, (*arrays, m), slot, extra=m.ctypes.data)
+        operands = (
+            operand(arrays[0], h + min(reach), h + max(reach)),
+            operand(arrays[1], h, h),
+            operand(m, h, h),
+            operand(arrays[2], h, h, write=True),
+        )
+        spans = windows(grid, rank, strips, (4, 5), operands)
+        return launcher(fn, calls, (*arrays, m), slot, extra=m.ctypes.data, windows=spans)
 
     return specialize
 
@@ -496,7 +525,9 @@ def slice_sums(partial, x, y=None):
             return None
         pointers = [a.ctypes.data for a in (*arrays, row)]
         calls = [(pointers, (card, component_stride(arrays[0]), plane, h, s.lo, s.hi)) for s in strips]
-        return launcher(fn, calls, (*arrays, row))
+        sums = _table.Operand(row.ctypes.data, 1, 0, row.itemsize, 0, 0, write=True)
+        operands = (operand(arrays[0], h, h), operand(arrays[1], h, h), sums)
+        return launcher(fn, calls, (*arrays, row), windows=windows(x.grid, rank, strips, (4, 5), operands))
 
     return specialize
 

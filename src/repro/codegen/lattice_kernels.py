@@ -89,7 +89,7 @@ import numpy as np
 from repro import codegen as _cc
 
 from . import table as _table
-from .grid_kernels import component_stride, dense_slabs, indicator_slab, launcher, scalar_slot
+from .grid_kernels import component_stride, dense_slabs, indicator_slab, launcher, operand, scalar_slot, windows
 
 
 @dataclass(frozen=True)
@@ -322,6 +322,16 @@ def _strips(rank, span, grid, f_in, f_out, lattice):
     return si, so, strips
 
 
+def _spans(grid, rank, strips, si, so, near, constants):
+    """The windows of a collide-stream op: it pulls ``si`` and the slabs
+    ``near`` from anywhere within the halo depth of its plane, writes
+    ``so``'s plane, and reads the arrays ``constants`` whole."""
+    h = int(grid.radius)
+    operands = [operand(a, 0, 2 * h) for a in (si, *near)] + [operand(so, h, h, write=True)]
+    fixed = tuple((a.ctypes.data, a.ctypes.data + a.nbytes) for a in constants)
+    return windows(grid, rank, strips, (4, 5), operands, constants=fixed)
+
+
 def twopop(grid, f_in, f_out, omega: float, lid_velocity: float, lattice, sentinel: float, rho0: float):
     """``specialize`` hook of the cavity's twoPop collide+stream container."""
 
@@ -336,7 +346,8 @@ def twopop(grid, f_in, f_out, omega: float, lid_velocity: float, lattice, sentin
         gstart, qstride = int(grid.bounds[rank][0]), component_stride(si)
         pointers = [a.ctypes.data for a in (si, so, corr)]
         calls = [(pointers, (qstride, ny, nx, h, s.lo, s.hi, gstart, nztot)) for s in strips]
-        return launcher(kfn, calls, (si, so, corr), scalar_slot(float(omega)))
+        spans = _spans(grid, rank, strips, si, so, (), (corr,))
+        return launcher(kfn, calls, (si, so, corr), scalar_slot(float(omega)), windows=spans)
 
     return specialize
 
@@ -362,6 +373,8 @@ def karman(grid, f_in, f_out, mask, omega: float, feq_in, lattice, rho0: float):
         ny, nx = (1, *si.shape[2:])[-2:]
         pointers = [a.ctypes.data for a in (si, so, m)]
         calls = [(pointers, (component_stride(si), ny, nx, int(grid.radius), s.lo, s.hi)) for s in strips]
-        return launcher(kfn, calls, (si, so, m, feq_in), scalar_slot(float(omega)), extra=feq_in.ctypes.data)
+        spans = _spans(grid, rank, strips, si, so, (m,), (feq_in,))
+        slot = scalar_slot(float(omega))
+        return launcher(kfn, calls, (si, so, m, feq_in), slot, extra=feq_in.ctypes.data, windows=spans)
 
     return specialize

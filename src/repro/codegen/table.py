@@ -16,6 +16,14 @@ into the slot its ops point at, then walks.  That equals reading them per
 launch because no Python runs inside a table: whatever could change a
 host cell is a Python unit, which ends the table before it.
 
+**Windows.**  Beside each record a table keeps what the op touches: a
+:class:`Window` for a kernel that walks axis-0 planes (which planes, where
+its record holds them, which planes of which arrays each one reads or
+writes), a tuple of byte ranges for a halo copy, None for anything else.
+A window narrows a record to one plane, the same kernel over fewer
+slices; :mod:`repro.codegen.pipeline` reorders a concatenation plane by
+plane from these alone.
+
 **Lifetime.**  Records hold raw addresses; ``keep`` pins what they point
 into (field payloads, partial rows, scalar slots), so a table stays valid
 after every other reference to its solver is dropped.  Payload arrays are
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 import ctypes
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,17 +111,76 @@ def record(fn, pointers=(), slot=None, longs=(), extra=None) -> Op:
     return op
 
 
+class Operand(NamedTuple):
+    """An array an op touches, addressed by axis-0 plane: for owned plane
+    ``z`` the op reads (or writes) storage planes ``z + first`` through
+    ``z + last`` of each of ``card`` components, ``cstride`` bytes apart,
+    ``plane`` bytes per plane."""
+
+    address: int
+    card: int
+    cstride: int
+    plane: int
+    first: int
+    last: int
+    write: bool = False
+
+    def extents(self, lo: int, hi: int) -> list[tuple[int, int, bool]]:
+        """Byte ranges ``(start, end, write)`` touched for owned planes ``[lo, hi)``."""
+        base = [self.address + c * self.cstride for c in range(self.card)]
+        return [(b + (lo + self.first) * self.plane, b + (hi + self.last) * self.plane, self.write) for b in base]
+
+
+class Window(NamedTuple):
+    """How one op walks axis 0 (see the module docstring).
+
+    The op covers owned planes ``[lo, hi)`` of rank slab ``slab`` (grid
+    identity, rank), whose INTERNAL view holds ``internal`` planes.  Its
+    record keeps the window in ``n[slots[0]]`` and ``n[slots[1]]``: the
+    planes themselves when ``cells`` is 0, else the first element and the
+    element count, ``cells`` elements per plane after ``h`` ghost planes.
+    ``constants`` are byte ranges it reads whatever the plane.
+    """
+
+    slab: tuple
+    lo: int
+    hi: int
+    internal: int
+    slots: tuple[int, int]
+    operands: tuple[Operand, ...]
+    cells: int = 0
+    h: int = 0
+    constants: tuple = ()
+
+    def narrow(self, op: "Op", z: int) -> "Op":
+        """``op`` over owned plane ``z`` alone."""
+        out = Op.from_buffer_copy(op)
+        i, j = self.slots
+        out.n[i], out.n[j] = ((self.h + z) * self.cells, self.cells) if self.cells else (z, z + 1)
+        return out
+
+    def extents(self, lo: int, hi: int) -> list[tuple[int, int, bool]]:
+        """Byte ranges ``(start, end, write)`` touched for owned planes ``[lo, hi)``."""
+        out = [(a, b, False) for a, b in self.constants]
+        for operand in self.operands:
+            out += operand.extents(lo, hi)
+        return out
+
+
 class Table:
     """Ops run in order by one C call; see the module docstring.
 
     ``reads`` pairs each scalar source with the slot it fills; ``keep``
-    pins whatever the records' raw pointers point into.
+    pins whatever the records' raw pointers point into; ``windows`` holds
+    one footprint per op (a :class:`Window`, a tuple of byte ranges or
+    None).
     """
 
-    __slots__ = ("ops", "reads", "keep", "_walk")
+    __slots__ = ("ops", "reads", "keep", "windows", "_walk")
 
-    def __init__(self, walk, ops, reads, keep):
+    def __init__(self, walk, ops, reads, keep, windows=None):
         self.ops, self.reads, self.keep = ops, reads, keep
+        self.windows = tuple(windows) if windows is not None else (None,) * len(ops)
         self._walk = partial(walk, ctypes.addressof(ops), len(ops))
 
     def __call__(self) -> None:
@@ -121,18 +189,23 @@ class Table:
         self._walk()
 
 
-def table(records: list, reads: list, keep) -> Table | None:
+def table(records: list, reads: list, keep, windows=None) -> Table | None:
     """The table of ``records``, or None when the walker cannot be built."""
     walk = _cc.compile_shared(("optable", "run_ops"), _WALKER_C, "run_ops", [ctypes.c_void_p, ctypes.c_long])
-    return walk and Table(walk, (Op * len(records))(*records), reads, keep)
+    return walk and Table(walk, (Op * len(records))(*records), reads, keep, windows)
+
+
+def scalar_reads(tables: list) -> list:
+    """The scalar reads of ``tables``, each distinct slot once."""
+    return list({id(slot): (read, slot) for t in tables for read, slot in t.reads}.values())
 
 
 def concat(tables: list) -> Table:
     """One table running ``tables`` back to back; each distinct slot is read once."""
     if len(tables) == 1:
         return tables[0]
-    reads = {id(slot): (read, slot) for t in tables for read, slot in t.reads}
-    return table([op for t in tables for op in t.ops], list(reads.values()), tables)
+    ops = [op for t in tables for op in t.ops]
+    return table(ops, scalar_reads(tables), tables, [w for t in tables for w in t.windows])
 
 
 def _chunks(view: np.ndarray) -> tuple[int, int, int] | None:
@@ -153,4 +226,6 @@ def copy(dst: np.ndarray, src: np.ndarray) -> Table | None:
     if not fn:
         return None
     op = record(fn, (src.ctypes.data, dst.ctypes.data), None, (*s, d[2]))
-    return table([op], [], (src, dst))
+    ranges = [(src.ctypes.data + c * s[2], src.ctypes.data + c * s[2] + s[1], False) for c in range(s[0])]
+    ranges += [(dst.ctypes.data + c * d[2], dst.ctypes.data + c * d[2] + d[1], True) for c in range(d[0])]
+    return table([op], [], (src, dst), [tuple(ranges)])

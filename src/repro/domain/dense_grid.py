@@ -244,7 +244,10 @@ class DenseField(Field):
 
     def to_numpy(self) -> np.ndarray:
         self._require_storage()
-        out = np.full((self.cardinality, *self.grid.shape), self.outside_value, dtype=self.dtype)
+        # the rank slabs tile axis 0, so every cell is written below
+        cuts = [0, *(b for _, b in self.grid.bounds)]
+        assert [a for a, _ in self.grid.bounds] == cuts[:-1] and cuts[-1] == self.grid.shape[0], self.grid.bounds
+        out = np.empty((self.cardinality, *self.grid.shape), dtype=self.dtype)
         for rank in range(self.num_devices):
             a, b = self.grid.bounds[rank]
             span = self.grid.span_for(rank, DataView.STANDARD)

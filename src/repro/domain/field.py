@@ -13,6 +13,7 @@ are well-defined before any user initialisation.
 from __future__ import annotations
 
 import abc
+import itertools
 
 import numpy as np
 
@@ -37,6 +38,7 @@ class Field(MultiDeviceData, abc.ABC):
         self.outside_value = outside_value
         self.layout = layout
         self.buffers: list[DeviceBuffer] = []
+        self._halo_runs: list | None = None  # a bare sync_halo_now's copies, built on first use
 
     # -- MultiDeviceData ----------------------------------------------------
     @property
@@ -71,13 +73,15 @@ class Field(MultiDeviceData, abc.ABC):
         """
 
     def fill(self, value, comp: int | None = None) -> None:
-        """Set owned cells (every component, or one) to a constant."""
+        """Set owned cells (every component, or one) to a constant; with
+        ``comp`` None, ``value`` may also hold one constant per component."""
         self._require_storage()
         for rank in range(self.num_devices):
             part = self.partition(rank)
             span = self.grid.span_for(rank, DataView.STANDARD)
             if comp is None:
-                part.view_all(span)[...] = value
+                view = part.view_all(span)
+                view[...] = np.reshape(value, (-1,) + (1,) * (view.ndim - 1)) if np.ndim(value) else value
             else:
                 part.view(span, comp)[...] = value
 
@@ -129,17 +133,35 @@ class Field(MultiDeviceData, abc.ABC):
 
         Inside a Skeleton, halo updates are scheduled automatically; this
         helper is for Set-level code and for making stencil reads valid
-        right after ``init``/``fill``.
+        right after ``init``/``fill``.  With no layer armed it runs the
+        copies themselves, a per-component family as one copy; otherwise
+        each message is a command on one ``halo:<name>`` queue per
+        source rank, so the armed layers see every message.
         """
+        backend = self.grid.backend
+        if not backend.session.layers():
+            for run in self._bare_halo_runs():
+                run()
+            return
+        queues: dict[int, object] = {}
         for msg in self.halo_messages():
-            q = self.grid.backend.new_queue(msg.src_rank, name=f"halo:{self.name}")
-            q.enqueue_copy(
-                msg.name,
-                msg.fn,
-                self.grid.backend.device(msg.src_rank),
-                self.grid.backend.device(msg.dst_rank),
-                msg.nbytes,
-            )
+            q = queues.get(msg.src_rank)
+            if q is None:
+                q = queues[msg.src_rank] = backend.new_queue(msg.src_rank, name=f"halo:{self.name}")
+            q.enqueue_copy(msg.name, msg.fn, backend.device(msg.src_rank), backend.device(msg.dst_rank), msg.nbytes)
+
+    def _bare_halo_runs(self) -> list:
+        """The callables of a bare :meth:`sync_halo_now`, built once like the
+        messages: each ``(src, dst)`` run of messages through the field's
+        ``batched_halo_fn`` when it takes it, else message by message."""
+        if self._halo_runs is None:
+            runs, batched = [], getattr(self, "batched_halo_fn", None)
+            for _, group in itertools.groupby(self.halo_messages(), key=lambda m: (m.src_rank, m.dst_rank)):
+                group = list(group)
+                fn = batched(group) if batched is not None and len(group) > 1 else None
+                runs += [fn] if fn is not None else [m.fn for m in group]
+            self._halo_runs = runs
+        return self._halo_runs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -63,7 +63,10 @@ lowering runs without it.  A specialised kernel or dense halo copy is an
 op table (:mod:`repro.codegen.table`), and a bare *serial* replay goes
 one step further (:func:`lower_serial`): every maximal run of consecutive
 table-carrying units becomes one table — one host call — with the units
-whose closure is still Python left in place between the runs.
+whose closure is still Python left in place between the runs.  Inside such
+a table each rank's map -> stencil -> reduce chain runs plane by plane
+(:mod:`repro.codegen.pipeline`), so a plane a kernel wrote is still in
+cache when the next one reads it.
 
 Fusion is **on by default**; ``--no-fuse`` CLI flags and the
 :func:`disabled` context manager (or ``Plan.fuse = False`` before first
@@ -79,6 +82,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro import observability as _obs
+from repro.codegen import pipeline as _pipeline
 from repro.codegen.table import Table, concat
 from repro.observability.flight import FLIGHT as _FLIGHT
 from repro.sanitizer.access import step_accesses
@@ -177,12 +181,13 @@ def segments(dispatch: list) -> list[list[FusedStep]]:
 def lower_serial(dispatch: list) -> list[Callable[[], None]]:
     """The bare serial lowering: one callable per segment, in dispatch order.
 
-    A run of table units is the concatenation of their tables behind one
-    ring slot (kind ``program``: first site + op count — ops cannot raise,
-    so no post-mortem ring ever ends inside one); a Python unit lowers as
-    it always did.  Scalars are read at segment entry, which equals per
-    launch because only a Python unit could change one, and it ends the
-    segment.
+    A run of table units is their tables as one table behind one ring slot
+    (kind ``program``: first site + op count — ops cannot raise, so no
+    post-mortem ring ever ends inside one), its ops walked plane by plane
+    where a rank chains them (:func:`repro.codegen.pipeline.lower`); a
+    Python unit lowers as it always did.  Scalars are read at segment
+    entry, which equals per launch because only a Python unit could change
+    one, and it ends the segment.
     """
     runs = []
     for units in segments(dispatch):
@@ -190,7 +195,7 @@ def lower_serial(dispatch: list) -> list[Callable[[], None]]:
         if not isinstance(head.fn, Table):
             runs.append(head.lower({}))
             continue
-        table = concat([u.fn for u in units])
+        table = _pipeline.lower([u.fn for u in units])
         slot = (head.pid, "program", f"{head.sites[0]}+{len(table.ops)}ops")
         runs.append(partial(_ringed, slot, table))
     return runs
@@ -336,9 +341,9 @@ def fuse_program(program, fuse: bool = True) -> None:
     ``program.fused_heads`` (head command -> unit, in dispatch order; a
     member command has no entry, which is how the parallel engine
     callback skips it) and the ``fused_steps`` / ``dispatch_units`` /
-    ``host_calls`` / ``fusion_ratio`` schedule stats.  ``fuse=False`` makes
-    every step a singleton unit around its own command closure: no chains,
-    no hooks.
+    ``host_calls`` / ``pipelined_chains`` / ``fusion_ratio`` schedule
+    stats.  ``fuse=False`` makes every step a singleton unit around its own
+    command closure: no chains, no hooks.
     """
     dispatch: list[FusedStep] = []
     for chain in build_chains(program) if fuse else ([s] for s in program.steps):
@@ -362,5 +367,7 @@ def fuse_program(program, fuse: bool = True) -> None:
     stats = program.stats
     stats.fused_steps = sum(len(u.steps) for u in dispatch if len(u.steps) > 1)
     stats.dispatch_units = len(dispatch)
-    stats.host_calls = len(segments(dispatch))
+    runs = [[u.fn for u in units] for units in segments(dispatch)]
+    stats.host_calls = len(runs)
+    stats.pipelined_chains = sum(len(_pipeline.chains(fns)) for fns in runs if isinstance(fns[0], Table))
     stats.fusion_ratio = (len(program.steps) / len(dispatch)) if dispatch else 1.0

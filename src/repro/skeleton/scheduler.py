@@ -71,6 +71,7 @@ class ScheduleStats:
     fused_steps: int = 0  # constituent steps living inside multi-step units
     dispatch_units: int = 0  # len(program.dispatch)
     host_calls: int = 0  # callables a bare serial replay runs: table segments + Python units
+    pipelined_chains: int = 0  # rank chains those segments replay plane by plane (codegen.pipeline)
     fusion_ratio: float = 1.0  # steps per dispatch unit (>= 1.0)
 
 

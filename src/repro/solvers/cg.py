@@ -5,12 +5,25 @@ scalar reads CG fundamentally needs (alpha and beta depend on global
 reductions).  Following the paper's Two-way-Extended-OCC preparation,
 the p-update map is moved to the *start* of the first skeleton so the
 sequence becomes map -> stencil -> reduce — the exact Fig 4 pattern every
-OCC level knows how to split:
+OCC level knows how to split.  By the same reasoning the x-update moves
+*ahead* of it (UpdateX-first): ``x += alpha*p`` needs the previous
+iteration's alpha and p, which are both still there when the next
+iteration starts, and there it shares the pass that reads p:
 
-    skeleton A: p = r + beta*p;  q = A p;  pq = <p, q>
+    skeleton A: x += alpha_prev*p;  p = r + beta*p;  q = A p;  pq = <p, q>
     host:       alpha = delta / pq
-    skeleton B: x += alpha*p;  r -= alpha*q;  delta' = <r, r>
+    skeleton B: r -= alpha*q;  delta' = <r, r>
     host:       beta = delta' / delta, convergence check
+
+So the last alpha of a solve is *pending*: ``alpha`` holds the step whose
+``alpha*p`` has not reached x yet (0.0 when none has).  A one-container
+flush skeleton applies it exactly once — at the end of :meth:`solve`, in
+:meth:`begin`, and in :meth:`flush`, which every reader of x calls first —
+and the x-update form leaves x untouched when alpha is 0.0, so a stale or
+NaN p cannot leak into it after a (re)start.  Checkpoints carry the
+pending alpha with ``x`` and ``p``.  x, r and p therefore go through the
+same operations in the same order as with the x-update in skeleton B:
+every result is bitwise what it was.
 
 Scalars are passed into containers through mutable cells read at launch
 time (the loading lambda runs per launch, and the generated-C kernels of
@@ -52,13 +65,16 @@ class CGResult:
         return any(not np.isfinite(r) for r in self.residual_norms)
 
 
-def _axpby_cell(grid, a_cell: dict, x, b_cell: dict, y, name: str):
+def _axpby_cell(grid, a_cell: dict, x, b_cell: dict, y, name: str, form: str = "axpby_or_ax"):
     """y <- a*x + b*y with host-updated coefficients (read at launch).
 
-    ``b == 0`` assigns ``a*x`` outright instead of multiplying into the
-    old ``y``: on a (re)started iteration ``p`` may hold stale — even
-    non-finite — data, and ``0 * NaN`` would smuggle it into the fresh
-    Krylov basis.
+    ``form`` says which zero coefficient skips its operand
+    (:data:`~repro.codegen.grid_kernels.MAP_FORMS`): ``axpby_or_ax``
+    assigns ``a*x`` outright when ``b == 0`` instead of multiplying into
+    the old ``y`` — on a (re)started iteration ``p`` may hold stale, even
+    non-finite, data, and ``0 * NaN`` would smuggle it into the fresh
+    Krylov basis; ``axpby_or_y`` leaves ``y`` as it is when ``a == 0``,
+    so no stale ``x`` reaches it.
     """
 
     def loading(loader):
@@ -67,8 +83,10 @@ def _axpby_cell(grid, a_cell: dict, x, b_cell: dict, y, name: str):
         a, b = a_cell["v"], b_cell["v"]
 
         def compute(span):
+            if form == "axpby_or_y" and a == 0.0:
+                return  # y stays as it is
             yv = yp.view_all(span)
-            if b == 0.0:
+            if form == "axpby_or_ax" and b == 0.0:
                 yv[...] = a * xp.view_all(span)
             else:
                 yv[...] = a * xp.view_all(span) + b * yv
@@ -76,9 +94,7 @@ def _axpby_cell(grid, a_cell: dict, x, b_cell: dict, y, name: str):
         return compute
 
     container = grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
-    container.specialize = grid_kernels.elementwise(
-        "axpby_or_ax", y, x, y, scalars=lambda: (a_cell["v"], b_cell["v"])
-    )
+    container.specialize = grid_kernels.elementwise(form, y, x, y, scalars=lambda: (a_cell["v"], b_cell["v"]))
     return container
 
 
@@ -110,12 +126,16 @@ class ConjugateGradient:
         # trajectory) bitwise partition-invariant on grids that support it
         self.pq_partial = grid.new_dot_partial(f"{name}_pq")
         self.rr_partial = grid.new_dot_partial(f"{name}_rr")
+        #: the step whose alpha*p has not reached x yet (0.0: none pending)
         self.alpha = {"v": 0.0}
         self.beta = {"v": 0.0}
         self.neg_alpha = {"v": 0.0}
         one = {"v": 1.0}
         #: the running solve's record; None until :meth:`begin`
         self.result: CGResult | None = None
+
+        def update_x():  # x <- alpha*p + x, or x as it is when alpha is 0.0
+            return _axpby_cell(grid, self.alpha, self.p, one, self.x, "update_x", "axpby_or_y")
 
         # r = b - A x ; p handled by the first iteration's p-update (beta=0)
         self.sk_init = Skeleton(
@@ -128,10 +148,12 @@ class ConjugateGradient:
             occ=occ,
             name=f"{name}_init",
         )
-        # map -> stencil -> reduce: the paper's UpdateP-first arrangement
+        # map -> stencil -> reduce: the paper's UpdateP-first arrangement,
+        # the pending x-update ahead of it in the pass that reads p
         self.sk_a = Skeleton(
             backend,
             [
+                update_x(),
                 _axpby_cell(grid, one, self.r, self.beta, self.p, "update_p"),
                 *_as_list(apply_op(grid, self.p, self.q, "A_p")),
                 ops.dot(grid, self.p, self.q, self.pq_partial, name="dot_pq"),
@@ -142,28 +164,43 @@ class ConjugateGradient:
         self.sk_b = Skeleton(
             backend,
             [
-                _axpby_cell(grid, self.alpha, self.p, one, self.x, "update_x"),
                 _axpby_cell(grid, self.neg_alpha, self.q, one, self.r, "update_r"),
                 ops.norm2_squared(grid, self.r, self.rr_partial, name="dot_rr"),
             ],
             occ=occ,
             name=f"{name}_b",
         )
+        # applies the pending alpha; see flush()
+        self.sk_flush = Skeleton(backend, [update_x()], occ=occ, name=f"{name}_flush")
 
     def reset(self) -> None:
         """Back to the cold state: a zero iterate, halos included.
 
         :meth:`begin` rebuilds r/p/q and every host scalar from ``x`` and
-        ``b``, so nothing else carries over into the next solve.
+        ``b``, so nothing else carries over into the next solve; a pending
+        alpha belongs to the old iterate and is dropped.
         """
         self.x.fill(0.0)
         self.x.sync_halo_now()
+        self.alpha["v"] = 0.0
         self.result = None
+
+    def flush(self) -> None:
+        """Bring ``x`` up to date: apply the pending ``alpha*p``, once.
+
+        Call it before reading ``x``; the solver's own readers do.  A
+        no-op when nothing is pending.  One map per rank: it replays
+        serially in every mode, so it never starts an engine.
+        """
+        if self.alpha["v"] != 0.0:
+            self.sk_flush.run()
+            self.alpha["v"] = 0.0
 
     def begin(self, tolerance: float = 1e-8) -> CGResult:
         """(Re)start the iteration from the current iterate ``x``.
 
-        Runs the init skeleton (``r = b - A x``), seeds the scalars, and
+        Applies a pending alpha (:meth:`flush`), runs the init skeleton
+        (``r = b - A x``), seeds the scalars, and
         returns the fresh :class:`CGResult`.  Because CG restarted from
         any iterate still converges to the same SPD solution, this is
         also the *recovery* entry point: after a checkpoint restore or a
@@ -172,6 +209,7 @@ class ConjugateGradient:
         """
         self._rr_read = ops.ScalarResult(self.rr_partial)
         self._pq_read = ops.ScalarResult(self.pq_partial)
+        self.flush()
         self.sk_init.run(mode=self.mode)
         delta = self._rr_read.value()
         norm0 = float(np.sqrt(delta))
@@ -196,6 +234,7 @@ class ConjugateGradient:
         if result.converged:
             return True
         self.sk_a.run(mode=self.mode)
+        self.alpha["v"] = 0.0  # x has taken the previous step
         pq = self._pq_read.value()
         if not np.isfinite(pq):
             result.residual_norms.append(float("nan"))
@@ -226,13 +265,15 @@ class ConjugateGradient:
         for _ in range(max_iterations):
             if self.iterate():
                 break
+        self.flush()
         return result
 
     # -- resilience hooks ---------------------------------------------------
     def checkpoint_fields(self) -> list:
         """The complete iteration state: ``x``, ``r`` and ``p``.
 
-        Checkpointing all three (plus :meth:`checkpoint_scalars`) makes a
+        Checkpointing all three (plus :meth:`checkpoint_scalars`, which
+        carries the pending alpha ``x`` has not taken yet) makes a
         rollback **bitwise-exact**: :meth:`restore_scalars` continues the
         very same Krylov trajectory instead of restarting it, so a
         recovered run finishes identical to a fault-free one — the
@@ -249,6 +290,7 @@ class ConjugateGradient:
             "begun": True,
             "delta": self._delta,
             "beta": self.beta["v"],
+            "alpha": self.alpha["v"],
             "tolerance": self._tolerance,
             "iterations": self.result.iterations,
             "converged": self.result.converged,
@@ -265,6 +307,7 @@ class ConjugateGradient:
         identical trajectory on the survivors.
         """
         if not scalars.get("begun"):
+            self.alpha["v"] = 0.0
             self.result = None
             return
         self._rr_read = ops.ScalarResult(self.rr_partial)
@@ -272,7 +315,7 @@ class ConjugateGradient:
         self._delta = scalars["delta"]
         self._tolerance = scalars["tolerance"]
         self.beta["v"] = scalars["beta"]
-        self.alpha["v"] = 0.0
+        self.alpha["v"] = scalars["alpha"]
         self.neg_alpha["v"] = 0.0
         self.result = CGResult(
             converged=scalars["converged"],

@@ -281,4 +281,5 @@ class ElasticitySolver:
 
     def displacement(self) -> np.ndarray:
         """Global displacement array (3, *shape), (uz, uy, ux) order."""
+        self.cg.flush()
         return self.u.to_numpy()

@@ -163,8 +163,7 @@ class KarmanVortexStreet:
             return
         feq0 = self.lattice.equilibrium(np.float64(RHO0), np.array([0.0, self.inflow_velocity]))
         for fld in self.f:
-            for q in range(self.lattice.q):
-                fld.fill(float(feq0[q]), comp=q)
+            fld.fill(feq0)
             fld.sync_halo_now()
 
     @property

@@ -154,9 +154,9 @@ class LidDrivenCavity:
         self._parity = 0
         if self.grid.virtual:
             return
+        rest = [RHO0 * self.lattice.weights[q] for q in range(self.lattice.q)]
         for fld in self.f:
-            for q in range(self.lattice.q):
-                fld.fill(RHO0 * self.lattice.weights[q], comp=q)
+            fld.fill(rest)
             fld.sync_halo_now()
 
     @property

@@ -84,6 +84,7 @@ class PoissonSolver:
         return self.cg.iteration_makespan(machine)
 
     def solution(self) -> np.ndarray:
+        self.cg.flush()
         return self.u.to_numpy()[0]
 
 

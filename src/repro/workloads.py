@@ -188,12 +188,15 @@ class _CGApp(_App):
 
     Checkpoints carry the full Krylov state, so a restore resumes the
     identical trajectory and a recovered solve is bitwise the plain one.
+    The CG's flush skeleton (serial, one map per rank) runs only when x
+    is read, so it is not one of ``skeletons``; it is fused like them.
     """
 
     def __init__(self, spec: JobSpec, backend: Backend, solver, result_key: str, result):
         super().__init__(spec, backend, solver)
         self.cg = self.state = solver.cg
         self.cg.mode = spec.mode
+        self.cg.sk_flush.plan.fuse = spec.fused
         self.tolerance = float(spec.param("tolerance", 1e-12))
         self._result_key, self._result = result_key, result
 
@@ -215,6 +218,7 @@ class _CGApp(_App):
         return self.fingerprints()
 
     def result_array(self) -> np.ndarray:
+        self.cg.flush()
         return self.cg.x.to_numpy()
 
     def fingerprints(self) -> dict[str, np.ndarray]:

@@ -89,7 +89,8 @@ def test_traced_replay_runs_the_specialised_kernels_not_the_interpreted_ones(sol
         pytest.skip("no C compiler in this environment")
     app = build(served_spec(solver, 4, Occ.STANDARD, "serial", None))
     app.run()  # freeze every program
-    programs = {sk.name: sk.plan._ensure_program() for sk in app.skeletons}
+    skeletons = [*app.skeletons, app.cg.sk_flush] if hasattr(app, "cg") else app.skeletons  # + the x flush
+    programs = {sk.name: sk.plan._ensure_program() for sk in skeletons}
     kernels = [
         (step, fn)
         for program in programs.values()
