@@ -42,9 +42,13 @@ pieces, and the thing a bare serial replay concatenates across units.
 * *block stencil* (:func:`block_stencil`): per output component ``c`` an
   accumulator starting at ``0.0`` takes ``acc + coeff * src[d](cell+off)``
   for every nonzero block entry in the closure's (offset, d) order, each
-  coefficient a hex float; the result is stored where ``(z > 0) * mask >
-  0.5`` and ``keep[c]`` is copied elsewhere — ``np.where`` of the same
-  values.  Reads resolve like the stencil's.  The *projection*
+  coefficient a hex float, in every cell; the store selects it where
+  ``(z > 0) * mask > 0.5`` and ``keep[c]`` elsewhere — ``np.where`` of the
+  same values, a masked-off cell's sum computed and discarded.  Reads
+  resolve like the stencil's, but each row of a plane runs the x loop of
+  its row class (interior, first, last, or the only row), in which a read
+  from a missing row is ``outside`` outright: no x loop holds a branch or
+  a y guard, so the compiler vectorises all four.  The *projection*
   (:func:`projection`) is ``((z > 0) * mask) * u[c]``, the bool cast to
   ``1.0`` / ``0.0`` first, as NumPy casts it.  ``z`` is the global axis-0
   coordinate: the rank's offset arrives in the op record, the mask's
@@ -227,6 +231,22 @@ void {name}(const op_t* op) {{
 """
 
 
+#: an x loop's promise that no store feeds a later iteration's load: the
+#: loads it vectorises across come from buffers its stores do not touch,
+#: or only from the cell a store writes (read before written)
+IVDEP = ("#ifdef __clang__", "#pragma clang loop vectorize(assume_safety)", "#else", "#pragma GCC ivdep", "#endif")
+
+#: a block stencil's row classes, each with its own x loop: ``(the C that
+#: opens its branch, lateral y offsets whose reads are outside)`` — interior
+#: rows, the only row, the first, the last
+_ROW_CLASSES = (
+    ("if (y > 0 && y < n1 - 1)", ()),
+    ("} else if (n1 == 1)", (-1, 1)),
+    ("} else if (y == 0)", (-1,)),
+    ("} else", (1,)),
+)
+
+
 def _block_stencil_source(name: str, terms: tuple) -> str:
     """C for ``out[c] = fr > 0.5 ? sum coeff * src[d](cell + off) : keep[c]``
     with ``fr = (z > 0) * mask``, over slices ``[lo, hi)``.
@@ -236,6 +256,10 @@ def _block_stencil_source(name: str, terms: tuple) -> str:
     within each, so each ``a<c>`` accumulates in the closure's (offset, d)
     order from ``0.0``.  ``keep`` and ``out`` may alias: a cell reads its
     own ``keep`` before writing ``out``.
+
+    Each row of a plane runs the x loop of its class (:data:`_ROW_CLASSES`),
+    branch-free so the compiler vectorises it; the x guards stay per-cell
+    selects (masked loads).
     """
     hexf = _cc.hexf
     card = 1 + max(c for _, entries in terms for c, _, _ in entries)
@@ -247,29 +271,31 @@ def _block_stencil_source(name: str, terms: tuple) -> str:
         "  long plane = n1 * n2;",
         "  for (long z = h + lo; z < h + hi; ++z) {",
         "    double above = (gstart + z - h > 0) ? 1.0 : 0.0;",
-        "    for (long y = 0; y < n1; ++y)",
-        "      for (long x = 0; x < n2; ++x) {",
-        "        long i = (z * n1 + y) * n2 + x;",
-        "        if (!(above * mask[i] > 0.5)) {",
-        f"          for (long k = 0; k < {card}; ++k) out[k * cstride + i] = keep[k * cstride + i];",
-        "          continue;",
-        "        }",
-        f"        double {acc}, v;",
+        "    for (long y = 0; y < n1; ++y) {",
+        "      long row = (z * n1 + y) * n2;",
     ]
-    for (d0, d1, d2), entries in terms:
-        inside = " && ".join(
-            f"{var} + ({d}) >= 0 && {var} + ({d}) < {size}" for var, d, size in (("y", d1, "n1"), ("x", d2, "n2")) if d
-        )
-        read = f"i + ({d0}) * plane + ({d1}) * n2 + ({d2})"
-        for d in sorted({d for _, d, _ in entries}):
-            value = f"src[{d} * cstride + {read}]"
-            lines.append(f"        v = ({inside}) ? {value} : outside;" if inside else f"        v = {value};")
-            lines += [f"        a{c} = a{c} + {hexf(coeff)} * v;" for c, dd, coeff in entries if dd == d]
-    lines += [f"        out[{c} * cstride + i] = a{c};" for c in range(card)]
+    for opener, missing in _ROW_CLASSES:
+        lines.append(f"      {opener} {{")
+        lines += IVDEP
+        lines += ["        for (long x = 0; x < n2; ++x) {", "          long i = row + x;"]
+        lines.append(f"          double {acc}, v;")
+        for (d0, d1, d2), entries in terms:
+            for d in sorted({d for _, d, _ in entries}):
+                value = f"src[{d} * cstride + i + ({d0}) * plane + ({d1}) * n2 + ({d2})]"
+                if d1 in missing:
+                    value = "outside"
+                elif d2:
+                    value = f"(x + ({d2}) >= 0 && x + ({d2}) < n2) ? {value} : outside"
+                lines.append(f"          v = {value};")
+                lines += [f"          a{c} = a{c} + {hexf(coeff)} * v;" for c, dd, coeff in entries if dd == d]
+        lines.append("          double fr = above * mask[i];")
+        for c in range(card):
+            lines.append(f"          out[{c} * cstride + i] = (fr > 0.5) ? a{c} : keep[{c} * cstride + i];")
+        lines.append("        }")
     longs = ", ".join(f"op->n[{k}]" for k in range(7))
     call = f"{name}_body(op->p[0], op->p[1], op->p[2], op->s[1], {longs}, *op->s[0]);"
     entry = f"void {name}(const op_t* op) {{ {call} }}"
-    lines += ["      }", "  }", "}", entry]
+    lines += ["      }", "    }", "  }", "}", entry]
     return "\n".join(lines) + "\n"
 
 
@@ -296,9 +322,15 @@ def _declare(grid, kind: str, terms) -> str:
     return f"{kind}_{declared.index((kind, terms))}"
 
 
+def unit_source(grid) -> str:
+    """The translation unit of ``grid``: the fixed maps and reduces plus
+    every operator its containers declared so far."""
+    return _source(tuple(vars(grid).get("_c_operators", ())))
+
+
 def _bind(grid, symbol: str):
     """``symbol`` out of the grid's unit, or None (no compiler, build failed)."""
-    source = _source(tuple(vars(grid).get("_c_operators", ())))
+    source = unit_source(grid)
     return _table.bind((symbol, source), source, symbol)
 
 

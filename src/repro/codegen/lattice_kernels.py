@@ -89,7 +89,7 @@ import numpy as np
 from repro import codegen as _cc
 
 from . import table as _table
-from .grid_kernels import component_stride, dense_slabs, indicator_slab, launcher, operand, scalar_slot, windows
+from .grid_kernels import IVDEP, component_stride, dense_slabs, indicator_slab, launcher, operand, scalar_slot, windows
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,6 @@ class PullRule:
     pull: Callable[[int, str, str], list]
     store: Callable[[int], list]
     entry: str
-
-
-#: the x loop's promise that its stores alias none of its loads: ``fin`` and
-#: ``fout`` are distinct buffers and populations sit a pitch apart
-_IVDEP = ("#ifdef __clang__", "#pragma clang loop vectorize(assume_safety)", "#else", "#pragma GCC ivdep", "#endif")
 
 
 def _guarded(inside: str, value: str, outside: str) -> str:
@@ -241,7 +236,7 @@ def collide_stream_source(lattice, rule: PullRule) -> str:
     emit("    long zz = z + h;")
     lines += rule.row
     emit("    for (long y = 0; y < ny; ++y) {")
-    lines += _IVDEP
+    lines += IVDEP  # fin and fout are distinct buffers, populations a pitch apart
     emit("      for (long x = 0; x < nx; ++x) {")
     emit("        long c = zz * plane + y * nx + x;")
     emit(f"        double fq[{q_count}];")
