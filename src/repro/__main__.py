@@ -5,18 +5,16 @@
     python -m repro collect              # print measured tables (markdown)
     python -m repro info                 # package / machine-model summary
 
-Five subcommands take one of the four experiments of ``repro.workloads``
+Four subcommands take one of the four experiments of ``repro.workloads``
 (``lbm``, ``karman``, ``poisson``, ``elasticity``) and run the *solver* at
 miniature size; any other name exits 2 with the same message:
 
-    python -m repro trace poisson -o trace.json
-        # run with the observability layer armed and export a Chrome /
-        # Perfetto trace (real + simulated timelines + metrics)
-    python -m repro report lbm --devices 4 -o REPORT_lbm.json
-        # performance observatory: measured wall-clock and latency
+    python -m repro trace lbm --devices 4 -o trace-lbm.json
+        # one instrumented run: prints the measured wall-clock and latency
         # histograms (p50/p90/p99) beside the modeled DES side (the exact
         # critical path with its {kernel, copy, wait, dispatch} breakdown,
-        # per-device utilization); prints the text view, -o writes JSON
+        # per-device utilization), then the counters; writes one Perfetto
+        # file (real + simulated timelines, metrics, the report as JSON)
     python -m repro sanitize lbm --devices 4 --occ standard --mutate
         # replay under the graph race sanitizer (vector-clock
         # happens-before checking of the compiled schedule); --mutate
@@ -114,14 +112,15 @@ def _seed(p, what: str, default: int) -> None:
 
 @contextlib.contextmanager
 def _armed():
-    """Arm observability for one command; always disarm, whatever it raises."""
+    """Arm a fresh recording for one command; always restore the caller's, whatever it raises."""
     from repro import observability as obs
 
+    prev = (obs.OBS.active, obs.OBS.tracer, obs.OBS.metrics)
     obs.enable()
     try:
         yield
     finally:
-        obs.disable()
+        obs.OBS.active, obs.OBS.tracer, obs.OBS.metrics = prev
 
 
 def _write(path: str, text: str) -> None:
@@ -183,35 +182,26 @@ def run_info(args) -> int:
 # -- trace -----------------------------------------------------------------------
 def args_trace(p) -> None:
     _experiment(p)
-    _output(p, "Chrome trace JSON output path", default="trace.json")
+    _output(p, "Perfetto trace JSON output path (the report rides along under \"report\")", default="trace.json")
     _devices(p, 2)
     _no_fuse(p)  # unfused runs emit no cat="fused" envelopes around the constituent spans
-    _mode(p, "execution mode for the traced run")
+    _mode(p, "replay mode of the run and of the modeled timeline")
 
 
 def run_trace(args) -> int:
     from repro import observability as obs
-    from repro.bench.dashboard import miniature
-    from repro.workloads import build
+    from repro.bench.dashboard import to_text, trace_report
 
-    spec = miniature(args.name, args.devices, args.mode, fused=not args.no_fuse)
-    app = build(spec)
-    app.run()
-    sim = app.step_skeletons[0].trace()  # simulated timeline of its last execution
-    app.close()
-    path = obs.export_chrome_trace(
-        args.output,
-        sim_trace=sim,
-        meta={"experiment": args.name, "workload": spec.label, "devices": args.devices},
-    )
+    report = trace_report(args.name, args.output, devices=args.devices, mode=args.mode, fused=not args.no_fuse)
     m = obs.metrics()
-    print(f"{spec.label} on {args.devices} simulated devices")
+    print(to_text(report))
+    print("\n== recorded: both runs ==")
     print(f"  real spans:      {len(obs.tracer())}")
     print(f"  kernel launches: {m.total('kernel_launches'):g}")
     print(f"  halo bytes sent: {m.total('halo_bytes_sent'):g}")
     print(f"  sync waits:      {m.total('sync_waits'):g}")
     print(f"\n{m.to_markdown()}")
-    print(f"\nwrote {path} — open in https://ui.perfetto.dev (real + sim:* tracks)")
+    print(f"\nwrote {args.output} — open in https://ui.perfetto.dev (real + sim:* tracks)")
     return 0
 
 
@@ -298,24 +288,6 @@ def run_tune(args) -> int:
     if args.output:
         plan.save(args.output)
         print(f"wrote {args.output}")
-    return 0
-
-
-# -- report ----------------------------------------------------------------------
-def args_report(p) -> None:
-    _experiment(p)
-    _devices(p, 4)
-    _mode(p, "replay mode of the run and of the modeled timeline")
-    _output(p, "write the report as JSON (e.g. REPORT_lbm.json)")
-
-
-def run_report(args) -> int:
-    from repro.bench.dashboard import build_report, to_text
-
-    report = build_report(args.name, devices=args.devices, mode=args.mode)
-    print(to_text(report))
-    if args.output:
-        _write(args.output, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -463,7 +435,7 @@ class Command(NamedTuple):
     help: str
     add_arguments: Callable | None
     run: Callable
-    #: run with observability armed (and always disarmed afterwards)
+    #: run with observability armed (the caller's state restored afterwards)
     observed: bool = False
 
 
@@ -472,10 +444,9 @@ COMMANDS = (
     Command("reproduce", "run one or more experiments", args_reproduce, run_reproduce),
     Command("collect", "print measured result tables as markdown", None, run_collect),
     Command("info", "package and machine-model summary", None, run_info),
-    Command("trace", "run an instrumented miniature and export a Chrome trace", args_trace, run_trace, True),
+    Command("trace", "run an instrumented miniature: report + Perfetto trace", args_trace, run_trace, True),
     Command("sanitize", "race-sanitize a miniature's compiled schedule", args_sanitize, run_sanitize, True),
     Command("tune", "tune one experiment on one machine model", args_tune, run_tune),
-    Command("report", "performance observatory dashboard", args_report, run_report),
     Command("chaos", "fault harness: a seeded fault profile (default the storm) with a bitwise bar", args_chaos, run_chaos, True),
     Command("serve", "multi-tenant gateway smoke: mixed jobs through the plan cache", args_serve, run_serve, True),
 )

@@ -1,7 +1,7 @@
 """Benchmark harness: metrics, table formatting, result persistence.
 
 Heavier pieces — the fault harness (:mod:`repro.bench.chaos`) and the
-performance-observatory dashboard (:mod:`repro.bench.dashboard`) — are
+one instrumented run behind ``repro trace`` (:mod:`repro.bench.dashboard`) — are
 imported explicitly by their users rather than re-exported here, so
 ``import repro.bench`` stays cheap.  Performance regressions are judged
 by the repo's benchmark (``perf/run.py`` + ``BENCHMARK.json``), not here.

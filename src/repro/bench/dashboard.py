@@ -1,9 +1,10 @@
-"""The performance dashboard behind ``python -m repro report``.
+"""The one instrumented run behind ``python -m repro trace``.
 
-One report = one instrumented run of an experiment of
-:mod:`repro.workloads` at miniature size (:func:`miniature`; ``trace``
-runs the same specs) beside its DES replay.  The two halves read two
-different clocks and no number is computed from both:
+One run of an experiment of :mod:`repro.workloads` at miniature size
+(:func:`miniature`) beside its DES replay, written as one Perfetto
+document: the real and ``sim:`` timelines, the metrics, and the report
+below under ``"report"``.  The report's two halves read two different
+clocks and no number is computed from both:
 
 * **measured** (host wall-clock): the run's ``wall_seconds`` and the
   histogram summaries (p50/p90/p99) of every timing metric it produced;
@@ -15,8 +16,7 @@ different clocks and no number is computed from both:
 * a **flight-recorder sample** so the artifact doubles as a post-mortem
   format example.
 
-The report dict is the JSON document (``python -m repro report -o``);
-:func:`to_text` is its one terminal view.
+:func:`to_text` is the report's one terminal view.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _MINIATURES = {
 
 
 def miniature(exp: str, devices: int, mode: str = "serial", fused: bool = True) -> JobSpec:
-    """The spec ``trace`` and ``report`` run for one experiment."""
+    """The spec ``trace`` runs for one experiment."""
     shape, steps = _MINIATURES[check_experiment(exp)]
     return JobSpec.make(exp, shape, steps, devices=devices, mode=mode, fused=fused)
 
@@ -62,16 +62,15 @@ _HISTOGRAMS = (
 )
 
 
-def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
-    """Run the miniature instrumented and join it with its DES replay.
+def trace_report(exp: str, path, devices: int = 2, mode: str = "serial", fused: bool = True) -> dict:
+    """Run the miniature, write its Perfetto document to ``path``, return the report.
 
-    ``mode`` is the replay mode of the run and the host-dispatch model of
-    the simulated side.
+    The caller arms observability (``python -m repro trace`` does); the
+    tracer and registry it armed hold both runs afterwards.  ``mode`` is
+    the replay mode of the run and the host-dispatch model of the DES.
     """
-    spec = miniature(exp, devices, mode)
+    spec = miniature(exp, devices, mode, fused)
     app = build(spec)
-    prev = (obs.OBS.active, obs.OBS.tracer, obs.OBS.metrics)
-    obs.enable()
     try:
         app.run()  # warm-up: compile + freeze every program
         app.reset()
@@ -79,33 +78,32 @@ def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
         t0 = perf_counter()
         app.run()
         wall = perf_counter() - t0
-        # replays per skeleton in the timed run, as the tracer saw them
-        # (a CG solve may converge before its iteration budget)
-        runs = Counter(
-            s.args["skeleton"]
-            for s in tracer.spans
-            if s.name.startswith("skeleton.run:") and s.start >= t0 - tracer.epoch
-        )
-        registry = obs.metrics()
-        histograms = {
-            name: registry.histogram_summaries(name)
-            for name in _HISTOGRAMS
-            if registry.series(name)
-        }
-        label_overflows = dict(registry.label_overflows)
     finally:
-        obs.OBS.active, obs.OBS.tracer, obs.OBS.metrics = prev
         app.close()
+    # replays per skeleton in the timed run, as the tracer saw them (a CG
+    # solve may converge before its iteration budget; its flush skeleton
+    # is not one of ``app.skeletons`` but its time is in ``wall``)
+    runs = Counter(
+        s.args["skeleton"]
+        for s in tracer.spans
+        if s.name.startswith("skeleton.run:") and s.start >= t0 - tracer.epoch
+    )
+    flush = [app.cg.sk_flush] if hasattr(app, "cg") else []
+    registry = obs.metrics()
 
     skeletons = []
     modeled_total = 0.0
     breakdown = {"kernel": 0.0, "copy": 0.0, "wait": 0.0, "dispatch": 0.0}
     util_acc: dict[int, dict[str, float]] = {}
-    for sk in app.skeletons:
-        result = sk.last_result or sk.record()
-        trace = sim_replay(result, sk.backend.machine, mode=mode)
+    first = app.step_skeletons[0]
+    for sk in [*app.skeletons, *flush]:
+        if not runs[sk.name]:
+            continue
+        trace = sim_replay(sk.last_result, sk.backend.machine, mode=mode)
+        if sk is first:
+            sim = trace  # the sim: tracks of the Perfetto document
         cp = critical_path(trace)
-        dep = dependency_chain(result.queues, sk.backend.machine)
+        dep = dependency_chain(sk.last_result.queues, sk.backend.machine)
         util = device_utilization(trace)
         weight = trace.makespan * runs[sk.name]
         modeled_total += weight
@@ -133,7 +131,7 @@ def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
         for dev, acc in sorted(util_acc.items())
     }
 
-    return {
+    report = {
         "schema": REPORT_SCHEMA,
         "exp": exp,
         "description": spec.label,
@@ -142,8 +140,10 @@ def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
         "iterations": spec.steps,
         # measured: host wall-clock
         "wall_seconds": wall,
-        "histograms": histograms,
-        "label_overflows": label_overflows,
+        "histograms": {
+            name: registry.histogram_summaries(name) for name in _HISTOGRAMS if registry.series(name)
+        },
+        "label_overflows": dict(registry.label_overflows),
         # modeled: the DES of ``machine``
         "machine": app.backend.machine.name,
         "sim_makespan_s": modeled_total,
@@ -152,6 +152,14 @@ def build_report(exp: str, devices: int = 4, mode: str = "serial") -> dict:
         "skeletons": skeletons,
         "flight_sample": _flight.FLIGHT.snapshot(),
     }
+    doc = obs.merge_chrome_traces(
+        real_events=tracer.to_chrome_trace(),
+        sim_events=sim.to_chrome_trace(),
+        metrics=registry.to_json(),
+        meta={"experiment": exp, "workload": spec.label, "devices": devices},
+    )
+    obs.write_chrome_trace(path, {**doc, "report": report})
+    return report
 
 
 # -- renderers ---------------------------------------------------------------
@@ -167,7 +175,7 @@ def _fmt_s(v: float) -> str:
 def to_text(report: dict) -> str:
     """Terminal view: the measured section, then the modeled section."""
     lines = [
-        f"== repro report: {report['exp']} ==",
+        f"== repro trace: {report['exp']} ==",
         f"{report['description']}",
         f"devices={report['devices']} mode={report['mode']} iterations={report['iterations']}",
         "",
@@ -230,7 +238,7 @@ def to_text(report: dict) -> str:
 
 __all__ = [
     "REPORT_SCHEMA",
-    "build_report",
     "miniature",
     "to_text",
+    "trace_report",
 ]

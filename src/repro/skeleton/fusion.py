@@ -2,7 +2,7 @@
 
 The dashboards put the problem on the table: a 4-device LBM miniature
 spends ~50x more wall-clock in per-step Python dispatch than its
-simulated makespan (``python -m repro report lbm --devices 4``; the
+simulated makespan (``python -m repro trace lbm --devices 4``; the
 benchmark's ``skeleton.fusion_speedup`` measures what this pass buys,
 see docs/runtime.md).  This pass runs at every ``CompiledProgram``
 freeze and collapses the step list into *dispatch units*: maximal

@@ -17,8 +17,8 @@ consumer drives the same way —
 — plus the :class:`~repro.resilience.ResilientDriver` protocol
 (``fields()``, ``scalars()``, ``on_restore()``, ``step(i)``,
 ``result_array()``), so the object a fault run recovers is the object a
-plain run replays.  ``trace``, ``report``, ``sanitize``, ``tune``,
-``chaos`` and the serving gateway all build through here;
+plain run replays.  ``trace``, ``sanitize``, ``tune``, ``chaos`` and
+the serving gateway all build through here;
 what they keep of their own is a table of *specs* (shapes, step counts,
 the right-hand side as a value of the ``rhs`` param), never a builder.
 """

@@ -1,21 +1,34 @@
-"""The performance-observatory report: building, its text view, its JSON.
+"""The one instrumented run: its Perfetto document, the report inside it,
+and what ``python -m repro trace`` prints.
 
-The heavy acceptance path (``repro report lbm --devices 4 -o``) is
-covered via the CLI entry point; the other tests reuse one module-scoped
-report so the instrumented run happens once.
+Every test reads one module-scoped ``trace poisson`` run through the CLI
+entry point, so the instrumented run happens once.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
 
 from repro import observability as obs
-from repro.bench.dashboard import REPORT_SCHEMA, build_report, to_text
+from repro.__main__ import main
+from repro.bench.dashboard import REPORT_SCHEMA, to_text, trace_report
 
 
 @pytest.fixture(scope="module")
-def report():
-    return build_report("poisson", devices=2, mode="serial")
+def traced(tmp_path_factory):
+    """(the written document, stdout) of ``trace poisson --devices 2``."""
+    out = tmp_path_factory.mktemp("trace") / "trace.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["trace", "poisson", "--devices", "2", "-o", str(out)]) == 0
+    return json.loads(out.read_text()), stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def report(traced):
+    return traced[0]["report"]
 
 
 def test_report_shape_and_schema(report):
@@ -74,16 +87,17 @@ def test_kernel_histograms_were_recorded(report):
     assert all({"p50", "p90", "p99"} <= set(s) for s in kernels)
 
 
-def test_build_report_restores_observability_state():
-    # disabled before -> disabled after (the instrumented pass is internal)
+def test_trace_restores_observability_state(tmp_path):
+    out = str(tmp_path / "t.json")
+    # disabled before -> disabled after (the instrumented run is internal)
     obs.reset()
-    build_report("poisson", devices=2)
+    assert main(["trace", "poisson", "-o", out]) == 0
     assert not obs.enabled()
     # enabled before -> the caller's registry survives untouched
     obs.enable()
     marker = obs.metrics()
     marker.counter("sentinel").inc()
-    build_report("poisson", devices=2)
+    assert main(["trace", "poisson", "-o", out]) == 0
     assert obs.enabled()
     assert obs.metrics() is marker  # caller's registry untouched
     assert obs.metrics().total("sentinel") == 1.0
@@ -104,32 +118,30 @@ def test_text_rendering_names_the_key_sections(report):
     assert "dispatch gap" not in text
 
 
-def test_unknown_experiment_raises_keyerror():
+def test_unknown_experiment_raises_keyerror(tmp_path):
     with pytest.raises(KeyError, match="unknown experiment 'nope'"):
-        build_report("nope", devices=2)
+        trace_report("nope", tmp_path / "t.json")
 
 
 def test_modeled_time_counts_each_skeleton_as_often_as_it_ran(report):
-    """The dashboard is the CG *solver*: init once, A and B once per iteration."""
+    """The dashboard is the CG *solver*: init once, A and B once per
+    iteration, and the flush that applies the last alpha once."""
     runs = {entry["name"]: entry["runs"] for entry in report["skeletons"]}
-    assert runs == {"cg_init": 1, "cg_a": report["iterations"], "cg_b": report["iterations"]}
+    assert runs == {"cg_init": 1, "cg_a": report["iterations"], "cg_b": report["iterations"], "cg_flush": 1}
     modeled = sum(entry["sim_makespan_s"] * entry["runs"] for entry in report["skeletons"])
     assert report["sim_makespan_s"] == pytest.approx(modeled)
 
 
-def test_cli_report_acceptance(tmp_path, capsys):
-    """`python -m repro report lbm --devices 4 -o R.json` end-to-end via
-    main(): stdout is the text view, the file is the JSON document."""
-    from repro.__main__ import main
+def test_cli_report_acceptance(traced):
+    """`python -m repro trace poisson` end to end: the Perfetto document
+    carries the report, and stdout is the report's text view, then the
+    recorded counters."""
+    doc, stdout = traced
+    report = doc["report"]
+    for key in ("schema", "wall_seconds", "histograms", "attribution", "utilization", "skeletons", "flight_sample"):
+        assert report[key], key
+    assert report["schema"] == REPORT_SCHEMA and report["devices"] == 2
 
-    out = tmp_path / "report.json"
-    assert main(["report", "lbm", "--devices", "4", "-o", str(out)]) == 0
-    assert "== repro report: lbm ==" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert doc["schema"] == REPORT_SCHEMA and doc["devices"] == 4
-    assert doc["wall_seconds"] > 0.0 and doc["histograms"]
-    for entry in doc["skeletons"]:
-        assert abs(entry["critical_path"]["total"] - entry["sim_makespan_s"]) <= (
-            0.01 * entry["sim_makespan_s"]
-        )
-    assert doc["flight_sample"]  # the rings travel inside the one document
+    for section in ("measured: host wall-clock", "modeled: DES of", "halo bytes sent", "real spans"):
+        assert section in stdout, section
+    assert stdout.index("modeled: DES of") < stdout.index("real spans")

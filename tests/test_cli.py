@@ -56,6 +56,7 @@ def test_main_requires_subcommand():
         ["bench", "lbm", "--process-gate", "1.0"],
         ["bench", "lbm"],  # the second benchmark is gone: perf/run.py is the one
         ["report", "--compare", "a", "b"],
+        ["report", "lbm"],  # `trace` writes the report: one instrumented run, one artifact
     ],
 )
 def test_deleted_process_mode_switches_exit_2(argv):

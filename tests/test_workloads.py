@@ -135,13 +135,13 @@ def _experiment_subcommands() -> dict[str, tuple[str, ...]]:
 
 def test_cli_subcommands_that_take_an_experiment():
     accepted = _experiment_subcommands()
-    assert set(accepted) == {"trace", "report", "sanitize", "tune", "chaos"}
+    assert set(accepted) == {"trace", "sanitize", "tune", "chaos"}
     assert set(accepted["chaos"]) == {"lbm", "poisson"}
     for names in accepted.values():
         assert set(names) <= set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("command", ["trace", "report", "sanitize", "tune", "chaos"])
+@pytest.mark.parametrize("command", ["trace", "sanitize", "tune", "chaos"])
 def test_cli_rejects_any_other_name_with_the_same_message_and_disarms(command, tmp_path, capsys):
     """A bad experiment name -> exit 2, the registry's message listing the
     subcommand's names, and no process-global layer left armed."""
