@@ -193,13 +193,18 @@ def run_trace(args) -> int:
     from repro.bench.dashboard import to_text, trace_report
 
     report = trace_report(args.name, args.output, devices=args.devices, mode=args.mode, fused=not args.no_fuse)
-    m = obs.metrics()
+    m = obs.metrics()  # the timed run's registry
+
+    def runs(name):
+        return sum(h.count for h in m.series(name))
+
     print(to_text(report))
-    print("\n== recorded: both runs ==")
-    print(f"  real spans:      {len(obs.tracer())}")
-    print(f"  kernel launches: {m.total('kernel_launches'):g}")
+    print("\n== executed: the timed run ==")
+    print(f"  kernel launches: {runs('kernel_seconds')}")
+    print(f"  copies:          {runs('copy_seconds')}")
     print(f"  halo bytes sent: {m.total('halo_bytes_sent'):g}")
-    print(f"  sync waits:      {m.total('sync_waits'):g}")
+    print(f"  sync waits:      {sum(sk['num_waits'] * sk['runs'] for sk in report['skeletons'])}")
+    print(f"  real spans (warm-up + timed): {len(obs.tracer())}")
     print(f"\n{m.to_markdown()}")
     print(f"\nwrote {args.output} — open in https://ui.perfetto.dev (real + sim:* tracks)")
     return 0

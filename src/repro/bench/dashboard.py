@@ -57,7 +57,6 @@ _HISTOGRAMS = (
     "serve_queue_wait_seconds",
     "engine_batch_seconds",
     "copy_size_bytes",
-    "launch_cost_bytes",
     "allocation_size_bytes",
 )
 
@@ -65,9 +64,11 @@ _HISTOGRAMS = (
 def trace_report(exp: str, path, devices: int = 2, mode: str = "serial", fused: bool = True) -> dict:
     """Run the miniature, write its Perfetto document to ``path``, return the report.
 
-    The caller arms observability (``python -m repro trace`` does); the
-    tracer and registry it armed hold both runs afterwards.  ``mode`` is
-    the replay mode of the run and the host-dispatch model of the DES.
+    The caller arms observability (``python -m repro trace`` does).  After
+    the warm-up the registry is replaced, so the report's histograms and
+    the registry left armed describe the timed run alone; the tracer keeps
+    both runs for the Perfetto document.  ``mode`` is the replay mode of
+    the run and the host-dispatch model of the DES.
     """
     spec = miniature(exp, devices, mode, fused)
     app = build(spec)
@@ -75,6 +76,7 @@ def trace_report(exp: str, path, devices: int = 2, mode: str = "serial", fused: 
         app.run()  # warm-up: compile + freeze every program
         app.reset()
         tracer = obs.tracer()
+        obs.OBS.metrics = registry = obs.MetricsRegistry()
         t0 = perf_counter()
         app.run()
         wall = perf_counter() - t0
@@ -89,7 +91,6 @@ def trace_report(exp: str, path, devices: int = 2, mode: str = "serial", fused: 
         if s.name.startswith("skeleton.run:") and s.start >= t0 - tracer.epoch
     )
     flush = [app.cg.sk_flush] if hasattr(app, "cg") else []
-    registry = obs.metrics()
 
     skeletons = []
     modeled_total = 0.0
@@ -118,6 +119,7 @@ def trace_report(exp: str, path, devices: int = 2, mode: str = "serial", fused: 
             {
                 "name": sk.name,
                 "runs": runs[sk.name],
+                "num_waits": sk.stats.num_waits,
                 "sim_makespan_s": trace.makespan,
                 "critical_path": cp.to_json(),
                 "dependency_chain": {"total": dep.total, "commands": list(dep.commands)},

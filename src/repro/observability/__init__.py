@@ -6,8 +6,9 @@ for before/after artifacts in performance work.  Three pieces:
 * :mod:`repro.observability.tracer`  — nested wall-clock spans
   (context-manager API, monotonic timestamps, thread-safe);
 * :mod:`repro.observability.metrics` — labeled counters / gauges /
-  histograms (``halo_bytes_sent{src,dst}``, ``kernel_launches{device}``,
-  ``sync_waits{queue}``, ``allocations_bytes{device}``, ...);
+  histograms, each emitted where the work runs
+  (``kernel_seconds{device,kernel}``, ``halo_bytes_sent{src,dst}``,
+  ``allocations_bytes{device}``, ...);
 * :mod:`repro.observability.export`  — Chrome trace-event JSON unified
   with :meth:`repro.sim.Trace.to_chrome_trace` (real and simulated
   timelines load side-by-side in Perfetto) plus markdown/JSON metrics

@@ -7,14 +7,15 @@ lock, so concurrent instrumented code (e.g. future threaded executors)
 stays consistent; the lock is only ever taken when observability is
 enabled, so the disabled path pays nothing.
 
-Histograms are distribution summaries: each one keeps an exact
-reservoir of its first :data:`Histogram.SAMPLE_MAX` observations
-(percentiles are exact for short runs, which is what tests compare
-against) and three P² streaming-quantile estimators (Jain & Chlamtac
-1985) for p50/p90/p99 that keep working at serving-run scale with O(1)
-memory.  ``summary()`` packages count/sum/min/max/mean and
-the three percentiles for dashboards and reports; no result-affecting
-decision reads them.
+Histograms are distribution summaries: each one keeps a bounded,
+deterministic sample of its observations — every ``stride``-th one,
+thinned by half (and ``stride`` doubled) whenever it would outgrow
+:data:`Histogram.SAMPLE_MAX` — and reads every percentile from it, so
+percentiles are exact for runs of up to ``SAMPLE_MAX`` observations
+(which is what tests compare against) and memory stays bounded at
+serving-run scale.  ``summary()`` packages count/sum/min/max/mean and
+p50/p90/p99 for dashboards and reports; no result-affecting decision
+reads them.
 
 Long-running servers must not leak series: the registry caps the number
 of distinct label-sets per metric name at
@@ -78,76 +79,6 @@ class Gauge:
         self.inc(-amount)
 
 
-class _P2Quantile:
-    """One streaming quantile via the P² algorithm (Jain & Chlamtac).
-
-    Five markers track the min, the target quantile, the max and two
-    intermediate quantiles; each observation shifts marker positions and
-    adjusts heights with a piecewise-parabolic fit.  O(1) memory and
-    time per observation, and the estimate of the middle marker
-    converges to the true quantile for stationary streams — the standard
-    choice when storing the sample is not an option.
-    """
-
-    __slots__ = ("p", "count", "heights", "positions", "desired", "increments")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = p
-        self.count = 0
-        self.heights: list[float] = []
-        self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self.desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self.increments = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        if len(self.heights) < 5:
-            self.heights.append(value)
-            if len(self.heights) == 5:
-                self.heights.sort()
-            return
-        q, n = self.heights, self.positions
-        # locate the cell of the new observation, clamping the extremes
-        if value < q[0]:
-            q[0] = value
-            k = 0
-        elif value >= q[4]:
-            q[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        for i in range(5):
-            self.desired[i] += self.increments[i]
-        # adjust the three interior markers toward their desired positions
-        for i in (1, 2, 3):
-            d = self.desired[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (d <= -1.0 and n[i - 1] - n[i] < -1.0):
-                d = 1.0 if d > 0 else -1.0
-                # piecewise-parabolic prediction of the marker height
-                hp = q[i] + d / (n[i + 1] - n[i - 1]) * (
-                    (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                    + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-                )
-                if not q[i - 1] < hp < q[i + 1]:
-                    # parabolic estimate left the bracket: fall back to linear
-                    hp = q[i] + d * (q[i + int(d)] - q[i]) / (n[i + int(d)] - n[i])
-                q[i] = hp
-                n[i] += d
-
-    def estimate(self) -> float:
-        if not self.heights:
-            return 0.0
-        if len(self.heights) < 5:
-            return _exact_quantile(sorted(self.heights), self.p)
-        return self.heights[2]
-
-
 def _exact_quantile(ordered: list[float], p: float) -> float:
     """Linear-interpolated quantile of an already-sorted sample."""
     if not ordered:
@@ -160,30 +91,21 @@ def _exact_quantile(ordered: list[float], p: float) -> float:
 
 
 class Histogram:
-    """A distribution summary: count/sum/min/max and p50/p90/p99.
+    """A distribution summary: count/sum/min/max and any percentile.
 
-    Percentiles are exact while the observation count stays within the
-    bounded reservoir (:data:`SAMPLE_MAX`) and switch to the P²
-    streaming estimates beyond it, so a histogram never grows with the
-    run length.
+    Percentiles are read from one bounded sample: every ``stride``-th
+    observation.  While the count stays within :data:`SAMPLE_MAX` the
+    stride is 1 and percentiles are exact; when an append would exceed
+    it, every other kept value is dropped and the stride doubles, so a
+    histogram never grows with the run length and no RNG is involved.
     """
 
-    __slots__ = (
-        "name",
-        "labels",
-        "count",
-        "total",
-        "min",
-        "max",
-        "_sample",
-        "_quantiles",
-        "_lock",
-    )
+    __slots__ = ("name", "labels", "count", "total", "min", "max", "stride", "_sample", "_lock")
 
-    #: exact-percentile reservoir size; beyond it P² estimates take over
-    SAMPLE_MAX = 512
-    #: the percentiles every histogram tracks as streaming estimators
-    QUANTILES = (0.5, 0.9, 0.99)
+    #: the sample's bound: percentiles are exact up to this many observations
+    #: and read from 2049-4096 strided ones beyond it (the p99 of a
+    #: 10^4-observation exponential stream then has a ~4 % standard error)
+    SAMPLE_MAX = 4096
 
     def __init__(self, name: str, labels: dict[str, str], lock: threading.Lock):
         self.name = name
@@ -192,43 +114,40 @@ class Histogram:
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
+        self.stride = 1
         self._sample: list[float] = []
-        self._quantiles = tuple(_P2Quantile(q) for q in self.QUANTILES)
         self._lock = lock
 
     def observe(self, value: float) -> None:
         with self._lock:
+            if self.count % self.stride == 0:
+                if len(self._sample) == self.SAMPLE_MAX:
+                    del self._sample[1::2]
+                    self.stride *= 2
+                self._sample.append(value)
             self.count += 1
             self.total += value
             if value < self.min:
                 self.min = value
             if value > self.max:
                 self.max = value
-            if len(self._sample) < self.SAMPLE_MAX:
-                self._sample.append(value)
-            for est in self._quantiles:
-                est.observe(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, p: float) -> float:
-        """The p-quantile: exact within the reservoir, P² beyond it."""
+    def _ordered(self) -> list[float]:
         with self._lock:
-            if self.count <= len(self._sample):
-                return _exact_quantile(sorted(self._sample), p)
-            for est in self._quantiles:
-                if abs(est.p - p) < 1e-12:
-                    return est.estimate()
-        raise ValueError(
-            f"quantile {p} is not tracked beyond the exact reservoir; "
-            f"streaming estimators cover {self.QUANTILES}"
-        )
+            return sorted(self._sample)
+
+    def quantile(self, p: float) -> float:
+        """The p-quantile of the sample (exact up to :data:`SAMPLE_MAX` observations)."""
+        return _exact_quantile(self._ordered(), p)
 
     def percentiles(self) -> dict[str, float]:
         """The standard dashboard trio: p50 / p90 / p99."""
-        return {f"p{int(q * 100)}": self.quantile(q) for q in self.QUANTILES}
+        ordered = self._ordered()
+        return {f"p{int(q * 100)}": _exact_quantile(ordered, q) for q in (0.5, 0.9, 0.99)}
 
     def summary(self) -> dict:
         """JSON-able digest: count/sum/mean/min/max + percentiles."""
@@ -256,12 +175,10 @@ class MetricsRegistry:
         self._series: dict[SeriesKey, object] = {}
         self._cardinality: dict[str, int] = {}
         self.label_overflows: dict[str, int] = {}
-        self.updates = 0  # instrumentation events, for overhead accounting
 
     def _get(self, cls, name: str, labels: dict[str, str]):
         key = (name, tuple(sorted(labels.items())))
         with self._lock:
-            self.updates += 1
             series = self._series.get(key)
             if series is None:
                 if self._cardinality.get(name, 0) >= self.MAX_LABEL_SETS:

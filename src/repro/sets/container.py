@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro import observability as _obs
-
 from .dataset import MultiDeviceData
 from .launch import estimate_cost
 from .loader import AccessToken, Loader, Pattern, ReduceMode
@@ -115,8 +113,6 @@ class Container:
                     for piece in span.pieces():
                         compute(piece)
 
-            if _obs.OBS.active:
-                _obs.OBS.metrics.counter("container_launches", container=self.name).inc()
             streams[rank].enqueue_kernel(
                 f"{self.name}@{view}[{rank}]", kernel, cost, container=None if virtual else self
             )

@@ -94,17 +94,12 @@ def estimate_cost(
             bytes_per_cell += density
         if tok.access.writes:
             bytes_per_cell += density
-    cost = KernelCost(
+    return KernelCost(
         bytes_moved=ncells * bytes_per_cell,
         flops=ncells * flops_per_cell,
         indirection=getattr(index_data, "indirection", 1.0),
         launches=max(1, len(span.pieces())),
     )
-    if _obs.OBS.active:
-        m = _obs.OBS.metrics
-        m.counter("cost_estimates").inc()
-        m.histogram("launch_cost_bytes").observe(cost.bytes_moved)
-    return cost
 
 
 def wrap_kernel_faults(

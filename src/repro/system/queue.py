@@ -41,8 +41,6 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro import observability as _obs
-
 from . import layers as _layers
 from .device import Device
 
@@ -230,12 +228,6 @@ class CommandQueue:
     def enqueue_kernel(self, name: str, fn: Callable[[], None], cost: KernelCost, container=None) -> KernelCommand:
         cmd = KernelCommand(name, fn, cost, container)
         self.commands.append(cmd)
-        if _obs.OBS.active:
-            m = _obs.OBS.metrics
-            dev = self.device.metric_label
-            m.counter("kernel_launches", device=dev).inc()
-            m.counter("kernel_bytes_modeled", device=dev).inc(cost.bytes_moved)
-            m.gauge("queue_depth", queue=self.name).set(len(self.commands))
         if self.eager:
             _layers.lower(cmd, self, self.session.layers())()
         return cmd
@@ -243,11 +235,6 @@ class CommandQueue:
     def enqueue_copy(self, name: str, fn: Callable[[], None], src: Device, dst: Device, nbytes: int) -> CopyCommand:
         cmd = CopyCommand(name, fn, src, dst, nbytes)
         self.commands.append(cmd)
-        if _obs.OBS.active:
-            m = _obs.OBS.metrics
-            m.counter("copies", device=self.device.metric_label).inc()
-            m.counter("copy_bytes", src=src.metric_label, dst=dst.metric_label).inc(nbytes)
-            m.gauge("queue_depth", queue=self.name).set(len(self.commands))
         if self.eager:
             _layers.lower(cmd, self, self.session.layers())()
         return cmd
@@ -259,15 +246,11 @@ class CommandQueue:
         self.commands.append(cmd)
         event.recorded_in = self
         event.record_position = len(self.commands) - 1
-        if _obs.OBS.active:
-            _obs.OBS.metrics.counter("events_recorded", queue=self.name).inc()
         return cmd
 
     def wait_event(self, event: Event) -> WaitEventCommand:
         cmd = WaitEventCommand(event)
         self.commands.append(cmd)
-        if _obs.OBS.active:
-            _obs.OBS.metrics.counter("sync_waits", queue=self.name).inc()
         return cmd
 
     def __len__(self) -> int:

@@ -87,6 +87,30 @@ def test_kernel_histograms_were_recorded(report):
     assert all({"p50", "p90", "p99"} <= set(s) for s in kernels)
 
 
+def test_histograms_cover_the_timed_run_only(report):
+    """The warm-up runs update_x 5 times per rank as well; the report
+    counts the timed run's 4 iterations + the flush."""
+    counts = {s["labels"]["kernel"]: s["count"] for s in report["histograms"]["kernel_seconds"]}
+    assert report["iterations"] == 4
+    assert counts["update_x[0]"] == counts["update_x[1]"] == 5
+
+
+def _printed(stdout: str, label: str) -> int:
+    (line,) = [ln for ln in stdout.splitlines() if ln.strip().startswith(f"{label}:")]
+    return int(line.split(":")[1])
+
+
+def test_printed_counts_are_what_the_timed_run_executed(traced):
+    doc, stdout = traced
+    report, metrics = doc["report"], doc["metrics"]
+    launches = sum(s["count"] for s in report["histograms"]["kernel_seconds"])
+    assert launches == sum(s["count"] for s in metrics["kernel_seconds"]) > 0
+    assert _printed(stdout, "kernel launches") == launches
+    assert _printed(stdout, "copies") == sum(s["count"] for s in metrics["copy_seconds"]) > 0
+    waits = sum(sk["num_waits"] * sk["runs"] for sk in report["skeletons"])
+    assert _printed(stdout, "sync waits") == waits > 0
+
+
 def test_trace_restores_observability_state(tmp_path):
     out = str(tmp_path / "t.json")
     # disabled before -> disabled after (the instrumented run is internal)
@@ -135,7 +159,7 @@ def test_modeled_time_counts_each_skeleton_as_often_as_it_ran(report):
 def test_cli_report_acceptance(traced):
     """`python -m repro trace poisson` end to end: the Perfetto document
     carries the report, and stdout is the report's text view, then the
-    recorded counters."""
+    timed run's counts."""
     doc, stdout = traced
     report = doc["report"]
     for key in ("schema", "wall_seconds", "histograms", "attribution", "utilization", "skeletons", "flight_sample"):

@@ -1,5 +1,5 @@
-"""Histogram metrics: exact small-sample percentiles, P² streaming
-estimates at scale, and the label-cardinality guard."""
+"""Histogram metrics: exact percentiles up to the sample bound, a strided
+bounded sample beyond it, and the label-cardinality guard."""
 
 import random
 
@@ -22,7 +22,7 @@ def test_small_sample_percentiles_are_exact():
     h = _hist()
     for v in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
         h.observe(v)
-    # 10 observations fit the reservoir: linear-interpolated exact values
+    # 10 observations fit the sample: linear-interpolated exact values
     assert h.quantile(0.5) == pytest.approx(5.5)
     assert h.quantile(0.9) == pytest.approx(9.1)
     assert h.quantile(0.0) == 1.0
@@ -34,13 +34,13 @@ def test_small_sample_percentiles_are_exact():
 
 
 def test_streaming_quantiles_track_uniform_distribution():
-    # well beyond the exact reservoir: P² estimates take over
+    # well beyond the sample bound: percentiles come from the thinned sample
     rng = random.Random(42)
     h = _hist()
     n = 20_000
     for _ in range(n):
         h.observe(rng.uniform(0.0, 1.0))
-    assert h.count == n and len(h._sample) == Histogram.SAMPLE_MAX
+    assert h.count == n
     assert h.quantile(0.5) == pytest.approx(0.5, abs=0.03)
     assert h.quantile(0.9) == pytest.approx(0.9, abs=0.03)
     assert h.quantile(0.99) == pytest.approx(0.99, abs=0.02)
@@ -61,12 +61,57 @@ def test_streaming_quantiles_track_heavy_tail():
         assert h.quantile(p) == pytest.approx(exact, rel=0.15)
 
 
-def test_untracked_quantile_raises_beyond_reservoir():
+def test_any_quantile_is_answerable_beyond_the_sample_bound():
     h = _hist()
-    for i in range(Histogram.SAMPLE_MAX + 10):
+    n = 4 * Histogram.SAMPLE_MAX + 10
+    for i in range(n):
         h.observe(float(i))
-    with pytest.raises(ValueError, match="not tracked"):
-        h.quantile(0.75)
+    assert h.quantile(0.75) == pytest.approx(0.75 * (n - 1), rel=0.01)
+    assert h.quantile(0.3) < h.quantile(0.75) < h.quantile(0.99)
+
+
+def _stream(n: int, seed: int = 3) -> list[float]:
+    rng = random.Random(seed)
+    return [rng.expovariate(1.0) for _ in range(n)]
+
+
+def test_percentiles_are_exact_at_the_sample_bound():
+    vals = _stream(Histogram.SAMPLE_MAX)
+    h = _hist()
+    for v in vals:
+        h.observe(v)
+    ordered = sorted(vals)
+    for p in (0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0):
+        assert h.quantile(p) == _exact_quantile(ordered, p)
+    assert h.percentiles() == {f"p{int(q * 100)}": _exact_quantile(ordered, q) for q in (0.5, 0.9, 0.99)}
+
+
+def test_one_past_the_bound_reads_every_other_observation():
+    vals = _stream(Histogram.SAMPLE_MAX + 1)
+    h = _hist()
+    for v in vals:
+        h.observe(v)
+    assert h.stride == 2
+    kept = sorted(vals[::2])  # the 1st, 3rd, ... and the last observation
+    for p in (0.25, 0.5, 0.75, 0.99):
+        assert h.quantile(p) == _exact_quantile(kept, p)
+    assert h.count == len(vals) and h.min == min(vals) and h.max == max(vals)
+    assert h.total == sum(vals) and h.mean == pytest.approx(sum(vals) / len(vals))
+
+    # on an evenly spaced stream the thinned sample loses nothing
+    h = _hist()
+    for i in range(Histogram.SAMPLE_MAX + 1):
+        h.observe(float(i))
+    for p in (0.25, 0.5, 0.75, 0.99):
+        assert h.quantile(p) == pytest.approx(p * Histogram.SAMPLE_MAX, rel=1e-12)
+
+
+def test_sample_stays_bounded():
+    h = _hist()
+    for i in range(100_000):
+        h.observe(float(i % 977))
+    assert h.count == 100_000
+    assert len(h._sample) <= Histogram.SAMPLE_MAX
 
 
 def test_registry_histogram_summaries_include_labels():

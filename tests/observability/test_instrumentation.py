@@ -38,11 +38,10 @@ def test_skeleton_run_populates_all_layers():
     sk, _y = _build()
     sk.run()
     m = obs.metrics()
-    # System layer: launches, queue gauges, allocation accounting
-    assert m.total("kernel_launches") > 0
+    # System layer: every kernel and copy of the run timed once, allocation accounting
+    assert sum(h.count for h in m.series("kernel_seconds")) == sk.stats.num_kernels
+    assert m.total("halo_messages") == sk.stats.num_copies  # init's eager halo sync is no halo message
     assert m.total("allocations_bytes") > 0
-    assert m.total("sync_waits") > 0
-    assert any(g.max > 0 for g in m.series("queue_depth"))
     # Sets layer: per-message halo byte counters with src/dst labels
     assert m.total("halo_bytes_sent") > 0
     assert m.value("halo_bytes_sent", src="0", dst="1") > 0
@@ -77,4 +76,4 @@ def test_export_merges_real_and_sim(tmp_path):
     pids = {e["pid"] for e in doc["traceEvents"]}
     assert any(p.startswith("sim:") for p in pids)
     assert any(not p.startswith("sim:") for p in pids)
-    assert doc["metrics"]["kernel_launches"]
+    assert doc["metrics"]["kernel_seconds"]

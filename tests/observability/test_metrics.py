@@ -25,7 +25,7 @@ def test_counter_rejects_decrease():
 
 def test_gauge_tracks_max():
     m = MetricsRegistry()
-    g = m.gauge("queue_depth", queue="s0")
+    g = m.gauge("memory_used_bytes", device="0")
     g.set(3)
     g.set(1)
     assert g.value == 1 and g.max == 3
@@ -52,12 +52,12 @@ def test_type_conflict_raises():
 
 def test_json_and_markdown_exports():
     m = MetricsRegistry()
-    m.counter("kernel_launches", device="gpu0").inc(3)
-    m.gauge("queue_depth", queue="s0").set(2)
+    m.counter("allocations", device="gpu0").inc(3)
+    m.gauge("memory_used_bytes", device="gpu0").set(2)
     m.histogram("sizes").observe(64)
     doc = m.to_json()
     json.dumps(doc)
-    assert doc["kernel_launches"][0]["value"] == 3
+    assert doc["allocations"][0]["value"] == 3
     md = m.to_markdown()
-    assert "kernel_launches" in md and "device=gpu0" in md
+    assert "allocations" in md and "device=gpu0" in md
     assert MetricsRegistry().to_markdown() == "(no metrics recorded)"

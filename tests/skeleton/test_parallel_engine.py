@@ -74,15 +74,13 @@ def test_repeated_run_reuses_frozen_program():
     program = sk.plan._program
     assert program is not None
     m = obs.metrics()
-    events_after_first = m.total("events_recorded")
-    launches_after_first = m.total("kernel_launches")
+    commands_after_first = [len(q) for q in r1.queues]
     r2 = sk.run()
     assert sk.plan._program is program  # frozen, not re-derived
     assert r2.queues[0] is r1.queues[0]  # same queue objects replayed
     assert r2.queues is not r1.queues  # but callers get a fresh list
-    # enqueue-time counters fired at freeze only; replays add none
-    assert m.total("events_recorded") == events_after_first
-    assert m.total("kernel_launches") == launches_after_first
+    # commands were recorded at freeze only; the replay enqueued none
+    assert [len(q) for q in r2.queues] == commands_after_first
     assert m.total("plan_replays") >= 2.0
 
 
