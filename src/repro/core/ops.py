@@ -17,9 +17,12 @@ closure below stays the reference the C kernel must match bit for bit.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.codegen import grid_kernels as _c
+from repro.codegen import table as _table
 from repro.sets import Container, MemSet
 from repro.domain.grid import Grid
 
@@ -182,33 +185,47 @@ class ScalarResult:
 
     Reading the value implies a device->host round trip for one scalar
     per device, exactly as a cuBLAS dot does; the conjugate-gradient
-    driver reads it once per iteration for the convergence check.
+    solver reads it twice per iteration (alpha and the convergence check).
+
+    A per-slice partial (``Grid.new_dot_partial``) is read by gathering its
+    rank rows into the partial's host mirror — one op table of
+    :func:`repro.codegen.table.copy` records, built on the first read
+    (``np.concatenate(rows, out=host)`` without a compiler) — and summing
+    that one row.  Device payload arrays are never rebound, so the gather
+    built once stays valid for the partial's lifetime.
     """
 
     def __init__(self, partial: MemSet, op=np.add):
         self.partial = partial
         self.op = op
-        self._rows = self._row = None
-        if getattr(partial, "slice_reduce", False) and not partial.virtual:
-            # device payload arrays are never rebound: hold the rank rows and
-            # one row to gather them into, instead of rebuilding both per read
-            self._rows = [buf.array for buf in partial.buffers]
-            self._row = np.concatenate(self._rows)
+        self._sliced = getattr(partial, "slice_reduce", False) and not partial.virtual
+        self._gather = None
 
     def value(self) -> float:
-        if self.partial.virtual:
-            raise RuntimeError("reduction partials of a virtual grid have no payload")
-        if self._rows is not None:
-            # per-slice partials: concatenating the rank rows in rank
-            # order reproduces the global slice order, so the summation
-            # tree depends only on the domain extent — bitwise identical
-            # for every partition (sum-only; see Grid.new_dot_partial)
-            return float(np.sum(np.concatenate(self._rows, out=self._row)))
-        vals = [float(self.partial.partition(r).array[0]) for r in range(self.partial.num_devices)]
-        out = vals[0]
-        for v in vals[1:]:
-            out = self.op(out, v)
-        return float(out)
+        if self._gather is None:
+            if self.partial.virtual:
+                raise RuntimeError("reduction partials of a virtual grid have no payload")
+            if not self._sliced:
+                vals = [float(self.partial.partition(r).array[0]) for r in range(self.partial.num_devices)]
+                out = vals[0]
+                for v in vals[1:]:
+                    out = self.op(out, v)
+                return float(out)
+            self._gather = _gather(self.partial)
+        self._gather()
+        # the rank rows in rank order are the global slice order, so the
+        # summation tree depends only on the domain extent — bitwise
+        # identical for every partition (sum-only; see Grid.new_dot_partial)
+        return float(np.add.reduce(self.partial.host))
+
+
+def _gather(partial: MemSet):
+    """The callable that copies ``partial``'s rank rows into its host mirror."""
+    host, rows = partial.host, [buf.array for buf in partial.buffers]
+    copies = [_table.copy(partial.host_slice(r), row) for r, row in enumerate(rows) if len(row)]
+    if copies and all(copies):
+        return _table.concat(copies)
+    return functools.partial(np.concatenate, rows, out=host)
 
 
 def _check(grid: Grid, *fields) -> None:

@@ -148,7 +148,9 @@ class Field(MultiDeviceData, abc.ABC):
             q = queues.get(msg.src_rank)
             if q is None:
                 q = queues[msg.src_rank] = backend.new_queue(msg.src_rank, name=f"halo:{self.name}")
-            q.enqueue_copy(msg.name, msg.fn, backend.device(msg.src_rank), backend.device(msg.dst_rank), msg.nbytes)
+            q.enqueue_copy(
+                msg.name, msg.fn, backend.device(msg.src_rank), backend.device(msg.dst_rank), msg.nbytes, halo=True
+            )
 
     def _bare_halo_runs(self) -> list:
         """The callables of a bare :meth:`sync_halo_now`, built once like the

@@ -75,9 +75,12 @@ class ScheduleStats:
     fusion_ratio: float = 1.0  # steps per dispatch unit (>= 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutionResult:
-    queues: list[CommandQueue]
+    """What a replay returns: the frozen program's queues and stats, built
+    once at freeze (every ``execute()`` of a plan returns the same one)."""
+
+    queues: tuple[CommandQueue, ...]
     stats: ScheduleStats
     plan: "Plan"
 
@@ -130,11 +133,14 @@ class CompiledProgram:
     step_of: dict[Command, _Step]
     events: dict[PieceKey, Event]
     stats: ScheduleStats
+    result: ExecutionResult
     dispatch: list[FusedStep] = field(default_factory=list)
     fused_heads: dict[Command, FusedStep] = field(default_factory=dict)
-    # bool(layers) -> (layers, runners): only the bare lowering and the
-    # latest instrumented one are kept, so dead registries are never accumulated
-    _lowered: dict[bool, tuple] = field(default_factory=dict, repr=False)
+    #: ``runners({})``, kept from the first bare lowering on (a bare replay
+    #: reads it without a call); the latest instrumented lowering is kept
+    #: beside it with its layers, so dead registries are never accumulated
+    bare: tuple | None = field(default=None, repr=False)
+    _armed: tuple | None = field(default=None, repr=False)
 
     def runners(self, layers: Mapping[str, object]) -> tuple[dict[Command, Callable[[], None]], list]:
         """``(by_head, host_calls)``: head command -> the callable that runs
@@ -144,12 +150,17 @@ class CompiledProgram:
         Re-lowered when ``layers`` (:meth:`repro.system.layers.Session.layers`:
         the armed layers and the tracer / registry / fault session / log
         their wrappers close over) has changed since the last replay."""
-        cached = self._lowered.get(bool(layers))
-        if cached is None or cached[0] != layers:
-            by_head = {cmd: unit.lower(layers) for cmd, unit in self.fused_heads.items()}
-            host_calls = list(by_head.values()) if layers else lower_serial(self.dispatch)
-            cached = self._lowered[bool(layers)] = (layers, by_head, host_calls)
-        return cached[1:]
+        if not layers and self.bare is not None:
+            return self.bare
+        if layers and self._armed is not None and self._armed[0] == layers:
+            return self._armed[1]
+        by_head = {cmd: unit.lower(layers) for cmd, unit in self.fused_heads.items()}
+        lowered = (by_head, list(by_head.values()) if layers else lower_serial(self.dispatch))
+        if layers:
+            self._armed = (layers, lowered)
+        else:
+            self.bare = lowered
+        return lowered
 
 
 def _member() -> None:
@@ -434,7 +445,12 @@ class Plan:
                     stats.num_events += 1
 
         return CompiledProgram(
-            queues=list(queues.values()), steps=steps, step_of=step_of, events=events, stats=stats
+            queues=list(queues.values()),
+            steps=steps,
+            step_of=step_of,
+            events=events,
+            stats=stats,
+            result=ExecutionResult(queues=tuple(queues.values()), stats=stats, plan=self),
         )
 
     def _ensure_program(self) -> CompiledProgram:
@@ -490,24 +506,41 @@ class Plan:
         thread engine; any other value raises ``ValueError``.  The armed
         layers are read once, here; a fault raised in a parallel worker
         aborts the batch and re-raises on the host, where recovery takes
-        it from.
+        it from.  Every call returns the program's one
+        :class:`ExecutionResult`.
+
+        Observability, when active, wraps the same replay in the
+        ``plan.execute`` / ``plan.replay.<mode>`` spans and the replay
+        series; otherwise nothing but the replay runs.
         """
         if mode not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}")
+        if not _obs.OBS.active:
+            program = self._program or self._ensure_program()
+            if eager:
+                self._replay(program, mode)
+            return program.result
         with _obs.span("plan.execute", cat="phase", eager=eager, mode=mode):
             program = self._ensure_program()
             if eager:
-                runners, host_calls = program.runners(self.backend.session.layers())
                 with _obs.span(f"plan.replay.{mode}", cat="phase") as sp:
-                    if mode == "parallel":
-                        self._replay_parallel(program, runners)
-                    else:
-                        # host order: each unit at its head's task-list position,
-                        # which the fusion legality rules prove order-equivalent
-                        for run in host_calls:
-                            run()
-                if sp is not None:
+                    self._replay(program, mode)
+                if sp is not None:  # observability was switched off in between
                     m = _obs.OBS.metrics
                     m.counter("plan_replays", mode=mode).inc()
                     m.histogram("replay_seconds", mode=mode).observe(sp.duration)
-            return ExecutionResult(queues=list(program.queues), stats=program.stats, plan=self)
+        return program.result
+
+    def _replay(self, program: CompiledProgram, mode: str) -> None:
+        """Run ``program`` once under the layers armed now: the engine in
+        parallel mode, else the serial host calls in host order — each unit
+        at its head's task-list position, which the fusion legality rules
+        prove order-equivalent.  Bare, that is the lowering cached on the
+        program, looked up without re-checking it."""
+        layers = self.backend.session.layers()
+        by_head, host_calls = (not layers and program.bare) or program.runners(layers)
+        if mode == "parallel":
+            self._replay_parallel(program, by_head)
+        else:
+            for run in host_calls:
+                run()

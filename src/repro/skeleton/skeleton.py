@@ -66,10 +66,13 @@ class Skeleton:
         repeated ``run()`` re-derives no dependencies and allocates no
         queues or events.
         """
-        with _obs.span(f"skeleton.run:{self.name}", cat="phase", skeleton=self.name):
-            self.last_result = self.plan.execute(eager=True, mode=mode)
-            if self.backend.session.faults is not None:
-                enforce_divergence_guardrail(self.containers, self.name)
+        if not _obs.OBS.active:
+            self.last_result = self.plan.execute(True, mode)
+        else:
+            with _obs.span(f"skeleton.run:{self.name}", cat="phase", skeleton=self.name):
+                self.last_result = self.plan.execute(True, mode)
+        if self.backend.session.faults is not None:
+            enforce_divergence_guardrail(self.containers, self.name)
         return self.last_result
 
     def record(self) -> ExecutionResult:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -126,6 +127,9 @@ class ConjugateGradient:
         # trajectory) bitwise partition-invariant on grids that support it
         self.pq_partial = grid.new_dot_partial(f"{name}_pq")
         self.rr_partial = grid.new_dot_partial(f"{name}_rr")
+        # the two host reads, each gathering into its partial's host mirror
+        self._pq_read = ops.ScalarResult(self.pq_partial)
+        self._rr_read = ops.ScalarResult(self.rr_partial)
         #: the step whose alpha*p has not reached x yet (0.0: none pending)
         self.alpha = {"v": 0.0}
         self.beta = {"v": 0.0}
@@ -207,14 +211,13 @@ class ConjugateGradient:
         device-loss migration, calling ``begin()`` resumes the solve
         from the restored ``x``.
         """
-        self._rr_read = ops.ScalarResult(self.rr_partial)
-        self._pq_read = ops.ScalarResult(self.pq_partial)
         self.flush()
         self.sk_init.run(mode=self.mode)
         delta = self._rr_read.value()
-        norm0 = float(np.sqrt(delta))
+        # a negative (corrupted) sum reads NaN, as np.sqrt has it, not math's ValueError
+        norm0 = math.sqrt(delta) if delta >= 0.0 else math.nan
         self.result = CGResult(converged=False, iterations=0, residual_norms=[norm0])
-        if not np.isfinite(norm0):
+        if not math.isfinite(norm0):
             raise SolverDiverged(0, self.result.residual_norms[-8:])
         if norm0 <= tolerance:
             self.result.converged = True
@@ -236,7 +239,7 @@ class ConjugateGradient:
         self.sk_a.run(mode=self.mode)
         self.alpha["v"] = 0.0  # x has taken the previous step
         pq = self._pq_read.value()
-        if not np.isfinite(pq):
+        if not math.isfinite(pq):
             result.residual_norms.append(float("nan"))
             raise SolverDiverged(result.iterations + 1, result.residual_norms[-8:])
         if pq <= 0.0:
@@ -245,10 +248,10 @@ class ConjugateGradient:
         self.neg_alpha["v"] = -self.alpha["v"]
         self.sk_b.run(mode=self.mode)
         delta_new = self._rr_read.value()
-        norm = float(np.sqrt(delta_new))
+        norm = math.sqrt(delta_new) if delta_new >= 0.0 else math.nan
         result.residual_norms.append(norm)
         result.iterations += 1
-        if not np.isfinite(norm):
+        if not math.isfinite(norm):
             raise SolverDiverged(result.iterations, result.residual_norms[-8:])
         if norm <= self._tolerance:
             result.converged = True
@@ -310,8 +313,6 @@ class ConjugateGradient:
             self.alpha["v"] = 0.0
             self.result = None
             return
-        self._rr_read = ops.ScalarResult(self.rr_partial)
-        self._pq_read = ops.ScalarResult(self.pq_partial)
         self._delta = scalars["delta"]
         self._tolerance = scalars["tolerance"]
         self.beta["v"] = scalars["beta"]

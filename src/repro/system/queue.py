@@ -232,11 +232,15 @@ class CommandQueue:
             _layers.lower(cmd, self, self.session.layers())()
         return cmd
 
-    def enqueue_copy(self, name: str, fn: Callable[[], None], src: Device, dst: Device, nbytes: int) -> CopyCommand:
+    def enqueue_copy(
+        self, name: str, fn: Callable[[], None], src: Device, dst: Device, nbytes: int, halo: bool = False
+    ) -> CopyCommand:
+        """Enqueue a copy; run at once on an eager queue, a ``halo`` copy
+        there also counting as a halo message (see ``layers.lower``)."""
         cmd = CopyCommand(name, fn, src, dst, nbytes)
         self.commands.append(cmd)
         if self.eager:
-            _layers.lower(cmd, self, self.session.layers())()
+            _layers.lower(cmd, self, self.session.layers(), halo=halo)()
         return cmd
 
     def record_event(self, event: Event) -> RecordEventCommand:

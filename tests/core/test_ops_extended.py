@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from repro import codegen
+from repro.codegen.table import Table
 from repro.core import Backend, DenseGrid, Occ, ScalarResult, Skeleton, ops
 from repro.domain import STENCIL_7PT
 
@@ -33,24 +35,36 @@ def test_total(grid):
     assert ScalarResult(partial).value() == pytest.approx(1.5 * 2 * grid.num_cells)
 
 
-def test_slice_reduce_read_equals_the_rebuilt_concatenation_bitwise():
-    """``ScalarResult`` holds the rank rows and gathers them into one
-    preallocated row; every read must be the bits of the expression it
-    replaced — a fresh concatenation summed — on uneven strips, with a
-    ``-0.0`` row, and after the kernels rewrite the rows in place."""
-    g = DenseGrid(Backend.sim_gpus(8), (19, 3, 4), stencils=[STENCIL_7PT])
-    assert len({g.local_slices(r) for r in range(8)}) > 1, "uneven strips"
+def test_slice_reduce_read_equals_the_rebuilt_concatenation_bitwise(monkeypatch):
+    """A per-slice read gathers the rank rows into the partial's host mirror
+    (one op table where ``cc`` exists, ``np.concatenate(out=)`` otherwise)
+    and sums that row: every read must be the bits of a fresh concatenation
+    summed — on 1, 2, 3 and 8 devices, even and weighted strips, with a
+    ``-0.0`` row, with every row ``-0.0``, after the rows are rewritten in
+    place, with and without a compiler."""
+    for cc in (True, False):
+        if not cc:
+            monkeypatch.setenv("REPRO_DISABLE_CC", "1")
+        for devices in (1, 2, 3, 8):
+            for weights in (None, [1.0 + 2.0 * r for r in range(devices)]):
+                _check_host_read(devices, weights, cc)
+
+
+def _check_host_read(devices: int, weights, cc: bool) -> None:
+    g = DenseGrid(Backend.sim_gpus(devices), (29, 3, 4), stencils=[STENCIL_7PT], partition_weights=weights)
+    assert devices == 1 or len({g.local_slices(r) for r in range(devices)}) > 1, "uneven strips"
     partial = g.new_dot_partial("p")
     read = ScalarResult(partial)
-    rng = np.random.default_rng(20)
+    rows = [partial.partition(r).array for r in range(devices)]
+    rng = np.random.default_rng(devices)
     for magnitude in (1.0, 1e-9, 1e12):
-        for r in range(8):
-            row = partial.partition(r).array
+        for row in rows:
             row[...] = rng.standard_normal(len(row)) * magnitude
-        partial.partition(3).array[...] = -0.0
-        rows = [np.asarray(partial.partition(r).array) for r in range(8)]
-        old = float(np.sum(np.concatenate(rows)))
-        assert np.float64(read.value()).tobytes() == np.float64(old).tobytes()
-    for r in range(8):
-        partial.partition(r).array[...] = -0.0
-    assert np.float64(read.value()).tobytes() == np.float64(np.sum(np.full(19, -0.0))).tobytes()
+        rows[-1][...] = -0.0
+        want = np.float64(np.sum(np.concatenate(rows))).tobytes()
+        assert np.float64(read.value()).tobytes() == want, (devices, weights, cc)
+        assert partial.host.tobytes() == np.concatenate(rows).tobytes(), "the mirror holds the gathered row"
+    for row in rows:
+        row[...] = -0.0
+    assert np.float64(read.value()).tobytes() == np.float64(np.sum(np.full(29, -0.0))).tobytes()
+    assert isinstance(read._gather, Table) == (cc and codegen.available())

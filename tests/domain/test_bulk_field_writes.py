@@ -49,6 +49,7 @@ def test_bare_halo_sync_equals_the_queued_one_with_one_queue_per_source_rank(dev
     assert messages == (19 if layout is Layout.SOA else 1) * 2 * (devices - 1)
     assert obs.metrics().total("queues_created") == devices, "one queue per source rank, not per message"
     assert sum(h.count for h in obs.metrics().series("copy_seconds")) == messages, "every message ran as a copy"
+    assert obs.metrics().total("halo_messages") == messages, "and counted as a halo message"
 
     obs.disable()
     bare = _scrambled_d3q19(devices, layout)

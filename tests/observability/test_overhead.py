@@ -12,9 +12,11 @@ the ring records a bare parallel replay leaves (one per dispatch unit),
 and a budget — the per-replay switch reads plus the flight records,
 costed pessimistically, stay under 2% of the measured run time of the
 default (fused) program.  The skeleton mixes a Python stencil with a
-specialised ``axpy``, so it exercises the segmentation.  CI runs this
-file as its own job step so an instrumentation regression (e.g. work put
-back on the bare path) fails loudly.
+specialised ``axpy``, so it exercises the segmentation.  A fourth test
+counts the Python-level calls of one warm bare CG iteration (two replays
+and two host scalar reads) against a fixed budget.  CI runs this file as
+its own job step so an instrumentation regression (e.g. work put back on
+the bare path) fails loudly.
 """
 
 import subprocess
@@ -22,12 +24,16 @@ import sys
 import timeit
 from functools import partial
 
+import numpy as np
+import pytest
+
 from repro import codegen
 from repro import observability as obs
 from repro.observability import flight
 from repro.core import ops
 from repro.domain import STENCIL_7PT, DenseGrid
 from repro.skeleton import Skeleton, fusion
+from repro.solvers import PoissonSolver
 from repro.system import Backend
 
 
@@ -146,3 +152,26 @@ def test_disabled_overhead_under_2_percent():
         f"{per_record * 1e9:.0f} ns = {worst_case_overhead * 1e6:.1f} us vs "
         f"run() = {t_run * 1e6:.1f} us"
     )
+
+
+@pytest.mark.skipif(not codegen.available(), reason="interpreted kernels are Python calls by design")
+def test_warm_bare_cg_iteration_stays_within_its_call_budget():
+    """A warm bare-serial CG iteration on 8 devices is two replays of one op
+    table each and two host scalar reads: at most 24 Python-level calls
+    (``sys.setprofile`` call events — an exact, repeatable count, no clock)."""
+    obs.disable()
+    app = PoissonSolver(Backend.sim_gpus(8), (16, 16, 16))
+    rhs = np.random.default_rng(0).random(app.grid.shape)
+    app.set_rhs(lambda z, y, x: rhs[z, y, x])
+    cg = app.cg
+    cg.begin(tolerance=1e-30)
+    for _ in range(3):
+        cg.iterate()
+    calls = []
+    sys.setprofile(lambda frame, event, _arg: calls.append(frame.f_code) if event == "call" else None)
+    try:
+        converged = cg.iterate()
+    finally:
+        sys.setprofile(None)
+    assert not converged
+    assert len(calls) <= 24, [f"{code.co_filename}:{code.co_firstlineno} {code.co_name}" for code in calls]

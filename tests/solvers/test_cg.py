@@ -152,3 +152,20 @@ def test_iteration_makespan_scales_with_grid(occ):
     b, x = grid.new_field("b"), grid.new_field("x")
     big = ConjugateGradient(grid, make_neg_laplacian, b, x, occ=occ).iteration_makespan()
     assert big > small
+
+
+def test_host_reads_are_built_once_per_solver():
+    """Both host readers come with the solver and gather through the table
+    their first read built: a second ``begin()`` (a restart, a recovery)
+    builds neither a reader nor a gather."""
+    grid, b, x, cg = setup(ndev=3)
+    b.fill(1.0)
+    readers = (cg._pq_read, cg._rr_read)
+    cg.begin(1e-30)
+    cg.iterate()
+    gathers = [read._gather for read in readers]
+    assert all(gathers)
+    cg.begin(1e-30)
+    cg.iterate()
+    assert cg._pq_read is readers[0] and cg._rr_read is readers[1]
+    assert all(read._gather is gather for read, gather in zip(readers, gathers))
