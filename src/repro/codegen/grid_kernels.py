@@ -99,8 +99,8 @@ MAP_FORMS = {
     "axpby_or_ax": "(b == 0.0) ? a * x[i] : a * x[i] + b * y[i]",
     "axpby_or_y": "(a == 0.0) ? y[i] : a * x[i] + b * y[i]",
 }
-#: NumPy's ``PW_BLOCKSIZE``: the longest run summed by one 8-accumulator block
-PAIRWISE_BLOCK = 128
+#: the leaf size of the reduce tree (:data:`repro.codegen.table.PAIRWISE_BLOCK`)
+PAIRWISE_BLOCK = _table.PAIRWISE_BLOCK
 
 # Every kernel is a static body with the operands it always had, behind an
 # exported entry that unpacks them from the op record (table.OP_H).
@@ -121,46 +121,37 @@ void NAME(const op_t* op) { \\
 }
 """
 
-# block_sum is NumPy's pairwise_sum below/at one block; NAME_tree is its
-# recursion, with the leaves of a block gathered (products formed) into a
-# stack buffer first so a block may straddle two components of the slice
+# NAME_tree is NumPy's pairwise_sum recursion over the component-first
+# slice.  A leaf inside one component feeds its values (products formed)
+# straight into the leaf sum; one that straddles two components (card > 1)
+# is gathered into a stack buffer first.  Same values, same order.
 _REDUCE_C = """
-#define PW_BLOCK %d
-
-static double block_sum(const double* a, long n) {
-  if (n < 8) {
-    double res = -0.0;
-    for (long i = 0; i < n; ++i) res += a[i];
-    return res;
-  }
-  double r[8], res;
-  long i;
-  for (int k = 0; k < 8; ++k) r[k] = a[k];
-  for (i = 8; i < n - (n %% 8); i += 8)
-    for (int k = 0; k < 8; ++k) r[k] += a[i + k];
-  res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-  for (; i < n; ++i) res += a[i];
-  return res;
-}
-
 #define DEFINE_REDUCE(NAME, LEAF) \\
 static double NAME##_tree(const double* x, const double* y, long j0, long n, long plane, long gap) { \\
-  if (n <= PW_BLOCK) { \\
-    double buf[PW_BLOCK]; \\
-    long j = j0, end = j0 + n, k = 0; \\
-    while (j < end) { \\
-      long c = j / plane, run = (c + 1) * plane - j; \\
-      if (run > end - j) run = end - j; \\
-      long p = j + c * gap; \\
-      for (long i = 0; i < run; ++i) buf[k + i] = LEAF; \\
-      k += run; \\
-      j += run; \\
-    } \\
-    return block_sum(buf, n); \\
+  double res; \\
+  if (n > PW_BLOCK) { \\
+    long n2 = PW_SPLIT(n); \\
+    return NAME##_tree(x, y, j0, n2, plane, gap) + NAME##_tree(x, y, j0 + n2, n - n2, plane, gap); \\
   } \\
-  long n2 = n / 2; \\
-  n2 -= n2 %% 8; \\
-  return NAME##_tree(x, y, j0, n2, plane, gap) + NAME##_tree(x, y, j0 + n2, n - n2, plane, gap); \\
+  long c = j0 / plane; \\
+  if (j0 + n <= (c + 1) * plane) { \\
+    long p = j0 + c * gap; \\
+    PW_LEAF(res, n, LEAF); \\
+    return res; \\
+  } \\
+  double buf[PW_BLOCK]; \\
+  long j = j0, end = j0 + n, k = 0; \\
+  while (j < end) { \\
+    long run = (c + 1) * plane - j; \\
+    if (run > end - j) run = end - j; \\
+    long p = j + c * gap; \\
+    for (long i = 0; i < run; ++i) buf[k + i] = LEAF; \\
+    k += run; \\
+    j += run; \\
+    ++c; \\
+  } \\
+  PW_LEAF(res, n, buf[i]); \\
+  return res; \\
 } \\
 void NAME(const op_t* op) { \\
   const double *x = op->p[0], *y = op->p[1]; \\
@@ -307,7 +298,7 @@ _OPERATORS = {"stencil": _stencil_source, "projection": _projection_source, "blo
 def _source(operators: tuple) -> str:
     """The translation unit of a grid that declared ``operators``."""
     maps = "".join(f"DEFINE_MAP(map_{name}, {expr})\n" for name, expr in MAP_FORMS.items())
-    reduces = _REDUCE_C % PAIRWISE_BLOCK
+    reduces = f"#define PW_BLOCK {PAIRWISE_BLOCK}\n" + _table.PAIRWISE_C + _REDUCE_C
     emitted = "".join(_OPERATORS[kind](f"{kind}_{k}", terms) for k, (kind, terms) in enumerate(operators))
     return _table.OP_H + _MAP_C + maps + reduces + emitted
 
@@ -564,25 +555,23 @@ def slice_sums(partial, x, y=None):
     return specialize
 
 
-#: lengths straddling the sequential / one-block / split regimes, odd halves included
-_CHECK_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 255, 257, 1000, 2073)
-
-
 def _tree_matches_numpy(fn) -> bool:
     """Does a bound reduce kernel sum exactly like ``np.sum`` here?
 
     ``y = 1`` makes the dot's leaves the plain values (``x * 1.0`` is
-    exact); the all ``-0.0`` vector pins the ``0.0`` identity NumPy adds
-    the tree to.
+    exact).  Every check vector (:func:`repro.codegen.table.check_vectors`)
+    is summed as one component, so every leaf feeds the tree in place, and
+    those of a length divisible by 3 once more as three pitched components,
+    so leaves straddling a component boundary take the gathered path.
     """
-    # sines of integers: values of mixed sign and magnitude whose sums round
-    # differently under any other association (numpy.random is not worth
-    # importing for this: 2 MB and 15 ms in a process that never draws)
-    vectors = [np.sin(np.arange(1.0, n + 1.0)) * 10.0 ** (n % 7 - 3) for n in _CHECK_LENGTHS]
-    vectors.append(np.full(3, -0.0))
-    for x in vectors:
-        got, ones = np.empty(1), np.ones(len(x))
-        fn(_table.record(fn, [a.ctypes.data for a in (x, ones, got)], None, (1, len(x), len(x), 0, 0, 1)))
-        if got.tobytes() != np.sum(x).tobytes():
-            return False
+    for x in _table.check_vectors():
+        for card in {1, 3 if len(x) % 3 == 0 else 1}:
+            plane = len(x) // card
+            xs = np.zeros((card, plane + 5))  # 5 elements of pitch slack per component
+            xs[:, :plane] = x.reshape(card, plane)
+            got, ones = np.empty(1), np.ones_like(xs)
+            longs = (card, plane + 5, plane, 0, 0, 1)
+            fn(_table.record(fn, [a.ctypes.data for a in (xs, ones, got)], None, longs))
+            if got.tobytes() != np.sum(x).tobytes():
+                return False
     return True

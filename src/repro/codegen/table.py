@@ -56,9 +56,39 @@ struct op {
 };
 """
 
+#: NumPy's ``PW_BLOCKSIZE``: the longest run summed by one 8-accumulator block
+PAIRWISE_BLOCK = 128
+
+#: NumPy's ``pairwise_sum``, written once for every unit that sums like it
+#: (each recurses down to leaves of at most its ``PW_BLOCK``): ``PW_LEAF``
+#: sums one leaf of ``N`` values ``V``, an expression of ``i`` evaluated in
+#: index order (sequentially from ``-0.0`` below 8, else 8 interleaved
+#: accumulators folded as a tree, then the ``N % 8`` tail); ``PW_SPLIT`` is
+#: where a longer run splits, half rounded down to a multiple of 8
+PAIRWISE_C = """
+#define PW_LEAF(RES, N, V) do { \\
+  long n_ = (N); \\
+  if (n_ < 8) { \\
+    RES = -0.0; \\
+    for (long i = 0; i < n_; ++i) RES += (V); \\
+  } else { \\
+    double r_[8]; \\
+    long m_ = n_ - n_ % 8; \\
+    for (long i = 0; i < 8; ++i) r_[i] = (V); \\
+    for (long b_ = 8; b_ < m_; b_ += 8) \\
+      for (long k_ = 0; k_ < 8; ++k_) { long i = b_ + k_; r_[k_] += (V); } \\
+    RES = ((r_[0] + r_[1]) + (r_[2] + r_[3])) + ((r_[4] + r_[5]) + (r_[6] + r_[7])); \\
+    for (long i = m_; i < n_; ++i) RES += (V); \\
+  } \\
+} while (0)
+#define PW_SPLIT(N) ((N) / 2 - (N) / 2 % 8)
+"""
+
 _WALKER_C = (
     "#include <string.h>\n"
     + OP_H
+    + f"#define PW_BLOCK {PAIRWISE_BLOCK}\n"
+    + PAIRWISE_C
     + """
 void run_ops(const op_t* ops, long n) {
   for (long i = 0; i < n; ++i) ops[i].fn(&ops[i]);
@@ -71,6 +101,22 @@ void copy_op(const op_t* op) {
   char* dst = (char*)op->p[1];
   long chunks = op->n[0], bytes = op->n[1];
   for (long c = 0; c < chunks; ++c) memcpy(dst + c * op->n[3], src + c * op->n[2], bytes);
+}
+
+static double pairwise_sum(const double* a, long n) {
+  double res;
+  if (n > PW_BLOCK) {
+    long n2 = PW_SPLIT(n);
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+  }
+  PW_LEAF(res, n, a[i]);
+  return res;
+}
+
+/* p[1][0] = np.add.reduce of the n[0] doubles at p[0]: the 0.0 identity
+   plus their pairwise sum */
+void sum_op(const op_t* op) {
+  op->p[1][0] = 0.0 + pairwise_sum(op->p[0], op->n[0]);
 }
 """
 )
@@ -229,3 +275,39 @@ def copy(dst: np.ndarray, src: np.ndarray) -> Table | None:
     ranges = [(src.ctypes.data + c * s[2], src.ctypes.data + c * s[2] + s[1], False) for c in range(s[0])]
     ranges += [(dst.ctypes.data + c * d[2], dst.ctypes.data + c * d[2] + d[1], True) for c in range(d[0])]
     return table([op], [], (src, dst), [tuple(ranges)])
+
+
+def total(dst: np.ndarray, src: np.ndarray) -> Table | None:
+    """``dst[0] = np.add.reduce(src)`` for a contiguous float64 ``src`` as a
+    one-op table, or None (no compiler, or a NumPy that sums differently)."""
+    fn = bind(("optable", "sum_op"), _WALKER_C, "sum_op")
+    if fn and not hasattr(fn, "sums_like_numpy"):
+        fn.sums_like_numpy = _total_matches_numpy(fn)  # once per process
+    if not fn or not fn.sums_like_numpy:
+        return None
+    return table([record(fn, (src.ctypes.data, dst.ctypes.data), None, (len(src),))], [], (src, dst))
+
+
+def _total_matches_numpy(fn) -> bool:
+    """Does the bound ``sum_op`` add up exactly like ``np.add.reduce`` here?"""
+    got = np.empty(1)
+    for x in check_vectors():
+        fn(record(fn, (x.ctypes.data, got.ctypes.data), None, (len(x),)))
+        if got.tobytes() != np.add.reduce(x).tobytes():
+            return False
+    return True
+
+
+#: lengths straddling the sequential / one-block / split regimes, odd halves included
+CHECK_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 255, 257, 1000, 2073)
+
+
+def check_vectors() -> list[np.ndarray]:
+    """Vectors whose sums round differently under any other association
+    than NumPy's: sines of integers (mixed sign and magnitude) of every
+    :data:`CHECK_LENGTHS`, and an all ``-0.0`` one that pins the ``0.0``
+    identity NumPy adds the tree to."""
+    # numpy.random is not worth importing for this: 2 MB and 15 ms in a
+    # process that never draws
+    vectors = [np.sin(np.arange(1.0, n + 1.0)) * 10.0 ** (n % 7 - 3) for n in CHECK_LENGTHS]
+    return [*vectors, np.full(3, -0.0)]

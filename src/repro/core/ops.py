@@ -17,8 +17,6 @@ closure below stays the reference the C kernel must match bit for bit.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro.codegen import grid_kernels as _c
@@ -188,11 +186,13 @@ class ScalarResult:
     solver reads it twice per iteration (alpha and the convergence check).
 
     A per-slice partial (``Grid.new_dot_partial``) is read by gathering its
-    rank rows into the partial's host mirror — one op table of
-    :func:`repro.codegen.table.copy` records, built on the first read
-    (``np.concatenate(rows, out=host)`` without a compiler) — and summing
-    that one row.  Device payload arrays are never rebound, so the gather
-    built once stays valid for the partial's lifetime.
+    rank rows into the partial's host mirror and summing that one row —
+    one op table of :func:`repro.codegen.table.copy` records and a closing
+    :func:`repro.codegen.table.total`, built on the first read
+    (``np.concatenate(rows, out=host)`` then ``np.add.reduce`` without a
+    compiler) — into a one-element result row.  Device payload arrays are
+    never rebound, so the gather built once stays valid for the partial's
+    lifetime.
     """
 
     def __init__(self, partial: MemSet, op=np.add):
@@ -200,6 +200,7 @@ class ScalarResult:
         self.op = op
         self._sliced = getattr(partial, "slice_reduce", False) and not partial.virtual
         self._gather = None
+        self._result = np.zeros(1)
 
     def value(self) -> float:
         if self._gather is None:
@@ -211,21 +212,30 @@ class ScalarResult:
                 for v in vals[1:]:
                     out = self.op(out, v)
                 return float(out)
-            self._gather = _gather(self.partial)
+            self._gather = _gather(self.partial, self._result)
         self._gather()
-        # the rank rows in rank order are the global slice order, so the
-        # summation tree depends only on the domain extent — bitwise
-        # identical for every partition (sum-only; see Grid.new_dot_partial)
-        return float(np.add.reduce(self.partial.host))
+        return float(self._result[0])
 
 
-def _gather(partial: MemSet):
-    """The callable that copies ``partial``'s rank rows into its host mirror."""
+def _gather(partial: MemSet, result: np.ndarray):
+    """The callable that copies ``partial``'s rank rows into its host mirror
+    and sums that row into ``result[0]``.
+
+    The rank rows in rank order are the global slice order, so the
+    summation tree depends only on the domain extent — bitwise identical
+    for every partition (sum-only; see ``Grid.new_dot_partial``).
+    """
     host, rows = partial.host, [buf.array for buf in partial.buffers]
-    copies = [_table.copy(partial.host_slice(r), row) for r, row in enumerate(rows) if len(row)]
-    if copies and all(copies):
-        return _table.concat(copies)
-    return functools.partial(np.concatenate, rows, out=host)
+    tables = [_table.copy(partial.host_slice(r), row) for r, row in enumerate(rows) if len(row)]
+    tables.append(_table.total(result, host))
+    if all(tables):
+        return _table.concat(tables)
+
+    def gather():
+        np.concatenate(rows, out=host)
+        result[0] = np.add.reduce(host)
+
+    return gather
 
 
 def _check(grid: Grid, *fields) -> None:

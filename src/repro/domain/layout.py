@@ -8,7 +8,10 @@ per-component access locality.
 The layout also owns where an SoA field's components sit relative to each
 other (:func:`component_pitch`), the role ``cudaMallocPitch`` plays for
 CUDA rows: kernels read the resulting component stride from the array and
-never derive it from the grid's extents.
+never derive it from the grid's extents.  The allocator starts every
+payload on a :data:`repro.system.memory.ALIGNMENT` boundary (256 B, as
+``cudaMalloc`` does), so a pitch of whole cache lines puts every component
+on a fresh line, where a kernel's 64-byte vector loads do not split.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import enum
 import math
 
-#: bytes per cache line; every component starts on a fresh one
+#: bytes per cache line; every component starts on a fresh one (the
+#: payload itself starts on a 256-byte boundary)
 CACHE_LINE = 64
 #: a component stride that is a multiple of this maps every component's
 #: i-th element to the same L1 / L2 sets

@@ -2,8 +2,11 @@
 
 Buffers are NumPy arrays tagged with an owning :class:`~repro.system.device.Device`.
 Every allocation's footprint rounds up to :data:`ALIGNMENT` bytes, the
-way a device allocator hands out aligned blocks; the rounding shows in
-capacity accounting, not in physical placement.  What does move bytes is
+way a device allocator hands out aligned blocks (``cudaMalloc`` returns
+256-byte-aligned ones); the rounding shows in both capacity accounting
+and physical placement: every payload starts on an :data:`ALIGNMENT`
+boundary, so a kernel's 64-byte vector loads never split a cache line
+at a row's start.  What also moves bytes is
 a buffer's *pitch*, chosen by the data layout that asks for the buffer
 (the way ``cudaMallocPitch`` pads rows): the leading-axis entries sit
 ``pitch`` elements apart in one backing block, and the gap between them
@@ -28,7 +31,8 @@ class AllocationError(RuntimeError):
     """Raised when a simulated device cannot satisfy an allocation."""
 
 
-#: every allocation's footprint rounds up to a multiple of this many bytes
+#: every allocation's footprint rounds up to a multiple of this many bytes,
+#: and every payload starts on a multiple of it
 ALIGNMENT = 256
 
 _buffer_ids = itertools.count()
@@ -43,20 +47,27 @@ except AttributeError:  # not POSIX
 
 
 def _zeroed_payload(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """A zero-filled payload array; ones NumPy would hugepage-advise get their own mapping.
+    """A zero-filled payload array starting on an :data:`ALIGNMENT` boundary.
 
-    NumPy ``madvise(MADV_HUGEPAGE)``s every block of 4 MiB or more, and
-    where the kernel runs ``transparent_hugepage=madvise`` first touch
-    of such a block stalls in compaction: building the 64^3 D3Q19
-    fields through ``np.zeros`` took 0.14-0.43 s against 0.08 s from a
-    plain anonymous private mapping.  The mapping is kernel-zeroed,
-    page-aligned and unmapped when the last array referencing it dies.
-    Below the cutoff, and on platforms without anonymous private
-    mappings, ``np.zeros`` is already the right thing.
+    Below 4 MiB the block is ``np.zeros`` over-allocated by
+    :data:`ALIGNMENT` bytes and the aligned view returned: ``np.zeros``
+    alone aligns it to 16 bytes only, so most of a kernel's 64-byte
+    vector loads and stores split across two lines (on a 2-vCPU AVX-512
+    Xeon a 24^3 D3Q19 step on 4 devices took 358 against 267 us, CG's
+    ``cg_a`` walk on 24^3 / 8 devices 22.7 against 18.6 us).  NumPy
+    ``madvise(MADV_HUGEPAGE)``s every block of 4 MiB or more, and where
+    the kernel runs ``transparent_hugepage=madvise`` first touch of such a
+    block stalls in compaction: building the 64^3 D3Q19 fields through
+    ``np.zeros`` took 0.14-0.43 s against 0.08 s from a plain anonymous
+    private mapping.  So those blocks get their own mapping, which is
+    kernel-zeroed, page-aligned and unmapped when the last array
+    referencing it dies.
     """
     nbytes = math.prod(shape) * dtype.itemsize
-    if nbytes < _HUGEPAGE_ADVICE_BYTES or _ANON_PRIVATE is None:
-        return np.zeros(shape, dtype=dtype)
+    if nbytes + ALIGNMENT < _HUGEPAGE_ADVICE_BYTES or _ANON_PRIVATE is None:
+        raw = np.zeros(nbytes + ALIGNMENT, dtype=np.uint8)
+        skip = -raw.ctypes.data % ALIGNMENT
+        return raw[skip : skip + nbytes].view(dtype).reshape(shape)
     buf = mmap.mmap(-1, nbytes, flags=_ANON_PRIVATE)
     return np.frombuffer(buf, dtype=dtype).reshape(shape)
 

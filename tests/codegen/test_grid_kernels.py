@@ -142,6 +142,49 @@ def test_slice_sums_equal_the_numpy_summation_tree(lateral, slab, card, exponent
             assert np.array_equal(got, want), f"{container.name} over {[v.value for v in views]}"
 
 
+def tree_leaves(n: int, block: int = grid_kernels.PAIRWISE_BLOCK) -> list[tuple[int, int]]:
+    """``(start, length)`` of every leaf of NumPy's pairwise tree over ``n`` values."""
+    if n <= block:
+        return [(0, n)]
+    half = n // 2 - n // 2 % 8
+    return tree_leaves(half) + [(half + j, m) for j, m in tree_leaves(n - half)]
+
+
+#: (card, lateral): planes of fewer than 8, exactly 128 and more than 128
+#: elements (``n % 8 != 0``); at card 3 leaves straddle component boundaries
+LEAF_GEOMETRIES = [(card, lateral) for card in (1, 3) for lateral in ((1, 5), (1, 128), (1, 131), (3, 43))]
+
+
+@pytest.mark.parametrize("cc", [True, False], ids=["cc", "REPRO_DISABLE_CC"])
+def test_slice_sums_feed_leaves_in_place_and_gather_straddling_ones(monkeypatch, cc):
+    """A leaf inside one component is summed in place, one straddling a
+    component boundary is gathered first; both sum like NumPy's tree, for
+    the dot and the plain sum, compiled and interpreted."""
+    if not cc:
+        monkeypatch.setenv("REPRO_DISABLE_CC", "1")
+    paths = set()
+    for card, lateral in LEAF_GEOMETRIES:
+        plane = int(np.prod(lateral))
+        paths |= {start // plane != (start + n - 1) // plane for start, n in tree_leaves(card * plane)}
+        grid = dense_grid(2, (5, *lateral))
+        rng = np.random.default_rng(plane + card)
+        x, y = (grid.new_field(n, cardinality=card) for n in "xy")
+        randomise(x, rng, 1e3)
+        randomise(y, rng)
+        partial = grid.new_dot_partial("partial")
+        for container, values in (
+            (ops.dot(grid, x, y, partial), x.to_numpy() * y.to_numpy()),
+            (ops.total(grid, x, partial), x.to_numpy()),
+        ):
+            partial.fill(np.nan)
+            span = grid.span_for(0, DataView.STANDARD)
+            assert (container.specialize(0, DataView.STANDARD, span) is not None) == cc
+            launch(container, DataView.STANDARD, compiled=cc)
+            got = np.concatenate([partial.partition(r).array for r in range(2)])
+            assert got.tobytes() == slice_sums(values).tobytes(), (container.name, card, lateral)
+    assert paths == {False, True}, "both leaf paths ran"
+
+
 def test_negative_zero_slices_sum_like_numpy():
     grid = dense_grid(1, (2, 1, 5))
     x, partial = grid.new_field("x"), grid.new_dot_partial("p")

@@ -1,7 +1,10 @@
+import ctypes
+
 import numpy as np
 import pytest
 
 from repro import codegen
+from repro.codegen import table
 from repro.codegen.table import Table
 from repro.core import Backend, DenseGrid, Occ, ScalarResult, Skeleton, ops
 from repro.domain import STENCIL_7PT
@@ -37,17 +40,40 @@ def test_total(grid):
 
 def test_slice_reduce_read_equals_the_rebuilt_concatenation_bitwise(monkeypatch):
     """A per-slice read gathers the rank rows into the partial's host mirror
-    (one op table where ``cc`` exists, ``np.concatenate(out=)`` otherwise)
-    and sums that row: every read must be the bits of a fresh concatenation
+    and sums that row (one op table, closed by the total's record, where
+    ``cc`` exists; ``np.concatenate(out=)`` then ``np.add.reduce``
+    otherwise): every read must be the bits of a fresh concatenation
     summed — on 1, 2, 3 and 8 devices, even and weighted strips, with a
     ``-0.0`` row, with every row ``-0.0``, after the rows are rewritten in
-    place, with and without a compiler."""
+    place, with and without a compiler.  With one, ``value()`` runs no
+    NumPy reduction at all."""
     for cc in (True, False):
         if not cc:
             monkeypatch.setenv("REPRO_DISABLE_CC", "1")
         for devices in (1, 2, 3, 8):
             for weights in (None, [1.0 + 2.0 * r for r in range(devices)]):
-                _check_host_read(devices, weights, cc)
+                with monkeypatch.context() as patch:
+                    if codegen.available():
+                        patch.setattr(ops, "np", _NoReduction())
+                    _check_host_read(devices, weights, cc)
+    with monkeypatch.context() as patch:  # the stand-in bites where NumPy sums
+        patch.setattr(ops, "np", _NoReduction())
+        with pytest.raises(AssertionError, match="NumPy reduction"):
+            ScalarResult(DenseGrid(Backend.sim_gpus(2), (5, 3, 4)).new_dot_partial("p")).value()
+
+
+class _NoReduction:
+    """NumPy as :mod:`repro.core.ops` sees it, minus its reductions."""
+
+    class add:
+        @staticmethod
+        def reduce(*args, **kwargs):
+            raise AssertionError("value() ran a NumPy reduction")
+
+    sum = add.reduce
+
+    def __getattr__(self, name):
+        return getattr(np, name)
 
 
 def _check_host_read(devices: int, weights, cc: bool) -> None:
@@ -68,3 +94,8 @@ def _check_host_read(devices: int, weights, cc: bool) -> None:
         row[...] = -0.0
     assert np.float64(read.value()).tobytes() == np.float64(np.sum(np.full(29, -0.0))).tobytes()
     assert isinstance(read._gather, Table) == (cc and codegen.available())
+    if isinstance(read._gather, Table):  # the total is the gather table's last record, over the mirror
+        total = table.bind(("optable", "sum_op"), table._WALKER_C, "sum_op")
+        last = read._gather.ops[-1]
+        assert last.fn == ctypes.cast(total, ctypes.c_void_p).value
+        assert last.p[0] == partial.host.ctypes.data and last.n[0] == 29

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from repro.domain.layout import CACHE_LINE, component_pitch
 from repro.system import AllocationError, DeviceAllocator, DeviceSet
+from repro.system.memory import ALIGNMENT
 
 
 @pytest.fixture
@@ -49,6 +51,34 @@ def test_pitched_buffer_is_a_view_of_one_block(dev, shape):
     assert buf.allocated_bytes == -(-raw // 256) * 256
     with pytest.raises(ValueError, match="pitch"):
         DeviceAllocator().allocate(dev, shape, np.float64, pitch=cells - 1)
+
+
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [
+        ((1,), np.float64),
+        ((3,), np.float32),
+        ((26, 24, 24), np.float64),  # a cg24x8 slab
+        ((7, 5, 3), np.int8),
+        ((1024, 3, 256), np.float64),  # 6 MiB: past the anonymous-mapping cutoff
+    ],
+)
+@pytest.mark.parametrize("card", [None, 3])  # plain, or pitched SoA components
+def test_every_payload_starts_on_an_alignment_boundary(dev, shape, dtype, card):
+    """Kernels are built for 64-byte vectors: a payload placed wherever the
+    host allocator puts it splits most of their loads across two lines."""
+    alloc, itemsize = DeviceAllocator(), np.dtype(dtype).itemsize
+    for _ in range(8):  # the host allocator's placement varies block to block
+        if card is None:
+            buf = alloc.allocate(dev, shape, dtype)
+        else:
+            cells = int(np.prod(shape))
+            buf = alloc.allocate(dev, (card, *shape), dtype, pitch=component_pitch(cells, itemsize))
+        assert buf.array.ctypes.data % ALIGNMENT == 0, hex(buf.array.ctypes.data)
+        if card is not None:
+            assert all(buf.array[c].ctypes.data % CACHE_LINE == 0 for c in range(card))
+        assert not buf.array.any() and buf.array.flags.writeable
+        assert buf.allocated_bytes == -(-(buf.nbytes + buf.padding_bytes) // ALIGNMENT) * ALIGNMENT
 
 
 def test_capacity_enforced_per_device():
