@@ -65,12 +65,29 @@ class Field(MultiDeviceData, abc.ABC):
     def halo_messages(self) -> list[HaloMsg]:
         """The explicit transfers one haloUpdate of this field performs."""
 
-    @abc.abstractmethod
-    def to_numpy(self) -> np.ndarray:
+    def to_numpy(self, out: np.ndarray | None = None) -> np.ndarray:
         """Global array of shape ``(cardinality, *grid.shape)``.
 
-        Inactive/outside cells read as ``outside_value``.
+        Inactive/outside cells read as ``outside_value``.  Every cell is
+        written into ``out`` when given (a C-contiguous array of that
+        shape and the field's dtype, else ``ValueError``), which is
+        returned; otherwise into a new array.
         """
+        self._require_storage()
+        shape = (self.cardinality, *self.grid.shape)
+        if out is None:
+            out = np.empty(shape, dtype=self.dtype)
+        elif out.shape != shape or out.dtype != self.dtype or not out.flags.c_contiguous:
+            raise ValueError(
+                f"field '{self.name}' reads into a C-contiguous {shape} {self.dtype} array; "
+                f"got {out.shape} {out.dtype}, C-contiguous={out.flags.c_contiguous}"
+            )
+        self._gather(out)
+        return out
+
+    @abc.abstractmethod
+    def _gather(self, out: np.ndarray) -> None:
+        """Write every cell of the global array ``out``."""
 
     def fill(self, value, comp: int | None = None) -> None:
         """Set owned cells (every component, or one) to a constant; with

@@ -288,9 +288,8 @@ class SparseField(Field):
     def partition(self, rank: int) -> SparseFieldPartition:
         return SparseFieldPartition(self, rank)
 
-    def to_numpy(self) -> np.ndarray:
-        self._require_storage()
-        out = np.full((self.cardinality, *self.grid.shape), self.outside_value, dtype=self.dtype)
+    def _gather(self, out: np.ndarray) -> None:
+        out[...] = self.outside_value
         for rank in range(self.num_devices):
             coords = self.grid.owned_coords[rank]
             span = self.grid.span_for(rank, DataView.STANDARD)
@@ -298,7 +297,6 @@ class SparseField(Field):
             ix = tuple(coords[:, a] for a in range(self.grid.ndim))
             for c in range(self.cardinality):
                 out[c][ix] = vals[c]
-        return out
 
     def halo_messages(self) -> list[HaloMsg]:
         g: SparseGrid = self.grid

@@ -26,6 +26,7 @@ the right-hand side as a value of the ``rhs`` param), never a builder.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,9 @@ from repro.solvers.poisson import PoissonSolver, manufactured_problem
 from repro.system import EXECUTION_MODES, Backend
 
 EXPERIMENTS = ("lbm", "karman", "poisson", "elasticity")
+
+#: ``None`` on an interpreter without reference counts: results are then never kept
+_refcount = getattr(sys, "getrefcount", None)
 
 
 class UnknownExperiment(KeyError, ValueError):
@@ -125,12 +129,34 @@ class _App:
     ``state`` is the object carrying the resilience hooks
     (``checkpoint_fields`` / ``checkpoint_scalars`` / ``restore_scalars``):
     the solver itself, unless a family says otherwise.
+
+    Result arrays are recycled: the app keeps every array it hands out
+    and reads the next result into one that no caller references any
+    more, so a warm job writes pages it has written before.
     """
 
     def __init__(self, spec: JobSpec, backend: Backend, solver):
         self.spec = spec
         self.backend = backend
         self.solver = self.state = solver
+        self._kept: dict[str, list[np.ndarray]] = {}  # result name -> arrays handed out
+
+    def _read(self, name: str, field) -> np.ndarray:
+        """``field.to_numpy()`` into a kept ``name`` array nothing else holds.
+
+        Free means ``sys.getrefcount`` sees only the kept list and its own
+        argument, the check ``ndarray.resize(refcheck=True)`` makes; a view
+        holds its base, so a caller keeping any slice keeps the array busy.
+        A new array is kept only when every kept one is still held.
+        """
+        kept = self._kept.setdefault(name, [])
+        for i in range(len(kept)):
+            if _refcount(kept[i]) == 2:
+                return field.to_numpy(out=kept[i])
+        out = field.to_numpy()
+        if _refcount is not None:
+            kept.append(out)
+        return out
 
     @property
     def grid(self):
@@ -144,6 +170,7 @@ class _App:
         return self.solver.iteration_makespan() * max(1, self.spec.steps)
 
     def close(self) -> None:
+        self._kept = {}
         for sk in self.skeletons:
             sk.close()
 
@@ -177,7 +204,7 @@ class _LbmApp(_App):
         return self.fingerprints()
 
     def result_array(self) -> np.ndarray:
-        return self.solver.current.to_numpy()
+        return self._read("f", self.solver.current)
 
     def fingerprints(self) -> dict[str, np.ndarray]:
         return {"f": self.result_array()}
@@ -192,13 +219,13 @@ class _CGApp(_App):
     is read, so it is not one of ``skeletons``; it is fused like them.
     """
 
-    def __init__(self, spec: JobSpec, backend: Backend, solver, result_key: str, result):
+    def __init__(self, spec: JobSpec, backend: Backend, solver, result_key: str, squeeze: bool):
         super().__init__(spec, backend, solver)
         self.cg = self.state = solver.cg
         self.cg.mode = spec.mode
         self.cg.sk_flush.plan.fuse = spec.fused
         self.tolerance = float(spec.param("tolerance", 1e-12))
-        self._result_key, self._result = result_key, result
+        self._result_key, self._squeeze = result_key, squeeze
 
     @property
     def skeletons(self) -> list:
@@ -219,11 +246,12 @@ class _CGApp(_App):
 
     def result_array(self) -> np.ndarray:
         self.cg.flush()
-        return self.cg.x.to_numpy()
+        return self._read(self._result_key, self.cg.x)
 
     def fingerprints(self) -> dict[str, np.ndarray]:
+        x = self.result_array()
         return {
-            self._result_key: self._result(),
+            self._result_key: x[0] if self._squeeze else x,  # the solver's solution() / displacement()
             "residual_norms": np.asarray(self.cg.result.residual_norms),
         }
 
@@ -282,12 +310,12 @@ def _poisson(spec: JobSpec, backend: Backend, common: dict) -> _App:
     solver = PoissonSolver(backend, spec.shape, **common)
     if not solver.grid.virtual:
         solver.set_rhs(_RHS[rhs](spec.shape))
-    return _CGApp(spec, backend, solver, "solution", solver.solution)
+    return _CGApp(spec, backend, solver, "solution", squeeze=True)
 
 
 def _elasticity(spec: JobSpec, backend: Backend, common: dict) -> _App:
     solver = ElasticitySolver.solid_cube(backend, spec.shape[0], **common)
-    return _CGApp(spec, backend, solver, "displacement", solver.displacement)
+    return _CGApp(spec, backend, solver, "displacement", squeeze=False)
 
 
 _BUILDERS = {"lbm": _lbm, "karman": _karman, "poisson": _poisson, "elasticity": _elasticity}

@@ -3,7 +3,8 @@
 ``sync_halo_now`` runs its copies directly when nothing is armed (a
 per-component family as one copy) and otherwise puts every message on one
 ``halo:<name>`` queue per source rank; ``fill`` takes one constant per
-component; ``DenseField.to_numpy`` writes every cell from the slabs.  Each
+component; ``DenseField.to_numpy`` writes every cell from the slabs, and
+``to_numpy(out=)`` writes the same bytes into the caller's array.  Each
 must leave the bytes it left before.
 """
 
@@ -115,3 +116,47 @@ def test_to_numpy_writes_every_cell_from_the_slabs(devices):
     for rank, (a, b) in enumerate(grid.bounds):
         expected[:, a:b] = field.partition(rank).view_all(grid.span_for(rank, DataView.STANDARD))
     assert field.to_numpy().tobytes() == expected.tobytes()
+
+
+def _seeded_field(kind: str, devices: int):
+    """A 2-component field with seeded owned cells; the sparse one has
+    inactive cells, which read as ``outside_value``."""
+    shape = (2 * devices + 3, 4, 5)
+    if kind == "dense":
+        grid = DenseGrid(Backend.sim_gpus(devices), shape, stencils=[D3Q19_STENCIL])
+    else:
+        mask = np.ones(shape, dtype=bool)
+        mask[:, 0, :2] = mask[1, 2, 3] = False
+        grid = SparseGrid(Backend.sim_gpus(devices), mask=mask, stencils=[D3Q19_STENCIL])
+    field = grid.new_field("v", cardinality=2, outside_value=-3.0)
+    rng = np.random.default_rng(devices)
+    field.init(lambda *c: rng.standard_normal(np.broadcast_shapes(*(a.shape for a in c))))
+    return field
+
+
+@pytest.mark.parametrize("devices", DEVICES)
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_to_numpy_into_out_writes_the_same_bytes_and_returns_out(kind, devices):
+    field = _seeded_field(kind, devices)
+    expected = field.to_numpy()
+    out = np.full(expected.shape, np.nan)
+    assert field.to_numpy(out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    if kind == "sparse":
+        assert (out == field.outside_value).any(), "the inactive cells were written too"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda shape: np.empty((shape[0], shape[1] + 1, *shape[2:])),
+        lambda shape: np.empty(shape, dtype=np.float32),
+        lambda shape: np.empty((*shape[:-1], 2 * shape[-1]))[..., ::2],
+    ],
+    ids=["shape", "dtype", "non-contiguous"],
+)
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_to_numpy_rejects_an_out_it_cannot_fill(kind, bad):
+    field = _seeded_field(kind, 2)
+    with pytest.raises(ValueError):
+        field.to_numpy(out=bad((field.cardinality, *field.grid.shape)))
