@@ -61,9 +61,10 @@ def main():
             value, sk = run(num_gpus, occ)
             if reference is None:
                 reference = value
-            status = "ok" if np.isclose(value, reference) else "MISMATCH"
+            # per-slice partials: the same bits on any device count and OCC level
+            status = "ok" if value == reference else "MISMATCH"
             print(f"  {num_gpus} GPU(s), occ={occ.value:<17}  dot = {value:+.6e}   [{status}]")
-            assert np.isclose(value, reference)
+            assert value == reference
 
     print("\nsimulated timeline on 4 GPUs with two-way-extended OCC:")
     _, sk = run(4, Occ.TWO_WAY)

@@ -1,6 +1,6 @@
 """Canonical reductions shared by the native baselines.
 
-The framework's partition-invariant reductions (``Grid.new_dot_partial``
+The framework's partition-invariant reductions (``Grid.new_reduce_partial``
 / ``SliceReduceAccessor``) sum each axis-0 slice into its own slot and
 combine the slots in global slice order.  The native comparators must
 reduce with the *same* summation tree to stay bitwise comparable, so the

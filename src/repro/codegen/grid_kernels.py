@@ -20,8 +20,8 @@ compiled functions.  A kernel steps between components by the stride the
 field's layout gave its storage (``strides[0]``, the component pitch of
 :func:`repro.domain.layout.component_pitch`), passed in the op record as
 ``cstride``; nothing derives it from the grid's extents.  Anything else —
-sparse grids, AoS layouts, virtual fields, per-rank (non-slice) partials
-— makes the hook return ``None`` and the interpreted closure runs.
+sparse grids, AoS layouts, virtual fields — makes the hook return ``None``
+and the interpreted closure runs.
 
 **What a hook returns** is an op table (:mod:`repro.codegen.table`): every
 kernel exports the one record-taking entry signature, and a unit's
@@ -526,11 +526,11 @@ def block_stencil(src, mask, keep, dst, terms):
 
 def slice_sums(partial, x, y=None):
     """``specialize`` hook: per-slice sums of ``x * y`` (``x`` alone without
-    ``y``) into a ``slice_reduce`` partial, bitwise what
+    ``y``) into a per-slice partial, bitwise what
     ``SliceReduceAccessor.deposit_sums`` deposits."""
 
     def specialize(rank, view, span):
-        if not getattr(partial, "slice_reduce", False) or partial.virtual:
+        if partial.virtual:
             return None
         row = partial.partition(rank).array
         if row.dtype != np.float64 or row.ndim != 1 or not row.flags["C_CONTIGUOUS"]:

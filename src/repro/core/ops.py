@@ -112,13 +112,9 @@ def axpby(grid: Grid, alpha: float, x, beta: float, y, name: str = "axpby") -> C
 
 
 def dot(grid: Grid, x, y, partial: MemSet, name: str = "dot") -> Container:
-    """partial <- partial sums over the rank's cells of x . y (all components).
-
-    With a per-slice partial (``grid.new_dot_partial``) the deposits are
-    canonical per-slice sums and the combined scalar is bitwise
-    partition-invariant; with a legacy per-rank partial the whole span
-    folds into one slot, as before.
-    """
+    """partial <- per-slice sums of x . y (all components) over the rank's
+    cells; the combined scalar (:class:`ScalarResult`) is bitwise
+    partition-invariant."""
     _check(grid, x, y)
 
     def loading(loader):
@@ -137,7 +133,7 @@ def dot(grid: Grid, x, y, partial: MemSet, name: str = "dot") -> Container:
 
 
 def norm2_squared(grid: Grid, x, partial: MemSet, name: str = "norm2sq") -> Container:
-    """partial[rank] <- sum of x*x (combine + sqrt host-side for the L2 norm)."""
+    """partial <- per-slice sums of x*x (combine + sqrt host-side for the L2 norm)."""
     return dot(grid, x, x, partial, name=name)
 
 
@@ -161,7 +157,7 @@ def waxpby(grid: Grid, alpha: float, x, beta: float, y, w, name: str = "waxpby")
 
 
 def total(grid: Grid, x, partial: MemSet, name: str = "sum") -> Container:
-    """partial[rank] <- sum of all components of x over the rank's cells."""
+    """partial <- per-slice sums of all components of x over the rank's cells."""
     _check(grid, x)
 
     def loading(loader):
@@ -179,13 +175,14 @@ def total(grid: Grid, x, partial: MemSet, name: str = "sum") -> Container:
 
 
 class ScalarResult:
-    """Host-side view of a reduction: combines the per-device partials.
+    """Host-side view of a reduction: combines the per-slice partials.
 
-    Reading the value implies a device->host round trip for one scalar
-    per device, exactly as a cuBLAS dot does; the conjugate-gradient
-    solver reads it twice per iteration (alpha and the convergence check).
+    Reading the value implies a device->host round trip for one row of
+    slice sums per device, exactly as a cuBLAS dot does; the
+    conjugate-gradient solver reads it twice per iteration (alpha and the
+    convergence check).
 
-    A per-slice partial (``Grid.new_dot_partial``) is read by gathering its
+    The partial (``Grid.new_reduce_partial``) is read by gathering its
     rank rows into the partial's host mirror and summing that one row —
     one op table of :func:`repro.codegen.table.copy` records and a closing
     :func:`repro.codegen.table.total`, built on the first read
@@ -195,10 +192,8 @@ class ScalarResult:
     lifetime.
     """
 
-    def __init__(self, partial: MemSet, op=np.add):
+    def __init__(self, partial: MemSet):
         self.partial = partial
-        self.op = op
-        self._sliced = getattr(partial, "slice_reduce", False) and not partial.virtual
         self._gather = None
         self._result = np.zeros(1)
 
@@ -206,12 +201,6 @@ class ScalarResult:
         if self._gather is None:
             if self.partial.virtual:
                 raise RuntimeError("reduction partials of a virtual grid have no payload")
-            if not self._sliced:
-                vals = [float(self.partial.partition(r).array[0]) for r in range(self.partial.num_devices)]
-                out = vals[0]
-                for v in vals[1:]:
-                    out = self.op(out, v)
-                return float(out)
             self._gather = _gather(self.partial, self._result)
         self._gather()
         return float(self._result[0])
@@ -223,7 +212,7 @@ def _gather(partial: MemSet, result: np.ndarray):
 
     The rank rows in rank order are the global slice order, so the
     summation tree depends only on the domain extent — bitwise identical
-    for every partition (sum-only; see ``Grid.new_dot_partial``).
+    for every partition (see ``Grid.new_reduce_partial``).
     """
     host, rows = partial.host, [buf.array for buf in partial.buffers]
     tables = [_table.copy(partial.host_slice(r), row) for r, row in enumerate(rows) if len(row)]

@@ -19,7 +19,6 @@ import functools
 import numpy as np
 
 from repro.codegen import table as _table
-from repro.sets.memset import MemSet
 from repro.system import Backend
 
 from .field import Field
@@ -104,21 +103,6 @@ class DenseGrid(Grid):
 
     def span_for(self, rank: int, view: DataView):
         return self._spans[rank][view]
-
-    def new_dot_partial(self, name: str):
-        """One slot per owned slice: the partition-invariant reduction.
-
-        Dense spans index whole slices, so every reduce launch can
-        deposit canonical per-slice sums; concatenating the rank rows in
-        rank order reproduces the global slice order no matter where the
-        slab cuts fall, making the combined scalar bitwise identical
-        across device counts, partition weights, OCC levels, and
-        execution modes.
-        """
-        counts = [self.local_slices(r) for r in range(self.num_devices)]
-        partial = MemSet(self.backend, counts, np.float64, name=name, virtual=self.virtual)
-        partial.slice_reduce = True
-        return partial
 
     # -- fields ------------------------------------------------------------------
     def new_field(

@@ -30,6 +30,10 @@ class Grid(MultiDeviceData, abc.ABC):
     #: element-sparse connectivity walk pays an indirection penalty)
     indirection: float = 1.0
 
+    #: per rank, the span offset of each owned slice's first cell (and the
+    #: end), for per-slice reductions; None where spans index whole slices
+    slice_starts: list[np.ndarray] | None = None
+
     def __init__(
         self,
         backend: Backend,
@@ -118,19 +122,18 @@ class Grid(MultiDeviceData, abc.ABC):
         return Container(name, self, loading, flops_per_cell=flops_per_cell)
 
     def new_reduce_partial(self, name: str) -> MemSet:
-        """One float64 reduction slot per device, for ReduceOp containers."""
-        return MemSet(self.backend, [1] * self.num_devices, np.float64, name=name, virtual=self.virtual)
+        """One float64 slot per owned axis-0 slice, for ReduceOp containers.
 
-    def new_dot_partial(self, name: str) -> MemSet:
-        """Partial buffer for *partition-invariant* sum reductions.
-
-        Grids that can, override this with a per-axis-0-slice partial
-        whose combined value is bitwise identical for any device count,
-        OCC level, or execution mode (see ``SliceReduceAccessor``).  The
-        base implementation falls back to the per-rank partial, whose
-        combined value depends on where the slab cuts fall.
+        Every reduce launch deposits canonical per-slice sums
+        (``SliceReduceAccessor``); concatenating the rank rows in rank
+        order reproduces the global slice order no matter where the slab
+        cuts fall, so the combined scalar is bitwise identical across
+        device counts, partition weights, OCC levels, and execution modes.
         """
-        return self.new_reduce_partial(name)
+        counts = [e - s for s, e in self.bounds]
+        partial = MemSet(self.backend, counts, np.float64, name=name, virtual=self.virtual)
+        partial.slice_starts = self.slice_starts
+        return partial
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name}, shape={self.shape}, devices={self.num_devices})"

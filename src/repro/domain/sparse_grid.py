@@ -110,6 +110,8 @@ class SparseGrid(Grid):
             self.n_owned.append(int(per_slice[s:e].sum()))
             self.n_bnd_lo.append(int(per_slice[s : s + h].sum()) if rank > 0 else 0)
             self.n_bnd_hi.append(int(per_slice[e - h : e].sum()) if rank < n - 1 else 0)
+        # owned cells are stored in slice order (each class is a z-range)
+        self.slice_starts = [np.concatenate(([0], np.cumsum(per_slice[s:e]))) for s, e in self.bounds]
         # halo blocks mirror the neighbour's boundary blocks
         self.n_halo_lo = [self.n_bnd_hi[r - 1] if r > 0 else 0 for r in range(n)]
         self.n_halo_hi = [self.n_bnd_lo[r + 1] if r < n - 1 else 0 for r in range(n)]

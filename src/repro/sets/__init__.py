@@ -3,7 +3,7 @@
 from .container import Container
 from .dataset import DataSet, MultiDeviceData, Span
 from .launch import estimate_cost
-from .loader import Access, AccessToken, Loader, Pattern, ReduceAccessor, ReduceMode, SliceReduceAccessor
+from .loader import Access, AccessToken, Loader, Pattern, SliceReduceAccessor
 from .memset import LinearSpan, MemPartition, MemSet
 from .mstream import MultiEvent, MultiStream
 from .views import DataView
@@ -22,8 +22,6 @@ __all__ = [
     "MultiEvent",
     "MultiStream",
     "Pattern",
-    "ReduceAccessor",
-    "ReduceMode",
     "SliceReduceAccessor",
     "Span",
     "estimate_cost",

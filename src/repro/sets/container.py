@@ -20,7 +20,7 @@ from collections.abc import Callable
 
 from .dataset import MultiDeviceData
 from .launch import estimate_cost
-from .loader import AccessToken, Loader, Pattern, ReduceMode
+from .loader import AccessToken, Loader, Pattern
 from .mstream import MultiStream
 from .views import DataView
 
@@ -63,8 +63,23 @@ class Container:
                 raise TypeError(f"container '{self.name}': loading lambda must return the compute lambda")
             if not probe.tokens:
                 raise ValueError(f"container '{self.name}': loading lambda declared no data accesses")
+            for t in probe.tokens:
+                if t.pattern is Pattern.REDUCE:
+                    self._check_partial(t.data)
             self._tokens = probe.tokens
         return self._tokens
+
+    def _check_partial(self, partial) -> None:
+        """A reduce target is a grid's per-slice partial (``Grid.new_reduce_partial``)."""
+        bounds = getattr(self.index_data, "bounds", None)
+        if bounds is None:
+            kind = type(self.index_data).__name__
+            raise ValueError(f"container '{self.name}': reductions iterate a grid, not a {kind}")
+        if not hasattr(partial, "slice_starts") or partial.counts != [e - s for s, e in bounds]:
+            raise ValueError(
+                f"{partial.name}: reduce partials need one slot per owned slice of grid "
+                f"'{self.index_data.name}' (grid.new_reduce_partial)"
+            )
 
     @property
     def pattern(self) -> Pattern:
@@ -87,7 +102,6 @@ class Container:
         self,
         streams: MultiStream,
         view: DataView = DataView.STANDARD,
-        reduce_mode: ReduceMode = ReduceMode.ASSIGN,
         ranks: list[int] | None = None,
     ) -> None:
         """Launch the container on every device (or a subset of ranks).
@@ -106,7 +120,7 @@ class Container:
             if virtual:
                 kernel = lambda: None  # noqa: E731 - recorded for timing only
             else:
-                loader = Loader(rank=rank, view=view, reduce_mode=reduce_mode)
+                loader = Loader(rank=rank, view=view)
                 compute = self.loading(loader)
 
                 def kernel(compute=compute, span=span):

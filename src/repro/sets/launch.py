@@ -49,8 +49,9 @@ def token_access_parts(token: AccessToken, view: DataView) -> tuple[tuple[str, .
       away from the partition edge, so it alone never needs the halo;
     * a REDUCE partial is read-modify-written per *launch*, not per
       cell: both halves of an OCC-split reduction touch the same
-      partial, whatever their views (which is why the scheduler wires an
-      explicit internal->boundary dependency between them).
+      partial, whatever their views, although they deposit into
+      disjoint slices (the scheduler keeps an explicit
+      internal->boundary dependency between them).
     """
     if token.pattern is Pattern.REDUCE:
         both = _VIEW_PARTS[DataView.STANDARD]

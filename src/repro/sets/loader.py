@@ -45,18 +45,6 @@ class Pattern(enum.Enum):
     REDUCE = "reduce"
 
 
-class ReduceMode(enum.Enum):
-    """How a reduce kernel combines into its partial buffer.
-
-    ASSIGN overwrites (first launch covering the partition); ACCUMULATE
-    folds into the existing partial, which is what the boundary half of a
-    two-way-extended-OCC reduce does after the internal half.
-    """
-
-    ASSIGN = "assign"
-    ACCUMULATE = "accumulate"
-
-
 @dataclass(frozen=True)
 class AccessToken:
     data: MultiDeviceData
@@ -64,57 +52,48 @@ class AccessToken:
     pattern: Pattern
 
 
-class ReduceAccessor:
-    """Rank-local handle for depositing one partial reduction result."""
-
-    def __init__(self, partial: MemSet, rank: int, op, mode: ReduceMode):
-        self._row = partial.partition(rank).array
-        self.op = op
-        self.mode = mode
-
-    def deposit(self, value) -> None:
-        if self.mode is ReduceMode.ASSIGN:
-            self._row[0] = value
-        else:
-            self._row[0] = self.op(self._row[0], value)
-
-    def deposit_sums(self, span, values) -> None:
-        """Fold the span's whole value array into the rank's single slot."""
-        self.deposit(float(np.sum(values)))
-
-
 class SliceReduceAccessor:
     """Rank-local handle for per-axis-0-slice partial sums.
 
-    One slot per owned slice instead of one per rank: each deposit is the
-    sum over one slice's cells, an array whose logical shape depends only
-    on the grid's lateral extent — never on how slices are distributed
-    over devices or split into internal/boundary launches.  Combined in
-    global slice order on the host (:class:`repro.core.ops.ScalarResult`),
-    the reduction is bitwise independent of partition, OCC level, and
-    execution mode.
+    One slot per owned slice: each deposit is the sum over one slice's
+    cells, an array whose logical shape depends only on the grid's
+    lateral extent (dense) or on the slice's active cells (sparse) —
+    never on how slices are distributed over devices or split into
+    internal/boundary launches.  Combined in global slice order on the
+    host (:class:`repro.core.ops.ScalarResult`), the reduction is bitwise
+    independent of partition, OCC level, and execution mode.
 
-    Slices are disjoint between launch pieces (INTERNAL and BOUNDARY
-    strips never share a slice), so every deposit assigns its slots
-    outright; :class:`ReduceMode` never needs to accumulate here.
+    Launch pieces cover whole slices (INTERNAL and BOUNDARY strips never
+    share one), so every deposit assigns its slots outright.
     """
 
-    def __init__(self, partial: MemSet, rank: int, op, mode: ReduceMode):
+    def __init__(self, partial: MemSet, rank: int):
         self._row = partial.partition(rank).array
-        self.op = op
-        self.mode = mode
+        starts = getattr(partial, "slice_starts", None)
+        self._starts = None if starts is None else starts[rank]
 
     def deposit_sums(self, span, values) -> None:
         """Deposit one canonical sum per slice of ``span``.
 
-        ``values`` is the component-first span array (``view_all`` shape):
-        axis 1 walks the span's slices.  Each slice is copied contiguous
-        before summing so NumPy's pairwise tree sees the same memory
-        layout no matter the source field's layout or slab size.
+        ``values`` is the component-first span array (``view_all`` shape).
+        Dense spans index slices, so axis 1 walks them; a sparse span
+        indexes cells in slice order, and is cut at the first cell of each
+        owned slice (``slice_starts``), an empty slice depositing 0.0.
+        Each slice is copied contiguous before summing so NumPy's pairwise
+        tree sees the same memory layout no matter the source field's
+        layout, slab size, or partition.
         """
-        lo = span.lo
-        for i in range(span.hi - lo):
-            self._row[lo + i] = float(np.sum(np.ascontiguousarray(values[:, i])))
+        row, lo = self._row, span.lo
+        if self._starts is None:
+            for i in range(span.hi - lo):
+                row[lo + i] = float(np.sum(np.ascontiguousarray(values[:, i])))
+            return
+        starts = self._starts
+        first = int(np.searchsorted(starts, lo))
+        last = int(np.searchsorted(starts, span.hi, "right")) - 1
+        for j in range(first, last):
+            cells = values[:, starts[j] - lo : starts[j + 1] - lo]
+            row[j] = float(np.sum(np.ascontiguousarray(cells)))
 
 
 class Loader:
@@ -129,12 +108,10 @@ class Loader:
         self,
         rank: int,
         view: DataView = DataView.STANDARD,
-        reduce_mode: ReduceMode = ReduceMode.ASSIGN,
         parse_only: bool = False,
     ):
         self.rank = rank
         self.view = view
-        self.reduce_mode = reduce_mode
         self.parse_only = parse_only
         self.tokens: list[AccessToken] = []
 
@@ -155,16 +132,8 @@ class Loader:
     def read_write(self, data: MultiDeviceData):
         return self.load(data, Access.READ_WRITE, Pattern.MAP)
 
-    def reduce_target(self, partial: MemSet, op=np.add) -> ReduceAccessor | SliceReduceAccessor:
-        """Declare this container reduces into ``partial``.
-
-        Legacy partials carry one slot per rank; partials marked
-        ``slice_reduce`` (see ``Grid.new_dot_partial``) carry one slot per
-        owned axis-0 slice and get the partition-invariant accessor.
-        """
+    def reduce_target(self, partial: MemSet) -> SliceReduceAccessor:
+        """Declare this container sums into ``partial``, one slot per owned
+        slice (``Grid.new_reduce_partial``), and return the rank's handle."""
         self.tokens.append(AccessToken(partial, Access.READ_WRITE, Pattern.REDUCE))
-        if getattr(partial, "slice_reduce", False):
-            return SliceReduceAccessor(partial, self.rank, op, self.reduce_mode)
-        if partial.counts != [1] * partial.num_devices:
-            raise ValueError(f"{partial.name}: reduce partials need exactly one slot per device")
-        return ReduceAccessor(partial, self.rank, op, self.reduce_mode)
+        return SliceReduceAccessor(partial, self.rank)

@@ -19,7 +19,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.sets import Container, DataView, Pattern, ReduceMode
+from repro.sets import Container, DataView, Pattern
 from repro.sets.loader import Access
 
 
@@ -65,7 +65,6 @@ class GraphNode:
     kind: NodeKind
     container: Container | None = None
     view: DataView = DataView.STANDARD
-    reduce_mode: ReduceMode = ReduceMode.ASSIGN
     halo_field: object | None = None  # Field, for HALO nodes
     seq: int = 0
     uid: int = field(default_factory=lambda: next(_node_ids))

@@ -37,13 +37,14 @@ same-kind step ``s`` only when:
    waits" already proves no step that executes between the unit's head
    and tail positions depends on, or is depended on by, a member that
    the batching moves.
-2. *disjoint interleavings* (belt and braces) — every data command of
-   any queue whose issue seq falls strictly inside the chain is checked
-   against the chain with the sanitizer's region-atom access model
+2. *disjoint interleavings* — the unit runs at its head's position, so
+   ``s`` moves ahead of every step of another queue issued since the
+   chain's head.  ``s`` is checked against each of them with the
+   sanitizer's region-atom access model
    (:func:`repro.sanitizer.access.step_accesses`); a shared atom with a
-   write on either side vetoes the extension.  This is redundant with
-   (1) for scheduler-produced programs and exists to catch hand-built
-   or future schedules that violate the wiring invariant.
+   write on either side vetoes the extension.  Only ``s`` is checked: the
+   head does not move, and each earlier member passed the same check,
+   against every step interleaved before it, when it joined.
 
 **Precomposition.**  Copy chains that form a complete SoA component
 family collapse into one multi-component staged copy
@@ -254,7 +255,7 @@ def build_chains(program) -> list[list]:
         return acc_cache[key]
 
     chains: list[list] = []
-    # queue identity -> {steps, acc, pending-interleaved-steps}
+    # queue identity -> {steps, steps of other queues issued since the head}
     open_chains: dict[int, dict] = {}
 
     def close(qid: int) -> None:
@@ -278,22 +279,13 @@ def build_chains(program) -> list[list]:
             )
             if legal:
                 step_acc = acc_of(step)
-                if state["acc"] is None or step_acc is None:
-                    cand_acc = None
-                else:
-                    cand_acc = state["acc"] + step_acc
-                for other in state["pending"]:
-                    if _conflicts(cand_acc, acc_of(other)):
-                        legal = False
-                        break
+                legal = not any(_conflicts(step_acc, acc_of(other)) for other in state["pending"])
             if legal:
                 state["steps"].append(step)
-                state["acc"] = cand_acc
-                state["pending"] = []
                 note_interleaving(step, qid)
                 continue
             close(qid)
-        open_chains[qid] = {"steps": [step], "acc": acc_of(step), "pending": []}
+        open_chains[qid] = {"steps": [step], "pending": []}
         note_interleaving(step, qid)
     for qid in list(open_chains):
         close(qid)

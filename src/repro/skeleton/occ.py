@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.sets import DataView, Pattern, ReduceMode
+from repro.sets import DataView, Pattern
 
 from .depgraph import DepGraph, DepKind, GraphNode, NodeKind, Scope
 
@@ -70,7 +70,6 @@ def _clone(node: GraphNode, view: DataView) -> GraphNode:
         kind=node.kind,
         container=node.container,
         view=view,
-        reduce_mode=node.reduce_mode,
         halo_field=node.halo_field,
         seq=node.seq,
     )
@@ -97,16 +96,17 @@ def _splittable(node: GraphNode) -> bool:
 
 
 def _wire_reduce_halves(graph: DepGraph, first: GraphNode, second: GraphNode) -> None:
-    """Reduction semantics for a split node: halves share the partial
-    buffer, so whichever half launches first must assign and the other
-    accumulate, with a data dependency enforcing that order.  This
-    applies to *any* split of a container carrying a reduce target —
+    """Order the halves of a split node that carries a reduce target —
     including hybrids that also stencil-read (e.g. a residual-norm
-    container), which the STANDARD transform splits as stencils."""
+    container), which the STANDARD transform splits as stencils.
+
+    The halves deposit into disjoint slices of the shared partial, but the
+    access model (:mod:`repro.sanitizer.access`) sees the partial as one
+    read-modify-written region, so the internal -> boundary RAW edge stays:
+    dropping it would change schedules, fusion chains, DES makespans and
+    every figure built on them."""
     if any(t.pattern is Pattern.REDUCE for t in first.container.tokens()):
         graph.add_edge(first, second, DepKind.RAW, Scope.LOCAL)
-        first.reduce_mode = ReduceMode.ASSIGN
-        second.reduce_mode = ReduceMode.ACCUMULATE
 
 
 def apply_occ(graph: DepGraph, occ: Occ) -> OccReport:

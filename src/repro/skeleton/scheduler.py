@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import threading
 
 from repro import observability as _obs
-from repro.sets import Container, DataView, ReduceMode
+from repro.sets import Container, DataView
 from repro.sets.loader import Loader
 from repro.system import (
     EXECUTION_MODES,
@@ -335,9 +335,7 @@ class Plan:
 
     # -- compilation to a frozen program --------------------------------------
     @staticmethod
-    def _make_kernel_fn(
-        container: Container, rank: int, view: DataView, reduce_mode: ReduceMode, span
-    ) -> Callable[[], None]:
+    def _make_kernel_fn(container: Container, rank: int, view: DataView, span) -> Callable[[], None]:
         """Build the replayable kernel closure for one compute piece.
 
         The *loading* lambda runs inside the closure, per launch: scalar
@@ -347,7 +345,7 @@ class Plan:
         """
 
         def kernel() -> None:
-            loader = Loader(rank=rank, view=view, reduce_mode=reduce_mode)
+            loader = Loader(rank=rank, view=view)
             compute = container.loading(loader)
             for piece in span.pieces():
                 compute(piece)
@@ -412,7 +410,6 @@ class Plan:
                             node.container,
                             idx,
                             node.view,
-                            node.reduce_mode,
                             node.container.index_data.span_for(idx, node.view),
                         )
                     cmd = q.enqueue_kernel(label, fn, cost, container=None if virtual else node.container)

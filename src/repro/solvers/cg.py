@@ -124,9 +124,9 @@ class ConjugateGradient:
         self.p = grid.new_field(f"{name}_p", cardinality=card)
         self.q = grid.new_field(f"{name}_q", cardinality=card)
         # per-slice partials make both CG scalars (hence the whole
-        # trajectory) bitwise partition-invariant on grids that support it
-        self.pq_partial = grid.new_dot_partial(f"{name}_pq")
-        self.rr_partial = grid.new_dot_partial(f"{name}_rr")
+        # trajectory) bitwise partition-invariant
+        self.pq_partial = grid.new_reduce_partial(f"{name}_pq")
+        self.rr_partial = grid.new_reduce_partial(f"{name}_rr")
         # the two host reads, each gathering into its partial's host mirror
         self._pq_read = ops.ScalarResult(self.pq_partial)
         self._rr_read = ops.ScalarResult(self.rr_partial)
@@ -329,9 +329,10 @@ class ConjugateGradient:
 
         CG fundamentally syncs on two scalars per iteration (alpha and
         the convergence check), so the time includes the two
-        device->host reads of the per-device partials (one 8-byte message
-        per device, flowing in parallel over the host links — latency
-        dominated, exactly like a cuBLAS dot result read).
+        device->host reads of the partials (each device's row of slice
+        sums, priced as one 8-byte message per device flowing in parallel
+        over the host links — latency dominated, exactly like a cuBLAS dot
+        result read).
         """
         machine = machine or self.grid.backend.machine
         t = 0.0

@@ -128,7 +128,7 @@ def test_slice_sums_equal_the_numpy_summation_tree(lateral, slab, card, exponent
     x, y = (grid.new_field(n, cardinality=card) for n in "xy")
     randomise(x, rng, 10.0**exponent)
     randomise(y, rng)
-    partial = grid.new_dot_partial("partial")
+    partial = grid.new_reduce_partial("partial")
     for container, values in (
         (ops.dot(grid, x, y, partial), x.to_numpy() * y.to_numpy()),
         (ops.total(grid, x, partial), x.to_numpy()),
@@ -171,7 +171,7 @@ def test_slice_sums_feed_leaves_in_place_and_gather_straddling_ones(monkeypatch,
         x, y = (grid.new_field(n, cardinality=card) for n in "xy")
         randomise(x, rng, 1e3)
         randomise(y, rng)
-        partial = grid.new_dot_partial("partial")
+        partial = grid.new_reduce_partial("partial")
         for container, values in (
             (ops.dot(grid, x, y, partial), x.to_numpy() * y.to_numpy()),
             (ops.total(grid, x, partial), x.to_numpy()),
@@ -187,7 +187,7 @@ def test_slice_sums_feed_leaves_in_place_and_gather_straddling_ones(monkeypatch,
 
 def test_negative_zero_slices_sum_like_numpy():
     grid = dense_grid(1, (2, 1, 5))
-    x, partial = grid.new_field("x"), grid.new_dot_partial("p")
+    x, partial = grid.new_field("x"), grid.new_reduce_partial("p")
     x.fill(-0.0)
     launch(ops.total(grid, x, partial), DataView.STANDARD, compiled=True)
     got = partial.partition(0).array
@@ -203,7 +203,7 @@ def test_self_check_declines_a_perturbed_summation_tree(monkeypatch, tmp_path):
         grid = dense_grid(1, (2, 3, 43))
         x, y = grid.new_field("x"), grid.new_field("y")
         span = grid.span_for(0, DataView.STANDARD)
-        dot = ops.dot(grid, x, y, grid.new_dot_partial("p"))
+        dot = ops.dot(grid, x, y, grid.new_reduce_partial("p"))
         assert dot.specialize(0, DataView.STANDARD, span) is None
         assert ops.axpy(grid, 2.0, x, y).specialize(0, DataView.STANDARD, span) is not None
     finally:
@@ -488,14 +488,12 @@ def test_hooks_decline_what_the_kernels_cannot_address():
     cases = []
     for grid, kw in ((dense, {"layout": Layout.AOS, "cardinality": 2}), (sparse, {}), (virtual, {})):
         x, y = grid.new_field("x", **kw), grid.new_field("y", **kw)
-        cases += [ops.axpy(grid, 2.0, x, y), ops.dot(grid, x, y, grid.new_dot_partial("p"))]
+        cases += [ops.axpy(grid, 2.0, x, y), ops.dot(grid, x, y, grid.new_reduce_partial("p"))]
         if kw.get("cardinality", 1) == 1:
             cases.append(make_neg_laplacian(grid, x, y))
         layout = kw.get("layout", Layout.SOA)
         u, out = (grid.new_field(n, cardinality=3, layout=layout) for n in ("u", "out"))
         cases += make_elastic_operator()(grid, u, out, "A")
-    x, y = dense.new_field("x"), dense.new_field("y")
-    cases.append(ops.dot(dense, x, y, dense.new_reduce_partial("per_rank")))
     channel = np.ones((8, 6), dtype=bool)
     for grid, layout in (
         (DenseGrid(backend, (8, 6), stencils=[D2Q9_STENCIL]), Layout.AOS),

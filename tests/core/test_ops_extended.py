@@ -59,7 +59,7 @@ def test_slice_reduce_read_equals_the_rebuilt_concatenation_bitwise(monkeypatch)
     with monkeypatch.context() as patch:  # the stand-in bites where NumPy sums
         patch.setattr(ops, "np", _NoReduction())
         with pytest.raises(AssertionError, match="NumPy reduction"):
-            ScalarResult(DenseGrid(Backend.sim_gpus(2), (5, 3, 4)).new_dot_partial("p")).value()
+            ScalarResult(DenseGrid(Backend.sim_gpus(2), (5, 3, 4)).new_reduce_partial("p")).value()
 
 
 class _NoReduction:
@@ -79,7 +79,7 @@ class _NoReduction:
 def _check_host_read(devices: int, weights, cc: bool) -> None:
     g = DenseGrid(Backend.sim_gpus(devices), (29, 3, 4), stencils=[STENCIL_7PT], partition_weights=weights)
     assert devices == 1 or len({g.local_slices(r) for r in range(devices)}) > 1, "uneven strips"
-    partial = g.new_dot_partial("p")
+    partial = g.new_reduce_partial("p")
     read = ScalarResult(partial)
     rows = [partial.partition(r).array for r in range(devices)]
     rng = np.random.default_rng(devices)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.domain import DenseGrid
 from repro.sets import (
     Access,
     Container,
@@ -8,7 +9,6 @@ from repro.sets import (
     MemSet,
     MultiStream,
     Pattern,
-    ReduceMode,
 )
 from repro.system import Backend
 
@@ -94,41 +94,43 @@ def test_loading_must_declare_accesses(backend):
         c.tokens()
 
 
-def test_reduce_container_assign_and_accumulate(backend):
-    x = MemSet(backend, [3, 3], np.float64)
-    partial = MemSet(backend, [1, 1], np.float64)
-    for r in range(2):
-        x.partition(r).array[...] = [1.0, 2.0, 3.0]
+def test_reduce_container_reruns_assign_per_slice(backend):
+    grid = DenseGrid(backend, (5, 2, 2))
+    x = grid.new_field("x")
+    x.init(lambda z, y, i: 1.0 + z)
+    partial = grid.new_reduce_partial("p")
 
     def loading(loader):
         xp = loader.read(x)
         acc = loader.reduce_target(partial)
+        return lambda span: acc.deposit_sums(span, xp.view_all(span))
 
-        def compute(span):
-            acc.deposit(float(np.sum(xp.view(span))))
-
-        return compute
-
-    c = Container("sum", x, loading)
+    c = Container("sum", grid, loading)
     assert c.pattern is Pattern.REDUCE
     streams = MultiStream.create(backend, "s")
-    c.run(streams, reduce_mode=ReduceMode.ASSIGN)
-    assert [float(p[0]) for p in (partial.partition(0).array, partial.partition(1).array)] == [6.0, 6.0]
-    c.run(streams, reduce_mode=ReduceMode.ACCUMULATE)
-    assert float(partial.partition(0).array[0]) == 12.0
+    for _ in range(2):  # a second launch assigns the same sums again
+        c.run(streams)
+        rows = [partial.partition(r).array.tolist() for r in range(2)]
+        assert rows == [[4.0, 8.0, 12.0], [16.0, 20.0]]
 
 
 def test_reduce_partial_must_have_one_slot(backend):
+    grid = DenseGrid(backend, (6, 2, 2))
     x = MemSet(backend, [3, 3], np.float64)
-    bad = MemSet(backend, [2, 2], np.float64)
 
-    def loading(loader):
-        loader.read(x)
-        loader.reduce_target(bad)
-        return lambda span: None
+    def reducing(index_data, partial):
+        def loading(loader):
+            loader.read(x)
+            loader.reduce_target(partial)
+            return lambda span: None
 
-    with pytest.raises(ValueError, match="one slot"):
-        Container("sum", x, loading).tokens()
+        return Container("sum", index_data, loading)
+
+    per_rank = MemSet(backend, [1, 1], np.float64, name="per_rank")
+    with pytest.raises(ValueError, match="one slot per owned slice"):
+        reducing(grid, per_rank).tokens()
+    with pytest.raises(ValueError, match="reductions iterate a grid"):
+        reducing(x, grid.new_reduce_partial("p")).tokens()
 
 
 def test_boundary_launch_skips_empty_spans(backend):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.sets import Access, DataView, Loader, MemSet, Pattern, ReduceMode
+from repro.domain import DenseGrid, SparseGrid
+from repro.sets import Access, DataView, Loader, MemSet, Pattern
 from repro.system import Backend
 
 
@@ -46,29 +47,36 @@ def test_token_conflict_detection(backend):
     assert not read_a.access.writes and not read_b.access.writes
 
 
-def test_reduce_accessor_modes(backend):
-    partial = MemSet(backend, [1, 1], np.float64)
-    acc = Loader(0, reduce_mode=ReduceMode.ASSIGN).reduce_target(partial)
-    acc.deposit(5.0)
-    acc.deposit(7.0)
-    assert partial.partition(0).array[0] == 7.0  # assign overwrites
-    acc2 = Loader(0, reduce_mode=ReduceMode.ACCUMULATE).reduce_target(partial)
-    acc2.deposit(3.0)
-    assert partial.partition(0).array[0] == 10.0  # accumulate folds
+def test_reduce_target_deposits_one_sum_per_slice(backend):
+    grid = DenseGrid(backend, (5, 2, 3))
+    partial = grid.new_reduce_partial("p")
+    assert partial.counts == [3, 2]
+    acc = Loader(1).reduce_target(partial)
+    values = np.arange(2 * 2 * 6, dtype=float).reshape(2, 2, 2, 3)  # (card, slices, y, x)
+    acc.deposit_sums(grid.span_for(1, DataView.STANDARD), values)
+    expect = [np.sum(np.ascontiguousarray(values[:, i])) for i in range(2)]
+    assert partial.partition(1).array.tobytes() == np.array(expect).tobytes()
+    acc.deposit_sums(grid.span_for(1, DataView.STANDARD), values)
+    assert partial.partition(1).array.tobytes() == np.array(expect).tobytes()  # assigns, never folds
 
 
-def test_reduce_with_custom_op(backend):
-    partial = MemSet(backend, [1, 1], np.float64)
-    partial.fill(2.0)
-    acc = Loader(0, reduce_mode=ReduceMode.ACCUMULATE).reduce_target(partial, op=np.maximum)
-    acc.deposit(1.0)
-    assert partial.partition(0).array[0] == 2.0
-    acc.deposit(9.0)
-    assert partial.partition(0).array[0] == 9.0
+def test_sparse_reduce_target_cuts_at_slice_starts(backend):
+    mask = np.zeros((6, 2, 2), dtype=bool)
+    mask[0, 0, :] = mask[1] = mask[3, 1, 1] = mask[4, :, 0] = mask[5, 0, 0] = True  # slice 2 empty
+    grid = SparseGrid(backend, mask=mask)
+    partial = grid.new_reduce_partial("p")
+    partial.partition(1).array[...] = -1.0
+    s, e = grid.bounds[1]
+    cells = int(mask[s:e].sum())
+    values = np.arange(1.0, 1.0 + 2 * cells).reshape(2, cells)
+    Loader(1).reduce_target(partial).deposit_sums(grid.span_for(1, DataView.STANDARD), values)
+    starts = np.concatenate(([0], np.cumsum(mask[s:e].reshape(e - s, -1).sum(axis=1))))
+    expect = [np.sum(np.ascontiguousarray(values[:, a:b])) for a, b in zip(starts[:-1], starts[1:])]
+    assert partial.partition(1).array.tolist() == expect
+    assert 0.0 in expect  # the empty slice deposits 0.0
 
 
 def test_loader_view_defaults(backend):
     loader = Loader(rank=1)
     assert loader.view is DataView.STANDARD
-    assert loader.reduce_mode is ReduceMode.ASSIGN
     assert not loader.parse_only

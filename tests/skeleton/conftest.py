@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import ScalarResult
 from repro.domain import STENCIL_7PT, DenseGrid
 from repro.sets import Container
 from repro.system import Backend
@@ -44,7 +45,7 @@ def make_laplace(grid, x, y):
 
 
 def make_dot(grid, x, y, partial):
-    """partial[rank] <- sum(X * Y) over the rank's cells (ReduceOp)."""
+    """partial <- per-slice sums of X * Y over the rank's cells (ReduceOp)."""
 
     def loading(loader):
         xp = loader.read(x)
@@ -52,7 +53,7 @@ def make_dot(grid, x, y, partial):
         acc = loader.reduce_target(partial)
 
         def compute(span):
-            acc.deposit(float(np.sum(xp.view(span) * yp.view(span))))
+            acc.deposit_sums(span, (xp.view(span) * yp.view(span))[np.newaxis])
 
         return compute
 
@@ -60,7 +61,7 @@ def make_dot(grid, x, y, partial):
 
 
 def combine_partial(partial) -> float:
-    return float(sum(partial.partition(r).array[0] for r in range(partial.num_devices)))
+    return ScalarResult(partial).value()
 
 
 @pytest.fixture

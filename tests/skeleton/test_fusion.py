@@ -197,3 +197,25 @@ def test_single_device_program_still_fuses_kernels():
     assert np.array_equal(fw.current.to_numpy(), plain.current.to_numpy())
     for program in _programs(fw):
         assert program.dispatch and all(s.kind == "kernel" for u in program.dispatch for s in u.steps)
+
+
+def test_interleaving_check_vetoes_only_what_a_member_moves_past():
+    """A member runs at its unit's head, ahead of every step other queues
+    issue in between: only a conflict between *it* and one of those may
+    veto it — not one that involves the head, which does not move.  The
+    extended-OCC CG's map halves on one queue with the other half's writes
+    interleaved are the case (``update_x`` reads the ``p`` that
+    ``update_p.boundary`` writes): 26 units, where checking the whole
+    chain made 30."""
+    from repro.workloads import JobSpec, build
+
+    app = build(JobSpec.make("poisson", (24, 24, 24), 2, devices=4, occ="extended"))
+    program = next(sk for sk in app.skeletons if sk.name == "cg_a").plan._ensure_program()
+    assert program.stats.dispatch_units == 26
+    seq = {id(s): i for i, s in enumerate(program.steps)}
+    for unit in program.dispatch:
+        head = seq[id(unit.steps[0])]
+        for member in unit.steps[1:]:
+            passed = [s for s in program.steps[head : seq[id(member)]] if s.queue is not member.queue]
+            acc = fusion._accesses(member)
+            assert not any(fusion._conflicts(acc, fusion._accesses(s)) for s in passed)
