@@ -10,12 +10,11 @@ by the repo's benchmark (``perf/run.py`` + ``BENCHMARK.json``), not here.
 from .harness import format_table, wall_time, write_bench_json
 from .metrics import lups, mlups, parallel_efficiency
 from .plot import ascii_plot
-from .report import load_result, save_result
+from .report import save_result
 
 __all__ = [
     "ascii_plot",
     "format_table",
-    "load_result",
     "lups",
     "mlups",
     "parallel_efficiency",

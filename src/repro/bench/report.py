@@ -17,8 +17,3 @@ def save_result(name: str, data: Any) -> pathlib.Path:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path
 
-
-def load_result(name: str) -> Any:
-    """Read back a series previously written by :func:`save_result`."""
-    path = RESULTS_DIR / f"{name}.json"
-    return json.loads(path.read_text())

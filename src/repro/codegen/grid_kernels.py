@@ -91,7 +91,6 @@ from . import table as _table
 #: (even NaN) ``y`` cannot leak through ``0 * y``, and ``a == 0`` leaves
 #: ``y`` as it is so a stale ``x`` cannot leak through ``0 * x``.
 MAP_FORMS = {
-    "set": "a",
     "copy": "x[i]",
     "ax": "a * x[i]",
     "sub": "x[i] - y[i]",

@@ -39,23 +39,6 @@ def copy(grid: Grid, src, dst, name: str = "copy") -> Container:
     return container
 
 
-def set_value(grid: Grid, dst, value: float, name: str = "set") -> Container:
-    """dst <- value."""
-    _check(grid, dst)
-
-    def loading(loader):
-        d = loader.write(dst)
-
-        def compute(span):
-            d.view_all(span)[...] = value
-
-        return compute
-
-    container = grid.new_container(name, loading)
-    container.specialize = _c.elementwise("set", dst, scalars=lambda: (value, 0.0))
-    return container
-
-
 def scale(grid: Grid, alpha: float, x, name: str = "scale") -> Container:
     """x <- alpha * x."""
     _check(grid, x)
@@ -135,25 +118,6 @@ def dot(grid: Grid, x, y, partial: MemSet, name: str = "dot") -> Container:
 def norm2_squared(grid: Grid, x, partial: MemSet, name: str = "norm2sq") -> Container:
     """partial <- per-slice sums of x*x (combine + sqrt host-side for the L2 norm)."""
     return dot(grid, x, x, partial, name=name)
-
-
-def waxpby(grid: Grid, alpha: float, x, beta: float, y, w, name: str = "waxpby") -> Container:
-    """w <- alpha * x + beta * y (three-operand BLAS-1)."""
-    _check(grid, x, y, w)
-
-    def loading(loader):
-        xp = loader.read(x)
-        yp = loader.read(y)
-        wp = loader.write(w)
-
-        def compute(span):
-            wp.view_all(span)[...] = alpha * xp.view_all(span) + beta * yp.view_all(span)
-
-        return compute
-
-    container = grid.new_container(name, loading, flops_per_cell=3.0 * x.cardinality)
-    container.specialize = _c.elementwise("axpby", w, x, y, scalars=lambda: (alpha, beta))
-    return container
 
 
 def total(grid: Grid, x, partial: MemSet, name: str = "sum") -> Container:

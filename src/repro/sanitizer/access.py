@@ -7,13 +7,11 @@ launch racing a halo copy is the whole point of OCC STANDARD).  The
 granularity that makes every deliberate overlap race-free and every
 missing event a race is the region atom:
 
-* ``("owned", field_uid, rank, part)`` — a partition's payload cells,
-  ``part`` in ``internal`` / ``boundary`` (a STANDARD launch touches
-  both atoms);
+* ``("owned", data_uid, rank, part)`` — a partition's payload cells, or
+  a reduce partial's slots (one per owned slice), ``part`` in
+  ``internal`` / ``boundary`` (a STANDARD launch touches both atoms);
 * ``("halo", field_uid, rank, side)`` — the ghost slots of ``rank``,
-  ``side`` in ``low`` / ``high``;
-* ``("host", data_uid, rank)`` — a host mirror staged by MemSet
-  transfers.
+  ``side`` in ``low`` / ``high``.
 
 Atoms either coincide or are disjoint, so the race check reduces to
 same-atom comparison.  Kernel footprints come from the Container's

@@ -73,12 +73,9 @@ def _collect_accesses(view: ProgramView) -> _Accesses:
 
 
 def _region_str(region: tuple) -> str:
-    kind = region[0]
-    if kind == "owned":
+    if region[0] == "owned":
         return f"owned[{region[3]}] of rank {region[2]}"
-    if kind == "halo":
-        return f"{region[3]} halo of rank {region[2]}"
-    return f"host mirror of rank {region[2]}"
+    return f"{region[3]} halo of rank {region[2]}"
 
 
 def _check_races(hb: HBAnalysis, acc: _Accesses, out: list) -> None:

