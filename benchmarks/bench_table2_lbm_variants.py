@@ -57,7 +57,7 @@ def test_table2_lbm_variants(benchmark, show):
             out[label] = {"wall_mlups": mlups(CELLS, ITERS, t_wall), "model_mlups": model}
         fw = LidDrivenCavity(Backend.sim_gpus(1), SHAPE, omega=1.0)
         t_wall = wall_time(lambda: fw.step(ITERS), repeats=2, warmup=1)
-        out["Neon twoPop"] = {"wall_mlups": mlups(CELLS, ITERS, t_wall), "model_mlups": fw.mlups()}
+        out["Neon twoPop"] = {"wall_mlups": mlups(CELLS, ITERS, t_wall), "model_mlups": fw.lups() / 1e6}
         return out
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

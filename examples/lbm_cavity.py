@@ -43,7 +43,7 @@ def main():
             Backend.sim_gpus(n, machine=dgx_a100(n)), (size,) * 3, occ=Occ.STANDARD, virtual=True
         )
         tn = cavn.iteration_makespan()
-        rows.append([n, tn * 1e3, cavn.mlups(), parallel_efficiency(t1, tn, n)])
+        rows.append([n, tn * 1e3, cavn.lups() / 1e6, parallel_efficiency(t1, tn, n)])
     print(format_table(["GPUs", "ms/iter", "MLUPS", "efficiency"], rows))
 
 

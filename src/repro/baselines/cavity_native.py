@@ -3,17 +3,18 @@
 
 Algorithm-identical to :class:`repro.solvers.lbm.d3q19.LidDrivenCavity`
 (pull scheme, sentinel halfway bounce-back, moving-lid correction) but
-written directly against padded arrays — the two must agree to machine
-precision, so wall-clock differences isolate framework overhead, exactly
-the comparison the paper's Table II makes against cuboltz.
+written directly against padded arrays — the two agree bitwise (the
+conformance matrix compares bytes), so wall-clock differences isolate
+framework overhead, exactly the comparison the paper's Table II makes
+against cuboltz.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.solvers.lbm.d3q19 import RHO0
 from repro.solvers.lbm.lattice import D3Q19, LatticeSpec
+from repro.solvers.lbm.twopop import RHO0
 
 
 #: cells per slab: the ~10 live temporaries of one slab's step then fit in L2

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.solvers.lbm.d2q9 import RHO0, cylinder_mask
+from repro.solvers.lbm.d2q9 import cylinder_mask
 from repro.solvers.lbm.lattice import D2Q9, LatticeSpec, omega_from_reynolds
+from repro.solvers.lbm.twopop import RHO0
 
 
 def _shift(a: np.ndarray, off: tuple[int, int], fill: float) -> np.ndarray:

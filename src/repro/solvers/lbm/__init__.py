@@ -1,4 +1,7 @@
-"""Lattice-Boltzmann solvers: D3Q19 cavity and D2Q9 Kármán street."""
+"""Lattice-Boltzmann solvers: one twoPop application shell
+(:class:`~.twopop.TwoPop`) and its two flows, the D3Q19 lid-driven
+cavity and the D2Q9 Kármán street, each supplying only its geometry,
+rest state and step container."""
 
 from .d2q9 import KarmanVortexStreet, cylinder_mask, make_karman_container
 from .d3q19 import LidDrivenCavity, make_twopop_container

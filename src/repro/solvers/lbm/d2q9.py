@@ -15,12 +15,11 @@ import numpy as np
 
 from repro.codegen import lattice_kernels
 from repro.domain import D2Q9_STENCIL, DenseGrid, Layout, SparseGrid
-from repro.skeleton import Occ, Skeleton
+from repro.skeleton import Occ
 from repro.system import Backend
 
-from .lattice import D2Q9, LatticeSpec, omega_from_reynolds
-
-RHO0 = 1.0
+from .lattice import D2Q9, omega_from_reynolds
+from .twopop import RHO0, TwoPop
 
 
 def cylinder_mask(shape: tuple[int, int], center: tuple[float, float], radius: float) -> np.ndarray:
@@ -38,14 +37,13 @@ def make_karman_container(
     mask,
     omega: float,
     inflow_velocity: float,
-    lattice: LatticeSpec = D2Q9,
     name: str = "karman_step",
 ):
     """One fused Kármán time step: stream, collide, and apply all BCs."""
     nx = grid.shape[1]
-    vel, w, opp = lattice.velocities, lattice.weights, lattice.opposite
+    vel, w, opp = D2Q9.velocities, D2Q9.weights, D2Q9.opposite
     u_in = np.array([0.0, inflow_velocity])
-    feq_in = lattice.equilibrium(np.float64(RHO0), u_in)  # (Q,) scalars
+    feq_in = D2Q9.equilibrium(np.float64(RHO0), u_in)  # (Q,) scalars
 
     def loading(loader):
         fi = loader.read(f_in, stencil=True)
@@ -55,8 +53,8 @@ def make_karman_container(
         def compute(span):
             center = fi.view(span, 0)
             _, x = (np.broadcast_to(c, center.shape) for c in fi.coords(span))
-            f = np.empty((lattice.q, *center.shape), dtype=np.float64)
-            for q in range(lattice.q):
+            f = np.empty((D2Q9.q, *center.shape), dtype=np.float64)
+            for q in range(D2Q9.q):
                 e = vel[q]
                 if not e.any():
                     f[q] = center
@@ -65,14 +63,12 @@ def make_karman_container(
                 g = fi.neighbour(span, off, q)
                 m = mk.neighbour(span, off)
                 f[q] = np.where(m > 0.5, g, fi.view(span, int(opp[q])))
-            rho, u = lattice.moments(f)
-            feq = lattice.equilibrium(rho, u)
-            out = f + omega * (feq - f)
+            out = D2Q9.collide(f, omega)
 
             fluid = mk.view(span) > 0.5
             inflow = x == 0
             outflow = x == nx - 1
-            for q in range(lattice.q):
+            for q in range(D2Q9.q):
                 col = out[q]
                 col = np.where(inflow, feq_in[q], col)
                 # zero-gradient outflow: previous step's value one cell left
@@ -83,12 +79,17 @@ def make_karman_container(
         return compute
 
     container = grid.new_container(name, loading, flops_per_cell=150.0)
-    container.specialize = lattice_kernels.karman(grid, f_in, f_out, mask, omega, feq_in, lattice, RHO0)
+    container.specialize = lattice_kernels.karman(grid, f_in, f_out, mask, omega, feq_in, D2Q9, RHO0)
     return container
 
 
-class KarmanVortexStreet:
+class KarmanVortexStreet(TwoPop):
     """The Table I application: 2-D channel flow past a cylinder."""
+
+    lattice = D2Q9
+    stencil = D2Q9_STENCIL
+    outside_value = 0.0
+    grid_name = skeleton_name = "karman"
 
     def __init__(
         self,
@@ -100,93 +101,34 @@ class KarmanVortexStreet:
         layout: Layout = Layout.SOA,
         virtual: bool = False,
         sparse: bool = False,
-        lattice: LatticeSpec = D2Q9,
         partition_weights=None,
     ):
         ny, nx = shape
-        self.backend = backend
-        self.lattice = lattice
         self.inflow_velocity = inflow_velocity
         self.cyl_center = (ny / 2.0 + 0.5, nx / 4.0)  # slightly off-axis seeds shedding
         self.cyl_radius = max(2.0, ny / 9.0)
         self.omega = omega_from_reynolds(reynolds, inflow_velocity, 2.0 * self.cyl_radius)
-        fluid = cylinder_mask(shape, self.cyl_center, self.cyl_radius)
-        if sparse:
-            # free-form domain: the cylinder's cells are simply not stored;
-            # the mask field is 1 on every stored cell and gathers of it at
-            # absent neighbours return its outside_value 0 = solid
-            if virtual:
-                raise ValueError("the sparse Kármán flow needs the real mask; virtual is unsupported")
-            self.grid = SparseGrid(
-                backend, mask=fluid, stencils=[D2Q9_STENCIL], name="karman", partition_weights=partition_weights
-            )
-        else:
-            self.grid = DenseGrid(
-                backend,
-                shape,
-                stencils=[D2Q9_STENCIL],
-                virtual=virtual,
-                name="karman",
-                partition_weights=partition_weights,
-            )
-        self.mask = self.grid.new_field("mask", outside_value=0.0)
-        self.f = [
-            self.grid.new_field(n, cardinality=lattice.q, outside_value=0.0, layout=layout)
-            for n in ("f0", "f1")
-        ]
-        if not virtual:
-            if sparse:
-                self.mask.fill(1.0)
-                self.mask.sync_halo_now()
-            else:
-                self.mask.init(lambda y, x: fluid[y, x].astype(np.float64))
-        self.reset()
-        self.skeletons = [
-            Skeleton(
-                backend,
-                [
-                    make_karman_container(
-                        self.grid, self.f[i], self.f[1 - i], self.mask, self.omega, inflow_velocity, lattice
-                    )
-                ],
-                occ=occ,
-                name=f"karman_{i}",
-            )
-            for i in (0, 1)
-        ]
+        # on a sparse grid the cylinder's cells are simply not stored
+        self.fluid = cylinder_mask(shape, self.cyl_center, self.cyl_radius)
+        if sparse and virtual:
+            raise ValueError("the sparse Kármán flow needs the real mask; virtual is unsupported")
+        self.rest = D2Q9.equilibrium(np.float64(RHO0), np.array([0.0, inflow_velocity]))  # the inflow state
+        super().__init__(backend, shape, occ, layout, virtual, sparse, partition_weights)
 
-    def reset(self) -> None:
-        """The cold state: inflow-velocity equilibrium in both population
-        fields, halos synced, parity zero (the mask is static)."""
-        self._parity = 0
+    def geometry(self) -> None:
+        """The 0/1 mask field; its outside_value 0 makes the border a wall."""
+        self.mask = self.grid.new_field("mask", outside_value=0.0)
         if self.grid.virtual:
             return
-        feq0 = self.lattice.equilibrium(np.float64(RHO0), np.array([0.0, self.inflow_velocity]))
-        for fld in self.f:
-            fld.fill(feq0)
-            fld.sync_halo_now()
+        if isinstance(self.grid, SparseGrid):
+            # every stored cell is fluid; gathers at absent neighbours read 0 = solid
+            self.mask.fill(1.0)
+            self.mask.sync_halo_now()
+        else:
+            self.mask.init(lambda y, x: self.fluid[y, x].astype(np.float64))
 
-    @property
-    def current(self):
-        return self.f[self._parity]
-
-    def step(self, iterations: int = 1, mode: str = "serial") -> None:
-        for _ in range(iterations):
-            self.skeletons[self._parity].run(mode=mode)
-            self._parity = 1 - self._parity
-
-    # -- resilience hooks (as LidDrivenCavity's; the mask is rebuilt, not restored)
-    def checkpoint_fields(self) -> list:
-        return list(self.f)
-
-    def checkpoint_scalars(self) -> dict:
-        return {"parity": self._parity}
-
-    def restore_scalars(self, scalars: dict) -> None:
-        self._parity = int(scalars["parity"])
-
-    def macroscopic(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lattice.moments(self.current.to_numpy())
+    def container(self, f_in, f_out):
+        return make_karman_container(self.grid, f_in, f_out, self.mask, self.omega, self.inflow_velocity)
 
     def vorticity(self) -> np.ndarray:
         """Curl of the velocity field (host-side, for visual checks)."""
@@ -194,11 +136,3 @@ class KarmanVortexStreet:
         duy_dx = np.gradient(u[0], axis=1)
         dux_dy = np.gradient(u[1], axis=0)
         return duy_dx - dux_dy
-
-    def iteration_makespan(self, machine=None) -> float:
-        sk = self.skeletons[self._parity]
-        return sk.trace(machine=machine, result=sk.record()).makespan
-
-    def lups(self, machine=None) -> float:
-        """Lattice updates per second under the cost model (Table I metric)."""
-        return self.grid.num_active / self.iteration_makespan(machine)

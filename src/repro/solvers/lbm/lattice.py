@@ -2,8 +2,8 @@
 
 Defines the D3Q19 and D2Q9 lattices (velocities, quadrature weights,
 opposite directions) and the BGK machinery shared by the grid-based
-solvers and the native baselines: second-order equilibrium distribution
-and macroscopic moments.
+solvers and the native baselines: second-order equilibrium distribution,
+macroscopic moments and the BGK collision.
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: the squared lattice speed of sound of both velocity sets; the
+#: equilibrium's 3, 4.5 and 1.5 are 1 / cs2, 1 / (2 cs2^2) and 1 / (2 cs2)
+CS2 = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -21,7 +25,6 @@ class LatticeSpec:
     velocities: np.ndarray  # (Q, ndim) int
     weights: np.ndarray  # (Q,)
     opposite: np.ndarray = field(init=False)  # (Q,) index of -e_q
-    cs2: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
         v, w = self.velocities, self.weights
@@ -69,6 +72,11 @@ class LatticeSpec:
                 if self.velocities[qi, d]:
                     eu = eu + self.velocities[qi, d] * u[d]
             yield qi, self.weights[qi] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
+
+    def collide(self, f: np.ndarray, omega: float) -> np.ndarray:
+        """BGK relaxation of distributions of shape (Q, *S) towards their equilibrium."""
+        rho, u = self.moments(f)
+        return f + omega * (self.equilibrium(rho, u) - f)
 
     def moments(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Density and velocity from distributions of shape (Q, *S)."""

@@ -17,21 +17,13 @@ import numpy as np
 
 from repro.domain import DenseGrid
 
-from .d3q19 import RHO0, SOLID_SENTINEL
-from .lattice import D3Q19, LatticeSpec
+from .d3q19 import pull
+from .lattice import D3Q19
 
 
-def make_stream_container(
-    grid: DenseGrid,
-    f_in,
-    f_mid,
-    lid_velocity: float,
-    lattice: LatticeSpec = D3Q19,
-    name: str = "stream",
-):
+def make_stream_container(grid: DenseGrid, f_in, f_mid, lid_velocity: float, name: str = "stream"):
     """Pure streaming pass: gather pulled populations (with bounce-back)."""
     nz = grid.shape[0]
-    vel, w, opp = lattice.velocities, lattice.weights, lattice.opposite
 
     def loading(loader):
         fi = loader.read(f_in, stencil=True)
@@ -39,33 +31,15 @@ def make_stream_container(
 
         def compute(span):
             z = fi.coords(span)[0]
-            for q in range(lattice.q):
-                e = vel[q]
-                if not e.any():
-                    fm.view(span, q)[...] = fi.view(span, q)
-                    continue
-                off = tuple(int(-c) for c in e)
-                g = fi.neighbour(span, off, q)
-                bb = np.asarray(fi.view(span, int(opp[q])))
-                if e[0] < 0 and lid_velocity != 0.0:
-                    corr = 6.0 * w[q] * RHO0 * (e[2] * lid_velocity)
-                    from_lid = np.broadcast_to(z + off[0] >= nz, g.shape)
-                    bb = bb + np.where(from_lid, corr, 0.0)
-                fm.view(span, q)[...] = np.where(g <= SOLID_SENTINEL + 0.5, bb, g)
+            for q in range(D3Q19.q):
+                fm.view(span, q)[...] = pull(fi, span, q, z, nz, lid_velocity)
 
         return compute
 
     return grid.new_container(name, loading, flops_per_cell=40.0)
 
 
-def make_collide_container(
-    grid: DenseGrid,
-    f_mid,
-    f_out,
-    omega: float,
-    lattice: LatticeSpec = D3Q19,
-    name: str = "collide",
-):
+def make_collide_container(grid: DenseGrid, f_mid, f_out, omega: float, name: str = "collide"):
     """Pure BGK collision pass over the streamed populations."""
 
     def loading(loader):
@@ -73,11 +47,8 @@ def make_collide_container(
         fo = loader.write(f_out)
 
         def compute(span):
-            f = np.stack([fm.view(span, q) for q in range(lattice.q)])
-            rho, u = lattice.moments(f)
-            feq = lattice.equilibrium(rho, u)
-            out = f + omega * (feq - f)
-            for q in range(lattice.q):
+            out = D3Q19.collide(np.stack([fm.view(span, q) for q in range(D3Q19.q)]), omega)
+            for q in range(D3Q19.q):
                 fo.view(span, q)[...] = out[q]
 
         return compute
@@ -85,9 +56,9 @@ def make_collide_container(
     return grid.new_container(name, loading, flops_per_cell=310.0)
 
 
-def make_unfused_step(grid, f_in, f_mid, f_out, omega, lid_velocity, lattice: LatticeSpec = D3Q19):
+def make_unfused_step(grid, f_in, f_mid, f_out, omega, lid_velocity):
     """The two-container step: stream into scratch, then collide."""
     return [
-        make_stream_container(grid, f_in, f_mid, lid_velocity, lattice),
-        make_collide_container(grid, f_mid, f_out, omega, lattice),
+        make_stream_container(grid, f_in, f_mid, lid_velocity),
+        make_collide_container(grid, f_mid, f_out, omega),
     ]

@@ -70,5 +70,5 @@ def test_lateral_symmetry_preserved(cavity):
 
 def test_mlups_metric_positive():
     cav = LidDrivenCavity(Backend.sim_gpus(4), (64, 64, 64), virtual=True)
-    assert cav.mlups() > 0
+    assert cav.lups() > 0
     assert cav.iteration_makespan() > 0
