@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from repro import observability as _obs
 
-from .checkpoint import CHECKPOINT_SCHEMA, Checkpoint, CheckpointStore
+from .checkpoint import CHECKPOINT_SCHEMA, Checkpoint, CheckpointStore, restore_targets
 from .errors import (
     CheckpointCorrupt,
     CopyFault,
@@ -132,6 +132,7 @@ __all__ = [
     "TransientFault",
     "degraded_backend",
     "execute_command",
+    "restore_targets",
     "run_with_retry",
     "session",
     "should_fail_allocation",

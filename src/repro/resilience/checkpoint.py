@@ -99,19 +99,27 @@ class Checkpoint:
 
         Fields are matched positionally and must carry the same names as
         at capture time; the target fields may live on a different
-        backend (migration after device loss).  Raises
-        :class:`CheckpointCorrupt` — without touching any live field —
-        when an array fails its checksum.
+        backend (migration after device loss).  ``fields`` may also be a
+        callable that takes the snapshot's (copied) scalars and returns
+        the targets, called once the snapshot verifies: an application
+        whose checkpointed fields depend on its loop state (twoPop's live
+        population is ``f[parity]``) adopts the scalars there, so the
+        snapshot names its own targets (:func:`restore_targets`).  Raises
+        :class:`CheckpointCorrupt` — without touching any live field or
+        calling ``fields`` — when an array fails its checksum.
         """
-        if len(fields) != len(self.arrays):
-            raise ValueError(
-                f"checkpoint holds {len(self.arrays)} fields but {len(fields)} were passed"
-            )
         bad = self.verify()
         if bad:
             if _obs.OBS.active:
                 _obs.OBS.metrics.counter("checkpoint_corruptions").inc()
             raise CheckpointCorrupt(bad, self.step, generation)
+        scalars = copy.deepcopy(self.scalars)
+        if callable(fields):
+            fields = fields(scalars)
+        if len(fields) != len(self.arrays):
+            raise ValueError(
+                f"checkpoint holds {len(self.arrays)} fields but {len(fields)} were passed"
+            )
         with _obs.span("resilience.restore", cat="resilience", step=self.step):
             for field, (name, arr) in zip(fields, self.arrays):
                 if field.name != name:
@@ -119,11 +127,28 @@ class Checkpoint:
                 field.load_numpy(arr)
         if _obs.OBS.active:
             _obs.OBS.metrics.counter("checkpoint_restores").inc()
-        return copy.deepcopy(self.scalars)
+        return scalars
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = ", ".join(n for n, _ in self.arrays)
         return f"Checkpoint(step={self.step}, fields=[{names}], {self.nbytes} B)"
+
+
+def restore_targets(app):
+    """The targets of restoring a checkpoint into a driver-protocol ``app``.
+
+    The app adopts the snapshot's scalars (``on_restore``) *before* it
+    names its ``fields()``, so an app whose checkpointed fields depend on
+    its loop state gets the snapshot's own: a twoPop checkpoint taken at
+    parity 1 holds ``f1`` and restores into ``f1`` of an app at parity 0.
+    """
+
+    def targets(scalars: dict) -> list:
+        if hasattr(app, "on_restore"):
+            app.on_restore(scalars)
+        return app.fields()
+
+    return targets
 
 
 class CheckpointStore:
@@ -169,9 +194,12 @@ class CheckpointStore:
     def restore_latest_valid(self, fields) -> tuple[Checkpoint, dict, int]:
         """Restore the newest generation that passes verification.
 
-        Returns ``(checkpoint, scalars, generation_index)``; corrupt
-        generations are dropped from the store (they can never restore)
-        and counted in :attr:`corrupt_dropped`.
+        ``fields`` is what :meth:`Checkpoint.restore` takes: the targets,
+        or a callable choosing them from the restoring generation's
+        scalars (:func:`restore_targets`).  Returns ``(checkpoint,
+        scalars, generation_index)``; corrupt generations are dropped from
+        the store (they can never restore) and counted in
+        :attr:`corrupt_dropped`.
         """
         if not self._generations:
             raise ValueError("checkpoint store is empty; nothing to restore")
@@ -205,4 +233,5 @@ class CheckpointStore:
             "fallbacks": self.fallbacks,
             "corrupt_dropped": self.corrupt_dropped,
             "max_restore_depth": self.max_restore_depth,
+            "nbytes": self.latest.nbytes if self._generations else 0,
         }

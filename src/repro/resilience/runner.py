@@ -28,7 +28,7 @@ Applications plug in through a small duck-typed protocol::
     app.fields()               # -> list[Field]: checkpointable state
     app.scalars()              # -> dict: host-side loop state (optional)
     app.step(i)                # run iteration i
-    app.on_restore(scalars)    # re-seed host state after a restore (optional)
+    app.on_restore(scalars)    # re-seed host state first when restoring (optional)
 
 ``factory`` must be deterministic in everything it does not restore from
 the checkpoint (boundary conditions, coefficients), so a rebuilt
@@ -51,7 +51,7 @@ from typing import NamedTuple
 from repro import observability as _obs
 from repro.observability import flight as _flight
 
-from .checkpoint import Checkpoint, CheckpointStore
+from .checkpoint import Checkpoint, CheckpointStore, restore_targets
 from .errors import (
     CorruptionDetected,
     DegradeOverCapacity,
@@ -208,7 +208,7 @@ class ResilientDriver:
 
     def _restore(self, app) -> int:
         """Restore the newest *valid* generation; return its step."""
-        ckpt, scalars, generation = self.store.restore_latest_valid(app.fields())
+        ckpt, _, generation = self.store.restore_latest_valid(restore_targets(app))
         if generation > 0:
             _flight.record(
                 "host",
@@ -216,8 +216,6 @@ class ResilientDriver:
                 "checkpoint_fallback",
                 {"to_step": ckpt.step, "generation": generation, "header": ckpt.header()},
             )
-        if hasattr(app, "on_restore"):
-            app.on_restore(scalars)
         return ckpt.step
 
     def _rollback(self, app, cause: Exception) -> int:

@@ -36,6 +36,7 @@ Per-tenant latency lands in the standard histogram metrics
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import threading
 from collections import deque
@@ -177,6 +178,11 @@ class Gateway:
         self._cv = threading.Condition(threading.Lock())
         self._tenants: dict[str, _TenantQueue] = {}
         self._by_key: dict[str, deque[Job]] = {}
+        # spec -> plan key for the specs keyed last: a warm re-submit neither
+        # calls the machine factory nor builds (and hashes) a new key
+        self._plan_key = functools.lru_cache(maxsize=self.cache.max_programs)(
+            lambda spec: plan_key(spec, self.machine_factory(spec.devices).name)
+        )
         self._pending = 0
         self._seq = 0
         self._closed = False
@@ -231,8 +237,7 @@ class Gateway:
         same spec a plain job would, on a backend of its own; a plan holds
         its draw counters, so give each job a fresh one.
         """
-        machine = self.machine_factory(spec.devices)
-        key = plan_key(spec, machine.name)
+        key = self._plan_key(spec)
         entry = self.cache.peek(key)
         estimate = 0.0  # optimistic: unknown work sorts first within its tenant
         if entry is not None and entry.estimate_seconds is not None:
@@ -356,7 +361,6 @@ class Gateway:
 
     def _run_cached(self, job: Job, queue_wait: float) -> JobResult:
         spec = job.spec
-        machine = self.machine_factory(spec.devices)
         entry = self.cache.lookup(job.key)
         cache_hit = entry is not None
         if entry is None:
@@ -366,7 +370,7 @@ class Gateway:
             app = entry.program
             if app is None:
                 cache_hit = False
-                app = build(spec, machine=machine)
+                app = build(spec, machine=self.machine_factory(spec.devices))
                 self.cache.store(
                     job.key,
                     program=app,

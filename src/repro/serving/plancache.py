@@ -37,6 +37,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro import observability as _obs
@@ -93,9 +94,10 @@ class PlanKey:
         """Canonical JSON: sorted keys, exact float repr — digest input."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Content address: SHA-256 of the canonical JSON form."""
+        """Content address: SHA-256 of the canonical JSON form, hashed once
+        per key (the key is frozen)."""
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     def tuning_key(self) -> "PlanKey":

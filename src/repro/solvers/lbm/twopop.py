@@ -83,14 +83,18 @@ class TwoPop:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """The cold state: ``rest`` in both population fields, halos
-        synced, parity zero (static fields keep their values)."""
+        """The cold state of everything the next step reads: parity zero
+        and ``rest`` in the live population ``f[0]``, halos synced.
+
+        ``f[1]`` is dead until that step writes every owned cell of it and
+        syncs its halos, so it keeps whatever it held (static fields keep
+        their values too).
+        """
         self._parity = 0
         if self.grid.virtual:
             return
-        for fld in self.f:
-            fld.fill(self.rest)
-            fld.sync_halo_now()
+        self.f[0].fill(self.rest)
+        self.f[0].sync_halo_now()
 
     @property
     def current(self):
@@ -104,8 +108,11 @@ class TwoPop:
 
     # -- resilience hooks (static fields are rebuilt, not restored) ------------
     def checkpoint_fields(self) -> list:
-        """Both population fields — the complete state of the stepping."""
-        return list(self.f)
+        """The live population ``f[parity]`` — with the parity, the complete
+        state of the stepping (the other population is dead).  A restore
+        sets the parity first (:meth:`restore_scalars`), so this names the
+        field the checkpoint was taken from."""
+        return [self.current]
 
     def checkpoint_scalars(self) -> dict:
         """Host-side loop state: which field holds the latest populations."""

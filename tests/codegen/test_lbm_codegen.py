@@ -16,7 +16,7 @@ from repro import codegen
 from repro import observability as obs
 from repro.baselines import NativeCavity
 from repro.codegen.table import Table
-from repro.resilience import Checkpoint
+from repro.resilience import Checkpoint, restore_targets
 from repro.skeleton import fusion
 from repro.skeleton.executor import scan_non_finite
 from repro.codegen.lattice_kernels import (
@@ -124,17 +124,17 @@ def test_pitch_slack_is_never_read_or_written():
     which scans what kernels write, does not see it."""
     app = poisoned_cavity()
     app.run()
-    fields = app.fields()
-    for field in fields:
+    for field in app.solver.f:
         field.sync_halo_now()
         pair = [m for m in field.halo_messages() if (m.src_rank, m.dst_rank) == (0, 1)]
         batched = field.batched_halo_fn(pair)
         assert isinstance(batched, Table)  # cardinality strided chunks, one memcpy each
         batched()
-    snapshot = Checkpoint.capture(fields, app.scalars())
+    snapshot = Checkpoint.capture(app.fields(), app.scalars())
     app.run()
-    app.on_restore(snapshot.restore(fields))
-    assert np.array_equal(app.solver.current.to_numpy(), snapshot.arrays[app.solver._parity][1])
+    snapshot.restore(restore_targets(app))
+    ((_, live),) = snapshot.arrays
+    assert np.array_equal(app.solver.current.to_numpy(), live)
     assert slack_is_nan(app)
     assert scan_non_finite([c for sk in app.skeletons for c in sk.containers]) == []
     app.close()

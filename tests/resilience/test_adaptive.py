@@ -148,7 +148,7 @@ def test_fault_history_does_not_depend_on_observability():
     same bits."""
 
     def run():
-        plan = FaultPlan(7, launch=0.15, copy=0.15, device_loss={3: 120})
+        plan = FaultPlan(8, launch=0.15, copy=0.15, device_loss={3: 120})
         policy = RecoveryPolicy(checkpoint_interval=2)
         driver = ResilientDriver(
             cavity_factory, mixed_backend(4), 8, policy=policy, plan=plan, experiment="lbm"
@@ -176,7 +176,7 @@ def test_fault_history_does_not_depend_on_observability():
 def test_two_losses_at_different_steps_complete_bitwise():
     steps = 10
     reference = cavity_reference(steps)
-    plan = FaultPlan(11, device_loss={3: 150, 2: 700})
+    plan = FaultPlan(11, device_loss={3: 120, 2: 600})
     policy = RecoveryPolicy(checkpoint_interval=2)
     driver = ResilientDriver(
         cavity_factory, mixed_backend(4), steps, policy=policy, plan=plan, experiment="lbm"

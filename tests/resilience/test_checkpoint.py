@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.bench.chaos import chaos_spec
 from repro.domain import STENCIL_7PT, DenseGrid
 from repro.domain.field import Field
-from repro.resilience import Checkpoint, degraded_backend
+from repro.resilience import Checkpoint, degraded_backend, restore_targets
 from repro.system import Backend
 from repro.system.queue import CommandQueue
 from repro.workloads import build, resilient_factory
@@ -234,14 +234,13 @@ def test_d3q19_restore_syncs_each_fields_halo_once(monkeypatch):
 
     monkeypatch.setattr(Field, "sync_halo_now", counting_sync)
     monkeypatch.setattr(CommandQueue, "enqueue_copy", counting_copy)
-    scalars = ckpt.restore(survivor.fields())
+    ckpt.restore(restore_targets(survivor))
     monkeypatch.undo()
 
     fields = survivor.fields()
     assert max(f.cardinality for f in fields) == 19
     assert syncs == [f.name for f in fields]
     assert len(copies) == sum(len(f.halo_messages()) for f in fields) > 0
-    survivor.on_restore(scalars)
     for i in range(3, 6):
         survivor.step(i)
     assert np.array_equal(survivor.result_array(), reference.result_array())

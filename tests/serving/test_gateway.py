@@ -288,3 +288,44 @@ def test_job_counters_lose_no_update_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert (stats["done"], stats["failed"]) == (2000, 1000)
+
+
+# -- what a warm submit computes ------------------------------------------------
+def test_warm_resubmits_build_no_machine_and_hash_no_key(monkeypatch):
+    """A spec's plan key is built and hashed once: warm re-submits of it
+    call neither the machine factory nor ``PlanKey.to_json``, and the
+    spec -> key map never outgrows the cache's ``max_programs``."""
+    from repro.serving import PlanKey
+    from repro.sim import dgx_a100
+
+    machines, dumps = [], []
+    to_json = PlanKey.to_json
+
+    def counting_machine(devices):
+        machines.append(devices)
+        return dgx_a100(devices)
+
+    def counting_to_json(self):
+        dumps.append(self)
+        return to_json(self)
+
+    monkeypatch.setattr(PlanKey, "to_json", counting_to_json)
+    with Gateway(cache=PlanCache(max_programs=2), machine_factory=counting_machine, workers=1) as gw:
+        cold = gw.submit("a", LBM).result(timeout=300)
+        assert machines and dumps  # the cold job keyed and built its program
+        machines.clear()
+        dumps.clear()
+        warm = [gw.submit("a", LBM).result(timeout=300) for _ in range(3)]
+        assert (machines, dumps) == ([], [])
+        assert all(r.cache_hit for r in warm)
+        assert all(np.array_equal(r.fingerprints["f"], cold.fingerprints["f"]) for r in warm)
+
+        specs = [JobSpec.make("lbm", (8, 6, 6), steps, devices=2, omega=1.1) for steps in range(3, 8)]
+        for spec in specs:
+            gw.submit("a", spec).result(timeout=300)
+            assert gw._plan_key.cache_info().currsize <= gw.cache.max_programs
+        machines.clear()
+        gw.submit("a", specs[-1]).result(timeout=300)  # still mapped
+        assert machines == []
+        gw.submit("a", specs[0]).result(timeout=300)  # dropped: keyed (and built) again
+        assert machines == [2, 2]

@@ -12,7 +12,7 @@ replay mode and fusion setting, compiled and interpreted.
 import numpy as np
 import pytest
 
-from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.checkpoint import Checkpoint, restore_targets
 from repro.skeleton import Occ
 from repro.system import EXECUTION_MODES
 from repro.workloads import JobSpec, build
@@ -49,7 +49,7 @@ def poisoned_run(app) -> np.ndarray:
     checkpoint = Checkpoint.capture(app.fields(), app.scalars(), step=steps)
     for _ in range(ROLLED_BACK):
         step()
-    app.on_restore(checkpoint.restore(app.fields()))
+    checkpoint.restore(restore_targets(app))
     steps = checkpoint.step
     while steps < app.spec.steps:
         step()

@@ -31,16 +31,18 @@ def spec_of(experiment: str, **changes) -> JobSpec:
 
 
 def state_fields(app) -> dict[str, np.ndarray]:
-    """Every field a result can depend on, as global arrays.
+    """Every field the next step reads, as global arrays.
 
     CG's r/p/q scratch is excluded on purpose: ``begin()`` rebuilds it
-    from the iterate and the right-hand side, so it is not state.
+    from the iterate and the right-hand side, so it is not state.  So is
+    twoPop's other population: the next step writes every cell of it
+    before any step reads it (tests/solvers/test_lbm_dead_population.py).
     """
     solver = app.solver
     if hasattr(solver, "cg"):
         fields = [solver.cg.x, solver.cg.b]
     else:
-        fields = [*solver.f, *([solver.mask] if hasattr(solver, "mask") else [])]
+        fields = [solver.current, *([solver.mask] if hasattr(solver, "mask") else [])]
     return {f.name: f.to_numpy() for f in fields}
 
 
@@ -66,6 +68,8 @@ def test_reset_then_run_is_bitwise_the_cold_run(experiment):
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_solver_reset_after_stepping_equals_a_fresh_solver(experiment):
+    """``reset()`` is a fresh solver on everything the next step reads:
+    the live fields and the host-side loop state."""
     spec = spec_of(experiment)
     fresh, used = build(spec), build(spec)
     used.run()
